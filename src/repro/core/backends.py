@@ -8,13 +8,19 @@ popped kernel instance's body executes:
   the node's worker threads.  Deterministic and zero-setup, but
   CPU-bound kernels serialize on the GIL, so scaling curves are flat.
 * :class:`ProcessBackend` — true-parallel execution.  Each worker
-  thread becomes a *proxy* that forwards ``(kernel, age, index)``
-  tuples over a dedicated pipe to a long-lived worker process and
+  thread becomes a *proxy* that forwards ``(kernel, age, [indices])``
+  messages over a dedicated pipe to a long-lived worker process and
   blocks on the reply (releasing the GIL).  Field payloads live in
   ``multiprocessing.shared_memory`` segments
   (:class:`~repro.core.fields.SharedFieldStore`), so fetches and stores
   are zero-copy views of the same physical pages — only the tiny
-  instance descriptor and store report cross the pipe.
+  batch descriptor and store report cross the pipe.
+
+Both run the same routine, :func:`~repro.core.execute.run_batch`, and
+hand its result to the same parent-side tail,
+:meth:`ExecutionNode._commit_batch`; a backend only supplies the
+field-access adapter that says where the bytes live (:class:`_NodeFields`
+in the parent, :class:`_SegmentCache` in a worker process).
 
 The division of labour in the process backend keeps the P2G semantics
 exactly where they were:
@@ -22,7 +28,7 @@ exactly where they were:
 * the **parent** owns segment lifecycle (creates each age's segment at
   dispatch time, before any worker could touch it; unlinks at GC and
   teardown) and all write-once bookkeeping — a worker's store report is
-  applied via :meth:`~repro.core.fields.Field.mark_written`, so
+  applied via :meth:`~repro.core.fields.Field.mark_written_many`, so
   violations raise in the parent just like on the threads backend;
 * **workers** only read and write payload bytes through views attached
   by the deterministic :func:`~repro.core.fields.segment_name`, and
@@ -34,14 +40,21 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .errors import KernelBodyError, RuntimeStateError, WorkerProcessError
-from .events import InstanceDoneEvent, StoreEvent
+from .errors import (
+    KernelBodyError,
+    RuntimeStateError,
+    WorkerProcessError,
+    WriteOnceViolation,
+)
+from .events import ResizeEvent, StoreEvent
+from .execute import run_batch
 from .fields import FieldStore, SharedFieldStore, segment_name
-from .kernels import KernelContext, KernelInstance, coerce_store_value
+from .kernels import KernelContext, KernelInstance
 from .program import Program
 from .scheduler import apply_decisions
 
@@ -64,22 +77,20 @@ class ExecutionBackend:
         process backend must fork from a single-threaded parent)."""
         raise NotImplementedError
 
-    def execute(self, inst: KernelInstance, worker_id: int) -> None:
-        """Run one instance on behalf of worker ``worker_id`` and post
-        its store/done events.  Called from the node's worker threads."""
-        raise NotImplementedError
-
     def execute_batch(
         self, batch: list[KernelInstance], worker_id: int
     ) -> None:
-        """Run a batch of instances of the *same* kernel definition and
-        age (see :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) on
-        behalf of one worker.  Backends override this to amortize
-        per-instance dispatch cost — one IPC round-trip, one trace
-        span, one metrics update per batch; the default preserves
-        semantics by degenerating to per-instance :meth:`execute`."""
-        for inst in batch:
-            self.execute(inst, worker_id)
+        """Run a batch of one or more instances of the *same* kernel
+        definition and age (see
+        :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) on behalf of
+        worker ``worker_id`` and post their store/done events.  Called
+        from the node's worker threads."""
+        raise NotImplementedError
+
+    def execute(self, inst: KernelInstance, worker_id: int) -> None:
+        """Run one instance: a batch of one (a convenience for callers
+        outside the runtime; the worker loop never uses it)."""
+        self.execute_batch([inst], worker_id)
 
     def on_replan(self, decisions, epoch: int) -> None:
         """The node re-bound to a rewritten program at ``epoch`` (online
@@ -105,6 +116,49 @@ class ExecutionBackend:
         """Release execution resources (idempotent)."""
 
 
+class _NodeFields:
+    """Field-access adapter for bodies run in the parent process (see
+    :mod:`repro.core.execute`): a handle is the live ``Field``.  A store
+    is announced the moment it commits, so inside a batch each
+    instance's consumers become runnable as that instance's stores land,
+    not when the whole batch is done."""
+
+    def __init__(self, node: "ExecutionNode") -> None:
+        self._node = node
+        self.fields = {f.fdef.name: f for f in node.fields}
+
+    def read(self, field, age: int, region) -> np.ndarray:
+        return field.fetch(age, region)
+
+    def write(self, field, age: int, region, arr) -> StoreEvent:
+        node = self._node
+        name = field.fdef.name
+        resize = None
+        # Recovery: the dead predecessor already committed this region
+        # with identical bytes (write-once determinism); skip the payload
+        # write but re-announce the store so consumers that missed the
+        # original delivery become runnable.
+        if not (node.recover and field.is_complete(age, region)):
+            try:
+                resize = field.store(age, region, arr)
+            except WriteOnceViolation:
+                if not node.recover:
+                    raise
+                # Recovery dispatches the dead node's in-flight work twice
+                # on purpose (direct re-enqueue + replay-driven analyzer
+                # rediscovery); when both copies run concurrently the
+                # completeness check above races the other copy's commit.
+                # Losing that race is the skip case arriving late: the
+                # winner wrote the same bytes.
+        if resize is not None:
+            node._post(
+                ResizeEvent(name, resize.old_extent, resize.new_extent)
+            )
+        ev = StoreEvent(name, age, region)
+        node._post(ev)
+        return ev
+
+
 class ThreadBackend(ExecutionBackend):
     """Run kernel bodies directly on the node's worker threads."""
 
@@ -115,25 +169,36 @@ class ThreadBackend(ExecutionBackend):
 
     def start(self, node: "ExecutionNode") -> None:
         self._node = node
-
-    def execute(self, inst: KernelInstance, worker_id: int) -> None:
-        self._node._execute(inst, worker_id)
+        self._mem = _NodeFields(node)
+        # One pooled context per worker thread, rebound per instance: a
+        # dispatch-bound program must not allocate per singleton batch.
+        self._ctxs = [
+            KernelContext(timers=node.timers.as_mapping(), node=node)
+            for _ in range(node.workers)
+        ]
 
     def execute_batch(
         self, batch: list[KernelInstance], worker_id: int
     ) -> None:
-        self._node._execute_batch(batch, worker_id)
-
-    def shutdown(self) -> None:
-        pass
+        first = batch[0]
+        t0 = time.perf_counter()
+        run = run_batch(
+            first.kernel, first.age, [inst.index for inst in batch],
+            self._mem, self._ctxs[worker_id],
+        )
+        self._node._commit_batch(batch, worker_id, t0, run)
 
 
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
 class _SegmentCache:
-    """Per-worker cache of attached shared-memory views, keyed by
-    ``(field, age)``.
+    """A worker process's fields: a cache of attached shared-memory
+    views, keyed by ``(field, age)``, and the field-access adapter over
+    them (see :mod:`repro.core.execute`).  Reads and writes go straight
+    to the views; a store's record — ``(field, age, ((start, stop),
+    ...))`` — travels back to the parent, which owns all write-once
+    bookkeeping.
 
     Ages retire monotonically, so eviction drops the lowest ages first.
     A view the kernel body still references cannot be unmapped
@@ -141,27 +206,40 @@ class _SegmentCache:
     """
 
     def __init__(
-        self, run_id: str, shared_tracker: bool, limit: int = 128
+        self, run_id: str, shared_tracker: bool, fdefs, limit: int = 128
     ) -> None:
         self.run_id = run_id
         self.shared_tracker = shared_tracker
         self.limit = limit
         self._entries: dict[tuple[str, int], tuple[Any, np.ndarray]] = {}
+        # A worker's handle on a field: its definition and its declared
+        # extent (shared-memory fields cannot grow).
+        self.fields = {
+            f.name: SimpleNamespace(fdef=f, extent=f.shape) for f in fdefs
+        }
 
-    def view(
-        self,
-        field: str,
-        age: int,
-        extent: tuple[int, ...],
-        dtype: np.dtype,
-    ) -> np.ndarray:
-        entry = self._entries.get((field, age))
+    def read(self, field, age: int, region) -> np.ndarray:
+        value = self.view(field.fdef, age)[
+            ... if region is None else region
+        ]
+        value.flags.writeable = False
+        return value
+
+    def write(self, field, age: int, region, arr) -> tuple:
+        self.view(field.fdef, age)[region] = arr
+        return (
+            field.fdef.name, age,
+            tuple((sl.start, sl.stop) for sl in region),
+        )
+
+    def view(self, fdef, age: int) -> np.ndarray:
+        entry = self._entries.get((fdef.name, age))
         if entry is not None:
             return entry[1]
         from multiprocessing import resource_tracker, shared_memory
 
         shm = shared_memory.SharedMemory(
-            name=segment_name(self.run_id, field, age)
+            name=segment_name(self.run_id, fdef.name, age)
         )
         # The parent owns the segment's lifetime.  With a fork-shared
         # resource tracker the attach's register is a set-level no-op
@@ -173,8 +251,8 @@ class _SegmentCache:
                 resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:
                 pass
-        arr = np.ndarray(extent, dtype=dtype, buffer=shm.buf)
-        self._entries[(field, age)] = (shm, arr)
+        arr = np.ndarray(fdef.shape, dtype=fdef.np_dtype, buffer=shm.buf)
+        self._entries[(fdef.name, age)] = (shm, arr)
         if len(self._entries) > self.limit:
             self._evict()
         return arr
@@ -219,192 +297,30 @@ class _SegmentCache:
         self._entries.clear()
 
 
-class _WorkerBodyError(Exception):
-    """Worker-internal wrapper marking an exception as raised *inside*
-    a kernel body (vs. the fetch/store machinery), so the reply can
-    carry the ``in_body`` flag the parent uses to pick between
-    :class:`KernelBodyError` and :class:`WorkerProcessError`."""
-
-    def __init__(self, cause: BaseException) -> None:
-        super().__init__(str(cause))
-        self.cause = cause
-
-
-def _worker_run_instance(
-    program, kernel, age, index, cache: _SegmentCache, ctx=None
-):
-    """Fetch, run and store one instance worker-side; returns
-    ``(stores, outputs, dispatch_time, kernel_time)``.  ``ctx`` pools a
-    :class:`KernelContext` across a batch (reset per instance) instead
-    of allocating one per call."""
-    t0 = time.perf_counter()
-    imap = dict(zip(kernel.index_vars, index))
-    fetched: dict[str, Any] = {}
-    for f in kernel.fetches:
-        fdef = program.fields[f.field]
-        extent = fdef.shape
-        assert extent is not None  # backend.start validated
-        f_age = f.age.resolve(age)
-        if f.whole_field():
-            region = tuple(slice(0, n) for n in extent)
-        else:
-            region = f.region(imap, extent)
-        if any(s.stop <= s.start for s in region):
-            shape = tuple(max(0, s.stop - s.start) for s in region)
-            value: Any = np.zeros(shape, dtype=fdef.np_dtype)
-        else:
-            view = cache.view(f.field, f_age, extent, fdef.np_dtype)
-            value = view[region]
-            value.flags.writeable = False
-            if not f.whole_field() and f.scalar and value.size == 1:
-                value = value.reshape(()).item()
-        fetched[f.param] = value
-    if ctx is None:
-        ctx = KernelContext(age=age, index=imap, fetched=fetched)
-    else:
-        ctx.reset(age, imap, fetched)
-    t1 = time.perf_counter()
-    try:
-        kernel.body(ctx)
-    except Exception as exc:  # noqa: BLE001 - flagged for the parent
-        raise _WorkerBodyError(exc) from exc
-    t2 = time.perf_counter()
-    stores: list[tuple] = []
-    for s in kernel.stores:
-        if s.emit_key not in ctx.emitted:
-            continue
-        fdef = program.fields[s.field]
-        s_age = s.age.resolve(age)
-        arr, spec = coerce_store_value(
-            ctx.emitted[s.emit_key], fdef.np_dtype, fdef.ndim, s
-        )
-        region = spec.region(imap, arr.shape)
-        assert fdef.shape is not None
-        view = cache.view(s.field, s_age, fdef.shape, fdef.np_dtype)
-        view[region] = arr
-        stores.append(
-            (s.field, s_age,
-             tuple((sl.start, sl.stop) for sl in region))
-        )
-    t3 = time.perf_counter()
-    return stores, ctx.outputs, (t1 - t0) + (t3 - t2), t2 - t1
-
-
-def _worker_run_batch_vectorized(
-    program, kernel, age, indices, cache: _SegmentCache
-):
-    """One stacked ``batch_body`` call worker-side, writing stores
-    straight into the shared-memory views.  Returns
-    ``(results, dispatch_time, kernel_time)`` with ``results`` in the
-    parent protocol's per-instance shape, or ``None`` when this batch
-    must take the scalar path (no uniform fetch plan, or the body
-    raised :class:`~repro.core.vectorize.VectorizeFallback`)."""
-    from .vectorize import (
-        BatchKernelContext,
-        VectorizeFallback,
-        batch_fetch_plan,
-    )
-
-    t0 = time.perf_counter()
-    imaps = [dict(zip(kernel.index_vars, index)) for index in indices]
-    plan = batch_fetch_plan(
-        kernel, age, imaps, lambda name: program.fields[name].shape
-    )
-    if plan is None:
-        return None
-    n = len(indices)
-    fetched: dict[str, Any] = {}
-    shared: set[str] = set()
-    for f, f_age, regions in plan:
-        fdef = program.fields[f.field]
-        assert fdef.shape is not None
-        view = cache.view(f.field, f_age, fdef.shape, fdef.np_dtype)
-        if regions is None:
-            whole = view[tuple(slice(0, m) for m in fdef.shape)]
-            whole.flags.writeable = False
-            fetched[f.param] = whole
-            shared.add(f.param)
-            continue
-        shape = tuple(s.stop - s.start for s in regions[0])
-        stack = np.empty((n,) + shape, dtype=fdef.np_dtype)
-        for i, region in enumerate(regions):
-            stack[i] = view[region]
-        fetched[f.param] = stack
-    bctx = BatchKernelContext(age, imaps, fetched, frozenset(shared))
-    t1 = time.perf_counter()
-    try:
-        kernel.batch_body(bctx)
-    except VectorizeFallback:
-        return None
-    except Exception as exc:  # noqa: BLE001 - flagged for the parent
-        raise _WorkerBodyError(exc) from exc
-    t2 = time.perf_counter()
-    per_stores: list[list[tuple]] = [[] for _ in range(n)]
-    for s in kernel.stores:
-        if s.emit_key not in bctx.emitted:
-            continue
-        values = bctx.emitted[s.emit_key]
-        fdef = program.fields[s.field]
-        s_age = s.age.resolve(age)
-        assert fdef.shape is not None
-        view = cache.view(s.field, s_age, fdef.shape, fdef.np_dtype)
-        # The batch contract (BatchKernelContext.emit) guarantees a
-        # uniform leading batch axis, so dtype coercion and spec
-        # resolution happen once for the stack, not per instance.
-        first, spec = coerce_store_value(
-            values[0], fdef.np_dtype, fdef.ndim, s
-        )
-        shape = first.shape
-        stack = np.asarray(values, dtype=fdef.np_dtype)
-        for i, imap in enumerate(imaps):
-            region = spec.region(imap, shape)
-            view[region] = stack[i].reshape(shape)
-            per_stores[i].append(
-                (s.field, s_age,
-                 tuple((sl.start, sl.stop) for sl in region))
-            )
-    t3 = time.perf_counter()
-    results = [(stores, []) for stores in per_stores]
-    return results, (t1 - t0) + (t3 - t2), t2 - t1
-
-
-def _worker_program_for(versions, age):
-    """The program version owning ``age`` in a worker's version list
-    (mirror of the parent's ProgramHandle resolution)."""
-    if age is None:
-        return versions[0][1]
-    for epoch, prog in reversed(versions):
-        if epoch <= age:
-            return prog
-    return versions[0][1]
-
-
 def _worker_main(
     conn, program_source, run_id: str, shared_tracker: bool
 ) -> None:
     """Entry point of a worker process.
 
-    Protocol: receive ``(kernel_name, age, index)`` tuples; reply
-    ``("ok", stores, outputs, t_dispatch, t_kernel)`` where *stores* is
-    ``[(field, age, ((start, stop), ...)), ...]``, or
-    ``("err", in_body, type_name, message, traceback_text)``.  ``None``
+    Protocol: one work message, ``(kernel_name, age, [index, ...])`` — a
+    run of one or more same-kernel/same-age instances in ONE round-trip
+    (a single instance is a list of one).  The worker hands it to
+    :func:`~repro.core.execute.run_batch`, the routine the threads
+    backend runs in the parent, over its :class:`_SegmentCache` and a
+    :class:`KernelContext` per message (no fetched view outlives its
+    message to pin a retired segment), and replies ``("ok", [(stores_i,
+    outputs_i), ...], t_fetch, t_kernel, t_store, vectorized)``, one
+    entry per instance in batch order, or ``("err", index, type_name,
+    message, traceback_text)``: ``index`` names the instance whose body
+    raised, ``None`` a failure in the fetch/store machinery.  ``None``
     (or EOF) means shut down.
-
-    A ``("__batch__", kernel_name, age, [index, ...])`` message carries
-    a whole run of same-kernel/same-age instances in ONE round-trip
-    (batched dispatch).  The worker runs the kernel's vectorized
-    ``batch_body`` when it has one (falling back to a scalar loop with
-    a pooled context otherwise) and replies
-    ``("bok", [(stores_i, outputs_i), ...], t_dispatch, t_kernel)``
-    with one entry per instance in batch order, or
-    ``("berr", idx, in_body, type_name, message, traceback_text)``
-    naming the first failing instance.
 
     A ``("__replan__", epoch, decisions)`` message (no reply) announces a
     live LLS swap: kernel bodies are closures and cannot cross the pipe,
     so the parent ships the *decisions* and the worker re-applies them to
-    derive the identical rewritten program, versioned by epoch exactly
-    like the parent's :class:`~repro.core.runtime.ProgramHandle`.  A
+    derive the identical rewritten program, versioned by epoch in its
+    own :class:`~repro.core.runtime.ProgramHandle` exactly like the
+    parent's.  A
     failing re-apply kills the worker — the parent surfaces that as
     :class:`~repro.core.errors.WorkerProcessError` rather than let the
     pool silently diverge from the analyzer's program.
@@ -414,11 +330,16 @@ def _worker_main(
     ``min_age``; the retirement invariant guarantees no later instance
     will fetch those ages again.
     """
-    program = (
+    from .runtime import ProgramHandle  # runtime imports this module
+
+    handle = ProgramHandle(
         program_source() if callable(program_source) else program_source
     )
-    versions: list[tuple] = [(0, program)]
-    cache = _SegmentCache(run_id, shared_tracker)
+    # LLS rewrites replace kernels, never field definitions (fusion only
+    # drops one), so the base version's fields serve every epoch.
+    cache = _SegmentCache(
+        run_id, shared_tracker, handle.base.fields.values()
+    )
     try:
         while True:
             try:
@@ -429,65 +350,29 @@ def _worker_main(
                 return
             if msg[0] == "__replan__":
                 _tag, epoch, decisions = msg
-                versions.append(
-                    (epoch, apply_decisions(versions[-1][1], decisions))
+                handle.register(
+                    epoch, apply_decisions(handle.current, decisions)
                 )
                 continue
             if msg[0] == "__retire__":
                 cache.retire(msg[1], msg[2] if len(msg) > 2 else None)
                 continue
-            if msg[0] == "__batch__":
-                _tag, kernel_name, age, indices = msg
-                idx = 0
-                try:
-                    program = _worker_program_for(versions, age)
-                    kernel = program.kernels[kernel_name]
-                    batched = None
-                    if kernel.batch_body is not None and len(indices) > 1:
-                        batched = _worker_run_batch_vectorized(
-                            program, kernel, age, indices, cache
-                        )
-                    if batched is not None:
-                        results, t_disp, t_kern = batched
-                    else:
-                        results = []
-                        t_disp = t_kern = 0.0
-                        ctx = KernelContext()
-                        for idx, index in enumerate(indices):
-                            stores, outputs, d, k = _worker_run_instance(
-                                program, kernel, age, index, cache, ctx
-                            )
-                            results.append((stores, outputs))
-                            t_disp += d
-                            t_kern += k
-                    conn.send(("bok", results, t_disp, t_kern))
-                except _WorkerBodyError as exc:
-                    conn.send(
-                        ("berr", idx, True, type(exc.cause).__name__,
-                         str(exc.cause), traceback.format_exc())
-                    )
-                except Exception as exc:  # noqa: BLE001 - to parent
-                    conn.send(
-                        ("berr", idx, False, type(exc).__name__,
-                         str(exc), traceback.format_exc())
-                    )
-                continue
-            kernel_name, age, index = msg
+            kernel_name, age, indices = msg
             try:
-                program = _worker_program_for(versions, age)
-                kernel = program.kernels[kernel_name]
-                stores, outputs, t_disp, t_kern = _worker_run_instance(
-                    program, kernel, age, index, cache
-                )
-                conn.send(("ok", stores, outputs, t_disp, t_kern))
-            except _WorkerBodyError as exc:
+                kernel = handle.kernel_for_age(kernel_name, age)
                 conn.send(
-                    ("err", True, type(exc.cause).__name__,
+                    ("ok",) + run_batch(
+                        kernel, age, indices, cache, KernelContext()
+                    )
+                )
+            except KernelBodyError as exc:
+                conn.send(
+                    ("err", exc.index, type(exc.cause).__name__,
                      str(exc.cause), traceback.format_exc())
                 )
             except Exception as exc:  # noqa: BLE001 - shipped to parent
                 conn.send(
-                    ("err", False, type(exc).__name__, str(exc),
+                    ("err", None, type(exc).__name__, str(exc),
                      traceback.format_exc())
                 )
     finally:
@@ -645,10 +530,19 @@ class ProcessBackend(ExecutionBackend):
                 f"connection lost while running {describe}",
             ) from None
 
-    def execute(self, inst: KernelInstance, worker_id: int) -> None:
+    def execute_batch(
+        self, batch: list[KernelInstance], worker_id: int
+    ) -> None:
+        """Ship a same-kernel/same-age run as ONE pipe message and one
+        reply — the per-batch (not per-instance) IPC round-trip is the
+        whole point of batched dispatch on this backend.  The node's
+        commit tail applies the reply's stores and posts per-instance
+        events, so analyzer semantics are the same at every size."""
         node = self._node
         assert node is not None
-        kernel = inst.kernel
+        first = batch[0]
+        kernel = first.kernel
+        age = first.age
         conn = self._conns[worker_id]
         proc = self._procs[worker_id]
         self._forward_control(worker_id, conn)
@@ -656,196 +550,28 @@ class ProcessBackend(ExecutionBackend):
         # Create every store target's segment now, so the worker's
         # attach can never race segment creation.
         for s in kernel.stores:
-            node.fields[s.field].ensure_age(s.age.resolve(inst.age))
+            node.fields[s.field].ensure_age(s.age.resolve(age))
         t_send = time.perf_counter()
-        conn.send((kernel.name, inst.age, inst.index))
+        conn.send((kernel.name, age, [inst.index for inst in batch]))
         reply = self._recv_reply(
             worker_id, conn, proc,
-            f"{kernel.name}(age={inst.age}, index={inst.index})",
+            f"{kernel.name}[x{len(batch)}](age={age}, "
+            f"index={first.index})",
         )
         t_recv = time.perf_counter()
         if reply[0] == "err":
-            _tag, in_body, type_name, message, tb = reply
-            cause = RemoteKernelError(f"{type_name}: {message}\n{tb}")
-            if in_body:
-                raise KernelBodyError(
-                    kernel.name, inst.age, inst.index, cause
+            _tag, index, type_name, message, tb = reply
+            if index is None:
+                raise WorkerProcessError(
+                    worker_id, f"{type_name}: {message}"
                 )
-            raise WorkerProcessError(worker_id, f"{type_name}: {message}")
-        _tag, stores, outputs, t_dispatch, t_kernel = reply
-        stored_any = False
-        for fname, s_age, bounds in stores:
-            region = tuple(slice(a, b) for a, b in bounds)
-            # Payload bytes are already in the segment; apply write-once
-            # enforcement + completeness metadata parent-side.
-            node.fields[fname].mark_written(s_age, region)
-            stored_any = True
-            node._post(StoreEvent(fname, s_age, region))
-        for key, value in outputs:
-            node._deliver_output(
-                kernel.name, inst.age, inst.index, key, value
+            raise KernelBodyError(
+                kernel.name, age, index,
+                RemoteKernelError(f"{type_name}: {message}\n{tb}"),
             )
-        t_done = time.perf_counter()
-        dispatch = t_dispatch + (t_send - t0) + (t_done - t_recv)
-        ipc = max(0.0, (t_recv - t_send) - t_dispatch - t_kernel)
-        node.instrumentation.record(kernel.name, dispatch, t_kernel, ipc)
-        node._account_instance(len(kernel.fetches), len(stores))
-        tl = node._timeline
-        if tl is not None and inst.age is not None:
-            sess = node.session_of(inst) if node.session_of else ""
-            # Worker-side clocks are not comparable across processes:
-            # the ipc span is the parent-observed round trip, with the
-            # remote kernel time carved out at its tail (the reply is
-            # sent right after the body finishes) and the parent-side
-            # store commit after it.
-            tl.span(sess, inst.age, "ipc", t_send, t_recv)
-            tl.span(sess, inst.age, "compute",
-                    max(t_send, t_recv - t_kernel), t_recv)
-            tl.span(sess, inst.age, "store", t_recv, t_done)
-        tr = node.tracer
-        if tr.enabled:
-            # The fetch/native/store phases ran in the worker process on
-            # its own clock, so the parent emits the enclosing kernel
-            # span with the remote durations as arguments, plus the IPC
-            # round-trip it *can* time (send -> reply, minus the remote
-            # work) as a child span.
-            thread = f"worker{worker_id}"
-            wait = node._queue_wait_by_worker.get(worker_id, 0.0)
-            tr.complete(
-                kernel.name, "kernel", node.name, thread, t0, t_done,
-                {
-                    "age": inst.age,
-                    "index": list(inst.index),
-                    "queue_wait_us": round(wait * 1e6, 1),
-                    "remote_dispatch_us": round(t_dispatch * 1e6, 1),
-                    "remote_kernel_us": round(t_kernel * 1e6, 1),
-                    "ipc_us": round(ipc * 1e6, 1),
-                },
-            )
-            tr.complete("ipc", "phase", node.name, thread, t_send, t_recv,
-                        {"ipc_us": round(ipc * 1e6, 1)})
-        node._post(
-            InstanceDoneEvent(
-                inst,
-                stored_any,
-                kernel_time=t_kernel,
-                dispatch_time=dispatch,
-            )
+        node._commit_batch(
+            batch, worker_id, t0, reply[1:], (t_send, t_recv)
         )
-
-    def execute_batch(
-        self, batch: list[KernelInstance], worker_id: int
-    ) -> None:
-        """Ship a same-kernel/same-age run as ONE pipe message and one
-        reply — the per-batch (not per-instance) IPC round-trip is the
-        whole point of batched dispatch on this backend.  The parent
-        still applies per-instance write-once bookkeeping and posts
-        per-instance store/done events, so analyzer semantics (stream
-        credits, age retirement, quiescence) are unchanged."""
-        if len(batch) == 1:
-            self.execute(batch[0], worker_id)
-            return
-        node = self._node
-        assert node is not None
-        kernel = batch[0].kernel
-        age = batch[0].age
-        n = len(batch)
-        conn = self._conns[worker_id]
-        proc = self._procs[worker_id]
-        self._forward_control(worker_id, conn)
-        t0 = time.perf_counter()
-        for s in kernel.stores:
-            node.fields[s.field].ensure_age(s.age.resolve(age))
-        t_send = time.perf_counter()
-        conn.send(
-            ("__batch__", kernel.name, age,
-             [inst.index for inst in batch])
-        )
-        reply = self._recv_reply(
-            worker_id, conn, proc,
-            f"{kernel.name}[x{n}](age={age})",
-        )
-        t_recv = time.perf_counter()
-        if reply[0] == "berr":
-            _tag, idx, in_body, type_name, message, tb = reply
-            inst = batch[idx]
-            cause = RemoteKernelError(f"{type_name}: {message}\n{tb}")
-            if in_body:
-                raise KernelBodyError(
-                    kernel.name, inst.age, inst.index, cause
-                )
-            raise WorkerProcessError(
-                worker_id, f"{type_name}: {message}"
-            )
-        _tag, results, t_dispatch, t_kernel = reply
-        # Commit write-once metadata in bulk — one lock acquisition per
-        # (field, age) instead of per store — *before* posting any
-        # StoreEvent, so the analyzer only ever observes completeness
-        # that is at least as advanced as the event it is handling.
-        grouped: dict[tuple[str, int], list[tuple]] = {}
-        events: list[StoreEvent] = []
-        stored_flags = []
-        n_stores = 0
-        for stores, _outputs in results:
-            stored_any = False
-            for fname, s_age, bounds in stores:
-                region = tuple(slice(a, b) for a, b in bounds)
-                grouped.setdefault((fname, s_age), []).append(region)
-                events.append(StoreEvent(fname, s_age, region))
-                stored_any = True
-            n_stores += len(stores)
-            stored_flags.append(stored_any)
-        for (fname, s_age), regions in grouped.items():
-            node.fields[fname].mark_written_many(s_age, regions)
-        for ev in events:
-            node._post(ev)
-        for inst, (_stores, outputs) in zip(batch, results):
-            for key, value in outputs:
-                node._deliver_output(
-                    kernel.name, inst.age, inst.index, key, value
-                )
-        t_done = time.perf_counter()
-        dispatch = t_dispatch + (t_send - t0) + (t_done - t_recv)
-        ipc = max(0.0, (t_recv - t_send) - t_dispatch - t_kernel)
-        node.instrumentation.record_batch(
-            kernel.name, n, dispatch, t_kernel, ipc
-        )
-        node._account_batch(n, n * len(kernel.fetches), n_stores)
-        tl = node._timeline
-        if tl is not None and age is not None:
-            sess = node.session_of(batch[0]) if node.session_of else ""
-            tl.span(sess, age, "ipc", t_send, t_recv)
-            tl.span(sess, age, "compute",
-                    max(t_send, t_recv - t_kernel), t_recv)
-            tl.span(sess, age, "store", t_recv, t_done)
-        if node._trace_on:
-            thread = f"worker{worker_id}"
-            wait = node._queue_wait_by_worker.get(worker_id, 0.0)
-            node.tracer.complete(
-                f"{kernel.name}[x{n}]", "kernel", node.name, thread,
-                t0, t_done,
-                {
-                    "age": age,
-                    "batch": n,
-                    "queue_wait_us": round(wait * 1e6, 1),
-                    "remote_dispatch_us": round(t_dispatch * 1e6, 1),
-                    "remote_kernel_us": round(t_kernel * 1e6, 1),
-                    "ipc_us": round(ipc * 1e6, 1),
-                },
-            )
-            node.tracer.complete(
-                "ipc", "phase", node.name, thread, t_send, t_recv,
-                {"ipc_us": round(ipc * 1e6, 1)},
-            )
-        for inst, stored_any in zip(batch, stored_flags):
-            node._post(
-                InstanceDoneEvent(
-                    inst,
-                    stored_any,
-                    kernel_time=t_kernel / n,
-                    dispatch_time=dispatch / n,
-                )
-            )
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

@@ -126,29 +126,16 @@ class Instrumentation:
         dispatch_time: float,
         kernel_time: float,
         ipc_time: float = 0.0,
+        n: int = 1,
     ) -> None:
-        """Account one executed instance's dispatch and kernel seconds."""
+        """Account one dispatch covering ``n`` executed instances (a
+        single instance is a batch of one): one lock acquisition, the
+        dispatch's total seconds — so per-instance means like
+        ``mean_dispatch_us`` stay comparable across batch sizes."""
         with self._lock:
-            st = self._stats.setdefault(kernel, KernelStats())
-            st.instances += 1
-            st.dispatch_time += dispatch_time
-            st.kernel_time += kernel_time
-            st.ipc_time += ipc_time
-
-    def record_batch(
-        self,
-        kernel: str,
-        n: int,
-        dispatch_time: float,
-        kernel_time: float,
-        ipc_time: float = 0.0,
-    ) -> None:
-        """Account one batched dispatch covering ``n`` instances: one
-        lock acquisition, the batch's total seconds (so per-instance
-        means like ``mean_dispatch_us`` stay comparable across batch
-        sizes)."""
-        with self._lock:
-            st = self._stats.setdefault(kernel, KernelStats())
+            st = self._stats.get(kernel)
+            if st is None:
+                st = self._stats[kernel] = KernelStats()
             st.instances += n
             st.dispatch_time += dispatch_time
             st.kernel_time += kernel_time

@@ -31,8 +31,6 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
-import numpy as np
-
 from ..obs import (
     MetricsRegistry,
     NULL_TRACER,
@@ -43,12 +41,7 @@ from ..obs import (
 from .analyzer import DependencyAnalyzer, ReplanRecord
 from .backends import ExecutionBackend, resolve_backend
 from .deadlines import TimerSet
-from .errors import (
-    KernelBodyError,
-    RuntimeStateError,
-    StallError,
-    WriteOnceViolation,
-)
+from .errors import RuntimeStateError, StallError
 from .events import (
     Event,
     InstanceDoneEvent,
@@ -60,7 +53,7 @@ from .events import (
 )
 from .fields import FieldStore, SharedFieldStore
 from .instrumentation import Instrumentation
-from .kernels import KernelContext, KernelInstance, coerce_store_value
+from .kernels import KernelInstance
 from .program import Program
 from .scheduler import FusionDecision, GranularityDecision
 
@@ -262,14 +255,9 @@ class ReadyQueue:
 
     def pop_timed(self) -> tuple[KernelInstance | None, float]:
         """Blocking pop returning ``(instance, queue_wait_seconds)``;
-        ``(None, 0.0)`` means shut down."""
-        with self._cv:
-            while not (self._depth or self._sentinels):
-                self._cv.wait()
-            if not self._depth:
-                self._sentinels -= 1
-                return None, 0.0
-            return self._pop_session_locked(self._pick_session_locked())
+        ``(None, 0.0)`` means shut down.  A run of at most one."""
+        batch, wait = self.pop_batch(1)
+        return (None if batch is None else batch[0]), wait
 
     def _pick_session_locked(self) -> str:
         """Choose the session to dispatch from (deficit round-robin).
@@ -575,14 +563,14 @@ class ExecutionNode:
         passes one registry to all of its nodes so counters aggregate
         cluster-wide); the node creates its own when omitted.
     batch:
-        Maximum instances a worker claims per ready-queue pop (default
-        1 — the classic per-instance path).  Values > 1 enable batched
-        dispatch: runs of same-kernel/same-age instances execute as one
-        backend call (one IPC message on the processes backend, one
-        trace span, one metrics/instrumentation update), through the
-        kernel's vectorized ``batch_body`` when one is attached and a
-        pooled-context scalar loop otherwise.  Output is byte-identical
-        either way.
+        The paper's granularity parameter: the most instances a worker
+        claims per ready-queue pop (default 1).  A claim is a run of
+        same-kernel/same-age instances and executes as one backend call
+        (one IPC message on the processes backend, one trace span, one
+        metrics/instrumentation update), through the kernel's vectorized
+        ``batch_body`` when it has one and the run is longer than one.
+        ``batch=1`` is the same path at size one; output is
+        byte-identical at every size.
     """
 
     #: Per-thread join bound during a stall/timeout teardown; threads
@@ -660,6 +648,8 @@ class ExecutionNode:
         self._m_instances = self.metrics.counter("instances.executed")
         self._m_fetches = self.metrics.counter("fields.fetches")
         self._m_stores = self.metrics.counter("fields.stores")
+        self._m_vec = self.metrics.counter("exec.vectorized_instances")
+        self._m_fallback = self.metrics.counter("exec.vectorize_fallbacks")
         self._m_ready_wait = self.metrics.histogram("ready.wait_s")
         # Hot-path guards, read once: a disabled registry/tracer costs
         # one cached attribute test per instance instead of a lock per
@@ -766,375 +756,170 @@ class ExecutionNode:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _execute(
-        self,
-        inst: KernelInstance,
-        worker_id: int,
-        ctx: KernelContext | None = None,
+    def _commit_batch(
+        self, batch: list, worker_id: int, t0: float, run: tuple,
+        remote: "tuple[float, float] | None" = None,
     ) -> None:
-        kernel = inst.kernel
-        t0 = time.perf_counter()
-        imap = inst.index_map()
-        fetched: dict[str, Any] = {}
-        for f in kernel.fetches:
-            field = self.fields[f.field]
-            f_age = f.age.resolve(inst.age)
-            if f.whole_field():
-                value: Any = field.fetch(f_age, None)
-            else:
-                region = f.region(imap, field.extent)
-                if any(s.stop <= s.start for s in region):
-                    # absent shrink-boundary neighbour: empty array
-                    shape = tuple(
-                        max(0, s.stop - s.start) for s in region
-                    )
-                    value = np.zeros(shape, dtype=field.fdef.np_dtype)
-                else:
-                    value = field.fetch(f_age, region)
-                if f.scalar and value.size == 1:
-                    value = value.reshape(()).item()
-            fetched[f.param] = value
-        if ctx is None:
-            ctx = KernelContext(
-                age=inst.age,
-                index=imap,
-                fetched=fetched,
-                timers=self.timers.as_mapping(),
-                node=self,
-            )
-        else:
-            # Batched dispatch pools one context per worker and rebinds
-            # it between instances instead of allocating per call.
-            ctx.reset(inst.age, imap, fetched)
-        t1 = time.perf_counter()
-        try:
-            kernel.body(ctx)
-        except Exception as exc:  # noqa: BLE001 - rewrapped with context
-            raise KernelBodyError(kernel.name, inst.age, inst.index, exc)
-        t2 = time.perf_counter()
-        stored_any = False
-        for s in kernel.stores:
-            if s.emit_key not in ctx.emitted:
-                continue
-            value = ctx.emitted[s.emit_key]
-            field = self.fields[s.field]
-            s_age = s.age.resolve(inst.age)
-            arr, spec = coerce_store_value(
-                value, field.fdef.np_dtype, field.ndim, s
-            )
-            region = spec.region(imap, arr.shape)
-            if self.recover and field.is_complete(s_age, region):
-                # The dead predecessor already committed this region with
-                # identical bytes (write-once determinism); skip the
-                # payload write but re-announce the store so consumers
-                # that missed the original delivery become runnable.
-                stored_any = True
-                self._post(StoreEvent(s.field, s_age, region))
-                continue
-            try:
-                resize = field.store(s_age, region, arr)
-            except WriteOnceViolation:
-                if not self.recover:
-                    raise
-                # Recovery dispatches the dead node's in-flight work twice
-                # on purpose (direct re-enqueue + replay-driven analyzer
-                # rediscovery); when both copies run concurrently the
-                # completeness check above races the other copy's commit.
-                # Losing that race is the skip case arriving late: the
-                # winner wrote the same bytes.
-                stored_any = True
-                self._post(StoreEvent(s.field, s_age, region))
-                continue
-            stored_any = True
-            if resize is not None:
-                self._post(ResizeEvent(s.field, resize.old_extent,
-                                       resize.new_extent))
-            self._post(StoreEvent(s.field, s_age, region))
-        for key, value in ctx.outputs:
-            self._deliver_output(kernel.name, inst.age, inst.index,
-                                 key, value)
-        t3 = time.perf_counter()
-        self.instrumentation.record(
-            kernel.name, (t1 - t0) + (t3 - t2), t2 - t1
-        )
-        self._account_instance(len(kernel.fetches), len(kernel.stores))
-        tl = self._timeline
-        if tl is not None and inst.age is not None:
-            sess = self.session_of(inst) if self.session_of else ""
-            tl.span(sess, inst.age, "store", t0, t1)
-            tl.span(sess, inst.age, "compute", t1, t2)
-            tl.span(sess, inst.age, "store", t2, t3)
-        tr = self.tracer
-        if tr.enabled:
-            self._trace_instance(inst, worker_id, t0, t1, t2, t3)
-        self._post(
-            InstanceDoneEvent(
-                inst, stored_any, kernel_time=t2 - t1,
-                dispatch_time=(t1 - t0) + (t3 - t2),
-            )
-        )
+        """The parent-side tail of every dispatch, on both backends.
 
-    def _account_instance(self, n_fetches: int, n_stores: int) -> None:
-        """Per-instance metric counters (both execution backends)."""
-        if not self._metrics_on:
-            return
-        self._m_instances.inc()
-        if n_fetches:
-            self._m_fetches.inc(n_fetches)
-        if n_stores:
-            self._m_stores.inc(n_stores)
-
-    def _account_batch(
-        self, n: int, n_fetches: int, n_stores: int
-    ) -> None:
-        """One metrics update covering ``n`` batched instances."""
-        if not self._metrics_on:
-            return
-        self._m_instances.inc(n)
-        if n_fetches:
-            self._m_fetches.inc(n_fetches)
-        if n_stores:
-            self._m_stores.inc(n_stores)
-
-    def _execute_batch(self, batch: list, worker_id: int) -> None:
-        """Run a same-kernel/same-age batch in the parent process.
-
-        Tries the kernel's vectorized ``batch_body`` first (one NumPy
-        call over the stacked fetches); batches it cannot handle —
-        no ``batch_body``, ragged trailing regions, a runtime
-        :class:`~repro.core.vectorize.VectorizeFallback` — run through
-        the scalar body per instance with one pooled
-        :class:`KernelContext`.  Either way every instance still posts
-        its own store/done events, so the analyzer, stream credits and
-        age retirement observe exactly the per-instance event stream.
+        ``run`` is what :func:`~repro.core.execute.run_batch` returned
+        for ``batch``, started at ``t0``.  ``remote`` is ``None`` when
+        the routine ran on this thread (its stores are already committed
+        and announced) and ``(t_send, t_recv)`` when it ran in a worker
+        process: the payload bytes are in the segments, and the reply's
+        store records get their write-once enforcement, completeness
+        metadata and events here.  The rest is one code path —
+        ``ctx.output`` delivery, instrumentation, metrics, frame
+        timeline, trace spans, and one :class:`InstanceDoneEvent` per
+        instance (the batch's seconds split evenly) — so the analyzer,
+        stream credits and age retirement observe the same per-instance
+        event stream at every batch size.
         """
-        kernel = batch[0].kernel
-        if len(batch) > 1 and kernel.batch_body is not None:
-            if self._execute_batch_vectorized(batch, worker_id):
-                return
-        ctx = KernelContext(
-            timers=self.timers.as_mapping(), node=self
-        )
-        for inst in batch:
-            self._execute(inst, worker_id, ctx=ctx)
-
-    def _execute_batch_vectorized(
-        self, batch: list, worker_id: int
-    ) -> bool:
-        """One stacked ``batch_body`` call for the whole batch; returns
-        ``False`` when this batch must fall back to the scalar path."""
-        from .vectorize import (
-            BatchKernelContext,
-            VectorizeFallback,
-            batch_fetch_plan,
-        )
-
-        kernel = batch[0].kernel
-        age = batch[0].age
+        results, t_fetch, t_kernel, t_store, vectorized = run
+        first = batch[0]
+        kernel = first.kernel
+        age = first.age
         n = len(batch)
-        t0 = time.perf_counter()
-        imaps = [inst.index_map() for inst in batch]
-        plan = batch_fetch_plan(
-            kernel, age, imaps, lambda name: self.fields[name].extent
-        )
-        if plan is None:
-            return False
-        fetched: dict[str, Any] = {}
-        shared: set[str] = set()
-        for f, f_age, regions in plan:
-            field = self.fields[f.field]
-            if regions is None:
-                fetched[f.param] = field.fetch(f_age, None)
-                shared.add(f.param)
-                continue
-            shape = tuple(s.stop - s.start for s in regions[0])
-            stack = np.empty((n,) + shape, dtype=field.fdef.np_dtype)
-            for i, region in enumerate(regions):
-                stack[i] = field.fetch(f_age, region)
-            fetched[f.param] = stack
-        bctx = BatchKernelContext(age, imaps, fetched,
-                                  frozenset(shared))
-        t1 = time.perf_counter()
-        try:
-            kernel.batch_body(bctx)
-        except VectorizeFallback:
-            return False
-        except Exception as exc:  # noqa: BLE001 - rewrapped with context
-            raise KernelBodyError(
-                kernel.name, age, batch[0].index, exc
-            )
-        t2 = time.perf_counter()
-        stored = [False] * n
-        for s in kernel.stores:
-            if s.emit_key not in bctx.emitted:
-                continue
-            values = bctx.emitted[s.emit_key]
-            field = self.fields[s.field]
-            s_age = s.age.resolve(age)
-            for i, imap in enumerate(imaps):
-                arr, spec = coerce_store_value(
-                    values[i], field.fdef.np_dtype, field.ndim, s
-                )
-                region = spec.region(imap, arr.shape)
-                stored[i] = True
-                if self.recover and field.is_complete(s_age, region):
-                    self._post(StoreEvent(s.field, s_age, region))
-                    continue
-                try:
-                    resize = field.store(s_age, region, arr)
-                except WriteOnceViolation:
-                    if not self.recover:
-                        raise
-                    # Same race as the scalar path: the duplicate copy of
-                    # this instance committed between the completeness
-                    # check and our store — identical bytes, announce and
-                    # move on.
-                    self._post(StoreEvent(s.field, s_age, region))
-                    continue
-                if resize is not None:
-                    self._post(ResizeEvent(s.field, resize.old_extent,
-                                           resize.new_extent))
-                self._post(StoreEvent(s.field, s_age, region))
-        t3 = time.perf_counter()
-        dispatch = (t1 - t0) + (t3 - t2)
-        kernel_time = t2 - t1
-        self.instrumentation.record_batch(
-            kernel.name, n, dispatch, kernel_time
-        )
-        self._account_batch(
-            n, n * len(kernel.fetches), n * len(kernel.stores)
-        )
-        tl = self._timeline
-        if tl is not None and age is not None:
-            sess = self.session_of(batch[0]) if self.session_of else ""
-            tl.span(sess, age, "store", t0, t1)
-            tl.span(sess, age, "compute", t1, t2)
-            tl.span(sess, age, "store", t2, t3)
+        if remote is not None:
+            # Commit write-once metadata in bulk — one lock acquisition
+            # per (field, age) instead of per store — *before* posting
+            # any StoreEvent, so the analyzer only ever observes
+            # completeness that is at least as advanced as the event it
+            # is handling.
+            grouped: dict[tuple[str, int], list[tuple]] = {}
+            events: list[StoreEvent] = []
+            for stores, _outputs in results:
+                for fname, s_age, bounds in stores:
+                    region = tuple(slice(a, b) for a, b in bounds)
+                    grouped.setdefault((fname, s_age), []).append(region)
+                    events.append(StoreEvent(fname, s_age, region))
+            for (fname, s_age), regions in grouped.items():
+                self.fields[fname].mark_written_many(s_age, regions)
+            for ev in events:
+                self._post(ev)
+        n_stores = 0  # stores that happened: one per StoreEvent
+        for inst, (stores, outputs) in zip(batch, results):
+            n_stores += len(stores)
+            for key, value in outputs:
+                # Out-of-band ``ctx.output`` values go to the program's
+                # registered handler, always in the parent process.
+                handler = self.program.output_handler
+                if handler is None:
+                    raise RuntimeStateError(
+                        f"kernel {kernel.name!r} produced output {key!r} "
+                        f"but the program has no output handler; call "
+                        f"program.set_output_handler()"
+                    )
+                handler(kernel.name, age, inst.index, key, value)
+        t_done = time.perf_counter()
+        if remote is None:
+            ipc = 0.0
+            dispatch = (t_done - t0) - t_kernel
+        else:
+            t_send, t_recv = remote
+            ipc = max(0.0, (t_recv - t_send) - (t_fetch + t_kernel + t_store))
+            dispatch = t_fetch + t_store + (t_send - t0) + (t_done - t_recv)
+        self.instrumentation.record(kernel.name, dispatch, t_kernel, ipc, n)
+        if self._metrics_on:
+            self._m_instances.inc(n)
+            if kernel.fetches:
+                self._m_fetches.inc(n * len(kernel.fetches))
+            if n_stores:
+                self._m_stores.inc(n_stores)
+            if vectorized:
+                self._m_vec.inc(n)
+            elif vectorized is False:
+                self._m_fallback.inc()
+        tl = self._timeline if age is not None else None
+        if tl is not None or self._trace_on:
+            # Where the dispatch sits on this thread's clock, as
+            # (timeline bucket, trace phase, start, end).  Run here, a
+            # batch's fetch / native / store seconds are laid end to end
+            # from ``t0`` (a scalar batch interleaves them per instance;
+            # the totals are what is attributed).  Run in a worker, its
+            # clock is not comparable: the parent-observed round trip is
+            # the ipc span, with the remote kernel time carved out at its
+            # tail (the reply is sent right after the last store) and the
+            # parent-side commit after it.
+            if remote is None:
+                t1 = t0 + t_fetch
+                t2 = t1 + t_kernel
+                spans = (("store", "fetch", t0, t1),
+                         ("compute", "native", t1, t2),
+                         ("store", "store", t2, t_done))
+            else:
+                t_body = max(t_send, t_recv - t_kernel)
+                spans = (("ipc", "ipc", t_send, t_recv),
+                         ("compute", None, t_body, t_recv),
+                         ("store", None, t_recv, t_done))
+        if tl is not None:
+            sess = self.session_of(first) if self.session_of else ""
+            for bucket, _phase, start, end in spans:
+                tl.span(sess, age, bucket, start, end)
         if self._trace_on:
+            # One enclosing kernel span per dispatch in the worker's
+            # lane, the phases this thread can time as children.  Queue
+            # wait (spent in the ready queue, not on this lane) and a
+            # worker process's own durations are arguments.
             thread = f"worker{worker_id}"
             wait = self._queue_wait_by_worker.get(worker_id, 0.0)
+            args = {
+                "age": age,
+                "index": list(first.index),
+                "batch": n,
+                "vectorized": bool(vectorized),
+                "queue_wait_us": round(wait * 1e6, 1),
+            }
+            if remote is not None:
+                args["remote_dispatch_us"] = round(
+                    (t_fetch + t_store) * 1e6, 1
+                )
+                args["remote_kernel_us"] = round(t_kernel * 1e6, 1)
+                args["ipc_us"] = round(ipc * 1e6, 1)
             self.tracer.complete(
-                f"{kernel.name}[x{n}]", "kernel", self.name, thread,
-                t0, t3,
-                {
-                    "age": age,
-                    "batch": n,
-                    "vectorized": True,
-                    "queue_wait_us": round(wait * 1e6, 1),
-                },
+                kernel.name if n == 1 else f"{kernel.name}[x{n}]",
+                "kernel", self.name, thread, t0, t_done, args,
             )
-        for i, inst in enumerate(batch):
+            for _bucket, phase, start, end in spans:
+                if phase is not None:
+                    self.tracer.complete(phase, "phase", self.name,
+                                         thread, start, end)
+        kernel_time = t_kernel / n
+        dispatch_time = dispatch / n
+        for inst, (stores, _outputs) in zip(batch, results):
             self._post(
                 InstanceDoneEvent(
-                    inst, stored[i], kernel_time=kernel_time / n,
-                    dispatch_time=dispatch / n,
+                    inst, bool(stores), kernel_time=kernel_time,
+                    dispatch_time=dispatch_time,
                 )
             )
-        return True
-
-    def _trace_instance(
-        self,
-        inst: KernelInstance,
-        worker_id: int,
-        t0: float,
-        t1: float,
-        t2: float,
-        t3: float,
-    ) -> None:
-        """Emit one instance's lifecycle spans: the enclosing kernel
-        span plus fetch / native-block / store child phases, in the
-        worker's lane.  Queue wait is attached as an argument (the
-        instance sat in the ready queue, not on this worker's lane)."""
-        tr = self.tracer
-        thread = f"worker{worker_id}"
-        wait = self._queue_wait_by_worker.get(worker_id, 0.0)
-        args = {
-            "age": inst.age,
-            "index": list(inst.index),
-            "queue_wait_us": round(wait * 1e6, 1),
-        }
-        tr.complete(inst.kernel.name, "kernel", self.name, thread,
-                    t0, t3, args)
-        tr.complete("fetch", "phase", self.name, thread, t0, t1)
-        tr.complete("native", "phase", self.name, thread, t1, t2)
-        tr.complete("store", "phase", self.name, thread, t2, t3)
-
-    def _deliver_output(
-        self, kernel: str, age, index, key: str, value: Any
-    ) -> None:
-        """Hand an out-of-band ``ctx.output`` value to the program's
-        registered handler (always in the parent process)."""
-        handler = self.program.output_handler
-        if handler is None:
-            raise RuntimeStateError(
-                f"kernel {kernel!r} produced output {key!r} but the "
-                f"program has no output handler; call "
-                f"program.set_output_handler()"
-            )
-        handler(kernel, age, index, key, value)
 
     def _worker_loop(self, worker_id: int) -> None:
-        if self.batch > 1:
-            self._worker_loop_batched(worker_id)
-            return
-        while True:
-            inst, wait = self.ready.pop_timed()
-            if inst is None:
-                return
-            if self._metrics_on:
-                self._m_ready_wait.observe(wait)
-            if self._trace_on:
-                self._queue_wait_by_worker[worker_id] = wait
-            if self._timeline is not None and inst.age is not None:
-                now = time.perf_counter()
-                self._timeline.span(
-                    self.session_of(inst) if self.session_of else "",
-                    inst.age, "queue", now - wait, now,
-                )
-            if inst.age is not None:
-                self._running_ages[worker_id] = inst.age
-                if self.session_of is not None:
-                    self._running_sessions[worker_id] = self.session_of(inst)
-            try:
-                if not self._stop.is_set():
-                    self.backend.execute(inst, worker_id)
-                else:
-                    self._abandoned += 1
-            except BaseException as exc:  # noqa: BLE001
-                self._error = exc
-                self._stop.set()
-                self._counter.poke()
-                return
-            finally:
-                self._running_ages.pop(worker_id, None)
-                self._running_sessions.pop(worker_id, None)
-                self._dec()
-
-    def _worker_loop_batched(self, worker_id: int) -> None:
-        """Batched variant of the worker loop: drains same-kernel runs
-        from the ready queue and dispatches them as one backend call.
-        Ready-queue wait is observed once per batch (the sum over its
-        members), so ``ready.wait_s.count`` counts *dispatches*, not
-        instances, in batched mode."""
+        """The one worker loop: claim a run of up to :attr:`batch`
+        same-kernel/same-age instances and hand it to the backend as
+        one call; ``batch=1`` simply yields singletons.  Ready-queue
+        wait is observed once per claim (the sum over its members), so
+        ``ready.wait_s.count`` counts *dispatches*, not instances."""
         while True:
             batch, wait = self.ready.pop_batch(self.batch)
             if batch is None:
                 return
+            first = batch[0]
             if self._metrics_on:
                 self._m_ready_wait.observe(wait)
             if self._trace_on:
                 self._queue_wait_by_worker[worker_id] = wait
-            if self._timeline is not None and batch[0].age is not None:
+            if self._timeline is not None and first.age is not None:
                 now = time.perf_counter()
                 self._timeline.span(
-                    self.session_of(batch[0]) if self.session_of else "",
-                    batch[0].age, "queue", now - wait, now,
+                    self.session_of(first) if self.session_of else "",
+                    first.age, "queue", now - wait, now,
                 )
-            if batch[0].age is not None:
-                self._running_ages[worker_id] = batch[0].age
+            if first.age is not None:
+                self._running_ages[worker_id] = first.age
                 if self.session_of is not None:
                     self._running_sessions[worker_id] = self.session_of(
-                        batch[0]
+                        first
                     )
             try:
                 if not self._stop.is_set():
@@ -1534,11 +1319,11 @@ def run_program(
     the resulting :class:`~repro.stream.StreamReport` is attached to
     ``RunResult.stream``.
 
-    ``batch`` > 1 turns on batched dispatch: workers drain runs of up
-    to ``batch`` ready instances of the same kernel and age and hand
-    them to the backend as one call (one IPC message on the process
-    backend, one vectorized NumPy call when the kernel carries a
-    ``batch_body``).  Results are byte-identical to ``batch=1``.
+    ``batch`` is the dispatch granularity: workers claim runs of up to
+    ``batch`` ready instances of the same kernel and age and hand each
+    to the backend as one call (one IPC message on the process backend,
+    one vectorized NumPy call when the kernel carries a ``batch_body``).
+    Results are byte-identical at every size, ``batch=1`` included.
 
     ``telemetry`` turns on the live telemetry layer: ``True`` for the
     default :class:`~repro.obs.TelemetryConfig`, a config instance, or

@@ -24,8 +24,9 @@ per instance.  The escape hatches:
 * ``--no-vectorize`` (or ``vectorize=False`` on a workload builder)
   skips the compilation step entirely;
 * a ``batch_body`` may raise :class:`VectorizeFallback` at run time
-  (e.g. the batch's block shape is not the expected 8x8) and the
-  executing backend silently re-runs the batch through the scalar body;
+  (e.g. the batch's block shape is not the expected 8x8) and
+  :func:`~repro.core.execute.run_batch` finishes the batch in its scalar
+  loop, reporting the drop (``exec.vectorize_fallbacks``);
 * LLS replan rewrites construct fresh :class:`KernelDef` objects with
   the default ``batch_body=None``, so post-swap epochs revert to the
   scalar path automatically — a batch never spans an epoch anyway

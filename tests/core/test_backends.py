@@ -159,6 +159,57 @@ class TestWorkloadParity:
         assert counts["threads"] == counts["processes"]
 
 
+@needs_fork
+class TestCountersAgreeAcrossBackends:
+    """Counters are taken in the one commit tail both backends share,
+    from what happened — not from the kernel's spec on one backend and
+    the worker's report on the other."""
+
+    @staticmethod
+    def _program():
+        def src(ctx):
+            ctx.emit("a", np.arange(8, dtype=np.int64))
+
+        def evens(ctx):
+            if ctx["v"] % 2 == 0:  # emits for half of its instances
+                ctx.emit("b", ctx["v"])
+
+        age0 = AgeExpr.const(0)
+        return Program.build(
+            [FieldDef("a", "int64", 1, aging=False, shape=(8,)),
+             FieldDef("b", "int64", 1, aging=False, shape=(8,))],
+            [KernelDef("src", src, stores=(StoreSpec("a", age=age0),)),
+             KernelDef(
+                 "evens", evens, index_vars=("x",),
+                 fetches=(FetchSpec("v", "a", age=age0,
+                                    dims=(Dim.of("x"),), scalar=True),),
+                 stores=(StoreSpec("b", age=age0, dims=(Dim.of("x"),)),),
+             )],
+        )
+
+    def test_conditional_emit_counts_match(self):
+        from repro.obs import MetricsRegistry, flatten
+
+        seen = {}
+        for backend in ("threads", "processes"):
+            for batch in (1, 4):
+                reg = MetricsRegistry()
+                result = run_program(
+                    self._program(), workers=2, timeout=60,
+                    backend=backend, batch=batch, metrics=reg,
+                )
+                flat = flatten(reg.snapshot())
+                seen[backend, batch] = (
+                    flat["fields.stores"], flat["fields.fetches"],
+                    flat["instances.executed"],
+                    {k: s.instances for k, s in result.stats.items()},
+                )
+        # 1 whole-field store by ``src`` + 4 by the even ``evens``
+        # instances; 8 element fetches; 9 instances.
+        want = (5, 8, 9, {"src": 1, "evens": 8})
+        assert seen == dict.fromkeys(seen, want)
+
+
 # ----------------------------------------------------------------------
 # Fault isolation
 # ----------------------------------------------------------------------
@@ -229,6 +280,22 @@ class TestSegmentLifecycle:
         node.start()
         node.join()
         assert sink.final_centroids() is not None
+        assert _leaked_segments(run_id) == []
+
+    def test_singleton_batches_round_trip_outputs(self):
+        # ``batch=1`` is the one message shape at size one: out-of-band
+        # ``ctx.output`` values still ride the reply back to the sink,
+        # and the run leaves /dev/shm empty.
+        expected = kmeans_baseline(n=40, k=4, iterations=3)
+        program, sink = build_kmeans(n=40, k=4, iterations=3,
+                                     granularity="point")
+        node = ExecutionNode(program, workers=2, backend="processes",
+                             batch=1)
+        run_id = node.fields.run_id
+        node.run(timeout=120)
+        assert sink.history.keys() == expected.history.keys()
+        for age, centroids in expected.history.items():
+            assert np.array_equal(sink.history[age], centroids)
         assert _leaked_segments(run_id) == []
 
     def test_gc_unlinks_retired_ages(self):

@@ -525,3 +525,127 @@ class TestHotPathGuards:
         assert result.telemetry is tel
         assert tel.timeline.in_flight() == 0
         assert tel.timeline.sessions() == []
+
+
+def _doubling_program(extent, block, *, body=None, batch_body=None):
+    """``src`` stores ``a`` whole; one ``dbl`` instance per ``block``
+    elements doubles its region into ``out``.  An ``extent`` that is not
+    a multiple of ``block`` leaves a ragged trailing region."""
+    from repro.core import AgeExpr, FieldDef
+
+    def src(ctx):
+        ctx.emit("a", np.arange(extent, dtype=np.int64))
+
+    def dbl(ctx):
+        ctx.emit("out", ctx["v"] * 2)
+
+    age0 = AgeExpr.const(0)
+    return Program.build(
+        [FieldDef("a", "int64", 1, aging=False, shape=(extent,)),
+         FieldDef("out", "int64", 1, aging=False, shape=(extent,))],
+        [KernelDef("src", src, stores=(StoreSpec("a", age=age0),)),
+         KernelDef(
+             "dbl", body or dbl, index_vars=("x",),
+             fetches=(FetchSpec("v", "a", age=age0,
+                                dims=(Dim.of("x", block),)),),
+             stores=(StoreSpec("out", age=age0,
+                               dims=(Dim.of("x", block),)),),
+             batch_body=batch_body,
+         )],
+    )
+
+
+def _stacked_double(bctx):
+    bctx.emit("out", bctx["v"] * 2)
+
+
+def _always_fall_back(bctx):
+    raise VectorizeFallback
+
+
+class TestOnePathSeams:
+    """Threads and worker processes run one routine at every batch
+    size; these pin the places where separate copies used to drift:
+    the scalar drop inside a batch, error attribution, and what the
+    parent can see of a worker's vectorization."""
+
+    @staticmethod
+    def _run(program, backend, batch, tracer=None):
+        reg = MetricsRegistry()
+        events = []
+        node = ExecutionNode(
+            program, 1, backend=backend, batch=batch, metrics=reg,
+            tracer=tracer,
+            on_event=lambda _node, ev: events.append(
+                (type(ev).__name__, ev.field)),
+        )
+        result = node.run(timeout=60)
+        flat = flatten(reg.snapshot())
+        counts = {k: flat[k] for k in (
+            "instances.executed", "fields.stores", "fields.fetches")}
+        counts["dbl"] = result.instrumentation["dbl"].instances
+        return (result.fields["out"].fetch(0).tobytes(), sorted(events),
+                counts, flat)
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("case", ["ragged", "fallback"])
+    def test_scalar_drop_inside_a_batch_is_invisible(self, backend, case):
+        """A ragged trailing region (no uniform fetch plan) and a
+        ``batch_body`` raising VectorizeFallback both finish the batch
+        in the scalar loop: same bytes and same events as ``batch=1``,
+        and the drop is counted on either backend."""
+        def build():
+            if case == "ragged":
+                return _doubling_program(18, 4, batch_body=_stacked_double)
+            return _doubling_program(20, 4, batch_body=_always_fall_back)
+
+        base = self._run(build(), backend, 1)
+        got = self._run(build(), backend, 8)
+        assert got[:3] == base[:3]
+        assert base[2]["dbl"] == 5
+        assert base[3]["exec.vectorize_fallbacks"] == 0
+        assert got[3]["exec.vectorize_fallbacks"] >= 1
+        assert got[3]["exec.vectorized_instances"] == 0
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_vectorization_is_visible_from_the_parent(self, backend):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        out, _events, counts, flat = self._run(
+            _doubling_program(32, 4, batch_body=_stacked_double),
+            backend, 8, tracer,
+        )
+        assert out == (np.arange(32, dtype=np.int64) * 2).tobytes()
+        assert counts["dbl"] == 8
+        assert flat["exec.vectorize_fallbacks"] == 0
+        assert 2 <= flat["exec.vectorized_instances"] <= 8
+        spans = [e for e in tracer.events() if e.get("cat") == "kernel"]
+        assert all("vectorized" in e["args"] for e in spans)
+        stacked = [e for e in spans if e["name"].startswith("dbl[x")]
+        assert stacked and all(e["args"]["vectorized"] for e in stacked)
+        assert sum(e["args"]["batch"] for e in stacked) == (
+            flat["exec.vectorized_instances"])
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("fallback", [False, True],
+                             ids=["scalar", "after-fallback"])
+    def test_body_error_names_the_failing_instance(self, backend,
+                                                   fallback):
+        from repro.core.errors import KernelBodyError
+
+        def bomb(ctx):
+            if ctx.index["x"] == 2:
+                raise ValueError("boom")
+            ctx.emit("out", ctx["v"] * 2)
+
+        program = _doubling_program(
+            16, 4, body=bomb,
+            batch_body=_always_fall_back if fallback else None,
+        )
+        with pytest.raises(KernelBodyError) as ei:
+            run_program(program, workers=1, backend=backend, batch=4,
+                        timeout=60)
+        err = ei.value
+        assert (err.kernel, err.age, tuple(err.index)) == ("dbl", None, (2,))
+        assert "ValueError: boom" in str(err)

@@ -139,6 +139,32 @@ class TestInjectorUnit:
         assert inj._before_execute("n", "i3") is True
         assert inj.captive_count("n") == 2
 
+    def test_batch_of_32_stops_at_the_scheduled_instance(self):
+        """A failable node hands its backend batches of one, so a kill
+        scheduled after the 4th instance fires there even when all 32
+        arrive as one batch."""
+        from repro.dist.faults import _FaultBackend
+
+        class Inner:
+            name = "fake"
+
+            def __init__(self):
+                self.calls = []
+
+            def execute_batch(self, batch, worker_id):
+                self.calls.append(list(batch))
+
+        inj = injector(FaultSpec("n", "kill", 4))
+        inj.release("n")  # as after teardown: frozen workers return at once
+        inner = Inner()
+        _FaultBackend(inner, "n", inj).execute_batch(
+            [f"i{j}" for j in range(32)], 0
+        )
+        assert inner.calls == [["i0"], ["i1"], ["i2"], ["i3"]]
+        assert inj.fired[0].at_instances == 4
+        assert inj.executed("n") == 4
+        assert inj.captive_count("n") == 28
+
     def test_stall_keeps_heartbeats(self):
         inj = injector(FaultSpec("n", "stall", 0))
         assert inj._before_execute("n", "i") is True
@@ -178,6 +204,21 @@ class TestKillRecovery:
         assert rec.failed == "a"
         assert rec.replacement == "a~1"
         assert rec.replayed > 0
+        expected = expected_series(4)
+        for age in expected:
+            assert np.array_equal(sink[age][0], expected[age][0])
+            assert np.array_equal(sink[age][1], expected[age][1])
+
+    def test_kill_fires_on_schedule_under_batching(self):
+        program, sink = build_mulsum()
+        inj = injector(FaultSpec("a", "kill", 3))
+        res = Cluster(program, {"a": 2, "b": 2}).run(
+            max_age=3, timeout=60, batch=32, faults=inj, recovery=FAST,
+        )
+        assert res.reason == "idle"
+        assert [f.at_instances for f in inj.fired] == [3]
+        assert inj.executed("a") == 3
+        assert len(res.recoveries) == 1
         expected = expected_series(4)
         for age in expected:
             assert np.array_equal(sink[age][0], expected[age][0])
