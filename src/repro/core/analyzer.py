@@ -13,7 +13,10 @@ go through the fields' own locks.
 
 Algorithm sketch
 ----------------
-For every store event on field ``F`` at age ``α`` covering region ``R``:
+A store event announces a *group* of regions of field ``F`` at age
+``α`` (a batch's stores; a single store is a group of one) and is
+analysed once per (consumer kernel, age), over the union of the
+regions' candidates.  For each region ``R`` of the group:
 
 1. For each (kernel ``K``, fetch ``f``) with ``f.field == F``, derive the
    candidate *kernel ages*: solving ``f``'s age expression for ``α`` when
@@ -31,6 +34,10 @@ For every store event on field ``F`` at age ``α`` covering region ``R``:
 Pending ages are pruned once every combination at current extents has
 been dispatched; any event that could make new combinations runnable
 (a store or resize) re-adds the age, so pruning never loses instances.
+
+The dispatch-once bookkeeping is keyed by kernel and age and retires
+with the ages (:meth:`DependencyAnalyzer.retire_below`), so it stays
+bounded on an unbounded stream.
 
 Online re-binding (epochs)
 --------------------------
@@ -51,12 +58,13 @@ the run's observable output — are unchanged by a swap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchedulerError
 from .events import InstanceDoneEvent, ResizeEvent, StoreEvent
-from .fields import FieldStore
+from .fields import FieldStore, IndexExpr
 from .kernels import FetchSpec, KernelDef, KernelInstance, StoreSpec
 from .program import Program
 from .scheduler import FusionDecision, decision_kernels
@@ -123,15 +131,22 @@ class DependencyAnalyzer:
         #: node's backends and recovery logic read the handle; the
         #: analyzer is duck-typed against it to avoid an import cycle).
         self._handle = handle
-        self._dispatched: set = set()
+        #: kernel name -> age -> indices dispatched (write-once ⇒
+        #: dispatch-once); keyed by age so it can retire with the ages
+        self._dispatched: dict[str, dict[int | None, set]] = {
+            k: {} for k in program.kernels
+        }
         #: kernel name -> candidate ages not yet fully dispatched
         self._pending: dict[str, set[int]] = {
             k: set() for k in program.kernels
         }
-        #: (kernel, age) -> number of instances dispatched
-        self._count: dict[tuple[str, int | None], int] = {}
+        #: kernel name -> instances ever dispatched (survives retirement)
+        self._total: dict[str, int] = {}
         #: kernel name -> highest age ever dispatched (swap-epoch floor)
         self._max_disp: dict[str, int] = {}
+        #: kernel name -> ages below this are retired: bookkeeping
+        #: dropped, late events ignored
+        self._retired: dict[str, int] = {}
         #: Full-program mirror for distributed runs: ``producers`` names
         #: kernels that may live on other nodes; replan decisions are
         #: replayed onto it so the premature-completeness guard sees the
@@ -303,6 +318,7 @@ class DependencyAnalyzer:
             moved |= {a for a in ages if a >= epoch}
         for n in added:
             self._pending.setdefault(n, set()).update(moved)
+            self._dispatched.setdefault(n, {})
         if self._handle is not None:
             self._handle.register(epoch, program)
 
@@ -318,27 +334,34 @@ class DependencyAnalyzer:
             k = self.kernel_for_age(k.name, age) or k
             if not k.is_source or not self._age_ok(age, k):
                 continue
-            for combo in self._domain_combos(k):
-                inst = KernelInstance(k, age, combo)
-                if inst.key not in self._dispatched:
-                    self._dispatched.add(inst.key)
-                    self._bump(k.name, age)
-                    out.append(inst)
+            out.extend(self._claim(k, age, self._domain_combos(k)))
         return out
 
     # ------------------------------------------------------------------
     def on_store(self, ev: StoreEvent) -> list[KernelInstance]:
-        """React to a store event: dispatch every newly satisfiable instance."""
+        """React to a store event: dispatch every newly satisfiable
+        instance, analysing the event's group of regions once per
+        (consumer kernel, age)."""
         self.events_processed += 1
-        out: list[KernelInstance] = []
+        regions = ev.regions
+        extent = self._extent_of(ev.field)
         base = self._views[0]
+        #: (kernel name, age) -> [kernel, boxes]: the candidate boxes of
+        #: every region under every fetch of the field, or ``None`` once
+        #: any of them (a whole-field fetch) asks for the whole domain.
+        #: An age has one owning version, so the name is unambiguous.
+        work: dict[tuple, list] = {}
         for v in self._views:
             for kernel, fetch in v.fetchers.get(ev.field, ()):
                 ages: list[int | None]
                 if kernel.has_age:
                     if fetch.age.literal is None:
                         a = fetch.age.solve(ev.age)
-                        if a is None or not self._age_ok(a, kernel):
+                        if (
+                            a is None
+                            or a < self._retired.get(kernel.name, 0)
+                            or not self._age_ok(a, kernel)
+                        ):
                             continue
                         if self._version_for_age(a) is not v:
                             continue
@@ -357,10 +380,19 @@ class DependencyAnalyzer:
                     if v is not base or not fetch.age.matches_literal(ev.age):
                         continue
                     ages = [None]
+                boxes = (
+                    [self._restrict(fetch, r, extent) for r in regions]
+                    if fetch.vars() else None
+                )
                 for age in ages:
-                    restrict = self._restrict_from_region(fetch, ev)
-                    out.extend(self._collect(kernel, age, restrict))
-                    self._maybe_prune(kernel, age)
+                    slot = work.get((kernel.name, age))
+                    if slot is None:
+                        work[(kernel.name, age)] = [kernel, boxes]
+                    elif slot[1] is not None:
+                        slot[1] = None if boxes is None else slot[1] + boxes
+        out: list[KernelInstance] = []
+        for (_name, age), (kernel, boxes) in work.items():
+            out.extend(self._collect(kernel, age, boxes))
         return out
 
     def on_resize(self, ev: ResizeEvent) -> list[KernelInstance]:
@@ -376,7 +408,6 @@ class DependencyAnalyzer:
                         if self._version_for_age(age) is not v:
                             continue
                         out.extend(self._collect(kernel, age, None))
-                        self._maybe_prune(kernel, age)
                 elif v is base:
                     out.extend(self._collect(kernel, None, None))
         return out
@@ -385,123 +416,160 @@ class DependencyAnalyzer:
         """Self-advance aged source kernels: instance ``a`` finishing with
         at least one store schedules instance ``a + 1`` (section VII-B:
         "the read loop ends when the kernel stops storing")."""
-        inst = ev.instance
-        k = inst.kernel
-        if not (k.is_source and k.has_age and ev.stored_any):
+        k = ev.instance.kernel
+        if not (k.is_source and k.has_age):
             return []
-        assert inst.age is not None
-        nxt_age = inst.age + 1
+        assert ev.instance.age is not None
+        nxt_age = ev.instance.age + 1
         cur = self.kernel_for_age(k.name, nxt_age)
         if cur is None or not self._age_ok(nxt_age, cur):
             return []
+        stored = [inst.index for inst, stored_any in ev.members if stored_any]
+        if not stored:
+            return []
         if cur is k:
-            nxt = KernelInstance(k, nxt_age, inst.index)
-            if nxt.key in self._dispatched:
-                return []
-            self._dispatched.add(nxt.key)
-            self._bump(k.name, nxt_age)
-            return [nxt]
+            return self._claim(k, nxt_age, stored)
         # The source's definition changed at an epoch ≤ nxt_age; the old
         # instance's index no longer maps onto the new decomposition, so
         # advance the new definition's whole domain (dispatch-once makes
         # this idempotent across the old instances finishing).
         if not (cur.is_source and cur.has_age):
             return []
-        out: list[KernelInstance] = []
-        for combo in self._domain_combos(cur):
-            nxt = KernelInstance(cur, nxt_age, combo)
-            if nxt.key in self._dispatched:
-                continue
-            self._dispatched.add(nxt.key)
-            self._bump(cur.name, nxt_age)
-            out.append(nxt)
-        return out
+        return self._claim(cur, nxt_age, self._domain_combos(cur))
 
     # ------------------------------------------------------------------
-    def _restrict_from_region(
-        self, fetch: FetchSpec, ev: StoreEvent
-    ) -> dict[str, range] | None:
-        """Candidate index-variable ranges implied by the stored region."""
-        if not fetch.vars():
-            return None
-        extent = self._extent_of(ev.field)
-        restrict: dict[str, range] = {}
-        for dim, region, n in zip(fetch.dims, ev.region, extent):
+    def _restrict(
+        self, fetch: FetchSpec, region: IndexExpr, extent: tuple[int, ...]
+    ) -> dict[str, range]:
+        """Candidate index-variable ranges implied by one stored region
+        (the *box* of combinations whose fetch may touch it)."""
+        box: dict[str, range] = {}
+        for dim, sl, n in zip(fetch.dims, region, extent):
             if dim.is_all:
                 continue
-            cand = dim.candidates(region, n)
-            if dim.var in restrict:
-                prev = restrict[dim.var]
+            cand = dim.candidates(sl, n)
+            if dim.var in box:
+                prev = box[dim.var]
                 lo = max(prev.start, cand.start)
                 hi = min(prev.stop, cand.stop)
                 cand = range(lo, max(lo, hi))
-            restrict[dim.var] = cand
-        return restrict
+            box[dim.var] = cand
+        return box
+
+    def _claim(
+        self, kernel: KernelDef, age: int | None, combos: Iterable[tuple]
+    ) -> list[KernelInstance]:
+        """Dispatch-once: the instances of ``combos`` never dispatched
+        before, now recorded as dispatched."""
+        name = kernel.name
+        seen = self._dispatched[name].setdefault(age, set())
+        out: list[KernelInstance] = []
+        for combo in combos:
+            if combo not in seen:
+                seen.add(combo)
+                out.append(KernelInstance(kernel, age, combo))
+        if out:
+            self._total[name] = self._total.get(name, 0) + len(out)
+            if age is not None and age > self._max_disp.get(name, -1):
+                self._max_disp[name] = age
+        return out
 
     def _collect(
         self,
         kernel: KernelDef,
         age: int | None,
-        restrict: Mapping[str, range] | None,
+        boxes: Sequence[Mapping[str, range]] | None,
     ) -> list[KernelInstance]:
-        """Find every not-yet-dispatched, fully satisfied combination."""
-        # Cheap global pre-check: every variable-free fetch (whole-field)
-        # must be complete; shared across all index combinations.
-        for f in kernel.fetches:
-            if f.vars():
-                continue
-            f_age = f.age.resolve(age)
-            if not self.fields[f.field].is_complete(f_age, None):
-                return []
-            if not self._covers_producers(f.field, f_age):
-                return []
+        """Find every not-yet-dispatched, fully satisfied combination in
+        the union of ``boxes`` (``None``: the whole domain), and prune
+        the age from the pending set once its domain is exhausted."""
+        name = kernel.name
+        index_vars = kernel.index_vars
         counts = kernel.index_counts(self._extent_of)
-        ranges = []
-        for v in kernel.index_vars:
-            n = counts.get(v, 0)
-            r = range(n)
-            if restrict and v in restrict:
-                rr = restrict[v]
-                r = range(max(0, rr.start), min(n, rr.stop))
-            if len(r) == 0:
-                return []
-            ranges.append(r)
+        domain = [range(counts.get(v, 0)) for v in index_vars]
         out: list[KernelInstance] = []
-        var_fetches = [f for f in kernel.fetches if f.vars()]
-        for combo in itertools.product(*ranges):
-            inst = KernelInstance(kernel, age, combo)
-            if inst.key in self._dispatched:
-                continue
-            self.candidates_examined += 1
-            imap = dict(zip(kernel.index_vars, combo))
-            ok = True
-            for f in var_fetches:
-                f_age = f.age.resolve(age)
-                field = self.fields[f.field]
-                region = f.region(imap, field.extent)
-                empty_dims = [
-                    i for i, s in enumerate(region) if s.stop <= s.start
+        probes = self._open_fetches(kernel, age)
+        if probes is not None:
+            if boxes is None:
+                combos: Iterable[tuple] = itertools.product(*domain)
+            else:
+                combos = itertools.chain.from_iterable(
+                    itertools.product(*(
+                        range(max(0, box[v].start), min(len(r), box[v].stop))
+                        if v in box else r
+                        for v, r in zip(index_vars, domain)
+                    ))
+                    for box in boxes
+                )
+                if len(boxes) > 1:
+                    combos = dict.fromkeys(combos)  # boxes may overlap
+            seen = self._dispatched[name].get(age, ())
+            ready = [combo for combo in combos if combo not in seen]
+            self.candidates_examined += len(ready)
+            if probes:
+                ready = [
+                    combo for combo in ready
+                    if self._satisfied(probes, index_vars, combo)
                 ]
-                if empty_dims:
-                    # A shrink-boundary stencil outside the extent is an
-                    # absent neighbour: trivially satisfied.  Any other
-                    # empty dimension means the combination is invalid.
-                    if all(
-                        not f.dims[i].is_all
-                        and f.dims[i].boundary == "shrink"
-                        for i in empty_dims
-                    ):
-                        continue
-                    ok = False
-                    break
-                if not field.is_complete(f_age, region):
-                    ok = False
-                    break
-            if ok:
-                self._dispatched.add(inst.key)
-                self._bump(kernel.name, age)
-                out.append(inst)
+            if ready:
+                out = self._claim(kernel, age, ready)
+        # Drop a pending age once every combination at current extents
+        # has been dispatched (safe: new combinations require new store
+        # or resize events, which re-add the age).
+        if age is not None and age in self._pending[name]:
+            total = math.prod(len(r) for r in domain)
+            if total and len(self._dispatched[name].get(age, ())) >= total:
+                self._pending[name].discard(age)
         return out
+
+    def _open_fetches(self, kernel: KernelDef, age: int | None):
+        """The fetches of ``kernel`` at ``age`` that still need a mask
+        probe per combination, as ``(fetch, field age, field)``; ``None``
+        when a whole-field fetch is not satisfiable yet, so nothing is.
+
+        A fetch whose field is already whole at its age is satisfied for
+        every combination of the domain — the O(1) ``store_count``
+        comparison instead of a probe per combination.  A variable-free
+        (whole-field) fetch needs exactly that, plus its producers'
+        index domains covered by the extent.
+        """
+        probes = []
+        for f in kernel.fetches:
+            f_age = f.age.resolve(age)
+            field = self.fields[f.field]
+            bound = f.vars()
+            if field.is_complete(f_age, None):
+                if bound or self._covers_producers(f.field, f_age):
+                    continue
+                return None
+            if not bound:
+                return None
+            probes.append((f, f_age, field))
+        return probes
+
+    @staticmethod
+    def _satisfied(probes, index_vars, combo) -> bool:
+        """Whether every probed fetch's region is complete for ``combo``."""
+        imap = dict(zip(index_vars, combo))
+        for f, f_age, field in probes:
+            region = f.region(imap, field.extent)
+            empty_dims = [
+                i for i, s in enumerate(region) if s.stop <= s.start
+            ]
+            if empty_dims:
+                # A shrink-boundary stencil outside the extent is an
+                # absent neighbour: trivially satisfied.  Any other
+                # empty dimension means the combination is invalid.
+                if all(
+                    not f.dims[i].is_all
+                    and f.dims[i].boundary == "shrink"
+                    for i in empty_dims
+                ):
+                    continue
+                return False
+            if not field.is_complete(f_age, region):
+                return False
+        return True
 
     def _covers_producers(self, field: str, f_age: int | None) -> bool:
         """Whether the field's current extent reaches every producer's
@@ -557,30 +625,40 @@ class DependencyAnalyzer:
                         return False
         return True
 
-    def _bump(self, kernel: str, age: int | None) -> None:
-        self._count[(kernel, age)] = self._count.get((kernel, age), 0) + 1
-        if age is not None and age > self._max_disp.get(kernel, -1):
-            self._max_disp[kernel] = age
-
-    def _maybe_prune(self, kernel: KernelDef, age: int | None) -> None:
-        """Drop a pending age once every combination at current extents
-        has been dispatched (safe: new combinations require new store or
-        resize events, which re-add the age)."""
-        if age is None or age not in self._pending[kernel.name]:
-            return
-        counts = kernel.index_counts(self._extent_of)
-        total = 1
-        for v in kernel.index_vars:
-            total *= counts.get(v, 0)
-        if total and self._count.get((kernel.name, age), 0) >= total:
-            self._pending[kernel.name].discard(age)
-
     # ------------------------------------------------------------------
+    def retire_below(self, min_age: int, kernels=None) -> None:
+        """Forget the dispatch bookkeeping of every age below
+        ``min_age`` — the streaming retirer freed those field ages.
+
+        Safe under the retirement invariant (DESIGN.md §11): no
+        undispatched instance can fetch a freed age (a collected slot
+        is never complete), so nothing below the floor can be
+        dispatched again; a late event for such an age is ignored
+        rather than left pending.  ``kernels`` (kernel names) scopes
+        the drop to one session, like :meth:`min_pending_age`.
+        """
+        for name in (self._dispatched if kernels is None else kernels):
+            by_age = self._dispatched.get(name)
+            if by_age is None or min_age <= self._retired.get(name, 0):
+                continue
+            self._retired[name] = min_age
+            for a in [a for a in by_age if a is not None and a < min_age]:
+                del by_age[a]
+
+    def tracked_instances(self) -> int:
+        """Dispatched instances still held in the bookkeeping (bounded
+        on a retiring stream)."""
+        return sum(
+            len(seen)
+            for by_age in self._dispatched.values()
+            for seen in by_age.values()
+        )
+
     def dispatched_count(self, kernel: str | None = None) -> int:
         """Total instances dispatched (optionally for one kernel)."""
         if kernel is None:
-            return len(self._dispatched)
-        return sum(c for (k, _a), c in self._count.items() if k == kernel)
+            return sum(self._total.values())
+        return self._total.get(kernel, 0)
 
     def min_pending_age(self, kernels=None) -> int | None:
         """Lowest age any kernel still has pending (GC lower bound).

@@ -118,10 +118,12 @@ class ExecutionBackend:
 
 class _NodeFields:
     """Field-access adapter for bodies run in the parent process (see
-    :mod:`repro.core.execute`): a handle is the live ``Field``.  A store
-    is announced the moment it commits, so inside a batch each
-    instance's consumers become runnable as that instance's stores land,
-    not when the whole batch is done."""
+    :mod:`repro.core.execute`): a handle is the live ``Field``.  Each
+    store of a group commits through ``Field.store`` (write-once per
+    store); the group is then announced as one event.  The scalar loop
+    writes groups of one, so there each instance's consumers become
+    runnable as that instance's stores land, not when the whole batch
+    is done."""
 
     def __init__(self, node: "ExecutionNode") -> None:
         self._node = node
@@ -130,33 +132,34 @@ class _NodeFields:
     def read(self, field, age: int, region) -> np.ndarray:
         return field.fetch(age, region)
 
-    def write(self, field, age: int, region, arr) -> StoreEvent:
+    def write(self, field, age: int, regions, arrs):
         node = self._node
         name = field.fdef.name
-        resize = None
-        # Recovery: the dead predecessor already committed this region
-        # with identical bytes (write-once determinism); skip the payload
-        # write but re-announce the store so consumers that missed the
-        # original delivery become runnable.
-        if not (node.recover and field.is_complete(age, region)):
-            try:
-                resize = field.store(age, region, arr)
-            except WriteOnceViolation:
-                if not node.recover:
-                    raise
-                # Recovery dispatches the dead node's in-flight work twice
-                # on purpose (direct re-enqueue + replay-driven analyzer
-                # rediscovery); when both copies run concurrently the
-                # completeness check above races the other copy's commit.
-                # Losing that race is the skip case arriving late: the
-                # winner wrote the same bytes.
-        if resize is not None:
-            node._post(
-                ResizeEvent(name, resize.old_extent, resize.new_extent)
-            )
-        ev = StoreEvent(name, age, region)
-        node._post(ev)
-        return ev
+        for region, arr in zip(regions, arrs):
+            resize = None
+            # Recovery: the dead predecessor already committed this
+            # region with identical bytes (write-once determinism); skip
+            # the payload write but re-announce the store so consumers
+            # that missed the original delivery become runnable.
+            if not (node.recover and field.is_complete(age, region)):
+                try:
+                    resize = field.store(age, region, arr)
+                except WriteOnceViolation:
+                    if not node.recover:
+                        raise
+                    # Recovery dispatches the dead node's in-flight work
+                    # twice on purpose (direct re-enqueue + replay-driven
+                    # analyzer rediscovery); when both copies run
+                    # concurrently the completeness check above races
+                    # the other copy's commit.  Losing that race is the
+                    # skip case arriving late: the winner wrote the same
+                    # bytes.
+            if resize is not None:
+                node._post(
+                    ResizeEvent(name, resize.old_extent, resize.new_extent)
+                )
+        node._post(StoreEvent.group(name, age, regions))
+        return regions
 
 
 class ThreadBackend(ExecutionBackend):
@@ -225,12 +228,16 @@ class _SegmentCache:
         value.flags.writeable = False
         return value
 
-    def write(self, field, age: int, region, arr) -> tuple:
-        self.view(field.fdef, age)[region] = arr
-        return (
-            field.fdef.name, age,
-            tuple((sl.start, sl.stop) for sl in region),
-        )
+    def write(self, field, age: int, regions, arrs) -> list:
+        view = self.view(field.fdef, age)
+        name = field.fdef.name
+        records = []
+        for region, arr in zip(regions, arrs):
+            view[region] = arr
+            records.append(
+                (name, age, tuple((sl.start, sl.stop) for sl in region))
+            )
+        return records
 
     def view(self, fdef, age: int) -> np.ndarray:
         entry = self._entries.get((fdef.name, age))
@@ -536,8 +543,8 @@ class ProcessBackend(ExecutionBackend):
         """Ship a same-kernel/same-age run as ONE pipe message and one
         reply — the per-batch (not per-instance) IPC round-trip is the
         whole point of batched dispatch on this backend.  The node's
-        commit tail applies the reply's stores and posts per-instance
-        events, so analyzer semantics are the same at every size."""
+        commit tail applies the reply's stores and announces them as
+        one event per (field, age), plus one done event."""
         node = self._node
         assert node is not None
         first = batch[0]

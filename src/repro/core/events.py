@@ -29,11 +29,30 @@ class Event:
 
 @dataclass(frozen=True)
 class StoreEvent(Event):
-    """A region of a field was written at some age."""
+    """One or more regions of a field were written at some age.
+
+    The event stream is as coarse as the dispatch: a batch announces
+    all the regions it stored to one (field, age) as a *group* — the
+    first in ``region``, the others in ``rest``.  A single store is a
+    group of one.  Every region's write-once metadata is committed
+    before the event is posted.
+    """
 
     field: str
     age: int
     region: IndexExpr  # normalized tuple of slices
+    rest: tuple[IndexExpr, ...] = ()
+
+    @property
+    def regions(self) -> tuple[IndexExpr, ...]:
+        """Every region of the group, in store order."""
+        return (self.region,) + self.rest
+
+    @staticmethod
+    def group(field: str, age: int, regions) -> "StoreEvent":
+        """The event announcing ``regions`` (at least one)."""
+        first, *rest = regions
+        return StoreEvent(field, age, first, tuple(rest))
 
 
 @dataclass(frozen=True)
@@ -47,17 +66,36 @@ class ResizeEvent(Event):
 
 @dataclass(frozen=True)
 class InstanceDoneEvent(Event):
-    """A kernel instance finished executing.
+    """A dispatch finished executing: ``instance`` and, for a batch,
+    the ``rest`` of its members as ``(instance, stored_any)`` pairs —
+    all of one kernel definition and age.
 
     ``stored_any`` drives source self-advancement: an aged source kernel
     whose instance stored nothing has reached end-of-stream and is not
-    re-dispatched for the next age.
+    re-dispatched for the next age.  The times are the dispatch's.
     """
 
     instance: KernelInstance
     stored_any: bool
     kernel_time: float = 0.0
     dispatch_time: float = 0.0
+    rest: tuple[tuple[KernelInstance, bool], ...] = ()
+
+    @property
+    def members(self) -> tuple[tuple[KernelInstance, bool], ...]:
+        """Every ``(instance, stored_any)`` of the dispatch, in order."""
+        return ((self.instance, self.stored_any),) + self.rest
+
+
+@dataclass(frozen=True)
+class RetireEvent(Event):
+    """Every age below ``min_age`` has been retired (streaming age
+    retirement): the analyzer drops its dispatch bookkeeping for them.
+    ``kernels`` (a set of kernel names, or ``None`` for all) scopes the
+    drop to one session of a multi-tenant node."""
+
+    min_age: int
+    kernels: frozenset | None = None
 
 
 @dataclass(frozen=True)

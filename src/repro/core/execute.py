@@ -10,13 +10,18 @@ where field bytes live, behind a small *field-access adapter*:
     a handle on the field, carrying its ``extent`` and ``fdef``;
 ``read(field, age, region)``
     the values of ``region`` (``None``: the whole field);
-``write(field, age, region, arr)``
-    commit one store and return its record.
+``write(field, age, regions, arrs)``
+    commit a *group* of stores to one (field, age) — ``arrs[i]`` into
+    ``regions[i]`` — and return one record per store.  The scalar loop
+    writes groups of one, as each instance's stores happen; the stacked
+    form writes the whole batch's stores to a field as one group.
 
-In the parent a handle is the live ``Field``, and a store is announced
-the moment it commits (:class:`~repro.core.backends._NodeFields`); in a
-worker process reads and writes are shared-memory views, and the record
-travels back to the parent, which commits and announces it
+A group is announced as one event.  In the parent a handle is the live
+``Field``: each store commits (write-once enforced per store), then the
+group is announced (:class:`~repro.core.backends._NodeFields`); in a
+worker process reads and writes are shared-memory views, and the
+records travel back to the parent, which commits and announces them,
+again one event per (field, age)
 (:class:`~repro.core.backends._SegmentCache`).
 """
 
@@ -107,10 +112,10 @@ def run_batch(
             arr, spec = coerce_store_value(
                 emitted[s.emit_key], fdef.np_dtype, fdef.ndim, s
             )
-            stores.append(
+            stores.extend(
                 mem.write(
                     field, s.age.resolve(age),
-                    spec.region(imap, arr.shape), arr,
+                    (spec.region(imap, arr.shape),), (arr,),
                 )
             )
         t3 = clock()
@@ -177,12 +182,12 @@ def _run_stacked(kernel: KernelDef, age, indices, mem):
         )
         shape = first.shape
         stack = np.asarray(values, dtype=fdef.np_dtype)
-        for i, imap in enumerate(imaps):
-            stores[i].append(
-                mem.write(
-                    field, s_age, spec.region(imap, shape),
-                    stack[i].reshape(shape),
-                )
-            )
+        records = mem.write(
+            field, s_age,
+            [spec.region(imap, shape) for imap in imaps],
+            stack.reshape((n,) + shape),
+        )
+        for mine, record in zip(stores, records):
+            mine.append(record)
     t3 = time.perf_counter()
     return [(st, []) for st in stores], t1 - t0, t2 - t1, t3 - t2, True

@@ -47,6 +47,7 @@ from .events import (
     InstanceDoneEvent,
     ReplanEvent,
     ResizeEvent,
+    RetireEvent,
     ShutdownEvent,
     StoreEvent,
     WorkToken,
@@ -227,21 +228,28 @@ class ReadyQueue:
 
     def push(self, inst: KernelInstance) -> None:
         """Enqueue a runnable instance (wakes one waiting worker)."""
+        self.push_many((inst,))
+
+    def push_many(self, instances) -> None:
+        """Enqueue runnable instances under one lock acquisition (wakes
+        one waiting worker per instance)."""
         with self._cv:
-            key, seq = self._heap_key(inst)
-            session = self._session_of(inst) if self._session_of else ""
-            heapq.heappush(
-                self._heap_for(session),
-                (key, seq, inst, time.perf_counter()),
-            )
-            real = -1 if inst.age is None else inst.age
-            self._age_counts[real] = self._age_counts.get(real, 0) + 1
-            ages = self._session_ages[session]
-            ages[real] = ages.get(real, 0) + 1
-            self._depth += 1
-            self.pushes += 1
+            now = time.perf_counter()
+            for inst in instances:
+                key, seq = self._heap_key(inst)
+                session = self._session_of(inst) if self._session_of else ""
+                heapq.heappush(
+                    self._heap_for(session), (key, seq, inst, now)
+                )
+                real = -1 if inst.age is None else inst.age
+                self._age_counts[real] = self._age_counts.get(real, 0) + 1
+                ages = self._session_ages[session]
+                ages[real] = ages.get(real, 0) + 1
+            n = len(instances)
+            self._depth += n
+            self.pushes += n
             self.max_depth = max(self.max_depth, self._depth)
-            self._cv.notify()
+            self._cv.notify(n)
 
     def push_sentinel(self, n: int = 1) -> None:
         """Wake ``n`` workers with an exit marker (always sorts last)."""
@@ -770,10 +778,11 @@ class ExecutionNode:
         store records get their write-once enforcement, completeness
         metadata and events here.  The rest is one code path —
         ``ctx.output`` delivery, instrumentation, metrics, frame
-        timeline, trace spans, and one :class:`InstanceDoneEvent` per
-        instance (the batch's seconds split evenly) — so the analyzer,
-        stream credits and age retirement observe the same per-instance
-        event stream at every batch size.
+        timeline, trace spans, and one :class:`InstanceDoneEvent` for
+        the dispatch, carrying every member.  The event stream is as
+        coarse as the dispatch: a worker's store records are announced
+        as one :class:`StoreEvent` group per (field, age), the way the
+        thread adapter announces a stacked batch's.
         """
         results, t_fetch, t_kernel, t_store, vectorized = run
         first = batch[0]
@@ -782,24 +791,25 @@ class ExecutionNode:
         n = len(batch)
         if remote is not None:
             # Commit write-once metadata in bulk — one lock acquisition
-            # per (field, age) instead of per store — *before* posting
-            # any StoreEvent, so the analyzer only ever observes
+            # per (field, age), enforcement still per store — *before*
+            # posting any StoreEvent, so the analyzer only ever observes
             # completeness that is at least as advanced as the event it
             # is handling.
             grouped: dict[tuple[str, int], list[tuple]] = {}
-            events: list[StoreEvent] = []
             for stores, _outputs in results:
                 for fname, s_age, bounds in stores:
-                    region = tuple(slice(a, b) for a, b in bounds)
-                    grouped.setdefault((fname, s_age), []).append(region)
-                    events.append(StoreEvent(fname, s_age, region))
+                    grouped.setdefault((fname, s_age), []).append(
+                        tuple(slice(a, b) for a, b in bounds)
+                    )
             for (fname, s_age), regions in grouped.items():
                 self.fields[fname].mark_written_many(s_age, regions)
-            for ev in events:
-                self._post(ev)
-        n_stores = 0  # stores that happened: one per StoreEvent
+            for (fname, s_age), regions in grouped.items():
+                self._post(StoreEvent.group(fname, s_age, regions))
+        n_stores = 0  # stores that happened, however they were grouped
+        members = []
         for inst, (stores, outputs) in zip(batch, results):
             n_stores += len(stores)
+            members.append((inst, bool(stores)))
             for key, value in outputs:
                 # Out-of-band ``ctx.output`` values go to the program's
                 # registered handler, always in the parent process.
@@ -884,15 +894,12 @@ class ExecutionNode:
                 if phase is not None:
                     self.tracer.complete(phase, "phase", self.name,
                                          thread, start, end)
-        kernel_time = t_kernel / n
-        dispatch_time = dispatch / n
-        for inst, (stores, _outputs) in zip(batch, results):
-            self._post(
-                InstanceDoneEvent(
-                    inst, bool(stores), kernel_time=kernel_time,
-                    dispatch_time=dispatch_time,
-                )
+        self._post(
+            InstanceDoneEvent(
+                first, members[0][1], kernel_time=t_kernel,
+                dispatch_time=dispatch, rest=tuple(members[1:]),
             )
+        )
 
     def _worker_loop(self, worker_id: int) -> None:
         """The one worker loop: claim a run of up to :attr:`batch`
@@ -947,13 +954,15 @@ class ExecutionNode:
         ):
             self.on_event(self, ev)
 
-    def _dispatch(self, instances) -> None:
-        n = 0
-        for inst in instances:
-            self._inc()
-            self.ready.push(inst)
-            n += 1
-        if n and self.tracer.enabled:
+    def _dispatch(self, instances: list) -> None:
+        """Enqueue a collected list: one counter increment, one
+        ready-queue lock acquisition."""
+        n = len(instances)
+        if not n:
+            return
+        self._inc(n)
+        self.ready.push_many(instances)
+        if self.tracer.enabled:
             self.tracer.instant(
                 "dispatch", "scheduler", self.name, "analyzer",
                 args={"count": n},
@@ -989,6 +998,8 @@ class ExecutionNode:
                         self._collect_garbage()
                 elif isinstance(ev, ReplanEvent):
                     self._handle_replan(ev)
+                elif isinstance(ev, RetireEvent):
+                    self.analyzer.retire_below(ev.min_age, ev.kernels)
             except BaseException as exc:  # noqa: BLE001
                 self._error = exc
                 self._stop.set()
@@ -1001,7 +1012,8 @@ class ExecutionNode:
                 if tr.enabled:
                     args = None
                     if isinstance(ev, StoreEvent):
-                        args = {"field": ev.field, "age": ev.age}
+                        args = {"field": ev.field, "age": ev.age,
+                                "regions": 1 + len(ev.rest)}
                     elif isinstance(ev, ResizeEvent):
                         args = {"field": ev.field}
                     tr.complete(type(ev).__name__, "analyzer",

@@ -39,6 +39,7 @@ kernels are owned by nobody.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
@@ -803,11 +804,9 @@ class Cluster:
 
         def tap(node: ExecutionNode, ev) -> None:
             if isinstance(ev, StoreEvent):
-                elems = 1
-                for s in ev.region:
-                    elems *= s.stop - s.start
-                size = elems * dtype_size.get(ev.field, 8)
-                self.transport.publish(ev.field, node.name, ev, size)
+                self.transport.publish(
+                    ev.field, node.name, ev, _payload_bytes(ev, dtype_size)
+                )
             elif isinstance(ev, ResizeEvent):
                 self.transport.publish(ev.field, node.name, ev, 0)
 
@@ -944,12 +943,10 @@ class Cluster:
             from ..stream import StreamDriver
 
             def stream_inject(ev) -> None:
-                size = 0
-                if isinstance(ev, StoreEvent):
-                    elems = 1
-                    for s in ev.region:
-                        elems *= s.stop - s.start
-                    size = elems * dtype_size.get(ev.field, 8)
+                size = (
+                    _payload_bytes(ev, dtype_size)
+                    if isinstance(ev, StoreEvent) else 0
+                )
                 self.transport.publish(ev.field, "stream-source", ev, size)
 
         if stream is not None:
@@ -1309,6 +1306,15 @@ class Cluster:
                 self.membership.as_dict() if elastic_on else None
             ),
         )
+
+
+def _payload_bytes(ev: StoreEvent, dtype_size: Mapping[str, int]) -> int:
+    """Payload size of a store event on the transport: every region of
+    its group (a group crosses nodes as one publish, bytes exact)."""
+    elems = sum(
+        math.prod(s.stop - s.start for s in region) for region in ev.regions
+    )
+    return elems * dtype_size.get(ev.field, 8)
 
 
 def _member_name(cluster: Cluster, name: str) -> str:

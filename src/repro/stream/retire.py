@@ -5,7 +5,10 @@ grow without bound.  The :class:`Retirer` frees drained ages through
 the existing GC paths (:meth:`Field.collect_age` → ``_AgeSlot.free()``,
 which for shared-memory slots closes *and unlinks* the segment) and
 tells each node's execution backend to drop its workers' cached views
-(:meth:`ExecutionBackend.on_retire`).
+(:meth:`ExecutionBackend.on_retire`) and each node's dependency
+analyzer to drop its dispatch bookkeeping for those ages (a
+:class:`~repro.core.events.RetireEvent` through the node's event
+queue, so the analyzer's state is still only touched on its thread).
 
 Invariant (DESIGN.md §11): **an age may be freed iff no undispatched
 instance can fetch it.**  Two independent bounds enforce it:
@@ -26,6 +29,8 @@ instance can fetch it.**  Two independent bounds enforce it:
 from __future__ import annotations
 
 import threading
+
+from ..core.events import RetireEvent
 
 __all__ = ["Retirer"]
 
@@ -185,6 +190,10 @@ class Retirer:
             freed = self._fields.collect_below(floor, self._field_names)
         for node in self._nodes:
             node.backend.on_retire(floor, self._field_names)
+            # Unit-test stubs are nodes without an event queue.
+            inject = getattr(node, "inject", None)
+            if inject is not None:
+                inject(RetireEvent(floor, self._kernel_names))
         if freed:
             with self._lock:
                 self.freed_bytes += freed

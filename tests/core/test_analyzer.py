@@ -1,7 +1,10 @@
 """Unit tests for the dependency analyzer (event → instance logic)."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AgeExpr,
@@ -312,3 +315,249 @@ class TestProducerCoverage:
         for x in range(1, 5):
             out += self.events_for(an, fields, "b", 0, x, 10 + x)
         assert [(i.kernel.name, i.age) for i in out] == [("sink", 0)]
+
+
+class TestRetirement:
+    """Dispatch bookkeeping retires with the ages (``retire_below``)."""
+
+    def _loop(self):
+        loop = KernelDef(
+            "loop", nop, has_age=True, index_vars=("x",),
+            fetches=(FetchSpec("v", "a", dims=(Dim.of("x"),), scalar=True),),
+        )
+        other = KernelDef(
+            "other", nop, has_age=True, index_vars=("x",),
+            fetches=(FetchSpec("v", "a", dims=(Dim.of("x"),), scalar=True),),
+        )
+        prog = Program.build([FieldDef("a", shape=(3,))], [loop, other])
+        fields = FieldStore(prog.fields.values())
+        return DependencyAnalyzer(prog, fields), fields
+
+    def test_drops_everything_below_the_floor(self):
+        an, fields = self._loop()
+        for age in range(4):
+            ev, _ = store_ev(fields, "a", age, slice(0, 3), [1, 2, 3])
+            assert len(an.on_store(ev)) == 6
+        assert an.tracked_instances() == 24
+        an.retire_below(3)
+        assert an.tracked_instances() == 6  # age 3 of both kernels
+        assert an.dispatched_count() == 24  # totals survive retirement
+
+    def test_scoped_by_kernel_names(self):
+        an, fields = self._loop()
+        for age in range(2):
+            ev, _ = store_ev(fields, "a", age, slice(0, 3), [1, 2, 3])
+            an.on_store(ev)
+        an.retire_below(2, frozenset({"loop", "not-on-this-node"}))
+        assert an.tracked_instances() == 6  # other's two ages remain
+        assert an.min_pending_age() is None
+
+    def test_late_event_for_a_retired_age_is_ignored(self):
+        """It can dispatch nothing (the slot is collected) and must not
+        pin ``min_pending_age`` — the retirer's floor — either."""
+        an, fields = self._loop()
+        ev, _ = store_ev(fields, "a", 0, slice(0, 3), [1, 2, 3])
+        assert len(an.on_store(ev)) == 6
+        fields.collect_below(1)
+        an.retire_below(1)
+        assert an.on_store(ev) == []
+        assert an.min_pending_age() is None
+        assert an.tracked_instances() == 0
+
+
+class TestGroupedEvents:
+    """A store event announces a group of regions; a done event a
+    dispatch's members."""
+
+    def test_group_dispatches_the_union_once(self):
+        prog = simple_program()
+        fields = FieldStore(prog.fields.values())
+        an = DependencyAnalyzer(prog, fields)
+        regions = []
+        for x in (0, 1, 3):
+            ev, _ = store_ev(fields, "a", 0, x, x)
+            regions.append(ev.region)
+        out = an.on_store(StoreEvent.group("a", 0, regions))
+        assert sorted(i.index for i in out) == [(0,), (1,), (3,)]
+        assert an.events_processed == 1
+        assert an.on_store(StoreEvent.group("a", 0, regions)) == []
+
+    def test_whole_field_consumer_checked_once_per_event(self):
+        sink = KernelDef(
+            "sink", nop, has_age=True, fetches=(FetchSpec("all", "b"),),
+        )
+        prog = Program.build([FieldDef("b", shape=(4,))], [sink])
+        fields = FieldStore(prog.fields.values())
+        an = DependencyAnalyzer(prog, fields)
+        regions = [store_ev(fields, "b", 0, x, x)[0].region
+                   for x in range(4)]
+        out = an.on_store(StoreEvent.group("b", 0, regions))
+        assert [(i.kernel.name, i.age) for i in out] == [("sink", 0)]
+        assert an.candidates_examined == 1
+
+    def test_done_group_advances_each_storing_member(self):
+        src = KernelDef(
+            "src", nop, has_age=True, index_vars=("x",), domain={"x": 3},
+            stores=(StoreSpec("a", dims=(Dim.of("x"),)),),
+        )
+        prog = Program.build([FieldDef("a")], [src])
+        an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
+        first, second, third = an.initial_instances()
+        ev = InstanceDoneEvent(
+            first, True, rest=((second, False), (third, True)),
+        )
+        out = an.on_done(ev)
+        assert [(i.age, i.index) for i in out] == [(1, (0,)), (1, (2,))]
+        assert an.on_done(ev) == []  # dispatch-once
+
+
+# ----------------------------------------------------------------------
+# Grouping is invisible to the schedule
+# ----------------------------------------------------------------------
+def _stencil_program(n=10):
+    """fill -> shrink-boundary stencil iterated over ages."""
+    def fill(ctx):
+        ctx.emit("data", ctx.index["x"])
+
+    def blur(ctx):
+        ctx.emit("data", int(ctx["c"]) + ctx["l"].sum() + ctx["r"].sum())
+
+    kernels = [
+        KernelDef("fill", fill, index_vars=("x",), domain={"x": n},
+                  stores=(StoreSpec("data", AgeExpr.const(0),
+                                    dims=(Dim.of("x"),)),)),
+        KernelDef(
+            "blur", blur, has_age=True, index_vars=("x",), age_limit=2,
+            fetches=(
+                FetchSpec("c", "data", dims=(Dim.of("x"),), scalar=True),
+                FetchSpec("l", "data", dims=(
+                    Dim.of("x", offset=-1, boundary="shrink"),)),
+                FetchSpec("r", "data", dims=(
+                    Dim.of("x", offset=1, boundary="shrink"),)),
+            ),
+            stores=(StoreSpec("data", AgeExpr.var(1),
+                              dims=(Dim.of("x"),)),),
+        ),
+    ]
+    return Program.build([FieldDef("data", "int64", shape=(n,))], kernels)
+
+
+def _blocked_program(n=18):
+    """fill -> blocks of 4 (ragged tail) -> whole-field sum."""
+    def fill(ctx):
+        ctx.emit("data", ctx.index["x"])
+
+    def double(ctx):
+        ctx.emit("out", ctx["v"] * 2)
+
+    kernels = [
+        KernelDef("fill", fill, index_vars=("x",), domain={"x": n},
+                  stores=(StoreSpec("data", AgeExpr.const(0),
+                                    dims=(Dim.of("x"),)),)),
+        KernelDef("double", double, index_vars=("b",),
+                  fetches=(FetchSpec("v", "data", AgeExpr.const(0),
+                                     dims=(Dim.of("b", 4),)),),
+                  stores=(StoreSpec("out", AgeExpr.const(0),
+                                    dims=(Dim.of("b", 4),)),)),
+        KernelDef("total", nop,
+                  fetches=(FetchSpec("all", "out", AgeExpr.const(0)),)),
+    ]
+    return Program.build(
+        [FieldDef("data", "int64", shape=(n,), aging=False),
+         FieldDef("out", "int64", shape=(n,), aging=False)],
+        kernels,
+    )
+
+
+def _programs():
+    from repro.workloads import build_kmeans, build_mjpeg, build_mulsum
+    from repro.workloads.mjpeg import MJPEGConfig
+
+    return {
+        "mulsum": (lambda: build_mulsum()[0], 2),
+        "kmeans-pair": (lambda: build_kmeans(
+            n=10, k=3, iterations=2, granularity="pair")[0], None),
+        "kmeans-point": (lambda: build_kmeans(
+            n=10, k=3, iterations=2, granularity="point")[0], None),
+        "mjpeg": (lambda: build_mjpeg(
+            config=MJPEGConfig(32, 16, 2))[0], None),
+        "stencil": (_stencil_program, None),
+        "blocked": (_blocked_program, None),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _recorded(name):
+    """``(program, max_age, stores)`` of a real run of ``name``:
+    ``stores`` is every store in the order it was announced, as
+    ``(field, age, region, value)``."""
+    from repro.core import ExecutionNode
+
+    build, max_age = _programs()[name]
+    announced = []
+    node = ExecutionNode(
+        build(), 1, max_age=max_age,
+        on_event=lambda _n, ev: announced.extend(
+            (ev.field, ev.age, r) for r in getattr(ev, "regions", ())),
+    )
+    result = node.run(timeout=60)
+    stores = [
+        (f, a, r, result.fields[f].fetch(a, r)) for f, a, r in announced
+    ]
+    # Replay against a fresh build: kernel bodies hold run state.
+    return build(), max_age, stores
+
+
+def _replay(program, max_age, chunks):
+    """Drive a fresh analyzer the way the runtime does, one chunk at a
+    time: commit every store of the chunk, then announce them as one
+    event per (field, age).  Returns the dispatched instance keys."""
+    fields = FieldStore(program.fields.values())
+    an = DependencyAnalyzer(program, fields, max_age)
+    seen = set()
+
+    def take(instances):
+        for inst in instances:
+            assert inst.key not in seen, f"double dispatch of {inst}"
+            seen.add(inst.key)
+
+    take(an.initial_instances())
+    for chunk in chunks:
+        groups: dict = {}
+        for f, a, region, value in chunk:
+            resize = fields[f].store(a, region, value)
+            if resize is not None:
+                take(an.on_resize(ResizeEvent(
+                    f, resize.old_extent, resize.new_extent)))
+            groups.setdefault((f, a), []).append(region)
+        for (f, a), regions in groups.items():
+            take(an.on_store(StoreEvent.group(f, a, regions)))
+    return seen
+
+
+class TestGroupingIsInvisible:
+    """Any partition of a store sequence into groups dispatches the
+    same set of instances as one event per store."""
+
+    @pytest.mark.parametrize("name", sorted(_programs()))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_partition_dispatches_the_same_set(self, name, data):
+        program, max_age, stores = _recorded(name)
+        assert len(stores) > 4
+        cut = data.draw(st.integers(0, len(stores)), label="prefix")
+        sizes = data.draw(
+            st.lists(st.integers(1, 40), min_size=1, max_size=12),
+            label="group sizes (cycled)",
+        )
+        prefix = stores[:cut]
+        chunks, i, k = [], 0, 0
+        while i < len(prefix):
+            chunks.append(prefix[i:i + sizes[k % len(sizes)]])
+            i += sizes[k % len(sizes)]
+            k += 1
+        single = _replay(program, max_age, [[s] for s in prefix])
+        assert _replay(program, max_age, chunks) == single
+        if cut == len(stores):
+            # A whole run: every consumer instance was dispatched.
+            assert single == _replay(program, max_age, [prefix])

@@ -576,24 +576,28 @@ class TestOnePathSeams:
         node = ExecutionNode(
             program, 1, backend=backend, batch=batch, metrics=reg,
             tracer=tracer,
-            on_event=lambda _node, ev: events.append(
-                (type(ev).__name__, ev.field)),
+            # One entry per announced *region*: how a dispatch groups
+            # its stores into events is free, what it announces is not.
+            on_event=lambda _node, ev: events.extend(
+                (type(ev).__name__, ev.field, region)
+                for region in getattr(ev, "regions", (None,))),
         )
         result = node.run(timeout=60)
         flat = flatten(reg.snapshot())
         counts = {k: flat[k] for k in (
             "instances.executed", "fields.stores", "fields.fetches")}
         counts["dbl"] = result.instrumentation["dbl"].instances
-        return (result.fields["out"].fetch(0).tobytes(), sorted(events),
-                counts, flat)
+        return (result.fields["out"].fetch(0).tobytes(),
+                sorted(events, key=repr), counts, flat)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     @pytest.mark.parametrize("case", ["ragged", "fallback"])
     def test_scalar_drop_inside_a_batch_is_invisible(self, backend, case):
         """A ragged trailing region (no uniform fetch plan) and a
         ``batch_body`` raising VectorizeFallback both finish the batch
-        in the scalar loop: same bytes and same events as ``batch=1``,
-        and the drop is counted on either backend."""
+        in the scalar loop: same bytes and the same regions announced
+        as ``batch=1`` (however they are grouped into events), and the
+        drop is counted on either backend."""
         def build():
             if case == "ragged":
                 return _doubling_program(18, 4, batch_body=_stacked_double)
@@ -649,3 +653,56 @@ class TestOnePathSeams:
         err = ei.value
         assert (err.kernel, err.age, tuple(err.index)) == ("dbl", None, (2,))
         assert "ValueError: boom" in str(err)
+
+
+class TestEventGranularity:
+    """The event stream is as coarse as the dispatch: one store event
+    per (field, age) of a dispatch, one done event per dispatch."""
+
+    @staticmethod
+    def _run(backend, batch):
+        reg = MetricsRegistry()
+        program, sink = build_mjpeg(config=MJPEGConfig(64, 64, 2))
+        node = ExecutionNode(program, 2, backend=backend, batch=batch,
+                             metrics=reg)
+        seen = {"store": 0, "regions": 0, "done": 0, "members": 0,
+                "dispatches": 0}
+        on_store, on_done = node.analyzer.on_store, node.analyzer.on_done
+        execute_batch = node.backend.execute_batch
+
+        def counting_store(ev):
+            seen["store"] += 1
+            seen["regions"] += len(ev.regions)
+            return on_store(ev)
+
+        def counting_done(ev):
+            seen["done"] += 1
+            seen["members"] += len(ev.members)
+            return on_done(ev)
+
+        def counting_execute(batch_, worker_id):
+            seen["dispatches"] += 1
+            return execute_batch(batch_, worker_id)
+
+        node.analyzer.on_store = counting_store
+        node.analyzer.on_done = counting_done
+        node.backend.execute_batch = counting_execute
+        node.run(timeout=120)
+        flat = flatten(reg.snapshot())
+        assert sink.stream() == mjpeg_baseline(config=MJPEGConfig(64, 64, 2))
+        return seen, flat["fields.stores"], flat["instances.executed"]
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_batch_32_posts_one_done_event_per_dispatch(self, backend):
+        seen, stores, executed = self._run(backend, 32)
+        assert seen["done"] == seen["dispatches"] < executed
+        assert seen["members"] == executed
+        assert seen["regions"] == stores  # every store announced once
+        assert seen["store"] + seen["done"] <= stores / 2
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_batch_1_announces_each_store_and_instance(self, backend):
+        seen, stores, executed = self._run(backend, 1)
+        assert seen["store"] == seen["regions"] == stores
+        assert seen["done"] == seen["members"] == seen["dispatches"]
+        assert seen["done"] == executed

@@ -64,6 +64,26 @@ class TestEventRecords:
             mutated = False
         assert not mutated
 
+    def test_store_event_group(self):
+        """One event announces a group of regions; a single store is a
+        group of one and the positional three-argument form."""
+        a, b, c = (slice(0, 8),), (slice(8, 16),), (slice(16, 20),)
+        single = StoreEvent("f", 2, a)
+        assert single.rest == () and single.regions == (a,)
+        assert StoreEvent.group("f", 2, [a]) == single
+        ev = StoreEvent.group("f", 2, [a, b, c])
+        assert (ev.field, ev.age, ev.region) == ("f", 2, a)
+        assert ev.regions == (a, b, c)
+
+    def test_done_event_members(self):
+        k = KernelDef("k", lambda ctx: None, index_vars=("x",),
+                      domain={"x": 2})
+        i0, i1 = KernelInstance(k, None, (0,)), KernelInstance(k, None, (1,))
+        assert InstanceDoneEvent(i0, True).members == ((i0, True),)
+        ev = InstanceDoneEvent(i0, True, rest=((i1, False),))
+        assert ev.instance is i0
+        assert ev.members == ((i0, True), (i1, False))
+
     def test_done_event_defaults(self):
         k = KernelDef("k", lambda ctx: None)
         ev = InstanceDoneEvent(KernelInstance(k), stored_any=False)

@@ -136,6 +136,34 @@ class TestTrafficAccounting:
             assert result.transport.messages > 0
             assert result.transport.bytes > 0
 
+    def test_grouped_store_event_counts_every_region(self):
+        from repro.core.events import StoreEvent
+        from repro.dist.cluster import _payload_bytes
+
+        block = (slice(0, 8), slice(8, 16))
+        tail = (slice(8, 12), slice(0, 8))
+        sizes = {"y": 2}
+        assert _payload_bytes(StoreEvent("y", 0, block), sizes) == 128
+        group = StoreEvent.group("y", 0, [block, block, tail])
+        assert _payload_bytes(group, sizes) == (64 + 64 + 32) * 2
+        assert _payload_bytes(group, {}) == (64 + 64 + 32) * 8
+
+    def test_batching_moves_the_same_bytes_in_fewer_messages(self):
+        """A dispatch's stores cross nodes as one publish per (field,
+        age) group; the payload bytes accounted stay exact."""
+        def run_with(batch):
+            program, sink = build_mjpeg(config=MJPEGConfig(32, 32, 2))
+            result = Cluster(program, {"a": 1, "b": 1}).run(
+                batch=batch, timeout=120
+            )
+            assert sink.stream() == mjpeg_baseline(
+                config=MJPEGConfig(32, 32, 2))
+            return result.transport
+
+        single, batched = run_with(1), run_with(32)
+        assert batched.bytes == single.bytes > 0
+        assert batched.messages < single.messages
+
     def test_colocated_pipeline_moves_less(self):
         """An explicit assignment keeping the mul2/plus5 loop on one node
         produces less cross-node traffic than splitting it (the HLS's

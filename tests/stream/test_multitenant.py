@@ -337,6 +337,26 @@ class TestTeardownIsolation:
         assert long_sink.stream() == mjpeg_baseline(config=long_cfg)
 
 
+    def test_analyzer_bookkeeping_is_bounded_per_session(self):
+        """Each session's retirer drops only its own kernels' dispatch
+        bookkeeping: after 300 frames per tenant the shared analyzer
+        tracks a window's worth of instances per session."""
+        specs = [
+            make_session(f"s{i}", frames=300, seed=30 + i, lag_window=8)[0]
+            for i in range(2)
+        ]
+        mgr = SessionManager(specs, workers=2, batch=32)
+        result = mgr.run(timeout=300)
+        assert result.reason == "idle"
+        for name in ("s0", "s1"):
+            assert result.stream.sessions[name].completed == 300
+        per_frame = 16 + 4 + 4 + 1  # y/u/v dct blocks + vlc at 32x32
+        analyzer = mgr.node.analyzer
+        assert analyzer.dispatched_count() == 2 * 300 * per_frame
+        keep = specs[0].binding.config.keep_ages
+        assert analyzer.tracked_instances() <= 2 * (8 + keep + 1) * per_frame
+
+
 class TestStartStopInterleavings:
     """Hypothesis property: arbitrary admission orders, capacities and
     stop schedules never cross-contaminate sessions — every sink holds

@@ -125,3 +125,29 @@ def test_racing_probe_skips_sweep():
         r.note_complete(age)
     assert r.sweep() == 0
     assert fields.calls == []  # probe raced: sweep skipped, not forced
+
+
+def test_sweep_tells_each_analyzer_through_its_event_queue():
+    """Bookkeeping retires with the ages: a node with an event queue
+    gets a ``RetireEvent`` scoped like ``min_pending_age`` (the stub
+    nodes above, without one, are left alone)."""
+    from repro.core.events import RetireEvent
+
+    class QueueNode(StubNode):
+        def __init__(self) -> None:
+            super().__init__()
+            self.injected = []
+
+        def inject(self, ev) -> None:
+            self.injected.append(ev)
+
+    fields, node = StubFields(), QueueNode()
+    fields.collect_below = lambda age, names=None: 100
+    r = Retirer(fields, [node, StubNode()], keep_ages=1,
+                field_names={"s.f"}, kernel_names={"s.k"})
+    for age in range(4):
+        r.note_complete(age)
+    r.sweep()
+    assert node.injected == [RetireEvent(3, frozenset({"s.k"}))]
+    r.sweep()  # nothing new below the floor: nothing re-sent
+    assert len(node.injected) == 1

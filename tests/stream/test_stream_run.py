@@ -130,3 +130,27 @@ def test_stream_config_validation():
         StreamConfig(lag_window=0)
     with pytest.raises(ValueError):
         StreamConfig(duration=0)
+
+
+@pytest.mark.parametrize("backend", ["threads", "processes"])
+def test_analyzer_bookkeeping_is_bounded_over_300_frames(backend):
+    """Dispatch bookkeeping retires with the ages: after 300 frames the
+    analyzer tracks a window's worth of instances, not the stream's."""
+    from repro.core import ExecutionNode
+    from repro.stream import StreamDriver
+
+    cfg = MJPEGConfig(width=32, height=32, frames=300)
+    scfg = StreamConfig(fps=0, max_frames=300, lag_window=8)
+    program, _sink, binding = build_mjpeg_stream(cfg, scfg)
+    node = ExecutionNode(program, 2, backend=backend, batch=32)
+    driver = StreamDriver(binding, node=node)
+    node.add_teardown_hook(driver.stop)
+    node.start()
+    driver.start()
+    node.join(timeout=300)
+    assert driver.report().completed == 300
+    per_frame = 16 + 4 + 4 + 1  # y/u/v dct blocks + vlc at 32x32
+    assert node.analyzer.dispatched_count() == 300 * per_frame
+    assert node.analyzer.tracked_instances() <= (
+        scfg.lag_window + scfg.keep_ages + 1
+    ) * per_frame
