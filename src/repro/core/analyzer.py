@@ -343,7 +343,9 @@ class DependencyAnalyzer:
         instance, analysing the event's group of regions once per
         (consumer kernel, age)."""
         self.events_processed += 1
-        regions = ev.regions
+        # Materialised by the first var-bound consumer that needs the
+        # candidate boxes; a whole-field fetch never walks the group.
+        regions = None
         extent = self._extent_of(ev.field)
         base = self._views[0]
         #: (kernel name, age) -> [kernel, boxes]: the candidate boxes of
@@ -380,10 +382,13 @@ class DependencyAnalyzer:
                     if v is not base or not fetch.age.matches_literal(ev.age):
                         continue
                     ages = [None]
-                boxes = (
-                    [self._restrict(fetch, r, extent) for r in regions]
-                    if fetch.vars() else None
-                )
+                boxes = None
+                if fetch.vars():
+                    if regions is None:
+                        regions = ev.regions
+                    boxes = [
+                        self._restrict(fetch, r, extent) for r in regions
+                    ]
                 for age in ages:
                     slot = work.get((kernel.name, age))
                     if slot is None:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+from multiprocessing import connection
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -53,7 +54,14 @@ from .errors import (
 )
 from .events import ResizeEvent, StoreEvent
 from .execute import run_batch
-from .fields import FieldStore, SharedFieldStore, segment_name
+from .fields import (
+    FieldStore,
+    RegionGroup,
+    SharedFieldStore,
+    gather,
+    scatter,
+    segment_name,
+)
 from .kernels import KernelContext, KernelInstance
 from .program import Program
 from .scheduler import apply_decisions
@@ -118,12 +126,14 @@ class ExecutionBackend:
 
 class _NodeFields:
     """Field-access adapter for bodies run in the parent process (see
-    :mod:`repro.core.execute`): a handle is the live ``Field``.  Each
-    store of a group commits through ``Field.store`` (write-once per
-    store); the group is then announced as one event.  The scalar loop
-    writes groups of one, so there each instance's consumers become
-    runnable as that instance's stores land, not when the whole batch
-    is done."""
+    :mod:`repro.core.execute`): a handle is the live ``Field``.  A
+    :class:`~repro.core.fields.RegionGroup` is fetched in one ``Field``
+    call, and one that tiles the field is checked and committed
+    (write-once per store, all or nothing) in one too; any other group
+    is stored region by region through the same entry point.  Either
+    way the group is then announced as one event.  The scalar loop writes groups of one,
+    so there each instance's consumers become runnable as that
+    instance's stores land, not when the whole batch is done."""
 
     def __init__(self, node: "ExecutionNode") -> None:
         self._node = node
@@ -132,9 +142,17 @@ class _NodeFields:
     def read(self, field, age: int, region) -> np.ndarray:
         return field.fetch(age, region)
 
-    def write(self, field, age: int, regions, arrs):
+    def write(self, field, age: int, regions, arrs) -> None:
         node = self._node
         name = field.fdef.name
+        if (
+            isinstance(regions, RegionGroup)
+            and not node.recover
+            and regions.tiles(field.extent) is not None
+        ):
+            field.store(age, regions, arrs)
+            node._post(StoreEvent.group(name, age, regions))
+            return
         for region, arr in zip(regions, arrs):
             resize = None
             # Recovery: the dead predecessor already committed this
@@ -159,7 +177,6 @@ class _NodeFields:
                     ResizeEvent(name, resize.old_extent, resize.new_extent)
                 )
         node._post(StoreEvent.group(name, age, regions))
-        return regions
 
 
 class ThreadBackend(ExecutionBackend):
@@ -199,9 +216,9 @@ class _SegmentCache:
     """A worker process's fields: a cache of attached shared-memory
     views, keyed by ``(field, age)``, and the field-access adapter over
     them (see :mod:`repro.core.execute`).  Reads and writes go straight
-    to the views; a store's record — ``(field, age, ((start, stop),
-    ...))`` — travels back to the parent, which owns all write-once
-    bookkeeping.
+    to the views — a :class:`~repro.core.fields.RegionGroup` as one
+    gather or scatter; the routine's store records travel back to the
+    parent, which owns all write-once bookkeeping.
 
     Ages retire monotonically, so eviction drops the lowest ages first.
     A view the kernel body still references cannot be unmapped
@@ -222,22 +239,20 @@ class _SegmentCache:
         }
 
     def read(self, field, age: int, region) -> np.ndarray:
-        value = self.view(field.fdef, age)[
-            ... if region is None else region
-        ]
+        view = self.view(field.fdef, age)
+        if isinstance(region, RegionGroup):
+            return gather(view, region)
+        value = view[... if region is None else region]
         value.flags.writeable = False
         return value
 
-    def write(self, field, age: int, regions, arrs) -> list:
+    def write(self, field, age: int, regions, arrs) -> None:
         view = self.view(field.fdef, age)
-        name = field.fdef.name
-        records = []
-        for region, arr in zip(regions, arrs):
-            view[region] = arr
-            records.append(
-                (name, age, tuple((sl.start, sl.stop) for sl in region))
-            )
-        return records
+        if isinstance(regions, RegionGroup):
+            scatter(view, regions, arrs)
+        else:
+            for region, arr in zip(regions, arrs):
+                view[region] = arr
 
     def view(self, fdef, age: int) -> np.ndarray:
         entry = self._entries.get((fdef.name, age))
@@ -315,12 +330,13 @@ def _worker_main(
     :func:`~repro.core.execute.run_batch`, the routine the threads
     backend runs in the parent, over its :class:`_SegmentCache` and a
     :class:`KernelContext` per message (no fetched view outlives its
-    message to pin a retired segment), and replies ``("ok", [(stores_i,
-    outputs_i), ...], t_fetch, t_kernel, t_store, vectorized)``, one
-    entry per instance in batch order, or ``("err", index, type_name,
-    message, traceback_text)``: ``index`` names the instance whose body
-    raised, ``None`` a failure in the fetch/store machinery.  ``None``
-    (or EOF) means shut down.
+    message to pin a retired segment), and replies ``("ok", stores,
+    outputs, t_fetch, t_kernel, t_store, vectorized)`` — the routine's
+    return value: a stacked batch reports one store record per store
+    spec, whatever its size — or ``("err", index, type_name, message,
+    traceback_text)``: ``index`` names the instance whose body raised,
+    ``None`` a failure in the fetch/store machinery.  ``None`` (or EOF)
+    means shut down.
 
     A ``("__replan__", epoch, decisions)`` message (no reply) announces a
     live LLS swap: kernel bodies are closures and cannot cross the pipe,
@@ -521,14 +537,16 @@ class ProcessBackend(ExecutionBackend):
 
     def _recv_reply(self, worker_id: int, conn, proc, describe: str):
         """Block for a worker reply, surfacing worker death as
-        :class:`WorkerProcessError` instead of hanging forever."""
-        while not conn.poll(0.05):
-            if not proc.is_alive() and not conn.poll(0):
-                raise WorkerProcessError(
-                    worker_id,
-                    f"exited with code {proc.exitcode} while running "
-                    f"{describe}",
-                )
+        :class:`WorkerProcessError` instead of hanging forever: one wait
+        on the pipe and the process sentinel together, so a dead worker
+        is seen at once and a long body costs no periodic wake-ups."""
+        if conn not in connection.wait([conn, proc.sentinel]):
+            proc.join(1.0)  # reap it, so the exit code is known
+            raise WorkerProcessError(
+                worker_id,
+                f"exited with code {proc.exitcode} while running "
+                f"{describe}",
+            )
         try:
             return conn.recv()
         except EOFError:

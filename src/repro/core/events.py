@@ -14,11 +14,12 @@ topic-addressed events.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
-from .fields import IndexExpr
+from .fields import IndexExpr, RegionGroup, index_shape
 from .kernels import KernelInstance
 
 
@@ -33,26 +34,41 @@ class StoreEvent(Event):
 
     The event stream is as coarse as the dispatch: a batch announces
     all the regions it stored to one (field, age) as a *group* — the
-    first in ``region``, the others in ``rest``.  A single store is a
-    group of one.  Every region's write-once metadata is committed
-    before the event is posted.
+    first in ``region``, the others in ``rest`` (a tuple, or the tail
+    of the batch's :class:`~repro.core.fields.RegionGroup`, which is
+    carried as it is: count and size are read off it, and the regions
+    are materialised only by a consumer that needs them one by one).  A
+    single store is a group of one.  Every region's write-once metadata
+    is committed before the event is posted.
     """
 
     field: str
     age: int
     region: IndexExpr  # normalized tuple of slices
-    rest: tuple[IndexExpr, ...] = ()
+    rest: Sequence[IndexExpr] = ()
 
     @property
     def regions(self) -> tuple[IndexExpr, ...]:
         """Every region of the group, in store order."""
-        return (self.region,) + self.rest
+        return (self.region, *self.rest)
+
+    @property
+    def elements(self) -> int:
+        """Elements the group covers, without walking a region group."""
+        rest = self.rest
+        return math.prod(index_shape(self.region)) + (
+            rest.elements if isinstance(rest, RegionGroup)
+            else sum(math.prod(index_shape(r)) for r in rest)
+        )
 
     @staticmethod
     def group(field: str, age: int, regions) -> "StoreEvent":
         """The event announcing ``regions`` (at least one)."""
-        first, *rest = regions
-        return StoreEvent(field, age, first, tuple(rest))
+        rest = regions[1:]
+        return StoreEvent(
+            field, age, regions[0],
+            rest if isinstance(rest, RegionGroup) else tuple(rest),
+        )
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,24 @@ where field bytes live, behind a small *field-access adapter*:
 ``fields[name]``
     a handle on the field, carrying its ``extent`` and ``fdef``;
 ``read(field, age, region)``
-    the values of ``region`` (``None``: the whole field);
+    the values of ``region`` (``None``: the whole field; a
+    :class:`~repro.core.fields.RegionGroup`: its ``(n, *shape)`` stack);
 ``write(field, age, regions, arrs)``
     commit a *group* of stores to one (field, age) — ``arrs[i]`` into
-    ``regions[i]`` — and return one record per store.  The scalar loop
-    writes groups of one, as each instance's stores happen; the stacked
-    form writes the whole batch's stores to a field as one group.
+    ``regions[i]``.  The scalar loop writes groups of one, as each
+    instance's stores happen; the stacked form writes the whole batch's
+    stores through one spec as one ``RegionGroup``.
 
-A group is announced as one event.  In the parent a handle is the live
-``Field``: each store commits (write-once enforced per store), then the
-group is announced (:class:`~repro.core.backends._NodeFields`); in a
-worker process reads and writes are shared-memory views, and the
-records travel back to the parent, which commits and announces them,
-again one event per (field, age)
-(:class:`~repro.core.backends._SegmentCache`).
+The unit that flows through is the dispatch: a stacked batch resolves
+each fetch and store spec to one ``RegionGroup`` from its index array
+and moves it in one gather or scatter, and what it stored is reported
+as one record per store spec.  A group is announced as one event.  In
+the parent a handle is the live ``Field``: the group commits
+(write-once enforced per store), then is announced
+(:class:`~repro.core.backends._NodeFields`); in a worker process reads
+and writes are shared-memory views, and the records travel back to the
+parent, which commits and announces them, again one event per (field,
+age) (:class:`~repro.core.backends._SegmentCache`).
 """
 
 from __future__ import annotations
@@ -46,17 +50,23 @@ def run_batch(
 ):
     """Run ``len(indices) >= 1`` instances of ``kernel`` at ``age``.
 
-    Returns ``(results, t_fetch, t_kernel, t_store, vectorized)``:
-    ``results[i]`` is instance ``i``'s ``(stores, outputs)`` — what the
-    adapter's ``write`` returned for each store that happened, and the
-    body's out-of-band ``ctx.output`` pairs; the durations are batch
-    totals.  ``vectorized`` is ``True`` when the batch ran as one
-    stacked ``batch_body`` call, ``False`` when that was attempted and
-    the batch dropped to the scalar loop (ragged regions, or the body
-    raised :class:`~repro.core.vectorize.VectorizeFallback`), ``None``
-    when there was nothing to attempt (one instance, or no
-    ``batch_body``).  Both forms store the same bytes: that is the
-    vectorizer's contract (:mod:`repro.core.vectorize`).
+    Returns ``(stores, outputs, t_fetch, t_kernel, t_store,
+    vectorized)``.  ``stores`` has one ``(field, age, regions, who)``
+    record per adapter ``write``, in commit order: ``who`` is the
+    position in ``indices`` of the instance that stored (the scalar
+    loop: one record per store that happened, ``regions`` a tuple of
+    one) or ``None`` when every instance of the batch did (the stacked
+    form: one record per store spec, ``regions`` a
+    :class:`~repro.core.fields.RegionGroup`).  ``outputs`` are the
+    bodies' out-of-band ``ctx.output`` values as ``(position, key,
+    value)``; the durations are batch totals.  ``vectorized`` is
+    ``True`` when the batch ran as one stacked ``batch_body`` call,
+    ``False`` when that was attempted and the batch dropped to the
+    scalar loop (ragged regions, or the body raised
+    :class:`~repro.core.vectorize.VectorizeFallback`), ``None`` when
+    there was nothing to attempt (one instance, or no ``batch_body``).
+    Both forms store the same bytes: that is the vectorizer's contract
+    (:mod:`repro.core.vectorize`).
 
     The scalar loop rebinds the caller's pooled ``ctx`` per instance; a
     singleton builds no stack and no fetch plan.  A raising body
@@ -71,9 +81,10 @@ def run_batch(
     clock = time.perf_counter
     index_vars = kernel.index_vars
     fields = mem.fields
-    results = []
+    stores: list = []
+    outputs: list = []
     t_fetch = t_kernel = t_store = 0.0
-    for index in indices:
+    for who, index in enumerate(indices):
         t0 = clock()
         imap = dict(zip(index_vars, index))
         fetched: dict[str, Any] = {}
@@ -102,7 +113,6 @@ def run_batch(
         except Exception as exc:  # noqa: BLE001 - rewrapped with context
             raise KernelBodyError(kernel.name, age, index, exc) from exc
         t2 = clock()
-        stores = []
         emitted = ctx.emitted
         for s in kernel.stores:
             if s.emit_key not in emitted:
@@ -112,18 +122,17 @@ def run_batch(
             arr, spec = coerce_store_value(
                 emitted[s.emit_key], fdef.np_dtype, fdef.ndim, s
             )
-            stores.extend(
-                mem.write(
-                    field, s.age.resolve(age),
-                    (spec.region(imap, arr.shape),), (arr,),
-                )
-            )
+            s_age = s.age.resolve(age)
+            regions = (spec.region(imap, arr.shape),)
+            mem.write(field, s_age, regions, (arr,))
+            stores.append((s.field, s_age, regions, who))
+        for key, value in ctx.outputs:
+            outputs.append((who, key, value))
         t3 = clock()
-        results.append((stores, ctx.outputs))
         t_fetch += t1 - t0
         t_kernel += t2 - t1
         t_store += t3 - t2
-    return results, t_fetch, t_kernel, t_store, vectorized
+    return stores, outputs, t_fetch, t_kernel, t_store, vectorized
 
 
 def _run_stacked(kernel: KernelDef, age, indices, mem):
@@ -133,30 +142,25 @@ def _run_stacked(kernel: KernelDef, age, indices, mem):
     :class:`~repro.core.vectorize.VectorizeFallback`)."""
     n = len(indices)
     t0 = time.perf_counter()
-    imaps = [dict(zip(kernel.index_vars, index)) for index in indices]
+    index_vars = kernel.index_vars
+    rows = np.asarray(indices, dtype=np.intp).reshape(n, len(index_vars))
     fields = mem.fields
     # Looked up on the module at call time: the benchmark's traced run
     # swaps the module attribute to count plans that come back ragged.
     plan = vectorize.batch_fetch_plan(
-        kernel, age, imaps, lambda name: fields[name].extent
+        kernel, age, rows, lambda name: fields[name].extent
     )
     if plan is None:
         return None
     fetched: dict[str, Any] = {}
     shared: set[str] = set()
-    for f, f_age, regions in plan:
-        field = fields[f.field]
-        if regions is None:
-            fetched[f.param] = mem.read(field, f_age, None)
+    for f, f_age, group in plan:
+        fetched[f.param] = mem.read(fields[f.field], f_age, group)
+        if group is None:
             shared.add(f.param)
-            continue
-        shape = tuple(s.stop - s.start for s in regions[0])
-        stack = np.empty((n,) + shape, dtype=field.fdef.np_dtype)
-        for i, region in enumerate(regions):
-            stack[i] = mem.read(field, f_age, region)
-        fetched[f.param] = stack
     bctx = vectorize.BatchKernelContext(
-        age, imaps, fetched, frozenset(shared)
+        age, [dict(zip(index_vars, index)) for index in indices],
+        fetched, frozenset(shared),
     )
     t1 = time.perf_counter()
     try:
@@ -166,7 +170,8 @@ def _run_stacked(kernel: KernelDef, age, indices, mem):
     except Exception as exc:  # noqa: BLE001 - rewrapped with context
         raise KernelBodyError(kernel.name, age, indices[0], exc) from exc
     t2 = time.perf_counter()
-    stores: list[list] = [[] for _ in range(n)]
+    columns = dict(zip(index_vars, rows.T))
+    stores = []
     for s in kernel.stores:
         if s.emit_key not in bctx.emitted:
             continue
@@ -180,14 +185,13 @@ def _run_stacked(kernel: KernelDef, age, indices, mem):
         first, spec = coerce_store_value(
             values[0], fdef.np_dtype, fdef.ndim, s
         )
-        shape = first.shape
-        stack = np.asarray(values, dtype=fdef.np_dtype)
-        records = mem.write(
-            field, s_age,
-            [spec.region(imap, shape) for imap in imaps],
-            stack.reshape((n,) + shape),
+        group = spec.group(columns, n, first.shape)
+        mem.write(
+            field, s_age, group,
+            np.asarray(values, dtype=fdef.np_dtype).reshape(
+                (n,) + first.shape
+            ),
         )
-        for mine, record in zip(stores, records):
-            mine.append(record)
+        stores.append((s.field, s_age, group, None))
     t3 = time.perf_counter()
-    return [(st, []) for st in stores], t1 - t0, t2 - t1, t3 - t2, True
+    return stores, [], t1 - t0, t2 - t1, t3 - t2, True

@@ -180,6 +180,141 @@ def index_shape(index: IndexExpr) -> tuple[int, ...]:
     return tuple(s.stop - s.start for s in index)
 
 
+class RegionGroup:
+    """``n`` equal-shape regions of one (field, age): what a batched
+    dispatch fetches or stores through one spec.
+
+    ``starts`` is an ``(n, ndim)`` integer array — one index column per
+    dimension — and ``shape`` the common block shape.  The group is a
+    sequence of the normalized slice tuples it replaces (``len``,
+    indexing, iteration; a slice of it is a group), so every consumer of
+    a region list takes one; consumers that know the type read the
+    columns instead and move the whole group in one NumPy operation.
+
+    That one operation is a reshape: when the group *tiles* an array —
+    every start a multiple of the block shape, the extent a multiple
+    too, every block inside — the array viewed as a grid of blocks is
+    indexed by the block coordinates (:meth:`tiles`).  Groups that do
+    not tile (stencil offsets, a ragged trailing block, a store past a
+    growable extent) take the per-region loop; the choice is made from
+    the regions themselves.
+    """
+
+    __slots__ = ("starts", "shape", "_tiles")
+
+    def __init__(self, starts: Any, shape: Sequence[int]) -> None:
+        self.shape = tuple(int(b) for b in shape)
+        self.starts = np.asarray(starts, dtype=np.intp).reshape(
+            -1, len(self.shape)
+        )
+        self._tiles: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self):
+        shape = self.shape
+        for row in self.starts.tolist():
+            yield tuple(slice(a, a + b) for a, b in zip(row, shape))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RegionGroup(self.starts[i], self.shape)
+        return tuple(
+            slice(a, a + b)
+            for a, b in zip(self.starts[i].tolist(), self.shape)
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RegionGroup):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(
+            self.starts, other.starts
+        )
+
+    __hash__ = None  # mutable array inside; compare by value only
+
+    def __reduce__(self):
+        # the columns as raw bytes: a worker's reply carries one group
+        # per store spec, and pickling an ndarray costs ten times this
+        return RegionGroup._from_bytes, (self.starts.tobytes(), self.shape)
+
+    @staticmethod
+    def _from_bytes(data: bytes, shape: tuple[int, ...]) -> "RegionGroup":
+        return RegionGroup(np.frombuffer(data, dtype=np.intp), shape)
+
+    def __repr__(self) -> str:
+        return f"RegionGroup(n={len(self)}, shape={self.shape})"
+
+    @property
+    def elements(self) -> int:
+        """Total elements covered (members counted separately)."""
+        return len(self.starts) * math.prod(self.shape)
+
+    def tiles(self, extent: tuple[int, ...]) -> np.ndarray | None:
+        """The ``(n, ndim)`` block coordinates of the members in an array
+        of ``extent`` cut into blocks of :attr:`shape`, or ``None`` when
+        the group does not tile it.  Doubles as the bounds check: a
+        tiling group lies inside the extent.  The last answer is kept —
+        producer and consumer usually ask about the same extent."""
+        memo = self._tiles
+        if memo is not None and memo[0] == extent:
+            return memo[1]
+        shape = self.shape
+        coords = None
+        if len(extent) == len(shape) and all(
+            b > 0 and n % b == 0 for n, b in zip(extent, shape)
+        ):
+            coords, misaligned = np.divmod(self.starts, shape)
+            grid = [n // b for n, b in zip(extent, shape)]
+            # viewed unsigned, a negative coordinate is out of range too
+            if misaligned.any() or (coords.view(np.uintp) >= grid).any():
+                coords = None
+        self._tiles = (extent, coords)
+        return coords
+
+
+def _block_grid(arr: np.ndarray, group: RegionGroup):
+    """``(arr viewed as a grid of blocks, key selecting the group's
+    blocks)`` — ``grid[key]`` has shape ``(n, *group.shape)`` — or
+    ``None`` when the group does not tile ``arr``."""
+    coords = group.tiles(arr.shape)
+    if coords is None or not arr.flags.c_contiguous:
+        return None
+    grid = arr.reshape(
+        [x for n, b in zip(arr.shape, group.shape) for x in (n // b, b)]
+    )
+    # Index arrays separated by slices: NumPy puts the broadcast index
+    # axis first, then the sliced (within-block) axes in order.
+    key = tuple(x for col in coords.T for x in (col, slice(None)))
+    return grid, key
+
+
+def gather(arr: np.ndarray, group: RegionGroup) -> np.ndarray:
+    """The group's regions of ``arr`` as one ``(n, *shape)`` stack (a
+    copy): one indexing operation when the group tiles ``arr``, the
+    per-region loop otherwise.  No bounds or completeness check."""
+    tiled = _block_grid(arr, group)
+    if tiled is not None:
+        return tiled[0][tiled[1]]
+    out = np.empty((len(group),) + group.shape, dtype=arr.dtype)
+    for i, region in enumerate(group):
+        out[i] = arr[region]
+    return out
+
+
+def scatter(arr: np.ndarray, group: RegionGroup, values: Any) -> None:
+    """``arr[region_i] = values[i]`` for the whole group (``values`` may
+    be a scalar): the inverse of :func:`gather`, same selection."""
+    tiled = _block_grid(arr, group)
+    if tiled is not None:
+        tiled[0][tiled[1]] = values
+        return
+    stack = np.broadcast_to(values, (len(group),) + group.shape)
+    for region, value in zip(group, stack):
+        arr[region] = value
+
+
 @dataclass
 class ResizeInfo:
     """Describes an implicit resize triggered by a store."""
@@ -374,6 +509,36 @@ class Field:
         offending = tuple(int(s.start + o) for s, o in zip(idx, flat))
         raise WriteOnceViolation(self.name, age, offending)
 
+    def _check_unwritten(
+        self, age: int, slot: _AgeSlot, group: RegionGroup,
+        overlaps: bool = True,
+    ) -> None:
+        """Raise :class:`WriteOnceViolation` naming an element of
+        ``group`` that is already written at ``age`` or (``overlaps``)
+        that two members both cover.  Lock held; the group tiles the
+        extent, so two members overlap exactly when they are the same
+        block."""
+        hit = gather(slot.written, group)
+        if hit.any():
+            i, *offset = np.argwhere(hit)[0].tolist()
+            start = group.starts[i].tolist()
+            raise WriteOnceViolation(
+                self.name, age, tuple(a + o for a, o in zip(start, offset))
+            )
+        if overlaps and len(group) > 1:
+            seen: set = set()
+            for row in map(tuple, group.starts.tolist()):
+                if row in seen:
+                    raise WriteOnceViolation(self.name, age, row)
+                seen.add(row)
+
+    def _count_written(self, age: int, slot: _AgeSlot, count: int) -> None:
+        """Account ``count`` newly written elements (lock held)."""
+        slot.store_count += count
+        self.elements_written += count
+        if age > self._max_stored_age:
+            self._max_stored_age = age
+
     def _commit_written(
         self, age: int, slot: _AgeSlot, idx: IndexExpr, count: int
     ) -> None:
@@ -384,10 +549,7 @@ class Field:
         if region.any():
             self._raise_write_once(age, idx, region)
         slot.written[idx] = True
-        slot.store_count += count
-        self.elements_written += count
-        if age > self._max_stored_age:
-            self._max_stored_age = age
+        self._count_written(age, slot, count)
 
     def store(self, age: int, index: Any, value: Any) -> ResizeInfo | None:
         """Store ``value`` into ``self[age][index]``.
@@ -396,6 +558,14 @@ class Field:
         when the index reaches past the current extent.  Returns a
         :class:`ResizeInfo` when a resize occurred, else ``None``.
 
+        ``index`` may be a :class:`RegionGroup` that tiles the current
+        extent, with ``value`` its ``(n, *shape)`` stack: the group is
+        checked, copied and committed as one store — a pre-written
+        element of any member, or two members overlapping, raises
+        :class:`WriteOnceViolation` and nothing of the group is stored.
+        A group that does not tile raises :class:`ExtentError` (store
+        its regions one by one).
+
         For fixed-shape fields the payload copy happens outside the lock
         (legal stores touch disjoint elements); completeness only becomes
         visible once the mask commits, so a consumer can never observe a
@@ -403,6 +573,8 @@ class Field:
         a concurrent resize swaps the backing array.
         """
         self._check_age(age)
+        if isinstance(index, RegionGroup):
+            return self._store_group(age, index, value)
         idx = normalize_index(index, self.ndim)
         arr = np.asarray(value, dtype=self.fdef.np_dtype)
         shape = index_shape(idx)
@@ -447,6 +619,44 @@ class Field:
             self._commit_written(age, slot, idx, count)
             return resize
 
+    def _store_group(self, age: int, group: RegionGroup, value: Any) -> None:
+        """:meth:`store` for a tiling group: the same check → copy →
+        commit protocol, each step one NumPy operation.  Checking every
+        member before anything is copied or marked is what makes the
+        group all-or-nothing; the commit-time re-check catches a
+        concurrent store that landed during the copy, exactly as the
+        single-region path does."""
+        arr = np.asarray(value, dtype=self.fdef.np_dtype)
+        want = (len(group),) + group.shape
+        if arr.shape != want:
+            try:
+                arr = np.broadcast_to(arr, want)
+            except ValueError:
+                raise ExtentError(
+                    f"field {self.name!r}: value shape {arr.shape} does not "
+                    f"match the group's stack {want}"
+                ) from None
+        fixed = self.fdef.shape is not None
+        with self._lock:
+            if group.tiles(self._extent) is None:
+                raise ExtentError(
+                    f"field {self.name!r}: {group!r} does not tile "
+                    f"extent {self._extent}"
+                )
+            slot = self._slot(age, create=True)
+            assert slot is not None
+            self._check_unwritten(age, slot, group)
+            if not fixed:
+                scatter(slot.data, group, arr)  # see store()
+        if fixed:
+            scatter(slot.data, group, arr)
+        with self._lock:
+            if slot.collected:
+                raise CollectedAgeError(self.name, age)
+            self._check_unwritten(age, slot, group, overlaps=False)
+            scatter(slot.written, group, True)
+            self._count_written(age, slot, group.elements)
+
     def mark_written(self, age: int, index: Any) -> None:
         """Metadata-only store: record that a region was written without
         copying any payload.
@@ -471,15 +681,34 @@ class Field:
             self._commit_written(age, slot, idx, count)
 
     def mark_written_many(
-        self, age: int, regions: Sequence[Any]
+        self, age: int, regions: "RegionGroup | Sequence[Any]"
     ) -> None:
         """Batched :meth:`mark_written` — one age check, one lock
-        acquisition and one slot resolution for a whole run of store
-        reports (the parent-side half of batched dispatch on the
-        ``processes`` backend, where one worker reply carries every
-        store of a same-kernel batch).  Write-once enforcement stays
-        per region."""
+        acquisition and one slot resolution for a whole dispatch's
+        store report (the parent-side half of batched dispatch on the
+        ``processes`` backend).  Write-once holds per store in effect
+        and the call is all-or-nothing: a pre-written element of any
+        region, or two regions of the call overlapping, raises
+        :class:`WriteOnceViolation` and leaves mask and counters as
+        they were.
+
+        A :class:`RegionGroup` that tiles the extent is checked and
+        committed in one NumPy operation each; any other input (a list
+        of regions, a group that does not tile) is marked region by
+        region and rolled back on a violation — every region was
+        unwritten when it was marked, so clearing the marked ones
+        restores the mask exactly."""
         self._check_age(age)
+        if isinstance(regions, RegionGroup) and (
+            regions.tiles(self._extent) is not None
+        ):
+            with self._lock:
+                slot = self._slot(age, create=True)
+                assert slot is not None
+                self._check_unwritten(age, slot, regions)
+                scatter(slot.written, regions, True)
+                self._count_written(age, slot, regions.elements)
+            return
         idxs = []
         for index in regions:
             idx = normalize_index(index, self.ndim)
@@ -492,10 +721,22 @@ class Field:
         with self._lock:
             slot = self._slot(age, create=True)
             assert slot is not None
-            for idx in idxs:
-                self._commit_written(
-                    age, slot, idx, math.prod(index_shape(idx))
-                )
+            written = slot.written
+            marked = 0
+            try:
+                for idx in idxs:
+                    region = written[idx]
+                    if region.any():
+                        self._raise_write_once(age, idx, region)
+                    written[idx] = True
+                    marked += 1
+            except WriteOnceViolation:
+                for idx in idxs[:marked]:
+                    written[idx] = False
+                raise
+            self._count_written(
+                age, slot, sum(math.prod(index_shape(i)) for i in idxs)
+            )
 
     # ------------------------------------------------------------------
     # Fetches and completeness
@@ -508,13 +749,29 @@ class Field:
         dependency analyzer guarantees this for dispatched instances); an
         incomplete fetch raises :class:`ExtentError` to surface scheduler
         bugs rather than silently returning zeros.
+
+        ``index`` may be a :class:`RegionGroup`: the result is its
+        ``(n, *shape)`` stack, bounds and completeness checked for every
+        member — one NumPy operation each when the group tiles the
+        extent, region by region otherwise (:func:`gather`).
         """
         self._check_age(age)
+        group = index if isinstance(index, RegionGroup) else None
         with self._lock:
             slot = self._ages.get(age)
             if slot is not None and slot.collected:
                 raise CollectedAgeError(self.name, age)
-            if index is None:
+            if group is not None:
+                if group.tiles(self._extent) is None and not (
+                    len(group.shape) == self.ndim
+                    and (group.starts >= 0).all()
+                    and (group.starts + group.shape <= self._extent).all()
+                ):
+                    raise ExtentError(
+                        f"field {self.name!r}: fetch of {group!r} exceeds "
+                        f"extent {self._extent}"
+                    )
+            elif index is None:
                 idx = tuple(slice(0, n) for n in self._extent)
             else:
                 idx = normalize_index(index, self.ndim)
@@ -525,16 +782,21 @@ class Field:
                     )
             if slot is not None and slot.data.shape != self._extent:
                 slot.grow(self._extent)
-            if slot is None or not slot.written[idx].all():
+            if slot is None or not (
+                slot.written[idx] if group is None
+                else gather(slot.written, group)
+            ).all():
                 raise ExtentError(
                     f"field {self.name!r}: fetch of incomplete region "
-                    f"age={age} index={idx}"
+                    f"age={age} index={idx if group is None else group}"
                 )
             data = slot.data
         # The copy happens outside the lock: the region is complete, and
         # write-once semantics make complete regions immutable (concurrent
         # stores touch other elements; grow() swaps in a new array without
         # mutating the one referenced here).
+        if group is not None:
+            return gather(data, group)
         return data[idx].copy()
 
     def peek(self, age: int, index: Any | None = None) -> np.ndarray | None:

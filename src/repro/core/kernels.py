@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DefinitionError
-from .fields import Field, IndexExpr, LocalField
+from .fields import Field, IndexExpr, LocalField, RegionGroup
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +193,30 @@ class Dim:
             start = max(0, stop - self.block)
         return slice(start, max(start, stop))
 
+    def span(
+        self, values: np.ndarray, extent: int
+    ) -> "tuple[np.ndarray, int] | None":
+        """:meth:`region` of a variable dimension for a (non-empty)
+        column of index-variable values at once: the start column and
+        the common width of the selected regions, or ``None`` when they
+        are not all of one positive width (a ragged trailing block among
+        full ones, an absent shrink-boundary neighbour).  Plain dims are
+        arithmetic on the column; a stencil dim clamps or shrinks value
+        by value through :meth:`region`."""
+        if self.offset:
+            regions = [self.region(v, extent) for v in values.tolist()]
+            starts = np.array([r.start for r in regions], dtype=np.intp)
+            widths = np.array([r.stop for r in regions]) - starts
+        else:
+            starts = values * self.block
+            if starts.max() + self.block <= extent:
+                return starts, self.block  # every block whole
+            widths = np.minimum(starts + self.block, extent) - starts
+        width = int(widths[0])
+        if width <= 0 or (widths != width).any():
+            return None
+        return starts, width
+
     def candidates(self, region: slice, extent: int) -> range:
         """Index-variable values whose region intersects ``region``."""
         if self.is_all:
@@ -260,6 +284,29 @@ class FetchSpec:
             for d, n in zip(self.dims, extent)
         )
 
+    def group(
+        self, columns: Mapping[str, np.ndarray], n: int,
+        extent: tuple[int, ...],
+    ) -> RegionGroup | None:
+        """:meth:`region` for a whole batch: the group of regions
+        selected by ``n`` instances whose index variables are the
+        ``columns``, or ``None`` when their shapes diverge (the batch
+        cannot be fetched as one stack)."""
+        starts = np.zeros((n, len(self.dims)), dtype=np.intp)
+        shape = []
+        for k, (d, size) in enumerate(zip(self.dims, extent)):
+            if d.is_all:
+                if size <= 0:
+                    return None
+                shape.append(size)
+                continue
+            span = d.span(columns[d.var], size)
+            if span is None:
+                return None
+            starts[:, k], width = span
+            shape.append(width)
+        return RegionGroup(starts, shape)
+
     def counts(self, extent: tuple[int, ...]) -> dict[str, int]:
         """Per-index-variable instance counts at the given field extent."""
         out: dict[str, int] = {}
@@ -320,6 +367,23 @@ class StoreSpec:
             start = 0 if d.is_all else index[d.var] * d.block
             region.append(slice(start, start + n))
         return tuple(region)
+
+    def group(
+        self, columns: Mapping[str, np.ndarray], n: int,
+        value_shape: tuple[int, ...],
+    ) -> RegionGroup:
+        """:meth:`region` for a whole batch storing ``n`` values of one
+        ``value_shape``: the same starts, as index columns."""
+        if len(value_shape) != len(self.dims):
+            raise DefinitionError(
+                f"store to {self.field!r}: value has {len(value_shape)} "
+                f"dimension(s), spec has {len(self.dims)}"
+            )
+        starts = np.zeros((n, len(self.dims)), dtype=np.intp)
+        for k, d in enumerate(self.dims):
+            if not d.is_all:
+                starts[:, k] = columns[d.var] * d.block
+        return RegionGroup(starts, value_shape)
 
     def __str__(self) -> str:
         return f"store {self.field}({self.age}){_fmt_dims(self.dims)}"

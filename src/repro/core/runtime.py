@@ -161,10 +161,12 @@ class ReadyQueue:
 
     Internally every policy runs on per-session heaps — the classic
     policies simply bin everything into the single ``""`` session, which
-    degenerates to the original one-heap behaviour.  Sentinels live in a
-    counter, not the heaps, and are only consumed once every heap is
-    empty (the "sorts last" guarantee, now independent of session
-    structure).
+    degenerates to the original one-heap behaviour.  A heap entry is a
+    *run*: the instances of one kernel and age that were pushed
+    together (see :meth:`push_many`), handed out in slices.  Sentinels
+    live in a counter, not the heaps, and are only consumed once every
+    heap is empty (the "sorts last" guarantee, now independent of
+    session structure).
     """
 
     _SENTINEL = object()
@@ -208,15 +210,6 @@ class ReadyQueue:
         self.wait_total = 0.0
         self.wait_max = 0.0
 
-    def _heap_key(self, inst: KernelInstance) -> tuple[int, int]:
-        seq = next(self._seq)
-        if self.scheduling == "fifo":
-            return (0, seq)
-        if self.scheduling == "lifo":
-            return (0, -seq)
-        age = -1 if inst.age is None else inst.age
-        return (age, seq)
-
     def _heap_for(self, session: str) -> list:
         heap = self._heaps.get(session)
         if heap is None:
@@ -227,25 +220,68 @@ class ReadyQueue:
         return heap
 
     def push(self, inst: KernelInstance) -> None:
-        """Enqueue a runnable instance (wakes one waiting worker)."""
+        """Enqueue a runnable instance (wakes one waiting worker): a
+        run of one."""
         self.push_many((inst,))
 
     def push_many(self, instances) -> None:
         """Enqueue runnable instances under one lock acquisition (wakes
-        one waiting worker per instance)."""
+        one waiting worker per instance).
+
+        Each maximal stretch of the argument sharing one kernel
+        definition, age and session becomes one heap entry — a *run*
+        ``[members, next position, push time, age key]`` — so a heap
+        operation and the age/session accounting happen once per run,
+        not per instance.  Instances pushed together are adjacent in
+        every policy's order (consecutive sequence numbers within one
+        priority), so one sequence number per run ranks it against
+        every other entry exactly as its members' own numbers would;
+        ``"lifo"`` hands a run out newest first, so it is stored
+        reversed.
+        """
+        n = len(instances)
+        if not n:
+            return
+        session_of = self._session_of
+        lifo = self.scheduling == "lifo"
+        by_age = not lifo and self.scheduling != "fifo"
+        age_counts = self._age_counts
         with self._cv:
             now = time.perf_counter()
-            for inst in instances:
-                key, seq = self._heap_key(inst)
-                session = self._session_of(inst) if self._session_of else ""
+            start = 0
+            while start < n:
+                head = instances[start]
+                kernel, age = head.kernel, head.age
+                session = session_of(head) if session_of else ""
+                stop = start + 1
+                while stop < n:
+                    inst = instances[stop]
+                    if inst.kernel is not kernel or inst.age != age or (
+                        session_of and session_of(inst) != session
+                    ):
+                        break
+                    stop += 1
+                count = stop - start
+                if count == 1:
+                    members = [head]
+                else:
+                    members = list(instances[start:stop])
+                    if lifo:
+                        members.reverse()
+                start = stop
+                real = -1 if age is None else age
+                seq = next(self._seq)
                 heapq.heappush(
-                    self._heap_for(session), (key, seq, inst, now)
+                    self._heap_for(session),
+                    (
+                        real if by_age else 0,
+                        -seq if lifo else seq,
+                        [members, 0, now, real],
+                    ),
                 )
-                real = -1 if inst.age is None else inst.age
-                self._age_counts[real] = self._age_counts.get(real, 0) + 1
+                age_counts[real] = age_counts.get(real, 0) + count
                 ages = self._session_ages[session]
-                ages[real] = ages.get(real, 0) + 1
-            n = len(instances)
+                ages[real] = ages.get(real, 0) + count
             self._depth += n
             self.pushes += n
             self.max_depth = max(self.max_depth, self._depth)
@@ -293,29 +329,6 @@ class ReadyQueue:
                 return s
         raise RuntimeStateError("ready queue depth/heap mismatch")
 
-    def _pop_session_locked(
-        self, session: str
-    ) -> tuple[KernelInstance, float]:
-        """Pop the head of one session's heap with full accounting;
-        caller holds the lock and has checked the heap is non-empty."""
-        _key, _seq, item, pushed = heapq.heappop(self._heaps[session])
-        self._depth -= 1
-        self._deficit[session] = self._deficit.get(session, 1) - 1
-        real = -1 if item.age is None else item.age
-        self._age_counts[real] -= 1
-        if not self._age_counts[real]:
-            del self._age_counts[real]
-        ages = self._session_ages[session]
-        ages[real] -= 1
-        if not ages[real]:
-            del ages[real]
-        wait = time.perf_counter() - pushed
-        self.pops += 1
-        self.wait_total += wait
-        if wait > self.wait_max:
-            self.wait_max = wait
-        return item, wait
-
     def pop_batch(
         self, max_n: int
     ) -> tuple[list[KernelInstance] | None, float]:
@@ -324,19 +337,20 @@ class ReadyQueue:
         total_queue_wait_seconds)``; ``(None, 0.0)`` means shut down.
 
         The run is taken greedily from the head of the chosen session's
-        heap, so batch formation respects the scheduling policy exactly
-        — a batch is simply the instances the policy would have handed
-        out next, whenever they happen to share a native block.  Under
-        ``"fair"`` a batch never spans sessions (each member charges the
-        session's deficit, so a large batch costs its tenant future
-        turns).  Matching is by kernel-definition *identity* (``is``),
-        which is strictly finer than name equality: a replan installs
-        fresh definitions for the new epoch, so a batch can never mix
-        pre- and post-swap decompositions even for ties within one age.
-        Equal age keeps the GC/retirement live-age bookkeeping exact (a
-        worker runs one age at a time).  Sentinels are consumed only
-        when every heap is empty, so a shutdown marker is never consumed
-        mid-batch.
+        heap — a slice of the head entry, continuing into the next
+        entries while they match — so batch formation respects the
+        scheduling policy exactly: a batch is simply the instances the
+        policy would have handed out next, whenever they happen to
+        share a native block.  Under ``"fair"`` a batch never spans
+        sessions (each member charges the session's deficit, so a large
+        batch costs its tenant future turns).  Matching is by
+        kernel-definition *identity* (``is``), which is strictly finer
+        than name equality: a replan installs fresh definitions for the
+        new epoch, so a batch can never mix pre- and post-swap
+        decompositions even for ties within one age.  Equal age keeps
+        the GC/retirement live-age bookkeeping exact (a worker runs one
+        age at a time).  Sentinels are consumed only when every heap is
+        empty, so a shutdown marker is never consumed mid-batch.
         """
         with self._cv:
             while not (self._depth or self._sentinels):
@@ -345,18 +359,51 @@ class ReadyQueue:
                 self._sentinels -= 1
                 return None, 0.0
             session = self._pick_session_locked()
-            first, wait = self._pop_session_locked(session)
-            batch = [first]
             heap = self._heaps[session]
-            while (
-                len(batch) < max_n
-                and heap
-                and heap[0][2].kernel is first.kernel
-                and heap[0][2].age == first.age
-            ):
-                nxt, w = self._pop_session_locked(session)
-                batch.append(nxt)
-                wait += w
+            ages = self._session_ages[session]
+            now = time.perf_counter()
+            batch: list = []
+            wait = 0.0
+            first = None
+            room = max_n
+            while heap and room:
+                run = heap[0][2]
+                members, pos, pushed, real = run
+                head = members[pos]
+                if first is None:
+                    first = head
+                elif head.kernel is not first.kernel or (
+                    head.age != first.age
+                ):
+                    break
+                stop = pos + room
+                if stop >= len(members):
+                    heapq.heappop(heap)
+                    # the queue owns ``members``: a whole run is handed
+                    # out as it is
+                    rest = members[pos:] if pos else members
+                    batch = batch + rest if batch else rest
+                else:
+                    run[1] = stop
+                    rest = members[pos:stop]
+                    batch.extend(rest)
+                took = len(rest)
+                room -= took
+                self._age_counts[real] -= took
+                if not self._age_counts[real]:
+                    del self._age_counts[real]
+                ages[real] -= took
+                if not ages[real]:
+                    del ages[real]
+                waited = now - pushed
+                wait += took * waited
+                if waited > self.wait_max:
+                    self.wait_max = waited
+            took = max_n - room
+            self._depth -= took
+            self._deficit[session] = self._deficit.get(session, 1) - took
+            self.pops += took
+            self.wait_total += wait
             return batch, wait
 
     def min_age(self, session: str | None = None) -> int | None:
@@ -386,7 +433,8 @@ class ReadyQueue:
             items = [
                 item
                 for heap in self._heaps.values()
-                for _key, _seq, item, _t in heap
+                for _key, _seq, (members, pos, *_run) in heap
+                for item in members[pos:]
             ]
             for heap in self._heaps.values():
                 heap.clear()
@@ -775,7 +823,8 @@ class ExecutionNode:
         the routine ran on this thread (its stores are already committed
         and announced) and ``(t_send, t_recv)`` when it ran in a worker
         process: the payload bytes are in the segments, and the reply's
-        store records get their write-once enforcement, completeness
+        store records — region groups as the worker built them, nothing
+        is rebuilt here — get their write-once enforcement, completeness
         metadata and events here.  The rest is one code path —
         ``ctx.output`` delivery, instrumentation, metrics, frame
         timeline, trace spans, and one :class:`InstanceDoneEvent` for
@@ -784,43 +833,46 @@ class ExecutionNode:
         as one :class:`StoreEvent` group per (field, age), the way the
         thread adapter announces a stacked batch's.
         """
-        results, t_fetch, t_kernel, t_store, vectorized = run
+        stores, outputs, t_fetch, t_kernel, t_store, vectorized = run
         first = batch[0]
         kernel = first.kernel
         age = first.age
         n = len(batch)
-        if remote is not None:
-            # Commit write-once metadata in bulk — one lock acquisition
-            # per (field, age), enforcement still per store — *before*
-            # posting any StoreEvent, so the analyzer only ever observes
-            # completeness that is at least as advanced as the event it
-            # is handling.
-            grouped: dict[tuple[str, int], list[tuple]] = {}
-            for stores, _outputs in results:
-                for fname, s_age, bounds in stores:
-                    grouped.setdefault((fname, s_age), []).append(
-                        tuple(slice(a, b) for a, b in bounds)
-                    )
-            for (fname, s_age), regions in grouped.items():
-                self.fields[fname].mark_written_many(s_age, regions)
-            for (fname, s_age), regions in grouped.items():
-                self._post(StoreEvent.group(fname, s_age, regions))
         n_stores = 0  # stores that happened, however they were grouped
-        members = []
-        for inst, (stores, outputs) in zip(batch, results):
-            n_stores += len(stores)
-            members.append((inst, bool(stores)))
-            for key, value in outputs:
-                # Out-of-band ``ctx.output`` values go to the program's
-                # registered handler, always in the parent process.
-                handler = self.program.output_handler
-                if handler is None:
-                    raise RuntimeStateError(
-                        f"kernel {kernel.name!r} produced output {key!r} "
-                        f"but the program has no output handler; call "
-                        f"program.set_output_handler()"
-                    )
-                handler(kernel.name, age, inst.index, key, value)
+        stored = [False] * n
+        for _fname, _age, regions, who in stores:
+            n_stores += len(regions)
+            if who is None:
+                stored = [True] * n
+            else:
+                stored[who] = True
+        if remote is not None:
+            # Commit write-once metadata in bulk — one call per (field,
+            # age), a stacked batch's region group as it arrived —
+            # *before* posting any StoreEvent, so the analyzer only ever
+            # observes completeness that is at least as advanced as the
+            # event it is handling.
+            merged: dict[tuple[str, int], Any] = {}
+            for fname, s_age, regions, _who in stores:
+                prev = merged.get((fname, s_age))
+                merged[fname, s_age] = (
+                    regions if prev is None else [*prev, *regions]
+                )
+            for (fname, s_age), regions in merged.items():
+                self.fields[fname].mark_written_many(s_age, regions)
+            for (fname, s_age), regions in merged.items():
+                self._post(StoreEvent.group(fname, s_age, regions))
+        for who, key, value in outputs:
+            # Out-of-band ``ctx.output`` values go to the program's
+            # registered handler, always in the parent process.
+            handler = self.program.output_handler
+            if handler is None:
+                raise RuntimeStateError(
+                    f"kernel {kernel.name!r} produced output {key!r} "
+                    f"but the program has no output handler; call "
+                    f"program.set_output_handler()"
+                )
+            handler(kernel.name, age, batch[who].index, key, value)
         t_done = time.perf_counter()
         if remote is None:
             ipc = 0.0
@@ -896,8 +948,9 @@ class ExecutionNode:
                                          thread, start, end)
         self._post(
             InstanceDoneEvent(
-                first, members[0][1], kernel_time=t_kernel,
-                dispatch_time=dispatch, rest=tuple(members[1:]),
+                first, stored[0], kernel_time=t_kernel,
+                dispatch_time=dispatch,
+                rest=tuple(zip(batch[1:], stored[1:])),
             )
         )
 

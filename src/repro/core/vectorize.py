@@ -190,32 +190,31 @@ def vectorize_program(program) -> list[str]:
 def batch_fetch_plan(
     kernel: KernelDef,
     age: int | None,
-    imaps: Sequence[Mapping[str, int]],
+    indices: np.ndarray,
     extent_of: Callable[[str], tuple[int, ...]],
 ):
-    """Resolve every fetch of a uniform batch to concrete regions.
+    """Resolve every fetch of a batch to one region group.
 
-    Returns ``[(spec, field_age, regions)]`` — ``regions`` is ``None``
-    for whole-field fetches and a per-instance region list otherwise —
-    or ``None`` when the batch is not vectorizable as one stacked call:
-    ragged regions (the trailing block of a non-divisible extent) or
-    empty shrink-boundary regions make per-instance shapes diverge, so
-    the caller must take the scalar path.
+    ``indices`` is the batch's ``(n, len(kernel.index_vars))`` index
+    array, one row per instance.  Returns ``[(spec, field_age, group)]``
+    — ``group`` is ``None`` for whole-field fetches and the
+    :class:`~repro.core.fields.RegionGroup` of the instances' regions
+    otherwise, built once per spec from the index columns — or ``None``
+    when the batch is not vectorizable as one stacked call: ragged
+    regions (the trailing block of a non-divisible extent) or empty
+    shrink-boundary regions make per-instance shapes diverge, so the
+    caller must take the scalar path.
     """
+    n = len(indices)
+    columns = dict(zip(kernel.index_vars, indices.T))
     plan = []
     for f in kernel.fetches:
-        extent = extent_of(f.field)
-        f_age = f.age.resolve(age)
-        if f.whole_field():
-            plan.append((f, f_age, None))
-            continue
-        regions = [f.region(imap, extent) for imap in imaps]
-        shape0 = tuple(s.stop - s.start for s in regions[0])
-        for r in regions:
-            shape = tuple(s.stop - s.start for s in r)
-            if shape != shape0 or any(n <= 0 for n in shape):
+        group = None
+        if not f.whole_field():
+            group = f.group(columns, n, extent_of(f.field))
+            if group is None:
                 return None
-        plan.append((f, f_age, regions))
+        plan.append((f, f.age.resolve(age), group))
     return plan
 
 

@@ -39,7 +39,6 @@ kernels are owned by nobody.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
@@ -1311,10 +1310,7 @@ class Cluster:
 def _payload_bytes(ev: StoreEvent, dtype_size: Mapping[str, int]) -> int:
     """Payload size of a store event on the transport: every region of
     its group (a group crosses nodes as one publish, bytes exact)."""
-    elems = sum(
-        math.prod(s.stop - s.start for s in region) for region in ev.regions
-    )
-    return elems * dtype_size.get(ev.field, 8)
+    return ev.elements * dtype_size.get(ev.field, 8)
 
 
 def _member_name(cluster: Cluster, name: str) -> str:

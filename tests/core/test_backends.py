@@ -3,6 +3,7 @@ shared-memory hygiene, and the backend plumbing itself."""
 
 import glob
 import os
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +254,65 @@ class TestWorkerFaults:
                            match="exited with code|connection lost"):
             run_program(program, workers=1, timeout=60,
                         backend="processes")
+
+    def test_worker_death_is_seen_at_once(self, tmp_path):
+        """The proxy blocks on the reply pipe and the process sentinel
+        together: a dead worker surfaces without waiting out a poll
+        interval (it used to be noticed up to 50 ms late)."""
+        stamp = tmp_path / "died"
+
+        def body(ctx):
+            # CLOCK_MONOTONIC is system-wide: comparable across processes
+            stamp.write_text(repr(time.monotonic()))
+            os._exit(3)
+
+        delays = []
+        for _ in range(3):
+            backend = ProcessBackend()
+            recv_reply = backend._recv_reply
+            noticed = []
+
+            def timed(*args, _recv=recv_reply, _noticed=noticed):
+                try:
+                    return _recv(*args)
+                except WorkerProcessError:
+                    _noticed.append(time.monotonic())
+                    raise
+
+            backend._recv_reply = timed
+            with pytest.raises(WorkerProcessError):
+                run_program(self._program(body), workers=1, timeout=60,
+                            backend=backend)
+            delays.append(noticed[0] - float(stamp.read_text()))
+        assert min(delays) < 0.010, delays
+
+    def test_long_body_costs_one_wait(self, monkeypatch):
+        """No periodic wake-ups while a body runs: one blocking wait per
+        dispatch, however long the body takes (a 50 ms poll loop made
+        several)."""
+        from multiprocessing import connection
+
+        waits = []
+        real_wait = connection.wait
+
+        def counting(objects, timeout=None):
+            waits.append(timeout)
+            return real_wait(objects, timeout)
+
+        monkeypatch.setattr(connection, "wait", counting)
+
+        def body(ctx):
+            time.sleep(0.2)
+
+        result = run_program(self._program(body), workers=1, timeout=60,
+                             backend="processes")
+        dispatches = sum(
+            s.instances for s in result.instrumentation.stats().values()
+        )
+        assert dispatches == 2
+        # (the shutdown's bounded ``proc.join`` waits too, once)
+        assert waits.count(None) == dispatches
+        assert not [t for t in waits if t is not None and t < 1.0]
 
     def test_crash_leaves_no_segments(self):
         def body(ctx):

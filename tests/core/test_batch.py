@@ -612,6 +612,22 @@ class TestOnePathSeams:
         assert got[3]["exec.vectorized_instances"] == 0
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_untiled_group_takes_the_region_loop_unseen(self, backend):
+        """18 elements in blocks of 4: the four whole blocks form a
+        uniform batch whose region group does not tile the field, so
+        the group path declines it and the per-region loop moves it —
+        still one stacked call, same bytes, same regions announced; the
+        ragged fifth block runs alone."""
+        def build():
+            return _doubling_program(18, 4, batch_body=_stacked_double)
+
+        base = self._run(build(), backend, 1)
+        got = self._run(build(), backend, 4)
+        assert got[:3] == base[:3]
+        assert got[3]["exec.vectorized_instances"] == 4
+        assert got[3]["exec.vectorize_fallbacks"] == 0
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_vectorization_is_visible_from_the_parent(self, backend):
         from repro.obs import Tracer
 
@@ -691,6 +707,62 @@ class TestEventGranularity:
         flat = flatten(reg.snapshot())
         assert sink.stream() == mjpeg_baseline(config=MJPEGConfig(64, 64, 2))
         return seen, flat["fields.stores"], flat["instances.executed"]
+
+    @staticmethod
+    def _one_dispatch_of_32(backend):
+        """``src`` stores ``a`` whole, the analyzer pushes all 32 ``dbl``
+        instances as one run, the single worker claims them as one
+        batch: a deterministic event stream on either backend."""
+        program = _doubling_program(128, 4, batch_body=_stacked_double)
+        events, replies = [], []
+        node = ExecutionNode(
+            program, 1, backend=backend, batch=32,
+            on_event=lambda _node, ev: events.append(ev),
+        )
+        if backend == "processes":
+            recv_reply = node.backend._recv_reply
+
+            def capture(*args):
+                reply = recv_reply(*args)  # as unpickled off the pipe
+                replies.append(reply)
+                return reply
+
+            node.backend._recv_reply = capture
+        result = node.run(timeout=60)
+        assert result.fields["out"].fetch(0).tolist() == list(
+            range(0, 256, 2))
+        assert result.instrumentation["dbl"].instances == 32
+        return events, replies
+
+    def test_stacked_reply_carries_one_record_per_store_spec(self):
+        from repro.core.fields import RegionGroup
+
+        events, replies = self._one_dispatch_of_32("processes")
+        (reply,) = [r for r in replies if r[-1]]  # the vectorized one
+        tag, stores, outputs = reply[:3]
+        assert tag == "ok" and outputs == []
+        (record,) = stores  # 32 instances, one store spec, one record
+        field, age, regions, who = record
+        assert (field, age, who) == ("out", 0, None)
+        assert isinstance(regions, RegionGroup) and len(regions) == 32
+        assert regions.shape == (4,)
+        assert regions.starts[:, 0].tolist() == list(range(0, 128, 4))
+        # the parent announces the group as it arrived
+        (out_event,) = [ev for ev in events if ev.field == "out"]
+        assert isinstance(out_event.rest, RegionGroup)
+        assert out_event.regions == tuple(regions)
+
+    def test_backends_agree_on_the_store_event_stream(self):
+        streams = {
+            backend: [
+                (ev.field, ev.age, ev.regions, ev.elements)
+                for ev in self._one_dispatch_of_32(backend)[0]
+            ]
+            for backend in ("threads", "processes")
+        }
+        assert streams["threads"] == streams["processes"]
+        assert [(f, len(r), n) for f, _a, r, n in streams["threads"]] == [
+            ("a", 1, 128), ("out", 32, 128)]
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_batch_32_posts_one_done_event_per_dispatch(self, backend):

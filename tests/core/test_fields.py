@@ -14,11 +14,18 @@ from repro.core import (
     WriteOnceViolation,
     normalize_index,
 )
-from repro.core.fields import Field, index_shape
+from repro.core.fields import Field, RegionGroup, index_shape
 
 
 def make(name="f", dtype="int32", ndim=1, aging=True, shape=None) -> Field:
     return Field(FieldDef(name, dtype, ndim, aging, shape))
+
+
+def group_of(regions) -> RegionGroup:
+    """The group of equal-shape normalized ``regions``."""
+    return RegionGroup(
+        [[s.start for s in r] for r in regions], index_shape(regions[0])
+    )
 
 
 class TestFieldDef:
@@ -110,6 +117,74 @@ class TestWriteOnce:
     def test_negative_age_rejected(self):
         with pytest.raises(AgeError):
             make().store(-1, 0, 1)
+
+
+class TestGroupCommitIsAllOrNothing:
+    """A violating ``mark_written_many`` call — or group store — leaves
+    the field as it found it: it used to commit region by region and
+    raise mid-way, leaving regions marked written that no store event
+    would ever announce."""
+
+    BLOCKS = [(slice(y, y + 2), slice(x, x + 2))
+              for y in (0, 2) for x in (0, 2, 4)]
+
+    @staticmethod
+    def _snapshot(f, age=3):
+        return (f._ages[age].written.copy(), f.written_count(age),
+                f.elements_written, f.max_stored_age)
+
+    def _field(self):
+        f = make(ndim=2, shape=(4, 6))
+        f.mark_written(3, self.BLOCKS[4])  # one block already written
+        return f
+
+    @pytest.mark.parametrize("as_group", [False, True],
+                             ids=["list", "group"])
+    @pytest.mark.parametrize("bad", ["prewritten", "overlap"])
+    def test_violating_call_commits_nothing(self, as_group, bad):
+        f = self._field()
+        regions = self.BLOCKS[:4] + (
+            [self.BLOCKS[4]] if bad == "prewritten" else [self.BLOCKS[1]]
+        )
+        before = self._snapshot(f)
+        with pytest.raises(WriteOnceViolation) as e:
+            f.mark_written_many(
+                3, group_of(regions) if as_group else regions
+            )
+        after = self._snapshot(f)
+        assert np.array_equal(before[0], after[0])
+        assert before[1:] == after[1:] == (4, 4, 3)
+        # the named element is in the offending block
+        offending = regions[-1]
+        assert all(s.start <= i < s.stop
+                   for s, i in zip(offending, e.value.index))
+        # and the rest of the group is still storable afterwards
+        f.mark_written_many(3, regions[:4])
+        assert f.written_count(3) == 20
+
+    def test_list_with_partial_overlap_rolls_back(self):
+        # not expressible as a tiling group: the second region straddles
+        f = self._field()
+        before = self._snapshot(f)
+        with pytest.raises(WriteOnceViolation):
+            f.mark_written_many(
+                3, [(slice(0, 2), slice(0, 2)), (slice(1, 3), slice(1, 3))]
+            )
+        assert np.array_equal(before[0], self._snapshot(f)[0])
+        assert f.written_count(3) == 4 and f.max_stored_age == 3
+
+    def test_violating_group_store_writes_no_payload(self):
+        f = make(ndim=2, shape=(4, 6))
+        f.store(0, self.BLOCKS[4], np.full((2, 2), 9))
+        group = group_of(self.BLOCKS[:5])
+        with pytest.raises(WriteOnceViolation):
+            f.store(0, group, np.ones((5, 2, 2)))
+        assert f.written_count(0) == 4 and f.elements_written == 4
+        assert not f._ages[0].data[:2].any()  # nothing copied either
+        f.store(0, group_of(self.BLOCKS[:4]), np.ones((4, 2, 2)))
+        assert f.fetch(0, group_of(self.BLOCKS[:5])).tolist() == (
+            [[[1, 1], [1, 1]]] * 4 + [[[9, 9], [9, 9]]]
+        )
 
 
 class TestImplicitResize:

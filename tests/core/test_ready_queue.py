@@ -1,6 +1,12 @@
 """ReadyQueue edge coverage: session-scoped ``min_age`` and fair-policy
 heap behaviour when a session's heap is empty or a session stops
-mid-run (its heap drains and the survivors keep dispatching)."""
+mid-run (its heap drains and the survivors keep dispatching); and the
+run-entry heap against a per-instance reference under every policy."""
+
+import heapq
+import itertools
+
+from hypothesis import given, settings, strategies as st
 
 from repro.core.kernels import KernelDef
 from repro.core.runtime import KernelInstance, ReadyQueue
@@ -106,3 +112,163 @@ class TestFairEmptyHeaps:
         assert len(items) == 2
         assert len(q) == 0
         assert q.min_age("a") is None and q.min_age("b") is None
+
+
+# ----------------------------------------------------------------------
+# Run entries against a per-instance reference
+# ----------------------------------------------------------------------
+class _PerInstanceQueue:
+    """The queue as it was before run entries: one heap entry, one
+    sequence number and one round of age/session accounting per
+    instance.  Non-blocking (callers pop only what is there)."""
+
+    def __init__(self, scheduling, session_weights=None):
+        self.scheduling = scheduling
+        self.fair = scheduling == "fair"
+        self.quantum = {
+            s: max(1, int(w)) for s, w in (session_weights or {}).items()
+        }
+        self.heaps, self.order, self.deficit = {}, [], {}
+        self.rr = 0
+        self.seq = itertools.count()
+
+    def _session(self, inst):
+        name = inst.kernel.name
+        return name[:name.find(".")] if self.fair and "." in name else ""
+
+    def push_many(self, instances):
+        for inst in instances:
+            seq = next(self.seq)
+            age = -1 if inst.age is None else inst.age
+            key = {"fifo": (0, seq), "lifo": (0, -seq)}.get(
+                self.scheduling, (age, seq)
+            )
+            session = self._session(inst)
+            if session not in self.heaps:
+                self.heaps[session] = []
+                self.order.append(session)
+                self.deficit[session] = self.quantum.get(session, 1)
+            heapq.heappush(self.heaps[session], (key, inst))
+
+    def push(self, inst):
+        self.push_many((inst,))
+
+    def depth(self):
+        return sum(len(h) for h in self.heaps.values())
+
+    def _pick(self):
+        n = len(self.order)
+        for _ in range(2 * n):
+            s = self.order[self.rr % n]
+            if not self.heaps[s]:
+                self.rr += 1
+            elif self.deficit[s] <= 0:
+                self.deficit[s] = self.quantum.get(s, 1)
+                self.rr += 1
+            else:
+                return s
+        raise AssertionError("depth/heap mismatch")
+
+    def pop_batch(self, max_n):
+        session = self._pick()
+        heap = self.heaps[session]
+        batch = [heapq.heappop(heap)[1]]
+        while (
+            len(batch) < max_n and heap
+            and heap[0][1].kernel is batch[0].kernel
+            and heap[0][1].age == batch[0].age
+        ):
+            batch.append(heapq.heappop(heap)[1])
+        self.deficit[session] -= len(batch)
+        return batch
+
+    def min_age(self, session=None):
+        ages = [
+            inst.age
+            for s, heap in self.heaps.items() if session in (None, s)
+            for _key, inst in heap
+            if inst.age is not None
+        ]
+        return min(ages) if ages else None
+
+    def drain(self):
+        items = [inst for h in self.heaps.values() for _key, inst in h]
+        for h in self.heaps.values():
+            h.clear()
+        return items
+
+
+_KERNELS = [
+    KernelDef(name=name, body=lambda ctx: None, has_age=True,
+              index_vars=("x",), domain={"x": 64})
+    for name in ("a.k", "a.j", "b.k", "plain")
+]
+
+_instances = st.builds(
+    KernelInstance,
+    st.sampled_from(_KERNELS),
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.tuples(st.integers(0, 63)),
+)
+
+_ops = st.lists(
+    st.one_of(
+        # analyzer-shaped pushes: stretches of one kernel and age...
+        st.tuples(
+            st.just("push_many"),
+            st.lists(
+                st.tuples(st.sampled_from(_KERNELS),
+                          st.one_of(st.none(), st.integers(0, 3)),
+                          st.integers(1, 6)),
+                max_size=3,
+            ).map(lambda runs: [
+                KernelInstance(k, age, (i,))
+                for k, age, n in runs for i in range(n)
+            ]),
+        ),
+        # ...and arbitrary ones
+        st.tuples(st.just("push_many"), st.lists(_instances, max_size=6)),
+        st.tuples(st.just("push"), _instances),
+        st.tuples(st.just("pop_batch"), st.integers(1, 5)),
+        st.tuples(st.just("min_age"),
+                  st.sampled_from([None, "", "a", "b", "ghost"])),
+        st.tuples(st.just("drain"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+class TestRunEntriesEqualPerInstanceHeap:
+    @given(
+        st.sampled_from(["age", "fifo", "lifo", "fair"]),
+        st.sampled_from([None, {"a": 3}, {"a": 2, "b": 4, "": 1}]),
+        _ops,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_sequences_under_every_policy(self, policy, weights, ops):
+        q = ReadyQueue(policy, session_weights=weights)
+        ref = _PerInstanceQueue(policy, weights)
+        for op, arg in ops:
+            if op == "pop_batch":
+                if not ref.depth():
+                    continue  # would block
+                batch, wait = q.pop_batch(arg)
+                assert batch == ref.pop_batch(arg)
+                assert wait >= 0.0
+            elif op == "drain":
+                assert sorted(map(id, q.drain())) == sorted(
+                    map(id, ref.drain())
+                )
+            elif op == "min_age":
+                assert q.min_age(arg) == ref.min_age(arg)
+            else:
+                getattr(q, op)(arg)
+                getattr(ref, op)(arg)
+            assert len(q) == ref.depth()
+            assert q.min_age() == ref.min_age()
+            if policy == "fair":
+                assert q._deficit == ref.deficit
+        # what is left comes out in the reference's order too
+        while ref.depth():
+            assert q.pop_batch(3)[0] == ref.pop_batch(3)
+        assert len(q) == 0 and q.min_age() is None
