@@ -123,10 +123,12 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
 def _add_batch_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("batched dispatch")
     g.add_argument("--batch", type=int, default=32, metavar="N",
-                   help="max ready instances of one kernel+age a worker "
-                        "drains per dispatch (default 32; 1 = the "
-                        "per-instance scalar path). Output is "
-                        "byte-identical at any batch size.")
+                   help="instances of one kernel+age per vectorized body "
+                        "call (default 32). With N > 1 a worker claims "
+                        "its whole share of a ready run (at least N) as "
+                        "one dispatch and runs it N at a time; 1 = one "
+                        "instance per dispatch, the paper's reference "
+                        "mode. Output is byte-identical at any size.")
     g.add_argument("--no-vectorize", action="store_true",
                    help="skip attaching vectorized batch kernels at "
                         "program build (per-instance scalar bodies run "

@@ -14,13 +14,22 @@ popped kernel instance's body executes:
   ``multiprocessing.shared_memory`` segments
   (:class:`~repro.core.fields.SharedFieldStore`), so fetches and stores
   are zero-copy views of the same physical pages — only the tiny
-  batch descriptor and store report cross the pipe.
+  claim descriptor and store report cross the pipe.
 
 Both run the same routine, :func:`~repro.core.execute.run_batch`, and
 hand its result to the same parent-side tail,
 :meth:`ExecutionNode._commit_batch`; a backend only supplies the
 field-access adapter that says where the bytes live (:class:`_NodeFields`
 in the parent, :class:`_SegmentCache` in a worker process).
+
+The unit a backend is handed is a *claim*: a worker's share of a
+(kernel, age) run (:meth:`~repro.core.runtime.ReadyQueue.pop_batch`),
+one instance at ``batch=1``, hundreds of macro-blocks at ``batch=32``
+on a CIF frame.  One claim is one ``execute_batch`` call — on the
+process backend one pipe message and one reply — and the node's
+``batch`` reaches the routine only as the size of the stacks it cuts
+the claim into for ``batch_body`` (a worker process is told it once, at
+spawn).
 
 The division of labour in the process backend keeps the P2G semantics
 exactly where they were:
@@ -88,10 +97,10 @@ class ExecutionBackend:
     def execute_batch(
         self, batch: list[KernelInstance], worker_id: int
     ) -> None:
-        """Run a batch of one or more instances of the *same* kernel
+        """Run a claim — one or more instances of the *same* kernel
         definition and age (see
-        :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) on behalf of
-        worker ``worker_id`` and post their store/done events.  Called
+        :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) — on behalf of
+        worker ``worker_id`` and post its store/done events.  Called
         from the node's worker threads."""
         raise NotImplementedError
 
@@ -204,7 +213,7 @@ class ThreadBackend(ExecutionBackend):
         t0 = time.perf_counter()
         run = run_batch(
             first.kernel, first.age, [inst.index for inst in batch],
-            self._mem, self._ctxs[worker_id],
+            self._mem, self._ctxs[worker_id], self._node.batch,
         )
         self._node._commit_batch(batch, worker_id, t0, run)
 
@@ -320,23 +329,28 @@ class _SegmentCache:
 
 
 def _worker_main(
-    conn, program_source, run_id: str, shared_tracker: bool
+    conn, program_source, run_id: str, shared_tracker: bool, stack: int
 ) -> None:
     """Entry point of a worker process.
 
     Protocol: one work message, ``(kernel_name, age, [index, ...])`` — a
-    run of one or more same-kernel/same-age instances in ONE round-trip
-    (a single instance is a list of one).  The worker hands it to
+    claim of one or more same-kernel/same-age instances in ONE
+    round-trip (a single instance is a list of one; at ``batch > 1`` it
+    is the proxy's whole share of a run).  The worker hands it to
     :func:`~repro.core.execute.run_batch`, the routine the threads
     backend runs in the parent, over its :class:`_SegmentCache` and a
     :class:`KernelContext` per message (no fetched view outlives its
-    message to pin a retired segment), and replies ``("ok", stores,
-    outputs, t_fetch, t_kernel, t_store, vectorized)`` — the routine's
-    return value: a stacked batch reports one store record per store
-    spec, whatever its size — or ``("err", index, type_name, message,
-    traceback_text)``: ``index`` names the instance whose body raised,
-    ``None`` a failure in the fetch/store machinery.  ``None`` (or EOF)
-    means shut down.
+    message to pin a retired segment), cutting it into ``batch_body``
+    calls of at most ``stack`` rows (the node's ``batch``, fixed at
+    spawn), and replies ``("ok", stores, outputs, t_fetch, t_kernel,
+    t_store, calls, fallbacks, vectorized)`` — the routine's return
+    value: a stacked claim reports one store record per store spec,
+    whatever its size — or ``("err", index, type_name, message,
+    traceback_text)``: ``index`` names the instance whose body raised
+    (the first of its stack, for a stacked call), ``None`` a failure in
+    the fetch/store machinery.  Nothing of a failed claim is committed:
+    the parent only marks regions written from an ``"ok"`` reply.
+    ``None`` (or EOF) means shut down.
 
     A ``("__replan__", epoch, decisions)`` message (no reply) announces a
     live LLS swap: kernel bodies are closures and cannot cross the pipe,
@@ -385,7 +399,8 @@ def _worker_main(
                 kernel = handle.kernel_for_age(kernel_name, age)
                 conn.send(
                     ("ok",) + run_batch(
-                        kernel, age, indices, cache, KernelContext()
+                        kernel, age, indices, cache, KernelContext(),
+                        stack,
                     )
                 )
             except KernelBodyError as exc:
@@ -494,7 +509,8 @@ class ProcessBackend(ExecutionBackend):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, source, run_id, shared_tracker),
+                args=(child_conn, source, run_id, shared_tracker,
+                      node.batch),
                 daemon=True,
                 name=f"{node.name}-proc{i}",
             )
@@ -558,11 +574,11 @@ class ProcessBackend(ExecutionBackend):
     def execute_batch(
         self, batch: list[KernelInstance], worker_id: int
     ) -> None:
-        """Ship a same-kernel/same-age run as ONE pipe message and one
-        reply — the per-batch (not per-instance) IPC round-trip is the
-        whole point of batched dispatch on this backend.  The node's
-        commit tail applies the reply's stores and announces them as
-        one event per (field, age), plus one done event."""
+        """Ship a claim as ONE pipe message and get one reply — a
+        round trip per worker per wavefront, not per instance and not
+        per ``batch``.  The node's commit tail applies the reply's
+        stores and announces them as one event per (field, age), plus
+        one done event."""
         node = self._node
         assert node is not None
         first = batch[0]

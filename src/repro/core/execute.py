@@ -1,7 +1,7 @@
-"""The one execution routine: fetch -> body -> store for a batch.
+"""The one execution routine: fetch -> body -> store for a claim.
 
 The paper's LLS is *one* dispatch loop with granularity as a parameter
-(section IV); a single instance is a batch of one.  :func:`run_batch`
+(section IV); a single instance is a claim of one.  :func:`run_batch`
 is the only caller of a kernel's native block, and worker threads and
 worker processes run it verbatim.  All that differs between them is
 where field bytes live, behind a small *field-access adapter*:
@@ -14,19 +14,35 @@ where field bytes live, behind a small *field-access adapter*:
 ``write(field, age, regions, arrs)``
     commit a *group* of stores to one (field, age) — ``arrs[i]`` into
     ``regions[i]``.  The scalar loop writes groups of one, as each
-    instance's stores happen; the stacked form writes the whole batch's
+    instance's stores happen; the stacked form writes the whole claim's
     stores through one spec as one ``RegionGroup``.
 
-The unit that flows through is the dispatch: a stacked batch resolves
-each fetch and store spec to one ``RegionGroup`` from its index array
-and moves it in one gather or scatter, and what it stored is reported
-as one record per store spec.  A group is announced as one event.  In
-the parent a handle is the live ``Field``: the group commits
-(write-once enforced per store), then is announced
-(:class:`~repro.core.backends._NodeFields`); in a worker process reads
-and writes are shared-memory views, and the records travel back to the
-parent, which commits and announces them, again one event per (field,
-age) (:class:`~repro.core.backends._SegmentCache`).
+Two sizes are in play and they are not the same thing.  A **claim** is
+what a worker took off the ready queue — its share of a (kernel, age)
+run, hundreds of instances at CIF — and is the unit of everything on
+the shared path: one pipe message, one index array, one fetch plan, one
+gather per fetch spec, one scatter and one store record per store spec,
+one write-once commit and one event per (field, age).  A **stack** is
+what one ``batch_body`` call sees: at most ``batch`` rows of the
+claim's gathered arrays.  ``batch`` sizes the body call and nothing
+else.
+
+What the claim stored is reported as one record per store spec, and a
+group is announced as one event.  In the parent a handle is the live
+``Field``: the group commits (write-once enforced per store), then is
+announced (:class:`~repro.core.backends._NodeFields`); in a worker
+process reads and writes are shared-memory views, and the records
+travel back to the parent, which commits and announces them, again one
+event per (field, age) (:class:`~repro.core.backends._SegmentCache`).
+
+Dropping out of the stacked form stays stack-granular.  A claim that
+cannot be planned as a whole (a ragged trailing block makes the fetch
+plan non-uniform) or in which a body call declines (raises
+:class:`~repro.core.vectorize.VectorizeFallback` — before anything of
+the claim is written, because the scatter comes after the last body
+call) is run stack by stack instead: each stack is planned, stacked and
+stored on its own, and only a stack that still cannot be stacked takes
+the scalar loop.
 """
 
 from __future__ import annotations
@@ -47,44 +63,81 @@ def run_batch(
     indices: list[tuple[int, ...]],
     mem: Any,
     ctx: KernelContext,
+    stack: int,
 ):
-    """Run ``len(indices) >= 1`` instances of ``kernel`` at ``age``.
+    """Run a claim of ``len(indices) >= 1`` instances of ``kernel`` at
+    ``age``, calling ``batch_body`` on at most ``stack`` of them at a
+    time (the node's ``batch``).
 
-    Returns ``(stores, outputs, t_fetch, t_kernel, t_store,
-    vectorized)``.  ``stores`` has one ``(field, age, regions, who)``
-    record per adapter ``write``, in commit order: ``who`` is the
-    position in ``indices`` of the instance that stored (the scalar
-    loop: one record per store that happened, ``regions`` a tuple of
-    one) or ``None`` when every instance of the batch did (the stacked
-    form: one record per store spec, ``regions`` a
-    :class:`~repro.core.fields.RegionGroup`).  ``outputs`` are the
-    bodies' out-of-band ``ctx.output`` values as ``(position, key,
-    value)``; the durations are batch totals.  ``vectorized`` is
-    ``True`` when the batch ran as one stacked ``batch_body`` call,
-    ``False`` when that was attempted and the batch dropped to the
-    scalar loop (ragged regions, or the body raised
-    :class:`~repro.core.vectorize.VectorizeFallback`), ``None`` when
-    there was nothing to attempt (one instance, or no ``batch_body``).
-    Both forms store the same bytes: that is the vectorizer's contract
+    Returns ``(stores, outputs, t_fetch, t_kernel, t_store, calls,
+    fallbacks, vectorized)``.  ``stores`` has one ``(field, age,
+    regions, who)`` record per adapter ``write``, in commit order:
+    ``who`` is the position in ``indices`` of the instance that stored
+    (the scalar loop: one record per store that happened, ``regions`` a
+    tuple of one), or ``None`` when every instance of the claim did (the
+    stacked form: one record per store spec, ``regions`` a
+    :class:`~repro.core.fields.RegionGroup`), or the ``range`` of
+    positions of one stack of a claim that ran stack by stack.
+    ``outputs`` are the bodies' out-of-band ``ctx.output`` values as
+    ``(position, key, value)``; the durations are claim totals.
+    ``calls`` counts body calls (one per stack, one per instance of a
+    scalar loop), ``vectorized`` the instances that ran through
+    ``batch_body``, and ``fallbacks`` the stacks for which that was
+    attempted and which dropped to the scalar loop (ragged regions, or
+    the body raised :class:`~repro.core.vectorize.VectorizeFallback`).
+    Every form
+    stores the same bytes: that is the vectorizer's contract
     (:mod:`repro.core.vectorize`).
 
     The scalar loop rebinds the caller's pooled ``ctx`` per instance; a
     singleton builds no stack and no fetch plan.  A raising body
-    surfaces as :class:`KernelBodyError` naming the failing instance.
+    surfaces as :class:`KernelBodyError` naming the failing instance
+    (the first of its stack, for a stacked call).
     """
-    vectorized = None
-    if len(indices) > 1 and kernel.batch_body is not None:
-        run = _run_stacked(kernel, age, indices, mem)
+    n = len(indices)
+    if n < 2 or stack < 2 or kernel.batch_body is None:
+        return _run_scalar(kernel, age, indices, mem, ctx)
+    run = _run_stacked(kernel, age, indices, mem, stack)
+    if run is not None:
+        return run
+    # Stack by stack: what each slice of the claim would have done as a
+    # dispatch of its own (a claim of one stack has just been tried).
+    total: list = [[], [], 0.0, 0.0, 0.0, 0, 0, 0]
+    for lo in range(0, n, stack):
+        part = indices[lo:lo + stack]
+        run = (
+            _run_stacked(kernel, age, part, mem, stack)
+            if 1 < len(part) < n else None
+        )
         if run is not None:
-            return run
-        vectorized = False
+            # "every member" of this stack, not of the claim
+            who = range(lo, lo + len(part))
+            run = ([rec[:3] + (who,) for rec in run[0]],) + run[1:]
+        else:
+            run = _run_scalar(
+                kernel, age, part, mem, ctx, lo, int(len(part) > 1)
+            )
+        for i, value in enumerate(run):
+            total[i] += value
+    return tuple(total)
+
+
+def _run_scalar(
+    kernel: KernelDef, age, indices, mem, ctx, base: int = 0,
+    dropped: int = 0,
+):
+    """The scalar loop, in :func:`run_batch`'s return shape: one
+    ``body`` call per instance, each one's stores written (and, in the
+    parent, announced) as they happen.  ``base`` is the position of
+    ``indices[0]`` in the claim, ``dropped`` 1 when these instances are
+    a stack that was tried stacked first."""
     clock = time.perf_counter
     index_vars = kernel.index_vars
     fields = mem.fields
     stores: list = []
     outputs: list = []
     t_fetch = t_kernel = t_store = 0.0
-    for who, index in enumerate(indices):
+    for who, index in enumerate(indices, base):
         t0 = clock()
         imap = dict(zip(index_vars, index))
         fetched: dict[str, Any] = {}
@@ -132,14 +185,19 @@ def run_batch(
         t_fetch += t1 - t0
         t_kernel += t2 - t1
         t_store += t3 - t2
-    return stores, outputs, t_fetch, t_kernel, t_store, vectorized
+    return (stores, outputs, t_fetch, t_kernel, t_store,
+            len(indices), dropped, 0)
 
 
-def _run_stacked(kernel: KernelDef, age, indices, mem):
-    """One stacked ``batch_body`` call for the whole batch, in
-    :func:`run_batch`'s return shape; ``None`` when this batch must take
-    the scalar loop (no uniform fetch plan, or the body raised
-    :class:`~repro.core.vectorize.VectorizeFallback`)."""
+def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
+    """The stacked form, in :func:`run_batch`'s return shape: one index
+    array, one fetch plan and one gather per fetch spec for all of
+    ``indices``, ``batch_body`` on ``stack`` rows at a time, then one
+    scatter and one record per store spec.  ``None`` — with nothing
+    written — when these instances cannot run this way as a whole: no
+    uniform fetch plan, a body call raised
+    :class:`~repro.core.vectorize.VectorizeFallback`, or the calls
+    disagree on which keys they emit."""
     n = len(indices)
     t0 = time.perf_counter()
     index_vars = kernel.index_vars
@@ -158,40 +216,59 @@ def _run_stacked(kernel: KernelDef, age, indices, mem):
         fetched[f.param] = mem.read(fields[f.field], f_age, group)
         if group is None:
             shared.add(f.param)
-    bctx = vectorize.BatchKernelContext(
-        age, [dict(zip(index_vars, index)) for index in indices],
-        fetched, frozenset(shared),
-    )
+    shared = frozenset(shared)
     t1 = time.perf_counter()
-    try:
-        kernel.batch_body(bctx)
-    except vectorize.VectorizeFallback:
-        return None
-    except Exception as exc:  # noqa: BLE001 - rewrapped with context
-        raise KernelBodyError(kernel.name, age, indices[0], exc) from exc
+    emitted: dict[str, list] = {}
+    calls = 0
+    for lo in range(0, n, stack):
+        hi = lo + stack
+        bctx = vectorize.BatchKernelContext(
+            age,
+            [dict(zip(index_vars, index)) for index in indices[lo:hi]],
+            {
+                param: value if param in shared else value[lo:hi]
+                for param, value in fetched.items()
+            },
+            shared,
+        )
+        try:
+            kernel.batch_body(bctx)
+        except vectorize.VectorizeFallback:
+            return None
+        except Exception as exc:  # noqa: BLE001 - rewrapped with context
+            raise KernelBodyError(kernel.name, age, indices[lo], exc) from exc
+        if calls and bctx.emitted.keys() != emitted.keys():
+            return None
+        for key, values in bctx.emitted.items():
+            emitted.setdefault(key, []).append(values)
+        calls += 1
     t2 = time.perf_counter()
     columns = dict(zip(index_vars, rows.T))
     stores = []
     for s in kernel.stores:
-        if s.emit_key not in bctx.emitted:
+        parts = emitted.get(s.emit_key)
+        if parts is None:
             continue
-        values = bctx.emitted[s.emit_key]
         field = fields[s.field]
         fdef = field.fdef
         s_age = s.age.resolve(age)
         # The batch contract (BatchKernelContext.emit) guarantees a
         # uniform leading batch axis, so dtype coercion and spec
-        # resolution happen once for the stack, not per instance.
+        # resolution happen once for the claim, not per instance.
         first, spec = coerce_store_value(
-            values[0], fdef.np_dtype, fdef.ndim, s
+            parts[0][0], fdef.np_dtype, fdef.ndim, s
         )
         group = spec.group(columns, n, first.shape)
+        stacks = [
+            np.asarray(values, dtype=fdef.np_dtype).reshape(
+                (len(values),) + first.shape
+            )
+            for values in parts
+        ]
         mem.write(
             field, s_age, group,
-            np.asarray(values, dtype=fdef.np_dtype).reshape(
-                (n,) + first.shape
-            ),
+            stacks[0] if calls == 1 else np.concatenate(stacks),
         )
         stores.append((s.field, s_age, group, None))
     t3 = time.perf_counter()
-    return stores, [], t1 - t0, t2 - t1, t3 - t2, True
+    return stores, [], t1 - t0, t2 - t1, t3 - t2, calls, 0, n

@@ -330,20 +330,27 @@ class ReadyQueue:
         raise RuntimeStateError("ready queue depth/heap mismatch")
 
     def pop_batch(
-        self, max_n: int
+        self, max_n: int, workers: int = 0
     ) -> tuple[list[KernelInstance] | None, float]:
-        """Blocking pop of a *run*: up to ``max_n`` ready instances of
+        """Blocking pop of a *claim*: up to ``max_n`` ready instances of
         the same kernel definition and age, returning ``(batch,
         total_queue_wait_seconds)``; ``(None, 0.0)`` means shut down.
 
-        The run is taken greedily from the head of the chosen session's
-        heap — a slice of the head entry, continuing into the next
-        entries while they match — so batch formation respects the
-        scheduling policy exactly: a batch is simply the instances the
+        Called with the node's ``workers`` and ``max_n > 1`` (the worker
+        loop), the bound is the caller's *share of the head run* instead
+        — ``max(max_n, ceil(len(run) / workers))``, the run counted as
+        it was pushed — so the wavefront the analyzer released in one
+        piece is handed out in ``workers`` pieces, not in
+        ``len(run) / max_n``.  ``max_n = 1`` always yields singletons.
+
+        The claim is taken greedily from the head of the chosen
+        session's heap — a slice of the head entry, continuing into the
+        next entries while they match — so its formation respects the
+        scheduling policy exactly: a claim is simply the instances the
         policy would have handed out next, whenever they happen to
-        share a native block.  Under ``"fair"`` a batch never spans
+        share a native block.  Under ``"fair"`` a claim never spans
         sessions (each member charges the session's deficit, so a large
-        batch costs its tenant future turns).  Matching is by
+        claim costs its tenant future turns).  Matching is by
         kernel-definition *identity* (``is``), which is strictly finer
         than name equality: a replan installs fresh definitions for the
         new epoch, so a batch can never mix pre- and post-swap
@@ -365,6 +372,9 @@ class ReadyQueue:
             batch: list = []
             wait = 0.0
             first = None
+            if workers and max_n > 1:
+                # the caller's share of the head run, as it was pushed
+                max_n = max(max_n, -(-len(heap[0][2][0]) // workers))
             room = max_n
             while heap and room:
                 run = heap[0][2]
@@ -619,13 +629,18 @@ class ExecutionNode:
         passes one registry to all of its nodes so counters aggregate
         cluster-wide); the node creates its own when omitted.
     batch:
-        The paper's granularity parameter: the most instances a worker
-        claims per ready-queue pop (default 1).  A claim is a run of
-        same-kernel/same-age instances and executes as one backend call
-        (one IPC message on the processes backend, one trace span, one
-        metrics/instrumentation update), through the kernel's vectorized
-        ``batch_body`` when it has one and the run is longer than one.
-        ``batch=1`` is the same path at size one; output is
+        The paper's granularity parameter: the most instances one body
+        call sees (default 1).  With ``batch > 1`` a worker *claims* its
+        share of the head (kernel, age) run — ``max(batch,
+        ceil(len(run) / workers))`` instances — and the claim is the
+        unit of everything on the shared path: one backend call (one
+        IPC message on the processes backend), one gather per fetch
+        spec, one write-once commit and one event per (field, age), one
+        trace span, one metrics/instrumentation update.  Inside it the
+        kernel's vectorized ``batch_body``, when it has one, runs on
+        stacks of at most ``batch`` rows.  ``batch=1`` is the paper's
+        one-instance-per-dispatch reference mode (tables II/III):
+        singleton claims through the same path; output is
         byte-identical at every size.
     """
 
@@ -711,6 +726,15 @@ class ExecutionNode:
         # one cached attribute test per instance instead of a lock per
         # counter bump (see obs/metrics.py and obs/tracing.py).
         self._metrics_on = getattr(self.metrics, "enabled", True)
+        # Round trips per frame, from /metrics: claims and their sizes.
+        # Observed only where a claim can be more than an instance — at
+        # batch=1 ``exec.claims`` would repeat ``instances.executed`` at
+        # one more lock per instance, 3 % on the dispatch-bound
+        # reference mode (``kmeans_batch``).
+        self._claims_on = self._metrics_on and batch > 1
+        if self._claims_on:
+            self._m_claims = self.metrics.counter("exec.claims")
+            self._m_claim_size = self.metrics.histogram("exec.claim_size")
         self._trace_on = self.tracer.enabled
         # Frame timeline (telemetry): same guard shape — one cached
         # reference, bound to None when telemetry is off, so every
@@ -818,8 +842,9 @@ class ExecutionNode:
     ) -> None:
         """The parent-side tail of every dispatch, on both backends.
 
-        ``run`` is what :func:`~repro.core.execute.run_batch` returned
-        for ``batch``, started at ``t0``.  ``remote`` is ``None`` when
+        ``batch`` is the claim — every instance the worker took in one
+        pop — and ``run`` what :func:`~repro.core.execute.run_batch`
+        returned for it, started at ``t0``.  ``remote`` is ``None`` when
         the routine ran on this thread (its stores are already committed
         and announced) and ``(t_send, t_recv)`` when it ran in a worker
         process: the payload bytes are in the segments, and the reply's
@@ -833,7 +858,8 @@ class ExecutionNode:
         as one :class:`StoreEvent` group per (field, age), the way the
         thread adapter announces a stacked batch's.
         """
-        stores, outputs, t_fetch, t_kernel, t_store, vectorized = run
+        (stores, outputs, t_fetch, t_kernel, t_store,
+         calls, fallbacks, vectorized) = run
         first = batch[0]
         kernel = first.kernel
         age = first.age
@@ -844,6 +870,8 @@ class ExecutionNode:
             n_stores += len(regions)
             if who is None:
                 stored = [True] * n
+            elif isinstance(who, range):
+                stored[who.start:who.stop] = [True] * len(who)
             else:
                 stored[who] = True
         if remote is not None:
@@ -889,9 +917,12 @@ class ExecutionNode:
             if n_stores:
                 self._m_stores.inc(n_stores)
             if vectorized:
-                self._m_vec.inc(n)
-            elif vectorized is False:
-                self._m_fallback.inc()
+                self._m_vec.inc(vectorized)
+            if fallbacks:
+                self._m_fallback.inc(fallbacks)
+            if self._claims_on:
+                self._m_claims.inc()
+                self._m_claim_size.observe(n)
         tl = self._timeline if age is not None else None
         if tl is not None or self._trace_on:
             # Where the dispatch sits on this thread's clock, as
@@ -929,6 +960,7 @@ class ExecutionNode:
                 "age": age,
                 "index": list(first.index),
                 "batch": n,
+                "stacks": calls,
                 "vectorized": bool(vectorized),
                 "queue_wait_us": round(wait * 1e6, 1),
             }
@@ -955,13 +987,14 @@ class ExecutionNode:
         )
 
     def _worker_loop(self, worker_id: int) -> None:
-        """The one worker loop: claim a run of up to :attr:`batch`
-        same-kernel/same-age instances and hand it to the backend as
-        one call; ``batch=1`` simply yields singletons.  Ready-queue
-        wait is observed once per claim (the sum over its members), so
+        """The one worker loop: claim this worker's share of the head
+        same-kernel/same-age run (at least :attr:`batch` instances when
+        there are that many) and hand it to the backend as one call;
+        ``batch=1`` simply yields singletons.  Ready-queue wait is
+        observed once per claim (the sum over its members), so
         ``ready.wait_s.count`` counts *dispatches*, not instances."""
         while True:
-            batch, wait = self.ready.pop_batch(self.batch)
+            batch, wait = self.ready.pop_batch(self.batch, self.workers)
             if batch is None:
                 return
             first = batch[0]
@@ -1384,11 +1417,13 @@ def run_program(
     the resulting :class:`~repro.stream.StreamReport` is attached to
     ``RunResult.stream``.
 
-    ``batch`` is the dispatch granularity: workers claim runs of up to
-    ``batch`` ready instances of the same kernel and age and hand each
-    to the backend as one call (one IPC message on the process backend,
-    one vectorized NumPy call when the kernel carries a ``batch_body``).
-    Results are byte-identical at every size, ``batch=1`` included.
+    ``batch`` is the body-call granularity: with ``batch > 1`` a worker
+    claims its share of the head run of ready same-kernel/same-age
+    instances and hands it to the backend as one call (one IPC message
+    on the process backend), which runs the kernel's ``batch_body``,
+    when it has one, on stacks of at most ``batch`` instances.
+    ``batch=1`` dispatches one instance at a time — the paper's
+    reference mode.  Results are byte-identical at every size.
 
     ``telemetry`` turns on the live telemetry layer: ``True`` for the
     default :class:`~repro.obs.TelemetryConfig`, a config instance, or

@@ -3,12 +3,12 @@
 The paper's C++ runtime dispatches kernel instances at near-zero cost;
 this Python runtime pays a full scheduler->backend->callable round trip
 per instance — at CIF geometry that is 1584 Python calls per frame for
-the luma DCT alone.  Batched dispatch (the ready queue surfacing *runs*
-of same-kernel/same-age instances, see
-:meth:`~repro.core.runtime.ReadyQueue.pop_batch`) amortizes the
+the luma DCT alone.  Batched dispatch (the ready queue handing a worker
+its share of a *run* of same-kernel/same-age instances as one claim,
+see :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) amortizes the
 per-call overhead; this module removes the per-instance *body* calls
 too, by compiling a kernel's native block into a NumPy implementation
-over a whole batch.
+over a whole stack — at most ``batch`` instances of the claim.
 
 The mechanism is pattern matching, not tracing: a workload tags its
 kernel body with :func:`tag_vectorizable` naming one of the known
@@ -24,9 +24,10 @@ per instance.  The escape hatches:
 * ``--no-vectorize`` (or ``vectorize=False`` on a workload builder)
   skips the compilation step entirely;
 * a ``batch_body`` may raise :class:`VectorizeFallback` at run time
-  (e.g. the batch's block shape is not the expected 8x8) and
-  :func:`~repro.core.execute.run_batch` finishes the batch in its scalar
-  loop, reporting the drop (``exec.vectorize_fallbacks``);
+  (e.g. the stack's block shape is not the expected 8x8) and
+  :func:`~repro.core.execute.run_batch` re-runs that stack in its
+  scalar loop — nothing of the claim has been written by then — and
+  reports the drop (``exec.vectorize_fallbacks``);
 * LLS replan rewrites construct fresh :class:`KernelDef` objects with
   the default ``batch_body=None``, so post-swap epochs revert to the
   scalar path automatically — a batch never spans an epoch anyway
@@ -62,9 +63,9 @@ _TAG_ATTR = "__p2g_vector__"
 
 
 class VectorizeFallback(Exception):
-    """Raised by a ``batch_body`` when this particular batch cannot be
-    handled (shape drift, unexpected dtype); the backend re-runs the
-    batch through the scalar body instead of failing the run."""
+    """Raised by a ``batch_body`` when this particular stack cannot be
+    handled (shape drift, unexpected dtype); the routine re-runs the
+    stack through the scalar body instead of failing the run."""
 
 
 class BatchKernelContext:

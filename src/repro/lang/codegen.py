@@ -12,7 +12,8 @@ with this environment:
   instances (array locals) or 0 (scalar locals);
 * timers bound by name to :class:`~repro.core.Timer` objects;
 * intrinsics ``put``/``get``/``extent`` (figure 5/6) plus ``np`` and
-  ``math``;
+  ``math``, and a ``print`` whose lines stay whole when instances on
+  different workers print at once;
 * any extra ``bindings`` the embedder passes to ``compile_program``
   (how programs reach host objects such as output sinks).
 
@@ -24,7 +25,9 @@ the store (end-of-stream / deadline-miss alternate paths).
 from __future__ import annotations
 
 import math
+import sys
 import textwrap
+import threading
 from typing import Any, Mapping
 
 import numpy as np
@@ -67,7 +70,28 @@ def extent(source: Any, dim: int = 0) -> int:
     return np.asarray(source).shape[dim]
 
 
+_PRINT_LOCK = threading.Lock()
+
+
+def _print(*args: Any, sep: str | None = " ", end: str | None = "\n",
+           file: Any = None, flush: bool = False) -> None:
+    """``print`` for native blocks.  The builtin writes every argument
+    and separator to the stream on its own, so two instances printing
+    from two worker threads interleave inside a line ("age age 3 4 :
+    : ..."); this one formats the line once and writes it once, under a
+    lock."""
+    text = (" " if sep is None else sep).join(map(str, args)) + (
+        "\n" if end is None else end
+    )
+    stream = sys.stdout if file is None else file
+    with _PRINT_LOCK:
+        stream.write(text)
+        if flush:
+            stream.flush()
+
+
 _INTRINSICS: dict[str, Any] = {
+    "print": _print,
     "put": put,
     "get": get,
     "extent": extent,

@@ -527,10 +527,13 @@ class TestHotPathGuards:
         assert tel.timeline.sessions() == []
 
 
-def _doubling_program(extent, block, *, body=None, batch_body=None):
+def _doubling_program(extent, block, *, body=None, batch_body=None,
+                      domain=None):
     """``src`` stores ``a`` whole; one ``dbl`` instance per ``block``
     elements doubles its region into ``out``.  An ``extent`` that is not
-    a multiple of ``block`` leaves a ragged trailing region."""
+    a multiple of ``block`` leaves a ragged trailing region — unless
+    ``domain`` stops the instances short of it, which leaves whole
+    blocks that do not tile the field."""
     from repro.core import AgeExpr, FieldDef
 
     def src(ctx):
@@ -551,6 +554,7 @@ def _doubling_program(extent, block, *, body=None, batch_body=None):
              stores=(StoreSpec("out", age=age0,
                                dims=(Dim.of("x", block),)),),
              batch_body=batch_body,
+             domain=None if domain is None else {"x": domain},
          )],
     )
 
@@ -778,3 +782,301 @@ class TestEventGranularity:
         assert seen["store"] == seen["regions"] == stores
         assert seen["done"] == seen["members"] == seen["dispatches"]
         assert seen["done"] == executed
+
+
+# ----------------------------------------------------------------------
+# Claims: a worker's share of a run is the unit on the shared path,
+# ``batch`` only sizes the body call
+# ----------------------------------------------------------------------
+_BLOCK = 3
+
+
+def _claim_program(n, layout, poison=None):
+    """``n`` doubling instances over blocks of :data:`_BLOCK`:
+    ``"tiled"`` (the regions tile the field), ``"untiled"`` (whole
+    blocks of a field one element too long to tile) or ``"ragged"``
+    (the last block is short, so no claim containing it has a uniform
+    fetch plan).  ``poison`` names an instance whose stack's
+    ``batch_body`` call raises VectorizeFallback."""
+    def stacked(bctx):
+        if any(imap["x"] == poison for imap in bctx.indices):
+            raise VectorizeFallback
+        bctx.emit("out", bctx["v"] * 2)
+
+    if layout == "ragged":
+        return _doubling_program(n * _BLOCK - 1, _BLOCK, batch_body=stacked)
+    extent = n * _BLOCK + (layout == "untiled")
+    return _doubling_program(extent, _BLOCK, batch_body=stacked, domain=n)
+
+
+def _run_claims(program, backend, batch, workers, covered):
+    """Run ``program``; returns what must not depend on ``batch``
+    (bytes of the covered part of ``out``, announced regions, counters)
+    and what describes the claims (``dbl`` claim sizes, write-once
+    commits of ``out``)."""
+    reg = MetricsRegistry()
+    events, claims, marks = [], [], []
+    node = ExecutionNode(
+        program, workers, backend=backend, batch=batch, metrics=reg,
+        on_event=lambda _node, ev: events.extend(
+            (type(ev).__name__, ev.field, region)
+            for region in getattr(ev, "regions", (None,))),
+    )
+    execute_batch = node.backend.execute_batch
+    out = node.fields["out"]
+    mark_written_many = out.mark_written_many
+
+    def counting_execute(claim, worker_id):
+        if claim[0].kernel.name == "dbl":
+            claims.append(len(claim))
+        return execute_batch(claim, worker_id)
+
+    def counting_mark(age, regions):
+        marks.append(len(regions))
+        return mark_written_many(age, regions)
+
+    node.backend.execute_batch = counting_execute
+    out.mark_written_many = counting_mark
+    result = node.run(timeout=60)
+    flat = flatten(reg.snapshot())
+    same = (
+        result.fields["out"].fetch(0, slice(0, covered)).tobytes(),
+        sorted(events, key=repr),
+        flat["instances.executed"], flat["fields.stores"],
+    )
+    return same, claims, marks, flat
+
+
+class TestClaimEquivalence:
+    """Any claim size, stack size, worker count, field layout and
+    fallback position: same bytes, same announced regions, same
+    counters as ``batch=1``."""
+
+    @pytest.mark.parametrize("backend,examples", [("threads", 150),
+                                                  ("processes", 40)])
+    def test_claims_are_invisible_in_the_results(self, backend, examples):
+        @given(
+            n=st.integers(2, 40),
+            batch=st.integers(2, 9),
+            workers=st.integers(1, 3),
+            layout=st.sampled_from(["tiled", "untiled", "ragged"]),
+            poison=st.one_of(st.none(), st.integers(0, 39)),
+        )
+        @settings(max_examples=examples, deadline=None)
+        def check(n, batch, workers, layout, poison):
+            covered = n * _BLOCK - (layout == "ragged")
+            base, singles, _marks, _flat = _run_claims(
+                _claim_program(n, layout), backend, 1, workers, covered)
+            got, claims, marks, flat = _run_claims(
+                _claim_program(n, layout, poison), backend, batch,
+                workers, covered)
+            assert got == base
+            assert base[0] == (
+                np.arange(covered, dtype=np.int64) * 2).tobytes()
+            assert singles == [1] * n
+            # a claim is a worker's share of the run, never less than
+            # ``batch`` while that many are left
+            assert sum(claims) == n
+            assert len(claims) <= max(workers, -(-n // batch))
+            assert flat["exec.claims"] == len(claims) + 1  # + ``src``
+            if backend == "processes":
+                # one write-once commit per (field, age) per claim
+                assert len(marks) == len(claims)
+                assert sorted(marks) == sorted(claims)
+            dropped = poison is not None and poison < n
+            if layout != "ragged" and not dropped:
+                assert flat["exec.vectorize_fallbacks"] == 0
+                assert flat["exec.vectorized_instances"] == sum(
+                    c for c in claims if c > 1)
+            if dropped:
+                assert flat["exec.vectorized_instances"] <= n - 1
+
+        check()
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_fallback_in_stack_k_happens_before_any_write(self, backend,
+                                                          tmp_path):
+        """One claim of 12 in stacks of 4; the third stack's body call
+        declines.  At that moment nothing of the claim has been written
+        (the scatter comes after the last body call); the claim then
+        runs stack by stack, so the other two stacks stay stacked."""
+        seen = tmp_path / "seen"
+
+        def stacked(bctx):
+            if bctx.indices[0]["x"] == 8:
+                with open(seen, "a") as fh:
+                    fh.write(f"{probe()}\n")
+                raise VectorizeFallback
+            bctx.emit("out", bctx["v"] * 2)
+
+        program = _doubling_program(48, 4, batch_body=stacked)
+        reg = MetricsRegistry()
+        node = ExecutionNode(program, 1, backend=backend, batch=4,
+                             metrics=reg)
+        out = node.fields["out"]
+        if backend == "threads":
+            def probe():
+                return out.written_count(0)
+        else:
+            # in the worker the payload is all there is to look at
+            def probe():
+                from multiprocessing import shared_memory
+
+                from repro.core.fields import segment_name
+
+                shm = shared_memory.SharedMemory(
+                    name=segment_name(node.fields.run_id, "out", 0))
+                try:
+                    return int(np.count_nonzero(
+                        np.ndarray((48,), np.int64, buffer=shm.buf)))
+                finally:
+                    shm.close()
+
+        result = node.run(timeout=60)
+        # raised twice: in the claim-wide attempt (nothing written yet)
+        # and again when its own stack is tried (the first two stacks,
+        # 32 elements — 31 of them non-zero — are in by then)
+        assert seen.read_text().split() == (
+            ["0", "32"] if backend == "threads" else ["0", "31"])
+        assert result.fields["out"].fetch(0).tolist() == list(
+            range(0, 96, 2))
+        flat = flatten(reg.snapshot())
+        assert flat["exec.vectorized_instances"] == 8
+        assert flat["exec.vectorize_fallbacks"] == 1
+        assert flat["instances.executed"] == 13
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_body_error_in_stack_k_commits_nothing(self, backend):
+        from repro.core.errors import KernelBodyError
+
+        def stacked(bctx):
+            if bctx.indices[0]["x"] == 8:
+                raise ValueError("boom")
+            bctx.emit("out", bctx["v"] * 2)
+
+        program = _doubling_program(48, 4, batch_body=stacked)
+        events = []
+        node = ExecutionNode(
+            program, 1, backend=backend, batch=4,
+            on_event=lambda _node, ev: events.append(ev.field))
+        with pytest.raises(KernelBodyError) as ei:
+            node.run(timeout=60)
+        err = ei.value
+        # the stacked call names the first instance of its stack
+        assert (err.kernel, tuple(err.index)) == ("dbl", (8,))
+        assert "ValueError: boom" in str(err)
+        assert node.fields["out"].written_count(0) == 0
+        assert events == ["a"]
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_write_once_violation_in_a_claim_commits_nothing(self,
+                                                             backend):
+        """The last block of ``out`` is already written when the one
+        claim of 12 (three stacks) commits: the violation is raised and
+        none of the claim's other 11 regions is marked or announced."""
+        program = _doubling_program(48, 4, batch_body=_stacked_double)
+        events = []
+        node = ExecutionNode(
+            program, 1, backend=backend, batch=4,
+            on_event=lambda _node, ev: events.append(ev.field))
+        out = node.fields["out"]
+        out.store(0, slice(44, 48), np.full(4, -1, dtype=np.int64))
+        with pytest.raises(WriteOnceViolation):
+            node.run(timeout=60)
+        assert out.written_count(0) == 4
+        assert events == ["a"]
+        if backend == "threads":
+            # (a worker process scatters into the segment before the
+            # parent can check; the run fails either way)
+            assert out.fetch(0, slice(44, 48)).tolist() == [-1] * 4
+
+
+class TestDispatchCount:
+    """How many ``execute_batch`` calls a wavefront costs."""
+
+    @staticmethod
+    def _count(node):
+        calls = []
+        execute_batch = node.backend.execute_batch
+
+        def counting(claim, worker_id):
+            calls.append((claim[0].kernel.name, len(claim)))
+            return execute_batch(claim, worker_id)
+
+        node.backend.execute_batch = counting
+        return calls
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_a_cif_frame_costs_at_most_eight_calls(self, backend):
+        """read + 2 claims each of ydct / udct / vdct + vlc: 8 calls
+        for a CIF frame on 2 workers (77 when a claim was ``batch``
+        instances), whatever the order the workers get to the queue."""
+        frames = 2
+        cfg = MJPEGConfig(width=352, height=288, frames=frames)
+        program, sink = build_mjpeg(config=cfg)
+        node = ExecutionNode(program, 2, backend=backend, batch=32)
+        calls = self._count(node)
+        node.run(timeout=300)
+        assert sink.stream() == mjpeg_baseline(config=cfg)
+        # the source's end-of-stream probe is the one call past the
+        # last frame
+        assert len(calls) <= 8 * frames + 1
+        assert sum(n for _name, n in calls) == (
+            frames * (1 + 1584 + 396 + 396 + 1) + 1)
+        sizes = {name: {n for k, n in calls if k == name}
+                 for name in ("ydct", "udct", "vdct")}
+        assert sizes == {"ydct": {792}, "udct": {198}, "vdct": {198}}
+
+    def test_batch_1_costs_one_call_per_instance(self):
+        program, sink = build_kmeans(n=40, k=8, iterations=3,
+                                     granularity="pair")
+        node = ExecutionNode(program, 2, batch=1)
+        calls = self._count(node)
+        result = node.run(timeout=120)
+        assert len(calls) == result.instrumentation.total_instances()
+        assert {n for _name, n in calls} == {1}
+        base = kmeans_baseline(n=40, k=8, iterations=3)
+        for age in base.history:
+            assert np.array_equal(sink.history[age], base.history[age])
+
+    def test_worker_killed_mid_claim_names_it_and_commits_nothing(self):
+        import os
+
+        from repro.core.errors import WorkerProcessError
+
+        def stacked(bctx):
+            if bctx.indices[0]["x"] == 8:
+                os._exit(3)  # the third of the claim's three stacks
+            bctx.emit("out", bctx["v"] * 2)
+
+        program = _doubling_program(48, 4, batch_body=stacked)
+        events = []
+        node = ExecutionNode(
+            program, 1, backend="processes", batch=4,
+            on_event=lambda _node, ev: events.append(ev.field))
+        with pytest.raises(WorkerProcessError,
+                           match=r"dbl\[x12\]\(age=None, index=\(0,\)\)"):
+            node.run(timeout=60)
+        assert node.fields["out"].written_count(0) == 0
+        assert events == ["a"]
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_trace_span_carries_claim_and_stacks(self, backend):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        reg = MetricsRegistry()
+        node = ExecutionNode(
+            _doubling_program(160, 4, batch_body=_stacked_double), 2,
+            backend=backend, batch=8, tracer=tracer, metrics=reg)
+        node.run(timeout=60)
+        spans = [e["args"] for e in tracer.events()
+                 if e.get("cat") == "kernel"
+                 and e["name"].startswith("dbl")]
+        # 40 instances, 2 workers: two claims of 20, three stacks each
+        assert [(a["batch"], a["stacks"]) for a in spans] == [(20, 3)] * 2
+        flat = flatten(reg.snapshot())
+        assert flat["exec.claims"] == 3  # ``src`` + the two
+        assert flat["exec.claim_size.count"] == 3
+        assert flat["exec.claim_size.sum"] == 41
+        assert flat["exec.claim_size.max"] == 20

@@ -186,6 +186,36 @@ class TestGroupCommitIsAllOrNothing:
             [[[1, 1], [1, 1]]] * 4 + [[[9, 9], [9, 9]]]
         )
 
+    @pytest.mark.parametrize("bad_at", [0, 395, 791])
+    @pytest.mark.parametrize("shape", ["group", "stacks"])
+    def test_violation_anywhere_in_a_claim_commits_nothing(self, bad_at,
+                                                           shape):
+        """A claim is hundreds of regions — half a CIF luma plane — and
+        commits as one call: a single tiling group, or (a claim that ran
+        stack by stack) its per-stack groups merged into one list.  One
+        pre-written block, wherever it sits, and none of the other 791
+        is marked."""
+        f = make(ndim=2, shape=(144, 352))  # 18 x 44 blocks of 8 x 8
+        blocks = [(slice(y, y + 8), slice(x, x + 8))
+                  for y in range(0, 144, 8) for x in range(0, 352, 8)]
+        f.mark_written(0, blocks[bad_at])
+        claim = group_of(blocks)
+        if shape == "stacks":
+            claim = [r for lo in range(0, 792, 32)
+                     for r in claim[lo:lo + 32]]
+        before = self._snapshot(f, 0)
+        with pytest.raises(WriteOnceViolation) as e:
+            f.mark_written_many(0, claim)
+        after = self._snapshot(f, 0)
+        assert np.array_equal(before[0], after[0])
+        assert before[1:] == after[1:] == (64, 64, 0)
+        assert all(s.start <= i < s.stop
+                   for s, i in zip(blocks[bad_at], e.value.index))
+        # the same claim without the offender still commits whole
+        rest = blocks[:bad_at] + blocks[bad_at + 1:]
+        f.mark_written_many(0, group_of(rest))
+        assert f.is_complete(0)
+
 
 class TestImplicitResize:
     def test_store_grows_extent(self):

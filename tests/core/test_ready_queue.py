@@ -1,11 +1,13 @@
 """ReadyQueue edge coverage: session-scoped ``min_age`` and fair-policy
 heap behaviour when a session's heap is empty or a session stops
 mid-run (its heap drains and the survivors keep dispatching); and the
-run-entry heap against a per-instance reference under every policy."""
+run-entry heap — handed out ``max_n`` at a time or in share-sized
+claims — against a per-instance reference under every policy."""
 
 import heapq
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kernels import KernelDef
@@ -120,7 +122,9 @@ class TestFairEmptyHeaps:
 class _PerInstanceQueue:
     """The queue as it was before run entries: one heap entry, one
     sequence number and one round of age/session accounting per
-    instance.  Non-blocking (callers pop only what is there)."""
+    instance.  Non-blocking (callers pop only what is there).  Each
+    entry remembers how long the stretch it was pushed in was — all the
+    model needs to size a share."""
 
     def __init__(self, scheduling, session_weights=None):
         self.scheduling = scheduling
@@ -137,6 +141,13 @@ class _PerInstanceQueue:
         return name[:name.find(".")] if self.fair and "." in name else ""
 
     def push_many(self, instances):
+        stretch = {}  # id(inst) -> length of its same-kernel/age stretch
+        for _key, group in itertools.groupby(
+            instances,
+            key=lambda i: (id(i.kernel), i.age, self._session(i)),
+        ):
+            group = list(group)
+            stretch.update((id(inst), len(group)) for inst in group)
         for inst in instances:
             seq = next(self.seq)
             age = -1 if inst.age is None else inst.age
@@ -148,7 +159,9 @@ class _PerInstanceQueue:
                 self.heaps[session] = []
                 self.order.append(session)
                 self.deficit[session] = self.quantum.get(session, 1)
-            heapq.heappush(self.heaps[session], (key, inst))
+            heapq.heappush(
+                self.heaps[session], (key, inst, stretch[id(inst)])
+            )
 
     def push(self, inst):
         self.push_many((inst,))
@@ -169,9 +182,11 @@ class _PerInstanceQueue:
                 return s
         raise AssertionError("depth/heap mismatch")
 
-    def pop_batch(self, max_n):
+    def pop_batch(self, max_n, workers=0):
         session = self._pick()
         heap = self.heaps[session]
+        if workers and max_n > 1:
+            max_n = max(max_n, -(-heap[0][2] // workers))
         batch = [heapq.heappop(heap)[1]]
         while (
             len(batch) < max_n and heap
@@ -186,13 +201,13 @@ class _PerInstanceQueue:
         ages = [
             inst.age
             for s, heap in self.heaps.items() if session in (None, s)
-            for _key, inst in heap
+            for _key, inst, _run in heap
             if inst.age is not None
         ]
         return min(ages) if ages else None
 
     def drain(self):
-        items = [inst for h in self.heaps.values() for _key, inst in h]
+        items = [inst for h in self.heaps.values() for _key, inst, _r in h]
         for h in self.heaps.values():
             h.clear()
         return items
@@ -230,6 +245,9 @@ _ops = st.lists(
         st.tuples(st.just("push_many"), st.lists(_instances, max_size=6)),
         st.tuples(st.just("push"), _instances),
         st.tuples(st.just("pop_batch"), st.integers(1, 5)),
+        # the worker loop's claim: (batch, workers)
+        st.tuples(st.just("claim"),
+                  st.tuples(st.integers(1, 5), st.integers(1, 4))),
         st.tuples(st.just("min_age"),
                   st.sampled_from([None, "", "a", "b", "ghost"])),
         st.tuples(st.just("drain"), st.none()),
@@ -248,13 +266,22 @@ class TestRunEntriesEqualPerInstanceHeap:
     def test_same_sequences_under_every_policy(self, policy, weights, ops):
         q = ReadyQueue(policy, session_weights=weights)
         ref = _PerInstanceQueue(policy, weights)
+        pushed = popped = 0
+        waited = 0.0
         for op, arg in ops:
-            if op == "pop_batch":
+            if op in ("pop_batch", "claim"):
                 if not ref.depth():
                     continue  # would block
-                batch, wait = q.pop_batch(arg)
-                assert batch == ref.pop_batch(arg)
+                args = (arg,) if op == "pop_batch" else arg
+                batch, wait = q.pop_batch(*args)
+                # the next instances of the per-instance order: the
+                # concatenation of claims *is* that order
+                assert batch == ref.pop_batch(*args)
+                if op == "pop_batch" or arg[0] == 1:
+                    assert len(batch) <= args[0]  # as the ledger calls it
                 assert wait >= 0.0
+                popped += len(batch)
+                waited += wait
             elif op == "drain":
                 assert sorted(map(id, q.drain())) == sorted(
                     map(id, ref.drain())
@@ -264,7 +291,10 @@ class TestRunEntriesEqualPerInstanceHeap:
             else:
                 getattr(q, op)(arg)
                 getattr(ref, op)(arg)
+                pushed += len(arg) if op == "push_many" else 1
             assert len(q) == ref.depth()
+            assert (q.pushes, q.pops) == (pushed, popped)
+            assert q.wait_total == pytest.approx(waited)
             assert q.min_age() == ref.min_age()
             if policy == "fair":
                 assert q._deficit == ref.deficit
@@ -272,3 +302,61 @@ class TestRunEntriesEqualPerInstanceHeap:
         while ref.depth():
             assert q.pop_batch(3)[0] == ref.pop_batch(3)
         assert len(q) == 0 and q.min_age() is None
+
+
+class TestShareSizedClaims:
+    """``pop_batch(batch, workers)``: the worker loop's claim."""
+
+    @staticmethod
+    def _run(kernel, n, age=0):
+        return [KernelInstance(kernel, age, (i,)) for i in range(n)]
+
+    def test_a_run_goes_out_in_one_claim_per_worker(self):
+        """The share is of the run as it was pushed, not of what is
+        left: the later workers get the other thirds, not a third of
+        two thirds."""
+        q = ReadyQueue()
+        q.push_many(self._run(_KERNELS[3], 100))
+        sizes = []
+        while len(q):
+            sizes.append(len(q.pop_batch(8, 3)[0]))
+        assert sizes == [34, 34, 32]
+
+    def test_never_less_than_batch_and_batch_1_is_a_singleton(self):
+        q = ReadyQueue()
+        q.push_many(self._run(_KERNELS[3], 20))
+        assert len(q.pop_batch(8, 4)[0]) == 8  # ceil(20 / 4) < batch
+        assert len(q.pop_batch(1, 4)[0]) == 1
+        assert len(q.pop_batch(8)[0]) == 8     # no workers: max_n rules
+        assert len(q) == 3
+
+    def test_four_equal_tenants_get_equal_service(self):
+        """Under ``"fair"`` a claim never spans sessions and charges the
+        deficit by instances taken: with every tenant offering the same
+        runs, share-sized claims rotate a, b, c, d, a, ... — no tenant
+        is served twice before another is served once."""
+        tenants = "abcd"
+        kernels = {
+            t: KernelDef(name=f"{t}.dct", body=lambda ctx: None,
+                         has_age=True, index_vars=("x",),
+                         domain={"x": 48})
+            for t in tenants
+        }
+        q = ReadyQueue("fair")
+        for age in range(5):
+            for t in tenants:
+                q.push_many(self._run(kernels[t], 48, age))
+        served = {t: 0 for t in tenants}
+        order = []
+        while len(q):
+            claim, _wait = q.pop_batch(8, 2)
+            sessions = {inst.kernel.name[0] for inst in claim}
+            assert len(sessions) == 1            # never spans sessions
+            assert len({inst.age for inst in claim}) == 1
+            (t,) = sessions
+            order.append(t)
+            served[t] += len(claim)
+            assert max(served.values()) - min(served.values()) <= 24
+        assert set(served.values()) == {5 * 48}
+        rounds = [order[i:i + 4] for i in range(0, len(order), 4)]
+        assert all(sorted(r) == list(tenants) for r in rounds)

@@ -214,3 +214,107 @@ k:
         program = compile_file(path)
         assert program.name == "prog"
         assert "k" in program.kernels
+
+
+class TestPrintIntrinsic:
+    """Native blocks print whole lines: the builtin ``print`` writes
+    each argument and separator on its own, so instances on different
+    workers interleaved inside a line (``blur.p2g`` lost "age 4")."""
+
+    SRC = """
+int64[8] data age;
+
+feed:
+  age a;
+  local int64[] v;
+  age_limit 5;
+  %{
+    for i in range(8):
+        put(v, a * 8 + i, i)
+  %}
+  store data(a) = v;
+
+report:
+  age a;
+  index x;
+  fetch value = data(a)[x];
+  %{ print("age", a, "x", x, ":", [int(value)] * 3) %}
+"""
+
+    class _Stream:
+        """Records every ``write`` and yields the GIL inside it, the
+        way a real stream lets another worker in between two writes."""
+
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            import time
+
+            time.sleep(0)
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    def test_each_line_is_one_write_under_threads(self, monkeypatch):
+        import sys
+
+        stream = self._Stream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        program = compile_program(self.SRC)
+        run_program(program, workers=4, timeout=60)
+        monkeypatch.undo()
+        want = sorted(
+            f"age {a} x {x} : {[a * 8 + x] * 3}\n"
+            for a in range(6) for x in range(8)
+        )
+        assert sorted(stream.writes) == want
+
+    def test_threads_hammering_the_compiled_body(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.core.kernels import KernelContext
+
+        body = compile_program(self.SRC).kernels["report"].body
+        stream = self._Stream()
+        monkeypatch.setattr(sys, "stdout", stream)
+
+        def hammer(t):
+            ctx = KernelContext()
+            for i in range(200):
+                body(ctx.reset(t, {"x": i}, {"value": i}))
+
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-line if it can
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(stream.writes) == sorted(
+            f"age {t} x {i} : {[i] * 3}\n"
+            for t in range(4) for i in range(200)
+        )
+
+    def test_keeps_the_builtin_signature(self, capsys):
+        import io
+
+        program = compile_program(
+            'k:\n %{\n'
+            '    print("a", 1, sep="-", end="!")\n'
+            '    print()\n'
+            '    print("b", file=buf, flush=True)\n'
+            ' %}',
+            bindings={"buf": (buf := io.StringIO())},
+        )
+        run_program(program, workers=1, timeout=30)
+        assert capsys.readouterr().out == "a-1!\n"
+        assert buf.getvalue() == "b\n"
