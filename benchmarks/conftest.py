@@ -72,20 +72,15 @@ def write_bench_json(figure: str, sweep, wall_time_s: float,
 
 def write_variants_json(figure: str, variants: dict, wall_time_s: float,
                         baseline: str | None = None,
-                        phases: dict | None = None,
                         **extra) -> pathlib.Path:
     """The :func:`write_bench_json` counterpart for *variant* sweeps
     (ablations/advisor runs compare named configurations rather than
     worker counts).  ``variants`` maps name -> numbers dict; when
     ``baseline`` names a variant with a ``wall_time_s`` entry, each
-    variant gains a ``speedup`` relative to it.  ``phases`` attaches a
-    phase breakdown (e.g. pre/during/post-migration fps and latency for
-    the elasticity bench) as a top-level field.  Same envelope as the
+    variant gains a ``speedup`` relative to it.  Same envelope as the
     fig9/fig10 artifacts: figure id, commit hash, sweep wall time.
     """
     variants = {name: dict(data) for name, data in variants.items()}
-    if phases is not None:
-        extra = dict(extra, phases={k: dict(v) for k, v in phases.items()})
     ref = (variants.get(baseline) or {}).get("wall_time_s")
     if ref:
         for data in variants.values():

@@ -15,13 +15,10 @@ Walks the exact progression the paper draws for the mul2/plus5 program:
 Then shows the adaptive policy doing the same from instrumentation: the
 fine-grained K-means ``assign`` kernel's dispatch ratio triggers a
 coarsening recommendation, and the coarsened program runs with far
-fewer instances while producing identical centroids.
-
-Finally the *online* path (DESIGN.md §10): the same policy runs as a
-live :class:`AdaptationDriver` against a single running node —
-``run_program(..., adapt=AdaptationConfig(...))``, the API behind the
-CLI's ``--adapt`` — and re-binds the program mid-run at a safe age
-boundary, with centroids byte-identical to the non-adaptive run.
+fewer instances while producing identical centroids.  This is the
+whole LLS recipe — profile once, recommend, rewrite, run — and it is a
+*pre-run* transform: at run time the granularity dial is ``batch`` and
+the claim (DESIGN.md §10).
 
 Run:  python examples/lls_granularity.py
 """
@@ -29,7 +26,6 @@ Run:  python examples/lls_granularity.py
 import numpy as np
 
 from repro.core import (
-    AdaptationConfig,
     AdaptivePolicy,
     coarsen,
     fusable_pairs,
@@ -96,29 +92,6 @@ def main() -> None:
         for a in fine_sink.history
     )
     print(f"centroid trajectories identical: {same}")
-
-    print("\n=== online adaptation: the policy as a live driver ===")
-    live, live_sink = build_kmeans(
-        n=400, k=20, iterations=6, granularity="point"
-    )
-    cfg = AdaptationConfig(interval=0.02, min_instances=32)
-    live_run = run_program(live, workers=2, timeout=120, adapt=cfg)
-    for rec in live_run.replans:
-        what = "; ".join(repr(d) for d in rec.decisions)
-        print(f"swapped at age {rec.epoch}: {what}")
-    if not live_run.replans:
-        print("no swap triggered (run finished before the driver fired)")
-
-    ref, ref_sink = build_kmeans(
-        n=400, k=20, iterations=6, granularity="point"
-    )
-    run_program(ref, workers=2, timeout=120)
-    identical = all(
-        np.array_equal(live_sink.history[a], ref_sink.history[a])
-        for a in ref_sink.history
-    )
-    print(f"adaptive centroids byte-identical to plain run: {identical}")
-    assert identical
 
 
 if __name__ == "__main__":

@@ -135,18 +135,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
                         "inside each batch instead)")
 
 
-def _add_adapt_args(p: argparse.ArgumentParser) -> None:
-    g = p.add_argument_group("online adaptation")
-    g.add_argument("--adapt", action="store_true",
-                   help="let the LLS coarsen/fuse kernels mid-run when "
-                        "dispatch overhead dominates (output stays "
-                        "byte-identical)")
-    g.add_argument("--adapt-ratio", type=float, default=0.25,
-                   metavar="R",
-                   help="dispatch/(dispatch+kernel) ratio above which a "
-                        "kernel is re-granularized (default 0.25)")
-
-
 def _add_stream_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("live streaming")
     g.add_argument("--live", action="store_true",
@@ -303,25 +291,18 @@ def _print_multitenant_report(args: argparse.Namespace, rep) -> None:
         print(f"stream report -> {args.stream_json}")
 
 
-def _adapt_config(args: argparse.Namespace):
-    if not getattr(args, "adapt", False):
-        return None
-    from .core.adaptation import AdaptationConfig
+def _stream_config(args: argparse.Namespace):
+    from .stream import StreamConfig
 
-    return AdaptationConfig(ratio_target=args.adapt_ratio)
-
-
-def _print_replans(replans) -> None:
-    for rec in replans:
-        if rec.remote:
-            continue
-        parts = []
-        for d in rec.decisions:
-            if hasattr(d, "factor"):
-                parts.append(f"coarsen {d.kernel}.{d.var} x{d.factor}")
-            else:
-                parts.append(f"fuse {d.first}+{d.second}")
-        print(f"adapted at age {rec.epoch}: " + "; ".join(parts))
+    return StreamConfig(
+        fps=args.fps,
+        duration=args.duration,
+        max_frames=None if args.duration is not None else args.frames,
+        lag_window=args.lag_window,
+        deadline_ms=args.deadline_ms,
+        shed_seed=args.shed_seed,
+        degrade_ratio=args.degrade_ratio,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -339,13 +320,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             backend=args.backend,
             tracer=obs.tracer,
             metrics=obs.metrics,
-            adapt=_adapt_config(args),
             batch=args.batch,
             telemetry=obs.telemetry,
         )
     finally:
         obs.finish()
-    _print_replans(result.replans)
     print(f"program {program.name!r}: {result.reason} in "
           f"{result.wall_time:.3f}s")
     order = list(program.kernels)
@@ -386,20 +365,11 @@ def _cmd_mjpeg_sessions(args: argparse.Namespace) -> int:
         FileLoopSource,
         SessionManager,
         SessionSpec,
-        StreamConfig,
     )
     from .workloads import MJPEGConfig, build_mjpeg_stream
 
     gold = _parse_tier(args.tier, args.sessions)
-    scfg = StreamConfig(
-        fps=args.fps,
-        duration=args.duration,
-        max_frames=None if args.duration is not None else args.frames,
-        lag_window=args.lag_window,
-        deadline_ms=args.deadline_ms,
-        shed_seed=args.shed_seed,
-        degrade_ratio=args.degrade_ratio,
-    )
+    scfg = _stream_config(args)
     glob_sources = (
         None if args.input
         else _live_sources(args, args.width, args.height, args.sessions)
@@ -461,7 +431,7 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
     )
     binding = None
     if args.live:
-        from .stream import FileLoopSource, StreamConfig
+        from .stream import FileLoopSource
 
         from .workloads import build_mjpeg_stream
 
@@ -472,15 +442,7 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
             file_sources = _live_sources(args, cfg.width, cfg.height, 1)
             if file_sources:
                 source = file_sources[0]
-        scfg = StreamConfig(
-            fps=args.fps,
-            duration=args.duration,
-            max_frames=None if args.duration is not None else cfg.frames,
-            lag_window=args.lag_window,
-            deadline_ms=args.deadline_ms,
-            shed_seed=args.shed_seed,
-            degrade_ratio=args.degrade_ratio,
-        )
+        scfg = _stream_config(args)
         program, sink, binding = build_mjpeg_stream(
             cfg, scfg, source, vectorize=not args.no_vectorize
         )
@@ -497,12 +459,10 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
         result = run_program(program, workers=args.workers,
                              timeout=args.timeout, backend=args.backend,
                              tracer=obs.tracer, metrics=obs.metrics,
-                             adapt=_adapt_config(args),
                              stream=binding, batch=args.batch,
                              telemetry=obs.telemetry)
     finally:
         obs.finish()
-    _print_replans(result.replans)
     _print_stream_report(args, result.stream)
     if args.output.endswith(".avi"):
         from .media import split_frames, write_avi
@@ -632,18 +592,10 @@ def _cmd_ops_sessions(args: argparse.Namespace) -> int:
     namespaced operator pipelines multiplexed over one runtime."""
     from dataclasses import replace as dc_replace
 
-    from .stream import SessionManager, SessionSpec, StreamConfig
+    from .stream import SessionManager, SessionSpec
 
     gold = _parse_tier(args.tier, args.sessions)
-    scfg = StreamConfig(
-        fps=args.fps,
-        duration=args.duration,
-        max_frames=None if args.duration is not None else args.frames,
-        lag_window=args.lag_window,
-        deadline_ms=args.deadline_ms,
-        shed_seed=args.shed_seed,
-        degrade_ratio=args.degrade_ratio,
-    )
+    scfg = _stream_config(args)
     cfg = _ops_config(args)
     specs, pipes = [], {}
     for i in range(args.sessions):
@@ -685,18 +637,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         return _cmd_ops_sessions(args)
     cfg = _ops_config(args)
     if args.live:
-        from .stream import StreamConfig
-
-        scfg = StreamConfig(
-            fps=args.fps,
-            duration=args.duration,
-            max_frames=(None if args.duration is not None
-                        else args.frames),
-            lag_window=args.lag_window,
-            deadline_ms=args.deadline_ms,
-            shed_seed=args.shed_seed,
-            degrade_ratio=args.degrade_ratio,
-        )
+        scfg = _stream_config(args)
         pipe = _ops_build_stream(args, cfg, scfg)
     else:
         from .workloads import (
@@ -716,13 +657,12 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         result = run_program(
             pipe.program, workers=args.workers, timeout=args.timeout,
             backend=args.backend, tracer=obs.tracer,
-            metrics=obs.metrics, adapt=_adapt_config(args),
+            metrics=obs.metrics,
             stream=pipe.binding, batch=args.batch,
             telemetry=obs.telemetry,
         )
     finally:
         obs.finish()
-    _print_replans(result.replans)
     _print_stream_report(args, result.stream)
     print(_ops_write_output(args, Path(args.output), pipe, cfg))
     print(f"{result.reason} in {result.wall_time:.2f}s "
@@ -744,12 +684,10 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
         result = run_program(program, workers=args.workers,
                              timeout=args.timeout, backend=args.backend,
                              tracer=obs.tracer, metrics=obs.metrics,
-                             adapt=_adapt_config(args),
                              batch=args.batch,
                              telemetry=obs.telemetry)
     finally:
         obs.finish()
-    _print_replans(result.replans)
     print(f"k-means n={args.n} K={args.k} x{args.iterations}: "
           f"{result.reason} in {result.wall_time:.2f}s")
     print(result.instrumentation.table(
@@ -837,7 +775,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             stall_timeout=args.stall_timeout,
             faults=faults, recovery=recovery,
             tracer=obs.tracer, metrics=obs.metrics,
-            adapt=_adapt_config(args),
             batch=args.batch,
             telemetry=obs.telemetry,
             elastic=elastic,
@@ -849,7 +786,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise
     finally:
         obs.finish()
-    _print_replans(result.replans)
     print(f"cluster {args.workload} on {args.nodes} node(s): "
           f"{result.reason} in {result.wall_time:.2f}s "
           f"({result.transport.messages} cross-node messages)")
@@ -963,7 +899,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="threads",
                    help="execution backend for kernel bodies")
     _add_batch_args(p)
-    _add_adapt_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_run)
 
@@ -997,7 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution backend for kernel bodies")
     _add_stream_args(p)
     _add_batch_args(p)
-    _add_adapt_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_mjpeg)
 
@@ -1036,7 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution backend for kernel bodies")
     _add_stream_args(p)
     _add_batch_args(p)
-    _add_adapt_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_ops)
 
@@ -1054,7 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="threads",
                    help="execution backend for kernel bodies")
     _add_batch_args(p)
-    _add_adapt_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_kmeans)
 
@@ -1113,7 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-nodes", type=int, default=None,
                    help="node count --scale-at rescales to")
     _add_batch_args(p)
-    _add_adapt_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_cluster)
 

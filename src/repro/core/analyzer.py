@@ -38,79 +38,18 @@ been dispatched; any event that could make new combinations runnable
 The dispatch-once bookkeeping is keyed by kernel and age and retires
 with the ages (:meth:`DependencyAnalyzer.retire_below`), so it stays
 bounded on an unbounded stream.
-
-Online re-binding (epochs)
---------------------------
-The LLS may rewrite the program *mid-run* (coarsen / fuse — see
-:mod:`.scheduler` and :mod:`.adaptation`).  The analyzer then holds a
-list of **program versions**, each owning a half-open age interval
-``[epoch, next_epoch)``: every candidate kernel age is matched against
-the version that owns it, so instances at ages below a swap epoch keep
-the old decomposition while ages at or above it use the rewritten one.
-The swap epoch for a rewritten kernel is always past its highest
-dispatched age (dispatch happens only on this thread, so that bound is
-race-free), which preserves dispatch-once: no age ever mixes two
-decompositions of the same kernel.  Because both rewrites are
-byte-identical on field contents, the write-once fields — and therefore
-the run's observable output — are unchanged by a swap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import SchedulerError
 from .events import InstanceDoneEvent, ResizeEvent, StoreEvent
 from .fields import FieldStore, IndexExpr
 from .kernels import FetchSpec, KernelDef, KernelInstance, StoreSpec
 from .program import Program
-from .scheduler import FusionDecision, decision_kernels
-
-
-@dataclass(frozen=True)
-class ReplanRecord:
-    """One applied mid-run re-binding: the swap epoch, the decisions that
-    took effect, and the ones the analyzer refused (unknown/ageless
-    kernels, invalid factors).  ``remote`` marks a producers-only update
-    for kernels owned by another node."""
-
-    epoch: int
-    decisions: tuple
-    skipped: tuple = ()
-    remote: bool = False
-
-
-class _VersionView:
-    """One program version plus the derived lookup maps the analyzer
-    needs per version: field → consuming (kernel, fetch) pairs and
-    field → producing (kernel, store) pairs."""
-
-    __slots__ = ("epoch", "program", "fetchers", "producers")
-
-    def __init__(
-        self,
-        epoch: int,
-        program: Program,
-        producer_kernels: Iterable[KernelDef] | None = None,
-    ) -> None:
-        self.epoch = epoch
-        self.program = program
-        self.fetchers: dict[str, list[tuple[KernelDef, FetchSpec]]] = {}
-        for k in program.kernels.values():
-            for f in k.fetches:
-                self.fetchers.setdefault(f.field, []).append((k, f))
-        self.producers: dict[str, list[tuple[KernelDef, StoreSpec]]] = {}
-        src = (
-            producer_kernels
-            if producer_kernels is not None
-            else program.kernels.values()
-        )
-        for k in src:
-            for s in k.stores:
-                self.producers.setdefault(s.field, []).append((k, s))
 
 
 class DependencyAnalyzer:
@@ -122,15 +61,10 @@ class DependencyAnalyzer:
         fields: FieldStore,
         max_age: int | None = None,
         producers: Iterable[KernelDef] | None = None,
-        handle=None,
     ) -> None:
         self.program = program
         self.fields = fields
         self.max_age = max_age
-        #: optional ProgramHandle mirror kept in sync on re-binding (the
-        #: node's backends and recovery logic read the handle; the
-        #: analyzer is duck-typed against it to avoid an import cycle).
-        self._handle = handle
         #: kernel name -> age -> indices dispatched (write-once ⇒
         #: dispatch-once); keyed by age so it can retire with the ages
         self._dispatched: dict[str, dict[int | None, set]] = {
@@ -142,35 +76,24 @@ class DependencyAnalyzer:
         }
         #: kernel name -> instances ever dispatched (survives retirement)
         self._total: dict[str, int] = {}
-        #: kernel name -> highest age ever dispatched (swap-epoch floor)
-        self._max_disp: dict[str, int] = {}
         #: kernel name -> ages below this are retired: bookkeeping
         #: dropped, late events ignored
         self._retired: dict[str, int] = {}
-        #: Full-program mirror for distributed runs: ``producers`` names
-        #: kernels that may live on other nodes; replan decisions are
-        #: replayed onto it so the premature-completeness guard sees the
-        #: rewritten producer shapes for ages ≥ the swap epoch.
-        self._dep_program: Program | None = None
-        producer_kernels = None
-        if producers is not None:
-            producer_kernels = list(producers)
-            try:
-                self._dep_program = Program.build(
-                    program.fields.values(),
-                    producer_kernels,
-                    program.timers,
-                    name=f"{program.name}#producers",
-                )
-                producer_kernels = list(self._dep_program.kernels.values())
-            except Exception:
-                # Unusual producer sets (tests) may not form a valid
-                # program; the static map still works, remote re-binding
-                # just keeps the original defs (conservative).
-                self._dep_program = None
-        self._views: list[_VersionView] = [
-            _VersionView(0, program, producer_kernels)
-        ]
+        #: field -> consuming (kernel, fetch) pairs
+        self._fetchers: dict[str, list[tuple[KernelDef, FetchSpec]]] = {}
+        for k in program.kernels.values():
+            for f in k.fetches:
+                self._fetchers.setdefault(f.field, []).append((k, f))
+        #: field -> producing (kernel, store) pairs, for the
+        #: premature-completeness guard.  ``producers`` names the full
+        #: program's kernels in a distributed run, where writers of a
+        #: field may be partitioned onto other nodes.
+        self._producers: dict[str, list[tuple[KernelDef, StoreSpec]]] = {}
+        for k in (
+            program.kernels.values() if producers is None else producers
+        ):
+            for s in k.stores:
+                self._producers.setdefault(s.field, []).append((k, s))
         #: instrumentation: store events processed / candidates examined
         self.events_processed = 0
         self.candidates_examined = 0
@@ -200,138 +123,12 @@ class DependencyAnalyzer:
         return itertools.product(*ranges)
 
     # ------------------------------------------------------------------
-    # Program versions
-    # ------------------------------------------------------------------
-    @property
-    def current_program(self) -> Program:
-        """The newest program version (owns all ages ≥ its epoch)."""
-        return self._views[-1].program
-
-    @property
-    def current_epoch(self) -> int:
-        """Epoch of the newest program version (0 before any swap)."""
-        return self._views[-1].epoch
-
-    def _version_for_age(self, age: int | None) -> _VersionView:
-        """The version owning ``age`` (ageless work stays on the base)."""
-        if age is None:
-            return self._views[0]
-        for v in reversed(self._views):
-            if v.epoch <= age:
-                return v
-        return self._views[0]
-
-    def kernel_for_age(self, name: str, age: int | None) -> KernelDef | None:
-        """The definition of ``name`` in the version owning ``age``."""
-        return self._version_for_age(age).program.kernels.get(name)
-
-    def apply_replan(self, decisions: Sequence) -> ReplanRecord | None:
-        """Re-bind to a rewritten program at a safe age boundary.
-
-        Applies every valid decision to the current version, picks the
-        swap epoch as one past the highest age any rewritten kernel has
-        been dispatched at (so no already-dispatched age changes its
-        decomposition), and registers the new version.  Runs on the
-        analyzer thread, where all dispatch bookkeeping lives, so the
-        epoch computation cannot race a dispatch.
-
-        Decisions naming unknown or ageless kernels, source kernels
-        (their self-advance and domain decomposition are tied to the
-        definition that started the stream), or failing their own
-        validation are skipped and reported on the record.
-        """
-        cur = self._views[-1]
-        prog = cur.program
-        applied: list = []
-        skipped: list = []
-        affected: list[str] = []
-        for d in decisions:
-            names = decision_kernels(d)
-            ks = [prog.kernels.get(n) for n in names]
-            if any(k is None for k in ks):
-                skipped.append(d)
-                continue
-            if any(not k.has_age or k.is_source for k in ks):
-                skipped.append(d)
-                continue
-            try:
-                prog = d.apply(prog)
-            except SchedulerError:
-                skipped.append(d)
-                continue
-            applied.append(d)
-            affected.extend(names)
-        if not applied:
-            return None
-        epoch = cur.epoch
-        for name in affected:
-            epoch = max(epoch, self._max_disp.get(name, -1) + 1)
-        self._register(epoch, prog, applied)
-        return ReplanRecord(
-            epoch=epoch, decisions=tuple(applied), skipped=tuple(skipped)
-        )
-
-    def apply_remote(
-        self, decisions: Sequence, epoch: int | None
-    ) -> ReplanRecord | None:
-        """Adopt another node's rewrite for producer bookkeeping only.
-
-        The local program is unchanged — this node does not own the
-        rewritten kernels — but the premature-completeness guard's
-        producer map is advanced to the rewritten definitions for ages ≥
-        the owner's committed epoch (clamped to local monotonicity)."""
-        if self._dep_program is None:
-            return None
-        prog = self._views[-1].program
-        remote = [
-            d for d in decisions
-            if not any(n in prog.kernels for n in decision_kernels(d))
-        ]
-        if not remote:
-            return None
-        eff = max(epoch if epoch is not None else 0, self._views[-1].epoch)
-        self._register(eff, prog, remote)
-        return ReplanRecord(epoch=eff, decisions=tuple(remote), remote=True)
-
-    def _register(self, epoch: int, program: Program, applied) -> None:
-        prev = self._views[-1]
-        producer_kernels = None
-        if self._dep_program is not None:
-            dep = self._dep_program
-            for d in applied:
-                try:
-                    dep = d.apply(dep)
-                except SchedulerError:
-                    pass  # unknown in the full set: keep old defs
-            self._dep_program = dep
-            producer_kernels = list(dep.kernels.values())
-        self._views.append(_VersionView(epoch, program, producer_kernels))
-        # Fusion renames kernels: give the new names pending slots and
-        # migrate pending ages the new version now owns; ages below the
-        # epoch stay pending under the old names (old-version dispatch).
-        removed = [n for n in prev.program.kernels if n not in program.kernels]
-        added = [n for n in program.kernels if n not in prev.program.kernels]
-        moved: set[int] = set()
-        for n in removed:
-            ages = self._pending.get(n, set())
-            self._pending[n] = {a for a in ages if a < epoch}
-            moved |= {a for a in ages if a >= epoch}
-        for n in added:
-            self._pending.setdefault(n, set()).update(moved)
-            self._dispatched.setdefault(n, {})
-        if self._handle is not None:
-            self._handle.register(epoch, program)
-
-    # ------------------------------------------------------------------
     def initial_instances(self) -> list[KernelInstance]:
         """Instances runnable before any store: run-once kernels and the
         age-0 instances of aged source kernels."""
         out: list[KernelInstance] = []
-        for k in self._views[0].program.kernels.values():
-            if not k.is_source:
-                continue
+        for k in self.program.kernels.values():
             age = 0 if k.has_age else None
-            k = self.kernel_for_age(k.name, age) or k
             if not k.is_source or not self._age_ok(age, k):
                 continue
             out.extend(self._claim(k, age, self._domain_combos(k)))
@@ -347,54 +144,44 @@ class DependencyAnalyzer:
         # candidate boxes; a whole-field fetch never walks the group.
         regions = None
         extent = self._extent_of(ev.field)
-        base = self._views[0]
         #: (kernel name, age) -> [kernel, boxes]: the candidate boxes of
         #: every region under every fetch of the field, or ``None`` once
         #: any of them (a whole-field fetch) asks for the whole domain.
-        #: An age has one owning version, so the name is unambiguous.
         work: dict[tuple, list] = {}
-        for v in self._views:
-            for kernel, fetch in v.fetchers.get(ev.field, ()):
-                ages: list[int | None]
-                if kernel.has_age:
-                    if fetch.age.literal is None:
-                        a = fetch.age.solve(ev.age)
-                        if (
-                            a is None
-                            or a < self._retired.get(kernel.name, 0)
-                            or not self._age_ok(a, kernel)
-                        ):
-                            continue
-                        if self._version_for_age(a) is not v:
-                            continue
-                        self._pending[kernel.name].add(a)
-                        ages = [a]
-                    elif fetch.age.matches_literal(ev.age):
-                        ages = [
-                            a for a in sorted(self._pending[kernel.name])
-                            if self._version_for_age(a) is v
-                        ]
-                    else:
+        for kernel, fetch in self._fetchers.get(ev.field, ()):
+            ages: list[int | None]
+            if kernel.has_age:
+                if fetch.age.literal is None:
+                    a = fetch.age.solve(ev.age)
+                    if (
+                        a is None
+                        or a < self._retired.get(kernel.name, 0)
+                        or not self._age_ok(a, kernel)
+                    ):
                         continue
+                    self._pending[kernel.name].add(a)
+                    ages = [a]
+                elif fetch.age.matches_literal(ev.age):
+                    ages = sorted(self._pending[kernel.name])
                 else:
-                    # Ageless kernels never change across versions; the
-                    # base view processes them once.
-                    if v is not base or not fetch.age.matches_literal(ev.age):
-                        continue
-                    ages = [None]
-                boxes = None
-                if fetch.vars():
-                    if regions is None:
-                        regions = ev.regions
-                    boxes = [
-                        self._restrict(fetch, r, extent) for r in regions
-                    ]
-                for age in ages:
-                    slot = work.get((kernel.name, age))
-                    if slot is None:
-                        work[(kernel.name, age)] = [kernel, boxes]
-                    elif slot[1] is not None:
-                        slot[1] = None if boxes is None else slot[1] + boxes
+                    continue
+            elif fetch.age.matches_literal(ev.age):
+                ages = [None]
+            else:
+                continue
+            boxes = None
+            if fetch.vars():
+                if regions is None:
+                    regions = ev.regions
+                boxes = [
+                    self._restrict(fetch, r, extent) for r in regions
+                ]
+            for age in ages:
+                slot = work.get((kernel.name, age))
+                if slot is None:
+                    work[(kernel.name, age)] = [kernel, boxes]
+                elif slot[1] is not None:
+                    slot[1] = None if boxes is None else slot[1] + boxes
         out: list[KernelInstance] = []
         for (_name, age), (kernel, boxes) in work.items():
             out.extend(self._collect(kernel, age, boxes))
@@ -405,16 +192,12 @@ class DependencyAnalyzer:
         every consumer of the field (and ageless consumers)."""
         self.events_processed += 1
         out: list[KernelInstance] = []
-        base = self._views[0]
-        for v in self._views:
-            for kernel, _fetch in v.fetchers.get(ev.field, ()):
-                if kernel.has_age:
-                    for age in sorted(self._pending[kernel.name]):
-                        if self._version_for_age(age) is not v:
-                            continue
-                        out.extend(self._collect(kernel, age, None))
-                elif v is base:
-                    out.extend(self._collect(kernel, None, None))
+        for kernel, _fetch in self._fetchers.get(ev.field, ()):
+            if kernel.has_age:
+                for age in sorted(self._pending[kernel.name]):
+                    out.extend(self._collect(kernel, age, None))
+            else:
+                out.extend(self._collect(kernel, None, None))
         return out
 
     def on_done(self, ev: InstanceDoneEvent) -> list[KernelInstance]:
@@ -426,21 +209,10 @@ class DependencyAnalyzer:
             return []
         assert ev.instance.age is not None
         nxt_age = ev.instance.age + 1
-        cur = self.kernel_for_age(k.name, nxt_age)
-        if cur is None or not self._age_ok(nxt_age, cur):
+        if not self._age_ok(nxt_age, k):
             return []
         stored = [inst.index for inst, stored_any in ev.members if stored_any]
-        if not stored:
-            return []
-        if cur is k:
-            return self._claim(k, nxt_age, stored)
-        # The source's definition changed at an epoch ≤ nxt_age; the old
-        # instance's index no longer maps onto the new decomposition, so
-        # advance the new definition's whole domain (dispatch-once makes
-        # this idempotent across the old instances finishing).
-        if not (cur.is_source and cur.has_age):
-            return []
-        return self._claim(cur, nxt_age, self._domain_combos(cur))
+        return self._claim(k, nxt_age, stored) if stored else []
 
     # ------------------------------------------------------------------
     def _restrict(
@@ -475,8 +247,6 @@ class DependencyAnalyzer:
                 out.append(KernelInstance(kernel, age, combo))
         if out:
             self._total[name] = self._total.get(name, 0) + len(out)
-            if age is not None and age > self._max_disp.get(name, -1):
-                self._max_disp[name] = age
         return out
 
     def _collect(
@@ -594,40 +364,28 @@ class DependencyAnalyzer:
         bundled workloads; the skip-the-emit idiom is how whole-array
         sources signal EOF) would be indistinguishable from one still
         outstanding.
-
-        Versioned: each producer age is checked against the program
-        version that owns it, so a producer coarsened at a swap epoch is
-        judged by its rewritten (blocked) store dims from that epoch on.
         """
         extent = self._extent_of(field)
-        base = self._views[0]
-        for v in self._views:
-            for kernel, spec in v.producers.get(field, ()):
-                if kernel.has_age and not spec.age.is_literal:
-                    if f_age is None:
-                        continue
-                    p_age = spec.age.solve(f_age)
-                    if p_age is None or not self._age_ok(p_age, kernel):
-                        continue
-                    if self._version_for_age(p_age) is not v:
-                        continue
-                else:
-                    concrete = spec.age.literal if spec.age.is_literal else 0
-                    if concrete != (f_age if f_age is not None else 0):
-                        continue
-                    # Literal-age / ageless producers never change
-                    # across versions; judge them once, on the base.
-                    if v is not base:
-                        continue
-                counts: dict[str, int] | None = None
-                for i, dim in enumerate(spec.dims):
-                    if dim.is_all or dim.block != 1 or dim.offset != 0:
-                        continue
-                    if counts is None:
-                        counts = kernel.index_counts(self._extent_of)
-                    need = counts.get(dim.var, 0)
-                    if need and i < len(extent) and extent[i] < need:
-                        return False
+        for kernel, spec in self._producers.get(field, ()):
+            if kernel.has_age and not spec.age.is_literal:
+                if f_age is None:
+                    continue
+                p_age = spec.age.solve(f_age)
+                if p_age is None or not self._age_ok(p_age, kernel):
+                    continue
+            else:
+                concrete = spec.age.literal if spec.age.is_literal else 0
+                if concrete != (f_age if f_age is not None else 0):
+                    continue
+            counts: dict[str, int] | None = None
+            for i, dim in enumerate(spec.dims):
+                if dim.is_all or dim.block != 1 or dim.offset != 0:
+                    continue
+                if counts is None:
+                    counts = kernel.index_counts(self._extent_of)
+                need = counts.get(dim.var, 0)
+                if need and i < len(extent) and extent[i] < need:
+                    return False
         return True
 
     # ------------------------------------------------------------------

@@ -73,7 +73,6 @@ from .fields import (
 )
 from .kernels import KernelContext, KernelInstance
 from .program import Program
-from .scheduler import apply_decisions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runtime import ExecutionNode
@@ -108,14 +107,6 @@ class ExecutionBackend:
         """Run one instance: a batch of one (a convenience for callers
         outside the runtime; the worker loop never uses it)."""
         self.execute_batch([inst], worker_id)
-
-    def on_replan(self, decisions, epoch: int) -> None:
-        """The node re-bound to a rewritten program at ``epoch`` (online
-        LLS adaptation).  Called on the analyzer thread *before* any
-        instance of the new version is dispatched.  Backends executing in
-        the parent process need nothing — the instance carries its own
-        kernel definition — so the default is a no-op; the process
-        backend forwards the decisions to its workers."""
 
     def on_retire(self, min_age: int, fields=None) -> None:
         """Every field age below ``min_age`` has been retired (streaming
@@ -352,31 +343,15 @@ def _worker_main(
     the parent only marks regions written from an ``"ok"`` reply.
     ``None`` (or EOF) means shut down.
 
-    A ``("__replan__", epoch, decisions)`` message (no reply) announces a
-    live LLS swap: kernel bodies are closures and cannot cross the pipe,
-    so the parent ships the *decisions* and the worker re-applies them to
-    derive the identical rewritten program, versioned by epoch in its
-    own :class:`~repro.core.runtime.ProgramHandle` exactly like the
-    parent's.  A
-    failing re-apply kills the worker — the parent surfaces that as
-    :class:`~repro.core.errors.WorkerProcessError` rather than let the
-    pool silently diverge from the analyzer's program.
-
     A ``("__retire__", min_age)`` message (no reply, streaming age
     retirement) closes the worker's cached shared-memory views below
     ``min_age``; the retirement invariant guarantees no later instance
     will fetch those ages again.
     """
-    from .runtime import ProgramHandle  # runtime imports this module
-
-    handle = ProgramHandle(
+    program = (
         program_source() if callable(program_source) else program_source
     )
-    # LLS rewrites replace kernels, never field definitions (fusion only
-    # drops one), so the base version's fields serve every epoch.
-    cache = _SegmentCache(
-        run_id, shared_tracker, handle.base.fields.values()
-    )
+    cache = _SegmentCache(run_id, shared_tracker, program.fields.values())
     try:
         while True:
             try:
@@ -385,18 +360,12 @@ def _worker_main(
                 return
             if msg is None:
                 return
-            if msg[0] == "__replan__":
-                _tag, epoch, decisions = msg
-                handle.register(
-                    epoch, apply_decisions(handle.current, decisions)
-                )
-                continue
             if msg[0] == "__retire__":
                 cache.retire(msg[1], msg[2] if len(msg) > 2 else None)
                 continue
             kernel_name, age, indices = msg
             try:
-                kernel = handle.kernel_for_age(kernel_name, age)
+                kernel = program.kernels[kernel_name]
                 conn.send(
                     ("ok",) + run_batch(
                         kernel, age, indices, cache, KernelContext(),
@@ -456,9 +425,8 @@ class ProcessBackend(ExecutionBackend):
         self._conns: list[Any] = []
         self._node: "ExecutionNode | None" = None
         # Control-message forwarding: an append-only list of ready-to-send
-        # tuples — ("__replan__", epoch, decisions) from the analyzer
-        # thread, ("__retire__", min_age) from the stream retirer — plus
-        # a per-worker count of messages already sent down its pipe.
+        # ("__retire__", min_age, fields) tuples plus a per-worker count
+        # of messages already sent down its pipe.
         # Each proxy thread forwards the unsent suffix on its *own* pipe
         # right before its next instance send, so control messages never
         # interleave with another thread's traffic (pipes are not
@@ -519,11 +487,6 @@ class ProcessBackend(ExecutionBackend):
             self._procs.append(proc)
             self._conns.append(parent_conn)
             self._sent.append(0)
-
-    def on_replan(self, decisions, epoch: int) -> None:
-        """Record a swap batch for lazy per-worker forwarding (the
-        proxies drain it before their next instance send)."""
-        self._control.append(("__replan__", epoch, tuple(decisions)))
 
     def on_retire(self, min_age: int, fields=None) -> None:
         """Record a retirement floor for lazy per-worker forwarding;

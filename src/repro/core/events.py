@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .fields import IndexExpr, RegionGroup, index_shape
@@ -115,33 +115,6 @@ class RetireEvent(Event):
 
 
 @dataclass(frozen=True)
-class ReplanEvent(Event):
-    """Ask the analyzer thread to re-bind the node to a rewritten
-    program (online LLS adaptation).
-
-    ``decisions`` is a tuple of LLS decisions
-    (:class:`~repro.core.scheduler.GranularityDecision` /
-    :class:`~repro.core.scheduler.FusionDecision`).  The analyzer applies
-    them at a safe age boundary — the *swap epoch* — of its own choosing,
-    unless ``epoch`` pins one (the distributed commit path, where the
-    kernel's owner already chose the epoch and the other nodes only
-    update their producer maps).  ``remote`` marks that producers-only
-    flavour.
-
-    ``token`` is the :class:`WorkToken` the enqueuer acquired so a run
-    cannot be declared idle while the swap is in flight; the analyzer
-    releases it once the event is retired.
-    """
-
-    decisions: tuple
-    epoch: int | None = None
-    remote: bool = False
-    token: "WorkToken | None" = dc_field(
-        default=None, compare=False, repr=False
-    )
-
-
-@dataclass(frozen=True)
 class ShutdownEvent(Event):
     """Sentinel asking the analyzer thread to exit."""
 
@@ -155,9 +128,8 @@ class WorkToken:
     :class:`~repro.core.runtime.WorkCounter`).  Several subsystems pin
     the counter above zero across a window in which work is owned by no
     dispatchable instance: the recovery manager while a dead node's
-    kernels have no owner, the analyzer while a replan swap is in
-    flight, a stream driver until its last frame has been offered, and
-    the cluster across startup and membership migrations.  Each of those
+    kernels have no owner, a stream driver until its last frame has been
+    offered, and the cluster across startup and membership migrations.  Each of those
     windows used to hand-roll the same held-flag + lock + idempotent
     decrement; this class is that pattern, once.
 

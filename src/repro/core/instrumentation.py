@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 @dataclass
@@ -61,36 +61,6 @@ class KernelStats:
             self.kernel_time + other.kernel_time,
             self.ipc_time + other.ipc_time,
         )
-
-
-def delta_stats(
-    prev: Mapping[str, KernelStats] | None,
-    cur: Mapping[str, KernelStats],
-) -> dict[str, KernelStats]:
-    """Per-kernel difference between two :meth:`Instrumentation.stats`
-    snapshots (``cur - prev``), keeping only kernels that executed new
-    instances in the interval.
-
-    The online adaptation driver feeds these *interval* stats — not the
-    whole-run averages — to :class:`~repro.core.scheduler.AdaptivePolicy`:
-    after a coarsen swap the cumulative dispatch ratio still reflects the
-    fine-grained prefix of the run, but the delta shows the rewritten
-    kernel's true post-swap behaviour.
-    """
-    prev = prev or {}
-    out: dict[str, KernelStats] = {}
-    for name, s in cur.items():
-        p = prev.get(name, KernelStats())
-        n = s.instances - p.instances
-        if n <= 0:
-            continue
-        out[name] = KernelStats(
-            n,
-            max(0.0, s.dispatch_time - p.dispatch_time),
-            max(0.0, s.kernel_time - p.kernel_time),
-            max(0.0, s.ipc_time - p.ipc_time),
-        )
-    return out
 
 
 class Instrumentation:

@@ -28,7 +28,7 @@ import itertools
 import queue
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any
 
 from ..obs import (
@@ -38,88 +38,22 @@ from ..obs import (
     dump_flight,
     peak_rss_bytes,
 )
-from .analyzer import DependencyAnalyzer, ReplanRecord
+from .analyzer import DependencyAnalyzer
 from .backends import ExecutionBackend, resolve_backend
 from .deadlines import TimerSet
 from .errors import RuntimeStateError, StallError
 from .events import (
     Event,
     InstanceDoneEvent,
-    ReplanEvent,
     ResizeEvent,
     RetireEvent,
     ShutdownEvent,
     StoreEvent,
-    WorkToken,
 )
 from .fields import FieldStore, SharedFieldStore
 from .instrumentation import Instrumentation
 from .kernels import KernelInstance
 from .program import Program
-from .scheduler import FusionDecision, GranularityDecision
-
-
-class ProgramHandle:
-    """Swappable indirection over the program a node is executing.
-
-    A node binds its analyzer, ready queue, and backend to this handle
-    instead of a fixed :class:`~repro.core.program.Program`.  Each online
-    re-binding (the LLS applying a coarsen/fuse decision mid-run)
-    registers a new *(epoch, program)* version; ages below the epoch keep
-    the previous version's decomposition, ages at or above it use the new
-    one.  Registration happens on the analyzer thread; readers (backends,
-    recovery, diagnostics) may be on any thread, so access is locked.
-    """
-
-    def __init__(self, program: Program) -> None:
-        self._lock = threading.Lock()
-        self._versions: list[tuple[int, Program]] = [(0, program)]
-
-    @property
-    def base(self) -> Program:
-        """The version the run started with (owns ages before any swap)."""
-        return self._versions[0][1]
-
-    @property
-    def current(self) -> Program:
-        """The newest version (owns all ages ≥ :attr:`epoch`)."""
-        with self._lock:
-            return self._versions[-1][1]
-
-    @property
-    def epoch(self) -> int:
-        """Epoch of the newest version (0 before any swap)."""
-        with self._lock:
-            return self._versions[-1][0]
-
-    def register(self, epoch: int, program: Program) -> None:
-        """Install a new version owning ages ≥ ``epoch`` (clamped to be
-        monotonic: a version can never own ages an earlier one already
-        claimed)."""
-        with self._lock:
-            epoch = max(epoch, self._versions[-1][0])
-            self._versions.append((epoch, program))
-
-    def versions(self) -> list[tuple[int, Program]]:
-        """Snapshot of every ``(epoch, program)`` version, oldest first."""
-        with self._lock:
-            return list(self._versions)
-
-    def version_for_age(self, age: int | None) -> Program:
-        """The program owning ``age`` (``None`` — run-once work — stays
-        on the base version)."""
-        with self._lock:
-            if age is None:
-                return self._versions[0][1]
-            for epoch, prog in reversed(self._versions):
-                if epoch <= age:
-                    return prog
-            return self._versions[0][1]
-
-    def kernel_for_age(self, name: str, age: int | None):
-        """Definition of ``name`` in the version owning ``age`` (or
-        ``None`` if that version no longer has the kernel)."""
-        return self.version_for_age(age).kernels.get(name)
 
 
 def _session_prefix(inst: KernelInstance) -> str:
@@ -352,9 +286,9 @@ class ReadyQueue:
         sessions (each member charges the session's deficit, so a large
         claim costs its tenant future turns).  Matching is by
         kernel-definition *identity* (``is``), which is strictly finer
-        than name equality: a replan installs fresh definitions for the
-        new epoch, so a batch can never mix pre- and post-swap
-        decompositions even for ties within one age.  Equal age keeps
+        than name equality: two definitions that share a name (a
+        rewritten kernel next to the one it came from) never share a
+        claim, even for ties within one age.  Equal age keeps
         the GC/retirement live-age bookkeeping exact (a worker runs one
         age at a time).  Sentinels are consumed only when every heap is
         empty, so a shutdown marker is never consumed mid-batch.
@@ -553,8 +487,6 @@ class RunResult:
     backend: str = "threads"  #: execution backend that ran the program
     metrics: "MetricsRegistry | None" = None  #: the node's registry
     tracer: "Tracer | None" = None  #: the tracer the run recorded into
-    #: Mid-run LLS re-bindings applied, in order (empty when static).
-    replans: list = dc_field(default_factory=list)
     #: :class:`~repro.stream.StreamReport` when the run was driven by a
     #: live source (``run_program(stream=...)``); ``None`` for batch runs.
     stream: Any = None
@@ -692,20 +624,9 @@ class ExecutionNode:
         self.timers = timers if timers is not None else TimerSet(
             program.timers, clock
         )
-        #: Swappable program indirection: the analyzer registers every
-        #: online re-binding here so backends/recovery/diagnostics can
-        #: resolve the program version owning any given age.
-        self.handle = ProgramHandle(program)
         self.analyzer = DependencyAnalyzer(
-            program, self.fields, max_age, producers=dependency_kernels,
-            handle=self.handle,
+            program, self.fields, max_age, producers=dependency_kernels
         )
-        #: Applied mid-run re-bindings, in order (see :meth:`request_replan`).
-        self.replans: list[ReplanRecord] = []
-        #: Optional callback ``(node, record)`` fired on the analyzer
-        #: thread after a *local* replan is applied — the distributed
-        #: layer uses it to broadcast the committed epoch to peer nodes.
-        self.on_replan = None
         self.instrumentation = Instrumentation()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -767,6 +688,8 @@ class ExecutionNode:
         self._running_ages: dict[int, int] = {}  # worker id -> age
         self._running_sessions: dict[int, str] = {}  # worker id -> session
         self._gc_bytes = 0
+        self._gc_floor = 0  #: ages below this were retired by gc_fields
+        self._analyzer_thread: threading.Thread | None = None
         self._max_back = max(
             (0,)
             + tuple(
@@ -799,39 +722,6 @@ class ExecutionNode:
                 return
             self._inc()
             self._events.put(ev)
-
-    @property
-    def current_program(self) -> Program:
-        """The newest program version behind :attr:`handle`."""
-        return self.handle.current
-
-    def request_replan(
-        self, decisions, *, epoch: int | None = None, remote: bool = False
-    ) -> bool:
-        """Ask the analyzer thread to re-bind to a rewritten program.
-
-        Queues a :class:`ReplanEvent` carrying the LLS ``decisions``; the
-        analyzer applies them at a safe age boundary (see
-        :meth:`DependencyAnalyzer.apply_replan`).  The queued event holds
-        a :class:`~repro.core.events.WorkToken`, so a run cannot be
-        declared idle while a swap is in flight.  Thread-safe; callable
-        from the adaptation driver or a transport handler.  Returns
-        ``False`` when the node has already wound down (or finished) and
-        the request was dropped.
-
-        ``remote`` marks a producers-only update for kernels owned by
-        another node, pinned at that node's committed ``epoch``.
-        """
-        decisions = tuple(decisions)
-        if not decisions:
-            return False
-        with self._inject_lock:
-            if self._dead:
-                return False
-            token = WorkToken(self._counter, label=f"replan:{self.name}")
-            self._events.put(ReplanEvent(decisions, epoch=epoch,
-                                         remote=remote, token=token))
-        return True
 
     # ------------------------------------------------------------------
     # Worker side
@@ -1054,19 +944,6 @@ class ExecutionNode:
                 args={"count": n},
             )
 
-    def _retire_event(self, ev: Event) -> None:
-        """Retire one queued event's outstanding-work unit.
-
-        Token-carrying events (replan swaps) release their own
-        :class:`~repro.core.events.WorkToken`; everything else retires
-        the generic per-event count.
-        """
-        token = getattr(ev, "token", None)
-        if token is not None:
-            token.release()
-        else:
-            self._dec()
-
     def _analyzer_loop(self) -> None:
         while True:
             ev = self._events.get()
@@ -1082,8 +959,6 @@ class ExecutionNode:
                     self._dispatch(self.analyzer.on_done(ev))
                     if self.gc_fields:
                         self._collect_garbage()
-                elif isinstance(ev, ReplanEvent):
-                    self._handle_replan(ev)
                 elif isinstance(ev, RetireEvent):
                     self.analyzer.retire_below(ev.min_age, ev.kernels)
             except BaseException as exc:  # noqa: BLE001
@@ -1104,53 +979,10 @@ class ExecutionNode:
                         args = {"field": ev.field}
                     tr.complete(type(ev).__name__, "analyzer",
                                 self.name, "analyzer", t0, t1, args)
-                self._retire_event(ev)
-
-    def _handle_replan(self, ev: ReplanEvent) -> None:
-        """Apply a queued re-binding on the analyzer thread.
-
-        Local replans rewrite this node's program (new version at the
-        analyzer-chosen safe epoch), notify the backend so worker
-        processes pick up the swap, and fire :attr:`on_replan`.  Remote
-        replans only advance the producer bookkeeping for kernels owned
-        by other nodes.  Either way the adaptation counters and a
-        ``replan`` span record what happened.
-        """
-        t0 = time.perf_counter()
-        if ev.remote:
-            rec = self.analyzer.apply_remote(ev.decisions, ev.epoch)
-        else:
-            rec = self.analyzer.apply_replan(ev.decisions)
-        if rec is None:
-            return
-        self.replans.append(rec)
-        m = self.metrics
-        m.counter("adapt.replans").inc()
-        for d in rec.decisions:
-            if isinstance(d, GranularityDecision):
-                m.counter("adapt.coarsen").inc()
-            elif isinstance(d, FusionDecision):
-                m.counter("adapt.fuse").inc()
-        m.gauge("adapt.epoch").set_max(rec.epoch)
-        if not rec.remote:
-            self.backend.on_replan(rec.decisions, rec.epoch)
-        tr = self.tracer
-        if tr.enabled:
-            tr.complete(
-                "replan", "adapt", self.name, "analyzer",
-                t0, time.perf_counter(),
-                args={
-                    "epoch": rec.epoch,
-                    "remote": rec.remote,
-                    "decisions": [repr(d) for d in rec.decisions],
-                    "skipped": [repr(d) for d in rec.skipped],
-                },
-            )
-        if not rec.remote and self.on_replan is not None:
-            self.on_replan(self, rec)
+                self._dec()
 
     def _collect_garbage(self) -> None:
-        """Free field ages no pending/ready/running instance can reach."""
+        """Retire field ages no pending/ready/running instance can reach."""
         live: list[int] = []
         p = self.analyzer.min_pending_age()
         if p is not None:
@@ -1161,9 +993,33 @@ class ExecutionNode:
         live.extend(self._running_ages.values())
         if not live:
             return
-        min_live = min(live) - self._max_back - self.keep_ages
-        if min_live > 0:
-            self._gc_bytes += self.fields.collect_below(min_live)
+        floor = min(live) - self._max_back - self.keep_ages
+        if floor > self._gc_floor:
+            self._gc_floor = floor
+            self._gc_bytes += self.retire(floor)
+
+    def retire(self, floor: int, fields=None, kernels=None) -> int:
+        """Retire every age below ``floor``; returns field bytes freed.
+
+        The one retirement routine, shared by ``gc_fields`` and the
+        stream :class:`~repro.stream.Retirer` (which computes the floor
+        — DESIGN.md §11 — and guarantees no undispatched instance can
+        fetch below it): free the field ages, tell the backend so
+        worker processes unmap the unlinked segments, and drop the
+        analyzer's dispatch bookkeeping — inline on the analyzer
+        thread, as a :class:`RetireEvent` from any other, so that state
+        is only ever touched there.  ``fields`` / ``kernels`` (name
+        sets) scope the retirement to one session of a multi-tenant
+        node.  Idempotent, so nodes sharing one field store may each be
+        told.
+        """
+        freed = self.fields.collect_below(floor, fields)
+        self.backend.on_retire(floor, fields)
+        if threading.current_thread() is self._analyzer_thread:
+            self.analyzer.retire_below(floor, kernels)
+        else:
+            self.inject(RetireEvent(floor, kernels))
+        return freed
 
     # ------------------------------------------------------------------
     # Driving a run
@@ -1258,7 +1114,7 @@ class ExecutionNode:
             except queue.Empty:
                 break
             if not isinstance(ev, ShutdownEvent):
-                self._retire_event(ev)
+                self._dec()
         # Shm hygiene: a wound-down node that *owns* its shared store has
         # no join() coming to unlink the segment names — release here or
         # they outlive the process in /dev/shm.  Cluster nodes share an
@@ -1279,10 +1135,10 @@ class ExecutionNode:
         if not self._ran:
             raise RuntimeStateError("join() before start()")
         outcome = self._counter.wait(timeout, stall_timeout)
-        # Close the injection window before tearing down: a replan or
-        # transport delivery landing after quiescence would enqueue
-        # behind the shutdown sentinel and leak its counter token
-        # (hanging any other waiter on a shared counter).
+        # Close the injection window before tearing down: a transport
+        # delivery landing after quiescence would enqueue behind the
+        # shutdown sentinel and leak its counter unit (hanging any
+        # other waiter on a shared counter).
         with self._inject_lock:
             self._dead = True
         reason = "idle"
@@ -1340,7 +1196,6 @@ class ExecutionNode:
             backend=self.backend.name,
             metrics=self.metrics,
             tracer=self.tracer if self.tracer.enabled else None,
-            replans=list(self.replans),
         )
 
     def _export_metrics(self) -> None:
@@ -1393,19 +1248,11 @@ def run_program(
     backend: "str | ExecutionBackend" = "threads",
     tracer: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
-    adapt=None,
     stream=None,
     batch: int = 1,
     telemetry=None,
 ) -> RunResult:
     """One-shot convenience: build an :class:`ExecutionNode` and run it.
-
-    ``adapt`` turns on online LLS adaptation: ``True`` for the default
-    :class:`~repro.core.adaptation.AdaptationConfig`, or a config
-    instance to tune the policy thresholds.  An
-    :class:`~repro.core.adaptation.AdaptationDriver` then watches the
-    node's instrumentation in the background and applies coarsen/fuse
-    re-bindings mid-run (see :meth:`ExecutionNode.request_replan`).
 
     ``stream`` turns the run into a live, unbounded pipeline: pass a
     :class:`~repro.stream.StreamBinding` (e.g. from
@@ -1449,14 +1296,6 @@ def run_program(
     if tel is not None:
         tel.attach_tracer(node.tracer)
         tel.exporter.add_source(node.name, node.metrics.snapshot)
-    drivers: list = []
-    if adapt:
-        from .adaptation import AdaptationConfig, AdaptationDriver
-
-        cfg = adapt if isinstance(adapt, AdaptationConfig) else (
-            AdaptationConfig()
-        )
-        drivers.append(AdaptationDriver(cfg, node=node))
     sdriver = None
     if stream is not None:
         from ..stream import StreamDriver
@@ -1464,17 +1303,15 @@ def run_program(
         sdriver = stream if isinstance(stream, StreamDriver) else (
             StreamDriver(stream, node=node, telemetry=tel)
         )
-        drivers.append(sdriver)
-    if not drivers and tel is None:
+        node.add_teardown_hook(sdriver.stop)
+    if sdriver is None and tel is None:
         return node.run(timeout=timeout, stall_timeout=stall_timeout)
-    for drv in drivers:
-        node.add_teardown_hook(drv.stop)
     if tel is not None:
         tel.start()
     try:
         node.start()
-        for drv in drivers:
-            drv.start()
+        if sdriver is not None:
+            sdriver.start()
         result = node.join(timeout=timeout, stall_timeout=stall_timeout)
     finally:
         if tel is not None:

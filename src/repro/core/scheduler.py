@@ -463,11 +463,10 @@ class GranularityDecision:
         Validates the factor before rewriting: the policy only ever
         produces power-of-two factors in ``[1, MAX_DECISION_FACTOR]``,
         so anything else reaching apply means the decision was built by
-        hand (or corrupted in transit) and is rejected with a
-        :class:`SchedulerError` rather than silently producing an
-        unexpected decomposition.  Note :func:`coarsen` itself accepts
-        any factor ≥ 1 — the restriction is on *decisions*, the values
-        that flow through the online adaptation path.
+        hand and is rejected with a :class:`SchedulerError` rather than
+        silently producing an unexpected decomposition.  Note
+        :func:`coarsen` itself accepts any factor ≥ 1 — the restriction
+        is on *decisions*, the values the policy recommends.
         """
         f = self.factor
         if (
@@ -501,17 +500,8 @@ class FusionDecision:
         return fuse(program, self.first, self.second)
 
 
-def decision_kernels(decision) -> tuple[str, ...]:
-    """The kernel names a decision rewrites (removes/replaces)."""
-    if isinstance(decision, FusionDecision):
-        return (decision.first, decision.second)
-    return (decision.kernel,)
-
-
 def apply_decisions(program: Program, decisions: Sequence) -> Program:
-    """Apply a batch of LLS decisions in order.  Also runs inside worker
-    processes: a live swap ships the (picklable) decisions over the pipe
-    and each worker re-derives the identical rewritten program."""
+    """Apply a batch of LLS decisions in order."""
     for d in decisions:
         program = d.apply(program)
     return program
@@ -585,9 +575,7 @@ class AdaptivePolicy:
         """LLS decisions for kernels whose dispatch ratio is too high.
 
         ``instrumentation`` is either an :class:`Instrumentation`
-        collector or a plain ``{kernel: KernelStats}`` mapping (the
-        online driver passes interval deltas so decisions react to
-        *recent* behaviour, not the whole-run average).
+        collector or a plain ``{kernel: KernelStats}`` mapping.
 
         With ``fuse=True`` the policy also recommends fusing
         :func:`fusable_pairs` whose endpoints both pay high dispatch

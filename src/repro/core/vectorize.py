@@ -28,10 +28,10 @@ per instance.  The escape hatches:
   :func:`~repro.core.execute.run_batch` re-runs that stack in its
   scalar loop — nothing of the claim has been written by then — and
   reports the drop (``exec.vectorize_fallbacks``);
-* LLS replan rewrites construct fresh :class:`KernelDef` objects with
-  the default ``batch_body=None``, so post-swap epochs revert to the
-  scalar path automatically — a batch never spans an epoch anyway
-  (batches are formed by kernel-definition *identity*).
+* LLS rewrites (:func:`~repro.core.scheduler.coarsen` /
+  :func:`~repro.core.scheduler.fuse`) construct fresh
+  :class:`KernelDef` objects with the default ``batch_body=None``, so
+  a rewritten kernel runs the scalar path.
 
 Byte-identity is a hard requirement, exactly as for the LLS rewrites:
 every pattern reproduces the scalar body's arithmetic bit for bit

@@ -50,14 +50,12 @@ from ..core import (
     RunResult,
     WorkCounter,
 )
-from ..core.adaptation import AdaptationConfig, AdaptationDriver
 from ..core.deadlines import TimerSet
 from ..core.errors import PartitionError, SchedulerError
 from ..core.events import ResizeEvent, StoreEvent, WorkToken
 from ..core.fields import FieldStore
-from ..core.instrumentation import Instrumentation, KernelStats
+from ..core.instrumentation import Instrumentation
 from ..core.runtime import _resolve_telemetry
-from ..core.scheduler import apply_decisions, decision_kernels
 from ..obs import MetricsRegistry, NULL_TRACER, Tracer, dump_flight
 from .faults import FaultInjector
 from .heartbeat import Heartbeater, HeartbeatMonitor
@@ -116,24 +114,6 @@ class ClusterResult:
     migrations: list[MigrationRecord] = dc_field(default_factory=list)
     #: Elastic runs: final membership snapshot (``as_dict()`` form).
     membership: dict | None = None
-
-    @property
-    def replans(self) -> list:
-        """Every node's applied mid-run re-bindings (local ones first,
-        then the producers-only remote mirrors)."""
-        out = [
-            rec
-            for r in self.node_results.values()
-            for rec in r.replans
-            if not rec.remote
-        ]
-        out += [
-            rec
-            for r in self.node_results.values()
-            for rec in r.replans
-            if rec.remote
-        ]
-        return out
 
     @property
     def instrumentation(self) -> Instrumentation:
@@ -614,7 +594,6 @@ class Cluster:
         recovery: RecoveryConfig | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        adapt: "AdaptationConfig | bool | None" = None,
         stream=None,
         sessions=None,
         batch: int = 1,
@@ -638,17 +617,6 @@ class Cluster:
         automatic node replacement with bounded retries.  Exhausting the
         restart budget (or losing every node) raises
         :class:`~repro.core.errors.NodeFailureError`.
-
-        ``adapt`` switches on online LLS adaptation cluster-wide: a
-        driver on the master merges every node's instrumentation, runs
-        :class:`~repro.core.scheduler.AdaptivePolicy` on the interval
-        deltas, and broadcasts recommended decisions on the
-        ``adapt.plan`` control topic.  The node owning a decision's
-        kernels applies it at its locally safe epoch and commits that
-        epoch on ``adapt.commit``; the other nodes mirror the rewrite
-        into their producer bookkeeping at the committed epoch.  Fusion
-        decisions whose kernels live on different nodes are discarded
-        (fusing them would strand the pipe field across the boundary).
 
         ``stream`` (a :class:`~repro.stream.StreamBinding` or prebuilt
         :class:`~repro.stream.StreamDriver`) runs the cluster live: the
@@ -846,94 +814,6 @@ class Cluster:
         for node in exec_nodes.values():
             self._wire(node)
 
-        # ---- online adaptation (two-phase: plan broadcast -> owner
-        # applies at its safe epoch -> epoch commit to the others) ----
-        adapt_cfg: AdaptationConfig | None = None
-        if adapt:
-            adapt_cfg = (
-                adapt if isinstance(adapt, AdaptationConfig)
-                else AdaptationConfig()
-            )
-
-        def wire_adapt(node: ExecutionNode) -> None:
-            # The transport never delivers a message back to its sender,
-            # so the owner's own commit does not echo into it.
-            self.transport.subscribe(
-                "adapt.plan", node.name,
-                lambda msg, node=node: node.request_replan(
-                    msg.payload["decisions"]
-                ),
-            )
-            self.transport.subscribe(
-                "adapt.commit", node.name,
-                lambda msg, node=node: node.request_replan(
-                    msg.payload["decisions"],
-                    epoch=msg.payload["epoch"],
-                    remote=True,
-                ),
-            )
-
-            def commit(n: ExecutionNode, rec) -> None:
-                self.transport.publish(
-                    "adapt.commit", n.name,
-                    {
-                        "origin": n.name,
-                        "epoch": rec.epoch,
-                        "decisions": rec.decisions,
-                    },
-                    control=True,
-                )
-
-            node.on_replan = commit
-
-        driver: AdaptationDriver | None = None
-        if adapt_cfg is not None:
-            for node in exec_nodes.values():
-                wire_adapt(node)
-            owner = {
-                k: n
-                for n in assignment.nodes()
-                for k in assignment.kernels_for(n)
-            }
-            tracked = {"program": self.program}
-
-            def merged_stats() -> dict[str, KernelStats]:
-                out: dict[str, KernelStats] = {}
-                for node in list(exec_nodes.values()):
-                    for k, s in node.instrumentation.stats().items():
-                        out[k] = out[k].merged(s) if k in out else s
-                return out
-
-            def broadcast_plan(decisions) -> bool:
-                ok = [
-                    d for d in decisions
-                    if len({owner.get(n)
-                            for n in decision_kernels(d)}) == 1
-                ]
-                if not ok:
-                    return False
-                self.transport.publish(
-                    "adapt.plan", "master",
-                    {"decisions": tuple(ok)}, control=True,
-                )
-                # Track the rewrite optimistically so the next policy
-                # round reasons about the post-swap program.
-                try:
-                    tracked["program"] = apply_decisions(
-                        tracked["program"], ok
-                    )
-                except SchedulerError:
-                    pass
-                return True
-
-            driver = AdaptationDriver(
-                adapt_cfg,
-                stats_fn=merged_stats,
-                program_fn=lambda: tracked["program"],
-                apply_fn=broadcast_plan,
-                name="master-adapt",
-            )
-
         # ---- live streaming (source -> field topics, credits back on
         # the stream.credit control topic) ----
         sdriver = None
@@ -1115,11 +995,6 @@ class Cluster:
             if faults is not None:
                 faults.wrap(repl)
             self._wire(repl)
-            if adapt_cfg is not None:
-                # The replacement restarts from the node's base program
-                # (granularity reverts — byte-identical either way); it
-                # still hears future plan/commit traffic.
-                wire_adapt(repl)
             if monitor is not None:
                 monitor.watch(name)
             repl.start()
@@ -1210,8 +1085,6 @@ class Cluster:
                 heartbeaters[name] = hb
                 hb.start()
             manager.start()
-        if driver is not None:
-            driver.start()
         for drv in live_drivers:
             drv.start()
         rt.running = True
@@ -1230,8 +1103,6 @@ class Cluster:
         if edriver is not None:
             edriver.stop()
         rt.running = False
-        if driver is not None:
-            driver.stop()
         for drv in live_drivers:
             drv.stop()
         if ft or elastic_on:

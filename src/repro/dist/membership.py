@@ -13,9 +13,8 @@ Immutable :class:`MembershipView` snapshots are broadcast on the
 transport's routing filter, the heartbeat monitor, telemetry — observes
 the same versioned node set instead of a frozen list.
 
-Scale decisions come from an :class:`ElasticityDriver`, a sibling of
-:class:`~repro.core.adaptation.AdaptationDriver`: it polls live signals
-(ready-queue depth per worker, per-tenant SLO burn from
+Scale decisions come from an :class:`ElasticityDriver`: it polls live
+signals (ready-queue depth per worker, per-tenant SLO burn from
 :mod:`repro.obs.slo`, or a time trigger for deterministic smoke tests)
 and asks the cluster to rescale.  The migration itself is two-phase —
 ``scale.plan`` announces the intent, the PR 2 fence/repartition/replay
@@ -263,8 +262,8 @@ class ElasticityConfig:
 class ElasticityDriver:
     """Polls live load signals and issues scale decisions.
 
-    Composed like :class:`~repro.core.adaptation.AdaptationDriver` from
-    callables, so the policy is unit-testable without a cluster:
+    Composed from callables, so the policy is unit-testable without a
+    cluster:
 
     ``metrics_fn()``
         returns a dict with ``nodes`` (current active node count),

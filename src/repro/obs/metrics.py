@@ -3,10 +3,7 @@
 Where :mod:`repro.obs.tracing` keeps the timeline, this module keeps the
 *state* a scheduler (the paper's LLS/HLS) or an operator would poll:
 ready-queue depth and wait time, live field bytes, transport traffic,
-deadline misses, recovery counts, and the online-adaptation counters
-(``adapt.replans`` / ``adapt.coarsen`` / ``adapt.fuse`` totals plus the
-``adapt.epoch`` gauge tracking the newest swap boundary).  Three metric
-kinds:
+deadline misses and recovery counts.  Three metric kinds:
 
 * :class:`Counter` — monotonically increasing total;
 * :class:`Gauge` — last-set value (with a ``set_max`` variant so

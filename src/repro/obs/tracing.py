@@ -9,10 +9,8 @@ module keeps the *timeline*.
 
 A :class:`Tracer` records spans (complete events) and instants for every
 kernel-instance lifecycle phase, plus analyzer, scheduler, transport,
-heartbeat, recovery and online-adaptation activity (a ``replan`` span in
-the ``adapt`` category marks each mid-run LLS re-binding, carrying the
-swap epoch and the applied decisions), and exports them as Chrome
-trace-event JSON — the ``{"traceEvents": [...]}`` envelope that loads directly in
+heartbeat and recovery activity, and exports them as Chrome trace-event
+JSON — the ``{"traceEvents": [...]}`` envelope that loads directly in
 Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Lanes map
 P2G concepts onto the viewer's process/thread rows: one *process* row
 per execution node (plus ``master`` for the control plane), one *thread*

@@ -276,7 +276,6 @@ class StreamDriver:
         )
         self.gate = CreditGate(self.cfg.lag_window)
         self.retirer = Retirer(
-            self._fields,
             self._nodes,
             max_back=max(n._max_back for n in self._nodes),
             keep_ages=self.cfg.keep_ages,

@@ -1,14 +1,13 @@
 """Age retirement: bounded field memory on unbounded runs.
 
 A batch run keeps every age alive until teardown; a live encoder would
-grow without bound.  The :class:`Retirer` frees drained ages through
-the existing GC paths (:meth:`Field.collect_age` → ``_AgeSlot.free()``,
-which for shared-memory slots closes *and unlinks* the segment) and
-tells each node's execution backend to drop its workers' cached views
-(:meth:`ExecutionBackend.on_retire`) and each node's dependency
-analyzer to drop its dispatch bookkeeping for those ages (a
-:class:`~repro.core.events.RetireEvent` through the node's event
-queue, so the analyzer's state is still only touched on its thread).
+grow without bound.  The :class:`Retirer` decides *which* ages have
+drained; :meth:`ExecutionNode.retire
+<repro.core.runtime.ExecutionNode.retire>` — the routine ``gc_fields``
+uses too — frees them (:meth:`Field.collect_age` → ``_AgeSlot.free()``,
+which for shared-memory slots closes *and unlinks* the segment), has
+the backend's workers drop their cached views, and drops the
+analyzer's dispatch bookkeeping for those ages.
 
 Invariant (DESIGN.md §11): **an age may be freed iff no undispatched
 instance can fetch it.**  Two independent bounds enforce it:
@@ -30,8 +29,6 @@ from __future__ import annotations
 
 import threading
 
-from ..core.events import RetireEvent
-
 __all__ = ["Retirer"]
 
 
@@ -48,7 +45,6 @@ class Retirer:
 
     def __init__(
         self,
-        fields,
         nodes,
         *,
         max_back: int = 0,
@@ -57,7 +53,6 @@ class Retirer:
         kernel_names=None,
         session: str | None = None,
     ) -> None:
-        self._fields = fields
         self._nodes = list(nodes)
         self._max_back = max_back
         self._keep_ages = max(0, keep_ages)
@@ -184,16 +179,12 @@ class Retirer:
             # Claim the range under the lock so concurrent sweeps
             # (completions race) never double-free or interleave.
             self.retired_through = floor
-        if self._field_names is None:
-            freed = self._fields.collect_below(floor)
-        else:
-            freed = self._fields.collect_below(floor, self._field_names)
-        for node in self._nodes:
-            node.backend.on_retire(floor, self._field_names)
-            # Unit-test stubs are nodes without an event queue.
-            inject = getattr(node, "inject", None)
-            if inject is not None:
-                inject(RetireEvent(floor, self._kernel_names))
+        # Nodes of a cluster share one field store: the first frees it,
+        # the rest report 0.
+        freed = sum(
+            node.retire(floor, self._field_names, self._kernel_names)
+            for node in self._nodes
+        )
         if freed:
             with self._lock:
                 self.freed_bytes += freed

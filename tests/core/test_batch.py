@@ -6,21 +6,19 @@ vectorizer replacing per-instance bodies with one stacked NumPy call
 (``vectorize_program``).  Both must be invisible in the results: every
 test here pins batched/vectorized output against the scalar ground
 truth (``expected_series``, ``mjpeg_baseline``, ``kmeans_baseline``)
-byte for byte, across backends, the cluster layer, and mid-run replans.
+byte for byte, across backends and the cluster layer.
 """
-
-import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    AdaptivePolicy,
     BatchKernelContext,
     Dim,
     ExecutionNode,
     FetchSpec,
-    GranularityDecision,
     KernelDef,
     Program,
     ReadyQueue,
@@ -46,15 +44,6 @@ from repro.workloads import (
     kmeans_baseline,
 )
 from repro.workloads.mjpeg import MJPEGConfig, mjpeg_baseline
-
-
-def _spin_until(predicate, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0)
-    return True
 
 
 def _assert_mulsum(sink, ages, modulo=None):
@@ -132,8 +121,8 @@ class TestPopBatch:
 
     def test_identity_not_name_bounds_the_run(self):
         """Two kernel *definitions* with the same name never batch
-        together — the epoch-safety property (post-replan versions are
-        fresh KernelDef objects)."""
+        together: a claim is one definition's instances (an LLS rewrite
+        is a fresh KernelDef under the old name)."""
         a1 = KernelDef(name="a", body=_noop, has_age=True,
                        index_vars=("x",), domain={"x": 8})
         a2 = KernelDef(name="a", body=_noop, has_age=True,
@@ -335,59 +324,56 @@ class TestByteIdentityCluster:
             assert np.array_equal(sink.history[age], base.history[age])
 
 
-class TestReplanInteraction:
-    """Epoch swaps land on batch boundaries; results stay identical."""
+class TestOfflineRecipe:
+    """The pre-run LLS on top of batching: profile once at ``batch=1``,
+    ``AdaptivePolicy.recommend`` → ``.apply`` → run the rewritten
+    program at ``batch=32``.  The rewrite is invisible in the bytes on
+    both backends (mulsum declares no shapes, so it runs on threads
+    only)."""
 
-    AGES = 12
+    CASES = {
+        "mulsum": (lambda: build_mulsum(), {"max_age": 4}),
+        "kmeans-pair": (
+            lambda: build_kmeans(n=150, k=8, iterations=3,
+                                 granularity="pair"), {}),
+        "kmeans-point": (
+            lambda: build_kmeans(n=150, k=8, iterations=3,
+                                 granularity="point"), {}),
+        "mjpeg": (
+            lambda: build_mjpeg(config=MJPEGConfig(96, 64, frames=3)), {}),
+    }
 
-    def test_mid_run_coarsen_with_batching(self):
-        program, sink = build_mulsum()
-        node = ExecutionNode(program, 2, max_age=self.AGES - 1, batch=16)
-        node.start()
-        _spin_until(
-            lambda: node.instrumentation.total_instances() >= 20
-        )
-        node.request_replan([GranularityDecision("mul2", "x", 4)])
-        result = node.join(timeout=60)
-        _assert_mulsum(sink, self.AGES)
-        if result.replans:
-            # Post-swap kernel defs are fresh objects without a
-            # batch_body — the vectorizer reverts to scalar, and batch
-            # formation by definition identity keeps epochs unmixed.
-            epoch = result.replans[0].epoch
-            swapped = node.handle.version_for_age(epoch)
-            assert swapped.kernels["mul2"].batch_body is None
+    @staticmethod
+    def _bytes(name, sink):
+        if name == "mulsum":
+            return b"".join(arr.tobytes() for age in sorted(sink)
+                            for arr in sink[age])
+        if name == "mjpeg":
+            return sink.stream()
+        return b"".join(sink.history[a].tobytes()
+                        for a in sorted(sink.history))
 
-    def test_mid_run_swap_on_process_backend_batched(self):
-        program, sink = build_kmeans(n=200, k=10, iterations=4,
-                                     granularity="point")
-        node = ExecutionNode(program, 2, backend="processes", batch=16)
-        node.start()
-        _spin_until(
-            lambda: node.instrumentation.total_instances() >= 50
-        )
-        node.request_replan([GranularityDecision("assign", "x", 8)])
-        result = node.join(timeout=120)
-        base = kmeans_baseline(n=200, k=10, iterations=4)
-        for age in base.history:
-            assert np.array_equal(sink.history[age], base.history[age])
-        assert len(result.replans) == 1
-
-    @given(trigger=st.integers(min_value=1, max_value=80),
-           batch=st.sampled_from([2, 8, 32]))
-    @settings(max_examples=8, deadline=None)
-    def test_swap_at_arbitrary_point_stays_identical(self, trigger,
-                                                     batch):
-        program, sink = build_mulsum()
-        node = ExecutionNode(program, 2, max_age=self.AGES - 1,
-                             batch=batch)
-        node.start()
-        _spin_until(
-            lambda: node.instrumentation.total_instances() >= trigger
-        )
-        node.request_replan([GranularityDecision("mul2", "x", 4)])
-        node.join(timeout=60)
-        _assert_mulsum(sink, self.AGES)
+    @pytest.mark.parametrize("name,backend", [
+        (name, backend) for name in sorted(CASES)
+        for backend in ("threads", "processes")
+        if (name, backend) != ("mulsum", "processes")
+    ])
+    def test_recommended_rewrite_at_batch_32_is_byte_identical(
+            self, name, backend):
+        build, kw = self.CASES[name]
+        program, sink = build()
+        profile = run_program(program, workers=2, batch=1, timeout=120,
+                              **kw)
+        plain = self._bytes(name, sink)
+        policy = AdaptivePolicy(ratio_target=0.1, min_instances=4)
+        decisions = policy.recommend(program, profile.instrumentation,
+                                     fuse=True)
+        assert decisions  # batch=1 is dispatch-bound on all four
+        program, sink = build()
+        rewritten = policy.apply(program, decisions)
+        run_program(rewritten, workers=2, batch=32, backend=backend,
+                    timeout=120, **kw)
+        assert self._bytes(name, sink) == plain
 
 
 class TestRecoverCommitRace:

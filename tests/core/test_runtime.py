@@ -224,6 +224,38 @@ class TestExecutionNode:
         for age in expected:
             assert np.array_equal(sink[age][0], expected[age][0])
 
+    def test_gc_retires_analyzer_bookkeeping_with_the_ages(self):
+        """``gc_fields`` goes through ``ExecutionNode.retire``, the
+        routine the stream retirer uses: the dispatch-once bookkeeping
+        leaves with the field ages instead of growing with the run."""
+        program, _ = build_mulsum(modulo=2**40)
+        node = ExecutionNode(program, 2, max_age=24, gc_fields=True,
+                             keep_ages=1)
+        result = node.run(timeout=120)
+        assert result.gc_bytes > 0
+        assert node.analyzer.dispatched_count() > 250
+        # a few ages' worth (11 instances each), not all 25 ages'
+        assert node.analyzer.tracked_instances() <= 5 * 11
+
+    def test_gc_tells_worker_processes_the_retire_floor(self):
+        """Under ``processes`` the same routine forwards each new floor
+        down the workers' pipes, so they unmap the unlinked segments."""
+        from repro.workloads import build_kmeans, kmeans_baseline
+
+        program, sink = build_kmeans(n=60, k=5, iterations=8,
+                                     granularity="point")
+        node = ExecutionNode(program, 2, backend="processes", batch=4,
+                             gc_fields=True, keep_ages=1)
+        result = node.run(timeout=120)
+        assert result.gc_bytes > 0
+        floors = [m[1] for m in node.backend._control]
+        assert floors and floors == sorted(set(floors))
+        assert all(m[0] == "__retire__" for m in node.backend._control)
+        assert max(node.backend._sent) > 0  # forwarded before a claim
+        base = kmeans_baseline(n=60, k=5, iterations=8)
+        for age in base.history:
+            assert np.array_equal(sink.history[age], base.history[age])
+
     def test_inject_external_event(self):
         """The distributed layer injects store events produced elsewhere;
         the local analyzer must react to them."""

@@ -86,44 +86,6 @@ class TestCorrectness:
         assert np.array_equal(sink[2][0], expected[2][0])
 
 
-class TestClusterAdaptation:
-    def test_adaptive_kmeans_matches_baseline(self):
-        """The master's adaptation driver broadcasts plans; every node
-        swaps at the same epoch and results stay byte-identical."""
-        from repro.core import AdaptationConfig
-
-        program, sink = build_kmeans(n=400, k=20, iterations=6,
-                                     granularity="point")
-        cfg = AdaptationConfig(interval=0.02, min_instances=32)
-        result = Cluster(program, {"a": 2, "b": 2}).run(
-            timeout=180, adapt=cfg
-        )
-        assert result.reason == "idle"
-        base = kmeans_baseline(n=400, k=20, iterations=6)
-        for age in base.history:
-            assert np.array_equal(sink.history[age], base.history[age])
-        local = [r for r in result.replans if not r.remote]
-        remote = [r for r in result.replans if r.remote]
-        # every local commit is mirrored on the peer node at the same
-        # epoch (2 nodes -> one mirror per commit)
-        assert len(remote) == len(local)
-        assert (
-            sorted((r.epoch, r.decisions) for r in remote)
-            == sorted((r.epoch, r.decisions) for r in local)
-        )
-
-    def test_adapt_flag_defaults(self):
-        """adapt=True selects the default config and still converges."""
-        program, sink = build_mulsum()
-        result = Cluster(program, {"a": 2, "b": 2}).run(
-            max_age=3, timeout=60, adapt=True
-        )
-        assert result.reason == "idle"
-        expected = expected_series(4)
-        for age in expected:
-            assert np.array_equal(sink[age][1], expected[age][1])
-
-
 class TestTrafficAccounting:
     def test_cross_node_events_counted(self):
         program, _ = build_mulsum()

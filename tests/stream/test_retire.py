@@ -39,16 +39,24 @@ class StubBackend:
 
 
 class StubNode:
-    def __init__(self) -> None:
+    def __init__(self, fields=None) -> None:
+        self.fields = fields if fields is not None else StubFields()
         self.analyzer = StubAnalyzer()
         self.ready = StubReady()
         self.backend = StubBackend()
         self._running_ages = {}
 
+    def retire(self, floor: int, fields=None, kernels=None) -> int:
+        """``ExecutionNode.retire`` against the stub parts (the real
+        one is covered in tests/core/test_runtime.py)."""
+        self.backend.on_retire(floor, fields)
+        return self.fields.collect_below(floor)
+
 
 def make(max_back=0, keep_ages=0):
-    fields, node = StubFields(), StubNode()
-    r = Retirer(fields, [node], max_back=max_back, keep_ages=keep_ages)
+    fields = StubFields()
+    node = StubNode(fields)
+    r = Retirer([node], max_back=max_back, keep_ages=keep_ages)
     return r, fields, node
 
 
@@ -110,8 +118,8 @@ def test_sweep_is_idempotent():
 
 def test_racing_probe_skips_sweep():
     class RacyNode(StubNode):
-        def __init__(self) -> None:
-            super().__init__()
+        def __init__(self, fields) -> None:
+            super().__init__(fields)
 
             class Racy:
                 def min_pending_age(self, kernels=None):
@@ -120,7 +128,7 @@ def test_racing_probe_skips_sweep():
             self.analyzer = Racy()
 
     fields = StubFields()
-    r = Retirer(fields, [RacyNode()])
+    r = Retirer([RacyNode(fields)])
     for age in range(4):
         r.note_complete(age)
     assert r.sweep() == 0
@@ -128,9 +136,9 @@ def test_racing_probe_skips_sweep():
 
 
 def test_sweep_tells_each_analyzer_through_its_event_queue():
-    """Bookkeeping retires with the ages: a node with an event queue
-    gets a ``RetireEvent`` scoped like ``min_pending_age`` (the stub
-    nodes above, without one, are left alone)."""
+    """Bookkeeping retires with the ages: every node is told the floor
+    scoped like ``min_pending_age`` — what ``ExecutionNode.retire``
+    turns into a ``RetireEvent`` for its analyzer."""
     from repro.core.events import RetireEvent
 
     class QueueNode(StubNode):
@@ -138,12 +146,13 @@ def test_sweep_tells_each_analyzer_through_its_event_queue():
             super().__init__()
             self.injected = []
 
-        def inject(self, ev) -> None:
-            self.injected.append(ev)
+        def retire(self, floor, fields=None, kernels=None) -> int:
+            assert fields == frozenset({"s.f"})
+            self.injected.append(RetireEvent(floor, kernels))
+            return 100
 
-    fields, node = StubFields(), QueueNode()
-    fields.collect_below = lambda age, names=None: 100
-    r = Retirer(fields, [node, StubNode()], keep_ages=1,
+    node = QueueNode()
+    r = Retirer([node, StubNode()], keep_ages=1,
                 field_names={"s.f"}, kernel_names={"s.k"})
     for age in range(4):
         r.note_complete(age)
