@@ -51,7 +51,7 @@ def main() -> None:
     print("global topology:",
           {t.node: t.cpu_capacity for t in cluster.master.topology.nodes()})
 
-    result = cluster.run(method="kl", timeout=300)
+    result = cluster.run(timeout=300)
     print("\nHLS assignment:")
     print(result.assignment.describe())
     print(f"\nrun: {result.reason}, wall {result.wall_time:.2f}s")

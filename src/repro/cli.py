@@ -39,20 +39,18 @@ class _Obs:
         self.metrics_path: str | None = args.metrics_json
         self.tracer = Tracer(mode="full") if self.trace_path else None
         self.metrics = MetricsRegistry()
-        self.slo_path: str | None = getattr(args, "slo_json", None)
+        self.slo_path: str | None = args.slo_json
         self.telemetry = None
-        want_tel = (
-            getattr(args, "telemetry", False)
-            or getattr(args, "telemetry_port", None) is not None
-            or getattr(args, "telemetry_jsonl", None) is not None
+        if (
+            args.telemetry
+            or args.telemetry_port is not None
+            or args.telemetry_jsonl is not None
             or self.slo_path is not None
-        )
-        if want_tel:
+        ):
             from .obs import Telemetry, TelemetryConfig
 
             self.telemetry = Telemetry(TelemetryConfig(
-                port=getattr(args, "telemetry_port", None),
-                jsonl_path=getattr(args, "telemetry_jsonl", None),
+                port=args.telemetry_port, jsonl_path=args.telemetry_jsonl,
             ))
 
     def finish(self) -> None:
@@ -118,6 +116,15 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
                    help="write the per-session SLO summary (tiers, "
                         "misses, burn rates, alerts) as JSON (implies "
                         "--telemetry)")
+
+
+def _add_run_args(p: argparse.ArgumentParser, workers: int,
+                  timeout: float) -> None:
+    p.add_argument("-w", "--workers", type=int, default=workers)
+    p.add_argument("-t", "--timeout", type=float, default=timeout)
+    p.add_argument("--backend", choices=("threads", "processes"),
+                   default="threads",
+                   help="execution backend for kernel bodies")
 
 
 def _add_batch_args(p: argparse.ArgumentParser) -> None:
@@ -203,6 +210,10 @@ def _print_stream_report(args: argparse.Namespace, rep) -> None:
               f"misses / {rep.slo.get('frames')} frames, burn "
               f"{rep.slo.get('burn_rate', 0.0):.2f}x, "
               f"{rep.slo.get('alerts', 0)} alert(s)")
+    _write_stream_json(args, rep)
+
+
+def _write_stream_json(args: argparse.Namespace, rep) -> None:
     if args.stream_json:
         import json
 
@@ -282,13 +293,7 @@ def _print_multitenant_report(args: argparse.Namespace, rep) -> None:
         print(f"  tier {tier}: {agg['sessions']} session(s), "
               f"{agg['offered']} offered, {agg['shed']} shed, "
               f"worst p99 {agg['p99_ms']:.1f}ms")
-    if args.stream_json:
-        import json
-
-        Path(args.stream_json).write_text(
-            json.dumps(rep.as_dict(), indent=2) + "\n"
-        )
-        print(f"stream report -> {args.stream_json}")
+    _write_stream_json(args, rep)
 
 
 def _stream_config(args: argparse.Namespace):
@@ -305,26 +310,65 @@ def _stream_config(args: argparse.Namespace):
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_node(args: argparse.Namespace, program, **kw):
+    """``run_program`` under the subcommand's run, batch and
+    observability flags (``kw``: what only this subcommand passes)."""
     from .core import run_program
-    from .lang import compile_file
 
-    program = compile_file(args.source)
     obs = _Obs(args)
     try:
-        result = run_program(
-            program,
-            workers=args.workers,
-            max_age=args.max_age,
-            timeout=args.timeout,
-            backend=args.backend,
-            tracer=obs.tracer,
-            metrics=obs.metrics,
-            batch=args.batch,
-            telemetry=obs.telemetry,
+        return run_program(
+            program, workers=args.workers, timeout=args.timeout,
+            backend=args.backend, tracer=obs.tracer, metrics=obs.metrics,
+            batch=args.batch, telemetry=obs.telemetry, **kw,
         )
     finally:
         obs.finish()
+
+
+def _run_sessions(args: argparse.Namespace, build_one, write_one):
+    """``--live --sessions N [--tier gold:K]``: N namespaced pipelines
+    multiplexed over one runtime.  ``build_one(i, stream_config)``
+    returns session i's ``(program, binding, sink)``; after the run
+    ``write_one(name, sink, path)`` writes its output — OUTPUT with the
+    session name suffixed — and returns the line to print."""
+    from dataclasses import replace as dc_replace
+
+    from .stream import SessionManager, SessionSpec
+
+    gold = _parse_tier(args.tier, args.sessions)
+    scfg = _stream_config(args)
+    specs, sinks = [], {}
+    for i in range(args.sessions):
+        tier = "gold" if i < gold else "best-effort"
+        program, binding, sinks[f"s{i}"] = build_one(
+            i, dc_replace(scfg, qos_class=tier)
+        )
+        specs.append(SessionSpec(f"s{i}", program, binding))
+    obs = _Obs(args)
+    mgr = SessionManager(
+        specs, workers=args.workers, backend=args.backend,
+        batch=args.batch, admission="queue",
+        metrics=obs.metrics, tracer=obs.tracer,
+        telemetry=obs.telemetry,
+    )
+    try:
+        result = mgr.run(timeout=args.timeout)
+    finally:
+        obs.finish()
+    _print_multitenant_report(args, result.stream)
+    out = Path(args.output)
+    for name, sink in sinks.items():
+        path = out.with_name(f"{out.stem}.{name}{out.suffix}")
+        print("  " + write_one(name, sink, path))
+    return result
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .lang import compile_file
+
+    program = compile_file(args.source)
+    result = _run_node(args, program, max_age=args.max_age)
     print(f"program {program.name!r}: {result.reason} in "
           f"{result.wall_time:.3f}s")
     order = list(program.kernels)
@@ -355,71 +399,56 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mjpeg_sessions(args: argparse.Namespace) -> int:
-    """``mjpeg --live --sessions N [--tier gold:K]``: N namespaced
-    encoder sessions multiplexed over one runtime, each writing its own
-    output file (the session name suffixes the output path)."""
-    from dataclasses import replace as dc_replace
+def _mjpeg_live_sources(args: argparse.Namespace, count: int) -> list:
+    """One frame source per live session: ``-i`` looped, else the
+    ``--source`` / ``--source-glob`` files, else ``None`` (the synthetic
+    camera)."""
+    if args.input:
+        from .stream import FileLoopSource
 
-    from .stream import (
-        FileLoopSource,
-        SessionManager,
-        SessionSpec,
+        return [
+            FileLoopSource(args.input, args.width, args.height)
+            for _ in range(count)
+        ]
+    return (
+        _live_sources(args, args.width, args.height, count)
+        or [None] * count
     )
+
+
+def _cmd_mjpeg_sessions(args: argparse.Namespace) -> int:
+    """``mjpeg --live --sessions N``: each encoder session writes its
+    own output file."""
     from .workloads import MJPEGConfig, build_mjpeg_stream
 
-    gold = _parse_tier(args.tier, args.sessions)
-    scfg = _stream_config(args)
-    glob_sources = (
-        None if args.input
-        else _live_sources(args, args.width, args.height, args.sessions)
-    )
-    specs, sinks = [], {}
-    for i in range(args.sessions):
-        name = f"s{i}"
+    sources = _mjpeg_live_sources(args, args.sessions)
+    total = 0
+
+    def build_one(i: int, scfg):
         cfg = MJPEGConfig(
             width=args.width, height=args.height, frames=args.frames,
             quality=args.quality, dct_method=args.dct, seed=1234 + i,
         )
-        if args.input:
-            source = FileLoopSource(args.input, cfg.width, cfg.height)
-        else:
-            source = glob_sources[i] if glob_sources else None
-        tier = "gold" if i < gold else "best-effort"
         program, sink, binding = build_mjpeg_stream(
-            cfg, dc_replace(scfg, qos_class=tier), source,
-            vectorize=not args.no_vectorize,
+            cfg, scfg, sources[i], vectorize=not args.no_vectorize,
         )
-        specs.append(SessionSpec(name, program, binding))
-        sinks[name] = sink
-    obs = _Obs(args)
-    mgr = SessionManager(
-        specs, workers=args.workers, backend=args.backend,
-        batch=args.batch, admission="queue",
-        metrics=obs.metrics, tracer=obs.tracer,
-        telemetry=obs.telemetry,
-    )
-    try:
-        result = mgr.run(timeout=args.timeout)
-    finally:
-        obs.finish()
-    _print_multitenant_report(args, result.stream)
-    out = Path(args.output)
-    total = 0
-    for name, sink in sinks.items():
-        path = out.with_name(f"{out.stem}.{name}{out.suffix}")
+        return program, binding, sink
+
+    def write_one(name: str, sink, path: Path) -> str:
+        nonlocal total
         data = sink.stream()
         path.write_bytes(data)
         total += len(data)
-        print(f"  {name}: {sink.frame_count()} frames -> {path} "
-              f"({len(data)} bytes)")
+        return (f"{name}: {sink.frame_count()} frames -> {path} "
+                f"({len(data)} bytes)")
+
+    result = _run_sessions(args, build_one, write_one)
     print(f"encoded {args.sessions} sessions ({total} bytes total) in "
           f"{result.wall_time:.2f}s ({args.workers} workers)")
     return 0
 
 
 def _cmd_mjpeg(args: argparse.Namespace) -> int:
-    from .core import run_program
     from .media import read_yuv_file, synthetic_sequence
     from .workloads import MJPEGConfig, build_mjpeg
 
@@ -431,20 +460,11 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
     )
     binding = None
     if args.live:
-        from .stream import FileLoopSource
-
         from .workloads import build_mjpeg_stream
 
-        source = None
-        if args.input:
-            source = FileLoopSource(args.input, cfg.width, cfg.height)
-        else:
-            file_sources = _live_sources(args, cfg.width, cfg.height, 1)
-            if file_sources:
-                source = file_sources[0]
-        scfg = _stream_config(args)
         program, sink, binding = build_mjpeg_stream(
-            cfg, scfg, source, vectorize=not args.no_vectorize
+            cfg, _stream_config(args), _mjpeg_live_sources(args, 1)[0],
+            vectorize=not args.no_vectorize,
         )
     else:
         if args.input:
@@ -454,15 +474,7 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
             frames = synthetic_sequence(cfg.frames, cfg.width, cfg.height)
         program, sink = build_mjpeg(frames, cfg,
                                     vectorize=not args.no_vectorize)
-    obs = _Obs(args)
-    try:
-        result = run_program(program, workers=args.workers,
-                             timeout=args.timeout, backend=args.backend,
-                             tracer=obs.tracer, metrics=obs.metrics,
-                             stream=binding, batch=args.batch,
-                             telemetry=obs.telemetry)
-    finally:
-        obs.finish()
+    result = _run_node(args, program, stream=binding)
     _print_stream_report(args, result.stream)
     if args.output.endswith(".avi"):
         from .media import split_frames, write_avi
@@ -587,58 +599,26 @@ def _ops_write_output(args, path: Path, pipe, cfg) -> str:
             f"{path} ({len(data)} bytes)")
 
 
-def _cmd_ops_sessions(args: argparse.Namespace) -> int:
-    """``ops <scenario> --live --sessions N [--tier gold:K]``: N
-    namespaced operator pipelines multiplexed over one runtime."""
-    from dataclasses import replace as dc_replace
-
-    from .stream import SessionManager, SessionSpec
-
-    gold = _parse_tier(args.tier, args.sessions)
-    scfg = _stream_config(args)
-    cfg = _ops_config(args)
-    specs, pipes = [], {}
-    for i in range(args.sessions):
-        name = f"s{i}"
-        tier = "gold" if i < gold else "best-effort"
-        pipe = _ops_build_stream(
-            args, cfg, dc_replace(scfg, qos_class=tier),
-            seed_shift=1000 * i,
-        )
-        specs.append(SessionSpec(name, pipe.program, pipe.binding))
-        pipes[name] = pipe
-    obs = _Obs(args)
-    mgr = SessionManager(
-        specs, workers=args.workers, backend=args.backend,
-        batch=args.batch, admission="queue",
-        metrics=obs.metrics, tracer=obs.tracer,
-        telemetry=obs.telemetry,
-    )
-    try:
-        result = mgr.run(timeout=args.timeout)
-    finally:
-        obs.finish()
-    _print_multitenant_report(args, result.stream)
-    out = Path(args.output)
-    for name, pipe in pipes.items():
-        path = out.with_name(f"{out.stem}.{name}{out.suffix}")
-        print("  " + _ops_write_output(args, path, pipe, cfg))
-    print(f"{args.scenario}: {args.sessions} sessions in "
-          f"{result.wall_time:.2f}s ({args.workers} workers)")
-    return 0
-
-
 def _cmd_ops(args: argparse.Namespace) -> int:
     """``repro ops {mosaic,motion,transcode}``: run an operator-algebra
     scenario, batch or live."""
-    from .core import run_program
-
-    if args.live and args.sessions > 1:
-        return _cmd_ops_sessions(args)
     cfg = _ops_config(args)
+    if args.live and args.sessions > 1:
+        def build_one(i: int, scfg):
+            pipe = _ops_build_stream(args, cfg, scfg, seed_shift=1000 * i)
+            return pipe.program, pipe.binding, pipe
+
+        result = _run_sessions(
+            args, build_one,
+            lambda _name, pipe, path: _ops_write_output(
+                args, path, pipe, cfg
+            ),
+        )
+        print(f"{args.scenario}: {args.sessions} sessions in "
+              f"{result.wall_time:.2f}s ({args.workers} workers)")
+        return 0
     if args.live:
-        scfg = _stream_config(args)
-        pipe = _ops_build_stream(args, cfg, scfg)
+        pipe = _ops_build_stream(args, cfg, _stream_config(args))
     else:
         from .workloads import (
             build_mosaic,
@@ -652,17 +632,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             "transcode": build_transcode,
         }[args.scenario]
         pipe = builder(cfg, vectorize=not args.no_vectorize)
-    obs = _Obs(args)
-    try:
-        result = run_program(
-            pipe.program, workers=args.workers, timeout=args.timeout,
-            backend=args.backend, tracer=obs.tracer,
-            metrics=obs.metrics,
-            stream=pipe.binding, batch=args.batch,
-            telemetry=obs.telemetry,
-        )
-    finally:
-        obs.finish()
+    result = _run_node(args, pipe.program, stream=pipe.binding)
     _print_stream_report(args, result.stream)
     print(_ops_write_output(args, Path(args.output), pipe, cfg))
     print(f"{result.reason} in {result.wall_time:.2f}s "
@@ -671,7 +641,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmeans(args: argparse.Namespace) -> int:
-    from .core import run_program
     from .workloads import build_kmeans
 
     program, sink = build_kmeans(
@@ -679,15 +648,7 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
         granularity=args.granularity,
         vectorize=not args.no_vectorize,
     )
-    obs = _Obs(args)
-    try:
-        result = run_program(program, workers=args.workers,
-                             timeout=args.timeout, backend=args.backend,
-                             tracer=obs.tracer, metrics=obs.metrics,
-                             batch=args.batch,
-                             telemetry=obs.telemetry)
-    finally:
-        obs.finish()
+    result = _run_node(args, program)
     print(f"k-means n={args.n} K={args.k} x{args.iterations}: "
           f"{result.reason} in {result.wall_time:.2f}s")
     print(result.instrumentation.table(
@@ -699,7 +660,13 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from .dist import Cluster, FaultInjector, FaultSchedule, FaultSpec
+    from .dist import (
+        Cluster,
+        ElasticityConfig,
+        FaultInjector,
+        FaultSchedule,
+        FaultSpec,
+    )
     from .dist.recovery import RecoveryConfig
 
     if args.workload == "mjpeg":
@@ -754,8 +721,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.scale_at is not None:
-        from .dist import ElasticityConfig
-
         # Time-trigger mode: the load policy is disabled (dead-band
         # thresholds) so exactly one deterministic rescale happens.
         elastic = ElasticityConfig(
@@ -765,8 +730,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             queue_high=float("inf"), queue_low=-1.0,
         )
     elif args.elastic:
-        from .dist import ElasticityConfig
-
         elastic = ElasticityConfig()
     obs = _Obs(args)
     try:
@@ -891,13 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="compile and run a .p2g program")
     p.add_argument("source", help="kernel-language source file")
-    p.add_argument("-w", "--workers", type=int, default=4)
     p.add_argument("-a", "--max-age", type=int, default=None,
                    help="age bound for non-terminating programs")
-    p.add_argument("-t", "--timeout", type=float, default=300.0)
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="execution backend for kernel bodies")
+    _add_run_args(p, workers=4, timeout=300.0)
     _add_batch_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_run)
@@ -925,11 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame rate stamped into .avi output; with "
                         "--live, also the source pacing rate (0 = "
                         "unpaced)")
-    p.add_argument("-w", "--workers", type=int, default=4)
-    p.add_argument("-t", "--timeout", type=float, default=1800.0)
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="execution backend for kernel bodies")
+    _add_run_args(p, workers=4, timeout=1800.0)
     _add_stream_args(p)
     _add_batch_args(p)
     _add_obs_args(p)
@@ -963,11 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, default=25.0,
                    help="with --live, the source pacing rate "
                         "(0 = unpaced)")
-    p.add_argument("-w", "--workers", type=int, default=4)
-    p.add_argument("-t", "--timeout", type=float, default=1800.0)
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="execution backend for kernel bodies")
+    _add_run_args(p, workers=4, timeout=1800.0)
     _add_stream_args(p)
     _add_batch_args(p)
     _add_obs_args(p)
@@ -979,13 +930,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--granularity", choices=("pair", "point"),
                    default="point")
-    p.add_argument("-w", "--workers", type=int, default=4)
-    p.add_argument("-t", "--timeout", type=float, default=1800.0)
     p.add_argument("--show", type=int, default=5,
                    help="centroids to print")
-    p.add_argument("--backend", choices=("threads", "processes"),
-                   default="threads",
-                   help="execution backend for kernel bodies")
+    _add_run_args(p, workers=4, timeout=1800.0)
     _add_batch_args(p)
     _add_obs_args(p)
     p.set_defaults(fn=_cmd_kmeans)

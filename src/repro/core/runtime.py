@@ -34,6 +34,7 @@ from typing import Any
 from ..obs import (
     MetricsRegistry,
     NULL_TRACER,
+    Telemetry,
     Tracer,
     dump_flight,
     peak_rss_bytes,
@@ -57,7 +58,7 @@ from .program import Program
 
 
 def _session_prefix(inst: KernelInstance) -> str:
-    """Default session extractor for ``"fair"`` scheduling: the
+    """The session extractor of ``"fair"`` scheduling: the
     kernel-name prefix before the first ``"."`` (the multi-tenant
     namespace separator), or ``""`` for un-namespaced kernels."""
     name = inst.kernel.name
@@ -86,10 +87,10 @@ class ReadyQueue:
       ballooning the live field footprint — the starvation the paper's
       policy exists to prevent;
     * ``"fair"`` — multi-tenant deficit round-robin: instances are
-      binned per *session* (``session_of(inst)``, by default the
-      kernel-name prefix before the first ``"."``) with age priority
-      *within* a session, and dispatch rotates across sessions so one
-      hot tenant cannot starve the others.  ``session_weights`` maps a
+      binned per *session* (the kernel-name prefix before the first
+      ``"."``) with age priority *within* a session, and dispatch
+      rotates across sessions so one hot tenant cannot starve the
+      others.  ``session_weights`` maps a
       session to its quantum (pops per round-robin turn, default 1),
       letting a gold tier draw more dispatch slots than best-effort.
 
@@ -109,7 +110,6 @@ class ReadyQueue:
     def __init__(
         self,
         scheduling: str = "age",
-        session_of=None,
         session_weights: "dict[str, int] | None" = None,
     ) -> None:
         if scheduling not in self._POLICIES:
@@ -117,9 +117,7 @@ class ReadyQueue:
                 f"unknown scheduling policy {scheduling!r}; "
                 f"expected one of {self._POLICIES}"
             )
-        if scheduling == "fair" and session_of is None:
-            session_of = _session_prefix
-        self._session_of = session_of if scheduling == "fair" else None
+        self._session_of = _session_prefix if scheduling == "fair" else None
         self._quantum = {
             s: max(1, int(w)) for s, w in (session_weights or {}).items()
         }
@@ -596,7 +594,6 @@ class ExecutionNode:
         timers: TimerSet | None = None,
         on_event=None,
         scheduling: str = "age",
-        session_of=None,
         session_weights: "dict[str, int] | None" = None,
         recover: bool = False,
         dependency_kernels=None,
@@ -664,7 +661,7 @@ class ExecutionNode:
             timeline if timeline is not None and timeline.enabled else None
         )
         self._queue_wait_by_worker: dict[int, float] = {}
-        self.ready = ReadyQueue(scheduling, session_of, session_weights)
+        self.ready = ReadyQueue(scheduling, session_weights)
         #: The extractor the fair queue ended up with (None for classic
         #: policies): the per-session retirement path reuses it to scope
         #: the running-age probe to one tenant.
@@ -1236,6 +1233,72 @@ class ExecutionNode:
         self._counter.poke()
 
 
+class _Lifecycle:
+    """The one bring-up and wind-down order of a run (DESIGN.md §17),
+    shared by :func:`run_program`, :class:`~repro.stream.SessionManager`
+    and the cluster's run object: telemetry (tracer attached, exporter
+    source added, started) → every node → the ``services`` pair that
+    watches the nodes (heartbeats, recovery manager) → stream drivers.
+    :meth:`stop` undoes, newest first, whatever came up; :meth:`join`
+    runs it in a ``finally`` and a failed :meth:`start` before
+    re-raising, so no exporter, heartbeat, watcher or driver thread
+    outlives its run.
+    """
+
+    def __init__(self, telemetry) -> None:
+        if telemetry is not None and not isinstance(telemetry, Telemetry):
+            raise TypeError(
+                f"telemetry= takes a repro.obs.Telemetry or None, got "
+                f"{type(telemetry).__name__}"
+            )
+        self.telemetry = telemetry
+        #: What every node of the run is built with (``timeline=``).
+        self.timeline = telemetry.timeline if telemetry is not None else None
+        self._stops: list = []
+
+    def up(self, start, stop) -> None:
+        """Run ``start`` now and ``stop`` when the run winds down."""
+        start()
+        self._stops.append(stop)
+
+    def start(self, nodes, drivers=(), services=None) -> None:
+        tel = self.telemetry
+        started = []
+        try:
+            if tel is not None:
+                # A run's nodes share one tracer and one registry, so the
+                # first node's are the run's — and one exporter source,
+                # or a merge would double-count.
+                tel.attach_tracer(nodes[0].tracer)
+                tel.exporter.add_source(
+                    nodes[0].name, nodes[0].metrics.snapshot
+                )
+                self.up(tel.start, tel.stop)
+            for node in nodes:
+                node.start()
+                started.append(node)
+            if services is not None:
+                self.up(*services)
+            for driver in drivers:
+                self.up(driver.start, driver.stop)
+        except BaseException:
+            self.stop()
+            for node in started:
+                node.wind_down()
+            raise
+
+    def stop(self) -> None:
+        while self._stops:
+            self._stops.pop()()
+
+    def join(self, wait):
+        """``wait()`` for the run to end; wind down either way."""
+        try:
+            return wait()
+        finally:
+            self.stop()
+
+
 def run_program(
     program: Program,
     workers: int = 1,
@@ -1254,33 +1317,26 @@ def run_program(
 ) -> RunResult:
     """One-shot convenience: build an :class:`ExecutionNode` and run it.
 
-    ``stream`` turns the run into a live, unbounded pipeline: pass a
-    :class:`~repro.stream.StreamBinding` (e.g. from
-    :func:`~repro.workloads.build_mjpeg_stream`) or a pre-built
-    :class:`~repro.stream.StreamDriver`.  A driver thread then paces
-    frames from the binding's source into the running node under
-    credit-based backpressure, retires drained ages so field memory
-    stays bounded, and applies the configured QoS policy to late frames;
-    the resulting :class:`~repro.stream.StreamReport` is attached to
+    ``stream`` (a :class:`~repro.stream.StreamBinding`, e.g. from
+    :func:`~repro.workloads.build_mjpeg_stream`) turns the run into a
+    live, unbounded pipeline: a driver thread paces frames from the
+    binding's source into the running node under credit-based
+    backpressure, retires drained ages so field memory stays bounded,
+    and applies the configured QoS policy to late frames; the resulting
+    :class:`~repro.stream.StreamReport` is attached to
     ``RunResult.stream``.
 
-    ``batch`` is the body-call granularity: with ``batch > 1`` a worker
-    claims its share of the head run of ready same-kernel/same-age
-    instances and hands it to the backend as one call (one IPC message
-    on the process backend), which runs the kernel's ``batch_body``,
-    when it has one, on stacks of at most ``batch`` instances.
+    ``batch`` is the body-call granularity (:class:`ExecutionNode`):
     ``batch=1`` dispatches one instance at a time — the paper's
-    reference mode.  Results are byte-identical at every size.
+    reference mode — and results are byte-identical at every size.
 
-    ``telemetry`` turns on the live telemetry layer: ``True`` for the
-    default :class:`~repro.obs.TelemetryConfig`, a config instance, or
-    a pre-built :class:`~repro.obs.Telemetry` bundle.  The node then
-    records per-frame stage timelines, streams periodic metric
-    snapshots through the bundle's exporter (JSONL / Prometheus
-    endpoint), and tracks per-session SLO burn rate; the bundle is
-    attached to ``RunResult.telemetry``.
+    ``telemetry`` (a :class:`~repro.obs.Telemetry` bundle) turns on the
+    live telemetry layer: the node records per-frame stage timelines,
+    streams periodic metric snapshots through the bundle's exporter
+    (JSONL / Prometheus endpoint), and tracks per-session SLO burn
+    rate; the bundle is attached to ``RunResult.telemetry``.
     """
-    tel = _resolve_telemetry(telemetry)
+    life = _Lifecycle(telemetry)
     node = ExecutionNode(
         program,
         workers,
@@ -1291,46 +1347,19 @@ def run_program(
         tracer=tracer,
         metrics=metrics,
         batch=batch,
-        timeline=tel.timeline if tel is not None else None,
+        timeline=life.timeline,
     )
-    if tel is not None:
-        tel.attach_tracer(node.tracer)
-        tel.exporter.add_source(node.name, node.metrics.snapshot)
-    sdriver = None
+    drivers = []
     if stream is not None:
         from ..stream import StreamDriver
 
-        sdriver = stream if isinstance(stream, StreamDriver) else (
-            StreamDriver(stream, node=node, telemetry=tel)
-        )
-        node.add_teardown_hook(sdriver.stop)
-    if sdriver is None and tel is None:
-        return node.run(timeout=timeout, stall_timeout=stall_timeout)
-    if tel is not None:
-        tel.start()
-    try:
-        node.start()
-        if sdriver is not None:
-            sdriver.start()
-        result = node.join(timeout=timeout, stall_timeout=stall_timeout)
-    finally:
-        if tel is not None:
-            tel.stop()
-    if sdriver is not None:
-        result.stream = sdriver.report()
-    result.telemetry = tel
+        drivers.append(StreamDriver(stream, node=node, telemetry=telemetry))
+        node.add_teardown_hook(drivers[0].stop)
+    life.start([node], drivers)
+    result = life.join(
+        lambda: node.join(timeout=timeout, stall_timeout=stall_timeout)
+    )
+    if drivers:
+        result.stream = drivers[0].report()
+    result.telemetry = telemetry
     return result
-
-
-def _resolve_telemetry(telemetry):
-    """``None``/falsy -> None; ``True`` -> default bundle; a config ->
-    new bundle; a bundle -> itself (shared across cluster nodes)."""
-    if not telemetry:
-        return None
-    from ..obs.telemetry import Telemetry, TelemetryConfig
-
-    if isinstance(telemetry, Telemetry):
-        return telemetry
-    if isinstance(telemetry, TelemetryConfig):
-        return Telemetry(telemetry)
-    return Telemetry()

@@ -26,15 +26,8 @@ log, byte-for-byte the original execution path.
 Elasticity is likewise opt-in (``elastic=``): the node set becomes a
 versioned :class:`~repro.dist.membership.MembershipTable` instead of a
 frozen list, and :meth:`Cluster.add_node` / :meth:`Cluster.drain_node`
-rescale a *running* cluster.  A migration is two-phase — ``scale.plan``
-announces the intent, then every node whose kernel set changes under
-the incrementally repartitioned assignment is fenced (the PR 2 recovery
-fence, generalized from "dead" to "departing") and a successor is built
-that replays the transport event log; ``scale.commit`` flips the
-membership epoch.  Write-once determinism makes the re-execution
-byte-identical, and a shared-counter token pins the run across the
-whole window so no node can observe a false global quiescence while
-kernels are owned by nobody.
+rescale a *running* cluster by the two-phase migration of
+:meth:`Cluster._rescale` (DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -42,7 +35,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Any, Mapping
 
 from ..core import (
     ExecutionNode,
@@ -52,11 +46,14 @@ from ..core import (
 )
 from ..core.deadlines import TimerSet
 from ..core.errors import PartitionError, SchedulerError
-from ..core.events import ResizeEvent, StoreEvent, WorkToken
+from ..core.events import StoreEvent, WorkToken
 from ..core.fields import FieldStore
 from ..core.instrumentation import Instrumentation
-from ..core.runtime import _resolve_telemetry
+from ..core.naming import NAME_SEP
+from ..core.runtime import _Lifecycle
 from ..obs import MetricsRegistry, NULL_TRACER, Tracer, dump_flight
+from ..stream import MultitenantReport, StreamDriver
+from ..stream.multitenant import session_driver, tier_weights
 from .faults import FaultInjector
 from .heartbeat import Heartbeater, HeartbeatMonitor
 from .master import MasterNode, WorkloadAssignment
@@ -165,46 +162,488 @@ class _OutputDedup:
         self._handler(kernel, age, index, key, value)
 
 
-class _RunState:
-    """Mutable state of one :meth:`Cluster.run` invocation.
+class _ClusterRun:
+    """One :meth:`Cluster.run` in flight.
 
-    Hoisted from ``run()``'s local variables onto the cluster instance
-    so the elastic membership operations (:meth:`Cluster.add_node`,
-    :meth:`Cluster.drain_node`) can fence, rebuild and rewire nodes
-    while the run is in flight.
+    Holds what the run's nodes share (field store, work counter, timers,
+    tracer, metrics, telemetry) and is the one place a node, a heartbeat
+    or a stream driver of the run is constructed — at start-up and,
+    through :meth:`succeed`, when a recovery or an elastic migration
+    replaces a node mid-run, which is why :meth:`Cluster.add_node` /
+    :meth:`Cluster.drain_node` reach it as ``cluster._rt``.  Bring-up
+    and wind-down order is the shared
+    :class:`~repro.core.runtime._Lifecycle` (DESIGN.md §17).
     """
 
-    def __init__(self) -> None:
-        self.running = False
-        self.assignment: WorkloadAssignment | None = None
+    def __init__(
+        self, cluster: "Cluster", assignment: WorkloadAssignment, *,
+        max_age, timeout, stall_timeout, faults, recovery, tracer, metrics,
+        stream, sessions, batch, telemetry, elastic,
+    ) -> None:
+        if stream is not None and sessions is not None:
+            raise ValueError("stream= and sessions= are mutually exclusive")
+        program = self.program = cluster.program
+        self.transport = cluster.transport
+        self.sessions = list(sessions) if sessions is not None else None
+        self.session_weights = tier_weights(self.sessions or ())
+        for spec in self.sessions or ():
+            if not any(
+                k.startswith(spec.name + NAME_SEP) for k in program.kernels
+            ):
+                raise ValueError(
+                    f"session {spec.name!r} has no kernels in the "
+                    f"cluster program — construct the Cluster with "
+                    f"merge_sessions(specs)"
+                )
+        self.cluster = cluster
+        self.assignment = assignment
+        self.max_age = max_age
+        self.timeout = timeout
+        self.stall_timeout = stall_timeout
+        self.batch = batch
+        self.faults = faults
+        self.ft = faults is not None or recovery is not None
+        self.recovery = recovery if recovery is not None else RecoveryConfig()
+        self.elastic = bool(elastic)
+        if tracer is None:
+            # Flight recorder armed by default on fault-tolerant runs:
+            # ring mode is bounded-memory and cheap enough to always run.
+            tracer = Tracer(mode="ring") if self.ft else NULL_TRACER
+        self.tracer = tracer
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.life = _Lifecycle(telemetry)
+        self.transport.tracer = tracer
+        self.transport.timeline = self.life.timeline
+        self.fields = FieldStore(program.fields.values())
+        self.counter = WorkCounter()
+        self.timers = TimerSet(program.timers)
+        self.dtype_size = {
+            f.name: f.np_dtype.itemsize for f in program.fields.values()
+        }
         self.exec_nodes: dict[str, ExecutionNode] = {}
         self.results: dict[str, RunResult] = {}
         self.errors: list[BaseException] = []
         self.lock = threading.Lock()
+        #: One drive thread per node ever started, successors included.
+        self.threads: list[threading.Thread] = []
         self.heartbeaters: dict[str, Heartbeater] = {}
-        self.extra_threads: list[threading.Thread] = []
-        self.extra_lock = threading.Lock()
         self.monitor: HeartbeatMonitor | None = None
         self.manager: RecoveryManager | None = None
-        self.session_drivers: dict[str, Any] = {}
-        self.live_drivers: list = []
+        #: Session name → stream driver; ``stream=`` is the anonymous
+        #: session ``None``.
+        self.drivers: dict = {}
+        self.output_handler = None
         self.migrations: list[MigrationRecord] = []
-        self.migration_seq = 0
-        self.counter: WorkCounter | None = None
-        self.fields: FieldStore | None = None
-        self.faults: FaultInjector | None = None
-        self.recovery: RecoveryConfig | None = None
-        self.ft = False
-        self.elastic = False
-        self.tracer: Tracer = NULL_TRACER
-        self.metrics: MetricsRegistry | None = None
-        self.tel = None
-        self.timeout: float | None = None
-        self.stall_timeout: float | None = None
-        self.t0_mono = 0.0
-        # Closures bound by run() (they capture per-run wiring):
-        self.build: Callable[..., ExecutionNode] | None = None
-        self.drive: Callable[[str, ExecutionNode, str], None] | None = None
+        self.running = False
+        self.t0 = self.t0_mono = self.wall = 0.0
+        if self.elastic:
+            self._arm_membership()
+        if self.ft:
+            self._arm_recovery()
+        for name in assignment.nodes():
+            sub = cluster._subprogram(assignment, name)
+            if sub.kernels:
+                self.build_node(name, sub, cluster._workers[name])
+        if not self.exec_nodes:
+            raise PartitionError("assignment left every node empty")
+        if stream is not None:
+            self.live_driver(stream)
+        for spec in self.sessions or ():
+            self.live_driver(spec.binding, spec)
+        if self.drivers:
+            self.transport.subscribe(
+                "stream.credit", "stream-source", self.route_credit
+            )
+        self._share_output_handler()
+        self.edriver = (
+            ElasticityDriver(
+                elastic, metrics_fn=self.sample, scale_fn=self.rescale_to
+            )
+            if isinstance(elastic, ElasticityConfig) else None
+        )
+
+    # -- construction ---------------------------------------------------
+    def _arm_membership(self) -> None:
+        """Dynamic membership: broadcast every view flip on the control
+        topic, export the epoch, retain the event log for migration
+        replay, and gate routing on the view."""
+        membership, transport = self.cluster.membership, self.transport
+        membership.set_publish(self.broadcast)
+        self.metrics.gauge("membership.epoch").set_max(membership.epoch)
+        transport.membership = membership
+        transport.enable_log()
+        tel = self.life.telemetry
+        if tel is not None:
+            tel.exporter.page("membership", membership.as_dict)
+
+    def broadcast(self, view) -> None:
+        self.metrics.gauge("membership.epoch").set_max(view.epoch)
+        try:
+            self.transport.publish(
+                MEMBERSHIP_TOPIC, "master", view, control=True
+            )
+        except Exception:  # noqa: BLE001 - post-close flips
+            pass
+
+    def _arm_recovery(self) -> None:
+        """Fault tolerance: the transport event log, the failure
+        detector and the manager that replaces dead nodes."""
+        transport = self.transport
+        transport.enable_log()
+        if self.faults is not None:
+            self.faults.attach(transport, self.counter)
+        self.monitor = HeartbeatMonitor(
+            transport,
+            self.recovery.heartbeat_timeout,
+            self.recovery.progress_timeout,
+            tracer=self.tracer,
+        )
+        self.manager = RecoveryManager(
+            master=self.cluster.master,
+            transport=transport,
+            counter=self.counter,
+            monitor=self.monitor,
+            config=self.recovery,
+            nodes=self.exec_nodes,
+            heartbeaters=self.heartbeaters,
+            spawn=self.spawn,
+            injector=self.faults,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
+
+    def build_node(
+        self, name: str, program: Program, workers: int,
+        recover: bool = False,
+    ) -> ExecutionNode:
+        """Construct, fault-wrap and subscribe one execution node.
+        ``recover`` marks a successor (recovery replacement or migration
+        target), which re-executes over fields its predecessor wrote."""
+        if self.output_handler is not None:
+            program.set_output_handler(self.output_handler)
+        node = ExecutionNode(
+            program,
+            workers,
+            max_age=self.max_age,
+            name=name,
+            fields=self.fields,
+            counter=self.counter,
+            timers=self.timers,
+            on_event=self.tap,
+            scheduling="fair" if self.sessions is not None else "age",
+            session_weights=self.session_weights,
+            recover=recover,
+            dependency_kernels=list(self.program.kernels.values()),
+            tracer=self.tracer,
+            metrics=self.metrics,
+            batch=self.batch,
+            timeline=self.life.timeline,
+        )
+        if self.faults is not None:
+            self.faults.wrap(node)
+        self.cluster._wire(node)
+        self.exec_nodes[name] = node
+        return node
+
+    def publish(self, origin: str, ev) -> None:
+        """Put a store / resize event on its field's topic."""
+        size = (
+            _payload_bytes(ev, self.dtype_size)
+            if isinstance(ev, StoreEvent) else 0
+        )
+        self.transport.publish(ev.field, origin, ev, size)
+
+    def tap(self, node: ExecutionNode, ev) -> None:
+        """A node's ``on_event``: forward what it stored or resized."""
+        self.publish(node.name, ev)
+
+    def live_driver(self, binding, spec=None) -> None:
+        """Build one session's stream driver (``stream=`` is the
+        anonymous session): its frames go out on the field topics as
+        ``stream-source``, so exactly the nodes fetching the input
+        fields receive them; credits come back on ``stream.credit``."""
+        session = None if spec is None else spec.name
+        wiring = dict(
+            nodes=list(self.exec_nodes.values()),
+            program=self.program,
+            inject=partial(self.publish, "stream-source"),
+            on_grant=partial(self.grant, session),
+            telemetry=self.life.telemetry,
+        )
+        self.drivers[session] = (
+            StreamDriver(binding, **wiring) if spec is None
+            else session_driver(spec, **wiring)
+        )
+
+    def grant(self, session, age: int) -> None:
+        """Session-tagged credit: flow control per tenant over the
+        shared control topic, the same transport the data crosses."""
+        self.transport.publish(
+            "stream.credit", "master",
+            {"session": session, "age": age}, control=True,
+        )
+
+    def route_credit(self, msg) -> None:
+        drv = self.drivers.get(msg.payload["session"])
+        if drv is not None:
+            drv.gate.grant(msg.payload["age"])
+
+    def _share_output_handler(self) -> None:
+        """Give every node — and, through :meth:`build_node`, every
+        successor — the full program's output handler as it stands now:
+        each stream driver wrapped it for completion detection after the
+        subprograms copied it (with sessions the wraps chained, each
+        guarded by its scope), and a fault-tolerant or elastic run
+        de-duplicates re-executed outputs."""
+        handler = self.program.output_handler
+        if (self.ft or self.elastic) and handler is not None:
+            handler = _OutputDedup(handler)
+        self.output_handler = handler
+        for node in self.exec_nodes.values():
+            node.program.set_output_handler(handler)
+            if not self.ft and not self.elastic:
+                # Driver stop on node teardown unwedges a failing
+                # non-recoverable run.  Under fault tolerance or
+                # elasticity the hook would be wrong: wind_down() on
+                # a *recoverably* killed or migration-fenced node
+                # runs teardown hooks, and stopping a driver there
+                # closes its credit gate and truncates the stream
+                # the replacement is about to resume.  Terminal
+                # failures already poke the shared counter
+                # (unblocking every join), and the lifecycle stops all
+                # drivers after the join.
+                for drv in self.drivers.values():
+                    node.add_teardown_hook(drv.stop)
+
+    # -- nodes at run time ------------------------------------------------
+    def drive(self, node: ExecutionNode, key: str) -> None:
+        """Body of a node's drive thread: join it, file the outcome."""
+        try:
+            r = node.join(
+                timeout=self.timeout, stall_timeout=self.stall_timeout
+            )
+            with self.lock:
+                self.results[key] = r
+        except BaseException as exc:  # noqa: BLE001
+            with self.lock:
+                self.errors.append(exc)
+            self.counter.poke()
+
+    def follow(self, node: ExecutionNode, successor: bool = False) -> None:
+        """Put a drive thread on a started node.  A successor may reuse
+        its predecessor's name, so its result is filed under a fresh
+        key."""
+        with self.lock:
+            key = node.name
+            if successor:
+                key += f"#{len(self.threads)}"
+            t = threading.Thread(
+                target=self.drive, args=(node, key), daemon=True,
+                name=f"cluster-{node.name}",
+            )
+            self.threads.append(t)
+        t.start()
+
+    def beat(self, name: str, node: ExecutionNode) -> None:
+        """Put a started node under failure detection."""
+        self.monitor.watch(name)
+        hb = self.heartbeaters[name] = Heartbeater(
+            node, self.transport, self.recovery.heartbeat_interval,
+            self.faults,
+        )
+        hb.start()
+
+    def succeed(
+        self, name: str, program: Program, workers: int
+    ) -> ExecutionNode:
+        """Build, start and drive a successor node mid-run (recovery
+        replacement or migration target)."""
+        node = self.build_node(name, program, workers, recover=True)
+        node.start()
+        if self.ft:
+            self.beat(name, node)
+        self.follow(node, successor=True)
+        return node
+
+    def spawn(self, dead: ExecutionNode, repl_name: str) -> ExecutionNode:
+        """Recovery replacement for ``dead`` (called from the recovery
+        manager's thread)."""
+        membership = self.cluster.membership
+        if self.elastic:
+            if membership.state(dead.name) in (
+                "joining", "active", "draining"
+            ):
+                membership.transition(dead.name, "dead")
+            membership.add(repl_name, "joining")
+        repl = self.succeed(repl_name, dead.program, dead.workers)
+        if self.elastic:
+            membership.transition(repl_name, "active")
+        return repl
+
+    def live_name(self, assign_name: str) -> str | None:
+        """The live execution node serving ``assign_name``'s kernels
+        (exact match, or the unique restart ``assign_name~k``)."""
+        if assign_name in self.exec_nodes:
+            return assign_name
+        matches = [
+            n for n in self.exec_nodes if _base_name(n) == assign_name
+        ]
+        return matches[0] if len(matches) == 1 else None
+
+    def next_node_name(self) -> str:
+        """First free ``node<k>`` name (CLI/driver join targets)."""
+        taken = set(self.cluster._workers) | set(self.exec_nodes) | {
+            _base_name(n) for n in self.exec_nodes
+        }
+        k = 0
+        while f"node{k}" in taken:
+            k += 1
+        return f"node{k}"
+
+    # -- the elasticity driver's two ends ---------------------------------
+    def sample(self) -> dict:
+        """Load and SLO-burn signals in."""
+        nodes = list(self.exec_nodes.values())
+        workers = sum(n.workers for n in nodes) or 1
+        depth = sum(len(n.ready) for n in nodes)
+        burn = 0.0
+        tel = self.life.telemetry
+        slo = tel.slo if tel is not None else None
+        if slo is not None:
+            for spec in self.sessions or ():
+                try:
+                    burn = max(burn, slo.burn_rate(spec.name))
+                except Exception:  # noqa: BLE001 - untracked tenant
+                    continue
+        return {
+            "nodes": len(nodes),
+            "queue_per_worker": depth / workers,
+            "burn": burn,
+            "elapsed": time.monotonic() - self.t0_mono,
+        }
+
+    def rescale_to(self, target: int) -> bool:
+        """:meth:`Cluster.add_node` / :meth:`Cluster.drain_node` out."""
+        cluster = self.cluster
+        with cluster._elastic_lock:
+            current = len(self.exec_nodes)
+            if target == current:
+                return False
+            if target > current:
+                for _ in range(target - current):
+                    cluster.add_node(self.next_node_name())
+            else:
+                for name in sorted(self.exec_nodes)[target - current:]:
+                    cluster.drain_node(_base_name(name))
+            return True
+
+    # -- lifecycle ----------------------------------------------------------
+    def start(self) -> None:
+        """Bring the run up and put a drive thread on every node."""
+        nodes = list(self.exec_nodes.values())
+        drivers = list(self.drivers.values())
+        if self.edriver is not None:
+            drivers.append(self.edriver)
+        # Startup token keeps the shared counter nonzero until every node
+        # has dispatched its initial instances, so no node can observe a
+        # false global quiescence during startup.
+        with WorkToken(self.counter, label="cluster-startup"):
+            self.t0 = time.perf_counter()
+            self.t0_mono = time.monotonic()
+            self.life.start(nodes, drivers, (self.watch, self.unwatch))
+            self.running = True
+            for node in nodes:
+                self.follow(node)
+
+    def watch(self) -> None:
+        """The run's services, up once the nodes run and before frames
+        flow: a heartbeat per node, then the recovery manager."""
+        if self.ft:
+            for name, node in list(self.exec_nodes.items()):
+                self.beat(name, node)
+            self.manager.start()
+
+    def unwatch(self) -> None:
+        """… and down after the drivers stopped: the manager first (no
+        replacement may start once the run is over), then every drive
+        thread a recovery or migration added, then the heartbeats."""
+        if self.ft:
+            self.manager.stop()
+        self.join_threads()
+        for hb in list(self.heartbeaters.values()):
+            hb.stop()
+        if self.faults is not None:
+            self.faults.release_all()
+        if self.monitor is not None:
+            self.monitor.close()
+        # Before telemetry stops: its final sample is not run time.
+        self.wall = time.perf_counter() - self.t0
+
+    def join_threads(self) -> None:
+        for t in self.threads:  # sees threads appended meanwhile
+            t.join()
+
+    def join(self) -> None:
+        """Wait for cluster-wide quiescence, wind the run down, and
+        raise the first node (or recovery) error if there was one."""
+        try:
+            self.life.join(self.join_threads)
+        finally:
+            self.running = False
+        stats = self.transport.stats
+        gauge = self.metrics.gauge
+        gauge("transport.messages").set_max(stats.messages)
+        gauge("transport.bytes").set_max(stats.bytes)
+        gauge("transport.delivery_errors").set_max(stats.delivery_errors)
+        gauge("transport.drops").set_max(stats.drops)
+        gauge("transport.stale_rejects").set_max(stats.stale_rejects)
+        err = self.manager.error if self.manager is not None else None
+        if err is None and self.errors:
+            err = self.errors[0]
+        if err is not None:
+            path = dump_flight(
+                self.tracer,
+                reason=f"{type(err).__name__}: {err}",
+                context={"cluster": self.program.name,
+                         "nodes": sorted(self.cluster._workers)},
+            )
+            if path is not None:
+                err.flight_path = path  # type: ignore[attr-defined]
+            raise err
+
+    def report(self) -> ClusterResult:
+        cluster = self.cluster
+        stream = None
+        if None in self.drivers:
+            stream = self.drivers[None].report()
+        elif self.drivers:
+            stream = MultitenantReport(
+                sessions={
+                    name: drv.report()
+                    for name, drv in self.drivers.items()
+                },
+                workers=sum(cluster._workers.values()),
+                backend="threads",
+                capacity=len(self.drivers),
+                duration_s=self.wall,
+            )
+        manager = self.manager
+        return ClusterResult(
+            assignment=self.assignment,
+            node_results=self.results,
+            transport=self.transport.stats,
+            wall_time=self.wall,
+            fields=self.fields,
+            recoveries=list(manager.records) if manager is not None else [],
+            metrics=self.metrics,
+            tracer=self.tracer if self.tracer.enabled else None,
+            stream=stream,
+            telemetry=self.life.telemetry,
+            migrations=list(self.migrations),
+            membership=(
+                cluster.membership.as_dict() if self.elastic else None
+            ),
+        )
 
 
 class Cluster:
@@ -257,7 +696,7 @@ class Cluster:
         #: each other; reentrant so a driver-issued rescale can call
         #: :meth:`add_node`/:meth:`drain_node` per node.
         self._elastic_lock = threading.RLock()
-        self._rt: _RunState | None = None
+        self._rt: _ClusterRun | None = None
 
     # ------------------------------------------------------------------
     def _subprogram(self, assignment: WorkloadAssignment, node: str) -> Program:
@@ -275,12 +714,7 @@ class Cluster:
 
     def _wire(self, node: ExecutionNode) -> None:
         """Subscribe ``node`` to every field one of its kernels fetches."""
-        fetched = {
-            f.field
-            for k in node.program.kernels.values()
-            for f in k.fetches
-        }
-        for fname in sorted(fetched):
+        for fname in sorted(_fetched_fields(node.program)):
             self.transport.subscribe(
                 fname, node.name,
                 lambda msg, node=node: node.inject(msg.payload),
@@ -297,7 +731,7 @@ class Cluster:
     # ------------------------------------------------------------------
     # Elastic membership (public API; requires an elastic run in flight)
     # ------------------------------------------------------------------
-    def _require_elastic_run(self) -> _RunState:
+    def _require_elastic_run(self) -> _ClusterRun:
         rt = self._rt
         if rt is None or not rt.running or not rt.elastic:
             raise SchedulerError(
@@ -305,16 +739,6 @@ class Cluster:
                 "(Cluster.run(..., elastic=True) or an ElasticityConfig)"
             )
         return rt
-
-    def _live_name(self, rt: _RunState, assign_name: str) -> str | None:
-        """The live execution node serving ``assign_name``'s kernels
-        (exact match, or the unique restart ``assign_name~k``)."""
-        if assign_name in rt.exec_nodes:
-            return assign_name
-        matches = [
-            n for n in rt.exec_nodes if _base_name(n) == assign_name
-        ]
-        return matches[0] if len(matches) == 1 else None
 
     def add_node(self, name: str, workers: int | None = None) -> None:
         """Join ``name`` to a *running* elastic cluster.
@@ -354,7 +778,7 @@ class Cluster:
         """
         with self._elastic_lock:
             rt = self._require_elastic_run()
-            live = self._live_name(rt, name)
+            live = rt.live_name(name)
             if live is None:
                 raise SchedulerError(f"node {name!r} is not live")
             if len(rt.exec_nodes) <= 1:
@@ -373,7 +797,7 @@ class Cluster:
             self.membership.transition(_member_name(self, name), "left")
 
     # ------------------------------------------------------------------
-    def _rescale(self, rt: _RunState, reason: str) -> None:
+    def _rescale(self, rt: _ClusterRun, reason: str) -> None:
         """Incrementally repartition and migrate (caller holds the
         elastic lock and has already adjusted master capacity).
 
@@ -395,7 +819,8 @@ class Cluster:
         )
         old = rt.assignment
         with WorkToken(rt.counter, label=f"scale:{reason}"):
-            for drv in rt.live_drivers:
+            drivers = list(rt.drivers.values())
+            for drv in drivers:
                 drv.retirer.pause()
             try:
                 new = self.master.plan_incremental(self.program)
@@ -419,7 +844,7 @@ class Cluster:
                 # write-once on a region its successor already stored).
                 fenced: list[str] = []
                 for assign_name in changed:
-                    live = self._live_name(rt, assign_name)
+                    live = rt.live_name(assign_name)
                     if live is None:
                         continue
                     node = rt.exec_nodes.pop(live, None)
@@ -446,26 +871,23 @@ class Cluster:
                     kernels = new_sets.get(assign_name)
                     if not kernels:
                         continue  # node lost everything (drain target)
-                    sub = self._subprogram(new, assign_name)
-                    succ = rt.build(
-                        assign_name, sub, self._workers_for(assign_name)
+                    succ = rt.succeed(
+                        assign_name,
+                        self._subprogram(new, assign_name),
+                        self._workers_for(assign_name),
                     )
-                    topics = {
-                        f.field
-                        for k in succ.program.kernels.values()
-                        for f in k.fetches
-                    }
+                    topics = _fetched_fields(succ.program)
                     for msg in self.transport.replay(topics):
                         succ.inject(msg.payload)
                         replayed += 1
                     built.append(assign_name)
                 # Retirement and liveness probes follow the new epoch.
                 nodes_now = list(rt.exec_nodes.values())
-                for drv in rt.live_drivers:
+                for drv in drivers:
                     if nodes_now:
                         drv.set_nodes(nodes_now)
             finally:
-                for drv in rt.live_drivers:
+                for drv in drivers:
                     drv.retirer.resume()
         rt.assignment = new
         epoch = self.membership.epoch
@@ -505,50 +927,6 @@ class Cluster:
             )
         )
 
-    def _elasticity_driver(
-        self, rt: _RunState, cfg: ElasticityConfig,
-        session_specs,
-    ) -> ElasticityDriver:
-        """Wire an :class:`ElasticityDriver` against this run: load and
-        SLO-burn samples in, :meth:`add_node`/:meth:`drain_node` out."""
-
-        def sample() -> dict:
-            nodes = list(rt.exec_nodes.values())
-            workers = sum(n.workers for n in nodes) or 1
-            depth = sum(len(n.ready) for n in nodes)
-            burn = 0.0
-            slo = rt.tel.slo if rt.tel is not None else None
-            if slo is not None and session_specs:
-                for spec in session_specs:
-                    try:
-                        burn = max(burn, slo.burn_rate(spec.name))
-                    except Exception:  # noqa: BLE001 - untracked tenant
-                        continue
-            return {
-                "nodes": len(nodes),
-                "queue_per_worker": depth / workers,
-                "burn": burn,
-                "elapsed": time.monotonic() - rt.t0_mono,
-            }
-
-        def rescale_to(target: int) -> bool:
-            with self._elastic_lock:
-                current = len(rt.exec_nodes)
-                if target == current:
-                    return False
-                if target > current:
-                    for _ in range(target - current):
-                        self.add_node(self._next_node_name(rt))
-                else:
-                    active = sorted(rt.exec_nodes)
-                    for name in active[target - current:]:
-                        self.drain_node(_base_name(name))
-                return True
-
-        return ElasticityDriver(
-            cfg, metrics_fn=sample, scale_fn=rescale_to
-        )
-
     def set_offered_rate(
         self, fps: float, session: str | None = None
     ) -> None:
@@ -562,31 +940,19 @@ class Cluster:
         if rt is None or not rt.running:
             raise SchedulerError("no stream run in flight")
         if session is not None:
-            drv = rt.session_drivers.get(session)
+            drv = rt.drivers.get(session)
             if drv is None:
                 raise SchedulerError(f"no session {session!r}")
             drv.set_rate(fps)
             return
-        if not rt.live_drivers:
+        if not rt.drivers:
             raise SchedulerError("run has no stream drivers")
-        for drv in rt.live_drivers:
+        for drv in rt.drivers.values():
             drv.set_rate(fps)
-
-    def _next_node_name(self, rt: _RunState) -> str:
-        """First free ``node<k>`` name (CLI/driver join targets)."""
-        taken = set(self._workers) | set(rt.exec_nodes) | {
-            _base_name(n) for n in rt.exec_nodes
-        }
-        k = 0
-        while f"node{k}" in taken:
-            k += 1
-        return f"node{k}"
 
     def run(
         self,
         assignment: WorkloadAssignment | None = None,
-        method: str = "kl",
-        instrumentation: Instrumentation | None = None,
         max_age: int | None = None,
         timeout: float | None = None,
         stall_timeout: float | None = None,
@@ -600,582 +966,56 @@ class Cluster:
         telemetry=None,
         elastic: "ElasticityConfig | bool | None" = None,
     ) -> ClusterResult:
-        """Plan (unless given an assignment) and execute the program.
+        """Plan (unless given an ``assignment``, e.g. from
+        ``cluster.master.plan(program, instrumentation, method)``) and
+        execute the program.  Returns after cluster-wide quiescence;
+        raises the first node error if any kernel body failed.  Start-up
+        order, wind-down and what a failed start leaves behind (nothing)
+        are DESIGN.md §17.
 
-        Returns after cluster-wide quiescence; raises the first node
-        error if any kernel body failed.
-
-        ``stall_timeout`` arms the work counter's stall watchdog on
-        every node: a wedged run raises
-        :class:`~repro.core.errors.StallError` instead of hanging.  Pick
-        it larger than the longest kernel body — and, with fault
-        injection, larger than the heartbeat timeout (a killed node's
-        frozen window counts as global inactivity until detection).
-
-        ``faults`` and/or ``recovery`` switch on the fault-tolerant
-        path: heartbeat failure detection, the transport event log, and
-        automatic node replacement with bounded retries.  Exhausting the
-        restart budget (or losing every node) raises
+        ``max_age`` / ``timeout`` / ``batch``: every node's, as in
+        :func:`~repro.core.run_program`.
+        ``stall_timeout``: raise :class:`~repro.core.errors.StallError`
+        after that long without progress.  Pick it larger than the
+        longest kernel body and, under fault injection, than the
+        heartbeat timeout (a killed node's frozen window counts as
+        inactivity until detection).
+        ``faults`` / ``recovery``: a :class:`FaultInjector` and/or a
+        :class:`RecoveryConfig` switch on heartbeats, the event log and
+        node replacement (§8); an exhausted restart budget raises
         :class:`~repro.core.errors.NodeFailureError`.
-
-        ``stream`` (a :class:`~repro.stream.StreamBinding` or prebuilt
-        :class:`~repro.stream.StreamDriver`) runs the cluster live: the
-        stream driver publishes each admitted frame's store events on the
-        field topics (origin ``stream-source``), so exactly the nodes
-        whose kernels fetch the input fields receive them; backpressure
-        credits travel the other way on the ``stream.credit`` control
-        topic (granted by ``master`` as completions are observed,
-        consumed by ``stream-source``), so flow control crosses the same
-        transport as data.  The resulting
-        :class:`~repro.stream.StreamReport` is attached to
-        ``ClusterResult.stream``.
-
-        ``sessions`` (an iterable of
-        :class:`~repro.stream.SessionSpec`) runs the cluster
-        multi-tenant: the cluster must have been constructed with the
-        merged program (:func:`~repro.stream.merge_sessions`), whose
-        namespaced fields partition across nodes like any others — a
-        session's frames travel only the field topics its subgraph
-        fetches, so transport-level isolation falls out of topic
-        routing.  Each session gets its own
-        :class:`~repro.stream.StreamDriver` (gate, QoS tier, scoped
-        retirer); credits return on ``stream.credit`` tagged with the
-        session name.  Every node schedules with the ``"fair"``
-        per-session deficit policy.  ``ClusterResult.stream`` becomes a
-        :class:`~repro.stream.MultitenantReport`.
-
-        ``tracer`` records a cluster-wide timeline (one viewer lane per
-        node/worker plus ``master`` control-plane lanes).  Fault-tolerant
-        runs arm a ring-mode tracer (the flight recorder) by default; on
-        an unrecoverable failure the recent timeline — heartbeat-silence,
-        fencing, re-execution — is dumped next to the chaos repro
-        artifact and the path attached to the exception as
-        ``flight_path``.  ``metrics`` is shared by every node (and the
-        recovery manager), so counters aggregate cluster-wide.
-
-        ``batch`` > 1 turns on batched dispatch on every node (see
-        :func:`~repro.core.run_program`); results stay byte-identical.
-
-        ``telemetry`` (``True``, a :class:`~repro.obs.TelemetryConfig`
-        or a prebuilt :class:`~repro.obs.Telemetry`) arms the frame
-        timeline on every node and on the transport (store-event hops
-        charge the ``transport`` bucket), the per-tenant SLO tracker,
-        and the live exporter sampling the shared cluster metrics
-        registry.  The facade is attached to
-        ``ClusterResult.telemetry``.
-
-        ``elastic`` switches on dynamic membership: the transport's
-        routing consults the epoch-stamped membership view (rejecting
-        dead/departed senders), the event log is retained for migration
-        replay, and :meth:`add_node`/:meth:`drain_node` may rescale the
-        running cluster.  Passing an
-        :class:`~repro.dist.membership.ElasticityConfig` additionally
-        starts an :class:`~repro.dist.membership.ElasticityDriver`
-        issuing scale decisions from live load/SLO signals (or the
-        config's deterministic time trigger).  ``True`` arms the
-        machinery for manual scaling only.
+        ``stream``: a :class:`~repro.stream.StreamBinding` — run live;
+        ``ClusterResult.stream`` is the ``StreamReport`` (§11).
+        ``sessions``: the :class:`~repro.stream.SessionSpec` list whose
+        ``merge_sessions`` program the cluster was built with — run
+        multi-tenant, reporting a ``MultitenantReport`` (§13).
+        ``tracer`` / ``metrics``: shared by every node.  Fault-tolerant
+        runs arm a ring tracer by default and dump it on an
+        unrecoverable failure (``exc.flight_path``, §9).
+        ``telemetry``: a :class:`~repro.obs.Telemetry` — frame timeline
+        on nodes and transport, SLO tracker, live exporter (§14).
+        ``elastic``: ``True`` lets :meth:`add_node` / :meth:`drain_node`
+        rescale the running cluster; an :class:`ElasticityConfig` also
+        starts the driver deciding from load / SLO signals (§15).
         """
-        if stream is not None and sessions is not None:
-            raise ValueError(
-                "stream= and sessions= are mutually exclusive"
-            )
-        session_specs = list(sessions) if sessions is not None else None
-        session_weights: dict[str, int] | None = None
-        if session_specs is not None:
-            from ..stream.multitenant import SESSION_SEP
-
-            for spec in session_specs:
-                prefix = spec.name + SESSION_SEP
-                if not any(
-                    k.startswith(prefix) for k in self.program.kernels
-                ):
-                    raise ValueError(
-                        f"session {spec.name!r} has no kernels in the "
-                        f"cluster program — construct the Cluster with "
-                        f"merge_sessions(specs)"
-                    )
-            session_weights = {
-                spec.name: 2 if spec.qos_class == "gold" else 1
-                for spec in session_specs
-            }
         if assignment is None:
-            assignment = self.master.plan(
-                self.program, instrumentation, method
-            )
-        ft = faults is not None or recovery is not None
-        if ft and recovery is None:
-            recovery = RecoveryConfig()
-        elastic_cfg: ElasticityConfig | None = (
-            elastic if isinstance(elastic, ElasticityConfig) else None
+            assignment = self.master.plan(self.program)
+        rt = self._rt = _ClusterRun(
+            self, assignment, max_age=max_age, timeout=timeout,
+            stall_timeout=stall_timeout, faults=faults, recovery=recovery,
+            tracer=tracer, metrics=metrics, stream=stream,
+            sessions=sessions, batch=batch, telemetry=telemetry,
+            elastic=elastic,
         )
-        elastic_on = bool(elastic)
-        if tracer is None:
-            # Flight recorder armed by default on fault-tolerant runs:
-            # ring mode is bounded-memory and cheap enough to always run.
-            tracer = Tracer(mode="ring") if ft else NULL_TRACER
-        if metrics is None:
-            metrics = MetricsRegistry()
-        tel = _resolve_telemetry(telemetry)
-        if tel is not None:
-            tel.attach_tracer(tracer)
-            # One source only: the registry is shared by every node, so
-            # per-node sources would double-count on merge.
-            tel.exporter.add_source("cluster", metrics.snapshot)
-        self.transport.tracer = tracer
-        self.transport.timeline = tel.timeline if tel is not None else None
-        fields = FieldStore(self.program.fields.values())
-        counter = WorkCounter()
-        timers = TimerSet(self.program.timers)
-        dtype_size = {
-            f.name: f.np_dtype.itemsize
-            for f in self.program.fields.values()
-        }
+        rt.start()
+        rt.join()
+        return rt.report()
 
-        rt = _RunState()
-        rt.assignment = assignment
-        rt.counter = counter
-        rt.fields = fields
-        rt.faults = faults
-        rt.recovery = recovery
-        rt.ft = ft
-        rt.elastic = elastic_on
-        rt.tracer = tracer
-        rt.metrics = metrics
-        rt.tel = tel
-        rt.timeout = timeout
-        rt.stall_timeout = stall_timeout
-        self._rt = rt
-        exec_nodes = rt.exec_nodes
 
-        if elastic_on:
-            # Dynamic membership: broadcast every view flip on the
-            # control topic, export the epoch, retain the event log for
-            # migration replay, and gate routing on the view.
-            def broadcast(view) -> None:
-                metrics.gauge("membership.epoch").set_max(view.epoch)
-                try:
-                    self.transport.publish(
-                        MEMBERSHIP_TOPIC, "master", view, control=True
-                    )
-                except Exception:  # noqa: BLE001 - post-close flips
-                    pass
-
-            self.membership.set_publish(broadcast)
-            metrics.gauge("membership.epoch").set_max(
-                self.membership.epoch
-            )
-            self.transport.membership = self.membership
-            self.transport.enable_log()
-            if tel is not None:
-                tel.exporter.page("membership", self.membership.as_dict)
-
-        def tap(node: ExecutionNode, ev) -> None:
-            if isinstance(ev, StoreEvent):
-                self.transport.publish(
-                    ev.field, node.name, ev, _payload_bytes(ev, dtype_size)
-                )
-            elif isinstance(ev, ResizeEvent):
-                self.transport.publish(ev.field, node.name, ev, 0)
-
-        output_handler = self.program.output_handler
-        if (ft or elastic_on) and output_handler is not None:
-            output_handler = _OutputDedup(output_handler)
-
-        for name in assignment.nodes():
-            sub = self._subprogram(assignment, name)
-            if not sub.kernels:
-                continue
-            if ft or elastic_on:
-                sub.output_handler = output_handler
-            exec_nodes[name] = ExecutionNode(
-                sub,
-                self._workers[name],
-                max_age=max_age,
-                name=name,
-                fields=fields,
-                counter=counter,
-                timers=timers,
-                on_event=tap,
-                scheduling=(
-                    "fair" if session_specs is not None else "age"
-                ),
-                session_weights=session_weights,
-                dependency_kernels=list(self.program.kernels.values()),
-                tracer=tracer,
-                metrics=metrics,
-                batch=batch,
-                timeline=tel.timeline if tel is not None else None,
-            )
-        if not exec_nodes:
-            raise PartitionError("assignment left every node empty")
-
-        # Wire subscriptions: a node receives events for every field one
-        # of its kernels fetches.
-        for node in exec_nodes.values():
-            self._wire(node)
-
-        # ---- live streaming (source -> field topics, credits back on
-        # the stream.credit control topic) ----
-        sdriver = None
-        session_drivers = rt.session_drivers
-        if stream is not None or session_specs is not None:
-            from ..stream import StreamDriver
-
-            def stream_inject(ev) -> None:
-                size = (
-                    _payload_bytes(ev, dtype_size)
-                    if isinstance(ev, StoreEvent) else 0
-                )
-                self.transport.publish(ev.field, "stream-source", ev, size)
-
-        if stream is not None:
-            def grant(age: int) -> None:
-                self.transport.publish(
-                    "stream.credit", "master", {"age": age}, control=True
-                )
-
-            sdriver = (
-                stream if isinstance(stream, StreamDriver)
-                else StreamDriver(
-                    stream,
-                    nodes=list(exec_nodes.values()),
-                    fields=fields,
-                    counter=counter,
-                    metrics=metrics,
-                    tracer=tracer,
-                    program=self.program,
-                    inject=stream_inject,
-                    on_grant=grant,
-                    telemetry=tel,
-                )
-            )
-            self.transport.subscribe(
-                "stream.credit", "stream-source",
-                lambda msg: sdriver.gate.grant(msg.payload["age"]),
-            )
-        elif session_specs is not None:
-            from ..stream.multitenant import (
-                _namespace_binding,
-                namespace_program,
-            )
-
-            for spec in session_specs:
-                sub = namespace_program(spec.program, spec.name)
-
-                def grant(age: int, _name=spec.name) -> None:
-                    # Session-tagged credit: flow control per tenant
-                    # over the shared control topic.
-                    self.transport.publish(
-                        "stream.credit", "master",
-                        {"session": _name, "age": age}, control=True,
-                    )
-
-                session_drivers[spec.name] = StreamDriver(
-                    _namespace_binding(spec.binding, spec.name),
-                    nodes=list(exec_nodes.values()),
-                    fields=fields,
-                    counter=counter,
-                    metrics=metrics,
-                    tracer=tracer,
-                    program=self.program,
-                    inject=stream_inject,
-                    on_grant=grant,
-                    telemetry=tel,
-                    session=spec.name,
-                    kernel_filter=lambda k, _p=spec.name + SESSION_SEP: (
-                        k.startswith(_p)
-                    ),
-                    retire_fields=frozenset(sub.fields),
-                    retire_kernels=frozenset(sub.kernels),
-                )
-
-            def route_credit(msg) -> None:
-                drv = session_drivers.get(msg.payload.get("session"))
-                if drv is not None:
-                    drv.gate.grant(msg.payload["age"])
-
-            self.transport.subscribe(
-                "stream.credit", "stream-source", route_credit
-            )
-
-        if sdriver is not None or session_drivers:
-            # The driver(s) wrapped the *full* program's output handler
-            # for completion detection, but every subprogram copied the
-            # handler before that wrap — re-propagate it (dedup-wrapped
-            # on fault-tolerant runs) so completions are observed.  With
-            # sessions the wraps chained: the final handler observes
-            # every session's completion key, each guarded by its
-            # kernel filter.
-            handler = self.program.output_handler
-            if (ft or elastic_on) and handler is not None:
-                handler = _OutputDedup(handler)
-            rt.live_drivers = (
-                [sdriver] if sdriver is not None
-                else list(session_drivers.values())
-            )
-            for node in exec_nodes.values():
-                node.program.set_output_handler(handler)
-                if not ft and not elastic_on:
-                    # Driver stop on node teardown unwedges a failing
-                    # non-recoverable run.  Under fault tolerance or
-                    # elasticity the hook would be wrong: wind_down() on
-                    # a *recoverably* killed or migration-fenced node
-                    # runs teardown hooks, and stopping a driver there
-                    # closes its credit gate and truncates the stream
-                    # the replacement is about to resume.  Terminal
-                    # failures already poke the shared counter
-                    # (unblocking every join), and run() stops all live
-                    # drivers after the join loop.
-                    for drv in rt.live_drivers:
-                        node.add_teardown_hook(drv.stop)
-        live_drivers = rt.live_drivers
-        live_handler = (
-            None if not (sdriver is not None or session_drivers)
-            else exec_nodes[next(iter(exec_nodes))].program.output_handler
-        )
-
-        # Startup token keeps the shared counter nonzero until every node
-        # has dispatched its initial instances, so no node can observe a
-        # false global quiescence during startup.
-        startup = WorkToken(counter, label="cluster-startup")
-        results = rt.results
-        errors = rt.errors
-        lock = rt.lock
-
-        def drive(name: str, node: ExecutionNode, key: str | None = None) -> None:
-            try:
-                r = node.join(timeout=timeout, stall_timeout=stall_timeout)
-                with lock:
-                    results[key if key is not None else name] = r
-            except BaseException as exc:  # noqa: BLE001
-                with lock:
-                    errors.append(exc)
-                counter.poke()
-
-        rt.drive = drive
-        monitor: HeartbeatMonitor | None = None
-        manager: RecoveryManager | None = None
-        heartbeaters = rt.heartbeaters
-        extra_threads = rt.extra_threads
-        extra_lock = rt.extra_lock
-
-        def build(
-            name: str,
-            program: Program,
-            workers: int,
-            *,
-            scheduling: str | None = None,
-            node_batch: int | None = None,
-        ) -> ExecutionNode:
-            """Build, wire and start a successor node (recovery
-            replacement or migration target) and its drive thread."""
-            if live_handler is not None:
-                program.set_output_handler(live_handler)
-            repl = ExecutionNode(
-                program,
-                workers,
-                max_age=max_age,
-                name=name,
-                fields=fields,
-                counter=counter,
-                timers=timers,
-                on_event=tap,
-                recover=True,
-                scheduling=(
-                    scheduling if scheduling is not None
-                    else ("fair" if session_specs is not None else "age")
-                ),
-                session_weights=session_weights,
-                dependency_kernels=list(self.program.kernels.values()),
-                tracer=tracer,
-                metrics=metrics,
-                batch=node_batch if node_batch is not None else batch,
-                timeline=tel.timeline if tel is not None else None,
-            )
-            if faults is not None:
-                faults.wrap(repl)
-            self._wire(repl)
-            if monitor is not None:
-                monitor.watch(name)
-            repl.start()
-            if ft:
-                hb = Heartbeater(
-                    repl, self.transport,
-                    recovery.heartbeat_interval, faults,
-                )
-                heartbeaters[name] = hb
-                hb.start()
-            rt.migration_seq += 1
-            t = threading.Thread(
-                target=drive,
-                args=(name, repl, f"{name}#{rt.migration_seq}"),
-                daemon=True,
-                name=f"cluster-{name}",
-            )
-            with extra_lock:
-                extra_threads.append(t)
-            t.start()
-            exec_nodes[name] = repl
-            return repl
-
-        rt.build = build
-
-        def spawn(dead: ExecutionNode, repl_name: str) -> ExecutionNode:
-            """Build, wire and start a recovery replacement for ``dead``
-            (called from the recovery manager's thread)."""
-            if elastic_on:
-                state = self.membership.state(dead.name)
-                if state in ("joining", "active", "draining"):
-                    self.membership.transition(dead.name, "dead")
-                self.membership.add(repl_name, "joining")
-            repl = build(
-                repl_name, dead.program, dead.workers,
-                scheduling=dead.ready.scheduling,
-                node_batch=dead.batch,
-            )
-            if elastic_on:
-                self.membership.transition(repl_name, "active")
-            return repl
-
-        if ft:
-            self.transport.enable_log()
-            if faults is not None:
-                faults.attach(self.transport, counter)
-                for node in exec_nodes.values():
-                    faults.wrap(node)
-            monitor = HeartbeatMonitor(
-                self.transport,
-                recovery.heartbeat_timeout,
-                recovery.progress_timeout,
-                tracer=tracer,
-            )
-            rt.monitor = monitor
-            manager = RecoveryManager(
-                master=self.master,
-                transport=self.transport,
-                counter=counter,
-                monitor=monitor,
-                config=recovery,
-                nodes=exec_nodes,
-                heartbeaters=heartbeaters,
-                spawn=spawn,
-                injector=faults,
-                tracer=tracer,
-                metrics=metrics,
-            )
-            rt.manager = manager
-
-        edriver: ElasticityDriver | None = None
-        if elastic_cfg is not None:
-            edriver = self._elasticity_driver(rt, elastic_cfg, session_specs)
-
-        if tel is not None:
-            tel.start()
-        t0 = time.perf_counter()
-        rt.t0_mono = time.monotonic()
-        for node in list(exec_nodes.values()):
-            node.start()
-        if ft:
-            for name, node in list(exec_nodes.items()):
-                monitor.watch(name)
-                hb = Heartbeater(
-                    node, self.transport, recovery.heartbeat_interval,
-                    faults,
-                )
-                heartbeaters[name] = hb
-                hb.start()
-            manager.start()
-        for drv in live_drivers:
-            drv.start()
-        rt.running = True
-        if edriver is not None:
-            edriver.start()
-        threads = [
-            threading.Thread(target=drive, args=(n, en), daemon=True,
-                             name=f"cluster-{n}")
-            for n, en in exec_nodes.items()
-        ]
-        for t in threads:
-            t.start()
-        startup.release()  # every node started: release the startup token
-        for t in threads:
-            t.join()
-        if edriver is not None:
-            edriver.stop()
-        rt.running = False
-        for drv in live_drivers:
-            drv.stop()
-        if ft or elastic_on:
-            if manager is not None:
-                manager.stop()
-            with extra_lock:
-                pending = list(extra_threads)
-            for t in pending:
-                t.join()
-            for hb in list(heartbeaters.values()):
-                hb.stop()
-            if faults is not None:
-                faults.release_all()
-            if monitor is not None:
-                monitor.close()
-        wall = time.perf_counter() - t0
-        if tel is not None:
-            tel.stop()  # final sample lands before reports are built
-        stats = self.transport.stats
-        metrics.gauge("transport.messages").set_max(stats.messages)
-        metrics.gauge("transport.bytes").set_max(stats.bytes)
-        metrics.gauge("transport.delivery_errors").set_max(
-            stats.delivery_errors
-        )
-        metrics.gauge("transport.drops").set_max(stats.drops)
-        metrics.gauge("transport.stale_rejects").set_max(
-            stats.stale_rejects
-        )
-        stream_report = None
-        if sdriver is not None:
-            stream_report = sdriver.report()
-        elif session_drivers:
-            from ..stream import MultitenantReport
-
-            stream_report = MultitenantReport(
-                sessions={
-                    name: drv.report()
-                    for name, drv in session_drivers.items()
-                },
-                workers=sum(self._workers.values()),
-                backend="threads",
-                capacity=len(session_drivers),
-                duration_s=wall,
-            )
-        err = manager.error if manager is not None else None
-        if err is None and errors:
-            err = errors[0]
-        if err is not None:
-            path = dump_flight(
-                tracer,
-                reason=f"{type(err).__name__}: {err}",
-                context={"cluster": self.program.name,
-                         "nodes": sorted(self._workers)},
-            )
-            if path is not None:
-                err.flight_path = path  # type: ignore[attr-defined]
-            raise err
-        return ClusterResult(
-            assignment=rt.assignment,
-            node_results=results,
-            transport=stats,
-            wall_time=wall,
-            fields=fields,
-            recoveries=list(manager.records) if manager is not None else [],
-            metrics=metrics,
-            tracer=tracer if tracer.enabled else None,
-            stream=stream_report,
-            telemetry=tel,
-            migrations=list(rt.migrations),
-            membership=(
-                self.membership.as_dict() if elastic_on else None
-            ),
-        )
+def _fetched_fields(program: Program) -> set[str]:
+    """Fields some kernel of ``program`` fetches: the topics its node
+    subscribes to and a successor replays."""
+    return {f.field for k in program.kernels.values() for f in k.fetches}
 
 
 def _payload_bytes(ev: StoreEvent, dtype_size: Mapping[str, int]) -> int:

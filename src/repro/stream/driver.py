@@ -188,14 +188,16 @@ class StreamDriver:
         The workload's :class:`StreamBinding` (source + store glue +
         completion key + config).
     node:
-        Single-node convenience: fields, counter, metrics, tracer,
-        program and injection all default to this node's.
+        Single-node convenience: program and injection default to this
+        node's.
     nodes:
         The execution nodes processing the stream (cluster runs pass
         all of them; retirement probes each node's live ages and
-        notifies each backend).
-    fields / counter / metrics / tracer / program:
-        Shared run state; default to ``nodes[0]``'s.
+        notifies each backend).  Fields, work counter, metrics registry
+        and tracer are ``nodes[0]``'s — a cluster's nodes share them.
+    program:
+        The program whose output handler observes completions; defaults
+        to ``nodes[0]``'s (a cluster passes the full program).
     inject:
         ``inject(event)`` delivering one store event to the consuming
         node(s).  Defaults to ``nodes[0].inject``; a cluster passes a
@@ -211,19 +213,17 @@ class StreamDriver:
         Injectable stream clock (tests).
     session:
         Multi-tenant session name.  Namespaces the driver's metrics
-        (``stream.<session>.frames.*``), scopes retirement to this
-        session's fields/kernels/queued work, and stamps the report.
-        ``None`` (default) is the single-tenant PR 5 behaviour.
-    kernel_filter:
-        Predicate over the *kernel name* delivering an output: the
-        completion key marks an age done only when the filter accepts
-        the emitting kernel.  Needed whenever several sessions share one
-        merged program — every tenant's encoder emits the same
-        ``completion_key``, and without the filter each delivery would
-        credit every session's gate.
-    retire_fields / retire_kernels:
-        Field-name / kernel-name sets bounding what this driver's
-        retirer may free and probe (the session's namespaced subgraph).
+        (``stream.<session>.frames.*``), scopes the retirer's probe of
+        queued work to this session, and stamps the report.  ``None``
+        (default) is the single-tenant PR 5 behaviour.
+    scope:
+        The session's namespaced sub-program inside a merged one
+        (:func:`~repro.stream.namespace_program`).  The completion key
+        marks an age done only when one of *its* kernels emitted it —
+        every tenant's encoder emits the same ``completion_key``, and
+        unscoped each delivery would credit every session's gate — and
+        its field / kernel names bound what the retirer may free and
+        probe.
     """
 
     def __init__(
@@ -232,20 +232,19 @@ class StreamDriver:
         *,
         node=None,
         nodes=None,
-        fields=None,
-        counter=None,
-        metrics=None,
-        tracer=None,
         program=None,
         inject: Callable[[Any], None] | None = None,
         on_grant: Callable[[int], None] | None = None,
         clock=None,
         session: str | None = None,
-        kernel_filter: Callable[[str], bool] | None = None,
-        retire_fields=None,
-        retire_kernels=None,
+        scope=None,
         telemetry=None,
     ) -> None:
+        if not isinstance(binding, StreamBinding):
+            raise TypeError(
+                f"a stream is a repro.stream.StreamBinding, got "
+                f"{type(binding).__name__}"
+            )
         if node is not None:
             nodes = [node]
         if not nodes:
@@ -254,14 +253,10 @@ class StreamDriver:
         self.cfg = binding.config
         self.session = session
         self._nodes = list(nodes)
-        self._fields = fields if fields is not None else nodes[0].fields
-        self._counter = (
-            counter if counter is not None else nodes[0]._counter
-        )
-        self._metrics = (
-            metrics if metrics is not None else nodes[0].metrics
-        )
-        self._tracer = tracer if tracer is not None else nodes[0].tracer
+        self._fields = nodes[0].fields
+        self._counter = nodes[0]._counter
+        self._metrics = nodes[0].metrics
+        self._tracer = nodes[0].tracer
         self._program = (
             program if program is not None else nodes[0].program
         )
@@ -279,8 +274,8 @@ class StreamDriver:
             self._nodes,
             max_back=max(n._max_back for n in self._nodes),
             keep_ages=self.cfg.keep_ages,
-            field_names=retire_fields,
-            kernel_names=retire_kernels,
+            field_names=None if scope is None else scope.fields,
+            kernel_names=None if scope is None else scope.kernels,
             session=session,
         )
         self.qos: QosPolicy | None = None
@@ -356,7 +351,7 @@ class StreamDriver:
         # runtime always delivers outputs in the parent process).
         orig = self._program.output_handler
         key = binding.completion_key
-        accept = kernel_filter
+        ours = None if scope is None else scope.kernels
 
         def wrapped(kernel, age, index, k, value) -> None:
             if orig is not None:
@@ -364,7 +359,7 @@ class StreamDriver:
             if (
                 k == key
                 and age is not None
-                and (accept is None or accept(kernel))
+                and (ours is None or kernel in ours)
             ):
                 self._on_complete(age)
 

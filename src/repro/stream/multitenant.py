@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from ..core.naming import NAME_SEP, validate_component
 from ..core.program import Program
-from ..core.runtime import ExecutionNode, RunResult
+from ..core.runtime import ExecutionNode, RunResult, _Lifecycle
 from .driver import StreamBinding, StreamDriver
 
 __all__ = [
@@ -138,6 +138,26 @@ def _namespace_binding(
         return [dc_replace(ev, field=p + ev.field) for ev in events]
 
     return dc_replace(binding, store_frame=store_frame)
+
+
+def tier_weights(specs) -> dict[str, int]:
+    """Default ready-queue quanta: gold draws twice the dispatch slots
+    of best-effort under contention."""
+    return {s.name: 2 if s.qos_class == "gold" else 1 for s in specs}
+
+
+def session_driver(spec: "SessionSpec", **wiring) -> StreamDriver:
+    """The :class:`StreamDriver` of one tenant of a merged program: the
+    spec's binding namespaced, completions and retirement scoped to its
+    sub-program.  ``wiring`` is the run's part (``node=`` or ``nodes=``,
+    ``program=`` the merged program, ``telemetry=``, a cluster's
+    ``inject=`` / ``on_grant=``)."""
+    return StreamDriver(
+        _namespace_binding(spec.binding, spec.name),
+        session=spec.name,
+        scope=namespace_program(spec.program, spec.name),
+        **wiring,
+    )
 
 
 def merge_sessions(specs) -> Program:
@@ -321,6 +341,7 @@ class SessionManager:
             telemetry
             if telemetry is not None and telemetry.enabled else None
         )
+        self._life = _Lifecycle(self._telemetry)
         self._specs: dict[str, SessionSpec] = {}
         self._queued: list[str] = []  # admitted-but-deferred sessions
         self.drivers: dict[str, StreamDriver] = {}
@@ -374,17 +395,9 @@ class SessionManager:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         merged = merge_sessions(self._specs.values())
-        subs = {
-            name: namespace_program(spec.program, name)
-            for name, spec in self._specs.items()
-        }
         weights = self._weights
         if weights is None:
-            weights = {
-                name: 2 if spec.qos_class == "gold" else 1
-                for name, spec in self._specs.items()
-            }
-        tel = self._telemetry
+            weights = tier_weights(self._specs.values())
         self.node = ExecutionNode(
             merged,
             self.workers,
@@ -396,25 +409,15 @@ class SessionManager:
             metrics=self._metrics,
             tracer=self._tracer,
             name="tenant0",
-            timeline=tel.timeline if tel is not None else None,
+            timeline=self._life.timeline,
         )
-        if tel is not None:
-            tel.attach_tracer(self.node.tracer)
-            tel.exporter.add_source(
-                self.node.name, self.node.metrics.snapshot
-            )
+        # First hook, so it runs before the drivers': a session whose
+        # stream ends because the node is going down frees no slot.
+        self.node.add_teardown_hook(self._watch_stop.set)
         for name, spec in self._specs.items():
-            prefix = name + SESSION_SEP
-            sub = subs[name]
-            self.drivers[name] = StreamDriver(
-                _namespace_binding(spec.binding, name),
-                node=self.node,
-                program=merged,
-                session=name,
-                kernel_filter=lambda k, _p=prefix: k.startswith(_p),
-                retire_fields=frozenset(sub.fields),
-                retire_kernels=frozenset(sub.kernels),
-                telemetry=tel,
+            self.drivers[name] = session_driver(
+                spec, node=self.node, program=merged,
+                telemetry=self._telemetry,
             )
             self.node.add_teardown_hook(self.drivers[name].stop)
 
@@ -429,18 +432,21 @@ class SessionManager:
             raise RuntimeError("SessionManager may only start once")
         self._started = True
         self._build()
-        if self._telemetry is not None:
-            self._telemetry.start()
-        self.node.start()
-        for name in self._specs:
-            if name not in self._queued:
-                self.start_session(name)
+        immediate = [n for n in self._specs if n not in self._queued]
+        self._active.update(immediate)
+        self._life.start(
+            [self.node], [self.drivers[n] for n in immediate]
+        )
         if self._queued:
             self._watcher = threading.Thread(
                 target=self._watch_queue, daemon=True,
                 name="session-watcher",
             )
-            self._watcher.start()
+            self._life.up(self._watcher.start, self._stop_watcher)
+
+    def _stop_watcher(self) -> None:
+        self._watch_stop.set()
+        self._watcher.join(1.0)
 
     def start_session(self, name: str) -> None:
         """Start one session's stream (idempotent)."""
@@ -498,16 +504,11 @@ class SessionManager:
         # A queued session that never got a slot must not hold its
         # quiescence token forever: once every startable session has
         # finished, the watcher promotes it; join just waits.
-        try:
-            result = self.node.join(
+        result = self._life.join(
+            lambda: self.node.join(
                 timeout=timeout, stall_timeout=stall_timeout
             )
-        finally:
-            if self._telemetry is not None:
-                self._telemetry.stop()
-        self._watch_stop.set()
-        if self._watcher is not None:
-            self._watcher.join(1.0)
+        )
         result.stream = self.report(duration_s=result.wall_time)
         result.telemetry = self._telemetry
         self.result = result

@@ -178,6 +178,49 @@ class TestErrors:
         with pytest.raises(KernelBodyError):
             Cluster(prog, {"a": 1, "b": 1}).run(timeout=60)
 
+    def test_failed_start_leaves_nothing_running(self, monkeypatch):
+        """The second node cannot start: the error propagates and the
+        exporter (thread and port), the first node's threads, the
+        heartbeats and the stream driver are all gone."""
+        import socket
+        import threading
+
+        from repro.core import ExecutionNode
+        from repro.dist.recovery import RecoveryConfig
+        from repro.obs import Telemetry, TelemetryConfig
+        from repro.stream import StreamConfig
+        from repro.workloads import build_mjpeg_stream
+
+        start = ExecutionNode.start
+
+        def failing_start(node):
+            if node.name == "n1":
+                raise OSError("cannot spawn workers")
+            start(node)
+
+        monkeypatch.setattr(ExecutionNode, "start", failing_start)
+        cfg = MJPEGConfig(width=32, height=32, frames=4)
+        program, _sink, binding = build_mjpeg_stream(
+            cfg, StreamConfig(fps=0, max_frames=4)
+        )
+        tel = Telemetry(TelemetryConfig(port=0))
+        before = set(threading.enumerate())
+        with pytest.raises(OSError, match="cannot spawn"):
+            Cluster(program, {"n0": 1, "n1": 1}).run(
+                stream=binding, telemetry=tel, recovery=RecoveryConfig(),
+                timeout=60,
+            )
+        assert tel.exporter.http_port is not None  # it had come up
+        with pytest.raises(OSError):
+            socket.create_connection(
+                ("127.0.0.1", tel.exporter.http_port), timeout=1
+            ).close()
+        left = [
+            t.name for t in set(threading.enumerate()) - before
+            if t.is_alive()
+        ]
+        assert left == []
+
     def test_merged_instrumentation(self):
         program, _ = build_mulsum()
         result = Cluster(program, {"a": 2, "b": 2}).run(max_age=2,

@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.core import run_program
+from repro.core.errors import KernelBodyError
 from repro.core.kernels import KernelDef
 from repro.core.runtime import KernelInstance, ReadyQueue
 from repro.stream import (
@@ -222,6 +223,92 @@ class TestAdmission:
             assert sinks[name].stream() == mjpeg_baseline(
                 config=cfgs[name]
             )
+
+
+    def test_failed_join_stops_the_queue_watcher(self):
+        """A kernel error with a session still queued: ``join`` raises,
+        the watcher is gone when it does, and the queued tenant was not
+        started on the wound-down node."""
+        from dataclasses import replace as dc_replace
+
+        spec0, _, _ = make_session("e0", frames=50)
+        spec1, _, _ = make_session("e1", frames=4)
+
+        def boom(ctx):
+            raise RuntimeError("boom")
+
+        kernels = spec0.program.kernels
+        kernels["ydct"] = dc_replace(
+            kernels["ydct"], body=boom, batch_body=None
+        )
+        mgr = SessionManager([spec0, spec1], workers=2, max_sessions=1,
+                             admission="queue")
+        mgr.start()
+        with pytest.raises(KernelBodyError, match="boom"):
+            mgr.join(timeout=60)
+        assert not mgr._watcher.is_alive()
+        assert mgr._active == {"e0"}
+        assert mgr.drivers["e1"]._thread is None
+
+
+def _run_threads():
+    """Live threads a finished run must not leave behind."""
+    return sorted(
+        t.name for t in threading.enumerate()
+        if t.name.startswith(
+            ("stream-driver", "session-watcher", "telemetry")
+        )
+    )
+
+
+def _door_run_program(spec, tel):
+    return run_program(
+        spec.program, 2, stream=spec.binding, telemetry=tel, timeout=120
+    ).stream
+
+
+def _door_manager(spec, tel):
+    result = SessionManager([spec], workers=2, telemetry=tel).run(
+        timeout=120
+    )
+    return result.stream.sessions[spec.name]
+
+
+def _door_cluster_stream(spec, tel):
+    from repro.dist import Cluster
+
+    return Cluster(spec.program, {"n0": 2}).run(
+        stream=spec.binding, telemetry=tel, timeout=120
+    ).stream
+
+
+def _door_cluster_sessions(spec, tel):
+    from repro.dist import Cluster
+
+    result = Cluster(merge_sessions([spec]), {"n0": 1, "n1": 1}).run(
+        sessions=[spec], telemetry=tel, timeout=120
+    )
+    return result.stream.sessions[spec.name]
+
+
+class TestOneLifecycle:
+    """The four ways to run a live clip share one bring-up / wind-down
+    routine: same bytes, same counts, nothing left running."""
+
+    @pytest.mark.parametrize("door", [
+        _door_run_program, _door_manager,
+        _door_cluster_stream, _door_cluster_sessions,
+    ])
+    def test_same_bytes_and_no_thread_left(self, door):
+        from repro.obs import Telemetry, TelemetryConfig
+
+        spec, sink, cfg = make_session("s0")
+        tel = Telemetry(TelemetryConfig(port=0))
+        rep = door(spec, tel)
+        assert rep.offered == rep.completed == 6
+        assert sink.stream() == mjpeg_baseline(config=cfg)
+        assert tel.exporter.ticks >= 1  # it ran, and stop() sampled
+        assert _run_threads() == []
 
 
 class TestTierFairness:
