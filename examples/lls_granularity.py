@@ -67,8 +67,10 @@ def main() -> None:
     assert np.array_equal(sink4[0][1], expected[0][1])
 
     print("\n=== adaptive policy on fine-grained K-means ===")
+    # vectorize=False: a kernel with a batch_body is never recommended
+    # for coarsening (its dial is run_program's ``batch``).
     fine, fine_sink = build_kmeans(
-        n=120, k=6, iterations=4, granularity="pair"
+        n=120, k=6, iterations=4, granularity="pair", vectorize=False
     )
     fine_run = run_program(fine, workers=2, timeout=120)
     assign = fine_run.stats["assign"]
@@ -80,7 +82,7 @@ def main() -> None:
     print(f"policy recommends: {decisions}")
 
     coarse_km, coarse_sink = build_kmeans(
-        n=120, k=6, iterations=4, granularity="pair"
+        n=120, k=6, iterations=4, granularity="pair", vectorize=False
     )
     adapted = policy.apply(coarse_km, decisions)
     adapted_run = run_program(adapted, workers=2, timeout=120)

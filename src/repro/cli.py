@@ -599,6 +599,13 @@ def _ops_write_output(args, path: Path, pipe, cfg) -> str:
             f"{path} ({len(data)} bytes)")
 
 
+def _print_fused(pipe) -> None:
+    """One line per chain of operators the compiler lowered to a single
+    kernel (the answer to "where did ``yidct`` go?")."""
+    for kernel, chain in pipe.fused.items():
+        print(f"fused {' -> '.join(chain)} into kernel {kernel!r}")
+
+
 def _cmd_ops(args: argparse.Namespace) -> int:
     """``repro ops {mosaic,motion,transcode}``: run an operator-algebra
     scenario, batch or live."""
@@ -606,6 +613,8 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     if args.live and args.sessions > 1:
         def build_one(i: int, scfg):
             pipe = _ops_build_stream(args, cfg, scfg, seed_shift=1000 * i)
+            if i == 0:  # every session compiles the same graph
+                _print_fused(pipe)
             return pipe.program, pipe.binding, pipe
 
         result = _run_sessions(
@@ -632,6 +641,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             "transcode": build_transcode,
         }[args.scenario]
         pipe = builder(cfg, vectorize=not args.no_vectorize)
+    _print_fused(pipe)
     result = _run_node(args, pipe.program, stream=pipe.binding)
     _print_stream_report(args, result.stream)
     print(_ops_write_output(args, Path(args.output), pipe, cfg))

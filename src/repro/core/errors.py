@@ -81,6 +81,19 @@ class KernelBodyError(KernelError):
         self.cause = cause
 
 
+class FusedStageError(KernelError):
+    """A stage of a fused kernel raised: names the operator (or
+    pre-fusion kernel) whose native block failed, which the fused
+    kernel's own name no longer says."""
+
+    def __init__(self, stage: str, cause: BaseException) -> None:
+        super().__init__(
+            f"fused stage {stage!r} raised {type(cause).__name__}: {cause}"
+        )
+        self.stage = stage
+        self.cause = cause
+
+
 class RuntimeStateError(P2GError):
     """The runtime was used in an invalid state (e.g. run() twice)."""
 

@@ -436,9 +436,10 @@ class KernelDef:
         :mod:`repro.core.vectorize`).  Attached by
         :func:`~repro.core.vectorize.vectorize_program` at program-build
         time; ``None`` means the runtime always falls back to calling
-        ``body`` per instance.  LLS rewrites (coarsen/fuse) construct
-        fresh definitions without it, so a re-granularized kernel
-        automatically reverts to the scalar path.
+        ``body`` per instance.  :func:`~repro.core.scheduler.coarsen`
+        constructs a fresh definition without it, so a coarsened kernel
+        reverts to the scalar path; a fused kernel composes its stages'
+        stacked functions (:mod:`repro.core.fusion`).
     """
 
     name: str

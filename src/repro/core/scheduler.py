@@ -30,6 +30,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import SchedulerError
+from .fusion import Pipe, Stage, fused_batch_body, fused_body
 from .graph import final_graph
 from .instrumentation import Instrumentation
 from .kernels import (
@@ -41,6 +42,7 @@ from .kernels import (
     StoreSpec,
 )
 from .program import Program
+from .vectorize import stack_function
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +231,14 @@ def _pipe_candidates(
     return pairs
 
 
+def _stack_of(kernel: KernelDef):
+    """The stacked array function behind ``kernel``'s ``batch_body``
+    (``None`` when it has none, or one that is not a plain stack map)."""
+    if kernel.batch_body is None:
+        return None
+    return stack_function(kernel.body, f"kernel {kernel.name!r}")
+
+
 def fuse(
     program: Program,
     first: str,
@@ -327,52 +337,36 @@ def fuse(
     index_vars = tuple(k1.index_vars) + tuple(
         rename[v] for v in k2.index_vars if rename[v] not in k1.index_vars
     )
-    body1, body2 = k1.body, k2.body
-    pipe_key = pipe_store.emit_key
-    pipe_param = pipe_fetch.param
-    pipe_scalar = pipe_fetch.scalar
-    inv_rename = {v: u for u, v in rename.items()}
-
-    def fused_body(ctx: KernelContext) -> None:
-        ctx1 = KernelContext(
-            age=ctx.age, index=ctx.index, fetched=ctx.fetched,
-            timers=ctx.timers, node=ctx.node,
-        )
-        body1(ctx1)
-        if pipe_key not in ctx1.emitted:
-            raise SchedulerError(
-                f"fused pipeline: {first!r} did not emit {pipe_key!r}"
-            )
-        pipe_value = ctx1.emitted[pipe_key]
-        if pipe_scalar:
-            arr = np.asarray(pipe_value)
-            if arr.size == 1:
-                pipe_value = arr.reshape(()).item()
-        fetched2 = {pipe_param: pipe_value}
-        for f in k2.fetches:
-            if f is not pipe_fetch:
-                fetched2[f.param] = ctx.fetched[f.param]
-        index2 = {
-            inv_rename.get(v, v): i for v, i in ctx.index.items()
-        }
-        ctx2 = KernelContext(
-            age=ctx.age, index=index2, fetched=fetched2,
-            timers=ctx.timers, node=ctx.node,
-        )
-        body2(ctx2)
-        for key, value in ctx1.emitted.items():
-            if elide and key == pipe_key:
-                continue
-            ctx.emit(key, value)
-        for key, value in ctx2.emitted.items():
-            ctx.emit(key, value)
-
+    pipe_def = program.fields[pipe_field]
+    stages = (
+        Stage(
+            name=first,
+            body=k1.body,
+            params=tuple(f.param for f in k1.fetches),
+            stores=tuple(s.emit_key for s in k1_stores),
+            pipes={
+                pipe_store.emit_key: Pipe(
+                    pipe_fetch.param, pipe_store, pipe_def.np_dtype,
+                    pipe_def.ndim, scalar=pipe_fetch.scalar,
+                )
+            },
+            stack=_stack_of(k1),
+        ),
+        Stage(
+            name=second,
+            body=k2.body,
+            params=tuple(f.param for f in k2.fetches),
+            stores=tuple(s.emit_key for s in k2_stores),
+            rename={v: u for u, v in rename.items()},
+            stack=_stack_of(k2),
+        ),
+    )
     limits = [
         lim for lim in (k1.age_limit, k2.age_limit) if lim is not None
     ]
     fused = KernelDef(
         name=name or f"{first}+{second}",
-        body=fused_body,
+        body=fused_body(stages),
         fetches=fused_fetches,
         stores=k1_stores + k2_stores,
         has_age=k1.has_age,
@@ -380,6 +374,7 @@ def fuse(
         domain=dict(k1.domain or {}) or None,
         cost_hint=k1.cost_hint + k2.cost_hint,
         age_limit=min(limits) if limits else None,
+        batch_body=fused_batch_body(stages),
     )
     out = program.without_kernels(first, second).with_kernel(fused)
     if elide:
@@ -611,6 +606,11 @@ class AdaptivePolicy:
         for name, st in sorted(stats.items()):
             k = program.kernels.get(name)
             if k is None or name in fused:
+                continue
+            if k.batch_body is not None:
+                # coarsen() rebuilds the kernel without its batch_body:
+                # one stacked NumPy call would become a Python loop
+                # over sub-slices.  ``batch`` is this kernel's dial.
                 continue
             cvars = coarsenable_vars(k)
             if not cvars:

@@ -28,10 +28,19 @@ per instance.  The escape hatches:
   :func:`~repro.core.execute.run_batch` re-runs that stack in its
   scalar loop — nothing of the claim has been written by then — and
   reports the drop (``exec.vectorize_fallbacks``);
-* LLS rewrites (:func:`~repro.core.scheduler.coarsen` /
-  :func:`~repro.core.scheduler.fuse`) construct fresh
-  :class:`KernelDef` objects with the default ``batch_body=None``, so
-  a rewritten kernel runs the scalar path.
+* :func:`~repro.core.scheduler.coarsen` constructs a fresh
+  :class:`KernelDef` with the default ``batch_body=None``, so a
+  coarsened kernel runs the scalar path.
+
+Fusion keeps the stacked call.  The patterns with one region fetch and
+one store (``idct_8x8``, ``box_downscale``, ``dct_quant_8x8``,
+``affine_int``) are registered as ``stack -> stack`` array functions
+(:func:`stack_pattern`); one shared builder turns such a function into
+a lone kernel's ``batch_body``, and
+:func:`repro.core.fusion.fused_batch_body` chains the functions of a
+fused kernel's stages with a reshape/transpose re-tile between them —
+for an operator chain fused by :func:`repro.ops.compile_ops` and for an
+LLS :func:`~repro.core.scheduler.fuse` alike.
 
 Byte-identity is a hard requirement, exactly as for the LLS rewrites:
 every pattern reproduces the scalar body's arithmetic bit for bit
@@ -53,6 +62,8 @@ __all__ = [
     "BatchKernelContext",
     "VectorizeFallback",
     "batch_fetch_plan",
+    "stack_function",
+    "stack_pattern",
     "tag_vectorizable",
     "vectorize_program",
     "vectorizable_pattern",
@@ -160,6 +171,69 @@ def vectorizable_pattern(name: str):
     return register
 
 
+#: A stacked native block: ``(N, *block)`` array in, ``(N, *out)`` out;
+#: row ``i`` of the result is what the scalar body emits for row ``i``.
+StackFn = Callable[[np.ndarray], Any]
+
+#: pattern name -> make(params) -> StackFn, for the patterns with one
+#: region fetch and one store.
+_STACK_PATTERNS: dict[str, Callable[[dict], StackFn]] = {}
+
+
+def stack_pattern(name: str):
+    """Register a one-fetch / one-store pattern as a factory of
+    ``stack -> stack`` array functions (decorator): ``make(params)``
+    returns the function.  The pattern's kernel builder is the shared
+    one — a single region fetch, a single store, ``emit(fn(stack))`` —
+    and the same function is what a fused kernel chains
+    (:func:`stack_function`)."""
+
+    def register(make):
+        _STACK_PATTERNS[name] = make
+
+        def build(kernel: KernelDef, params: dict):
+            if len(kernel.fetches) != 1 or len(kernel.stores) != 1:
+                return None
+            fetch = kernel.fetches[0]
+            if fetch.whole_field():
+                return None
+            param, key = fetch.param, kernel.stores[0].emit_key
+            fn = make(params)
+
+            def batch_body(bctx: BatchKernelContext) -> None:
+                bctx.emit(key, fn(bctx.fetched[param]))
+
+            return batch_body
+
+        vectorizable_pattern(name)(build)
+        return make
+
+    return register
+
+
+def _tagged(body: BodyFn, who: str):
+    """``(pattern, params)`` of a tagged body (``None`` if untagged);
+    an unknown pattern name is a definition error."""
+    tag = getattr(body, _TAG_ATTR, None)
+    if tag is not None and tag[0] not in _PATTERNS:
+        raise DefinitionError(
+            f"{who} is tagged with unknown vectorization pattern "
+            f"{tag[0]!r}; known: {sorted(_PATTERNS)}"
+        )
+    return tag
+
+
+def stack_function(body: BodyFn, who: str) -> StackFn | None:
+    """The ``stack -> stack`` function of a body tagged with a
+    :func:`stack_pattern`, or ``None`` (untagged, or a pattern of
+    another arity).  ``who`` names the body's owner in the error an
+    unknown pattern raises."""
+    tag = _tagged(body, who)
+    if tag is None or tag[0] not in _STACK_PATTERNS:
+        return None
+    return _STACK_PATTERNS[tag[0]](tag[1])
+
+
 def vectorize_program(program) -> list[str]:
     """Attach ``batch_body`` implementations to every tagged kernel of
     ``program`` whose structure matches its pattern; returns the names
@@ -167,18 +241,11 @@ def vectorize_program(program) -> list[str]:
     (no-op) and idempotent."""
     vectorized: list[str] = []
     for kernel in program.kernels.values():
-        tag = getattr(kernel.body, _TAG_ATTR, None)
+        tag = _tagged(kernel.body, f"kernel {kernel.name!r}")
         if tag is None:
             continue
         pattern, params = tag
-        builder = _PATTERNS.get(pattern)
-        if builder is None:
-            raise DefinitionError(
-                f"kernel {kernel.name!r} is tagged with unknown "
-                f"vectorization pattern {pattern!r}; known: "
-                f"{sorted(_PATTERNS)}"
-            )
-        batch_body = builder(kernel, params)
+        batch_body = _PATTERNS[pattern](kernel, params)
         if batch_body is not None:
             kernel.batch_body = batch_body
             vectorized.append(kernel.name)
@@ -222,8 +289,8 @@ def batch_fetch_plan(
 # ----------------------------------------------------------------------
 # The pattern table
 # ----------------------------------------------------------------------
-@vectorizable_pattern("dct_quant_8x8")
-def _build_dct_quant(kernel: KernelDef, params: dict):
+@stack_pattern("dct_quant_8x8")
+def _make_dct_quant(params: dict) -> StackFn:
     """The MJPEG macro-block pipeline: level-shift, 2-D DCT, quantize.
 
     Scalar body (``repro.workloads.mjpeg``)::
@@ -235,28 +302,21 @@ def _build_dct_quant(kernel: KernelDef, params: dict):
     is elementwise, so one stacked call over ``(N, 8, 8)`` is byte-
     identical to N scalar calls.
     """
-    if len(kernel.fetches) != 1 or len(kernel.stores) != 1:
-        return None
-    fetch = kernel.fetches[0]
-    if fetch.whole_field():
-        return None
-    key = kernel.stores[0].emit_key
     qtable = params["qtable"]
     method = params["method"]
 
-    def batch_body(bctx: BatchKernelContext) -> None:
+    def dct_quant(blocks: np.ndarray):
         from ..media.dct import dct2_blocks
         from ..media.quant import quantize
 
-        blocks = bctx.fetched[fetch.param]
         if blocks.shape[-2:] != (8, 8):
             raise VectorizeFallback  # block geometry drifted
         coeffs = dct2_blocks(
             blocks.astype(np.float64) - 128.0, method=method
         )
-        bctx.emit(key, quantize(coeffs, qtable))
+        return quantize(coeffs, qtable)
 
-    return batch_body
+    return dct_quant
 
 
 @vectorizable_pattern("kmeans_pair_distance")
@@ -304,34 +364,27 @@ def _build_kmeans_point(kernel: KernelDef, params: dict):
     return batch_body
 
 
-@vectorizable_pattern("affine_int")
-def _build_affine_int(kernel: KernelDef, params: dict):
+@stack_pattern("affine_int")
+def _make_affine_int(params: dict) -> StackFn:
     """Elementwise integer affine map ``v -> v*mul + add (% modulo)`` —
     the figure-5 ``mul2``/``plus5`` kernels.  Exercises the smallest
     possible native block, where dispatch overhead dominates by orders
     of magnitude (table II's pattern)."""
-    if len(kernel.fetches) != 1 or len(kernel.stores) != 1:
-        return None
-    fetch = kernel.fetches[0]
-    if fetch.whole_field():
-        return None
-    key = kernel.stores[0].emit_key
     mul = int(params.get("mul", 1))
     add = int(params.get("add", 0))
     modulo = params.get("modulo")
 
-    def batch_body(bctx: BatchKernelContext) -> None:
-        v = bctx.fetched[fetch.param].reshape(len(bctx))
-        v = v * mul + add
+    def affine(v: np.ndarray):
+        v = v.reshape(len(v)) * mul + add
         if modulo is not None:
             v = v % modulo
-        bctx.emit(key, v)
+        return v
 
-    return batch_body
+    return affine
 
 
-@vectorizable_pattern("box_downscale")
-def _build_box_downscale(kernel: KernelDef, params: dict):
+@stack_pattern("box_downscale")
+def _make_box_downscale(params: dict) -> StackFn:
     """Integer box-filter downscale of a fetched region — the operator
     scenarios' mosaic tile scaler and the transcode resize stage.
 
@@ -339,51 +392,35 @@ def _build_box_downscale(kernel: KernelDef, params: dict):
     integer rounding, identically for ``(h, w)`` and ``(N, h, w)``
     inputs, so the stacked call is byte-identical to N scalar calls.
     """
-    if len(kernel.fetches) != 1 or len(kernel.stores) != 1:
-        return None
-    fetch = kernel.fetches[0]
-    if fetch.whole_field():
-        return None
-    key = kernel.stores[0].emit_key
     factor = int(params["factor"])
 
-    def batch_body(bctx: BatchKernelContext) -> None:
+    def downscale(blocks: np.ndarray):
         from ..media.yuv import box_downscale
 
-        blocks = bctx.fetched[fetch.param]
         if blocks.shape[-1] % factor or blocks.shape[-2] % factor:
             raise VectorizeFallback  # block geometry drifted
-        bctx.emit(key, box_downscale(blocks, factor))
+        return box_downscale(blocks, factor)
 
-    return batch_body
+    return downscale
 
 
-@vectorizable_pattern("idct_8x8")
-def _build_idct_8x8(kernel: KernelDef, params: dict):
+@stack_pattern("idct_8x8")
+def _make_idct_8x8(params: dict) -> StackFn:
     """Inverse DCT + level shift of an 8x8 coefficient block back to
     uint8 pixels — the transcode chain's decode stage.  The scalar body
     routes through the same stacked :func:`repro.media.dct.idct2_blocks`
     call (on a ``(1, 8, 8)`` view), so both paths perform the identical
     batched matmul per slice."""
-    if len(kernel.fetches) != 1 or len(kernel.stores) != 1:
-        return None
-    fetch = kernel.fetches[0]
-    if fetch.whole_field():
-        return None
-    key = kernel.stores[0].emit_key
 
-    def batch_body(bctx: BatchKernelContext) -> None:
+    def idct(coeffs: np.ndarray):
         from ..media.dct import idct2_blocks
 
-        coeffs = bctx.fetched[fetch.param]
         if coeffs.shape[-2:] != (8, 8):
             raise VectorizeFallback
         pixels = idct2_blocks(coeffs) + 128.0
-        bctx.emit(
-            key, np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
-        )
+        return np.clip(np.rint(pixels), 0, 255).astype(np.uint8)
 
-    return batch_body
+    return idct
 
 
 @vectorizable_pattern("absdiff_region_stats")

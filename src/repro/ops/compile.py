@@ -11,10 +11,14 @@ source      one :class:`~repro.core.fields.FieldDef` per port; in
             stream); in live mode no kernel — the
             :class:`~repro.stream.StreamDriver` injects frames through
             the compiled :class:`~repro.stream.StreamBinding`.
-map         one kernel; each input becomes a fetch (whole-field, or
+map         a maximal fusable chain of maps → one kernel, named after
+            the chain's tail (a lone map is a chain of one).  Each input
+            of the head becomes a fetch (whole-field, or
             ``Dim.of("i<j>", block)`` leading dims under
-            :meth:`~repro.ops.algebra.Handle.block`), each out port a
-            field + store spec keyed by the port name.
+            :meth:`~repro.ops.algebra.Handle.block`, the block scaled to
+            the tail's granularity), each out port of the tail a field +
+            store spec keyed by the port name; ports inside the chain
+            get no field (see *Fusion* below).
 window(n)   no kernel of its own: the consumer's fetch for that input
             expands into ``n`` fetches at ``AgeExpr.var(skew + k)``,
             params ``"port@k"`` — an age-range fetch.
@@ -32,19 +36,36 @@ sink        a kernel with fetches and *no* stores: it delivers
             pipeline's :class:`OpsCollector` gathers results in the
             parent process on every backend.
 ========== =========================================================
+
+Fusion.  ``A → B`` fuse when every input of ``B`` is a port of ``A`` and
+``B`` is the only consumer of every port of ``A`` (no sink, multicast or
+second operator on them), the edge carries no ``window`` / ``skew``, and
+the two agree in granularity: both whole-field, or both blocked with
+``B``'s fetch block an integer multiple ``r`` per axis of ``A``'s store
+block and the port's declared extent a multiple of ``B``'s block.
+Whether a chain fuses is a property of the graph — there is no switch.
+The fused kernel runs one instance per *tail* instance: it fetches the
+head's block scaled by the product of the ratios downstream, re-tiles
+it, and runs every stage's ``fn`` on its own sub-instances
+(:mod:`repro.core.fusion`); when every stage is tagged with a
+``stack -> stack`` pattern its ``batch_body`` is those array functions
+chained.  :attr:`CompiledPipeline.fused` says which operators each
+fused kernel absorbed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..core.fields import DTYPES, FieldDef
+from ..core.fusion import Pipe, Stage, fused_batch_body, fused_body
 from ..core.kernels import AgeExpr, Dim, FetchSpec, KernelDef, StoreSpec
 from ..core.program import Program
-from ..core.vectorize import vectorize_program
+from ..core.vectorize import stack_function, vectorize_program
 from .algebra import Handle, InputRef, OpNode
 
 __all__ = ["CompiledPipeline", "OpsCollector", "compile_ops"]
@@ -81,6 +102,9 @@ class CompiledPipeline:
     carry the :class:`~repro.stream.StreamBinding` to pass as
     ``run_program(..., stream=binding)`` (or wrap in a
     :class:`~repro.stream.SessionSpec` for multi-tenant serving).
+    ``fused`` maps each kernel that stands for a chain of map operators
+    to the operators it absorbed, head first (its own name is the
+    tail's): ``{"ydct": ("yidct", "yscale", "ydct")}``.
     """
 
     program: Program
@@ -88,6 +112,7 @@ class CompiledPipeline:
     binding: Any = None
     sources: tuple[OpNode, ...] = ()
     sinks: tuple[OpNode, ...] = ()
+    fused: dict[str, tuple[str, ...]] = dc_field(default_factory=dict)
 
     def collector(self, name: str | None = None) -> OpsCollector:
         """The named sink's collector (default: the first sink)."""
@@ -119,6 +144,12 @@ def _gather(handles: Sequence[Handle]) -> list[OpNode]:
 # ----------------------------------------------------------------------
 # Per-kind lowering
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _block_dims(block: tuple[int, ...], ndim: int) -> tuple[Dim, ...]:
+    lead = tuple(Dim.of(f"i{j}", b) for j, b in enumerate(block))
+    return lead + tuple(Dim.all() for _ in range(ndim - len(block)))
+
+
 def _index_dims(
     block: tuple[int, ...], ndim: int, *, ctx: str
 ) -> tuple[Dim, ...]:
@@ -127,13 +158,15 @@ def _index_dims(
             f"{ctx}: block has {len(block)} axes but the port is "
             f"{ndim}-dimensional"
         )
-    lead = tuple(Dim.of(f"i{j}", b) for j, b in enumerate(block))
-    return lead + tuple(Dim.all() for _ in range(ndim - len(block)))
+    return _block_dims(block, ndim)
 
 
 def _lower_fetches(
-    node: OpNode,
+    node: OpNode, scale: tuple[int, ...] = (),
 ) -> tuple[tuple[FetchSpec, ...], tuple[str, ...]]:
+    """``node``'s inputs as fetch specs; ``scale`` multiplies the blocks
+    per axis (the head of a fused chain fetches at the tail's
+    granularity)."""
     fetches = []
     index_vars: list[str] = []
     for ref in node.inputs:
@@ -141,8 +174,9 @@ def _lower_fetches(
         if ref.block is None:
             dims: tuple[Dim, ...] = ()
         else:
+            grow = scale + (1,) * (len(ref.block) - len(scale))
             dims = _index_dims(
-                ref.block, ndim,
+                tuple(b * g for b, g in zip(ref.block, grow)), ndim,
                 ctx=f"operator {node.name!r}, input {ref.param!r}",
             )
             for j in range(len(ref.block)):
@@ -211,6 +245,155 @@ def _sink_body(node: OpNode):
     return body
 
 
+def _store_spec(node: OpNode, port: str) -> StoreSpec:
+    """The store of a map's out port (elided inside a fused chain)."""
+    out_block = node.out_block.get(port)
+    if out_block is None:
+        dims: tuple[Dim, ...] = ()
+    else:
+        dims = _index_dims(
+            out_block, len(node.ports[port].shape),
+            ctx=f"operator {node.name!r}, out port {port!r}",
+        )
+    return StoreSpec(node.field_of(port), dims=dims, key=port)
+
+
+# ----------------------------------------------------------------------
+# Fusion: maximal linear chains of maps
+# ----------------------------------------------------------------------
+def _edge_ratio(a: OpNode, b: OpNode) -> tuple[int, ...] | None:
+    """How many instances of map ``a`` one instance of its sole consumer
+    ``b`` covers, per index variable — ``()`` between two whole-field
+    maps — or ``None`` when ``b`` cannot run inside ``a``'s kernel (the
+    fusability rule of the module docstring)."""
+    if a.kind != "map" or b.kind != "map":
+        return None
+    for ref in b.inputs:
+        if ref.node is not a or ref.window != 1 or ref.skew:
+            return None
+    if sorted(ref.port for ref in b.inputs) != sorted(a.ports):
+        return None
+    # A's instances per age along each index variable: its blocked
+    # inputs must span them all, tile their ports exactly, and agree.
+    rank = max((len(ref.block or ()) for ref in a.inputs), default=0)
+    counts: list[int | None] = [None] * rank
+    for ref in a.inputs:
+        if ref.block is None:
+            continue
+        if not len(ref.block) == rank <= len(ref.spec.shape):
+            return None  # (an over-long block: the lowering reports it)
+        for j, size in enumerate(ref.block):
+            n, rem = divmod(ref.spec.shape[j], size)
+            if rem or counts[j] not in (None, n):
+                return None
+            counts[j] = n
+    ratio = None
+    for ref in b.inputs:
+        fetch = ref.block or ()
+        store = a.out_block.get(ref.port, ())
+        if not len(fetch) == len(store) == rank <= len(ref.spec.shape):
+            return None
+        for n, count, s, f in zip(ref.spec.shape, counts, store, fetch):
+            # A's stores tile the port, B's fetches re-tile it
+            if n != count * s or f % s or n % f:
+                return None
+        per_axis = tuple(f // s for f, s in zip(fetch, store))
+        if ratio not in (None, per_axis):
+            return None  # one sub-instance count per edge, not per port
+        ratio = per_axis
+    return ratio
+
+
+def _chains(nodes: Sequence[OpNode]):
+    """Partition the graph into maximal fusable chains, in construction
+    order of their heads: ``(operators, per-edge ratios)`` — one
+    operator and no edge for everything that does not fuse."""
+    consumers: dict[OpNode, list[OpNode]] = {}
+    for node in nodes:
+        for ref in node.inputs:
+            consumers.setdefault(ref.node, []).append(node)
+    follows: dict[OpNode, tuple[OpNode, tuple[int, ...]]] = {}
+    inside = set()
+    for a, users in consumers.items():
+        b = users[0]
+        if all(u is b for u in users):
+            ratio = _edge_ratio(a, b)
+            if ratio is not None:
+                follows[a] = (b, ratio)
+                inside.add(b)
+    for node in nodes:
+        if node in inside:
+            continue
+        chain, ratios = [node], []
+        while chain[-1] in follows:
+            b, ratio = follows[chain[-1]]
+            chain.append(b)
+            ratios.append(ratio)
+        yield chain, ratios
+
+
+def _lower_maps(
+    chain: Sequence[OpNode], ratios: Sequence[tuple[int, ...]],
+    vectorize: bool,
+) -> KernelDef:
+    """One kernel for a chain of maps: the head's fetches, the tail's
+    stores and name, every stage's ``fn`` in between."""
+    head, tail = chain[0], chain[-1]
+    stores = tuple(_store_spec(tail, port) for port in tail.ports)
+    if len(chain) == 1:
+        fetches, index_vars = _lower_fetches(head)
+        return KernelDef(
+            name=head.name,
+            body=head.fn,
+            fetches=fetches,
+            stores=stores,
+            has_age=True,
+            index_vars=index_vars,
+        )
+    # grids[i]: instances of stage i inside one instance of the tail
+    grids = [tuple(1 for _ in ratios[-1])]
+    for ratio in reversed(ratios):
+        grids.insert(0, tuple(g * r for g, r in zip(grids[0], ratio)))
+    fetches, index_vars = _lower_fetches(head, grids[0])
+    stages = []
+    for node, grid, after in zip(chain, grids, (*chain[1:], None)):
+        pipes = {}
+        for ref in after.inputs if after is not None else ():
+            spec = node.ports[ref.port]
+            block = node.out_block.get(ref.port, ())
+            pipes[ref.port] = Pipe(
+                ref.param, _store_spec(node, ref.port),
+                DTYPES[spec.dtype], len(spec.shape),
+                tile=block + spec.shape[len(block):],
+            )
+        stages.append(Stage(
+            name=node.name,
+            body=node.fn,
+            params=tuple(r.param for r in node.inputs),
+            stores=tuple(node.ports) if after is None else (),
+            pipes=pipes,
+            grid={
+                f"i{j}": g for j, g in enumerate(grid)
+            } if any(g > 1 for g in grid) else {},
+            shared=frozenset(
+                r.param for r in node.inputs if r.block is None
+            ),
+            stack=stack_function(
+                node.fn, f"operator {node.name!r}"
+            ) if vectorize else None,
+        ))
+    return KernelDef(
+        name=tail.name,
+        body=fused_body(stages),
+        fetches=fetches,
+        stores=stores,
+        has_age=True,
+        index_vars=index_vars,
+        cost_hint=float(len(chain)),
+        batch_body=fused_batch_body(stages),
+    )
+
+
 def _lower_node(node: OpNode, mode: str) -> KernelDef | None:
     if node.kind == "source":
         if mode == "live":
@@ -227,30 +410,6 @@ def _lower_node(node: OpNode, mode: str) -> KernelDef | None:
                 StoreSpec(node.field_of(p), key=p) for p in node.ports
             ),
             has_age=True,
-        )
-
-    if node.kind == "map":
-        fetches, index_vars = _lower_fetches(node)
-        stores = []
-        for port, spec in node.ports.items():
-            out_block = node.out_block.get(port)
-            if out_block is None:
-                dims: tuple[Dim, ...] = ()
-            else:
-                dims = _index_dims(
-                    out_block, len(spec.shape),
-                    ctx=f"operator {node.name!r}, out port {port!r}",
-                )
-            stores.append(
-                StoreSpec(node.field_of(port), dims=dims, key=port)
-            )
-        return KernelDef(
-            name=node.name,
-            body=node.fn,
-            fetches=fetches,
-            stores=tuple(stores),
-            has_age=True,
-            index_vars=index_vars,
         )
 
     if node.kind == "keyed_partition":
@@ -407,22 +566,28 @@ def compile_ops(
     if len(set(keys)) != len(keys):
         raise ValueError(f"duplicate sink output keys: {keys}")
 
-    fields = [
-        FieldDef(
-            node.field_of(port),
-            dtype=spec.dtype,
-            ndim=len(spec.shape),
-            aging=True,
-            shape=spec.shape,
-        )
-        for node in nodes
-        for port, spec in node.ports.items()
-    ]
-    kernels = []
-    for node in nodes:
-        kernel = _lower_node(node, mode)
+    fields, kernels, fused = [], [], {}
+    for chain, ratios in _chains(nodes):
+        tail = chain[-1]
+        if tail.kind == "map":
+            kernel = _lower_maps(chain, ratios, vectorize)
+            if len(chain) > 1:
+                fused[tail.name] = tuple(n.name for n in chain)
+        else:
+            kernel = _lower_node(tail, mode)
         if kernel is not None:
             kernels.append(kernel)
+        # ports inside a chain are handed on in the kernel: no field
+        fields.extend(
+            FieldDef(
+                tail.field_of(port),
+                dtype=spec.dtype,
+                ndim=len(spec.shape),
+                aging=True,
+                shape=spec.shape,
+            )
+            for port, spec in tail.ports.items()
+        )
 
     collectors = {
         n.name: OpsCollector(n.name, n.output_key) for n in sink_nodes
@@ -450,4 +615,5 @@ def compile_ops(
         binding=binding,
         sources=source_nodes,
         sinks=sink_nodes,
+        fused=fused,
     )

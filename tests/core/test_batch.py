@@ -19,6 +19,7 @@ from repro.core import (
     Dim,
     ExecutionNode,
     FetchSpec,
+    GranularityDecision,
     KernelDef,
     Program,
     ReadyQueue,
@@ -329,7 +330,9 @@ class TestOfflineRecipe:
     ``AdaptivePolicy.recommend`` → ``.apply`` → run the rewritten
     program at ``batch=32``.  The rewrite is invisible in the bytes on
     both backends (mulsum declares no shapes, so it runs on threads
-    only)."""
+    only).  MJPEG is built unvectorized: every dispatch-bound kernel of
+    the vectorized build has a ``batch_body``, for which the policy
+    recommends nothing (``batch`` is that kernel's dial)."""
 
     CASES = {
         "mulsum": (lambda: build_mulsum(), {"max_age": 4}),
@@ -340,7 +343,8 @@ class TestOfflineRecipe:
             lambda: build_kmeans(n=150, k=8, iterations=3,
                                  granularity="point"), {}),
         "mjpeg": (
-            lambda: build_mjpeg(config=MJPEGConfig(96, 64, frames=3)), {}),
+            lambda: build_mjpeg(config=MJPEGConfig(96, 64, frames=3),
+                                vectorize=False), {}),
     }
 
     @staticmethod
@@ -369,6 +373,10 @@ class TestOfflineRecipe:
         decisions = policy.recommend(program, profile.instrumentation,
                                      fuse=True)
         assert decisions  # batch=1 is dispatch-bound on all four
+        assert not any(
+            program.kernels[d.kernel].batch_body is not None
+            for d in decisions if isinstance(d, GranularityDecision)
+        )
         program, sink = build()
         rewritten = policy.apply(program, decisions)
         run_program(rewritten, workers=2, batch=32, backend=backend,

@@ -132,6 +132,89 @@ class TestFuse:
         with pytest.raises(SchedulerError):
             fuse(program, "init", "print")
 
+    @pytest.mark.parametrize("elide", [False, True])
+    def test_fused_kernel_keeps_a_stacked_body(self, elide):
+        """Both kernels are ``affine_int`` stack maps, so the fused
+        kernel's batch_body is their composition (the kept p_data store
+        included) and a batched run never drops to the scalar loop."""
+        from repro.obs import MetricsRegistry, flatten
+
+        sink = {}
+        program, _ = build_mulsum(sink=sink, modulo=1 << 20)
+        if elide:
+            program = program.without_kernels("print")
+        fused = fuse(program, "mul2", "plus5")
+        k = fused.kernels["mul2+plus5"]
+        assert k.batch_body is not None
+        assert ("p_data" in k.stored_fields()) == (not elide)
+        reg = MetricsRegistry()
+        result = run_program(fused, workers=1, max_age=3, timeout=60,
+                             batch=32, metrics=reg)
+        flat = flatten(reg.snapshot())
+        assert flat["exec.vectorize_fallbacks"] == 0
+        assert flat["exec.vectorized_instances"] > 0
+        expected = expected_series(5, modulo=1 << 20)
+        assert result.fields["m_data"].fetch(3).tolist() == \
+            expected[3][0].tolist()
+        if not elide:
+            assert np.array_equal(sink[2][1], expected[2][1])
+
+    def test_one_unvectorized_kernel_means_no_stacked_body(self):
+        program, _ = build_mulsum(vectorize=False)
+        fused = fuse(program, "mul2", "plus5")
+        assert fused.kernels["mul2+plus5"].batch_body is None
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_elided_pipe_still_casts_to_the_field_dtype(self, batch):
+        """What crosses an elided store is what the consumer would have
+        fetched: int64 sums handed through a uint8 field wrap."""
+        from repro.core import (
+            Dim, FetchSpec, FieldDef, KernelDef, Program, StoreSpec,
+        )
+
+        def build():
+            dims = (Dim.of("x", 2),)
+
+            def src(ctx):
+                if ctx.age == 0:
+                    ctx.emit("raw", np.arange(8, dtype=np.int64) * 40)
+
+            def widen(ctx):
+                ctx.emit("mid", ctx["v"] * 3 + 7)
+
+            def halve(ctx):
+                ctx.emit("out", ctx["m"] // 2)
+
+            return Program.build(
+                [
+                    FieldDef("raw", "int64", 1, aging=True, shape=(8,)),
+                    FieldDef("mid", "uint8", 1, aging=True, shape=(8,)),
+                    FieldDef("out", "int64", 1, aging=True, shape=(8,)),
+                ],
+                [
+                    KernelDef("src", src, has_age=True,
+                              stores=(StoreSpec("raw"),)),
+                    KernelDef(
+                        "widen", widen, has_age=True, index_vars=("x",),
+                        fetches=(FetchSpec("v", "raw", dims=dims),),
+                        stores=(StoreSpec("mid", dims=dims),),
+                    ),
+                    KernelDef(
+                        "halve", halve, has_age=True, index_vars=("x",),
+                        fetches=(FetchSpec("m", "mid", dims=dims),),
+                        stores=(StoreSpec("out", dims=dims),),
+                    ),
+                ],
+            )
+
+        plain = run_program(build(), workers=1, timeout=60, batch=batch)
+        fused = fuse(build(), "widen", "halve")
+        assert "mid" not in fused.fields
+        got = run_program(fused, workers=1, timeout=60, batch=batch)
+        want = ((np.arange(8) * 120 + 7) % 256) // 2
+        assert plain.fields["out"].fetch(0).tolist() == want.tolist()
+        assert got.fields["out"].fetch(0).tolist() == want.tolist()
+
     def test_fusable_pairs(self):
         program, _ = build_mulsum()
         pairs = fusable_pairs(program)
@@ -150,12 +233,23 @@ class TestAdaptivePolicy:
 
     def test_recommends_for_high_ratio(self):
         program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair")
+                                  granularity="pair", vectorize=False)
         policy = AdaptivePolicy(ratio_target=0.25)
         decisions = policy.recommend(program, self._instr())
         assert len(decisions) == 1
         d = decisions[0]
         assert d.kernel == "assign" and d.factor > 1
+
+    def test_never_coarsens_a_vectorized_kernel(self):
+        """coarsen() rebuilds a kernel without its batch_body, so the
+        same hot profile yields no decision once ``assign`` has one:
+        its dial is ``batch`` (8 of the 10 K-means-point pairs of the
+        LLS dial audit lost to exactly this rewrite)."""
+        program, _ = build_kmeans(n=40, k=4, iterations=2,
+                                  granularity="pair")
+        assert program.kernels["assign"].batch_body is not None
+        policy = AdaptivePolicy(ratio_target=0.25)
+        assert policy.recommend(program, self._instr()) == []
 
     def test_no_recommendation_below_target(self):
         program, _ = build_kmeans(n=40, k=4, iterations=2,
@@ -191,7 +285,7 @@ class TestAdaptivePolicy:
         """recommend takes either an Instrumentation or its stats dict
         (the adaptation driver feeds per-interval deltas as a dict)."""
         program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair")
+                                  granularity="pair", vectorize=False)
         policy = AdaptivePolicy(ratio_target=0.25)
         stats = self._instr().stats()
         decisions = policy.recommend(program, stats)

@@ -121,10 +121,27 @@ class TestMotion:
 
 class TestTranscode:
     def test_threads_matches_baseline(self):
+        from repro.obs import MetricsRegistry, flatten
+
         pipe = build_transcode(TRANSCODE)
-        run_program(pipe.program, workers=4, timeout=120)
+        # 12 operators, 6 kernels: each plane's idct → scale → dct
+        # chain is one kernel running one stacked call per claim.
+        assert set(pipe.program.kernels) == {
+            "jin", "vld", "ydct", "udct", "vdct", "vlc",
+        }
+        assert pipe.fused == {
+            f"{c}dct": (f"{c}idct", f"{c}scale", f"{c}dct") for c in "yuv"
+        }
+        for name in pipe.fused:
+            assert pipe.program.kernels[name].batch_body is not None
+        reg = MetricsRegistry()
+        run_program(pipe.program, workers=4, timeout=120, batch=32,
+                    metrics=reg)
         assert pipe.collector().values() == \
             transcode_baseline(TRANSCODE)
+        flat = flatten(reg.snapshot())
+        assert flat["exec.vectorize_fallbacks"] == 0
+        assert flat["exec.vectorized_instances"] > 0
 
     def test_scalar_matches_vectorized(self):
         pipe = build_transcode(TRANSCODE, vectorize=False)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import ExecutionNode, run_program
 from repro.dist import Cluster
+from repro.ops import compile_ops
 from repro.stream import SessionManager, StreamConfig, StreamDriver
 from repro.workloads import MJPEGConfig, build_mjpeg_stream
 
@@ -18,6 +19,7 @@ RUN = {"max_age", "timeout", "stall_timeout", "tracer", "metrics",
        "batch", "telemetry"}
 
 SURFACE = {
+    compile_ops: {"sinks", "name", "mode", "stream", "vectorize"},
     run_program: RUN | {
         "program", "workers", "gc_fields", "keep_ages", "backend", "stream",
     },
