@@ -2,14 +2,24 @@
 
 Implements canonical Huffman code construction from the (BITS, HUFFVAL)
 representation used by the DHT marker, the standard luminance and
-chrominance DC/AC tables, and the block-level run-length + magnitude
-coding of quantized zig-zag coefficients (the "VLC" in the paper's
-``VLC + write`` kernel).
+chrominance DC/AC tables, and the run-length + magnitude coding of
+quantized zig-zag coefficients (the "VLC" in the paper's ``VLC + write``
+kernel) at two granularities:
+
+* :func:`encode_mcus` / :func:`decode_scan` code a whole scan — one
+  NumPy pass on encode, one table probe per symbol on decode.  These are
+  what :mod:`repro.media.jpeg` runs.
+* :func:`encode_block` / :func:`decode_block` follow the spec's
+  per-block procedures over a :class:`BitWriter` / :class:`BitReader`.
+  Nothing in the package calls them; they are the reference the scan
+  routines are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from array import array
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +34,9 @@ __all__ = [
     "STD_AC_CHROMA",
     "magnitude_category",
     "encode_block",
-    "encode_block_scalar",
     "decode_block",
+    "encode_mcus",
+    "decode_scan",
 ]
 
 
@@ -67,11 +78,18 @@ class HuffmanTable:
                 self._decode[length] = (code, code + n - 1, k)
                 for _ in range(n):
                     symbol = values[k]
+                    if not 0 <= symbol <= 255:
+                        raise ValueError(f"symbol {symbol} is not a byte")
                     if symbol in self._encode:
                         raise ValueError(f"duplicate symbol {symbol:#x}")
                     self._encode[symbol] = (code, length)
                     code += 1
                     k += 1
+                if code > 1 << length:
+                    raise ValueError(
+                        f"BITS is not a prefix code: {n} codes of length "
+                        f"{length} do not fit"
+                    )
             code <<= 1
 
     def encode(self, symbol: int) -> tuple[int, int]:
@@ -82,11 +100,6 @@ class HuffmanTable:
             raise ValueError(
                 f"symbol {symbol:#x} not in Huffman table"
             ) from None
-
-    def write_symbol(self, writer: BitWriter, symbol: int) -> None:
-        """Encode ``symbol`` into the bit stream."""
-        code, length = self.encode(symbol)
-        writer.write_bits(code, length)
 
     def code_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(codes, lengths)`` indexed by symbol value (0..255).
@@ -112,6 +125,12 @@ class HuffmanTable:
             codes, lengths = self.code_arrays()
             self._lists = (codes.tolist(), lengths.tolist())
         return self._lists
+
+    def probe_table(self) -> array:
+        """65 536 entries of ``(length << 8) | symbol``, indexed by the
+        next 16 stream bits; 0 marks a window no code is a prefix of.
+        Shared between equal tables (a DHT is re-parsed every frame)."""
+        return _probe_table(self.bits, self.values)
 
     def read_symbol(self, reader: BitReader) -> int:
         """Decode one symbol bit by bit (spec F.2.2.3 DECODE procedure)."""
@@ -203,64 +222,13 @@ def magnitude_category(value: int) -> int:
     return int(abs(int(value))).bit_length()
 
 
-def _magnitude_bits(value: int, category: int) -> int:
-    """Appended magnitude bits: value itself for positives, value - 1 in
-    two's complement (low ``category`` bits) for negatives."""
-    value = int(value)
-    if value >= 0:
-        return value
-    return (value - 1) & ((1 << category) - 1)
-
-
 def _extend(bits: int, category: int) -> int:
-    """Inverse of :func:`_magnitude_bits` (spec EXTEND procedure)."""
+    """Magnitude bits back to the signed value (spec EXTEND procedure)."""
     if category == 0:
         return 0
     if bits < (1 << (category - 1)):
         return bits - (1 << category) + 1
     return bits
-
-
-def encode_block_scalar(
-    writer: BitWriter,
-    zz: np.ndarray,
-    prev_dc: int,
-    dc_table: HuffmanTable,
-    ac_table: HuffmanTable,
-) -> int:
-    """Reference coefficient-at-a-time block encoder (spec F.1.2 read
-    literally).  Kept as the parity oracle and micro-benchmark baseline
-    for the vectorized :func:`encode_block`."""
-    zz = np.asarray(zz, dtype=np.int64)
-    if zz.shape != (64,):
-        raise ValueError(f"expected 64 zig-zag coefficients, got {zz.shape}")
-    dc = int(zz[0])
-    diff = dc - prev_dc
-    cat = magnitude_category(diff)
-    if cat > 11:
-        raise ValueError(f"DC difference {diff} out of baseline range")
-    dc_table.write_symbol(writer, cat)
-    if cat:
-        writer.write_bits(_magnitude_bits(diff, cat), cat)
-
-    run = 0
-    for k in range(1, 64):
-        coef = int(zz[k])
-        if coef == 0:
-            run += 1
-            continue
-        while run > 15:
-            ac_table.write_symbol(writer, 0xF0)  # ZRL: 16 zeros
-            run -= 16
-        cat = magnitude_category(coef)
-        if cat > 10:
-            raise ValueError(f"AC coefficient {coef} out of baseline range")
-        ac_table.write_symbol(writer, (run << 4) | cat)
-        writer.write_bits(_magnitude_bits(coef, cat), cat)
-        run = 0
-    if run:
-        ac_table.write_symbol(writer, 0x00)  # EOB
-    return dc
 
 
 def encode_block(
@@ -273,12 +241,11 @@ def encode_block(
     """Entropy-encode one zig-zag block; returns the block's DC value
     (the caller threads it as the next block's predictor).
 
-    Optimized, bit-identical to :func:`encode_block_scalar`: the block
-    converts to native ints in one batch, symbol codes/lengths come from
-    the table's precomputed flat lookup lists instead of per-symbol dict
-    probes, and the whole block's bits accumulate into one arbitrary-
-    precision integer emitted with a single ``write_bits`` call (one
-    byte-stuffing pass per block rather than two per coefficient).
+    Spec F.1.2 per block — the reference :func:`encode_mcus` is tested
+    against.  The block converts to native ints in one batch, symbol
+    codes/lengths come from the table's flat lookup lists, and the
+    block's bits accumulate into one integer emitted with a single
+    ``write_bits`` call.
     """
     zz = np.asarray(zz, dtype=np.int64)
     if zz.shape != (64,):
@@ -337,9 +304,14 @@ def decode_block(
     dc_table: HuffmanTable,
     ac_table: HuffmanTable,
 ) -> tuple[np.ndarray, int]:
-    """Decode one block; returns (zig-zag coefficients, DC value)."""
+    """Decode one block; returns (zig-zag coefficients, DC value).
+
+    Spec F.2.2 bit by bit — the reference :func:`decode_scan` is tested
+    against."""
     zz = np.zeros(64, dtype=np.int64)
     cat = dc_table.read_symbol(reader)
+    if cat > 16:
+        raise ValueError(f"DC category {cat} out of range")
     diff = _extend(reader.read_bits(cat), cat) if cat else 0
     dc = prev_dc + diff
     zz[0] = dc
@@ -359,3 +331,274 @@ def decode_block(
         zz[k] = _extend(reader.read_bits(cat), cat)
         k += 1
     return zz, dc
+
+
+# ----------------------------------------------------------------------
+# Whole-scan coding
+# ----------------------------------------------------------------------
+#: A scan's *plan* lists the blocks of one MCU in stream order, each as
+#: ``(component, dc_table, ac_table)``; ``component`` selects the DC
+#: predictor.
+Plan = Sequence[tuple[int, HuffmanTable, HuffmanTable]]
+
+#: ``_CATEGORY[abs(v)]`` is SSSS for every value baseline can code
+#: (DC differences reach 2047, AC coefficients 1023).
+_CATEGORY = np.array([magnitude_category(v) for v in range(2048)])
+
+#: EXTEND as two lookups: magnitude bits below ``_HALF[cat]`` stand for
+#: the negative ``bits + _NEG[cat]`` (category 0 maps 0 to 0).
+_HALF = tuple(0 if c == 0 else 1 << (c - 1) for c in range(17))
+_NEG = tuple(1 - (1 << c) for c in range(17))
+
+#: A block reads at most 32 bits of DC and 63 AC symbols of 16 + 15
+#: bits; zero-padding the window array by this many bytes lets the
+#: decoder check for the end of the data once per block.
+_BLOCK_PAD = 256
+
+_MARKER = re.compile(rb"\xff(?!\x00)")
+
+
+@lru_cache(maxsize=32)
+def _probe_table(bits: tuple[int, ...], values: tuple[int, ...]) -> array:
+    """:meth:`HuffmanTable.probe_table` for a table ``__init__`` has
+    validated: every window that starts with a code maps to it."""
+    lut = np.zeros(1 << 16, dtype=np.uint16)
+    code = k = 0
+    for length, n in enumerate(bits, start=1):
+        shift = 16 - length
+        for _ in range(n):
+            lut[code << shift : (code + 1) << shift] = (
+                (length << 8) | values[k]
+            )
+            code += 1
+            k += 1
+        code <<= 1
+    return array("H", lut.tobytes())
+
+
+def _bit_windows(data: bytes) -> array:
+    """The 16 bits starting at *every* bit offset of ``data`` followed
+    by ``_BLOCK_PAD`` zero bytes."""
+    padded = np.zeros(len(data) + _BLOCK_PAD + 2, dtype=np.uint32)
+    padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    n = len(data) + _BLOCK_PAD
+    word = (padded[:n] << 16) | (padded[1 : n + 1] << 8) | padded[2 : n + 2]
+    shifts = np.arange(8, 0, -1, dtype=np.uint32)
+    # 24 bits from each byte on, shifted to each of its 8 bit offsets;
+    # the cast keeps the low 16
+    windows = (word[:, None] >> shifts).astype(np.uint16)
+    return array("H", windows.tobytes())
+
+
+def _check_range(values: np.ndarray, limit: int, what: str) -> None:
+    bad = (values > limit) | (values < -limit)
+    if bad.any():
+        raise ValueError(
+            f"{what} {values[np.argmax(bad)]} out of baseline range"
+        )
+
+
+def _codes(
+    codes: np.ndarray, lengths: np.ndarray, rows: np.ndarray, symbols
+) -> tuple[np.ndarray, np.ndarray]:
+    """(code, length) of ``symbols`` in the stacked tables' ``rows``."""
+    length = lengths[rows, symbols]
+    if not length.all():
+        missing = np.broadcast_to(symbols, length.shape)[np.argmin(length)]
+        raise ValueError(f"symbol {missing:#x} not in Huffman table")
+    return codes[rows, symbols], length
+
+
+def _magnitude_tokens(code, length, values, cat):
+    """Append each value's magnitude bits to its Huffman code."""
+    low = (values - (values < 0)) & ((1 << cat) - 1)
+    return (code << cat) | low, length + cat
+
+
+def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
+    """Entropy-encode ``(mcus, len(plan), 64)`` zig-zag blocks as one
+    interleaved baseline scan: stuffed, 1-padded to a byte, no markers.
+
+    Byte-identical to threading :func:`encode_block` over the blocks in
+    order, and raises its ``ValueError`` for a DC difference beyond
+    ±2047, an AC coefficient beyond ±1023 or a symbol a table lacks.
+    A token is a Huffman code with its magnitude bits behind it (at most
+    16 + 11 bits); a block's tokens are its DC, then per non-zero AC
+    coefficient one ZRL per 16 zeros skipped and the coefficient, then
+    EOB unless coefficient 63 is coded.
+    """
+    zz = np.asarray(zz, dtype=np.int64)
+    if zz.ndim != 3 or zz.shape[1:] != (len(plan), 64):
+        raise ValueError(
+            f"expected (mcus, {len(plan)}, 64) coefficients, got {zz.shape}"
+        )
+    mcus = zz.shape[0]
+    nblocks = mcus * len(plan)
+    dc_codes, dc_lens = (
+        np.stack(t) for t in zip(*(dc.code_arrays() for _c, dc, _ac in plan))
+    )
+    ac_codes, ac_lens = (
+        np.stack(t) for t in zip(*(ac.code_arrays() for _c, _dc, ac in plan))
+    )
+    row = np.tile(np.arange(len(plan)), mcus)  # a block's tables
+
+    # DC: difference to the component's previous block
+    diff = np.empty((mcus, len(plan)), dtype=np.int64)
+    for comp in {c for c, _dc, _ac in plan}:
+        cols = [j for j, entry in enumerate(plan) if entry[0] == comp]
+        diff[:, cols] = np.diff(zz[:, cols, 0].ravel(), prepend=0).reshape(
+            mcus, len(cols)
+        )
+    diff = diff.ravel()
+    _check_range(diff, 2047, "DC difference")
+    cat = _CATEGORY[np.abs(diff)]
+    dc_bits, dc_nbits = _magnitude_tokens(
+        *_codes(dc_codes, dc_lens, row, cat), diff, cat
+    )
+
+    # AC: every non-zero coefficient as (block, k), in stream order
+    flat = zz.reshape(nblocks, 64)
+    block, k = np.nonzero(flat[:, 1:])
+    k += 1
+    coef = flat[block, k]
+    _check_range(coef, 1023, "AC coefficient")
+    cat = _CATEGORY[np.abs(coef)]
+    prev = np.zeros_like(k)  # the block's previous coded index (DC: 0)
+    prev[1:] = np.where(block[1:] == block[:-1], k[:-1], 0)
+    run = k - prev - 1
+    zrls = run >> 4
+    ac_bits, ac_nbits = _magnitude_tokens(
+        *_codes(ac_codes, ac_lens, row[block], ((run & 15) << 4) | cat),
+        coef, cat,
+    )
+    eob = np.flatnonzero(flat[:, 63] == 0)
+
+    # Token slots: a block is [DC][ZRL* AC]*[EOB]
+    per_coef = zrls + 1
+    ac_tokens = np.bincount(
+        block, weights=per_coef, minlength=nblocks
+    ).astype(np.int64)
+    tokens = 1 + ac_tokens
+    tokens[eob] += 1
+    start = np.cumsum(tokens) - tokens
+    ac_slot = (
+        start[block] + np.cumsum(per_coef)
+        - (np.cumsum(ac_tokens) - ac_tokens)[block]
+    )
+    bits = np.empty(int(tokens.sum()), dtype=np.uint32)
+    nbits = np.empty(bits.shape, dtype=np.uint32)
+    bits[start], nbits[start] = dc_bits, dc_nbits
+    bits[ac_slot], nbits[ac_slot] = ac_bits, ac_nbits
+    slot = start[eob] + 1 + ac_tokens[eob]
+    bits[slot], nbits[slot] = _codes(ac_codes, ac_lens, row[eob], 0x00)
+    for n in range(1, int(zrls.max(initial=0)) + 1):
+        long = np.flatnonzero(zrls >= n)
+        slot = ac_slot[long] - n
+        bits[slot], nbits[slot] = _codes(
+            ac_codes, ac_lens, row[block[long]], 0xF0
+        )
+
+    # Left-align every token in 32 bits, keep its first nbits bits
+    aligned = (bits << (32 - nbits)).astype(">u4").view(np.uint8)
+    stream = np.unpackbits(aligned.reshape(-1, 4), axis=1)[
+        np.arange(32, dtype=np.uint32) < nbits[:, None]
+    ]
+    pad = np.ones(-stream.size % 8, dtype=np.uint8)
+    packed = np.packbits(np.concatenate([stream, pad])).tobytes()
+    return packed.replace(b"\xff", b"\xff\x00")
+
+
+def _scan_error(end: int, nbits: int, at_marker: bool, why: str) -> Exception:
+    """What the bit-by-bit reader raises for a failure whose symbol ends
+    at bit ``end``: it runs dry before it can see a bad code."""
+    if end <= nbits:
+        return ValueError(why)
+    return EOFError(
+        "marker encountered in entropy data" if at_marker
+        else "bitstream exhausted"
+    )
+
+
+def decode_scan(scan: bytes, mcus: int, plan: Plan) -> np.ndarray:
+    """Entropy-decode ``mcus`` MCUs of an interleaved baseline scan.
+
+    ``scan`` is the entropy-coded segment as it sits in the file
+    (stuffed; it ends at its first marker).  Returns the zig-zag
+    coefficients, ``(mcus, len(plan), 64)`` int64.  Raises what the
+    per-block :func:`decode_block` loop raises: ``ValueError`` for a
+    window no code matches, an AC run past the block or a DC category
+    over 16, ``EOFError`` when the blocks need more bits than the scan
+    holds.
+    """
+    marker = _MARKER.search(scan)
+    if marker:
+        scan = scan[: marker.start()]
+    data = scan.replace(b"\xff\x00", b"\xff")
+    nbits = 8 * len(data)
+    at_marker = marker is not None
+    win = _bit_windows(data)
+    luts = [
+        (comp, dc.probe_table(), ac.probe_table()) for comp, dc, ac in plan
+    ]
+    prev_dc = [0] * (1 + max(comp for comp, _dc, _ac in plan))
+    half, neg = _HALF, _NEG
+    # (block * 64 + k, coefficient) for every coefficient coded
+    index: list[int] = []
+    value: list[int] = []
+    pos = 0
+    base = 0
+    for _ in range(mcus):
+        for comp, dc_lut, ac_lut in luts:
+            entry = dc_lut[win[pos]]
+            if not entry:
+                raise _scan_error(
+                    pos + 16, nbits, at_marker,
+                    "invalid Huffman code in stream",
+                )
+            pos += entry >> 8
+            cat = entry & 0xFF
+            if cat > 16:
+                raise _scan_error(
+                    pos, nbits, at_marker, f"DC category {cat} out of range"
+                )
+            bits = win[pos] >> (16 - cat)
+            pos += cat
+            dc = prev_dc[comp] + (
+                bits if bits >= half[cat] else bits + neg[cat]
+            )
+            prev_dc[comp] = dc
+            index.append(base)
+            value.append(dc)
+            k = 1
+            while k < 64:
+                entry = ac_lut[win[pos]]
+                if not entry:
+                    raise _scan_error(
+                        pos + 16, nbits, at_marker,
+                        "invalid Huffman code in stream",
+                    )
+                pos += entry >> 8
+                symbol = entry & 0xFF
+                cat = symbol & 0x0F
+                if not cat:
+                    if symbol == 0xF0:  # ZRL
+                        k += 16
+                        continue
+                    if not symbol:  # EOB
+                        break
+                k += symbol >> 4
+                if k > 63:
+                    raise _scan_error(
+                        pos, nbits, at_marker, "AC run overflows block"
+                    )
+                bits = win[pos] >> (16 - cat)
+                pos += cat
+                index.append(base + k)
+                value.append(bits if bits >= half[cat] else bits + neg[cat])
+                k += 1
+            if pos > nbits:
+                raise _scan_error(pos, nbits, at_marker, "")
+            base += 64
+    zz = np.zeros(mcus * len(plan) * 64, dtype=np.int64)
+    zz[index] = value
+    return zz.reshape(mcus, len(plan), 64)

@@ -10,7 +10,10 @@ The stage split mirrors the paper's MJPEG kernels: block preparation and
 DCT/quantization (:func:`quantize_plane`) are what the ``yDCT``/
 ``uDCT``/``vDCT`` kernels do per macro-block, and the entropy scan
 (:func:`encode_scan`, driven from :func:`encode_from_quantized`) is the
-``VLC + write`` kernel.
+``VLC + write`` kernel.  Both directions hand the whole scan to
+:mod:`repro.media.huffman` (``encode_mcus`` / ``decode_scan``) as
+zig-zag blocks in MCU order; this module only converts between that
+order and the raster block grids.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import BitReader, BitWriter
 from .dct import dct2_blocks, idct2_blocks
 from .huffman import (
     HuffmanTable,
@@ -29,8 +31,8 @@ from .huffman import (
     STD_AC_LUMA,
     STD_DC_CHROMA,
     STD_DC_LUMA,
-    decode_block,
-    encode_block,
+    decode_scan,
+    encode_mcus,
 )
 from .quant import (
     STD_CHROMA_QTABLE,
@@ -164,6 +166,13 @@ def _app0_segment() -> bytes:
 # ----------------------------------------------------------------------
 # Scan encoding
 # ----------------------------------------------------------------------
+#: One 4:2:0 MCU: four luma blocks, then Cb, then Cr.
+_PLAN_420 = (
+    [(0, STD_DC_LUMA, STD_AC_LUMA)] * 4
+    + [(1, STD_DC_CHROMA, STD_AC_CHROMA), (2, STD_DC_CHROMA, STD_AC_CHROMA)]
+)
+
+
 def encode_scan(
     yq: np.ndarray, uq: np.ndarray, vq: np.ndarray
 ) -> bytes:
@@ -178,27 +187,19 @@ def encode_scan(
     cbh, cbw = uq.shape[:2]
     if (cbh, cbw) != (ybh // 2, ybw // 2) or vq.shape[:2] != (cbh, cbw):
         raise ValueError("chroma block grids must be half the luma grid")
-    yzz = zigzag(np.asarray(yq, dtype=np.int64))
-    uzz = zigzag(np.asarray(uq, dtype=np.int64))
-    vzz = zigzag(np.asarray(vq, dtype=np.int64))
-    writer = BitWriter(stuffing=True)
-    dc_y = dc_u = dc_v = 0
-    for my in range(ybh // 2):
-        for mx in range(ybw // 2):
-            for r in range(2):
-                for c in range(2):
-                    dc_y = encode_block(
-                        writer, yzz[my * 2 + r, mx * 2 + c],
-                        dc_y, STD_DC_LUMA, STD_AC_LUMA,
-                    )
-            dc_u = encode_block(
-                writer, uzz[my, mx], dc_u, STD_DC_CHROMA, STD_AC_CHROMA
-            )
-            dc_v = encode_block(
-                writer, vzz[my, mx], dc_v, STD_DC_CHROMA, STD_AC_CHROMA
-            )
-    writer.flush()
-    return writer.getvalue()
+    mcus = cbh * cbw
+    # raster block grids -> MCU order: Y00 Y01 Y10 Y11 Cb Cr
+    blocks = np.concatenate(
+        [
+            np.reshape(yq, (cbh, 2, cbw, 2, 8, 8)).swapaxes(1, 2).reshape(
+                mcus, 4, 8, 8
+            ),
+            np.reshape(uq, (mcus, 1, 8, 8)),
+            np.reshape(vq, (mcus, 1, 8, 8)),
+        ],
+        axis=1,
+    )
+    return encode_mcus(zigzag(blocks), _PLAN_420)
 
 
 def encode_from_quantized(
@@ -313,13 +314,17 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
     while pos < len(data):
         if data[pos] != 0xFF:
             raise ValueError(f"expected marker at offset {pos}")
+        if pos + 1 == len(data):
+            raise ValueError("truncated marker")
         code = data[pos + 1]
         pos += 2
         if code == EOI:
             break
         if code in (SOI,) or 0xD0 <= code <= 0xD7:
             continue  # parameterless markers
-        (seg_len,) = struct.unpack(">H", data[pos : pos + 2])
+        seg_len = int.from_bytes(data[pos : pos + 2], "big")
+        if seg_len < 2 or pos + seg_len > len(data):
+            raise ValueError(f"truncated segment at offset {pos}")
         payload = data[pos + 2 : pos + seg_len]
         pos += seg_len
         if code == DQT:
@@ -328,6 +333,8 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
                 pq_tq = payload[off]
                 if pq_tq >> 4:
                     raise ValueError("16-bit quant tables not baseline")
+                if len(payload) - off < 65:
+                    raise ValueError("truncated DQT segment")
                 zz = np.frombuffer(
                     payload[off + 1 : off + 65], dtype=np.uint8
                 ).astype(np.int64)
@@ -345,6 +352,8 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
                 )
                 off += 17 + n
         elif code == SOF0:
+            if len(payload) != 15:
+                raise ValueError("only 8-bit 3-component baseline supported")
             precision, height, width, ncomp = struct.unpack(
                 ">BHHB", payload[:6]
             )
@@ -354,10 +363,16 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
             for i in range(ncomp):
                 cid, hv, tq = payload[6 + 3 * i : 9 + 3 * i]
                 comps.append(_Component(cid, hv >> 4, hv & 0x0F, tq))
+            if len({c.comp_id for c in comps}) != ncomp or not all(
+                1 <= c.h <= 4 and 1 <= c.v <= 4 for c in comps
+            ):
+                raise ValueError("invalid component id or sampling factor")
         elif code in (0xC1, 0xC2, 0xC3):
             raise ValueError("non-baseline SOF not supported")
         elif code == SOS:
-            ns = payload[0]
+            ns = payload[0] if payload else 0
+            if len(payload) != 4 + 2 * ns:
+                raise ValueError("truncated SOS segment")
             for i in range(ns):
                 cid = payload[1 + 2 * i]
                 tdta = payload[2 + 2 * i]
@@ -377,31 +392,33 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
     vmax = max(c.v for c in comps)
     mcus_x = math.ceil(width / (8 * hmax))
     mcus_y = math.ceil(height / (8 * vmax))
-    grids = {
-        c.comp_id: np.zeros(
-            (mcus_y * c.v, mcus_x * c.h, 8, 8), dtype=np.int64
+    try:
+        plan = [
+            (i, htables[(0, c.dc_table_id)], htables[(1, c.ac_table_id)])
+            for i, c in enumerate(comps)
+            for _ in range(c.h * c.v)
+        ]
+    except KeyError as exc:
+        raise ValueError(
+            f"scan selects Huffman table {exc.args[0]} with no DHT"
+        ) from None
+    zz = decode_scan(scan_data, mcus_x * mcus_y, plan)
+    # MCU order -> raster block grid, per component
+    grids = []
+    first = 0
+    for c in comps:
+        blocks = zz[:, first : first + c.h * c.v].reshape(
+            mcus_y, mcus_x, c.v, c.h, 64
         )
-        for c in comps
-    }
-    reader = BitReader(scan_data, stuffing=True)
-    prev_dc = {c.comp_id: 0 for c in comps}
-    for my in range(mcus_y):
-        for mx in range(mcus_x):
-            for c in comps:
-                dc_t = htables[(0, c.dc_table_id)]
-                ac_t = htables[(1, c.ac_table_id)]
-                for r in range(c.v):
-                    for cc in range(c.h):
-                        zz, dc = decode_block(
-                            reader, prev_dc[c.comp_id], dc_t, ac_t
-                        )
-                        prev_dc[c.comp_id] = dc
-                        grids[c.comp_id][
-                            my * c.v + r, mx * c.h + cc
-                        ] = inverse_zigzag(zz)
+        first += c.h * c.v
+        grids.append(
+            inverse_zigzag(
+                blocks.swapaxes(1, 2).reshape(mcus_y * c.v, mcus_x * c.h, 64)
+            )
+        )
 
     return DecodedCoefficients(
-        grids=[grids[c.comp_id] for c in comps],
+        grids=grids,
         qtables=qtables,
         qtable_ids=tuple(c.qtable_id for c in comps),
         width=width,

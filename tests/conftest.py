@@ -8,6 +8,12 @@ don't litter the working tree.
 """
 
 import pytest
+from hypothesis import settings
+
+# `--hypothesis-profile=deep`: ten times the default example budget for
+# the property tests that leave `max_examples` unset (the CI property
+# job runs tests/media/test_entropy_scan.py this way).
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

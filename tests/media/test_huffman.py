@@ -38,7 +38,7 @@ class TestTableConstruction:
         for table in (STD_DC_LUMA, STD_AC_LUMA):
             w = BitWriter(stuffing=False)
             for symbol in table.values:
-                table.write_symbol(w, symbol)
+                w.write_bits(*table.encode(symbol))
             w.flush()
             r = BitReader(w.getvalue(), stuffing=False)
             for symbol in table.values:
@@ -59,6 +59,33 @@ class TestTableConstruction:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             STD_DC_LUMA.encode(99)
+
+    def test_non_prefix_code_rejected(self):
+        # three codes of length 1 used to be accepted as 0, 1 and 2
+        with pytest.raises(ValueError, match="length 1"):
+            HuffmanTable([3] + [0] * 15, [0, 1, 2])
+        with pytest.raises(ValueError, match="length 3"):
+            HuffmanTable([1, 1, 3] + [0] * 13, [0, 1, 2, 3, 4])
+
+    def test_complete_code_accepted(self):
+        table = HuffmanTable([1, 1, 2] + [0] * 13, [0, 1, 2, 3])
+        assert table.encode(3) == (0b111, 3)
+
+    def test_probe_table_matches_read_symbol(self):
+        for table in (STD_DC_CHROMA, STD_AC_LUMA):
+            probe = table.probe_table()
+            assert len(probe) == 1 << 16
+            for symbol in table.values:
+                code, length = table.encode(symbol)
+                lo = code << (16 - length)
+                hi = lo + (1 << (16 - length))
+                assert set(probe[lo:hi]) == {(length << 8) | symbol}
+            # Annex K codes are not complete: all-ones matches nothing
+            assert probe[0xFFFF] == 0
+
+    def test_probe_table_is_shared_between_equal_tables(self):
+        twin = HuffmanTable(STD_AC_LUMA.bits, STD_AC_LUMA.values)
+        assert twin.probe_table() is STD_AC_LUMA.probe_table()
 
 
 class TestMagnitude:
@@ -123,6 +150,12 @@ class TestBlockCoding:
         w = BitWriter()
         with pytest.raises(ValueError):
             encode_block(w, zz, 0, STD_DC_LUMA, STD_AC_LUMA)
+
+    def test_dc_category_over_16_rejected(self):
+        wide = HuffmanTable([1] + [0] * 15, [17])
+        r = BitReader(b"\x00" * 8, stuffing=True)
+        with pytest.raises(ValueError, match="DC category 17"):
+            decode_block(r, 0, wide, STD_AC_LUMA)
 
     def test_out_of_range_ac_rejected(self):
         zz = np.zeros(64, dtype=np.int64)
