@@ -20,7 +20,7 @@ def test_table3_kmeans_micro(benchmark):
         iterations=1,
     )
     emit("Table III: micro-benchmark of K-means", result.render())
-    rows = {name: (n, d, k) for name, n, d, k in result.rows}
+    rows = {name: (n, d, k) for name, n, d, k, *_ in result.rows}
     assert rows["init"][0] == 1
     assert rows["assign"][0] == N * K * ITERS
     assert rows["refine"][0] == K * ITERS

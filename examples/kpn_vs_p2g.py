@@ -3,8 +3,9 @@
 
 Implements a 3-stage stream transform twice:
 
-* as a Kahn process network — every channel wired by hand, explicit
-  termination counting, bounded buffers babysat by a deadlock monitor;
+* as a Kahn process network — every channel wired by hand (a bounded
+  blocking FIFO per edge), an explicit end-of-stream token forwarded
+  stage by stage;
 * as a P2G program — fetch/store statements on aging fields, with data
   parallelism (per-element instances) the KPN version simply does not
   express without manually multiplying processes.
@@ -16,7 +17,9 @@ P2G extracts (visible in the instance counts).
 Run:  python examples/kpn_vs_p2g.py [elements] [generations]
 """
 
+import queue
 import sys
+import threading
 
 import numpy as np
 
@@ -30,51 +33,56 @@ from repro.core import (
     StoreSpec,
     run_program,
 )
-from repro.kpn import ChannelClosed, Network
+
+CLOSED = object()  # end-of-stream token, forwarded down the pipeline
 
 
 def run_kpn(values: list[int], generations: int) -> list[list[int]]:
-    """mul2 -> plus5 over `generations` rounds, with manual channels."""
+    """mul2 -> plus5 over `generations` rounds, with manual channels:
+    one thread per process, one bounded blocking FIFO per edge (all the
+    comparison needs of a Kahn network)."""
     out: list[list[int]] = []
-    net = Network("pipeline")
+    channels = [queue.Queue(maxsize=4) for _ in range(3)]
 
-    def source(ins, outs):
+    def source(outq):
         data = list(values)
         for _ in range(generations):
             for v in data:
-                outs["out"].put(v)
+                outq.put(v)
             data = [v * 2 + 5 for v in data]
+        outq.put(CLOSED)
 
-    def mul2(ins, outs):
-        while True:
-            outs["out"].put(ins["in"].get() * 2)
+    def stage(fn):
+        def process(inq, outq):
+            while (v := inq.get()) is not CLOSED:
+                outq.put(fn(v))
+            outq.put(CLOSED)
 
-    def plus5(ins, outs):
-        while True:
-            outs["out"].put(ins["in"].get() + 5)
+        return process
 
-    def sink(ins, outs):
+    def sink(inq):
         current: list[int] = []
-        try:
-            while True:
-                current.append(ins["in"].get())
-                if len(current) == len(values):
-                    out.append([v - 5 for v in current])  # undo +5: report mul2 output
-                    current = []
-        except ChannelClosed:
-            pass
+        while (v := inq.get()) is not CLOSED:
+            current.append(v)
+            if len(current) == len(values):
+                out.append([v - 5 for v in current])  # undo +5: report mul2 output
+                current = []
 
-    net.add_process("source", source)
-    net.add_process("mul2", mul2)
-    net.add_process("plus5", plus5)
-    net.add_process("sink", sink)
-    net.connect("source", "out", "mul2", "in", capacity=4)
-    net.connect("mul2", "out", "plus5", "in", capacity=4)
-    net.connect("plus5", "out", "sink", "in", capacity=4)
-    net.run(timeout=60)
+    threads = [
+        threading.Thread(target=source, args=(channels[0],)),
+        threading.Thread(target=stage(lambda v: v * 2),
+                         args=(channels[0], channels[1])),
+        threading.Thread(target=stage(lambda v: v + 5),
+                         args=(channels[1], channels[2])),
+        threading.Thread(target=sink, args=(channels[2],)),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive(), "KPN pipeline did not terminate"
     print(f"  KPN: 4 processes, 3 hand-wired channels, "
-          f"{net.total_messages()} messages, "
-          f"{net.deadlocks_resolved} deadlocks resolved")
+          f"{len(channels) * len(values) * generations} messages")
     return out
 
 

@@ -1,44 +1,45 @@
 #!/usr/bin/env python3
 """The low-level scheduler's granularity knobs (figure 4 / section V-A).
 
-Walks the exact progression the paper draws for the mul2/plus5 program:
+Walks the exact progression the paper draws for the mul2/plus5 program,
+on the two mechanisms the runtime has — the *claim* (``batch``: how many
+instances of a (kernel, age) run a worker takes as one dispatch) and
+``fuse``:
 
-* Age 1 — the program as written: one ``mul2`` instance per element;
-* Age 2 — *data* granularity reduced: ``mul2`` fetches the whole field
-  in one instance (``coarsen``);
+* Age 1 — the program as written: one dispatch per ``mul2`` instance;
+* Age 2 — *data* granularity reduced: ``batch=5``, a worker claims the
+  age's five ``mul2`` instances as one dispatch (one stacked body call,
+  one store event);
 * Age 3 — *task* granularity reduced: ``mul2`` and ``plus5`` fused into
   one kernel (``fuse``), the intermediate store kept because ``print``
   still fetches it;
-* Age 4 — both: the fused kernel over the whole field, "effectively a
+* Age 4 — both: the fused kernel claimed whole, "effectively a
   classical for-loop".
 
-Then shows the adaptive policy doing the same from instrumentation: the
-fine-grained K-means ``assign`` kernel's dispatch ratio triggers a
-coarsening recommendation, and the coarsened program runs with far
-fewer instances while producing identical centroids.  This is the
-whole LLS recipe — profile once, recommend, rewrite, run — and it is a
-*pre-run* transform: at run time the granularity dial is ``batch`` and
-the claim (DESIGN.md §10).
+Then shows the signal the dial answers to: the fine-grained K-means
+``assign`` kernel's dispatch ratio at ``batch=1``, and the same program
+— untouched — at ``batch=32``, with identical centroids (DESIGN.md §10).
 
 Run:  python examples/lls_granularity.py
 """
 
 import numpy as np
 
-from repro.core import (
-    AdaptivePolicy,
-    coarsen,
-    fusable_pairs,
-    fuse,
-    run_program,
-)
+from repro.core import fusable_pairs, fuse, run_program
 from repro.workloads import build_kmeans, build_mulsum, expected_series
 
 
-def run_and_report(tag: str, program, max_age: int = 2):
-    result = run_program(program, workers=2, max_age=max_age, timeout=60)
+def run_and_report(tag: str, program, batch: int = 1, max_age: int = 2):
+    result = run_program(
+        program, workers=2, max_age=max_age, timeout=60, batch=batch
+    )
     counts = {k: v.instances for k, v in sorted(result.stats.items())}
-    print(f"{tag:<28} instances: {counts}")
+    # the claim counter exists where a claim can be more than an instance
+    dispatches = (
+        result.metrics.counter("exec.claims").value
+        if batch > 1 else sum(counts.values())
+    )
+    print(f"{tag:<28} dispatches: {dispatches:>3}  instances: {counts}")
     return result
 
 
@@ -51,47 +52,34 @@ def main() -> None:
     assert np.array_equal(sink[0][1], expected[0][1])
 
     program2, sink2 = build_mulsum()
-    coarse = coarsen(program2, "mul2", "x", factor=5)
-    run_and_report("Age 2 (coarse data)", coarse)
+    run_and_report("Age 2 (coarse data)", program2, batch=5)
     assert np.array_equal(sink2[0][1], expected[0][1])
 
     program3, sink3 = build_mulsum()
     print(f"fusable pipelines found: {fusable_pairs(program3)}")
-    fused = fuse(program3, "mul2", "plus5")
-    run_and_report("Age 3 (fused tasks)", fused)
+    run_and_report("Age 3 (fused tasks)", fuse(program3, "mul2", "plus5"))
     assert np.array_equal(sink3[0][1], expected[0][1])
 
     program4, sink4 = build_mulsum()
-    both = coarsen(fuse(program4, "mul2", "plus5"), "mul2+plus5", "x", 5)
-    run_and_report("Age 4 (fused + coarse)", both)
+    run_and_report(
+        "Age 4 (fused + coarse)", fuse(program4, "mul2", "plus5"), batch=5
+    )
     assert np.array_equal(sink4[0][1], expected[0][1])
 
-    print("\n=== adaptive policy on fine-grained K-means ===")
-    # vectorize=False: a kernel with a batch_body is never recommended
-    # for coarsening (its dial is run_program's ``batch``).
-    fine, fine_sink = build_kmeans(
-        n=120, k=6, iterations=4, granularity="pair", vectorize=False
-    )
-    fine_run = run_program(fine, workers=2, timeout=120)
-    assign = fine_run.stats["assign"]
-    print(f"assign: {assign.instances} instances, dispatch ratio "
-          f"{assign.dispatch_ratio:.2f}")
-
-    policy = AdaptivePolicy(ratio_target=0.25)
-    decisions = policy.recommend(fine, fine_run.instrumentation)
-    print(f"policy recommends: {decisions}")
-
-    coarse_km, coarse_sink = build_kmeans(
-        n=120, k=6, iterations=4, granularity="pair", vectorize=False
-    )
-    adapted = policy.apply(coarse_km, decisions)
-    adapted_run = run_program(adapted, workers=2, timeout=120)
-    a2 = adapted_run.stats["assign"]
-    print(f"after coarsening: {a2.instances} instances, dispatch ratio "
-          f"{a2.dispatch_ratio:.2f}")
+    print("\n=== the dial on fine-grained K-means ===")
+    runs = {}
+    for batch in (1, 32):
+        program, km_sink = build_kmeans(
+            n=120, k=6, iterations=4, granularity="pair"
+        )
+        result = run_program(program, workers=2, timeout=120, batch=batch)
+        assign = result.stats["assign"]
+        print(f"batch={batch:<2} assign: {assign.instances} instances, "
+              f"dispatch ratio {assign.dispatch_ratio:.2f}, analyzer "
+              f"{result.instrumentation.analyzer_time * 1e3:.1f} ms")
+        runs[batch] = km_sink.history
     same = all(
-        np.allclose(fine_sink.history[a], coarse_sink.history[a])
-        for a in fine_sink.history
+        np.array_equal(runs[1][a], runs[32][a]) for a in runs[1]
     )
     print(f"centroid trajectories identical: {same}")
 

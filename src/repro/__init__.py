@@ -11,8 +11,6 @@ Public API layout:
   the publish–subscribe transport.
 * :mod:`repro.sim` — discrete-event simulator of execution nodes with
   calibrated machine profiles (reproduces figures 9 and 10).
-* :mod:`repro.kpn` — a small Kahn-Process-Network runtime (the Nornir
-  baseline the paper builds on).
 * :mod:`repro.media` — YUV/DCT/JPEG substrate for the MJPEG workload.
 * :mod:`repro.workloads` — the paper's workloads (mul2/plus5, K-means,
   Motion JPEG) and their baselines.

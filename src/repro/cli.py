@@ -136,10 +136,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
                         "one dispatch and runs it N at a time; 1 = one "
                         "instance per dispatch, the paper's reference "
                         "mode. Output is byte-identical at any size.")
-    g.add_argument("--no-vectorize", action="store_true",
-                   help="skip attaching vectorized batch kernels at "
-                        "program build (per-instance scalar bodies run "
-                        "inside each batch instead)")
 
 
 def _add_stream_args(p: argparse.ArgumentParser) -> None:
@@ -429,9 +425,7 @@ def _cmd_mjpeg_sessions(args: argparse.Namespace) -> int:
             width=args.width, height=args.height, frames=args.frames,
             quality=args.quality, dct_method=args.dct, seed=1234 + i,
         )
-        program, sink, binding = build_mjpeg_stream(
-            cfg, scfg, sources[i], vectorize=not args.no_vectorize,
-        )
+        program, sink, binding = build_mjpeg_stream(cfg, scfg, sources[i])
         return program, binding, sink
 
     def write_one(name: str, sink, path: Path) -> str:
@@ -464,7 +458,6 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
 
         program, sink, binding = build_mjpeg_stream(
             cfg, _stream_config(args), _mjpeg_live_sources(args, 1)[0],
-            vectorize=not args.no_vectorize,
         )
     else:
         if args.input:
@@ -472,8 +465,7 @@ def _cmd_mjpeg(args: argparse.Namespace) -> int:
                                         max_frames=cfg.frames))
         else:
             frames = synthetic_sequence(cfg.frames, cfg.width, cfg.height)
-        program, sink = build_mjpeg(frames, cfg,
-                                    vectorize=not args.no_vectorize)
+        program, sink = build_mjpeg(frames, cfg)
     result = _run_node(args, program, stream=binding)
     _print_stream_report(args, result.stream)
     if args.output.endswith(".avi"):
@@ -527,14 +519,11 @@ def _ops_build_stream(args, cfg, scfg, seed_shift: int = 0):
 
     if seed_shift:
         cfg = dc_replace(cfg, seed=cfg.seed + seed_shift)
-    vectorize = not args.no_vectorize
     if args.scenario == "mosaic":
         from .workloads import build_mosaic_stream
 
         sources = _live_sources(args, cfg.width, cfg.height, cfg.cams)
-        return build_mosaic_stream(
-            cfg, stream=scfg, sources=sources, vectorize=vectorize
-        )
+        return build_mosaic_stream(cfg, stream=scfg, sources=sources)
     if args.scenario == "motion":
         from .workloads import build_motion_stream
 
@@ -542,7 +531,6 @@ def _ops_build_stream(args, cfg, scfg, seed_shift: int = 0):
         return build_motion_stream(
             cfg, stream=scfg,
             source=sources[0] if sources else None,
-            vectorize=vectorize,
         )
     from .media import encode_jpeg
     from .workloads import build_transcode_stream
@@ -561,9 +549,7 @@ def _ops_build_stream(args, cfg, scfg, seed_shift: int = 0):
         source = CycleSource(
             [encode_jpeg(f, cfg.quality_in) for f in clip]
         )
-    return build_transcode_stream(
-        cfg, stream=scfg, source=source, vectorize=vectorize
-    )
+    return build_transcode_stream(cfg, stream=scfg, source=source)
 
 
 def _ops_write_output(args, path: Path, pipe, cfg) -> str:
@@ -640,7 +626,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             "motion": build_motion,
             "transcode": build_transcode,
         }[args.scenario]
-        pipe = builder(cfg, vectorize=not args.no_vectorize)
+        pipe = builder(cfg)
     _print_fused(pipe)
     result = _run_node(args, pipe.program, stream=pipe.binding)
     _print_stream_report(args, result.stream)
@@ -656,7 +642,6 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
     program, sink = build_kmeans(
         n=args.n, k=args.k, iterations=args.iterations,
         granularity=args.granularity,
-        vectorize=not args.no_vectorize,
     )
     result = _run_node(args, program)
     print(f"k-means n={args.n} K={args.k} x{args.iterations}: "
@@ -687,8 +672,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                           frames=args.frames)
         clip = synthetic_sequence(cfg.frames, cfg.width, cfg.height,
                                   cfg.seed)
-        program, sink = build_mjpeg(clip, cfg,
-                                    vectorize=not args.no_vectorize)
+        program, sink = build_mjpeg(clip, cfg)
         max_age = None
         summarize = lambda: f"{sink.frame_count()} frames, " \
                             f"{len(sink.stream())} bytes"
@@ -696,14 +680,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         from .workloads import build_kmeans
 
         program, sink = build_kmeans(n=args.n, k=args.k,
-                                     iterations=args.iterations,
-                                     vectorize=not args.no_vectorize)
+                                     iterations=args.iterations)
         max_age = None
         summarize = lambda: f"{len(sink.final_centroids())} centroids"
     else:
         from .workloads import build_mulsum
 
-        program, sink = build_mulsum(vectorize=not args.no_vectorize)
+        program, sink = build_mulsum()
         max_age = args.max_age if args.max_age is not None else 3
         summarize = lambda: f"{len(sink)} ages"
 

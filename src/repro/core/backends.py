@@ -61,7 +61,7 @@ from .errors import (
     WorkerProcessError,
     WriteOnceViolation,
 )
-from .events import ResizeEvent, StoreEvent
+from .events import ResizeEvent
 from .execute import run_batch
 from .fields import (
     FieldStore,
@@ -130,10 +130,10 @@ class _NodeFields:
     :class:`~repro.core.fields.RegionGroup` is fetched in one ``Field``
     call, and one that tiles the field is checked and committed
     (write-once per store, all or nothing) in one too; any other group
-    is stored region by region through the same entry point.  Either
-    way the group is then announced as one event.  The scalar loop writes groups of one,
-    so there each instance's consumers become runnable as that
-    instance's stores land, not when the whole batch is done."""
+    is stored region by region through the same entry point.  A store
+    is committed here and announced by the claim's commit tail
+    (:meth:`ExecutionNode._commit_batch`), like a worker process's; only
+    a resize is posted at once."""
 
     def __init__(self, node: "ExecutionNode") -> None:
         self._node = node
@@ -144,39 +144,40 @@ class _NodeFields:
 
     def write(self, field, age: int, regions, arrs) -> None:
         node = self._node
-        name = field.fdef.name
         if (
             isinstance(regions, RegionGroup)
             and not node.recover
             and regions.tiles(field.extent) is not None
         ):
             field.store(age, regions, arrs)
-            node._post(StoreEvent.group(name, age, regions))
             return
         for region, arr in zip(regions, arrs):
-            resize = None
             # Recovery: the dead predecessor already committed this
             # region with identical bytes (write-once determinism); skip
-            # the payload write but re-announce the store so consumers
-            # that missed the original delivery become runnable.
-            if not (node.recover and field.is_complete(age, region)):
-                try:
-                    resize = field.store(age, region, arr)
-                except WriteOnceViolation:
-                    if not node.recover:
-                        raise
-                    # Recovery dispatches the dead node's in-flight work
-                    # twice on purpose (direct re-enqueue + replay-driven
-                    # analyzer rediscovery); when both copies run
-                    # concurrently the completeness check above races
-                    # the other copy's commit.  Losing that race is the
-                    # skip case arriving late: the winner wrote the same
-                    # bytes.
+            # the payload write — the store is still recorded, so the
+            # commit tail re-announces it and consumers that missed the
+            # original delivery become runnable.
+            if node.recover and field.is_complete(age, region):
+                continue
+            try:
+                resize = field.store(age, region, arr)
+            except WriteOnceViolation:
+                if not node.recover:
+                    raise
+                # Recovery dispatches the dead node's in-flight work
+                # twice on purpose (direct re-enqueue + replay-driven
+                # analyzer rediscovery); when both copies run
+                # concurrently the completeness check above races the
+                # other copy's commit.  Losing that race is the skip
+                # case arriving late: the winner wrote the same bytes.
+                continue
             if resize is not None:
                 node._post(
-                    ResizeEvent(name, resize.old_extent, resize.new_extent)
+                    ResizeEvent(
+                        field.fdef.name, resize.old_extent,
+                        resize.new_extent,
+                    )
                 )
-        node._post(StoreEvent.group(name, age, regions))
 
 
 class ThreadBackend(ExecutionBackend):
@@ -202,10 +203,15 @@ class ThreadBackend(ExecutionBackend):
     ) -> None:
         first = batch[0]
         t0 = time.perf_counter()
-        run = run_batch(
-            first.kernel, first.age, [inst.index for inst in batch],
-            self._mem, self._ctxs[worker_id], self._node.batch,
-        )
+        try:
+            run = run_batch(
+                first.kernel, first.age, [inst.index for inst in batch],
+                self._mem, self._ctxs[worker_id], self._node.batch,
+            )
+        except KernelBodyError as exc:
+            # What the claim's earlier instances stored is committed.
+            self._node._announce(exc.stores)
+            raise
         self._node._commit_batch(batch, worker_id, t0, run)
 
 

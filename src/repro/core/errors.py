@@ -67,7 +67,11 @@ class KernelBodyError(KernelError):
     """A kernel body raised an exception at run time.
 
     Wraps the original exception so the scheduler can report which
-    instance failed without losing the traceback.
+    instance failed without losing the traceback.  ``stores`` holds the
+    store records (:func:`~repro.core.execute.run_batch`'s) of the
+    claim's instances that ran before the failing one: where the claim
+    ran in the parent their bytes are committed, so the backend still
+    announces them.
     """
 
     def __init__(self, kernel: str, age, index, cause: BaseException) -> None:
@@ -79,6 +83,7 @@ class KernelBodyError(KernelError):
         self.age = age
         self.index = index
         self.cause = cause
+        self.stores: list = []
 
 
 class FusedStageError(KernelError):
@@ -146,10 +151,6 @@ class ParseError(LanguageError):
 class SemanticError(LanguageError):
     """Semantic analysis failed (undeclared identifiers, type errors,
     inconsistent age/index usage, ...)."""
-
-
-class DeadlockError(P2GError):
-    """The KPN baseline detected a deadlock (cycle in the wait-for graph)."""
 
 
 class StallError(RuntimeStateError):

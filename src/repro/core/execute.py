@@ -27,13 +27,15 @@ what one ``batch_body`` call sees: at most ``batch`` rows of the
 claim's gathered arrays.  ``batch`` sizes the body call and nothing
 else.
 
-What the claim stored is reported as one record per store spec, and a
-group is announced as one event.  In the parent a handle is the live
-``Field``: the group commits (write-once enforced per store), then is
-announced (:class:`~repro.core.backends._NodeFields`); in a worker
-process reads and writes are shared-memory views, and the records
-travel back to the parent, which commits and announces them, again one
-event per (field, age) (:class:`~repro.core.backends._SegmentCache`).
+What the claim stored is reported as one record per adapter ``write``,
+and announced when the claim ends as one event per (field, age), by the
+parent-side commit tail on both backends
+(:meth:`~repro.core.runtime.ExecutionNode._commit_batch`).  In the
+parent a handle is the live ``Field`` and a write commits (write-once
+enforced per store; :class:`~repro.core.backends._NodeFields`); in a
+worker process reads and writes are shared-memory views, and the
+records travel back to the parent, which commits them before it
+announces them (:class:`~repro.core.backends._SegmentCache`).
 
 Dropping out of the stacked form stays stack-granular.  A claim that
 cannot be planned as a whole (a ragged trailing block makes the fetch
@@ -92,7 +94,8 @@ def run_batch(
     The scalar loop rebinds the caller's pooled ``ctx`` per instance; a
     singleton builds no stack and no fetch plan.  A raising body
     surfaces as :class:`KernelBodyError` naming the failing instance
-    (the first of its stack, for a stacked call).
+    (the first of its stack, for a stacked call) and carrying the
+    records of what the claim had written by then.
     """
     n = len(indices)
     if n < 2 or stack < 2 or kernel.batch_body is None:
@@ -105,18 +108,22 @@ def run_batch(
     total: list = [[], [], 0.0, 0.0, 0.0, 0, 0, 0]
     for lo in range(0, n, stack):
         part = indices[lo:lo + stack]
-        run = (
-            _run_stacked(kernel, age, part, mem, stack)
-            if 1 < len(part) < n else None
-        )
-        if run is not None:
-            # "every member" of this stack, not of the claim
-            who = range(lo, lo + len(part))
-            run = ([rec[:3] + (who,) for rec in run[0]],) + run[1:]
-        else:
-            run = _run_scalar(
-                kernel, age, part, mem, ctx, lo, int(len(part) > 1)
+        try:
+            run = (
+                _run_stacked(kernel, age, part, mem, stack)
+                if 1 < len(part) < n else None
             )
+            if run is not None:
+                # "every member" of this stack, not of the claim
+                who = range(lo, lo + len(part))
+                run = ([rec[:3] + (who,) for rec in run[0]],) + run[1:]
+            else:
+                run = _run_scalar(
+                    kernel, age, part, mem, ctx, lo, int(len(part) > 1)
+                )
+        except KernelBodyError as exc:
+            exc.stores = total[0] + exc.stores
+            raise
         for i, value in enumerate(run):
             total[i] += value
     return tuple(total)
@@ -127,8 +134,9 @@ def _run_scalar(
     dropped: int = 0,
 ):
     """The scalar loop, in :func:`run_batch`'s return shape: one
-    ``body`` call per instance, each one's stores written (and, in the
-    parent, announced) as they happen.  ``base`` is the position of
+    ``body`` call per instance, each one's stores written as they
+    happen; a whole-field operand is read once and seen by every
+    instance, as in the stacked form.  ``base`` is the position of
     ``indices[0]`` in the claim, ``dropped`` 1 when these instances are
     a stack that was tried stacked first."""
     clock = time.perf_counter
@@ -136,6 +144,7 @@ def _run_scalar(
     fields = mem.fields
     stores: list = []
     outputs: list = []
+    whole: dict[str, Any] = {}  # whole-field operands: one read a claim
     t_fetch = t_kernel = t_store = 0.0
     for who, index in enumerate(indices, base):
         t0 = clock()
@@ -145,7 +154,9 @@ def _run_scalar(
             field = fields[f.field]
             f_age = f.age.resolve(age)
             if f.whole_field():
-                value: Any = mem.read(field, f_age, None)
+                value: Any = whole.get(f.param)
+                if value is None:
+                    value = whole[f.param] = mem.read(field, f_age, None)
             else:
                 region = f.region(imap, field.extent)
                 if any(s.stop <= s.start for s in region):
@@ -164,7 +175,9 @@ def _run_scalar(
         try:
             kernel.body(ctx)
         except Exception as exc:  # noqa: BLE001 - rewrapped with context
-            raise KernelBodyError(kernel.name, age, index, exc) from exc
+            err = KernelBodyError(kernel.name, age, index, exc)
+            err.stores = stores  # the earlier instances' are written
+            raise err from exc
         t2 = clock()
         emitted = ctx.emitted
         for s in kernel.stores:

@@ -5,10 +5,12 @@ or operators it replaced — inside one instance, handing each stage's
 emitted values to the next without a field in between (paper, figure 4,
 Age 2 → Age 3).  Two callers build one: the operator compiler
 (:func:`repro.ops.compile_ops`, which fuses chains of block maps before
-lowering) and the LLS rewrite :func:`repro.core.scheduler.fuse`.  Both
-describe the kernel as a sequence of :class:`Stage` and get its scalar
-native block from :func:`fused_body` and, when every stage has a stacked
-array function, its ``batch_body`` from :func:`fused_batch_body`.
+lowering) and the LLS rewrite :func:`fuse` below (task granularity: a
+producer/consumer pair of an existing program becomes one kernel;
+:func:`fusable_pairs` lists the candidates).  Both describe the kernel
+as a sequence of :class:`Stage` and get its scalar native block from
+:func:`fused_body` and, when every stage has a stacked array function,
+its ``batch_body`` from :func:`fused_batch_body`.
 
 Stages need not share a granularity.  A stage with a ``grid`` runs
 several sub-instances per fused instance, each on one *tile* of the
@@ -33,17 +35,30 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DefinitionError, FusedStageError
+from .errors import DefinitionError, FusedStageError, SchedulerError
+from .graph import final_graph
 from .kernels import (
     BatchBodyFn,
     BodyFn,
+    Dim,
+    FetchSpec,
     KernelContext,
+    KernelDef,
     StoreSpec,
     coerce_store_value,
 )
-from .vectorize import StackFn, VectorizeFallback
+from .program import Program
+from .vectorize import StackFn, VectorizeFallback, stack_function
 
-__all__ = ["Pipe", "Stage", "fused_batch_body", "fused_body", "retile"]
+__all__ = [
+    "Pipe",
+    "Stage",
+    "fusable_pairs",
+    "fuse",
+    "fused_batch_body",
+    "fused_body",
+    "retile",
+]
 
 
 def retile(
@@ -288,3 +303,210 @@ def fused_batch_body(stages: Sequence[Stage]) -> BatchBodyFn | None:
         bctx.emit(last_key, stack)
 
     return batch_body
+
+
+# ----------------------------------------------------------------------
+# Fusing two kernels of a program (figure 4, Age 2 -> Age 3)
+# ----------------------------------------------------------------------
+def _pipe_candidates(
+    program: Program, first: KernelDef, second: KernelDef
+) -> list[tuple[StoreSpec, FetchSpec]]:
+    """(store of first, fetch of second) pairs forming a same-age pipe."""
+    pairs = []
+    for s in first.stores:
+        for f in second.fetches:
+            if f.field != s.field:
+                continue
+            if s.age.literal is not None or f.age.literal is not None:
+                continue
+            if s.age.offset != f.age.offset:
+                continue
+            if len(s.dims) != len(f.dims):
+                continue
+            if any(
+                (ds.is_all != df.is_all) or
+                (not ds.is_all and (ds.block != df.block or df.offset))
+                for ds, df in zip(s.dims, f.dims)
+            ):
+                continue
+            pairs.append((s, f))
+    return pairs
+
+
+def _stack_of(kernel: KernelDef):
+    """The stacked array function behind ``kernel``'s ``batch_body``
+    (``None`` when it has none, or one that is not a plain stack map)."""
+    if kernel.batch_body is None:
+        return None
+    return stack_function(kernel.body, f"kernel {kernel.name!r}")
+
+
+def fuse(
+    program: Program,
+    first: str,
+    second: str,
+    *,
+    elide: bool | None = None,
+    name: str | None = None,
+) -> Program:
+    """Fuse a producer/consumer pipeline into a single kernel.
+
+    Requirements: ``second`` fetches a field ``first`` stores with the
+    same age expression and identical index pattern (figure 4's Age 3
+    decision is exactly this for ``mul2``→``plus5``).
+
+    ``elide`` controls whether the intermediate store is skipped: default
+    is to elide when no *other* kernel fetches the pipe field (the paper:
+    "if the print kernel was not present, storing to the intermediate
+    field could be circumvented in its entirety").
+    """
+    k1 = program.kernels.get(first)
+    k2 = program.kernels.get(second)
+    if k1 is None or k2 is None:
+        raise SchedulerError(f"unknown kernel in fuse({first!r}, {second!r})")
+    if k1.has_age != k2.has_age:
+        raise SchedulerError("cannot fuse kernels with differing age use")
+    pipes = _pipe_candidates(program, k1, k2)
+    if not pipes:
+        raise SchedulerError(
+            f"kernels {first!r} and {second!r} do not form a same-age "
+            f"pipeline with matching index patterns"
+        )
+    pipe_store, pipe_fetch = pipes[0]
+    pipe_field = pipe_store.field
+
+    other_consumers = [
+        c for c in program.consumers_of(pipe_field) if c.name != second
+    ]
+    extra_pipe_fetches = [
+        f for f in k2.fetches
+        if f.field == pipe_field and f is not pipe_fetch
+    ]
+    can_elide = not other_consumers and not extra_pipe_fetches
+    if elide is None:
+        elide = can_elide
+    elif elide and not can_elide:
+        raise SchedulerError(
+            f"cannot elide {pipe_field!r}: other consumers exist"
+        )
+
+    # Unify index variables: the pipe's matching dims identify second's
+    # variables with first's; remaining second variables keep their names
+    # (renamed on collision).
+    rename: dict[str, str] = {}
+    for ds, df in zip(pipe_store.dims, pipe_fetch.dims):
+        if not ds.is_all:
+            rename[df.var] = ds.var
+    taken = set(k1.index_vars)
+    for v in k2.index_vars:
+        if v in rename:
+            continue
+        nv = v
+        while nv in taken:
+            nv = nv + "_2"
+        rename[v] = nv
+        taken.add(nv)
+
+    def remap_dims(dims: tuple[Dim, ...]) -> tuple[Dim, ...]:
+        return tuple(
+            d if d.is_all else Dim.of(rename[d.var], d.block) for d in dims
+        )
+
+    param_clash = {f.param for f in k1.fetches} & {
+        f.param for f in k2.fetches if f is not pipe_fetch
+    }
+    if param_clash:
+        raise SchedulerError(
+            f"cannot fuse: fetch param collision {sorted(param_clash)}"
+        )
+    fused_fetches = tuple(k1.fetches) + tuple(
+        FetchSpec(f.param, f.field, f.age, remap_dims(f.dims), f.scalar)
+        for f in k2.fetches if f is not pipe_fetch
+    )
+    k1_stores = tuple(
+        s for s in k1.stores if not (elide and s is pipe_store)
+    )
+    k2_stores = tuple(
+        StoreSpec(s.field, s.age, remap_dims(s.dims), s.key)
+        for s in k2.stores
+    )
+    clash = {s.emit_key for s in k1_stores} & {s.emit_key for s in k2_stores}
+    if clash:
+        raise SchedulerError(
+            f"cannot fuse: store key collision {sorted(clash)}"
+        )
+
+    index_vars = tuple(k1.index_vars) + tuple(
+        rename[v] for v in k2.index_vars if rename[v] not in k1.index_vars
+    )
+    pipe_def = program.fields[pipe_field]
+    stages = (
+        Stage(
+            name=first,
+            body=k1.body,
+            params=tuple(f.param for f in k1.fetches),
+            stores=tuple(s.emit_key for s in k1_stores),
+            pipes={
+                pipe_store.emit_key: Pipe(
+                    pipe_fetch.param, pipe_store, pipe_def.np_dtype,
+                    pipe_def.ndim, scalar=pipe_fetch.scalar,
+                )
+            },
+            stack=_stack_of(k1),
+        ),
+        Stage(
+            name=second,
+            body=k2.body,
+            params=tuple(f.param for f in k2.fetches),
+            stores=tuple(s.emit_key for s in k2_stores),
+            rename={v: u for u, v in rename.items()},
+            stack=_stack_of(k2),
+        ),
+    )
+    limits = [
+        lim for lim in (k1.age_limit, k2.age_limit) if lim is not None
+    ]
+    fused = KernelDef(
+        name=name or f"{first}+{second}",
+        body=fused_body(stages),
+        fetches=fused_fetches,
+        stores=k1_stores + k2_stores,
+        has_age=k1.has_age,
+        index_vars=index_vars,
+        domain=dict(k1.domain or {}) or None,
+        cost_hint=k1.cost_hint + k2.cost_hint,
+        age_limit=min(limits) if limits else None,
+        batch_body=fused_batch_body(stages),
+    )
+    out = program.without_kernels(first, second).with_kernel(fused)
+    if elide:
+        # Drop the pipe field when nothing references it any more.
+        if not out.consumers_of(pipe_field) and not out.producers_of(
+            pipe_field
+        ):
+            fields = {
+                n: f for n, f in out.fields.items() if n != pipe_field
+            }
+            rebuilt = Program.build(
+                fields.values(), out.kernels.values(), out.timers, out.name
+            )
+            rebuilt.output_handler = out.output_handler
+            out = rebuilt
+    return out
+
+
+def fusable_pairs(program: Program) -> list[tuple[str, str]]:
+    """Pipeline pairs the LLS could fuse, read off the final graph:
+    same-age edges whose endpoints have matching index patterns and no
+    competing consumers of the pipe field."""
+    g = final_graph(program)
+    out = []
+    for u, v, attrs in g.edges():
+        if u == v or attrs.get("age_delta") != 0:
+            continue
+        k1, k2 = program.kernels[u], program.kernels[v]
+        if k1.has_age != k2.has_age:
+            continue
+        if _pipe_candidates(program, k1, k2):
+            out.append((u, v))
+    return out

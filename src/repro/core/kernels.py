@@ -11,9 +11,9 @@ slice it fetches has been completely written (write-once semantics make
 The objects here are deliberately declarative: a :class:`KernelDef` is
 plain data plus a Python callable for the native block, so the same
 definitions drive the threaded runtime (:mod:`repro.core.runtime`), the
-static dependency graphs (:mod:`repro.core.graph`), the LLS granularity
-transformations (:mod:`repro.core.scheduler`) and the discrete-event
-simulator (:mod:`repro.sim`).
+static dependency graphs (:mod:`repro.core.graph`), kernel fusion
+(:mod:`repro.core.fusion`) and the discrete-event simulator
+(:mod:`repro.sim`).
 """
 
 from __future__ import annotations
@@ -109,8 +109,9 @@ class Dim:
       figure 5; ``b = 8`` fetches 8-wide stripes, which is how the MJPEG
       DCT kernels grab 8x8 macro-blocks).
 
-    The block size is exactly the data-granularity knob the LLS turns
-    (figure 4, Age 1 → Age 2): coarsening multiplies ``block``.
+    The block size is the data granularity a program is written at;
+    the LLS coarsens it at run time (figure 4, Age 1 → Age 2) by handing
+    a worker a *claim* of many instances, not by rewriting ``block``.
 
     A variable dimension may also carry an ``offset`` — a *stencil*
     fetch (``fetch left = f(a)[x-1]``), the neighbour-access pattern
@@ -436,9 +437,7 @@ class KernelDef:
         :mod:`repro.core.vectorize`).  Attached by
         :func:`~repro.core.vectorize.vectorize_program` at program-build
         time; ``None`` means the runtime always falls back to calling
-        ``body`` per instance.  :func:`~repro.core.scheduler.coarsen`
-        constructs a fresh definition without it, so a coarsened kernel
-        reverts to the scalar path; a fused kernel composes its stages'
+        ``body`` per instance.  A fused kernel composes its stages'
         stacked functions (:mod:`repro.core.fusion`).
     """
 

@@ -498,13 +498,35 @@ class RunResult:
         return self.instrumentation.stats()
 
 
+def _store_groups(stores) -> list:
+    """The store records of :func:`~repro.core.execute.run_batch` as one
+    ``(field, age, regions)`` per (field, age), in first-store order: a
+    stacked claim's region group as it was built, a scalar claim's
+    per-instance regions as one list."""
+    if len(stores) < 2:
+        # Nothing to merge — every claim of ``batch=1``; building the
+        # dict anyway measured 2-3 % on the dispatch-bound reference
+        # mode (``kmeans_batch``).
+        return [rec[:3] for rec in stores]
+    merged: dict[tuple[str, int], Any] = {}
+    for fname, s_age, regions, _who in stores:
+        prev = merged.get((fname, s_age))
+        if prev is None:
+            merged[fname, s_age] = regions
+        elif isinstance(prev, list):
+            prev.extend(regions)
+        else:
+            merged[fname, s_age] = [*prev, *regions]
+    return [(*key, regions) for key, regions in merged.items()]
+
+
 class ExecutionNode:
     """A P2G execution node for multi-core machines.
 
     Parameters
     ----------
     program:
-        The (possibly LLS-transformed) program to execute.
+        The (possibly fused) program to execute.
     workers:
         Number of worker threads (the paper sweeps 1–8).  The dependency
         analyzer always runs in its own additional thread, exactly as in
@@ -723,6 +745,21 @@ class ExecutionNode:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
+    def _announce(self, stores, commit: bool = False) -> None:
+        """Post what a claim stored, as coarse as the claim: one
+        :class:`StoreEvent` group per (field, age) of its store records
+        (:func:`_store_groups`).  With ``commit`` (the records of a
+        worker process) the write-once metadata of every group is
+        committed first, one call per (field, age), so the analyzer
+        only ever observes completeness at least as advanced as the
+        event it is handling."""
+        groups = _store_groups(stores)
+        if commit:
+            for fname, s_age, regions in groups:
+                self.fields[fname].mark_written_many(s_age, regions)
+        for fname, s_age, regions in groups:
+            self._post(StoreEvent.group(fname, s_age, regions))
+
     def _commit_batch(
         self, batch: list, worker_id: int, t0: float, run: tuple,
         remote: "tuple[float, float] | None" = None,
@@ -732,18 +769,18 @@ class ExecutionNode:
         ``batch`` is the claim — every instance the worker took in one
         pop — and ``run`` what :func:`~repro.core.execute.run_batch`
         returned for it, started at ``t0``.  ``remote`` is ``None`` when
-        the routine ran on this thread (its stores are already committed
-        and announced) and ``(t_send, t_recv)`` when it ran in a worker
+        the routine ran on this thread (its stores are already
+        committed) and ``(t_send, t_recv)`` when it ran in a worker
         process: the payload bytes are in the segments, and the reply's
         store records — region groups as the worker built them, nothing
-        is rebuilt here — get their write-once enforcement, completeness
-        metadata and events here.  The rest is one code path —
-        ``ctx.output`` delivery, instrumentation, metrics, frame
-        timeline, trace spans, and one :class:`InstanceDoneEvent` for
-        the dispatch, carrying every member.  The event stream is as
-        coarse as the dispatch: a worker's store records are announced
-        as one :class:`StoreEvent` group per (field, age), the way the
-        thread adapter announces a stacked batch's.
+        is rebuilt here — get their write-once enforcement and
+        completeness metadata here.  The rest is one code path — the
+        claim's stores announced (:meth:`_announce`: one
+        :class:`StoreEvent` group per (field, age), a stacked claim's
+        and a scalar one's alike), ``ctx.output`` delivery,
+        instrumentation, metrics, frame timeline, trace spans, and one
+        :class:`InstanceDoneEvent` for the dispatch, carrying every
+        member.
         """
         (stores, outputs, t_fetch, t_kernel, t_store,
          calls, fallbacks, vectorized) = run
@@ -761,22 +798,7 @@ class ExecutionNode:
                 stored[who.start:who.stop] = [True] * len(who)
             else:
                 stored[who] = True
-        if remote is not None:
-            # Commit write-once metadata in bulk — one call per (field,
-            # age), a stacked batch's region group as it arrived —
-            # *before* posting any StoreEvent, so the analyzer only ever
-            # observes completeness that is at least as advanced as the
-            # event it is handling.
-            merged: dict[tuple[str, int], Any] = {}
-            for fname, s_age, regions, _who in stores:
-                prev = merged.get((fname, s_age))
-                merged[fname, s_age] = (
-                    regions if prev is None else [*prev, *regions]
-                )
-            for (fname, s_age), regions in merged.items():
-                self.fields[fname].mark_written_many(s_age, regions)
-            for (fname, s_age), regions in merged.items():
-                self._post(StoreEvent.group(fname, s_age, regions))
+        self._announce(stores, commit=remote is not None)
         for who, key, value in outputs:
             # Out-of-band ``ctx.output`` values go to the program's
             # registered handler, always in the parent process.

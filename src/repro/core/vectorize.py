@@ -17,20 +17,17 @@ assignment kernels, elementwise integer affine maps).  At program-build
 time :func:`vectorize_program` matches each tagged body against the
 pattern table and attaches a ``batch_body`` to the
 :class:`~repro.core.kernels.KernelDef`; kernels with no tag — or whose
-structure no longer matches (e.g. after an LLS coarsen rewrote the
-fetch dims) — keep ``batch_body=None`` and run the scalar path
-per instance.  The escape hatches:
+structure does not match the pattern's fetch and store dims — keep
+``batch_body=None`` and run the scalar path per instance.  The escape
+hatches:
 
-* ``--no-vectorize`` (or ``vectorize=False`` on a workload builder)
-  skips the compilation step entirely;
+* ``vectorize=False`` on a workload builder skips the compilation step
+  entirely (the tests' scalar reference);
 * a ``batch_body`` may raise :class:`VectorizeFallback` at run time
   (e.g. the stack's block shape is not the expected 8x8) and
   :func:`~repro.core.execute.run_batch` re-runs that stack in its
   scalar loop — nothing of the claim has been written by then — and
-  reports the drop (``exec.vectorize_fallbacks``);
-* :func:`~repro.core.scheduler.coarsen` constructs a fresh
-  :class:`KernelDef` with the default ``batch_body=None``, so a
-  coarsened kernel runs the scalar path.
+  reports the drop (``exec.vectorize_fallbacks``).
 
 Fusion keeps the stacked call.  The patterns with one region fetch and
 one store (``idct_8x8``, ``box_downscale``, ``dct_quant_8x8``,
@@ -40,9 +37,9 @@ a lone kernel's ``batch_body``, and
 :func:`repro.core.fusion.fused_batch_body` chains the functions of a
 fused kernel's stages with a reshape/transpose re-tile between them —
 for an operator chain fused by :func:`repro.ops.compile_ops` and for an
-LLS :func:`~repro.core.scheduler.fuse` alike.
+LLS :func:`~repro.core.fusion.fuse` alike.
 
-Byte-identity is a hard requirement, exactly as for the LLS rewrites:
+Byte-identity is a hard requirement, exactly as for fusion:
 every pattern reproduces the scalar body's arithmetic bit for bit
 (:func:`repro.media.dct.dct2_blocks` deliberately keeps its per-block
 loop under ``method="matrix"`` for this reason), and the property tests

@@ -216,6 +216,12 @@ class MembershipTable:
 
 
 # ----------------------------------------------------------------------
+#: SLO burn rate (from :class:`~repro.obs.slo.SloTracker`) above which a
+#: scale-out is justified even with shallow queues: the error budget is
+#: being spent faster than it accrues.
+BURN_HIGH = 1.0
+
+
 @dataclass(frozen=True)
 class ElasticityConfig:
     """Tuning of the elasticity driver.
@@ -234,9 +240,6 @@ class ElasticityConfig:
     #: Mean ready-queue depth per worker below which a scale-in of
     #: planned-but-unneeded capacity is justified.
     queue_low: float = 0.25
-    #: SLO burn rate (from :class:`~repro.obs.slo.SloTracker`) above
-    #: which a scale-out is justified even with shallow queues.
-    burn_high: float = 1.0
     #: Minimum seconds between issued scale actions.
     cooldown: float = 1.0
     #: Upper bound on the node count the driver may scale to.
@@ -316,12 +319,12 @@ class ElasticityDriver:
             return None
         depth = float(sample.get("queue_per_worker", 0.0))
         burn = float(sample.get("burn", 0.0))
-        if (depth > cfg.queue_high or burn > cfg.burn_high) and \
+        if (depth > cfg.queue_high or burn > BURN_HIGH) and \
                 current < cfg.max_nodes:
             why = (f"queue {depth:.1f}/worker" if depth > cfg.queue_high
                    else f"slo burn {burn:.2f}")
             return current + 1, why
-        if depth < cfg.queue_low and burn <= cfg.burn_high and \
+        if depth < cfg.queue_low and burn <= BURN_HIGH and \
                 current > cfg.min_nodes:
             return current - 1, f"queue {depth:.2f}/worker idle"
         return None

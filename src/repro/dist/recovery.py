@@ -8,7 +8,7 @@ per-node restart budget with exponential backoff — spawns a replacement
 node that re-executes the dead node's kernels:
 
 1. the victim's frozen in-flight instances are re-enqueued directly
-   (:func:`repro.core.scheduler.reenqueue`);
+   (:func:`reenqueue`);
 2. the transport's event log is replayed into the replacement's
    analyzer, reconstructing the store history the victim had observed —
    including events the victim itself published (needed after a
@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Callable
 
 from ..core.errors import NodeFailureError
 from ..core.events import WorkToken
-from ..core.scheduler import reenqueue
 from ..obs import MetricsRegistry, NULL_TRACER, Tracer
 from .topology import LocalTopology
 
@@ -54,6 +53,12 @@ __all__ = [
 ]
 
 
+#: Restart attempt n sleeps ``BACKOFF_BASE * 2**(n-1)`` seconds first.
+BACKOFF_BASE = 0.01
+#: Failure-monitor polling period (s).
+POLL_INTERVAL = 0.01
+
+
 @dataclass(frozen=True)
 class RecoveryConfig:
     """Tuning of failure detection and recovery."""
@@ -65,8 +70,6 @@ class RecoveryConfig:
     #: (a long kernel body is indistinguishable below this horizon).
     progress_timeout: float | None = None
     max_restarts: int = 2  #: per-node replacement budget
-    backoff_base: float = 0.01  #: attempt n sleeps base * 2**(n-1) (s)
-    poll_interval: float = 0.01  #: monitor polling period (s)
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
@@ -88,6 +91,28 @@ class RecoveryRecord:
     reenqueued: int  #: instances re-enqueued directly on the replacement
     replayed: int  #: transport-log events replayed into its analyzer
     recovery_s: float  #: detection-to-replacement wall seconds
+
+
+def reenqueue(node: "ExecutionNode", instances) -> int:
+    """Re-enqueue a failed node's in-flight kernel instances onto a
+    replacement node's ready queue; returns how many were enqueued.
+
+    ``instances`` are the units frozen or abandoned at the dead node's
+    fail-stop boundary (never started, so never stored).  Instances whose
+    kernel the replacement does not own are skipped.  Duplication with
+    the replacement's own analyzer-driven dispatch is harmless: dispatch
+    is keyed per (kernel, age, index) in the analyzer, and a recovery
+    node skip-stores already-complete regions, so a doubly enqueued
+    instance at worst re-runs an idempotent body.
+    """
+    n = 0
+    for inst in instances:
+        if inst.kernel.name not in node.program.kernels:
+            continue
+        node._inc()
+        node.ready.push(inst)
+        n += 1
+    return n
 
 
 def _base_name(name: str) -> str:
@@ -190,7 +215,7 @@ class RecoveryManager:
         self._thread.join()
 
     def _loop(self) -> None:
-        while not self._stop.wait(self._config.poll_interval):
+        while not self._stop.wait(POLL_INTERVAL):
             for name in self._monitor.check():
                 try:
                     self._handle_failure(name)
@@ -247,9 +272,7 @@ class RecoveryManager:
                     f"node survives to host its kernels",
                     failures=list(self._history),
                 )
-            backoff = self._config.backoff_base * (2 ** (attempt - 1))
-            if backoff > 0:
-                time.sleep(backoff)
+            time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
             repl_name = f"{base}~{attempt}"
             self._master.register(
                 LocalTopology(repl_name, topo.processors)

@@ -321,11 +321,9 @@ class TelemetryConfig:
     ring: int = 256              #: snapshot ring capacity
     port: int | None = None      #: HTTP scrape port (0 = ephemeral)
     jsonl_path: str | None = None  #: append one JSON line per tick
-    slo_window_s: float = 5.0    #: burn-rate evidence window
     slo_burn_alert: float = 2.0  #: burn-rate alert threshold
     slo_min_frames: int = 10     #: samples required before alerting
     slo_cooldown_s: float = 5.0  #: per-session alert rate limit
-    slo_target: float = 0.05     #: default error budget (miss fraction)
 
 
 class Telemetry:
@@ -343,11 +341,9 @@ class Telemetry:
         self.config = config or TelemetryConfig()
         self.timeline = TimelineRecorder()
         self.slo = SloTracker(
-            window_s=self.config.slo_window_s,
             burn_alert=self.config.slo_burn_alert,
             min_frames=self.config.slo_min_frames,
             cooldown_s=self.config.slo_cooldown_s,
-            default_target=self.config.slo_target,
         )
         self.exporter = TelemetryExporter(
             interval_s=self.config.interval_s,

@@ -14,12 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    AdaptivePolicy,
     BatchKernelContext,
     Dim,
     ExecutionNode,
     FetchSpec,
-    GranularityDecision,
     KernelDef,
     Program,
     ReadyQueue,
@@ -325,63 +323,236 @@ class TestByteIdentityCluster:
             assert np.array_equal(sink.history[age], base.history[age])
 
 
-class TestOfflineRecipe:
-    """The pre-run LLS on top of batching: profile once at ``batch=1``,
-    ``AdaptivePolicy.recommend`` → ``.apply`` → run the rewritten
-    program at ``batch=32``.  The rewrite is invisible in the bytes on
-    both backends (mulsum declares no shapes, so it runs on threads
-    only).  MJPEG is built unvectorized: every dispatch-bound kernel of
-    the vectorized build has a ``batch_body``, for which the policy
-    recommends nothing (``batch`` is that kernel's dial)."""
+_LANG_MULSUM = """
+int32[5] m_data age;
+int32[5] p_data age;
+
+init:
+  local int32[] values;
+  %{
+    for i in range(5):
+        put(values, i + 10, i)
+  %}
+  store m_data(0) = values;
+
+mul2:
+  age a;
+  index x;
+  fetch value = m_data(a)[x];
+  %{ value *= 2 %}
+  store p_data(a)[x] = value;
+
+plus5:
+  age a;
+  index x;
+  fetch value = p_data(a)[x];
+  %{ value += 5 %}
+  store m_data(a+1)[x] = value;
+"""
+
+
+def _store_events(program, backend, batch, workers=1, prepare=None,
+                  **node_kw):
+    """Run ``program`` (after ``prepare(node)``); returns the node, what
+    :meth:`ExecutionNode.run` returned or raised, and the store events
+    it posted as ``(field, age, regions)`` in posting order."""
+    from repro.core import StoreEvent
+
+    events = []
+    node = ExecutionNode(
+        program, workers, backend=backend, batch=batch,
+        on_event=lambda _node, ev: isinstance(ev, StoreEvent)
+        and events.append((ev.field, ev.age, ev.regions)),
+        **node_kw,
+    )
+    if prepare is not None:
+        prepare(node)
+    try:
+        outcome = node.run(timeout=60)
+    except Exception as exc:  # noqa: BLE001 - handed to the test
+        outcome = exc
+    return node, outcome, events
+
+
+class TestScalarClaims:
+    """A claim of a kernel that has no ``batch_body`` runs the scalar
+    loop and is announced like a stacked one: every store committed as
+    it happens, one event per (field, age) when the claim ends — on
+    both backends, from the same store records."""
+
+    @pytest.mark.parametrize("batch,claims", [(1, [1] * 12),
+                                              (5, [6, 6]), (32, [12])])
+    def test_backends_announce_the_same_groups(self, batch, claims):
+        """12 scalar ``dbl`` instances pushed as one run, two workers:
+        a claim is ``max(batch, ceil(12 / 2))`` of them, and each claim
+        is one store event carrying exactly its members' regions."""
+        streams = {}
+        for backend in ("threads", "processes"):
+            node, result, events = _store_events(
+                _doubling_program(48, 4), backend, batch, workers=2)
+            assert result.fields["out"].fetch(0).tolist() == list(
+                range(0, 96, 2))
+            streams[backend] = sorted(events)
+        assert streams["threads"] == streams["processes"]
+        groups = [r for f, _a, r in streams["threads"] if f == "out"]
+        assert sorted(map(len, groups)) == sorted(claims)
+        # every region announced exactly once, whatever the grouping
+        assert sorted(r for g in groups for r in g) == [
+            (slice(x, x + 4),) for x in range(0, 48, 4)]
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_raise_mid_claim_leaves_nothing_committed_unannounced(
+            self, backend):
+        """Instance 7 of one claim of 12 raises.  Where the claim ran in
+        the parent the first seven stores are committed, and announced;
+        a worker process's are never committed.  Either way the same
+        ``KernelBodyError`` surfaces."""
+        from repro.core.errors import KernelBodyError
+
+        def bomb(ctx):
+            if ctx.index["x"] == 7:
+                raise ValueError("boom")
+            ctx.emit("out", ctx["v"] * 2)
+
+        node, err, events = _store_events(
+            _doubling_program(48, 4, body=bomb), backend, 32)
+        assert isinstance(err, KernelBodyError)
+        assert (err.kernel, err.age, tuple(err.index)) == ("dbl", None, (7,))
+        assert "ValueError: boom" in str(err)
+        out = node.fields["out"]
+        announced = [r for f, _a, g in events if f == "out" for r in g]
+        committed = [
+            (slice(x, x + 4),) for x in range(0, 48, 4)
+            if out.is_complete(0, slice(x, x + 4))
+        ]
+        assert announced == committed
+        assert len(committed) == (7 if backend == "threads" else 0)
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_write_once_violation_in_a_scalar_claim(self, backend):
+        """Instances ``(x, 0)`` and ``(x, 1)`` both store ``out[x]``:
+        the second of the claim is refused, and the error names the
+        contested element on either backend."""
+        from repro.core import AgeExpr, FieldDef
+
+        age0 = AgeExpr.const(0)
+        dims = (Dim.of("x"), Dim.of("y"))
+        program = Program.build(
+            [FieldDef("a", "int64", 2, aging=False, shape=(6, 2)),
+             FieldDef("out", "int64", 1, aging=False, shape=(6,))],
+            [KernelDef(
+                "src", lambda ctx: ctx.emit(
+                    "a", np.arange(12, dtype=np.int64).reshape(6, 2)),
+                stores=(StoreSpec("a", age=age0),)),
+             KernelDef(
+                 "dup", lambda ctx: ctx.emit("out", ctx["v"]),
+                 index_vars=("x", "y"),
+                 fetches=(FetchSpec("v", "a", age=age0, dims=dims,
+                                    scalar=True),),
+                 stores=(StoreSpec("out", age=age0,
+                                   dims=(Dim.of("x"),)),))],
+        )
+        _node, err, _events = _store_events(program, backend, 32)
+        assert isinstance(err, WriteOnceViolation)
+        assert (err.field, err.age, tuple(err.index)) == ("out", 0, (0,))
+
+    def test_recover_node_reannounces_a_skipped_store(self):
+        """A recovery node finds ``out[0:4]`` already complete (its dead
+        predecessor wrote it): the payload write is skipped, the region
+        is still part of the claim's event."""
+        stores = []
+
+        def prewrite(node):
+            out = node.fields["out"]
+            out.store(0, slice(0, 4), np.arange(0, 8, 2))
+            real_store = out.store
+            out.store = lambda age, index, value: (
+                stores.append(index), real_store(age, index, value))[1]
+
+        _node, result, events = _store_events(
+            _doubling_program(48, 4), "threads", 32, recover=True,
+            prepare=prewrite)
+        assert result.fields["out"].fetch(0).tolist() == list(
+            range(0, 96, 2))
+        assert (slice(0, 4),) not in stores and len(stores) == 11
+        (group,) = [g for f, _a, g in events if f == "out"]
+        assert list(group) == [(slice(x, x + 4),) for x in range(0, 48, 4)]
 
     CASES = {
-        "mulsum": (lambda: build_mulsum(), {"max_age": 4}),
-        "kmeans-pair": (
-            lambda: build_kmeans(n=150, k=8, iterations=3,
-                                 granularity="pair"), {}),
-        "kmeans-point": (
-            lambda: build_kmeans(n=150, k=8, iterations=3,
-                                 granularity="point"), {}),
-        "mjpeg": (
-            lambda: build_mjpeg(config=MJPEGConfig(96, 64, frames=3),
-                                vectorize=False), {}),
+        "lang-mulsum": {"max_age": 3},
+        "kmeans-point": {},
+        "mjpeg": {},
+        "intra": {},
     }
 
     @staticmethod
-    def _bytes(name, sink):
-        if name == "mulsum":
-            return b"".join(arr.tobytes() for age in sorted(sink)
-                            for arr in sink[age])
+    def _run_case(name, backend, batch):
+        """Bytes a scalar build of ``name`` produces (no kernel of it
+        has a ``batch_body``)."""
+        from repro.lang import compile_program
+        from repro.workloads import IntraConfig, build_intra
+
+        kw = TestScalarClaims.CASES[name]
+        if name == "lang-mulsum":  # prints nothing: read the fields
+            program, sink = compile_program(_LANG_MULSUM), None
+        elif name == "kmeans-point":
+            program, sink = build_kmeans(
+                n=60, k=5, iterations=3, granularity="point",
+                vectorize=False)
+        elif name == "mjpeg":
+            program, sink = build_mjpeg(
+                config=MJPEGConfig(48, 32, frames=2), vectorize=False)
+        else:
+            program, sink = build_intra(
+                config=IntraConfig(width=48, height=32, frames=2))
+        assert not any(k.batch_body for k in program.kernels.values())
+        result = run_program(program, workers=2, backend=backend,
+                             batch=batch, timeout=120, **kw)
+        if name == "lang-mulsum":
+            return b"".join(
+                result.fields[f].fetch(age).tobytes()
+                for age in range(4) for f in ("m_data", "p_data"))
+        if name == "kmeans-point":
+            return b"".join(sink.history[a].tobytes()
+                            for a in sorted(sink.history))
         if name == "mjpeg":
             return sink.stream()
-        return b"".join(sink.history[a].tobytes()
-                        for a in sorted(sink.history))
+        # the sink is filled by a body, i.e. in a worker process
+        return b"".join(
+            result.fields[f].fetch(age).tobytes()
+            for age in range(2) for f in ("recon", "levels"))
 
-    @pytest.mark.parametrize("name,backend", [
-        (name, backend) for name in sorted(CASES)
-        for backend in ("threads", "processes")
-        if (name, backend) != ("mulsum", "processes")
-    ])
-    def test_recommended_rewrite_at_batch_32_is_byte_identical(
-            self, name, backend):
-        build, kw = self.CASES[name]
-        program, sink = build()
-        profile = run_program(program, workers=2, batch=1, timeout=120,
-                              **kw)
-        plain = self._bytes(name, sink)
-        policy = AdaptivePolicy(ratio_target=0.1, min_instances=4)
-        decisions = policy.recommend(program, profile.instrumentation,
-                                     fuse=True)
-        assert decisions  # batch=1 is dispatch-bound on all four
-        assert not any(
-            program.kernels[d.kernel].batch_body is not None
-            for d in decisions if isinstance(d, GranularityDecision)
-        )
-        program, sink = build()
-        rewritten = policy.apply(program, decisions)
-        run_program(rewritten, workers=2, batch=32, backend=backend,
-                    timeout=120, **kw)
-        assert self._bytes(name, sink) == plain
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_scalar_programs_byte_identical_at_any_claim(self, name,
+                                                         backend):
+        want = self._run_case(name, "threads", 1)
+        assert want
+        for batch in (1, 5, 32):
+            assert self._run_case(name, backend, batch) == want
+
+    def test_cluster_transport_carries_the_group_events(self):
+        """The scalar mulsum over two nodes: what crosses the transport
+        is one store event per claim, and the series is unchanged."""
+        from repro.core import StoreEvent
+        from repro.dist import InProcTransport
+
+        sink = {}
+        program, _ = build_mulsum(sink=sink, vectorize=False)
+        transport = InProcTransport()
+        transport.enable_log()
+        result = Cluster(
+            program, {"n0": 1, "n1": 1}, transport=transport,
+        ).run(max_age=4, batch=5, timeout=120)
+        assert result.reason == "idle"
+        _assert_mulsum(sink, 5)
+        groups = [
+            len(msg.payload.regions) for msg in transport.replay()
+            if isinstance(msg.payload, StoreEvent)
+            and msg.topic in ("m_data", "p_data")
+        ]
+        assert groups and max(groups) == 5
+        assert sum(groups) >= 5 * 9  # 5 ages of p_data, 4 of m_data + init
 
 
 class TestRecoverCommitRace:

@@ -271,13 +271,11 @@ class TestAdapterEquivalence:
             return
         assert _same_state(_state(field_g, 0), _state(field_l, 0))
         assert np.array_equal(field_g._ages[0].data, field_l._ages[0].data)
-        # one event for the group, announcing what the loop announced
-        (event,) = events_g
-        assert isinstance(event, StoreEvent)
-        assert list(event.regions) == [
-            r for ev in events_l for r in ev.regions
-        ]
-        assert event.elements == sum(ev.elements for ev in events_l)
+        # the adapter commits; the claim's commit tail announces stores
+        # (test_batch.py::TestScalarClaims), so neither posts a store event
+        assert not any(
+            isinstance(ev, StoreEvent) for ev in events_g + events_l
+        )
         got, exc_g = _outcome(lambda: mem_g.read(field_g, 0, group))
         want, exc_l = _outcome(
             lambda: np.stack([mem_l.read(field_l, 0, r) for r in group])

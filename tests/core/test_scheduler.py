@@ -1,80 +1,15 @@
-"""Unit tests for the LLS transformations (coarsen / fuse / adaptive)."""
+"""Unit tests for the LLS's task-granularity rewrite: ``fuse`` and
+``fusable_pairs`` (:mod:`repro.core.fusion`)."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AdaptivePolicy,
-    FusionDecision,
-    GranularityDecision,
-    Instrumentation,
-    SchedulerError,
-    coarsen,
-    coarsenable_vars,
-    fusable_pairs,
-    fuse,
-    run_program,
-)
-from repro.workloads import build_kmeans, build_mulsum, expected_series
+from repro.core import SchedulerError, fusable_pairs, fuse, run_program
+from repro.workloads import build_mulsum, expected_series
 
 
 def run_sink(program, max_age=2, workers=2):
     return run_program(program, workers=workers, max_age=max_age, timeout=60)
-
-
-class TestCoarsen:
-    def test_reduces_instances_preserves_values(self):
-        program, sink = build_mulsum()
-        coarse = coarsen(program, "mul2", "x", 5)
-        result = run_sink(coarse)
-        assert result.stats["mul2"].instances == 3  # one per age
-        expected = expected_series(3)
-        for age in expected:
-            assert np.array_equal(sink[age][1], expected[age][1])
-
-    def test_partial_factor(self):
-        program, sink = build_mulsum()
-        coarse = coarsen(program, "mul2", "x", 2)  # blocks of 2 over 5
-        result = run_sink(coarse, max_age=1)
-        assert result.stats["mul2"].instances == 2 * 3  # ceil(5/2) per age
-        expected = expected_series(2)
-        for age in expected:
-            assert np.array_equal(sink[age][1], expected[age][1])
-
-    def test_factor_one_is_identity(self):
-        program, _ = build_mulsum()
-        assert coarsen(program, "mul2", "x", 1) is program
-
-    def test_unknown_kernel(self):
-        program, _ = build_mulsum()
-        with pytest.raises(SchedulerError):
-            coarsen(program, "nope", "x", 2)
-
-    def test_unknown_var(self):
-        program, _ = build_mulsum()
-        with pytest.raises(SchedulerError):
-            coarsen(program, "mul2", "y", 2)
-
-    def test_invalid_factor(self):
-        program, _ = build_mulsum()
-        with pytest.raises(SchedulerError):
-            coarsen(program, "mul2", "x", 0)
-
-    def test_coarsen_2d_kernel(self):
-        """K-means' pair assign has two index vars; coarsening x batches
-        points while c stays per-centroid."""
-        program, sink = build_kmeans(
-            n=40, k=4, iterations=2, granularity="pair"
-        )
-        coarse = coarsen(program, "assign", "x", 8)
-        result = run_program(coarse, workers=2, timeout=60)
-        # ceil(40/8)=5 x-blocks * 4 centroids * 2 iterations
-        assert result.stats["assign"].instances == 5 * 4 * 2
-        from repro.workloads import kmeans_baseline
-
-        base = kmeans_baseline(n=40, k=4, iterations=2)
-        for age in base.history:
-            assert np.allclose(sink.history[age], base.history[age])
 
 
 class TestFuse:
@@ -117,12 +52,16 @@ class TestFuse:
         m = result.fields["m_data"].fetch(3)
         assert m.tolist() == expected_series(4)[3][0].tolist()
 
-    def test_fuse_then_coarsen(self):
-        """Figure 4's Age 4: both knobs — one instance per age."""
+    def test_fuse_then_claim(self):
+        """Figure 4's Age 4: both knobs — the fused kernel's five
+        instances of an age run as one claim."""
         program, sink = build_mulsum()
-        both = coarsen(fuse(program, "mul2", "plus5"), "mul2+plus5", "x", 5)
-        result = run_sink(both)
-        assert result.stats["mul2+plus5"].instances == 3
+        fused = fuse(program, "mul2", "plus5")
+        result = run_program(fused, workers=1, max_age=2, batch=5,
+                             timeout=60)
+        assert result.stats["mul2+plus5"].instances == 15
+        # init, then per age one claim of the fused kernel and one print
+        assert result.metrics.counter("exec.claims").value == 7
         expected = expected_series(3)
         for age in expected:
             assert np.array_equal(sink[age][0], expected[age][0])
@@ -221,151 +160,3 @@ class TestFuse:
         assert ("mul2", "plus5") in pairs
         # plus5 -> mul2 crosses an age (a+1): not a same-age pipeline
         assert ("plus5", "mul2") not in pairs
-
-
-class TestAdaptivePolicy:
-    def _instr(self, kernel="assign", instances=1000, dispatch_us=40.0,
-               kernel_us=10.0):
-        instr = Instrumentation()
-        for _ in range(instances):
-            instr.record(kernel, dispatch_us * 1e-6, kernel_us * 1e-6)
-        return instr
-
-    def test_recommends_for_high_ratio(self):
-        program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair", vectorize=False)
-        policy = AdaptivePolicy(ratio_target=0.25)
-        decisions = policy.recommend(program, self._instr())
-        assert len(decisions) == 1
-        d = decisions[0]
-        assert d.kernel == "assign" and d.factor > 1
-
-    def test_never_coarsens_a_vectorized_kernel(self):
-        """coarsen() rebuilds a kernel without its batch_body, so the
-        same hot profile yields no decision once ``assign`` has one:
-        its dial is ``batch`` (8 of the 10 K-means-point pairs of the
-        LLS dial audit lost to exactly this rewrite)."""
-        program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair")
-        assert program.kernels["assign"].batch_body is not None
-        policy = AdaptivePolicy(ratio_target=0.25)
-        assert policy.recommend(program, self._instr()) == []
-
-    def test_no_recommendation_below_target(self):
-        program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair")
-        policy = AdaptivePolicy(ratio_target=0.25)
-        instr = self._instr(dispatch_us=1.0, kernel_us=99.0)
-        assert policy.recommend(program, instr) == []
-
-    def test_min_instances_guard(self):
-        program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair")
-        policy = AdaptivePolicy(min_instances=10_000)
-        assert policy.recommend(program, self._instr(instances=100)) == []
-
-    def test_apply_produces_runnable_program(self):
-        program, sink = build_kmeans(n=40, k=4, iterations=2,
-                                     granularity="pair")
-        policy = AdaptivePolicy()
-        adapted = policy.apply(
-            program, [GranularityDecision("assign", "x", 8)]
-        )
-        run_program(adapted, workers=2, timeout=60)
-        from repro.workloads import kmeans_baseline
-
-        base = kmeans_baseline(n=40, k=4, iterations=2)
-        assert np.allclose(sink.history[2], base.history[2])
-
-    def test_invalid_target(self):
-        with pytest.raises(SchedulerError):
-            AdaptivePolicy(ratio_target=0.0)
-
-    def test_accepts_plain_stats_mapping(self):
-        """recommend takes either an Instrumentation or its stats dict
-        (the adaptation driver feeds per-interval deltas as a dict)."""
-        program, _ = build_kmeans(n=40, k=4, iterations=2,
-                                  granularity="pair", vectorize=False)
-        policy = AdaptivePolicy(ratio_target=0.25)
-        stats = self._instr().stats()
-        decisions = policy.recommend(program, stats)
-        assert len(decisions) == 1 and decisions[0].kernel == "assign"
-
-    def test_age_only_kernel_never_coarsened(self):
-        """mulsum's print kernel has no index axis beyond the age
-        dimension; even with a terrible dispatch ratio the policy must
-        not recommend coarsening it."""
-        program, _ = build_mulsum()
-        assert coarsenable_vars(program.kernels["print"]) == []
-        assert coarsenable_vars(program.kernels["mul2"]) == ["x"]
-        policy = AdaptivePolicy(ratio_target=0.25, min_instances=10)
-        instr = self._instr(kernel="print", instances=100,
-                            dispatch_us=90.0, kernel_us=10.0)
-        assert policy.recommend(program, instr) == []
-
-    def test_recommends_fusion_for_hot_pipeline(self):
-        """With fuse=True a hot producer->consumer pair becomes one
-        FusionDecision, and the fused kernels are not also coarsened."""
-        program, _ = build_mulsum()
-        instr = Instrumentation()
-        for _ in range(200):
-            instr.record("mul2", 40e-6, 10e-6)
-            instr.record("plus5", 40e-6, 10e-6)
-        policy = AdaptivePolicy(ratio_target=0.25, min_instances=10)
-        decisions = policy.recommend(program, instr, fuse=True)
-        fusions = [d for d in decisions if isinstance(d, FusionDecision)]
-        assert fusions == [FusionDecision("mul2", "plus5")]
-        fused = {"mul2", "plus5"}
-        assert not any(
-            isinstance(d, GranularityDecision) and d.kernel in fused
-            for d in decisions
-        )
-
-    def test_fuse_disabled_by_default(self):
-        program, _ = build_mulsum()
-        instr = Instrumentation()
-        for _ in range(200):
-            instr.record("mul2", 40e-6, 10e-6)
-            instr.record("plus5", 40e-6, 10e-6)
-        policy = AdaptivePolicy(ratio_target=0.25, min_instances=10)
-        decisions = policy.recommend(program, instr)
-        assert not any(isinstance(d, FusionDecision) for d in decisions)
-
-
-class TestDecisionValidation:
-    """GranularityDecision.apply clamps the factor domain so a live
-    replan can never feed coarsen a degenerate factor."""
-
-    def _program(self):
-        program, _ = build_mulsum()
-        return program
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(SchedulerError, match="power of two"):
-            GranularityDecision("mul2", "x", 3).apply(self._program())
-
-    @pytest.mark.parametrize("factor", [0, -4, 1 << 21])
-    def test_out_of_range_rejected(self, factor):
-        with pytest.raises(SchedulerError, match="out of range"):
-            GranularityDecision("mul2", "x", factor).apply(self._program())
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(SchedulerError):
-            GranularityDecision("mul2", "x", 2.0).apply(self._program())
-
-    def test_bool_rejected(self):
-        with pytest.raises(SchedulerError):
-            GranularityDecision("mul2", "x", True).apply(self._program())
-
-    def test_valid_factor_applies_byte_identical(self):
-        program, sink = build_mulsum()
-        coarse = GranularityDecision("mul2", "x", 4).apply(program)
-        run_sink(coarse)
-        expected = expected_series(3)
-        for age in expected:
-            assert np.array_equal(sink[age][1], expected[age][1])
-
-    def test_fusion_decision_applies(self):
-        program, _ = build_mulsum()
-        fused = FusionDecision("mul2", "plus5").apply(program)
-        assert "mul2+plus5" in fused.kernels

@@ -11,9 +11,7 @@ from repro.core import (
     FieldDef,
     KernelDef,
     Program,
-    SchedulerError,
     StoreSpec,
-    coarsen,
     run_program,
 )
 
@@ -59,11 +57,6 @@ class TestStencilValidation:
                                    scalar=True),),
                 stores=(StoreSpec("g", dims=(Dim.of("x", offset=1),)),),
             )
-
-    def test_coarsen_rejects_stencil_var(self):
-        prog = build_blur_program(8, 1)
-        with pytest.raises(SchedulerError, match="stencil"):
-            coarsen(prog, "blur", "x", 2)
 
 
 def build_blur_program(n: int, ages: int):

@@ -299,7 +299,7 @@ class TestElasticityDriver:
         assert drv.poll_once() is False  # capped at max_nodes
 
     def test_slo_burn_scales_out(self):
-        cfg = ElasticityConfig(burn_high=1.0, cooldown=0.0)
+        cfg = ElasticityConfig(cooldown=0.0)
         box = {"nodes": 2, "queue_per_worker": 0.0, "burn": 2.5,
                "elapsed": 1.0}
         drv, calls = self._driver(cfg, box)

@@ -1,19 +1,27 @@
-"""The run entry points' keyword surface, pinned.
+"""The run entry points' keyword surface and ``repro.core``'s export
+list, pinned.
 
-Every name here is re-threaded by hand through ``cli.py`` and the
-benchmark harness; adding one is a design decision, so it has to show
-up as a diff of this file.
+Every keyword here is re-threaded by hand through ``cli.py`` and the
+benchmark harness, and every export is public API; adding one is a
+design decision, so it has to show up as a diff of this file.
 """
 
 import inspect
 
 import pytest
 
+import repro.core
 from repro.core import ExecutionNode, run_program
 from repro.dist import Cluster
 from repro.ops import compile_ops
 from repro.stream import SessionManager, StreamConfig, StreamDriver
-from repro.workloads import MJPEGConfig, build_mjpeg_stream
+from repro.workloads import (
+    MJPEGConfig,
+    build_kmeans,
+    build_mjpeg,
+    build_mjpeg_stream,
+    build_mulsum,
+)
 
 RUN = {"max_age", "timeout", "stall_timeout", "tracer", "metrics",
        "batch", "telemetry"}
@@ -50,6 +58,43 @@ SURFACE = {
 )
 def test_parameter_names_are_pinned(fn):
     assert set(inspect.signature(fn).parameters) == SURFACE[fn]
+
+
+@pytest.mark.parametrize(
+    "builder", [build_kmeans, build_mjpeg, build_mjpeg_stream, build_mulsum],
+    ids=lambda fn: fn.__name__,
+)
+def test_builders_keep_the_scalar_reference_keyword(builder):
+    """``vectorize=False`` is how the tests build the scalar reference
+    of a workload; no CLI flag selects it."""
+    assert "vectorize" in inspect.signature(builder).parameters
+
+
+CORE_EXPORTS = [
+    "AgeError", "AgeExpr", "BACKENDS", "BatchKernelContext",
+    "CollectedAgeError", "DTYPES", "DefinitionError", "DependencyAnalyzer",
+    "Digraph", "Dim", "Event", "EventBus", "ExecutionBackend",
+    "ExecutionNode", "ExtentError", "FetchSpec", "Field", "FieldDef",
+    "FieldError", "FieldStore", "InstanceDoneEvent", "Instrumentation",
+    "KernelBodyError", "KernelContext", "KernelDef", "KernelError",
+    "KernelInstance", "KernelStats", "LanguageError", "LexError",
+    "LocalField", "NAME_SEP", "NodeFailureError", "P2GError", "ParseError",
+    "PartitionError", "ProcessBackend", "Program", "ReadyQueue",
+    "RegionGroup", "ResizeEvent", "RetireEvent", "RunResult",
+    "RuntimeStateError", "SchedulerError", "SemanticError", "SharedField",
+    "SharedFieldStore", "StallError", "StoreEvent", "StoreSpec",
+    "ThreadBackend", "Timer", "TimerSet", "TopologyError", "TransportError",
+    "VectorizeFallback", "WorkCounter", "WorkToken", "WorkerProcessError",
+    "WriteOnceViolation", "ascii_graph", "coerce_store_value", "dc_dag",
+    "final_graph", "fusable_pairs", "fuse", "intermediate_graph",
+    "make_kernel", "normalize_index", "resolve_backend", "run_program",
+    "segment_name", "tag_vectorizable", "validate_component",
+    "validate_field_name", "vectorize_program", "weighted_final_graph",
+]
+
+
+def test_core_exports_are_pinned():
+    assert sorted(repro.core.__all__) == CORE_EXPORTS
 
 
 def _live():
