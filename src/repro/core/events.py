@@ -1,15 +1,11 @@
-"""Events and the publish–subscribe bus.
+"""Runtime events.
 
 P2G's prototype is "a push-based system using event subscriptions on
 field operations" (section VI-B).  Kernel instances produce
 :class:`StoreEvent`/:class:`ResizeEvent` on their store statements; the
-dependency analyzer subscribes to the fields it cares about and reacts by
-dispatching newly runnable instances.
-
-The same :class:`EventBus` abstraction carries the distributed layer's
-"event-based, distributed publish-subscribe model" (section IV): topology
-reports, instrumentation feeds and inter-node field traffic all travel as
-topic-addressed events.
+dependency analyzer reacts to them by dispatching newly runnable
+instances.  Inside an execution node events travel on a plain queue;
+between nodes, over a :mod:`repro.dist.transport`.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .fields import IndexExpr, RegionGroup, index_shape
 from .kernels import KernelInstance
@@ -174,51 +170,3 @@ class WorkToken:
     def __exit__(self, *exc) -> bool:
         self.release()
         return False
-
-
-class EventBus:
-    """Minimal thread-safe topic-based publish–subscribe bus.
-
-    Subscribers are callables invoked synchronously on the publisher's
-    thread (delivery ordering per topic follows publish ordering).  Used
-    directly by the distributed layer; the execution node's internal
-    event path uses a plain queue for throughput but exposes mirrored
-    events on a bus for instrumentation subscribers.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._subs: dict[str, list[Callable[[str, Any], None]]] = {}
-        self._seq = 0
-
-    def subscribe(
-        self, topic: str, handler: Callable[[str, Any], None]
-    ) -> Callable[[], None]:
-        """Register ``handler`` for ``topic``; returns an unsubscribe
-        callable.  Topic ``"*"`` receives every event."""
-        with self._lock:
-            self._subs.setdefault(topic, []).append(handler)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                handlers = self._subs.get(topic, [])
-                if handler in handlers:
-                    handlers.remove(handler)
-
-        return unsubscribe
-
-    def publish(self, topic: str, payload: Any) -> int:
-        """Deliver ``payload`` to subscribers of ``topic`` and ``"*"``.
-        Returns the number of handlers invoked."""
-        with self._lock:
-            handlers = list(self._subs.get(topic, ()))
-            handlers += list(self._subs.get("*", ()))
-            self._seq += 1
-        for h in handlers:
-            h(topic, payload)
-        return len(handlers)
-
-    def topics(self) -> list[str]:
-        """Topics that currently have at least one subscriber."""
-        with self._lock:
-            return sorted(t for t, hs in self._subs.items() if hs)

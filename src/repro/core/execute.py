@@ -210,7 +210,9 @@ def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
     written — when these instances cannot run this way as a whole: no
     uniform fetch plan, a body call raised
     :class:`~repro.core.vectorize.VectorizeFallback`, or the calls
-    disagree on which keys they emit."""
+    disagree on which keys they emit.  A call that emits other than one
+    row per instance of its stack is a :class:`KernelBodyError`, like
+    any other failure of the body — also with nothing written."""
     n = len(indices)
     t0 = time.perf_counter()
     index_vars = kernel.index_vars
@@ -246,6 +248,13 @@ def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
         )
         try:
             kernel.batch_body(bctx)
+            for key, values in bctx.emitted.items():
+                if np.shape(values)[:1] != (len(bctx),):
+                    raise ValueError(
+                        f"batch_body emitted {key!r} with shape "
+                        f"{np.shape(values)} for a stack of {len(bctx)} "
+                        f"instances (one row each)"
+                    )
         except vectorize.VectorizeFallback:
             return None
         except Exception as exc:  # noqa: BLE001 - rewrapped with context
@@ -265,9 +274,9 @@ def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
         field = fields[s.field]
         fdef = field.fdef
         s_age = s.age.resolve(age)
-        # The batch contract (BatchKernelContext.emit) guarantees a
-        # uniform leading batch axis, so dtype coercion and spec
-        # resolution happen once for the claim, not per instance.
+        # Every part has one row per instance (checked above), so
+        # dtype coercion and spec resolution happen once for the claim,
+        # not per instance.
         first, spec = coerce_store_value(
             parts[0][0], fdef.np_dtype, fdef.ndim, s
         )

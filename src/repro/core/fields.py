@@ -460,12 +460,6 @@ class Field:
         with self._lock:
             return sorted(a for a, s in self._ages.items() if not s.collected)
 
-    def age_touched(self, age: int) -> bool:
-        """Whether any store has hit this age."""
-        with self._lock:
-            slot = self._ages.get(age)
-            return slot is not None and slot.store_count > 0
-
     def live_bytes(self) -> int:
         """Bytes held by non-collected ages (data + masks)."""
         with self._lock:
@@ -657,36 +651,14 @@ class Field:
             scatter(slot.written, group, True)
             self._count_written(age, slot, group.elements)
 
-    def mark_written(self, age: int, index: Any) -> None:
-        """Metadata-only store: record that a region was written without
-        copying any payload.
-
-        This is the parent-process half of the ``processes`` execution
-        backend's store protocol — the worker has already written the
-        payload bytes directly into the shared-memory segment; the parent
-        applies write-once enforcement, the completeness mask and the
-        counters when the worker's store report arrives.
-        """
-        self._check_age(age)
-        idx = normalize_index(index, self.ndim)
-        if any(s.stop > n for s, n in zip(idx, self._extent)):
-            raise ExtentError(
-                f"field {self.name!r}: store region {idx} exceeds "
-                f"extent {self._extent}"
-            )
-        count = math.prod(index_shape(idx))
-        with self._lock:
-            slot = self._slot(age, create=True)
-            assert slot is not None
-            self._commit_written(age, slot, idx, count)
-
     def mark_written_many(
         self, age: int, regions: "RegionGroup | Sequence[Any]"
     ) -> None:
-        """Batched :meth:`mark_written` — one age check, one lock
-        acquisition and one slot resolution for a whole dispatch's
-        store report (the parent-side half of batched dispatch on the
-        ``processes`` backend).  Write-once holds per store in effect
+        """Metadata-only store of a whole dispatch's store report: the
+        parent-process half of the ``processes`` backend's store
+        protocol (the worker has already written the payload bytes into
+        the shared-memory segment) — one age check, one lock acquisition
+        and one slot resolution.  Write-once holds per store in effect
         and the call is all-or-nothing: a pre-written element of any
         region, or two regions of the call overlapping, raises
         :class:`WriteOnceViolation` and leaves mask and counters as

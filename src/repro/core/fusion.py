@@ -48,7 +48,7 @@ from .kernels import (
     coerce_store_value,
 )
 from .program import Program
-from .vectorize import StackFn, VectorizeFallback, stack_function
+from .vectorize import StackBody, StackFn, VectorizeFallback
 
 __all__ = [
     "Pipe",
@@ -333,12 +333,11 @@ def _pipe_candidates(
     return pairs
 
 
-def _stack_of(kernel: KernelDef):
-    """The stacked array function behind ``kernel``'s ``batch_body``
-    (``None`` when it has none, or one that is not a plain stack map)."""
-    if kernel.batch_body is None:
-        return None
-    return stack_function(kernel.body, f"kernel {kernel.name!r}")
+def _stack_of(kernel: KernelDef) -> StackFn | None:
+    """The stacked array function ``kernel`` was defined with (``None``
+    when it has no ``batch_body``, or one that is not a block map's)."""
+    body = kernel.batch_body
+    return body.fn if isinstance(body, StackBody) else None
 
 
 def fuse(

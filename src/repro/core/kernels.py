@@ -19,13 +19,14 @@ static dependency graphs (:mod:`repro.core.graph`), kernel fusion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DefinitionError
 from .fields import Field, IndexExpr, LocalField, RegionGroup
+from .vectorize import StackBody, StackFn
 
 
 # ----------------------------------------------------------------------
@@ -432,13 +433,22 @@ class KernelDef:
         a fixed iteration count (the paper's K-means "is not run until
         convergence, but with 10 iterations").
     batch_body:
-        Optional *vectorized* native block operating on a whole batch of
-        same-age instances in one call (see
-        :mod:`repro.core.vectorize`).  Attached by
-        :func:`~repro.core.vectorize.vectorize_program` at program-build
-        time; ``None`` means the runtime always falls back to calling
-        ``body`` per instance.  A fused kernel composes its stages'
-        stacked functions (:mod:`repro.core.fusion`).
+        Optional *stacked* native block operating on a whole batch of
+        same-age instances in one call, on a
+        :class:`~repro.core.vectorize.BatchKernelContext`; it must store
+        the bytes ``body`` would.  ``None`` means the runtime calls
+        ``body`` per instance — setting it to ``None`` on a built
+        kernel strips the stacked form.
+    stack:
+        The stacked form of a block map — one region fetch, one store —
+        as a ``stack -> stack`` array function: ``(N, *block)`` in,
+        row ``i`` of the result what ``body`` emits for row ``i``.  A
+        constructor argument only: it becomes ``batch_body`` (a
+        :class:`~repro.core.vectorize.StackBody`), and a fused kernel
+        chains its stages' functions (:mod:`repro.core.fusion`).  Given
+        to a kernel of another structure, or together with
+        ``batch_body``, it is a
+        :class:`~repro.core.errors.DefinitionError`.
     """
 
     name: str
@@ -451,12 +461,28 @@ class KernelDef:
     cost_hint: float = 1.0
     age_limit: int | None = None
     batch_body: BatchBodyFn | None = None
+    stack: InitVar[StackFn | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, stack: StackFn | None) -> None:
         self.fetches = tuple(self.fetches)
         self.stores = tuple(self.stores)
         self.index_vars = tuple(self.index_vars)
         self._validate()
+        if stack is not None:
+            if (
+                self.batch_body is not None
+                or len(self.fetches) != 1
+                or len(self.stores) != 1
+                or self.fetches[0].whole_field()
+            ):
+                raise DefinitionError(
+                    f"kernel {self.name!r}: stack= is the stacked form of "
+                    f"a kernel with one region fetch, one store and no "
+                    f"batch_body=; this one needs batch_body="
+                )
+            self.batch_body = StackBody(
+                self.fetches[0].param, self.stores[0].emit_key, stack
+            )
 
     def _validate(self) -> None:
         if not self.name:
@@ -750,13 +776,15 @@ def make_kernel(
     index: Sequence[str] = (),
     domain: Mapping[str, int] | None = None,
     cost_hint: float = 1.0,
+    stack: StackFn | None = None,
 ) -> Callable[[BodyFn], KernelDef]:
     """Decorator sugar for defining kernels in plain Python::
 
         @make_kernel("mul2", age=True, index=["x"],
                      fetches=[FetchSpec("value", "m_data", dims=(Dim.of("x"),),
                                         scalar=True)],
-                     stores=[StoreSpec("p_data", dims=(Dim.of("x"),))])
+                     stores=[StoreSpec("p_data", dims=(Dim.of("x"),))],
+                     stack=lambda v: v.reshape(len(v)) * 2)
         def mul2(ctx):
             ctx.emit("p_data", ctx["value"] * 2)
     """
@@ -771,6 +799,7 @@ def make_kernel(
             index_vars=tuple(index),
             domain=domain,
             cost_hint=cost_hint,
+            stack=stack,
         )
 
     return wrap

@@ -430,11 +430,6 @@ class WorkCounter:
         with self._lock:
             return self._count
 
-    def idle_for(self) -> float:
-        """Seconds since the last inc/dec (stall-watchdog diagnostics)."""
-        with self._lock:
-            return time.monotonic() - self._last_activity
-
     def wait(
         self,
         timeout: float | None = None,

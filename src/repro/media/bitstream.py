@@ -103,11 +103,6 @@ class BitReader:
         """Read a single bit."""
         return self.read_bits(1)
 
-    @property
-    def byte_position(self) -> int:
-        """Consumed input offset in bytes."""
-        return self._pos
-
     def bits_remaining(self) -> int:
         """Lower bound (ignores future stuffed bytes)."""
         return self._nbits + 8 * (len(self._data) - self._pos)

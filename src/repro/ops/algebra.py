@@ -46,6 +46,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from typing import Any, Callable, Mapping, Sequence
 
+from ..core.errors import DefinitionError
 from ..core.naming import NAME_SEP, validate_component
 
 __all__ = [
@@ -140,6 +141,10 @@ class OpNode:
     fn: Callable | None = None
     #: map: per-out-port leading store-block sizes.
     out_block: dict[str, tuple[int, ...]] = dc_field(default_factory=dict)
+    #: map: the stacked form — a ``stack -> stack`` array function (one
+    #: blocked input, one out port), or a general ``batch_body``.
+    stack: Callable | None = None
+    batch_body: Callable | None = None
     #: keyed_partition: number of slots (leading field axis).
     slots: int | None = None
     #: multicast: fan-out width.
@@ -281,6 +286,8 @@ class Handle:
         fn: Callable,
         out: Mapping[str, tuple],
         out_block: Mapping[str, Sequence[int]] | None = None,
+        stack: Callable | None = None,
+        batch_body: Callable | None = None,
     ) -> "Handle":
         """Apply a kernel body to this handle's ports.
 
@@ -290,21 +297,16 @@ class Handle:
         output ports (``{port: (dtype, shape)}``); ``out_block`` gives
         per-port leading store-block sizes when the input is fetched
         with :meth:`block` (the store's index space must mirror the
-        fetch's).
+        fetch's).  ``stack`` / ``batch_body`` give the map its stacked
+        form, as on :class:`~repro.core.kernels.KernelDef`: ``stack`` a
+        ``(N, *block) -> (N, *out)`` array function for a map of one
+        blocked input and one out port (a chain of those fuses into one
+        stacked call), ``batch_body`` the general form.
         """
-        validate_component(name, what="operator name")
-        node = OpNode(
-            kind="map",
-            name=name,
-            ports=_port_specs(out),
-            inputs=tuple(self._refs(qualify=False)),
-            fn=fn,
-            out_block={
-                p: tuple(int(s) for s in b)
-                for p, b in (out_block or {}).items()
-            },
+        return _map_node(
+            name, self._refs(qualify=False), fn, out, out_block, stack,
+            batch_body,
         )
-        return _handle(node)
 
     def keyed_partition(
         self,
@@ -399,6 +401,35 @@ def _handle(node: OpNode) -> Handle:
     )
 
 
+def _map_node(name, refs, fn, out, out_block, stack, batch_body) -> Handle:
+    """The node behind :meth:`Handle.map` and :func:`merge`."""
+    validate_component(name, what="operator name")
+    ports = _port_specs(out)
+    if stack is not None and (
+        batch_body is not None or len(ports) != 1
+        or len(refs) != 1 or refs[0].block is None
+    ):
+        raise DefinitionError(
+            f"operator {name!r}: stack= is the stacked form of a map "
+            f"with one blocked input, one out port and no batch_body=; "
+            f"this one needs batch_body="
+        )
+    node = OpNode(
+        kind="map",
+        name=name,
+        ports=ports,
+        inputs=tuple(refs),
+        fn=fn,
+        out_block={
+            p: tuple(int(s) for s in b)
+            for p, b in (out_block or {}).items()
+        },
+        stack=stack,
+        batch_body=batch_body,
+    )
+    return _handle(node)
+
+
 # ----------------------------------------------------------------------
 # Module-level constructors
 # ----------------------------------------------------------------------
@@ -438,15 +469,16 @@ def merge(
     fn: Callable,
     out: Mapping[str, tuple],
     out_block: Mapping[str, Sequence[int]] | None = None,
+    batch_body: Callable | None = None,
 ) -> Handle:
     """Combine several streams into one kernel (lockstep by default).
 
     Output age ``t`` fetches every input at age ``t + skew`` (apply
     :meth:`Handle.skew` / :meth:`Handle.window` per input for explicit
     alignment).  Body fetch params are the inputs' *field* names
-    (``"cam0.y"``) since port names may collide across inputs.
+    (``"cam0.y"``) since port names may collide across inputs;
+    ``batch_body`` is the kernel's stacked form (see :meth:`Handle.map`).
     """
-    validate_component(name, what="operator name")
     if not inputs:
         raise ValueError("merge needs at least one input handle")
     refs: list[InputRef] = []
@@ -458,18 +490,7 @@ def merge(
             f"merge {name!r}: duplicate input params {params} (the same "
             f"port of the same operator appears twice; multicast it)"
         )
-    node = OpNode(
-        kind="map",
-        name=name,
-        ports=_port_specs(out),
-        inputs=tuple(refs),
-        fn=fn,
-        out_block={
-            p: tuple(int(s) for s in b)
-            for p, b in (out_block or {}).items()
-        },
-    )
-    return _handle(node)
+    return _map_node(name, refs, fn, out, out_block, None, batch_body)
 
 
 def sink(

@@ -47,10 +47,10 @@ Whether a chain fuses is a property of the graph — there is no switch.
 The fused kernel runs one instance per *tail* instance: it fetches the
 head's block scaled by the product of the ratios downstream, re-tiles
 it, and runs every stage's ``fn`` on its own sub-instances
-(:mod:`repro.core.fusion`); when every stage is tagged with a
-``stack -> stack`` pattern its ``batch_body`` is those array functions
-chained.  :attr:`CompiledPipeline.fused` says which operators each
-fused kernel absorbed.
+(:mod:`repro.core.fusion`); when every stage was given a ``stack=``
+function its ``batch_body`` is those array functions chained.
+:attr:`CompiledPipeline.fused` says which operators each fused kernel
+absorbed.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from ..core.fields import DTYPES, FieldDef
 from ..core.fusion import Pipe, Stage, fused_batch_body, fused_body
 from ..core.kernels import AgeExpr, Dim, FetchSpec, KernelDef, StoreSpec
 from ..core.program import Program
-from ..core.vectorize import stack_function, vectorize_program
 from .algebra import Handle, InputRef, OpNode
 
 __all__ = ["CompiledPipeline", "OpsCollector", "compile_ops"]
@@ -334,7 +333,6 @@ def _chains(nodes: Sequence[OpNode]):
 
 def _lower_maps(
     chain: Sequence[OpNode], ratios: Sequence[tuple[int, ...]],
-    vectorize: bool,
 ) -> KernelDef:
     """One kernel for a chain of maps: the head's fetches, the tail's
     stores and name, every stage's ``fn`` in between."""
@@ -349,6 +347,8 @@ def _lower_maps(
             stores=stores,
             has_age=True,
             index_vars=index_vars,
+            batch_body=head.batch_body,
+            stack=head.stack,
         )
     # grids[i]: instances of stage i inside one instance of the tail
     grids = [tuple(1 for _ in ratios[-1])]
@@ -378,9 +378,7 @@ def _lower_maps(
             shared=frozenset(
                 r.param for r in node.inputs if r.block is None
             ),
-            stack=stack_function(
-                node.fn, f"operator {node.name!r}"
-            ) if vectorize else None,
+            stack=node.stack,
         ))
     return KernelDef(
         name=tail.name,
@@ -528,7 +526,6 @@ def compile_ops(
     name: str = "ops",
     mode: str = "batch",
     stream=None,
-    vectorize: bool = True,
 ) -> CompiledPipeline:
     """Lower an operator graph (given by its sink handles) to a
     :class:`~repro.core.program.Program`.
@@ -570,7 +567,7 @@ def compile_ops(
     for chain, ratios in _chains(nodes):
         tail = chain[-1]
         if tail.kind == "map":
-            kernel = _lower_maps(chain, ratios, vectorize)
+            kernel = _lower_maps(chain, ratios)
             if len(chain) > 1:
                 fused[tail.name] = tuple(n.name for n in chain)
         else:
@@ -602,8 +599,6 @@ def compile_ops(
     program = Program.build(
         fields, kernels, name=name, output_handler=handler
     )
-    if vectorize:
-        vectorize_program(program)
 
     binding = None
     if mode == "live":

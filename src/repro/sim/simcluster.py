@@ -78,12 +78,6 @@ class SimClusterResult:
     cross_node_transfers: int
     assignment: dict[str, str]
 
-    def node_utilization(self, node: str, workers: int) -> float:
-        """Worker-busy fraction of one node over the run."""
-        if not self.makespan:
-            return 0.0
-        return self.node_busy[node] / (self.makespan * workers)
-
 
 class _NodeState:
     """Per-node queues and threads (mirrors SimExecutionNode)."""

@@ -44,8 +44,6 @@ from ..core import (
     KernelDef,
     Program,
     StoreSpec,
-    tag_vectorizable,
-    vectorize_program,
 )
 
 __all__ = ["build_kmeans", "kmeans_baseline", "KMeansResult", "generate_dataset"]
@@ -121,7 +119,6 @@ def build_kmeans(
     iterations: int = 10,
     seed: int = 42,
     granularity: Literal["pair", "point"] = "pair",
-    vectorize: bool = True,
 ) -> tuple[Program, KMeansResult]:
     """Build the K-means P2G program; returns (program, result sink).
 
@@ -130,10 +127,9 @@ def build_kmeans(
     needed.  ``result.history[a]`` holds the centroids of age ``a``
     (age 0 = initial means, age ``iterations`` = final means).
 
-    ``vectorize`` attaches a batched NumPy implementation to ``assign``
-    (distance pattern for ``pair``, nearest-centroid pattern for
-    ``point``) used by batched dispatch (``batch > 1``); byte-identical
-    to the scalar body, ``False`` to opt out.
+    ``assign`` carries a stacked form (``batch_body``) at either
+    granularity, used by batched dispatch (``batch > 1``) and
+    byte-identical to the scalar body.
     """
     if granularity not in ("pair", "point"):
         raise ValueError(f"unknown granularity {granularity!r}")
@@ -179,7 +175,13 @@ def build_kmeans(
             c = ctx["centroid"].reshape(-1)
             ctx.emit("distances", float(np.sqrt(np.sum((p - c) ** 2))))
 
-        tag_vectorizable(assign_body, "kmeans_pair_distance")
+        def assign_batch(bctx) -> None:
+            # Row-wise reduction: NumPy reduces each row with the same
+            # pairwise summation a 1-D sum uses, so the bits match.
+            n = len(bctx)
+            p = bctx["point"].reshape(n, -1)
+            c = bctx["centroid"].reshape(n, -1)
+            bctx.emit("distances", np.sqrt(np.sum((p - c) ** 2, axis=1)))
 
         def refine_body(ctx: KernelContext) -> None:
             d = ctx["distances"]  # (n, k)
@@ -212,6 +214,7 @@ def build_kmeans(
                 ),
             ),
             age_limit=iterations - 1,
+            batch_body=assign_batch,
         )
         refine = KernelDef(
             name="refine",
@@ -247,7 +250,13 @@ def build_kmeans(
             d = np.linalg.norm(c - p[None, :], axis=1)
             ctx.emit("assignments", int(np.argmin(d)))
 
-        tag_vectorizable(assign_body, "kmeans_point_assign")
+        def assign_batch(bctx) -> None:
+            # The centroids fetch is whole-field (shared by the stack);
+            # distances reduce over the trailing axis exactly as the
+            # scalar norm does per point.
+            p = bctx["point"].reshape(len(bctx), 1, -1)
+            d = np.linalg.norm(bctx["centroids"][None, :, :] - p, axis=2)
+            bctx.emit("assignments", np.argmin(d, axis=1))
 
         def refine_body(ctx: KernelContext) -> None:
             owner = ctx["assignments"].reshape(-1)
@@ -272,6 +281,7 @@ def build_kmeans(
             ),
             stores=(StoreSpec("assignments", dims=(Dim.of("x"),)),),
             age_limit=iterations - 1,
+            batch_body=assign_batch,
         )
         refine = KernelDef(
             name="refine",
@@ -307,8 +317,6 @@ def build_kmeans(
         kernels=[init, assign, refine, prnt],
         name=f"kmeans-{granularity}",
     )
-    if vectorize:
-        vectorize_program(program)
 
     def on_output(kernel, age, index, key, value) -> None:
         if key == "centroids":

@@ -39,8 +39,6 @@ from ..core import (
     KernelDef,
     Program,
     StoreSpec,
-    tag_vectorizable,
-    vectorize_program,
 )
 from ..media.jpeg import (
     encode_from_quantized,
@@ -51,6 +49,7 @@ from ..media.jpeg import (
 )
 from ..media.dct import dct2_blocks
 from ..media.quant import quantize
+from ..media.stacked import dct_quant_stack
 from ..media.yuv import YUVFrame, synthetic_sequence
 
 __all__ = [
@@ -144,7 +143,6 @@ class MJPEGSink:
 def build_mjpeg(
     frames: Sequence[YUVFrame] | None = None,
     config: MJPEGConfig = MJPEGConfig(),
-    vectorize: bool = True,
 ) -> tuple[Program, MJPEGSink]:
     """Build the figure-8 MJPEG program.
 
@@ -152,10 +150,9 @@ def build_mjpeg(
     frames.  Run with ``run_program(program, workers)``; termination is
     natural (the read kernel stops storing at end of input).
 
-    ``vectorize`` attaches a batched DCT/quant implementation to the
-    three dct kernels, used by batched dispatch (``batch > 1``) to
-    transform a whole run of macro-blocks in one NumPy call —
-    byte-identical output; ``False`` to opt out.
+    The three dct kernels carry a stacked form: batched dispatch
+    (``batch > 1``) transforms a whole run of macro-blocks in one NumPy
+    call, byte-identical to the scalar body.
     """
     if frames is None:
         frames = synthetic_sequence(
@@ -187,11 +184,11 @@ def build_mjpeg(
             StoreSpec("v_input", key="v_input"),
         ),
     )
-    return _encode_program(config, read=read, vectorize=vectorize)
+    return _encode_program(config, read=read)
 
 
 def _encode_program(
-    config: MJPEGConfig, read: KernelDef | None, vectorize: bool = True
+    config: MJPEGConfig, read: KernelDef | None
 ) -> tuple[Program, MJPEGSink]:
     """The DCT/quant/VLC pipeline shared by batch and live builds.
 
@@ -210,11 +207,7 @@ def _encode_program(
             coeffs = dct2_blocks(block, method=method)
             ctx.emit("out", quantize(coeffs, qtable))
 
-        # Vectorizable: dct2_blocks already takes (..., 8, 8) stacks
-        # with per-block-identical arithmetic, quantize is elementwise.
-        return tag_vectorizable(
-            dct_body, "dct_quant_8x8", qtable=qtable, method=method
-        )
+        return dct_body
 
     def vlc_body(ctx: KernelContext) -> None:
         yq = plane_to_blocks(ctx["y"])
@@ -243,6 +236,7 @@ def _encode_program(
             index_vars=("by", "bx"),
             fetches=(FetchSpec("block", src, dims=block_dims),),
             stores=(StoreSpec(dst, dims=block_dims, key="out"),),
+            stack=dct_quant_stack(qtable, method),
         )
 
     vlc = KernelDef(
@@ -275,8 +269,6 @@ def _encode_program(
         kernels=kernels,
         name="mjpeg",
     )
-    if vectorize:
-        vectorize_program(program)
 
     def on_output(kernel, age, index, key, value) -> None:
         if key == "frame":
@@ -307,7 +299,6 @@ def build_mjpeg_stream(
     config: MJPEGConfig = MJPEGConfig(),
     stream: "StreamConfig | None" = None,
     source: "FrameSource | None" = None,
-    vectorize: bool = True,
 ):
     """Build the live-encoder variant of the figure-8 MJPEG program.
 
@@ -326,8 +317,7 @@ def build_mjpeg_stream(
         stream = StreamConfig()
     if source is None:
         source = SyntheticSource(config.width, config.height, config.seed)
-    program, sink = _encode_program(config, read=None,
-                                    vectorize=vectorize)
+    program, sink = _encode_program(config, read=None)
     binding = StreamBinding(
         source=source,
         store_frame=_store_yuv_frame,

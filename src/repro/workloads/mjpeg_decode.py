@@ -45,10 +45,6 @@ class MJPEGDecodeSink:
     frames: dict[int, YUVFrame] = dc_field(default_factory=dict)
     qtables: dict[int, np.ndarray] = dc_field(default_factory=dict)
 
-    def ordered_frames(self) -> list[YUVFrame]:
-        """Reconstructed frames in age order."""
-        return [self.frames[a] for a in sorted(self.frames)]
-
 
 def build_mjpeg_decoder(
     jpegs: Sequence[bytes],

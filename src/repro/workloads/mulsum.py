@@ -32,8 +32,6 @@ from ..core import (
     KernelDef,
     Program,
     StoreSpec,
-    tag_vectorizable,
-    vectorize_program,
 )
 
 DEFAULT_VALUES = (10, 11, 12, 13, 14)
@@ -44,7 +42,6 @@ def build_mulsum(
     sink: dict[int, tuple[np.ndarray, np.ndarray]] | None = None,
     echo: Callable[[str], None] | None = None,
     modulo: int | None = None,
-    vectorize: bool = True,
 ) -> tuple[Program, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Build the figure-5 program.
 
@@ -64,12 +61,6 @@ def build_mulsum(
         doubles every age, so an unbounded run (the paper's program "runs
         indefinitely") eventually exceeds int64; long-running tests pass
         a modulus to keep arithmetic exact forever.
-    vectorize:
-        Attach vectorized ``batch_body`` implementations to ``mul2`` and
-        ``plus5`` (the ``affine_int`` pattern), used by batched dispatch
-        (``batch > 1``) to run a whole run of instances in one NumPy
-        call.  Byte-identical to the scalar path; ``False`` is the
-        escape hatch.
 
     Returns
     -------
@@ -96,9 +87,6 @@ def build_mulsum(
             value %= modulo
         ctx.emit("p_data", value)
 
-    tag_vectorizable(mul2_body, "affine_int", mul=2, add=0,
-                     modulo=modulo)
-
     def plus5_body(ctx: KernelContext) -> None:
         value = ctx["value"]
         value += 5
@@ -106,8 +94,16 @@ def build_mulsum(
             value %= modulo
         ctx.emit("m_data", value)
 
-    tag_vectorizable(plus5_body, "affine_int", mul=1, add=5,
-                     modulo=modulo)
+    def affine(mul: int, add: int):
+        """The stacked form of ``mul2`` / ``plus5``: the smallest
+        possible native block, where dispatch overhead dominates by
+        orders of magnitude (table II's pattern)."""
+
+        def stack(v: np.ndarray) -> np.ndarray:
+            v = v.reshape(len(v)) * mul + add
+            return v if modulo is None else v % modulo
+
+        return stack
 
     def print_body(ctx: KernelContext) -> None:
         m = ctx["m"]
@@ -131,6 +127,7 @@ def build_mulsum(
             FetchSpec("value", "m_data", dims=(Dim.of("x"),), scalar=True),
         ),
         stores=(StoreSpec("p_data", dims=(Dim.of("x"),)),),
+        stack=affine(2, 0),
     )
     plus5 = KernelDef(
         name="plus5",
@@ -143,6 +140,7 @@ def build_mulsum(
         stores=(
             StoreSpec("m_data", age=_age_plus1(), dims=(Dim.of("x"),)),
         ),
+        stack=affine(1, 5),
     )
     prnt = KernelDef(
         name="print",
@@ -161,8 +159,6 @@ def build_mulsum(
         kernels=[init, mul2, plus5, prnt],
         name="mulsum",
     )
-    if vectorize:
-        vectorize_program(program)
     return program, collected
 
 

@@ -1,11 +1,10 @@
 """Multi-camera mosaic: N live cameras → one composited stream.
 
 The first operator-algebra scenario (ISSUE 10): ``cams`` synthetic
-cameras each feed a per-plane box-downscale map (vectorizable pattern
-``box_downscale``), and a lockstep :func:`repro.ops.merge` stitches the
-scaled tiles into a ``grid x grid`` mosaic the size of one input frame
-(vectorizable pattern ``grid_composite``).  The sink emits one
-:class:`~repro.media.YUVFrame` per age.
+cameras each feed a per-plane box-downscale map, and a lockstep
+:func:`repro.ops.merge` stitches the scaled tiles into a ``grid x grid``
+mosaic the size of one input frame (both with a stacked form).  The
+sink emits one :class:`~repro.media.YUVFrame` per age.
 
 Batch and live compilations share the same graph; live mode zips the N
 cameras through one :class:`~repro.stream.MultiSource`, so a mosaic
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import ops
-from ..core.vectorize import tag_vectorizable
+from ..media.stacked import box_downscale_stack
 from ..media.yuv import (
     YUVFrame,
     box_downscale,
@@ -73,8 +72,8 @@ class MosaicConfig:
 
 def assemble_grid(tiles: Sequence[np.ndarray], grid: int) -> np.ndarray:
     """Stitch ``grid*grid`` equally-sized tiles (row-major) into one
-    plane; two concatenate passes, shared with the ``grid_composite``
-    vectorized path for byte-identity."""
+    plane in two concatenate passes (the composite's scalar body and
+    its stacked form both call it)."""
     rows = [
         np.concatenate(tiles[r * grid : (r + 1) * grid], axis=-1)
         for r in range(grid)
@@ -100,18 +99,29 @@ def _scale_body(grid: int, plane: str):
     def body(ctx) -> None:
         ctx.emit(plane, box_downscale(ctx.fetched[plane], grid))
 
-    return tag_vectorizable(body, "box_downscale", factor=grid)
+    return body
 
 
-def _composite_body(layout: dict[str, list[str]], grid: int):
+def _composite_bodies(layout: dict[str, list[str]], grid: int):
+    """The composite's scalar body and its stacked form.  ``layout``
+    maps each out plane to its tile fetch params, row-major; the tiles
+    are whole-field, so a stack sees them shared and emits the one
+    assembled plane once per instance (the composite runs one instance
+    per age: the stacked form keeps it on the batched dispatch path)."""
+
     def body(ctx) -> None:
         for plane, tile_params in layout.items():
             tiles = [ctx.fetched[p] for p in tile_params]
             ctx.emit(plane, assemble_grid(tiles, grid))
 
-    return tag_vectorizable(
-        body, "grid_composite", grid=grid, layout=layout
-    )
+    def batch_body(bctx) -> None:
+        for plane, tile_params in layout.items():
+            tiles = [bctx.fetched[p] for p in tile_params]
+            bctx.emit(
+                plane, np.stack([assemble_grid(tiles, grid)] * len(bctx))
+            )
+
+    return body, batch_body
 
 
 def _build_graph(config: MosaicConfig, sources) -> ops.Handle:
@@ -131,17 +141,20 @@ def _build_graph(config: MosaicConfig, sources) -> ops.Handle:
                 _scale_body(g, plane),
                 out={plane: ("uint8", tile_shapes[plane])},
                 out_block={plane: (8, 8)},
+                stack=box_downscale_stack(g),
             )
             scaled[plane].append(h)
     layout = {
         plane: [f"scale{i}_{plane}.{plane}" for i in range(config.cams)]
         for plane in _PLANES
     }
+    body, batch_body = _composite_bodies(layout, g)
     composite = ops.merge(
         "composite",
         [scaled[p][i] for p in _PLANES for i in range(config.cams)],
-        _composite_body(layout, g),
+        body,
         out={p: ("uint8", shapes[p]) for p in _PLANES},
+        batch_body=batch_body,
     )
     return ops.sink(
         "mosaic",
@@ -152,7 +165,7 @@ def _build_graph(config: MosaicConfig, sources) -> ops.Handle:
 
 
 def build_mosaic(
-    config: MosaicConfig = MosaicConfig(), vectorize: bool = True
+    config: MosaicConfig = MosaicConfig(),
 ) -> ops.CompiledPipeline:
     """Batch mosaic: each camera's clip is the deterministic synthetic
     sequence at ``seed + cam``; the sink collects the composited
@@ -178,14 +191,13 @@ def build_mosaic(
             )
         )
     done = _build_graph(config, sources)
-    return ops.compile_ops(done, name="ops_mosaic", vectorize=vectorize)
+    return ops.compile_ops(done, name="ops_mosaic")
 
 
 def build_mosaic_stream(
     config: MosaicConfig = MosaicConfig(),
     stream=None,
     sources=None,
-    vectorize: bool = True,
 ) -> ops.CompiledPipeline:
     """Live mosaic: N cameras zipped through one
     :class:`~repro.stream.MultiSource`.
@@ -222,11 +234,7 @@ def build_mosaic_stream(
     ]
     done = _build_graph(config, handles)
     return ops.compile_ops(
-        done,
-        name="ops_mosaic",
-        mode="live",
-        stream=stream,
-        vectorize=vectorize,
+        done, name="ops_mosaic", mode="live", stream=stream
     )
 
 

@@ -2,8 +2,8 @@
 
 The second operator-algebra scenario (ISSUE 10): a camera's luma plane
 is diced into ``region x region`` tiles; a ``window(2)`` map computes
-each tile's SAD/SSD against the *next* frame (vectorizable pattern
-``absdiff_region_stats``), and a ``keyed_partition`` folds the regions
+each tile's SAD/SSD against the *next* frame (with a stacked form over
+a run of tiles), and a ``keyed_partition`` folds the regions
 into ``slots`` deterministic hash zones (think per-zone alarms).  The
 sink emits ``{"m": (RY, RX, 2), "z": (slots, 2)}`` int64 stats per
 output age — one age *fewer* than input frames, the forward-window age
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import ops
-from ..core.vectorize import tag_vectorizable
 from ..media.yuv import synthetic_sequence
 
 __all__ = [
@@ -65,17 +64,25 @@ def region_slots(config: MotionConfig) -> np.ndarray:
     )
 
 
-def _stats_body():
-    def body(ctx) -> None:
-        a = ctx.fetched["y@0"].astype(np.int64)
-        b = ctx.fetched["y@1"].astype(np.int64)
-        d = a - b
-        ctx.emit(
-            "m",
-            np.array([np.abs(d).sum(), (d * d).sum()], dtype=np.int64),
-        )
+def _stats_body(ctx) -> None:
+    a = ctx.fetched["y@0"].astype(np.int64)
+    b = ctx.fetched["y@1"].astype(np.int64)
+    d = a - b
+    ctx.emit(
+        "m",
+        np.array([np.abs(d).sum(), (d * d).sum()], dtype=np.int64),
+    )
 
-    return tag_vectorizable(body, "absdiff_region_stats")
+
+def _stats_batch(bctx) -> None:
+    """:func:`_stats_body` over a stack of tile pairs; int64
+    accumulation makes the stacked reduction bit-exact."""
+    d = bctx["y@0"].astype(np.int64) - bctx["y@1"].astype(np.int64)
+    axes = tuple(range(1, d.ndim))
+    bctx.emit(
+        "m",
+        np.stack([np.abs(d).sum(axis=axes), (d * d).sum(axis=axes)], axis=1),
+    )
 
 
 def _zones_body(assign: np.ndarray):
@@ -91,9 +98,10 @@ def _build_graph(config: MotionConfig, cam: ops.Handle) -> ops.Handle:
     ry, rx = config.regions
     stats = cam["y"].window(2).block(config.region, config.region).map(
         "stats",
-        _stats_body(),
+        _stats_body,
         out={"m": ("int64", (ry, rx, 2))},
         out_block={"m": (1, 1)},
+        batch_body=_stats_batch,
     )
     zones = stats["m"].keyed_partition(
         "zones",
@@ -110,7 +118,7 @@ def _build_graph(config: MotionConfig, cam: ops.Handle) -> ops.Handle:
 
 
 def build_motion(
-    config: MotionConfig = MotionConfig(), vectorize: bool = True
+    config: MotionConfig = MotionConfig(),
 ) -> ops.CompiledPipeline:
     """Batch motion stats over the deterministic synthetic clip."""
     config.validate()
@@ -123,14 +131,13 @@ def build_motion(
         frames=[{"y": f.y} for f in clip],
     )
     done = _build_graph(config, cam)
-    return ops.compile_ops(done, name="ops_motion", vectorize=vectorize)
+    return ops.compile_ops(done, name="ops_motion")
 
 
 def build_motion_stream(
     config: MotionConfig = MotionConfig(),
     stream=None,
     source=None,
-    vectorize: bool = True,
 ) -> ops.CompiledPipeline:
     """Live motion stats; ``source`` overrides the synthetic camera
     (e.g. a ``FileLoopSource`` from the CLI's ``--source``)."""
@@ -146,11 +153,7 @@ def build_motion_stream(
     )
     done = _build_graph(config, cam)
     return ops.compile_ops(
-        done,
-        name="ops_motion",
-        mode="live",
-        stream=stream,
-        vectorize=vectorize,
+        done, name="ops_motion", mode="live", stream=stream
     )
 
 

@@ -5,11 +5,10 @@ codec and the decode stages of ``workloads/mjpeg_decode.py``:
 
 ``jin`` (JPEG bytes) → ``vld`` (serial entropy decode + dequantize, the
 hand-off point of :func:`repro.media.decode_to_coefficients`) →
-per-plane ``*idct`` block maps (pattern ``idct_8x8``) → per-plane
-``*scale`` box-downscale maps (pattern ``box_downscale``) → per-plane
-``*dct`` block maps (the MJPEG encoder's own ``dct_quant_8x8``
-pattern) → ``vlc`` sink assembling the output JFIF bytes via
-:func:`repro.media.encode_from_quantized`.
+per-plane ``*idct`` block maps → per-plane ``*scale`` box-downscale
+maps → per-plane ``*dct`` block maps (the MJPEG encoder's own stacked
+form, :mod:`repro.media.stacked`) → ``vlc`` sink assembling the output
+JFIF bytes via :func:`repro.media.encode_from_quantized`.
 
 JPEG byte strings are variable length, and fields are fixed-shape: the
 ``jin.jpg`` field is a length-prefixed, zero-padded ``uint8`` vector
@@ -24,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .. import ops
-from ..core.vectorize import tag_vectorizable
 from ..media.dct import dct2_blocks, idct2_blocks
 from ..media.jpeg import (
     blocks_to_plane,
@@ -35,6 +33,7 @@ from ..media.jpeg import (
     qtables_for_quality,
 )
 from ..media.quant import dequantize, quantize
+from ..media.stacked import box_downscale_stack, dct_quant_stack, idct_stack
 from ..media.yuv import box_downscale, synthetic_sequence
 
 __all__ = [
@@ -130,21 +129,21 @@ def _vld_body():
 def _idct_body(param: str, out_port: str):
     def body(ctx) -> None:
         # The (1, 8, 8) view routes the scalar path through the same
-        # stacked idct2_blocks matmul the batch pattern uses.
+        # stacked idct2_blocks matmul idct_stack uses.
         pixels = idct2_blocks(ctx.fetched[param][None])[0] + 128.0
         ctx.emit(
             out_port,
             np.clip(np.rint(pixels), 0, 255).astype(np.uint8),
         )
 
-    return tag_vectorizable(body, "idct_8x8")
+    return body
 
 
 def _scale_body(param: str, out_port: str, factor: int):
     def body(ctx) -> None:
         ctx.emit(out_port, box_downscale(ctx.fetched[param], factor))
 
-    return tag_vectorizable(body, "box_downscale", factor=factor)
+    return body
 
 
 def _dct_body(param: str, out_port: str, qtable: np.ndarray):
@@ -155,9 +154,7 @@ def _dct_body(param: str, out_port: str, qtable: np.ndarray):
         )
         ctx.emit(out_port, quantize(coeffs, qtable))
 
-    return tag_vectorizable(
-        body, "dct_quant_8x8", qtable=qtable, method="matrix"
-    )
+    return body
 
 
 def _build_graph(config: TranscodeConfig, jin: ops.Handle) -> ops.Handle:
@@ -191,12 +188,14 @@ def _build_graph(config: TranscodeConfig, jin: ops.Handle) -> ops.Handle:
             _idct_body(coeff_port, comp),
             out={comp: ("uint8", plane_shapes[comp])},
             out_block={comp: (8, 8)},
+            stack=idct_stack,
         )
         scaled = pixels[comp].block(8 * f, 8 * f).map(
             f"{comp}scale",
             _scale_body(comp, comp, f),
             out={comp: ("uint8", out_shapes[comp])},
             out_block={comp: (8, 8)},
+            stack=box_downscale_stack(f),
         )
         qtable = qy if comp == "y" else qc
         quantized.append(
@@ -205,6 +204,7 @@ def _build_graph(config: TranscodeConfig, jin: ops.Handle) -> ops.Handle:
                 _dct_body(comp, "q", qtable),
                 out={"q": ("int32", out_shapes[comp])},
                 out_block={"q": (8, 8)},
+                stack=dct_quant_stack(qtable),
             )
         )
 
@@ -226,7 +226,6 @@ def _jin_source(config: TranscodeConfig, **kwargs) -> ops.Handle:
 def build_transcode(
     config: TranscodeConfig = TranscodeConfig(),
     jpegs: Sequence[bytes] | None = None,
-    vectorize: bool = True,
 ) -> ops.CompiledPipeline:
     """Batch transcode of ``jpegs`` (default: the synthetic input clip)."""
     config.validate()
@@ -238,17 +237,13 @@ def build_transcode(
             {"jpg": pack_bytes(j, config.capacity)} for j in jpegs
         ],
     )
-    return ops.compile_ops(
-        _build_graph(config, jin), name="ops_transcode",
-        vectorize=vectorize,
-    )
+    return ops.compile_ops(_build_graph(config, jin), name="ops_transcode")
 
 
 def build_transcode_stream(
     config: TranscodeConfig = TranscodeConfig(),
     stream=None,
     source=None,
-    vectorize: bool = True,
 ) -> ops.CompiledPipeline:
     """Live transcode; ``source`` is a
     :class:`~repro.stream.FrameSource` of JPEG byte strings (default: a
@@ -270,7 +265,6 @@ def build_transcode_stream(
         name="ops_transcode",
         mode="live",
         stream=stream,
-        vectorize=vectorize,
     )
 
 

@@ -2,8 +2,9 @@
 
 The fast path has two levers — the ready queue surfacing *runs* of
 same-kernel/same-age instances (``ExecutionNode(batch=N)``) and the
-vectorizer replacing per-instance bodies with one stacked NumPy call
-(``vectorize_program``).  Both must be invisible in the results: every
+kernel's stacked form replacing per-instance bodies with one NumPy call
+(``KernelDef(stack=...)`` / ``batch_body=``).  Both must be invisible
+in the results: every
 test here pins batched/vectorized output against the scalar ground
 truth (``expected_series``, ``mjpeg_baseline``, ``kmeans_baseline``)
 byte for byte, across backends and the cluster layer.
@@ -24,8 +25,6 @@ from repro.core import (
     StoreSpec,
     VectorizeFallback,
     run_program,
-    tag_vectorizable,
-    vectorize_program,
 )
 from repro.core.errors import (
     DefinitionError,
@@ -36,13 +35,21 @@ from repro.core.kernels import KernelContext, KernelInstance
 from repro.dist import Cluster
 from repro.obs import MetricsRegistry, flatten
 from repro.workloads import (
+    MosaicConfig,
+    MotionConfig,
+    TranscodeConfig,
     build_kmeans,
     build_mjpeg,
+    build_mjpeg_stream,
+    build_mosaic,
+    build_motion,
     build_mulsum,
+    build_transcode,
     expected_series,
     kmeans_baseline,
 )
 from repro.workloads.mjpeg import MJPEGConfig, mjpeg_baseline
+from tests.conftest import scalar_only
 
 
 def _assert_mulsum(sink, ages, modulo=None):
@@ -138,61 +145,154 @@ class TestPopBatch:
             ExecutionNode(program, 1, max_age=1, batch=0)
 
 
+def _history(sink):
+    return b"".join(sink.history[a].tobytes() for a in sorted(sink.history))
+
+
+def _mulsum_case():
+    program, sink = build_mulsum()
+    return program, {"max_age": 4}, lambda: b"".join(
+        a.tobytes() for age in sorted(sink) for a in sink[age])
+
+
+def _mjpeg_case():
+    program, sink = build_mjpeg(config=MJPEGConfig(48, 32, frames=2))
+    return program, {}, sink.stream
+
+
+def _mjpeg_stream_case():
+    from repro.stream import StreamConfig
+
+    program, sink, binding = build_mjpeg_stream(
+        MJPEGConfig(48, 32, frames=2), StreamConfig(fps=0, max_frames=2))
+    return program, {"stream": binding}, sink.stream
+
+
+def _kmeans_case(granularity):
+    program, sink = build_kmeans(n=40, k=4, iterations=2,
+                                 granularity=granularity)
+    return program, {}, lambda: _history(sink)
+
+
+def _ops_case(build, config):
+    pipe = build(config)
+
+    def planes(v):
+        if isinstance(v, bytes):
+            return v
+        parts = v.values() if isinstance(v, dict) else (v.y, v.u, v.v)
+        return b"".join(np.asarray(x).tobytes() for x in parts)
+
+    return pipe.program, {}, lambda: b"".join(
+        planes(v) for v in pipe.collector().values())
+
+
+#: shipped builder -> (case, the kernels that carry a stacked form)
+BUILDERS = {
+    "mulsum": (_mulsum_case, {"mul2", "plus5"}),
+    "mjpeg": (_mjpeg_case, {"ydct", "udct", "vdct"}),
+    "mjpeg-stream": (_mjpeg_stream_case, {"ydct", "udct", "vdct"}),
+    "kmeans-pair": (lambda: _kmeans_case("pair"), {"assign"}),
+    "kmeans-point": (lambda: _kmeans_case("point"), {"assign"}),
+    "ops-mosaic": (
+        lambda: _ops_case(build_mosaic, MosaicConfig(4, 32, 32, frames=2)),
+        {f"scale{i}_{p}" for i in range(4) for p in "yuv"} | {"composite"},
+    ),
+    "ops-motion": (
+        lambda: _ops_case(
+            build_motion, MotionConfig(32, 32, 3, region=8, slots=3)),
+        {"stats"},
+    ),
+    "ops-transcode": (
+        lambda: _ops_case(
+            build_transcode, TranscodeConfig(32, 32, frames=2)),
+        {"ydct", "udct", "vdct"},
+    ),
+}
+
+
 class TestVectorizer:
-    """The pattern table and build-time matching."""
+    """A definition carries its stacked form."""
 
-    def test_unknown_pattern_fails_at_build(self):
-        def body(ctx):
-            ctx.emit("out", 1)
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_workload_builders_attach_batch_bodies(self, name):
+        """Which kernels of each shipped builder carry a stacked form is
+        pinned (one that silently went scalar shows as a diff), and the
+        program stripped of them stores the same bytes at batch=32."""
+        case, stacked = BUILDERS[name]
+        runs = {}
+        for strip in (False, True):
+            program, kw, read = case()
+            assert {
+                k.name for k in program.kernels.values()
+                if k.batch_body is not None
+            } == stacked
+            if strip:
+                scalar_only(program)
+            reg = MetricsRegistry()
+            run_program(program, workers=2, batch=32, timeout=120,
+                        metrics=reg, **kw)
+            runs[strip] = read()
+            vectorized = flatten(reg.snapshot())["exec.vectorized_instances"]
+            assert (vectorized == 0) == strip
+        assert runs[True] and runs[True] == runs[False]
 
-        tag_vectorizable(body, "no_such_pattern")
-        k = KernelDef(name="k", body=body, has_age=True,
-                      index_vars=("x",),
-                      fetches=(FetchSpec("v", "f", dims=(Dim.of("x"),)),),
-                      stores=(StoreSpec("f", dims=(Dim.of("x"),),
-                                        key="out"),))
-        from repro.core import FieldDef
+    def _kernel(self, fetches=None, stores=None, **kw):
+        dims = (Dim.of("x"),)
+        return KernelDef(
+            name="k", body=_noop, has_age=True, index_vars=("x",),
+            fetches=fetches or (FetchSpec("v", "f", dims=dims),),
+            stores=stores or (StoreSpec("g", dims=dims, key="out"),),
+            **kw)
 
-        program = Program.build(
-            fields=[FieldDef("f", "int64", 1, aging=True, shape=(4,))],
-            kernels=[k], name="p")
-        with pytest.raises(DefinitionError):
-            vectorize_program(program)
+    def test_stack_becomes_the_batch_body(self):
+        k = self._kernel(stack=lambda v: v + 1)
+        bctx = BatchKernelContext(0, [{"x": 0}, {"x": 1}],
+                                  {"v": np.array([[3], [4]])})
+        k.batch_body(bctx)
+        assert bctx.emitted["out"].tolist() == [[4], [5]]
 
-    def test_untagged_program_is_noop(self):
-        def body(ctx):
-            ctx.emit("out", int(ctx.fetched["v"]) + 1)
+    def test_stack_on_another_structure_fails_at_definition(self):
+        """A whole-field fetch, a second fetch, two stores, or a
+        ``batch_body`` beside it: a DefinitionError where the kernel is
+        defined, not a silent scalar run."""
+        dims = (Dim.of("x"),)
+        region = FetchSpec("v", "f", dims=dims)
+        for kw in (
+            {"fetches": (region, FetchSpec("w", "f"))},
+            {"fetches": (FetchSpec("w", "f"),), "domain": {"x": 4}},
+            {"stores": (StoreSpec("g", dims=dims, key="a"),
+                        StoreSpec("h", dims=dims, key="b"))},
+            {"batch_body": lambda bctx: None},
+        ):
+            with pytest.raises(DefinitionError, match="stack="):
+                self._kernel(stack=lambda v: v, **kw)
 
-        from repro.core import FieldDef
+    def test_make_kernel_takes_a_stack(self):
+        from repro.core import make_kernel
 
-        k = KernelDef(name="k", body=body, has_age=True,
-                      index_vars=("x",),
-                      fetches=(FetchSpec("v", "f", dims=(Dim.of("x"),)),),
-                      stores=(StoreSpec("f", dims=(Dim.of("x"),),
-                                        key="out"),))
-        program = Program.build(
-            fields=[FieldDef("f", "int64", 1, aging=True, shape=(4,))],
-            kernels=[k], name="p")
-        assert vectorize_program(program) == []
-        assert all(kd.batch_body is None
-                   for kd in program.kernels.values())
+        dims = (Dim.of("x"),)
+        k = make_kernel(
+            "k", age=True, index=["x"],
+            fetches=[FetchSpec("v", "f", dims=dims)],
+            stores=[StoreSpec("g", dims=dims)],
+            stack=lambda v: v * 2)(_noop)
+        assert k.batch_body is not None
 
-    def test_workload_builders_attach_batch_bodies(self):
-        program, _ = build_mulsum()
-        assert program.kernels["mul2"].batch_body is not None
-        assert program.kernels["plus5"].batch_body is not None
-        assert program.kernels["init"].batch_body is None
-        mj, _ = build_mjpeg(config=MJPEGConfig(96, 64, 2))
-        for name in ("ydct", "udct", "vdct"):
-            assert mj.kernels[name].batch_body is not None
-        km, _ = build_kmeans(n=50, k=4, iterations=2)
-        assert km.kernels["assign"].batch_body is not None
+    def test_stripping_is_one_attribute(self):
+        """``batch_body = None`` is the whole scalar reference: it
+        survives a session's re-namespacing and leaves ``fuse`` nothing
+        to chain."""
+        from repro.core import fuse
+        from repro.stream.multitenant import namespace_program
 
-    def test_vectorize_false_leaves_program_scalar(self):
-        program, _ = build_mjpeg(config=MJPEGConfig(96, 64, 2),
-                                 vectorize=False)
-        assert all(k.batch_body is None
-                   for k in program.kernels.values())
+        program = scalar_only(build_mulsum()[0])
+        spaced = namespace_program(program, "s")
+        assert all(k.batch_body is None for k in spaced.kernels.values())
+        assert fuse(program, "mul2", "plus5").kernels[
+            "mul2+plus5"].batch_body is None
+        stacked = namespace_program(build_mulsum()[0], "s")
+        assert stacked.kernels["s.mul2"].batch_body is not None
 
     def test_batch_context_double_emit_rejected(self):
         bctx = BatchKernelContext(0, [{"x": 0}], {"v": np.zeros(1)})
@@ -222,7 +322,9 @@ class TestByteIdentityThreads:
     @settings(max_examples=12, deadline=None)
     def test_mulsum_series_any_batch_size(self, batch, workers,
                                           vectorize):
-        program, sink = build_mulsum(vectorize=vectorize)
+        program, sink = build_mulsum()
+        if not vectorize:
+            scalar_only(program)
         run_program(program, workers=workers, max_age=4, batch=batch)
         _assert_mulsum(sink, 5)
 
@@ -232,7 +334,9 @@ class TestByteIdentityThreads:
     def test_mjpeg_stream_bytes(self, batch, vectorize):
         cfg = MJPEGConfig(width=96, height=64, frames=4)
         base = mjpeg_baseline(config=cfg)
-        program, sink = build_mjpeg(config=cfg, vectorize=vectorize)
+        program, sink = build_mjpeg(config=cfg)
+        if not vectorize:
+            scalar_only(program)
         run_program(program, workers=4, batch=batch)
         assert sink.stream() == base
 
@@ -246,7 +350,7 @@ class TestByteIdentityThreads:
             assert np.array_equal(sink.history[age], base.history[age])
 
     def test_dct_pattern_guards_block_shape(self):
-        """The dct_quant_8x8 batch body refuses non-8x8 regions with
+        """The dct kernels' stacked form refuses non-8x8 regions with
         VectorizeFallback rather than producing wrong bytes."""
         program, _ = build_mjpeg(config=MJPEGConfig(96, 64, 1))
         batch_body = program.kernels["ydct"].batch_body
@@ -271,7 +375,8 @@ class TestByteIdentityProcesses:
     def test_mjpeg_scalar_fallback(self):
         cfg = MJPEGConfig(width=96, height=64, frames=3)
         base = mjpeg_baseline(config=cfg)
-        program, sink = build_mjpeg(config=cfg, vectorize=False)
+        program, sink = build_mjpeg(config=cfg)
+        scalar_only(program)
         run_program(program, workers=2, backend="processes", batch=16)
         assert sink.stream() == base
 
@@ -287,8 +392,8 @@ class TestByteIdentityProcesses:
     def test_worker_body_error_names_failing_instance(self):
         from repro.core.errors import KernelBodyError
 
-        program, _ = build_kmeans(n=64, k=4, iterations=2,
-                                  vectorize=False)
+        program, _ = build_kmeans(n=64, k=4, iterations=2)
+        scalar_only(program)
 
         def bomb(ctx):
             if ctx.index.get("x") == 13 and ctx.age == 1:
@@ -497,15 +602,14 @@ class TestScalarClaims:
             program, sink = compile_program(_LANG_MULSUM), None
         elif name == "kmeans-point":
             program, sink = build_kmeans(
-                n=60, k=5, iterations=3, granularity="point",
-                vectorize=False)
+                n=60, k=5, iterations=3, granularity="point")
         elif name == "mjpeg":
             program, sink = build_mjpeg(
-                config=MJPEGConfig(48, 32, frames=2), vectorize=False)
+                config=MJPEGConfig(48, 32, frames=2))
         else:
             program, sink = build_intra(
                 config=IntraConfig(width=48, height=32, frames=2))
-        assert not any(k.batch_body for k in program.kernels.values())
+        scalar_only(program)
         result = run_program(program, workers=2, backend=backend,
                              batch=batch, timeout=120, **kw)
         if name == "lang-mulsum":
@@ -538,7 +642,8 @@ class TestScalarClaims:
         from repro.dist import InProcTransport
 
         sink = {}
-        program, _ = build_mulsum(sink=sink, vectorize=False)
+        program, _ = build_mulsum(sink=sink)
+        scalar_only(program)
         transport = InProcTransport()
         transport.enable_log()
         result = Cluster(
@@ -838,6 +943,30 @@ class TestOnePathSeams:
         err = ei.value
         assert (err.kernel, err.age, tuple(err.index)) == ("dbl", None, (2,))
         assert "ValueError: boom" in str(err)
+
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_short_stack_is_a_named_body_error(self, backend):
+        """A stacked form emitting the wrong number of rows: the same
+        KernelBodyError on both backends — kernel, key, shape got, rows
+        wanted — and nothing of the claim written."""
+        from repro.core.errors import KernelBodyError
+
+        def short(bctx):
+            bctx.emit("out", (bctx["v"] * 2)[:-1])
+
+        program = _doubling_program(32, 4, batch_body=short)
+        node = ExecutionNode(program, 1, backend=backend, batch=32)
+        with pytest.raises(KernelBodyError) as ei:
+            node.run(timeout=60)
+        assert ei.value.kernel == "dbl" and ei.value.stores == []
+        # (a worker's error arrives with its remote traceback appended)
+        assert str(ei.value).startswith(
+            "kernel 'dbl' instance (age=None, index=(0,)) raised ")
+        assert (
+            "ValueError: batch_body emitted 'out' with shape (7, 4) for a "
+            "stack of 8 instances (one row each)") in str(ei.value)
+        assert node.fields["out"].written_count(0) == 0
 
 
 class TestEventGranularity:

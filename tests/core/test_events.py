@@ -1,54 +1,7 @@
-"""Unit tests for events and the publish-subscribe bus."""
+"""Unit tests for the runtime's event records and work tokens."""
 
-from repro.core import EventBus, InstanceDoneEvent, KernelDef, StoreEvent
+from repro.core import InstanceDoneEvent, KernelDef, StoreEvent
 from repro.core.kernels import KernelInstance
-
-
-class TestEventBus:
-    def test_publish_subscribe(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe("t", lambda topic, p: got.append((topic, p)))
-        n = bus.publish("t", 42)
-        assert n == 1
-        assert got == [("t", 42)]
-
-    def test_no_subscribers(self):
-        assert EventBus().publish("t", 1) == 0
-
-    def test_wildcard(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe("*", lambda t, p: got.append(t))
-        bus.publish("a", 1)
-        bus.publish("b", 2)
-        assert got == ["a", "b"]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        got = []
-        unsub = bus.subscribe("t", lambda t, p: got.append(p))
-        bus.publish("t", 1)
-        unsub()
-        bus.publish("t", 2)
-        assert got == [1]
-        unsub()  # idempotent
-
-    def test_multiple_handlers_ordered(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe("t", lambda t, p: got.append("first"))
-        bus.subscribe("t", lambda t, p: got.append("second"))
-        bus.publish("t", None)
-        assert got == ["first", "second"]
-
-    def test_topics(self):
-        bus = EventBus()
-        unsub = bus.subscribe("x", lambda t, p: None)
-        bus.subscribe("y", lambda t, p: None)
-        assert bus.topics() == ["x", "y"]
-        unsub()
-        assert bus.topics() == ["y"]
 
 
 class TestEventRecords:

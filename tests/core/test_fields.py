@@ -135,7 +135,7 @@ class TestGroupCommitIsAllOrNothing:
 
     def _field(self):
         f = make(ndim=2, shape=(4, 6))
-        f.mark_written(3, self.BLOCKS[4])  # one block already written
+        f.mark_written_many(3, [self.BLOCKS[4]])  # one already written
         return f
 
     @pytest.mark.parametrize("as_group", [False, True],
@@ -198,7 +198,7 @@ class TestGroupCommitIsAllOrNothing:
         f = make(ndim=2, shape=(144, 352))  # 18 x 44 blocks of 8 x 8
         blocks = [(slice(y, y + 8), slice(x, x + 8))
                   for y in range(0, 144, 8) for x in range(0, 352, 8)]
-        f.mark_written(0, blocks[bad_at])
+        f.mark_written_many(0, [blocks[bad_at]])
         claim = group_of(blocks)
         if shape == "stacks":
             claim = [r for lo in range(0, 792, 32)

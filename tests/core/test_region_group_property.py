@@ -175,11 +175,11 @@ class TestCommitEquivalence:
     ):
         extent, shape, starts = layout
         field = Field(FieldDef("f", "int32", len(extent), shape=extent))
-        field.mark_written(1, tuple(slice(0, n) for n in extent))
+        field.mark_written_many(1, [tuple(slice(0, n) for n in extent)])
         for flat in prewritten:
             cell = np.unravel_index(flat % int(np.prod(extent)), extent)
             if not field.is_complete(0, tuple(int(c) for c in cell)):
-                field.mark_written(0, tuple(int(c) for c in cell))
+                field.mark_written_many(0, [tuple(int(c) for c in cell)])
         if collected:
             field.collect_age(0)
         group = RegionGroup(starts, shape)

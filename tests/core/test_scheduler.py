@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import SchedulerError, fusable_pairs, fuse, run_program
 from repro.workloads import build_mulsum, expected_series
+from tests.conftest import scalar_only
 
 
 def run_sink(program, max_age=2, workers=2):
@@ -73,7 +74,7 @@ class TestFuse:
 
     @pytest.mark.parametrize("elide", [False, True])
     def test_fused_kernel_keeps_a_stacked_body(self, elide):
-        """Both kernels are ``affine_int`` stack maps, so the fused
+        """Both kernels are defined with a ``stack=`` function, so the fused
         kernel's batch_body is their composition (the kept p_data store
         included) and a batched run never drops to the scalar loop."""
         from repro.obs import MetricsRegistry, flatten
@@ -99,8 +100,11 @@ class TestFuse:
             assert np.array_equal(sink[2][1], expected[2][1])
 
     def test_one_unvectorized_kernel_means_no_stacked_body(self):
-        program, _ = build_mulsum(vectorize=False)
+        program, _ = build_mulsum()
+        program.kernels["plus5"].batch_body = None
         fused = fuse(program, "mul2", "plus5")
+        assert fused.kernels["mul2+plus5"].batch_body is None
+        fused = fuse(scalar_only(build_mulsum()[0]), "mul2", "plus5")
         assert fused.kernels["mul2+plus5"].batch_body is None
 
     @pytest.mark.parametrize("batch", [1, 8])

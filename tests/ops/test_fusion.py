@@ -1,6 +1,7 @@
 """Compile-time fusion: a chain of block maps lowers to one kernel.
 
-Property: random linear chains (tagged and untagged stages, block ratios
+Property: random linear chains (stages with and without a ``stack=``
+function — "tagged" below — block ratios
 1 / 2 / 4 per axis) produce the bytes of a sequential NumPy reference on
 every execution form, from one kernel and no interior field.  Negative:
 each graph shape the fusability rule excludes keeps its kernels and its
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ops
-from repro.core import run_program, tag_vectorizable
+from repro.core import run_program
 from repro.core.errors import DefinitionError, KernelBodyError
 from repro.core.fusion import retile
+from repro.media.stacked import box_downscale_stack
 from repro.media.yuv import box_downscale
 from repro.obs import MetricsRegistry, flatten
+from tests.conftest import scalar_only
 
 
 # ----------------------------------------------------------------------
@@ -27,8 +30,8 @@ from repro.obs import MetricsRegistry, flatten
 @dataclass(frozen=True)
 class StageSpec:
     """One map of a random chain over a uint8 plane: ``factor > 0`` is
-    an integer box downscale (optionally tagged ``box_downscale``),
-    ``factor == 0`` an untagged elementwise ``x*mul + add`` computed in
+    an integer box downscale (``tagged``: defined with its ``stack=``
+    function), ``factor == 0`` an elementwise ``x*mul + add`` computed in
     int64 and emitted as such into the uint8 port."""
 
     factor: int
@@ -58,13 +61,17 @@ class StageSpec:
             np.uint8
         )
 
+    @property
+    def stack(self):
+        if self.factor and self.tagged:
+            return box_downscale_stack(self.factor)
+        return None
+
     def fn(self):
         if self.factor:
             def body(ctx):
                 ctx.emit("x", box_downscale(ctx.fetched["x"], self.factor))
 
-            if self.tagged:
-                tag_vectorizable(body, "box_downscale", factor=self.factor)
             return body
 
         def affine(ctx):
@@ -138,11 +145,13 @@ def _pipeline(chain, frames, vectorize=True, tap=None):
             f"s{i}", stage.fn(),
             out={"x": ("uint8", stage.out_shape)},
             out_block={"x": stage.store},
+            stack=stage.stack,
         )
         if tap == i:
             sinks.append(h.sink("tap"))
     sinks.insert(0, h.sink("out"))
-    return ops.compile_ops(sinks, vectorize=vectorize)
+    pipe = ops.compile_ops(sinks)
+    return pipe if vectorize else scalar_only(pipe)
 
 
 def _reference(chain, frames):
@@ -433,12 +442,13 @@ class TestScenarioGraphs:
 # Errors and the re-tile
 # ----------------------------------------------------------------------
 class TestFusedErrors:
-    def _pipe(self, bad, vectorize=True):
+    def _pipe(self, bad, **stacked):
         a = _src().block(2).map(
             "a", bad, out={"y": ("int64", (8,))}, out_block={"y": (2,)},
+            **stacked,
         )
         b = _map(a, "b", 4, param="y")
-        return ops.compile_ops(b.sink("out"), vectorize=vectorize)
+        return ops.compile_ops(b.sink("out"))
 
     def test_raising_stage_is_named(self):
         def boom(ctx):
@@ -459,8 +469,9 @@ class TestFusedErrors:
         def body(ctx):
             ctx.emit("x", ctx.fetched["x"])
 
-        # a tag whose stacked function divides by its factor
-        tag_vectorizable(body, "box_downscale", factor=0)
+        def dividing(blocks, factor=0):
+            return blocks[..., :: blocks.shape[-1] % factor]
+
         chain = [
             StageSpec(1, True, 1, 0, (2, 2), (8, 8)),
             StageSpec(1, True, 1, 0, (4, 4), (8, 8)),
@@ -471,11 +482,11 @@ class TestFusedErrors:
         )
         h = h.block(2, 2).map(
             "s0", chain[0].fn(), out={"x": ("uint8", (8, 8))},
-            out_block={"x": (2, 2)},
+            out_block={"x": (2, 2)}, stack=chain[0].stack,
         )
         h = h.block(4, 4).map(
             "s1", body, out={"x": ("uint8", (8, 8))},
-            out_block={"x": (4, 4)},
+            out_block={"x": (4, 4)}, stack=dividing,
         )
         pipe = ops.compile_ops(h.sink("out"))
         assert pipe.program.kernels["s1"].batch_body is not None
@@ -502,14 +513,46 @@ class TestFusedErrors:
         run_program(pipe.program, workers=2, timeout=60)
         assert pipe.collector().ages == [0, 2]
 
-    def test_unknown_pattern_on_an_interior_stage(self):
+    def test_stack_on_another_structure_fails_at_definition(self):
+        """``stack=`` on a map it cannot serve — a whole-field input, a
+        windowed (two-fetch) input, two out ports, or beside a
+        ``batch_body=`` — is a DefinitionError where the operator is
+        defined, interior stage of a chain or not."""
         def body(ctx):
             ctx.emit("y", ctx.fetched["x"])
 
-        tag_vectorizable(body, "no_such_pattern")
+        out = {"y": ("int64", (8,))}
         with pytest.raises(DefinitionError, match="operator 'a'"):
-            self._pipe(body)
-        self._pipe(body, vectorize=False)  # tags are inert then
+            self._pipe(body, stack=lambda v: v,
+                       batch_body=lambda bctx: None)
+        with pytest.raises(DefinitionError, match="operator 'w'"):
+            _src().map("w", body, out=out, stack=lambda v: v)
+        with pytest.raises(DefinitionError, match="operator 'n'"):
+            _src().window(2).block(2).map(
+                "n", body, out=out, out_block={"y": (2,)},
+                stack=lambda v: v)
+        with pytest.raises(DefinitionError, match="operator 'p'"):
+            _src().block(2).map(
+                "p", body, out={**out, "z": ("int64", (8,))},
+                out_block={"y": (2,), "z": (2,)}, stack=lambda v: v)
+
+    def test_general_batch_body_on_a_lone_map(self):
+        """``batch_body=`` is the form for every other structure: it
+        lands on the lowered kernel as given."""
+        def body(ctx):
+            ctx.emit("y", ctx.fetched["x@0"] + ctx.fetched["x@1"])
+
+        def batch_body(bctx):
+            bctx.emit("y", bctx["x@0"] + bctx["x@1"])
+
+        h = _src().window(2).block(2).map(
+            "n", body, out={"y": ("int64", (8,))}, out_block={"y": (2,)},
+            batch_body=batch_body)
+        pipe = ops.compile_ops(h.sink("out"))
+        assert pipe.program.kernels["n"].batch_body is batch_body
+        run_program(pipe.program, workers=1, batch=32, timeout=60)
+        np.testing.assert_array_equal(
+            pipe.collector().values()[0], np.arange(8) * 2 + 1)
 
 
 class TestRetile:

@@ -20,6 +20,7 @@ from repro.workloads import (
     motion_baseline,
     transcode_baseline,
 )
+from tests.conftest import scalar_only
 
 MOSAIC = MosaicConfig(cams=4, width=32, height=32, frames=3)
 MOTION = MotionConfig(width=32, height=32, frames=4, region=8, slots=3)
@@ -40,7 +41,7 @@ class TestMosaic:
         )
 
     def test_scalar_matches_vectorized(self):
-        pipe = build_mosaic(MOSAIC, vectorize=False)
+        pipe = scalar_only(build_mosaic(MOSAIC))
         run_program(pipe.program, workers=2, timeout=120, batch=1)
         assert _mosaic_bytes(pipe.collector().values()) == \
             _mosaic_bytes(mosaic_baseline(MOSAIC))
@@ -144,7 +145,7 @@ class TestTranscode:
         assert flat["exec.vectorized_instances"] > 0
 
     def test_scalar_matches_vectorized(self):
-        pipe = build_transcode(TRANSCODE, vectorize=False)
+        pipe = scalar_only(build_transcode(TRANSCODE))
         run_program(pipe.program, workers=2, timeout=120, batch=1)
         assert pipe.collector().values() == \
             transcode_baseline(TRANSCODE)

@@ -1,5 +1,5 @@
-"""The run entry points' keyword surface and ``repro.core``'s export
-list, pinned.
+"""The run entry points' and workload builders' keyword surface and
+``repro.core``'s export list, pinned.
 
 Every keyword here is re-threaded by hand through ``cli.py`` and the
 benchmark harness, and every export is public API; adding one is a
@@ -27,7 +27,13 @@ RUN = {"max_age", "timeout", "stall_timeout", "tracer", "metrics",
        "batch", "telemetry"}
 
 SURFACE = {
-    compile_ops: {"sinks", "name", "mode", "stream", "vectorize"},
+    compile_ops: {"sinks", "name", "mode", "stream"},
+    # The builders take no switch for the stacked forms their kernels
+    # carry: ``tests/conftest.py::scalar_only`` strips them.
+    build_kmeans: {"n", "k", "dims", "iterations", "seed", "granularity"},
+    build_mjpeg: {"frames", "config"},
+    build_mjpeg_stream: {"config", "stream", "source"},
+    build_mulsum: {"values", "sink", "echo", "modulo"},
     run_program: RUN | {
         "program", "workers", "gc_fields", "keep_ages", "backend", "stream",
     },
@@ -60,20 +66,10 @@ def test_parameter_names_are_pinned(fn):
     assert set(inspect.signature(fn).parameters) == SURFACE[fn]
 
 
-@pytest.mark.parametrize(
-    "builder", [build_kmeans, build_mjpeg, build_mjpeg_stream, build_mulsum],
-    ids=lambda fn: fn.__name__,
-)
-def test_builders_keep_the_scalar_reference_keyword(builder):
-    """``vectorize=False`` is how the tests build the scalar reference
-    of a workload; no CLI flag selects it."""
-    assert "vectorize" in inspect.signature(builder).parameters
-
-
 CORE_EXPORTS = [
     "AgeError", "AgeExpr", "BACKENDS", "BatchKernelContext",
     "CollectedAgeError", "DTYPES", "DefinitionError", "DependencyAnalyzer",
-    "Digraph", "Dim", "Event", "EventBus", "ExecutionBackend",
+    "Digraph", "Dim", "Event", "ExecutionBackend",
     "ExecutionNode", "ExtentError", "FetchSpec", "Field", "FieldDef",
     "FieldError", "FieldStore", "InstanceDoneEvent", "Instrumentation",
     "KernelBodyError", "KernelContext", "KernelDef", "KernelError",
@@ -88,8 +84,8 @@ CORE_EXPORTS = [
     "WriteOnceViolation", "ascii_graph", "coerce_store_value", "dc_dag",
     "final_graph", "fusable_pairs", "fuse", "intermediate_graph",
     "make_kernel", "normalize_index", "resolve_backend", "run_program",
-    "segment_name", "tag_vectorizable", "validate_component",
-    "validate_field_name", "vectorize_program", "weighted_final_graph",
+    "segment_name", "validate_component", "validate_field_name",
+    "weighted_final_graph",
 ]
 
 
