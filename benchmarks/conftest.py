@@ -82,7 +82,7 @@ def write_variants_json(figure: str, variants: dict, wall_time_s: float,
                         baseline: str | None = None,
                         **extra) -> pathlib.Path:
     """The :func:`write_bench_json` counterpart for *variant* sweeps
-    (ablations/advisor runs compare named configurations rather than
+    (ablation runs compare named configurations rather than
     worker counts).  ``variants`` maps name -> numbers dict; when
     ``baseline`` names a variant with a ``wall_time_s`` entry, each
     variant gains a ``speedup`` relative to it.  Same envelope as the

@@ -18,7 +18,8 @@ from ..core.graph import ascii_graph, dc_dag, final_graph, intermediate_graph
 from ..sim import (
     CORE_I7_860,
     OPTERON_8218,
-    SimResult,
+    MachineProfile,
+    WorkloadModel,
     machine_table,
     paper_kmeans_model,
     paper_mjpeg_model,
@@ -32,6 +33,7 @@ __all__ = [
     "table1_machines",
     "table2_mjpeg_micro",
     "table3_kmeans_micro",
+    "sweep_series",
     "fig9_mjpeg_scaling",
     "fig10_kmeans_scaling",
     "fig2_intermediate_graph",
@@ -93,7 +95,6 @@ class SweepResult:
     title: str
     series: dict[str, list[tuple[int, float]]]
     baselines: dict[str, float] = dc_field(default_factory=dict)
-    raw: dict[str, list[SimResult]] = dc_field(default_factory=dict)
 
     def render(self) -> str:
         """Sweep table + ASCII chart + any standalone reference lines."""
@@ -189,28 +190,36 @@ def table3_kmeans_micro(
 # ----------------------------------------------------------------------
 # Figures 9 and 10 — simulated on the table-I machines
 # ----------------------------------------------------------------------
+def sweep_series(
+    model: WorkloadModel,
+    machines: Sequence[MachineProfile],
+    worker_counts: Sequence[int],
+) -> dict[str, list[tuple[int, float]]]:
+    """Simulated ``(workers, seconds)`` points per machine name."""
+    return {
+        mach.name: [
+            (r.workers, r.makespan)
+            for r in sweep_workers(model, mach, worker_counts)
+        ]
+        for mach in machines
+    }
+
+
 def fig9_mjpeg_scaling(
     frames: int = 50, worker_counts: Sequence[int] = range(1, 9)
 ) -> SweepResult:
     """Figure 9: MJPEG execution time vs worker threads on both machines,
     plus the standalone single-threaded encoder reference."""
     model = paper_mjpeg_model(frames)
-    series: dict[str, list[tuple[int, float]]] = {}
-    raw: dict[str, list[SimResult]] = {}
-    baselines: dict[str, float] = {}
-    for mach in (CORE_I7_860, OPTERON_8218):
-        rs = sweep_workers(model, mach, worker_counts)
-        series[mach.name] = [(r.workers, r.makespan) for r in rs]
-        raw[mach.name] = rs
-        # Standalone encoder: all kernel work on one core, no framework.
-        baselines[mach.name] = (
-            model.total_kernel_seconds() / mach.capacity(1)
-        )
+    machines = (CORE_I7_860, OPTERON_8218)
     return SweepResult(
         title=f"Figure 9: MJPEG execution time ({frames} frames, simulated)",
-        series=series,
-        baselines=baselines,
-        raw=raw,
+        series=sweep_series(model, machines, worker_counts),
+        # Standalone encoder: all kernel work on one core, no framework.
+        baselines={
+            mach.name: model.total_kernel_seconds() / mach.capacity(1)
+            for mach in machines
+        },
     )
 
 
@@ -223,20 +232,16 @@ def fig10_kmeans_scaling(
     """Figure 10: K-means execution time vs worker threads; the serial
     dependency analyzer saturates past 4 workers and the curve turns
     upward, the Opteron suffering more than the turbo-boosted i7."""
-    model = paper_kmeans_model(n, k, iterations)
-    series: dict[str, list[tuple[int, float]]] = {}
-    raw: dict[str, list[SimResult]] = {}
-    for mach in (CORE_I7_860, OPTERON_8218):
-        rs = sweep_workers(model, mach, worker_counts)
-        series[mach.name] = [(r.workers, r.makespan) for r in rs]
-        raw[mach.name] = rs
     return SweepResult(
         title=(
             f"Figure 10: K-means execution time (n={n}, K={k}, "
             f"{iterations} iterations, simulated)"
         ),
-        series=series,
-        raw=raw,
+        series=sweep_series(
+            paper_kmeans_model(n, k, iterations),
+            (CORE_I7_860, OPTERON_8218),
+            worker_counts,
+        ),
     )
 
 

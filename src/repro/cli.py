@@ -88,6 +88,16 @@ class _Obs:
                 print(f"slo report -> {self.slo_path}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for sizes that must simulate something."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("observability")
     g.add_argument("--trace", metavar="PATH", default=None,
@@ -767,58 +777,20 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .bench.experiments import sweep_series
     from .bench.plots import ascii_chart, format_sweep
-    from .sim import (
-        MACHINES,
-        paper_kmeans_model,
-        paper_mjpeg_model,
-        sweep_workers,
-    )
+    from .sim import MACHINES, paper_kmeans_model, paper_mjpeg_model
 
     model = (paper_mjpeg_model(args.frames) if args.workload == "mjpeg"
              else paper_kmeans_model())
-    series = {}
-    for name in args.machines:
-        machine = MACHINES[name]
-        results = sweep_workers(
-            model, machine, range(1, args.max_workers + 1)
-        )
-        series[machine.name] = [(r.workers, r.makespan) for r in results]
+    series = sweep_series(
+        model,
+        [MACHINES[name] for name in args.machines],
+        range(1, args.max_workers + 1),
+    )
     title = f"simulated {args.workload} execution time"
     print(format_sweep(series, title))
     print(ascii_chart(series, title))
-    return 0
-
-
-def _cmd_advise(args: argparse.Namespace) -> int:
-    from .sim import (
-        MACHINES,
-        granularity_what_if,
-        paper_kmeans_model,
-        paper_mjpeg_model,
-        recommend_workers,
-    )
-
-    model = (paper_mjpeg_model(args.frames) if args.workload == "mjpeg"
-             else paper_kmeans_model())
-    for name in args.machines:
-        machine = MACHINES[name]
-        rec = recommend_workers(model, machine,
-                                max_workers=args.max_workers)
-        print(f"{machine.name}: provision {rec.knee} workers "
-              f"(best {rec.best_workers} at {rec.best_makespan:.2f}s, "
-              f"speedup {rec.speedup():.1f}x"
-              f"{', ANALYZER-BOUND' if rec.analyzer_bound else ''})")
-        if rec.analyzer_bound and args.what_if_stage:
-            print(f"  what-if: coarsening {args.what_if_stage!r}")
-            for r in granularity_what_if(
-                model, machine, args.what_if_stage,
-                factors=(1, 8, 64), max_workers=args.max_workers,
-            ):
-                w = r.recommendation
-                print(f"    x{r.factor:>3}: best {w.best_makespan:6.2f}s "
-                      f"at {w.best_workers} workers"
-                      f"{' (analyzer-bound)' if w.analyzer_bound else ''}")
     return 0
 
 
@@ -991,30 +963,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate",
                        help="figure 9/10-style simulated worker sweep")
     p.add_argument("workload", choices=("mjpeg", "kmeans"))
-    p.add_argument("--frames", type=int, default=50)
-    p.add_argument("--max-workers", type=int, default=8)
+    p.add_argument("--frames", type=_positive_int, default=50)
+    p.add_argument("--max-workers", type=_positive_int, default=8)
     p.add_argument("--machines", nargs="+",
                    choices=("core_i7", "opteron"),
                    default=["core_i7", "opteron"])
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser(
-        "advise",
-        help="simulator-backed configuration advice (section V-A)",
-    )
-    p.add_argument("workload", choices=("mjpeg", "kmeans"))
-    p.add_argument("--frames", type=int, default=50)
-    p.add_argument("--max-workers", type=int, default=8)
-    p.add_argument("--machines", nargs="+",
-                   choices=("core_i7", "opteron"),
-                   default=["core_i7", "opteron"])
-    p.add_argument("--what-if-stage", default="assign",
-                   help="stage to evaluate LLS coarsening for when the "
-                        "analyzer is the bottleneck")
-    p.set_defaults(fn=_cmd_advise)
-
     p = sub.add_parser("tables", help="print the paper's tables/figures")
-    p.add_argument("--frames", type=int, default=50)
+    p.add_argument("--frames", type=_positive_int, default=50)
     p.set_defaults(fn=_cmd_tables)
 
     return parser

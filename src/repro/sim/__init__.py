@@ -1,6 +1,7 @@
 """Discrete-event simulation of P2G execution nodes.
 
-Why this exists: the paper's scaling curves (figures 9 and 10) were
+One model (:mod:`repro.sim.simcluster`): a single node is a cluster of
+one.  Why this exists: the paper's scaling curves (figures 9 and 10) were
 measured on a 4-way Core i7 860 and an 8-way Opteron 8218 running a C++
 runtime whose worker threads execute truly in parallel.  CPython's GIL
 makes an honest 1–8-thread sweep of Python kernel code meaningless, so —
@@ -15,21 +16,15 @@ per the reproduction's substitution rule — this package simulates the
   single-core turbo (the paper's explanation for the i7 suffering less
   under the serial bottleneck) — with all threads time-sharing the
   cores;
-* per-kernel costs calibrated from tables II and III (or measured from
-  the real Python runtime via :mod:`repro.sim.calibrate`).
+* per-kernel costs from tables II and III (or measured from the real
+  Python runtime via :func:`~repro.sim.workload.model_from_instrumentation`).
 
-The simulator is a model and is documented as such; it reproduces curve
-*shapes* (who wins, where the knees fall), not the paper's absolute
-seconds.
+The simulator is shape-only and is documented as such: it reproduces
+curve *shapes* (who wins, where the knees fall).  ``contention`` and
+``analyzer_share`` are two constants fitted to figures 9 and 10, so
+absolute seconds and provisioning advice are not outputs to rely on.
 """
 
-from .advisor import (
-    WorkerRecommendation,
-    coarsen_model,
-    compare_machines,
-    granularity_what_if,
-    recommend_workers,
-)
 from .desim import EventLoop
 from .machine import CORE_I7_860, MACHINES, MachineProfile, OPTERON_8218
 from .machine import machine_table
@@ -37,11 +32,9 @@ from .simcluster import (
     NetworkModel,
     SimCluster,
     SimClusterNode,
-    SimClusterResult,
-    best_assignment,
-    evaluate_assignment,
+    SimResult,
+    sweep_workers,
 )
-from .simnode import SimExecutionNode, SimResult, sweep_workers
 from .workload import (
     StageSpec,
     WorkloadModel,
@@ -59,19 +52,10 @@ __all__ = [
     "OPTERON_8218",
     "SimCluster",
     "SimClusterNode",
-    "SimClusterResult",
-    "best_assignment",
-    "evaluate_assignment",
-    "SimExecutionNode",
     "SimResult",
     "StageSpec",
-    "WorkerRecommendation",
     "WorkloadModel",
-    "coarsen_model",
-    "compare_machines",
-    "granularity_what_if",
     "machine_table",
-    "recommend_workers",
     "sweep_workers",
     "model_from_instrumentation",
     "paper_kmeans_model",

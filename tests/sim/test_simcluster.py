@@ -1,19 +1,18 @@
-"""Tests for the multi-node cluster simulator and offline partition
-evaluation."""
+"""Tests for `SimCluster` on more than one node, its argument checks,
+and the figure 9/10 goldens that pin the model to the bit.  Single-node
+mechanics and the figure shape classes are in `test_simnode.py`."""
 
 import pytest
 
+from repro.bench import fig9_mjpeg_scaling, fig10_kmeans_scaling
 from repro.sim import (
     CORE_I7_860,
     NetworkModel,
     OPTERON_8218,
     SimCluster,
     SimClusterNode,
-    SimExecutionNode,
     StageSpec,
     WorkloadModel,
-    best_assignment,
-    evaluate_assignment,
     paper_mjpeg_model,
 )
 
@@ -42,17 +41,45 @@ def all_on(node: str, model: WorkloadModel) -> dict[str, str]:
     return {s.name: node for s in model.stages}
 
 
+def simulate(model, nodes, assignment, network=NetworkModel(), **kwargs):
+    return SimCluster(model, nodes, assignment, network, **kwargs).run()
+
+
+#: (workers, seconds) at 1, 4 and 8 workers, recorded at d4f0a32 from the
+#: single-node model this one replaced.
+FIG9_GOLDEN = {
+    CORE_I7_860.name: [(1, 16.68958212815168), (4, 4.968831767719182),
+                       (8, 3.833498850429986)],
+    OPTERON_8218.name: [(1, 26.325286807150516), (4, 6.605707912388282),
+                        (8, 3.3672429646870783)],
+}
+FIG10_GOLDEN = {
+    CORE_I7_860.name: [(1, 14.801192807375665), (4, 5.2948106362566545),
+                       (8, 5.813788184769172)],
+    OPTERON_8218.name: [(1, 23.170083333333515), (4, 6.224901723371549),
+                        (8, 7.042410646360205)],
+}
+
+
 class TestMechanics:
     def test_single_node_matches_simnode(self):
-        """A one-node cluster must agree with SimExecutionNode."""
+        """A one-node cluster returns the floats the deleted single-node
+        model returned, to the last bit."""
+        for figure, golden in ((fig9_mjpeg_scaling, FIG9_GOLDEN),
+                               (fig10_kmeans_scaling, FIG10_GOLDEN)):
+            assert {
+                name: [pt for pt in pts if pt[0] in (1, 4, 8)]
+                for name, pts in figure().series.items()
+            } == golden
+
+    def test_single_node_never_touches_the_network(self):
         model = paper_mjpeg_model(5)
-        single = SimExecutionNode(model, OPTERON_8218, 4).run()
-        cluster = SimCluster(
+        result = simulate(
             model, [SimClusterNode("only", OPTERON_8218, 4)],
             all_on("only", model),
-        ).run()
-        assert cluster.makespan == pytest.approx(single.makespan, rel=0.05)
-        assert cluster.cross_node_transfers == 0
+        )
+        assert result.cross_node_transfers == 0
+        assert result.network_busy == 0.0
 
     def test_validates_assignment(self):
         model = pipeline_model()
@@ -62,12 +89,51 @@ class TestMechanics:
             SimCluster(model, two_nodes(),
                        all_on("ghost", model))
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [[SimClusterNode("a", OPTERON_8218, 4)], two_nodes()],
+        ids=["one-node", "two-nodes"],
+    )
+    def test_validates_model_constants(self, nodes):
+        model = paper_mjpeg_model(2)
+        assignment = all_on("a", model)
+        idle = nodes[:-1] + [SimClusterNode("z", OPTERON_8218, 0)]
+        with pytest.raises(ValueError, match="node 'z'.*workers=0"):
+            SimCluster(model, idle, all_on("z", model))
+        with pytest.raises(ValueError, match=r"analyzer_share.*\[0, 1\]"):
+            SimCluster(model, nodes, assignment, analyzer_share=2.0)
+        with pytest.raises(ValueError, match="analyzer_share"):
+            SimCluster(model, nodes, assignment, analyzer_share=-0.1)
+        with pytest.raises(ValueError, match="contention"):
+            SimCluster(model, nodes, assignment, contention=-0.01)
+
+    def test_needs_a_node(self):
+        with pytest.raises(ValueError, match="nodes is empty"):
+            SimCluster(pipeline_model(), [], {})
+
     def test_cross_node_traffic_counted(self):
         model = pipeline_model(stages=2)
         assignment = {"s0": "a", "s1": "a", "s2": "b"}
-        result = evaluate_assignment(model, two_nodes(), assignment)
+        result = simulate(model, two_nodes(), assignment)
         assert result.cross_node_transfers >= 1
         assert result.network_busy > 0
+
+    def test_two_node_split_conserves_instances(self):
+        """Every instance runs exactly once, wherever its stage lives;
+        the aggregates are defined over both nodes."""
+        model = pipeline_model()
+        result = simulate(
+            model, two_nodes(3),
+            {"s0": "a", "s1": "a", "s2": "b", "s3": "b"},
+        )
+        assert (sum(s.instances for s in result.stages.values())
+                == model.total_instances())
+        assert result.workers == 6
+        assert all(busy > 0 for busy in result.node_busy.values())
+        assert 0 < result.worker_utilization <= 1.0
+        assert result.analyzer_utilization == (
+            max(result.node_analyzer_busy.values()) / result.makespan
+        )
 
     def test_network_cost_slows_split_pipelines(self):
         """With a slow network, splitting a tight pipeline across nodes
@@ -75,10 +141,10 @@ class TestMechanics:
         model = pipeline_model(stages=3, instances=32)
         slow_net = NetworkModel(latency_s=5e-3, bytes_per_s=1e6,
                                 event_bytes=4096)
-        together = evaluate_assignment(
+        together = simulate(
             model, two_nodes(), all_on("a", model), slow_net
         )
-        split = evaluate_assignment(
+        split = simulate(
             model, two_nodes(),
             {"s0": "a", "s1": "a", "s2": "b", "s3": "a"}, slow_net
         )
@@ -96,48 +162,22 @@ class TestMechanics:
                           ages=1),
             ),
         )
-        nodes = [
-            SimClusterNode("a", OPTERON_8218, 2),
-            SimClusterNode("b", OPTERON_8218, 2),
-        ]
-        one = evaluate_assignment(model, nodes, all_on("a", model))
-        spread = evaluate_assignment(
+        nodes = two_nodes(2)
+        one = simulate(model, nodes, all_on("a", model))
+        spread = simulate(
             model, nodes, {"src": "a", "left": "a", "right": "b"}
         )
         assert spread.makespan < one.makespan
 
     def test_deterministic(self):
         model = pipeline_model()
-        a = evaluate_assignment(model, two_nodes(),
-                                {"s0": "a", "s1": "a", "s2": "b",
-                                 "s3": "b"})
-        b = evaluate_assignment(model, two_nodes(),
-                                {"s0": "a", "s1": "a", "s2": "b",
-                                 "s3": "b"})
+        assignment = {"s0": "a", "s1": "a", "s2": "b", "s3": "b"}
+        a = simulate(model, two_nodes(), assignment)
+        b = simulate(model, two_nodes(), assignment)
         assert a.makespan == b.makespan
 
 
 class TestBestAssignment:
-    def test_ranks_candidates(self):
-        model = pipeline_model(stages=3, instances=32)
-        slow_net = NetworkModel(latency_s=5e-3, bytes_per_s=1e6,
-                                event_bytes=4096)
-        candidates = [
-            all_on("a", model),
-            {"s0": "a", "s1": "a", "s2": "b", "s3": "a"},
-            {"s0": "a", "s1": "b", "s2": "a", "s3": "b"},
-        ]
-        winner, result, results = best_assignment(
-            model, two_nodes(), candidates, slow_net
-        )
-        assert winner == all_on("a", model)  # tight pipeline, slow net
-        assert result.makespan == min(r.makespan for r in results)
-        assert len(results) == 3
-
-    def test_requires_candidates(self):
-        with pytest.raises(ValueError):
-            best_assignment(pipeline_model(), two_nodes(), [])
-
     def test_heterogeneous_nodes(self):
         """A faster machine should attract the heavy stage."""
         model = pipeline_model(stages=1, instances=128, kernel_us=200.0)
@@ -145,10 +185,6 @@ class TestBestAssignment:
             SimClusterNode("fast", CORE_I7_860, 4),
             SimClusterNode("slow", OPTERON_8218, 1),
         ]
-        on_fast = evaluate_assignment(
-            model, nodes, {"s0": "fast", "s1": "fast"}
-        )
-        on_slow = evaluate_assignment(
-            model, nodes, {"s0": "fast", "s1": "slow"}
-        )
+        on_fast = simulate(model, nodes, {"s0": "fast", "s1": "fast"})
+        on_slow = simulate(model, nodes, {"s0": "fast", "s1": "slow"})
         assert on_fast.makespan < on_slow.makespan

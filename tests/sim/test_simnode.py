@@ -1,5 +1,7 @@
-"""Tests for the simulated execution node — including the figure 9/10
-shape assertions the reproduction stands on."""
+"""Tests for a simulated node — a `SimCluster` of one, as
+`sweep_workers` builds it — including the figure 9/10 shape assertions
+the reproduction stands on.  Multi-node cases and the bit-exact goldens
+are in `test_simcluster.py`."""
 
 import pytest
 
@@ -7,7 +9,6 @@ from repro.core import run_program
 from repro.sim import (
     CORE_I7_860,
     OPTERON_8218,
-    SimExecutionNode,
     StageSpec,
     WorkloadModel,
     model_from_instrumentation,
@@ -15,6 +16,12 @@ from repro.sim import (
     paper_mjpeg_model,
     sweep_workers,
 )
+
+
+def simulate(model, machine, workers, **kwargs):
+    """One run of a single-node cluster."""
+    (result,) = sweep_workers(model, machine, [workers], **kwargs)
+    return result
 
 
 def tiny_model(instances=100, kernel_us=100.0, dispatch_us=1.0, ages=2):
@@ -30,7 +37,7 @@ def tiny_model(instances=100, kernel_us=100.0, dispatch_us=1.0, ages=2):
 
 class TestMechanics:
     def test_all_instances_execute(self):
-        r = SimExecutionNode(tiny_model(), OPTERON_8218, 4).run()
+        r = simulate(tiny_model(), OPTERON_8218, 4)
         assert r.stages["work"].instances == 200
         assert r.stages["init"].instances == 1
 
@@ -38,23 +45,26 @@ class TestMechanics:
         """Total busy time is bounded by thread-count x makespan (the
         invariant that holds exactly under the sampled-speed model)."""
         for w in (1, 3, 8):
-            r = SimExecutionNode(tiny_model(), OPTERON_8218, w).run()
-            assert (r.worker_busy + r.analyzer_busy
+            r = simulate(tiny_model(), OPTERON_8218, w)
+            (worker_busy,) = r.node_busy.values()
+            (analyzer_busy,) = r.node_analyzer_busy.values()
+            assert r.workers == w
+            assert (worker_busy + analyzer_busy
                     <= (w + 1) * r.makespan + 1e-6)
-            assert r.worker_busy <= w * r.makespan + 1e-6
-            assert r.analyzer_busy <= r.makespan + 1e-6
+            assert worker_busy <= w * r.makespan + 1e-6
+            assert analyzer_busy <= r.makespan + 1e-6
 
     def test_serial_time_close_to_total_work(self):
         model = tiny_model(dispatch_us=0.0)
-        r = SimExecutionNode(model, OPTERON_8218, 1, contention=0.0).run()
+        r = simulate(model, OPTERON_8218, 1, contention=0.0)
         # 1 worker + idle analyzer: makespan >= work / speed(threads)
         work = model.total_kernel_seconds()
         assert r.makespan >= work / OPTERON_8218.capacity(1) * 0.5
         assert r.makespan <= work / OPTERON_8218.per_thread_speed(2) * 1.5
 
     def test_deterministic(self):
-        a = SimExecutionNode(tiny_model(), CORE_I7_860, 3).run()
-        b = SimExecutionNode(tiny_model(), CORE_I7_860, 3).run()
+        a = simulate(tiny_model(), CORE_I7_860, 3)
+        b = simulate(tiny_model(), CORE_I7_860, 3)
         assert a.makespan == b.makespan
 
     def test_deadlock_detected(self):
@@ -63,20 +73,25 @@ class TestMechanics:
             (StageSpec("a", 1, 1.0, 1.0, deps=(("b", 0),)),
              StageSpec("b", 1, 1.0, 1.0, deps=(("a", 0),))),
         )
-        with pytest.raises(ValueError):
-            SimExecutionNode(bad, OPTERON_8218, 1).run()
+        with pytest.raises(ValueError, match="'bad' deadlocked.*'a', 0"):
+            simulate(bad, OPTERON_8218, 1)
+        # ... also when some other stage was free to start
+        stuck = WorkloadModel(
+            "stuck", 1, (StageSpec("free", 1, 1.0, 1.0),) + bad.stages
+        )
+        with pytest.raises(ValueError, match="'stuck' deadlocked.*'a', 0"):
+            simulate(stuck, OPTERON_8218, 1)
 
     def test_needs_a_worker(self):
-        with pytest.raises(ValueError):
-            SimExecutionNode(tiny_model(), OPTERON_8218, 0)
+        with pytest.raises(ValueError, match="at least one worker"):
+            simulate(tiny_model(), OPTERON_8218, 0)
 
     def test_bad_analyzer_share(self):
-        with pytest.raises(ValueError):
-            SimExecutionNode(tiny_model(), OPTERON_8218, 1,
-                             analyzer_share=1.5)
+        with pytest.raises(ValueError, match="analyzer_share"):
+            simulate(tiny_model(), OPTERON_8218, 1, analyzer_share=1.5)
 
     def test_utilization_bounds(self):
-        r = SimExecutionNode(tiny_model(), OPTERON_8218, 2).run()
+        r = simulate(tiny_model(), OPTERON_8218, 2)
         assert 0 <= r.worker_utilization <= 1.0 + 1e-9
         assert 0 <= r.analyzer_utilization <= 1.0 + 1e-9
 
@@ -191,5 +206,5 @@ class TestCalibratedModel:
         assert assign.kernel_time_us > 0
         # deps derived from the final graph: assign needs init + refine(-1)
         assert ("refine", -1) in assign.deps
-        sim = SimExecutionNode(model, OPTERON_8218, 2).run()
+        sim = simulate(model, OPTERON_8218, 2)
         assert sim.makespan > 0

@@ -124,28 +124,6 @@ class TestKMeansCommand:
         assert "assign" in out
 
 
-class TestAdviseCommand:
-    def test_kmeans_advice(self, capsys):
-        rc = main([
-            "advise", "kmeans", "--machines", "opteron",
-            "--max-workers", "6",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "provision" in out
-        assert "ANALYZER-BOUND" in out
-        assert "what-if" in out
-
-    def test_mjpeg_not_analyzer_bound(self, capsys):
-        rc = main([
-            "advise", "mjpeg", "--frames", "10",
-            "--machines", "core_i7", "--max-workers", "4",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "ANALYZER-BOUND" not in out
-
-
 class TestSimulateCommand:
     def test_sweep_output(self, capsys):
         rc = main([
@@ -156,6 +134,17 @@ class TestSimulateCommand:
         assert rc == 0
         assert "8-way AM" in out
         assert "workers" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "kmeans", "--max-workers", "0"],
+        ["simulate", "mjpeg", "--frames", "0"],
+        ["tables", "--frames", "0"],
+    ], ids=" ".join)
+    def test_rejects_sizes_that_simulate_nothing(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be a positive integer, got 0" in capsys.readouterr().err
 
 
 class TestObservabilityFlags:

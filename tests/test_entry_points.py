@@ -1,5 +1,6 @@
-"""The run entry points' and workload builders' keyword surface and
-``repro.core``'s export list, pinned.
+"""The run entry points' and workload builders' keyword surface, the
+export lists of ``repro.core`` and ``repro.sim`` and the CLI's
+subcommand set, pinned.
 
 Every keyword here is re-threaded by hand through ``cli.py`` and the
 benchmark harness, and every export is public API; adding one is a
@@ -11,6 +12,8 @@ import inspect
 import pytest
 
 import repro.core
+import repro.sim
+from repro.cli import build_parser
 from repro.core import ExecutionNode, run_program
 from repro.dist import Cluster
 from repro.ops import compile_ops
@@ -91,6 +94,27 @@ CORE_EXPORTS = [
 
 def test_core_exports_are_pinned():
     assert sorted(repro.core.__all__) == CORE_EXPORTS
+
+
+SIM_EXPORTS = [
+    "CORE_I7_860", "EventLoop", "MACHINES", "MachineProfile",
+    "NetworkModel", "OPTERON_8218", "SimCluster", "SimClusterNode",
+    "SimResult", "StageSpec", "WorkloadModel", "machine_table",
+    "model_from_instrumentation", "paper_kmeans_model",
+    "paper_mjpeg_model", "sweep_workers",
+]
+
+
+def test_sim_exports_are_pinned():
+    assert sorted(repro.sim.__all__) == SIM_EXPORTS
+
+
+def test_cli_subcommands_are_pinned():
+    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == [
+        "run", "graph", "mjpeg", "ops", "kmeans", "cluster", "simulate",
+        "tables",
+    ]
 
 
 def _live():
