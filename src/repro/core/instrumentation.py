@@ -72,13 +72,6 @@ class Instrumentation:
         self.analyzer_time = 0.0  #: seconds spent in the analyzer thread
         self.wall_time = 0.0  #: wall-clock duration of the run
         self._t0: float | None = None
-        # Fault-tolerance counters (distributed runs): node failures
-        # detected, re-execution retries launched, and the total seconds
-        # spent in detection-to-replacement recovery.
-        self.node_failures = 0
-        self.recovery_retries = 0
-        self.recovery_time = 0.0
-        self.replayed_events = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -116,18 +109,6 @@ class Instrumentation:
         with self._lock:
             self.analyzer_time += seconds
 
-    def record_failure(
-        self, retries: int, recovery_s: float, replayed: int = 0
-    ) -> None:
-        """Account one node failure: the retry attempt number it took,
-        the detection-to-replacement wall seconds, and the number of
-        store/resize events replayed from the transport log."""
-        with self._lock:
-            self.node_failures += 1
-            self.recovery_retries += retries
-            self.recovery_time += recovery_s
-            self.replayed_events += replayed
-
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, KernelStats]:
         """Snapshot of per-kernel stats."""
@@ -153,27 +134,19 @@ class Instrumentation:
         with self._lock:
             return sum(s.kernel_time for s in self._stats.values())
 
-    def _scalars(self) -> tuple[float, float, int, int, float, int]:
+    def _scalars(self) -> tuple[float, float]:
         """Locked snapshot of the non-per-kernel accumulators."""
         with self._lock:
-            return (
-                self.analyzer_time,
-                self.wall_time,
-                self.node_failures,
-                self.recovery_retries,
-                self.recovery_time,
-                self.replayed_events,
-            )
+            return self.analyzer_time, self.wall_time
 
     def merged(self, other: "Instrumentation") -> "Instrumentation":
         """A new collector holding the sum of both runs.
 
         Thread-safe against concurrent :meth:`record` /
-        :meth:`add_analyzer_time` / :meth:`record_failure` on either
-        operand: both per-kernel stats and the scalar accumulators are
-        read as locked snapshots, so a merge taken mid-run is a
-        consistent point-in-time view (the result itself is a fresh,
-        unshared collector)."""
+        :meth:`add_analyzer_time` on either operand: both per-kernel
+        stats and the scalar accumulators are read as locked snapshots,
+        so a merge taken mid-run is a consistent point-in-time view (the
+        result itself is a fresh, unshared collector)."""
         out = Instrumentation()
         mine, theirs = self.stats(), other.stats()
         for k in set(mine) | set(theirs):
@@ -182,10 +155,6 @@ class Instrumentation:
         a, b = self._scalars(), other._scalars()
         out.analyzer_time = a[0] + b[0]
         out.wall_time = max(a[1], b[1])
-        out.node_failures = a[2] + b[2]
-        out.recovery_retries = a[3] + b[3]
-        out.recovery_time = a[4] + b[4]
-        out.replayed_events = a[5] + b[5]
         return out
 
     # ------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .membership import (
     MEMBERSHIP_TOPIC,
     ElasticityConfig,
     ElasticityDriver,
-    MembershipTable,
     MembershipView,
 )
 from .partition import (
@@ -68,7 +67,6 @@ __all__ = [
     "ElasticityConfig",
     "ElasticityDriver",
     "MasterNode",
-    "MembershipTable",
     "MembershipView",
     "Message",
     "Partition",

@@ -15,26 +15,26 @@ partitioning objective minimizes: events crossing node boundaries.
 A partition that keeps a pipeline on one node moves almost nothing; a
 bad partition pays per store.
 
-Fault tolerance is opt-in: passing ``faults`` (a
-:class:`~repro.dist.faults.FaultInjector`) or ``recovery`` (a
-:class:`~repro.dist.recovery.RecoveryConfig`) to :meth:`Cluster.run`
-enables the transport event log, per-node heartbeats, a failure monitor
-and a :class:`~repro.dist.recovery.RecoveryManager` that replaces dead
-nodes mid-run.  Without them, nothing changes: no control traffic, no
+A node's life — admitted, active, drained or dead, replaced — is one
+table (:class:`~repro.dist.topology.GlobalTopology`, ``master.topology``)
+and one routine (:meth:`_ClusterRun.succession`, under
+``Cluster._elastic_lock``); DESIGN.md §8.  What a run adds to that is
+opt-in.  ``faults`` (a :class:`~repro.dist.faults.FaultInjector`) or
+``recovery`` (a :class:`~repro.dist.recovery.RecoveryConfig`) switch on
+the transport event log, per-node heartbeats, a failure monitor and the
+:class:`~repro.dist.recovery.RecoveryManager` that replaces dead nodes
+mid-run.  ``elastic=`` lets :meth:`Cluster.add_node` /
+:meth:`Cluster.drain_node` rescale a *running* cluster
+(:meth:`Cluster._rescale`), broadcasts every view of the table and gates
+routing on it.  Without them, nothing changes: no control traffic, no
 log, byte-for-byte the original execution path.
-
-Elasticity is likewise opt-in (``elastic=``): the node set becomes a
-versioned :class:`~repro.dist.membership.MembershipTable` instead of a
-frozen list, and :meth:`Cluster.add_node` / :meth:`Cluster.drain_node`
-rescale a *running* cluster by the two-phase migration of
-:meth:`Cluster._rescale` (DESIGN.md §15).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from typing import Any, Mapping
 
@@ -57,17 +57,11 @@ from ..stream.multitenant import session_driver, tier_weights
 from .faults import FaultInjector
 from .heartbeat import Heartbeater, HeartbeatMonitor
 from .master import MasterNode, WorkloadAssignment
-from .membership import (
-    MEMBERSHIP_TOPIC,
-    ElasticityConfig,
-    ElasticityDriver,
-    MembershipTable,
-)
+from .membership import MEMBERSHIP_TOPIC, ElasticityConfig, ElasticityDriver
 from .recovery import (
     RecoveryConfig,
     RecoveryManager,
     RecoveryRecord,
-    _base_name,
     fence_node,
 )
 from .topology import LocalTopology, ProcessorSpec
@@ -81,7 +75,7 @@ class MigrationRecord:
     """One completed elastic migration (join, drain or rebalance)."""
 
     reason: str  #: what triggered the rescale
-    epoch: int  #: membership epoch after the commit
+    epoch: int  #: topology epoch the commit went out under
     moved_kernels: int  #: kernels whose owner changed
     fenced: tuple[str, ...]  #: live nodes wound down
     built: tuple[str, ...]  #: successor nodes started
@@ -109,7 +103,7 @@ class ClusterResult:
     telemetry: Any = None
     #: Elastic runs: migrations performed, in order.
     migrations: list[MigrationRecord] = dc_field(default_factory=list)
-    #: Elastic runs: final membership snapshot (``as_dict()`` form).
+    #: Elastic runs: the topology's final ``as_dict()`` snapshot.
     membership: dict | None = None
 
     @property
@@ -162,13 +156,23 @@ class _OutputDedup:
         self._handler(kernel, age, index, key, value)
 
 
+@dataclass(frozen=True)
+class _Succession:
+    """What :meth:`_ClusterRun.succession` did, for the caller's record."""
+
+    fenced: tuple[str, ...]
+    built: tuple[str, ...]
+    replayed: int
+    abandoned: int
+
+
 class _ClusterRun:
     """One :meth:`Cluster.run` in flight.
 
     Holds what the run's nodes share (field store, work counter, timers,
     tracer, metrics, telemetry) and is the one place a node, a heartbeat
     or a stream driver of the run is constructed — at start-up and,
-    through :meth:`succeed`, when a recovery or an elastic migration
+    through :meth:`succession`, when a recovery or an elastic migration
     replaces a node mid-run, which is why :meth:`Cluster.add_node` /
     :meth:`Cluster.drain_node` reach it as ``cluster._rt``.  Bring-up
     and wind-down order is the shared
@@ -196,7 +200,7 @@ class _ClusterRun:
                     f"merge_sessions(specs)"
                 )
         self.cluster = cluster
-        self.assignment = assignment
+        cluster.master.last_assignment = assignment
         self.max_age = max_age
         self.timeout = timeout
         self.stall_timeout = stall_timeout
@@ -240,10 +244,11 @@ class _ClusterRun:
             self._arm_membership()
         if self.ft:
             self._arm_recovery()
+        cores = {t.node: t.cores for t in cluster.master.topology.nodes()}
         for name in assignment.nodes():
             sub = cluster._subprogram(assignment, name)
             if sub.kernels:
-                self.build_node(name, sub, cluster._workers[name])
+                self.build_node(name, sub, cores[name])
         if not self.exec_nodes:
             raise PartitionError("assignment left every node empty")
         if stream is not None:
@@ -263,18 +268,24 @@ class _ClusterRun:
         )
 
     # -- construction ---------------------------------------------------
+    @property
+    def assignment(self) -> WorkloadAssignment:
+        """The plan in force: the master's, whose parts with kernels are
+        the live nodes' names at every commit."""
+        return self.cluster.master.last_assignment
+
     def _arm_membership(self) -> None:
-        """Dynamic membership: broadcast every view flip on the control
-        topic, export the epoch, retain the event log for migration
-        replay, and gate routing on the view."""
-        membership, transport = self.cluster.membership, self.transport
-        membership.set_publish(self.broadcast)
-        self.metrics.gauge("membership.epoch").set_max(membership.epoch)
-        transport.membership = membership
+        """Elastic run: broadcast every view of the node table on the
+        control topic, export the epoch, retain the event log for
+        migration replay, and gate routing on the view."""
+        table, transport = self.cluster.master.topology, self.transport
+        table.set_publish(self.broadcast)
+        self.metrics.gauge("membership.epoch").set_max(table.epoch)
+        transport.membership = table
         transport.enable_log()
         tel = self.life.telemetry
         if tel is not None:
-            tel.exporter.page("membership", membership.as_dict)
+            tel.exporter.page("membership", table.as_dict)
 
     def broadcast(self, view) -> None:
         self.metrics.gauge("membership.epoch").set_max(view.epoch)
@@ -298,19 +309,7 @@ class _ClusterRun:
             self.recovery.progress_timeout,
             tracer=self.tracer,
         )
-        self.manager = RecoveryManager(
-            master=self.cluster.master,
-            transport=transport,
-            counter=self.counter,
-            monitor=self.monitor,
-            config=self.recovery,
-            nodes=self.exec_nodes,
-            heartbeaters=self.heartbeaters,
-            spawn=self.spawn,
-            injector=self.faults,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
+        self.manager = RecoveryManager(self, self.recovery)
 
     def build_node(
         self, name: str, program: Program, workers: int,
@@ -453,48 +452,81 @@ class _ClusterRun:
         )
         hb.start()
 
-    def succeed(
-        self, name: str, program: Program, workers: int
-    ) -> ExecutionNode:
-        """Build, start and drive a successor node mid-run (recovery
-        replacement or migration target)."""
-        node = self.build_node(name, program, workers, recover=True)
-        node.start()
-        if self.ft:
-            self.beat(name, node)
-        self.follow(node, successor=True)
-        return node
+    def succession(
+        self,
+        fence: "list[str]",
+        build: "Mapping[str, tuple[Program, int]]",
+        reason: str,
+        failed: bool = False,
+    ) -> _Succession:
+        """Replace nodes mid-run — the one path a recovery and a
+        migration both take (caller holds ``Cluster._elastic_lock``).
 
-    def spawn(self, dead: ExecutionNode, repl_name: str) -> ExecutionNode:
-        """Recovery replacement for ``dead`` (called from the recovery
-        manager's thread)."""
-        membership = self.cluster.membership
-        if self.elastic:
-            if membership.state(dead.name) in (
-                "joining", "active", "draining"
-            ):
-                membership.transition(dead.name, "dead")
-            membership.add(repl_name, "joining")
-        repl = self.succeed(repl_name, dead.program, dead.workers)
-        if self.elastic:
-            membership.transition(repl_name, "active")
-        return repl
+        Fences the live nodes named in ``fence`` (unwatch → stop the
+        heartbeat → unsubscribe → wind down, reclaiming outstanding
+        work; ``failed`` marks each ``dead`` in the node table), then
+        builds ``build``'s ``{name: (subprogram, workers)}`` in recovery
+        mode, starts them and replays the event log into each, and
+        re-points the stream drivers.  Fence strictly precedes build: a
+        kernel must never have two live owners.  A token on the shared
+        counter pins the run for the window in which kernels are owned
+        by no live node.
+        """
+        abandoned = replayed = 0
+        with WorkToken(self.counter, label=f"succession:{reason}"):
+            for name in fence:
+                node = self.exec_nodes.pop(name)
+                if self.monitor is not None:
+                    self.monitor.unwatch(name)
+                abandoned += fence_node(
+                    node, self.transport,
+                    heartbeater=self.heartbeaters.pop(name, None),
+                    injector=self.faults,
+                    tracer=self.tracer,
+                    reason=reason,
+                )
+                if failed:
+                    self.cluster.master.on_failure(name)
+            for name, (program, workers) in build.items():
+                succ = self.build_node(name, program, workers, recover=True)
+                succ.start()
+                if self.ft:
+                    self.beat(name, succ)
+                self.follow(succ, successor=True)
+                for msg in self.transport.replay(_fetched_fields(program)):
+                    succ.inject(msg.payload)
+                    replayed += 1
+            # Retirement and liveness probes follow the new node set.
+            nodes_now = list(self.exec_nodes.values())
+            if nodes_now:
+                for drv in self.drivers.values():
+                    drv.set_nodes(nodes_now)
+        return _Succession(tuple(fence), tuple(build), replayed, abandoned)
 
-    def live_name(self, assign_name: str) -> str | None:
-        """The live execution node serving ``assign_name``'s kernels
-        (exact match, or the unique restart ``assign_name~k``)."""
-        if assign_name in self.exec_nodes:
-            return assign_name
-        matches = [
-            n for n in self.exec_nodes if _base_name(n) == assign_name
-        ]
-        return matches[0] if len(matches) == 1 else None
+    def file_succession(
+        self, lane: str, record, records: list, *,
+        event: str, span: str, tr_t0: float, timer: str, **counts: int,
+    ) -> None:
+        """Record one finished succession, once: the ``lane``
+        (``recovery`` / ``elastic``) counters, its duration (the
+        record's ``timer`` field) histogram, the trace event and span,
+        and the record on its list."""
+        for key, n in counts.items():
+            self.metrics.counter(f"{lane}.{key}").inc(n)
+        args = asdict(record)
+        self.metrics.histogram(f"{lane}.{timer}").observe(args[timer])
+        tr = self.tracer
+        if tr.enabled:
+            tr.instant(event, lane, "master", lane, args=args, scope="g")
+            tr.complete(
+                span, lane, "master", lane, tr_t0, tr.now(), args=args
+            )
+        records.append(record)
 
     def next_node_name(self) -> str:
-        """First free ``node<k>`` name (CLI/driver join targets)."""
-        taken = set(self.cluster._workers) | set(self.exec_nodes) | {
-            _base_name(n) for n in self.exec_nodes
-        }
+        """First ``node<k>`` the table never held (driver join
+        targets)."""
+        taken = self.cluster.master.topology.view().states
         k = 0
         while f"node{k}" in taken:
             k += 1
@@ -534,7 +566,7 @@ class _ClusterRun:
                     cluster.add_node(self.next_node_name())
             else:
                 for name in sorted(self.exec_nodes)[target - current:]:
-                    cluster.drain_node(_base_name(name))
+                    cluster.drain_node(name)
             return True
 
     # -- lifecycle ----------------------------------------------------------
@@ -605,7 +637,7 @@ class _ClusterRun:
                 self.tracer,
                 reason=f"{type(err).__name__}: {err}",
                 context={"cluster": self.program.name,
-                         "nodes": sorted(self.cluster._workers)},
+                         "nodes": self.cluster.master.topology.node_names()},
             )
             if path is not None:
                 err.flight_path = path  # type: ignore[attr-defined]
@@ -622,7 +654,7 @@ class _ClusterRun:
                     name: drv.report()
                     for name, drv in self.drivers.items()
                 },
-                workers=sum(cluster._workers.values()),
+                workers=sum(t.cores for t in cluster.master.topology.nodes()),
                 backend="threads",
                 capacity=len(self.drivers),
                 duration_s=self.wall,
@@ -641,7 +673,7 @@ class _ClusterRun:
             telemetry=self.life.telemetry,
             migrations=list(self.migrations),
             membership=(
-                cluster.membership.as_dict() if self.elastic else None
+                cluster.master.topology.as_dict() if self.elastic else None
             ),
         )
 
@@ -670,31 +702,21 @@ class Cluster:
         if not nodes:
             raise PartitionError("cluster needs at least one node")
         self.program = program
+        #: ``master.topology`` is the one node table: every node given
+        #: here starts ``active``; recovery, join and drain are its
+        #: transitions, in elastic runs and otherwise.
         self.master = MasterNode()
-        self._workers: dict[str, int] = {}
-        #: Versioned membership: every construction-time node starts
-        #: active.  Epochs only start moving (and broadcasting) once an
-        #: elastic run wires the publish callback.
-        self.membership = MembershipTable()
         for name, spec in nodes.items():
-            if isinstance(spec, LocalTopology):
-                topo = spec
-                workers = max(
-                    1, int(sum(p.cores for p in spec.processors))
-                )
-            else:
-                workers = int(spec)
-                topo = LocalTopology(
-                    name, (ProcessorSpec("cpu", cores=workers),)
-                )
-            self.master.register(topo)
-            self._workers[name] = workers
-            self.membership.add(name, "active")
+            self.master.register(
+                spec if isinstance(spec, LocalTopology) else
+                LocalTopology(name, (ProcessorSpec("cpu", cores=int(spec)),))
+            )
         self.transport = transport if transport is not None else \
             InProcTransport()
-        #: Serializes membership operations (join/drain/rescale) against
-        #: each other; reentrant so a driver-issued rescale can call
-        #: :meth:`add_node`/:meth:`drain_node` per node.
+        #: The one lock of the node set: joins, drains, rescales and
+        #: recoveries run under it, one at a time; reentrant so a
+        #: driver-issued rescale can call :meth:`add_node` /
+        #: :meth:`drain_node` per node.
         self._elastic_lock = threading.RLock()
         self._rt: _ClusterRun | None = None
 
@@ -720,14 +742,6 @@ class Cluster:
                 lambda msg, node=node: node.inject(msg.payload),
             )
 
-    def _workers_for(self, name: str) -> int:
-        """Worker count for a live node name (restart/migration names
-        like ``node1~2`` inherit the base node's)."""
-        w = self._workers.get(name)
-        if w is None:
-            w = self._workers[_base_name(name)]
-        return w
-
     # ------------------------------------------------------------------
     # Elastic membership (public API; requires an elastic run in flight)
     # ------------------------------------------------------------------
@@ -743,188 +757,119 @@ class Cluster:
     def add_node(self, name: str, workers: int | None = None) -> None:
         """Join ``name`` to a *running* elastic cluster.
 
-        Registers its capacity with the master, admits it to the
-        membership as ``joining``, incrementally repartitions the kernel
-        graph over N+1 nodes (minimizing moved kernels), migrates the
-        moved kernels by fence + event-log replay, and flips the
-        membership epoch — the newcomer is ``active`` once the
-        ``scale.commit`` is out.
+        Admits it to the node table as ``joining`` (``workers`` cores;
+        default: as many as the largest live node), incrementally
+        repartitions the kernel graph over N+1 nodes (minimizing moved
+        kernels) and migrates the moved kernels by fence + event-log
+        replay — the newcomer is ``active`` once the ``scale.commit`` is
+        out.
         """
         with self._elastic_lock:
             rt = self._require_elastic_run()
-            if workers is None:
-                workers = max(self._workers.values())
-            if name in self._workers and name in rt.exec_nodes:
+            table = self.master.topology
+            if name in table:
                 raise SchedulerError(f"node {name!r} already exists")
-            self.master.register(
-                LocalTopology(name, (ProcessorSpec("cpu", cores=workers),))
+            if workers is None:
+                workers = max(t.cores for t in table.nodes())
+            table.add(
+                LocalTopology(name, (ProcessorSpec("cpu", cores=workers),)),
+                "joining",
             )
-            self._workers[name] = workers
-            if self.membership.state(name) in (None, "dead", "left"):
-                self.membership.add(name, "joining")
             self._rescale(rt, reason=f"join:{name}")
-            self.membership.transition(name, "active")
+            table.transition(name, "active")
 
     def drain_node(self, name: str) -> None:
-        """Drain ``name`` out of a *running* elastic cluster.
+        """Drain ``name`` — a live node's exact name — out of a
+        *running* elastic cluster.
 
         The inverse of :meth:`add_node`: the node is marked ``draining``
-        (an *expected* departure — the heartbeat monitor grants grace,
-        so the recovery manager never fires), its capacity leaves the
-        master, the remaining nodes absorb its kernels via the same
-        incremental fence/replay migration, and the membership epoch
-        flips with the node ``left`` — after which the transport rejects
-        any straggler it might still publish.
+        (an *expected* departure — it leaves the HLS's capacities and
+        the heartbeat monitor's watch), the remaining nodes absorb its
+        kernels via the same incremental fence/replay migration, and it
+        has ``left`` once the ``scale.commit`` is out — after which the
+        transport rejects any straggler it might still publish.
         """
         with self._elastic_lock:
             rt = self._require_elastic_run()
-            live = rt.live_name(name)
-            if live is None:
-                raise SchedulerError(f"node {name!r} is not live")
-            if len(rt.exec_nodes) <= 1:
+            table = self.master.topology
+            if name not in table:
+                raise SchedulerError(
+                    f"node {name!r} is not live "
+                    f"(live nodes: {table.node_names()})"
+                )
+            if len(table) <= 1:
                 raise SchedulerError(
                     "cannot drain the last remaining node"
                 )
-            self.membership.transition(_member_name(self, name), "draining")
-            if rt.monitor is not None:
-                rt.monitor.mark_draining(live)
-            self.master.unregister(
-                live if live in self.master.topology.capacities()
-                else name
-            )
-            self._workers.pop(name, None)
+            table.transition(name, "draining")
             self._rescale(rt, reason=f"drain:{name}")
-            self.membership.transition(_member_name(self, name), "left")
+            table.transition(name, "left")
 
     # ------------------------------------------------------------------
     def _rescale(self, rt: _ClusterRun, reason: str) -> None:
         """Incrementally repartition and migrate (caller holds the
-        elastic lock and has already adjusted master capacity).
+        elastic lock and has already admitted / marked the node).
 
         Two-phase: ``scale.plan`` announces the intent; every live node
-        whose kernel set changes under the new assignment is fenced
-        (heartbeat grace → unsubscribe → wind down, reclaiming its
-        outstanding work) and a successor with the new subprogram is
-        built in recovery mode, re-learning the store history from the
-        transport's event log; ``scale.commit`` carries the epoch the
-        new routing is valid under.  A shared-counter token pins the run
-        for the whole window.
+        whose kernel set changes under the new assignment is replaced —
+        under its own name, with its new subprogram — by
+        :meth:`_ClusterRun.succession`; ``scale.commit`` carries the
+        epoch the new routing is valid under.
         """
         t0 = time.monotonic()
         tr_t0 = rt.tracer.now() if rt.tracer.enabled else 0.0
+        table = self.master.topology
         self.transport.publish(
             "scale.plan", "master",
-            {"reason": reason, "epoch": self.membership.epoch},
+            {"reason": reason, "epoch": table.epoch},
             control=True,
         )
         old = rt.assignment
-        with WorkToken(rt.counter, label=f"scale:{reason}"):
-            drivers = list(rt.drivers.values())
+        drivers = list(rt.drivers.values())
+        for drv in drivers:
+            drv.retirer.pause()  # no ages freed mid-copy
+        try:
+            new = self.master.plan_incremental(self.program)
+            changed = sorted(
+                n for n in set(old.nodes()) | set(new.nodes())
+                if old.kernels_for(n) != new.kernels_for(n)
+            )
+            moved = sum(
+                1 for k in self.program.kernels
+                if old.partition.assign.get(k) != new.partition.assign.get(k)
+            )
+            cores = {t.node: t.cores for t in table.nodes()}
+            done = rt.succession(
+                [n for n in changed if n in rt.exec_nodes],
+                {
+                    n: (self._subprogram(new, n), cores[n])
+                    for n in changed if new.kernels_for(n)
+                },
+                f"migration:{reason}",
+            )
+        finally:
             for drv in drivers:
-                drv.retirer.pause()
-            try:
-                new = self.master.plan_incremental(self.program)
-                old_sets = {
-                    n: set(old.kernels_for(n)) for n in old.nodes()
-                }
-                new_sets = {
-                    n: set(new.kernels_for(n)) for n in new.nodes()
-                }
-                changed = sorted(
-                    n for n in set(old_sets) | set(new_sets)
-                    if old_sets.get(n, set()) != new_sets.get(n, set())
-                )
-                moved = sum(
-                    1 for k in self.program.kernels
-                    if old.partition.assign.get(k)
-                    != new.partition.assign.get(k)
-                )
-                # Phase 1 — fence first, build after: a kernel must
-                # never have two live owners (the old node would trip
-                # write-once on a region its successor already stored).
-                fenced: list[str] = []
-                for assign_name in changed:
-                    live = rt.live_name(assign_name)
-                    if live is None:
-                        continue
-                    node = rt.exec_nodes.pop(live, None)
-                    if node is None:
-                        continue
-                    if rt.monitor is not None:
-                        rt.monitor.mark_draining(live)
-                    hb = rt.heartbeaters.pop(live, None)
-                    fence_node(
-                        node, self.transport,
-                        heartbeater=hb,
-                        injector=rt.faults,
-                        tracer=rt.tracer,
-                        reason=f"migration:{reason}",
-                    )
-                    if rt.monitor is not None:
-                        rt.monitor.unwatch(live)
-                    fenced.append(live)
-                # Phase 2 — build successors with the new subprograms
-                # and replay the event log into them.
-                built: list[str] = []
-                replayed = 0
-                for assign_name in changed:
-                    kernels = new_sets.get(assign_name)
-                    if not kernels:
-                        continue  # node lost everything (drain target)
-                    succ = rt.succeed(
-                        assign_name,
-                        self._subprogram(new, assign_name),
-                        self._workers_for(assign_name),
-                    )
-                    topics = _fetched_fields(succ.program)
-                    for msg in self.transport.replay(topics):
-                        succ.inject(msg.payload)
-                        replayed += 1
-                    built.append(assign_name)
-                # Retirement and liveness probes follow the new epoch.
-                nodes_now = list(rt.exec_nodes.values())
-                for drv in drivers:
-                    if nodes_now:
-                        drv.set_nodes(nodes_now)
-            finally:
-                for drv in drivers:
-                    drv.retirer.resume()
-        rt.assignment = new
-        epoch = self.membership.epoch
-        migration_s = time.monotonic() - t0
+                drv.retirer.resume()
+        epoch = table.epoch
         self.transport.publish(
             "scale.commit", "master",
             {"reason": reason, "epoch": epoch, "moved": moved},
             control=True,
         )
-        m = rt.metrics
-        if m is not None:
-            m.counter("elastic.migrations").inc()
-            m.counter("elastic.moved_kernels").inc(moved)
-            m.counter("elastic.replayed").inc(replayed)
-            m.histogram("elastic.migration_s").observe(migration_s)
-        if rt.tracer.enabled:
-            rt.tracer.instant(
-                "scale.plan", "elastic", "master", "elastic",
-                args={"reason": reason, "fenced": fenced,
-                      "built": built}, scope="g",
-            )
-            rt.tracer.complete(
-                f"migrate:{reason}", "elastic", "master", "elastic",
-                tr_t0, rt.tracer.now(),
-                args={"epoch": epoch, "moved": moved,
-                      "replayed": replayed},
-            )
-        rt.migrations.append(
+        rt.file_succession(
+            "elastic",
             MigrationRecord(
                 reason=reason,
                 epoch=epoch,
                 moved_kernels=moved,
-                fenced=tuple(fenced),
-                built=tuple(built),
-                replayed=replayed,
-                migration_s=migration_s,
-            )
+                fenced=done.fenced,
+                built=done.built,
+                replayed=done.replayed,
+                migration_s=time.monotonic() - t0,
+            ),
+            rt.migrations, event="scale.commit", span=f"migrate:{reason}",
+            tr_t0=tr_t0, timer="migration_s", migrations=1,
+            moved_kernels=moved, replayed=done.replayed,
         )
 
     def set_offered_rate(
@@ -1022,12 +967,3 @@ def _payload_bytes(ev: StoreEvent, dtype_size: Mapping[str, int]) -> int:
     """Payload size of a store event on the transport: every region of
     its group (a group crosses nodes as one publish, bytes exact)."""
     return ev.elements * dtype_size.get(ev.field, 8)
-
-
-def _member_name(cluster: Cluster, name: str) -> str:
-    """The membership entry for a drain target: the base name the node
-    was admitted under (recovery replacements are admitted under their
-    own ``~k`` names, so an exact match wins)."""
-    if cluster.membership.state(name) is not None:
-        return name
-    return _base_name(name)

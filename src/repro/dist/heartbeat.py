@@ -150,6 +150,7 @@ class HeartbeatMonitor:
         self._lock = threading.Lock()
         self._health: dict[str, _Health] = {}
         self._failed: dict[str, str] = {}  # node -> failure reason
+        self._transport = transport
         self._unsubscribe = transport.subscribe(
             LIVENESS_TOPIC, self.MONITOR_NAME, self._on_beat
         )
@@ -164,37 +165,6 @@ class HeartbeatMonitor:
         """Stop tracking ``name`` (it was recovered or wound down)."""
         with self._lock:
             self._health.pop(name, None)
-
-    def mark_draining(self, name: str) -> None:
-        """Expected departure: ``name`` is being drained on purpose.
-
-        A draining node goes silent the moment its fence stops the
-        heartbeater — without this grace state the monitor would declare
-        it failed and the recovery manager would resurrect a node the
-        cluster just decided to remove.  Draining nodes are exempt from
-        both silence and stall detection until :meth:`unwatch` (clean
-        drain completed) or :meth:`resume_watch` (drain aborted).
-        """
-        with self._lock:
-            h = self._health.get(name)
-            if h is not None:
-                h.draining = True
-
-    def resume_watch(self, name: str) -> None:
-        """Lift a :meth:`mark_draining` grace (drain aborted); the
-        timeout clock restarts now."""
-        now = time.monotonic()
-        with self._lock:
-            h = self._health.get(name)
-            if h is not None:
-                h.draining = False
-                h.last_seen = now
-                h.last_progress = now
-
-    def draining(self) -> list[str]:
-        """Nodes currently in the expected-departure grace state."""
-        with self._lock:
-            return sorted(n for n, h in self._health.items() if h.draining)
 
     def watched(self) -> list[str]:
         """Currently tracked node names."""
@@ -232,9 +202,13 @@ class HeartbeatMonitor:
         now = time.monotonic()
         out: list[str] = []
         detected: list[tuple[str, str, str]] = []  # (event, node, reason)
+        # An elastic run wires the node table into the transport; a node
+        # it says is ``draining`` is leaving on purpose.
+        table = self._transport.membership
+        view = table.view() if table is not None else None
         with self._lock:
             for name, h in list(self._health.items()):
-                if h.draining:
+                if view is not None and view.state(name) == "draining":
                     continue  # expected departure: silence is planned
                 if now - h.last_seen > self.timeout:
                     event = "heartbeat-silence"
@@ -275,10 +249,7 @@ class HeartbeatMonitor:
 class _Health:
     """Mutable per-node liveness record."""
 
-    __slots__ = (
-        "last_seen", "last_progress", "executed", "busy", "backlog",
-        "draining",
-    )
+    __slots__ = ("last_seen", "last_progress", "executed", "busy", "backlog")
 
     def __init__(self, last_seen: float, last_progress: float) -> None:
         self.last_seen = last_seen
@@ -286,4 +257,3 @@ class _Health:
         self.executed = 0
         self.busy = 0
         self.backlog = 0
-        self.draining = False

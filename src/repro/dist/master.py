@@ -69,10 +69,22 @@ class MasterNode:
         self.topology.remove(node)
 
     def on_failure(self, node: str) -> LocalTopology:
-        """The failure detector declared ``node`` dead: record it in the
-        failure history and drop it from the live topology.  Returns its
+        """The failure detector declared ``node`` dead.  Returns its
         topology report so a replacement can inherit the capacity."""
         return self.topology.mark_failed(node)
+
+    def replace(self, node: str, successor: str) -> None:
+        """``successor`` joins with ``node``'s resources to take over its
+        part, which is renamed in the same step: the assignment's parts
+        stay the topology's names."""
+        report = self.topology.report(node)
+        self.topology.add(LocalTopology(successor, report.processors),
+                          "joining")
+        prev = self.last_assignment
+        self.last_assignment = WorkloadAssignment(
+            prev.partition.renamed(node, successor),
+            prev.method, self.topology.epoch,
+        )
 
     def select_host(self, exclude: tuple[str, ...] = ()) -> str | None:
         """Surviving node with the highest CPU capacity (deterministic:

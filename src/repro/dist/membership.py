@@ -1,59 +1,34 @@
-"""Dynamic cluster membership and load-driven elasticity.
+"""Membership views and load-driven elasticity.
 
-The paper's master assumes a fixed node set; this module removes that
-assumption.  A :class:`MembershipTable`, owned by the master side of a
-cluster run, tracks every node's lifecycle state
-
-    ``joining -> active -> draining -> left``  (planned scale-in/out)
-    ``joining | active -> dead``               (failure detector)
-
-and stamps each transition with a monotonically increasing **epoch**.
-Immutable :class:`MembershipView` snapshots are broadcast on the
-:data:`MEMBERSHIP_TOPIC` control topic so every consumer — the
-transport's routing filter, the heartbeat monitor, telemetry — observes
-the same versioned node set instead of a frozen list.
-
-Scale decisions come from an :class:`ElasticityDriver`: it polls live
-signals (ready-queue depth per worker, per-tenant SLO burn from
-:mod:`repro.obs.slo`, or a time trigger for deterministic smoke tests)
-and asks the cluster to rescale.  The migration itself is two-phase —
-``scale.plan`` announces the intent, the PR 2 fence/repartition/replay
-path moves the kernels, ``scale.commit`` flips the epoch — so no new
-state-movement mechanism exists: a planned join or drain travels the
-exact machinery a node failure already exercises.
+The node registry itself is :class:`~repro.dist.topology.GlobalTopology`
+(one table, one epoch).  This module holds what travels from it — the
+immutable, epoch-stamped :class:`MembershipView` the table builds once
+per mutation, hands to the transport's routing filter and the heartbeat
+monitor, and (elastic runs) broadcasts on the :data:`MEMBERSHIP_TOPIC`
+control topic — and the :class:`ElasticityDriver` that decides *when* to
+rescale: it polls live signals (ready-queue depth per worker, per-tenant
+SLO burn from :mod:`repro.obs.slo`, or a time trigger for deterministic
+smoke tests) and asks the cluster for a node count.  The migration it
+triggers is the same succession routine a node failure runs
+(:meth:`repro.dist.cluster._ClusterRun.succession`, DESIGN.md §8).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 __all__ = [
     "MEMBERSHIP_TOPIC",
-    "NODE_STATES",
     "MembershipView",
-    "MembershipTable",
     "ElasticityConfig",
     "ElasticityDriver",
 ]
 
 #: Control topic carrying membership-view broadcasts.
 MEMBERSHIP_TOPIC = "__membership__"
-
-#: Legal node lifecycle states, in rough lifecycle order.
-NODE_STATES = ("joining", "active", "draining", "dead", "left")
-
-#: Allowed state transitions (from -> to).  ``joining`` may be entered
-#: from nothing (that is :meth:`MembershipTable.add`'s job).
-_TRANSITIONS = {
-    "joining": ("active", "dead", "left"),
-    "active": ("draining", "dead"),
-    "draining": ("left", "dead"),
-    "dead": (),
-    "left": (),
-}
 
 #: States whose traffic the transport still routes.  A draining node
 #: keeps sending until its fence completes; dead and departed nodes are
@@ -104,115 +79,6 @@ class MembershipView:
             "nodes": dict(sorted(self.states.items())),
             "active": list(self.active()),
         }
-
-
-class MembershipTable:
-    """The master-owned, versioned membership registry.
-
-    Every mutation bumps the epoch and (when a ``publish`` callback is
-    wired) broadcasts the fresh :class:`MembershipView`.  The table also
-    keeps the full transition history — the trace artifact CI uploads
-    when an elastic run fails.
-    """
-
-    def __init__(
-        self,
-        publish: "Callable[[MembershipView], None] | None" = None,
-    ) -> None:
-        self._lock = threading.Lock()
-        self._states: dict[str, str] = {}
-        self._epoch = 0
-        self._publish = publish
-        #: (epoch, node, state) per transition, in order.
-        self.history: list[tuple[int, str, str]] = []
-
-    def set_publish(
-        self, publish: "Callable[[MembershipView], None] | None"
-    ) -> None:
-        """Wire (or unwire) the view broadcast callback.
-
-        Construction-time admissions happen before a transport exists;
-        an elastic run attaches the broadcast here, after which every
-        transition publishes its fresh view.
-        """
-        self._publish = publish
-
-    # -- mutation ------------------------------------------------------
-    def add(self, node: str, state: str = "active") -> MembershipView:
-        """Admit ``node`` in ``state`` (default straight to active —
-        the static-membership construction path)."""
-        if state not in NODE_STATES:
-            raise ValueError(f"unknown membership state {state!r}")
-        with self._lock:
-            if self._states.get(node) in _ROUTABLE:
-                raise ValueError(f"node {node!r} is already a member")
-            view = self._set_locked(node, state)
-        self._notify(view)
-        return view
-
-    def transition(self, node: str, state: str) -> MembershipView:
-        """Move ``node`` to ``state``, enforcing the lifecycle order."""
-        if state not in NODE_STATES:
-            raise ValueError(f"unknown membership state {state!r}")
-        with self._lock:
-            current = self._states.get(node)
-            if current is None:
-                raise ValueError(f"node {node!r} is not a member")
-            if state != current and state not in _TRANSITIONS[current]:
-                raise ValueError(
-                    f"illegal membership transition for {node!r}: "
-                    f"{current} -> {state}"
-                )
-            if state == current:
-                return self._view_locked()
-            view = self._set_locked(node, state)
-        self._notify(view)
-        return view
-
-    def _set_locked(self, node: str, state: str) -> MembershipView:
-        self._states[node] = state
-        self._epoch += 1
-        self.history.append((self._epoch, node, state))
-        return self._view_locked()
-
-    def _notify(self, view: MembershipView) -> None:
-        # Broadcast outside the table lock: the publish callback walks
-        # the transport (its own lock), and the transport's routing
-        # filter calls back into :meth:`view` — publishing under the
-        # lock would order the two locks both ways.
-        publish = self._publish
-        if publish is not None:
-            publish(view)
-
-    # -- queries -------------------------------------------------------
-    def _view_locked(self) -> MembershipView:
-        return MembershipView(self._epoch, dict(self._states))
-
-    def view(self) -> MembershipView:
-        """Current immutable snapshot."""
-        with self._lock:
-            return self._view_locked()
-
-    @property
-    def epoch(self) -> int:
-        """Current membership epoch."""
-        with self._lock:
-            return self._epoch
-
-    def state(self, node: str) -> str | None:
-        """Current state of ``node`` (``None`` if never admitted)."""
-        with self._lock:
-            return self._states.get(node)
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot including the transition history tail."""
-        with self._lock:
-            doc = self._view_locked().as_dict()
-            doc["history"] = [
-                {"epoch": e, "node": n, "state": s}
-                for e, n, s in self.history[-100:]
-            ]
-            return doc
 
 
 # ----------------------------------------------------------------------

@@ -116,6 +116,13 @@ class Partition:
         if bad:
             raise PartitionError(f"nodes assigned to unknown parts: {bad[:5]}")
 
+    def renamed(self, old: str, new: str) -> "Partition":
+        """This partition with part ``old`` called ``new``."""
+        return Partition(
+            {n: new if p == old else p for n, p in self.assign.items()},
+            {new if p == old else p: c for p, c in self.capacities.items()},
+        )
+
     def copy(self) -> "Partition":
         """Deep-enough copy for move-based refinement."""
         return Partition(dict(self.assign), dict(self.capacities))

@@ -1,28 +1,29 @@
-"""Node-failure recovery for cluster runs.
+"""Node-failure recovery for cluster runs: the policy.
 
-Ties the pieces together: the :class:`~repro.dist.heartbeat
-.HeartbeatMonitor` detects a dead or wedged node; the
-:class:`RecoveryManager` fences it (unsubscribe, wind down, reclaim its
-outstanding work), updates the master's topology, and — within a bounded
-per-node restart budget with exponential backoff — spawns a replacement
-node that re-executes the dead node's kernels:
+The :class:`~repro.dist.heartbeat.HeartbeatMonitor` detects a dead or
+wedged node; the :class:`RecoveryManager` decides what happens next —
+within a bounded per-node restart budget with exponential backoff, a
+replacement ``<base>~<attempt>`` inherits the victim's resources and its
+part of the assignment — and hands the mechanics to the run's one
+succession routine (:meth:`repro.dist.cluster._ClusterRun.succession`,
+the path an elastic migration takes too; DESIGN.md §8), which fences the
+victim (:func:`fence_node`), marks it ``dead`` in the node table, builds
+the replacement and replays the transport's event log into it:
 
-1. the victim's frozen in-flight instances are re-enqueued directly
+1. the replay reconstructs the store history the victim had observed —
+   including events the victim itself published (needed after a ``drop``
+   partition, where *other* nodes missed them too: recovery skip-stores
+   re-announce every region);
+2. the victim's frozen in-flight instances are re-enqueued directly
    (:func:`reenqueue`);
-2. the transport's event log is replayed into the replacement's
-   analyzer, reconstructing the store history the victim had observed —
-   including events the victim itself published (needed after a
-   ``drop`` partition, where *other* nodes missed them too: recovery
-   skip-stores re-announce every region);
 3. write-once determinism makes re-execution safe: any region the
    victim already committed is skipped byte-identically, anything it
    never committed is produced for the first time.
 
-Throughout the detection→replacement window the manager holds a token
-on the cluster's shared work counter, so global quiescence cannot be
-(falsely) observed while kernels are owned by no live node.  When the
-restart budget is exhausted, or no registered node survives to host the
-kernels, the run is aborted with
+A token on the cluster's shared work counter is held throughout, so
+global quiescence cannot be (falsely) observed while kernels are owned
+by no live node.  When the restart budget is exhausted, or no registered
+node survives to host the kernels, the run is aborted with
 :class:`~repro.core.errors.NodeFailureError`.
 """
 
@@ -31,18 +32,17 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..core.errors import NodeFailureError
 from ..core.events import WorkToken
-from ..obs import MetricsRegistry, NULL_TRACER, Tracer
-from .topology import LocalTopology
+from ..obs import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.runtime import ExecutionNode, WorkCounter
+    from ..core.runtime import ExecutionNode
+    from .cluster import _ClusterRun
     from .faults import FaultInjector
-    from .heartbeat import Heartbeater, HeartbeatMonitor
-    from .master import MasterNode
+    from .heartbeat import Heartbeater
     from .transport import InProcTransport
 
 __all__ = [
@@ -131,15 +131,14 @@ def fence_node(
 ) -> int:
     """Fence a node out of the cluster and reclaim its work.
 
-    The one mechanism behind both *unplanned* departure (the recovery
-    manager fencing a node the failure detector declared dead) and
-    *planned* departure (an elastic migration draining a node whose
-    kernels move elsewhere): stop its heartbeat, cut every transport
-    subscription it holds (no deliveries to it, and its own late
-    publishes are already membership-rejected), wind it down fail-stop
-    and retire its outstanding work units.  Returns the number of
-    abandoned instances the successor must re-execute (via event-log
-    replay — write-once determinism makes the re-execution
+    The first half of a succession, for an *unplanned* departure (a
+    node the failure detector declared dead) and a *planned* one (an
+    elastic migration moving its kernels) alike: stop its heartbeat,
+    cut every transport subscription it holds (no deliveries to it, and
+    its own late publishes are already membership-rejected), wind it
+    down fail-stop and retire its outstanding work units.  Returns the
+    number of abandoned instances the successor must re-execute (via
+    event-log replay — write-once determinism makes the re-execution
     byte-identical).
     """
     name = node.name
@@ -163,39 +162,21 @@ def fence_node(
 class RecoveryManager:
     """Watches the failure detector and replaces dead nodes.
 
-    Runs its own daemon thread; the cluster run blocks on the shared
-    work counter, so detection and replacement proceed concurrently with
-    the surviving nodes' execution.  On an unrecoverable failure the
-    manager records the error, pokes the shared counter to unblock every
-    waiter, and stops — the cluster re-raises :attr:`error`.
+    The policy half of a recovery: poll the monitor, charge the restart
+    budget, back off, pick the name and host of the replacement,
+    re-enqueue the victim's captive instances — or give up with
+    :class:`~repro.core.errors.NodeFailureError`.  The mechanics are the
+    run's :meth:`~repro.dist.cluster._ClusterRun.succession`, entered
+    under the cluster's one membership lock, so a failure detected
+    during a migration is handled after its commit.  Runs its own daemon
+    thread; on an unrecoverable failure it records the error, pokes the
+    shared counter to unblock every waiter, and stops — the cluster
+    re-raises :attr:`error`.
     """
 
-    def __init__(
-        self,
-        *,
-        master: "MasterNode",
-        transport: "InProcTransport",
-        counter: "WorkCounter",
-        monitor: "HeartbeatMonitor",
-        config: RecoveryConfig,
-        nodes: dict[str, "ExecutionNode"],
-        heartbeaters: dict[str, "Heartbeater"],
-        spawn: Callable[["ExecutionNode", str], "ExecutionNode"],
-        injector: "FaultInjector | None" = None,
-        tracer: Tracer = NULL_TRACER,
-        metrics: "MetricsRegistry | None" = None,
-    ) -> None:
-        self._master = master
-        self._transport = transport
-        self._counter = counter
-        self._monitor = monitor
+    def __init__(self, run: "_ClusterRun", config: RecoveryConfig) -> None:
+        self._run = run
         self._config = config
-        self._nodes = nodes  # live node name -> ExecutionNode
-        self._heartbeaters = heartbeaters
-        self._spawn = spawn
-        self._injector = injector
-        self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._attempts: dict[str, int] = {}  # base name -> restarts used
         self._history: list[tuple[str, int]] = []  # (node, attempt)
         self.records: list[RecoveryRecord] = []
@@ -215,113 +196,75 @@ class RecoveryManager:
         self._thread.join()
 
     def _loop(self) -> None:
+        rt = self._run
         while not self._stop.wait(POLL_INTERVAL):
-            for name in self._monitor.check():
+            for name in rt.monitor.check():
                 try:
-                    self._handle_failure(name)
+                    with rt.cluster._elastic_lock:
+                        self._handle_failure(name)
                 except BaseException as exc:  # noqa: BLE001 - surfaced
                     self.error = exc
-                    if self._injector is not None:
-                        self._injector.drain_tokens()
-                    self._counter.poke()
+                    if rt.faults is not None:
+                        rt.faults.drain_tokens()
+                    rt.counter.poke()
                     return
 
     # ------------------------------------------------------------------
     def _handle_failure(self, name: str) -> None:
-        node = self._nodes.pop(name, None)
-        if node is None:
-            return
+        rt, master = self._run, self._run.cluster.master
+        node = rt.exec_nodes.get(name)
+        if node is None or name in rt.monitor.watched():
+            return  # a migration fenced it (and rebuilt the name) first
+        tr_t0 = rt.tracer.now()  # span times must use the tracer's clock
         t0 = time.monotonic()
-        tr_t0 = self.tracer.now()  # span times must use the tracer's clock
-        reason = self._monitor.failures().get(name, "unknown")
-        self.metrics.counter("recovery.node_failures").inc()
-        # Recovery token: keeps the shared counter nonzero for the whole
-        # window in which the dead node's kernels have no owner.
-        with WorkToken(self._counter, label=f"recover:{name}"):
-            hb = self._heartbeaters.pop(name, None)
-            # Fence the victim: no deliveries to it, no deliveries from
-            # it, outstanding work reclaimed.
-            abandoned = fence_node(
-                node, self._transport,
-                heartbeater=hb,
-                injector=self._injector,
-                tracer=self.tracer,
-                reason=reason,
+        reason = rt.monitor.failures().get(name, "unknown")
+        rt.metrics.counter("recovery.node_failures").inc()
+        base = _base_name(name)
+        attempt = self._attempts[base] = self._attempts.get(base, 0) + 1
+        self._history.append((name, attempt))
+        host = master.select_host(exclude=(name,))
+        why = None
+        if attempt > self._config.max_restarts:
+            why = (f"the restart budget for {base!r} is exhausted "
+                   f"({self._config.max_restarts} restart(s))")
+        elif host is None:
+            why = "no registered node survives to host its kernels"
+        if why is not None:
+            rt.succession([name], {}, reason, failed=True)
+            raise NodeFailureError(
+                f"node {name!r} failed ({reason}) and {why}",
+                failures=list(self._history),
             )
+        time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
+        repl_name = f"{base}~{attempt}"
+        master.replace(name, repl_name)
+        # Held past the succession's own token: the captive instances
+        # may be the only work the replacement has left.
+        with WorkToken(rt.counter, label=f"recover:{name}"):
+            done = rt.succession(
+                [name], {repl_name: (node.program, node.workers)}, reason,
+                failed=True,
+            )
+            master.topology.transition(repl_name, "active")
             captive = (
-                self._injector.captive_instances(name)
-                if self._injector is not None
-                else []
+                rt.faults.captive_instances(name)
+                if rt.faults is not None else []
             )
-            base = _base_name(name)
-            attempt = self._attempts.get(base, 0) + 1
-            self._attempts[base] = attempt
-            self._history.append((name, attempt))
-            topo = self._master.on_failure(name)
-            if attempt > self._config.max_restarts:
-                raise NodeFailureError(
-                    f"node {name!r} failed ({reason}) and the restart "
-                    f"budget for {base!r} is exhausted "
-                    f"({self._config.max_restarts} restart(s))",
-                    failures=list(self._history),
-                )
-            host = self._master.select_host()
-            if host is None:
-                raise NodeFailureError(
-                    f"node {name!r} failed ({reason}) and no registered "
-                    f"node survives to host its kernels",
-                    failures=list(self._history),
-                )
-            time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
-            repl_name = f"{base}~{attempt}"
-            self._master.register(
-                LocalTopology(repl_name, topo.processors)
-            )
-            repl = self._spawn(node, repl_name)
-            n_re = reenqueue(repl, captive)
-            topics = {
-                f.field
-                for k in repl.program.kernels.values()
-                for f in k.fetches
-            }
-            replayed = 0
-            for msg in self._transport.replay(topics):
-                repl.inject(msg.payload)
-                replayed += 1
-            self._nodes[repl_name] = repl
-            recovery_s = time.monotonic() - t0
-            repl.instrumentation.record_failure(
-                attempt, recovery_s, replayed
-            )
-            self.metrics.counter("recovery.reenqueued").inc(n_re)
-            self.metrics.counter("recovery.replayed").inc(replayed)
-            self.metrics.histogram("recovery.recovery_s").observe(recovery_s)
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "replay", "recovery", "master", "recovery",
-                    args={"replacement": repl_name, "replayed": replayed},
-                )
-                self.tracer.instant(
-                    "re-execution", "recovery", "master", "recovery",
-                    args={"failed": name, "replacement": repl_name,
-                          "host": host, "attempt": attempt,
-                          "reenqueued": n_re}, scope="g",
-                )
-                self.tracer.complete(
-                    f"recover:{name}", "recovery", "master", "recovery",
-                    tr_t0, self.tracer.now(),
-                    args={"replacement": repl_name, "reason": reason},
-                )
-            self.records.append(
-                RecoveryRecord(
-                    failed=name,
-                    replacement=repl_name,
-                    host=host,
-                    attempt=attempt,
-                    reason=reason,
-                    abandoned=abandoned,
-                    reenqueued=n_re,
-                    replayed=replayed,
-                    recovery_s=recovery_s,
-                )
-            )
+            n_re = reenqueue(rt.exec_nodes[repl_name], captive)
+        rt.file_succession(
+            "recovery",
+            RecoveryRecord(
+                failed=name,
+                replacement=repl_name,
+                host=host,
+                attempt=attempt,
+                reason=reason,
+                abandoned=done.abandoned,
+                reenqueued=n_re,
+                replayed=done.replayed,
+                recovery_s=time.monotonic() - t0,
+            ),
+            self.records, event="re-execution", span=f"recover:{name}",
+            tr_t0=tr_t0, timer="recovery_s", reenqueued=n_re,
+            replayed=done.replayed,
+        )

@@ -115,8 +115,9 @@ class InProcTransport:
         #: wiring): store-event deliveries record ``transport`` spans
         #: for the frame they carry.  ``None`` keeps publish untouched.
         self.timeline = None
-        #: Optional membership registry (set by an elastic cluster; any
-        #: object with a ``view()`` returning a
+        #: The node table (set by an elastic cluster to its
+        #: :class:`~repro.dist.topology.GlobalTopology`; any object with
+        #: a ``view()`` returning a
         #: :class:`~repro.dist.membership.MembershipView`).  When wired,
         #: every publish is epoch-stamped and a sender whose state is
         #: ``dead``/``left`` is rejected — the late-delivery fence that
@@ -223,9 +224,8 @@ class InProcTransport:
         epoch = -1
         mem = self.membership
         if mem is not None:
-            # Read the view before taking the transport lock: the
-            # membership table broadcasts through publish() and holds
-            # its own lock while snapshotting.
+            # The table's current view: one immutable object per epoch,
+            # read without its lock (it broadcasts through publish()).
             view = mem.view()
             if not view.routable(sender):
                 with self._lock:

@@ -34,3 +34,25 @@ def scalar_only(program):
     for kernel in getattr(program, "program", program).kernels.values():
         kernel.batch_body = None
     return program
+
+
+def assert_registries_agree(cluster, result):
+    """One node table (DESIGN.md §8): at the end of a cluster run the
+    master's topology, the assignment in force and the filed results
+    name the same nodes, and every migration's epoch is the table's."""
+    table = cluster.master.topology
+    view = table.view()
+    plan = result.assignment
+    assert plan is cluster.master.last_assignment
+    assert plan.nodes() == table.node_names()
+    # A result is filed as ``name`` or ``name#seq``; whoever filed one
+    # and has not died or left is exactly the parts that have kernels.
+    filed = {key.split("#")[0] for key in result.node_results}
+    assert all(view.state(n) is not None for n in filed)
+    assert {n for n in filed if view.state(n) not in ("dead", "left")} == {
+        n for n in plan.nodes() if plan.kernels_for(n)
+    }
+    assert {r.failed for r in result.recoveries} <= set(table.failed_nodes())
+    epochs = [m.epoch for m in result.migrations]
+    assert epochs == sorted(set(epochs))  # strictly increasing
+    assert all(e <= table.epoch for e in epochs)

@@ -6,8 +6,9 @@ The load-bearing properties:
   or drain) must be invisible in every session's output: fence +
   event-log replay re-derives exactly the state the moved kernels had.
 * **Clean drain is not a failure** — a planned drain never involves the
-  :class:`~repro.dist.recovery.RecoveryManager` (the heartbeat monitor
-  grants draining grace) and never truncates a stream.
+  :class:`~repro.dist.recovery.RecoveryManager` (the node table says
+  ``draining``, the succession unwatches before it fences) and never
+  truncates a stream.
 * **Chaos scale-out** — doubling the offered fps mid-run and scaling
   2→4 nodes keeps the gold tier at zero sheds, with the migration
   travelling ``scale.plan``/``scale.commit`` and flipping the
@@ -23,6 +24,7 @@ from repro.core import SchedulerError
 from repro.dist import Cluster, ElasticityConfig, RecoveryConfig
 from repro.stream import StreamConfig, merge_sessions
 from repro.workloads import MJPEGConfig, build_mjpeg_stream, mjpeg_baseline
+from tests.conftest import assert_registries_agree
 
 FAST = RecoveryConfig(heartbeat_interval=0.01, heartbeat_timeout=0.5)
 
@@ -63,6 +65,7 @@ def run_elastic(cluster, scale, *, delay=0.12, **run_kw):
     fired.wait(timeout=30)
     if failures:
         raise failures[0]
+    assert_registries_agree(cluster, result)
     return result
 
 
@@ -123,6 +126,7 @@ class TestJoin:
         assert result.membership is None
         assert result.transport.stale_rejects == 0
         assert sink.stream() == mjpeg_baseline(config=cfg)
+        assert_registries_agree(cluster, result)
 
 
 class TestDrain:
@@ -246,6 +250,7 @@ class TestChaosScaleOut:
                 cooldown=0.0, queue_high=1e9, queue_low=-1.0,
             ),
         )
+        assert_registries_agree(cluster, result)
         assert result.reason == "idle"
         assert len(result.migrations) == 1
         assert result.migrations[0].reason == "join:node0"

@@ -27,6 +27,7 @@ from repro.dist import (
     RecoveryConfig,
 )
 from repro.media import synthetic_sequence
+from repro.obs import flatten
 from repro.workloads import (
     MJPEGConfig,
     build_kmeans,
@@ -36,12 +37,21 @@ from repro.workloads import (
     kmeans_baseline,
     mjpeg_baseline,
 )
+from tests.conftest import assert_registries_agree
 
 FAST = RecoveryConfig(heartbeat_interval=0.01, heartbeat_timeout=0.1)
 
 
 def injector(*specs: FaultSpec) -> FaultInjector:
     return FaultInjector(FaultSchedule(specs))
+
+
+def run(program, nodes, transport=None, **kw):
+    """``Cluster(...).run(**kw)``, then the one-table invariant."""
+    cluster = Cluster(program, nodes, transport)
+    res = cluster.run(**kw)
+    assert_registries_agree(cluster, res)
+    return res
 
 
 class TestFaultSchedule:
@@ -194,7 +204,8 @@ class TestInjectorUnit:
 class TestKillRecovery:
     def test_mulsum_bit_identical_after_kill(self):
         program, sink = build_mulsum()
-        res = Cluster(program, {"a": 2, "b": 2}).run(
+        res = run(
+            program, {"a": 2, "b": 2},
             max_age=3, timeout=60,
             faults=injector(FaultSpec("a", "kill", 3)), recovery=FAST,
         )
@@ -212,7 +223,8 @@ class TestKillRecovery:
     def test_kill_fires_on_schedule_under_batching(self):
         program, sink = build_mulsum()
         inj = injector(FaultSpec("a", "kill", 3))
-        res = Cluster(program, {"a": 2, "b": 2}).run(
+        res = run(
+            program, {"a": 2, "b": 2},
             max_age=3, timeout=60, batch=32, faults=inj, recovery=FAST,
         )
         assert res.reason == "idle"
@@ -231,7 +243,8 @@ class TestKillRecovery:
         cfg = MJPEGConfig(width=64, height=64, frames=3)
         clip = synthetic_sequence(3, 64, 64, cfg.seed)
         program, sink = build_mjpeg(clip, cfg)
-        res = Cluster(program, {"a": 2, "b": 1, "c": 1}).run(
+        res = run(
+            program, {"a": 2, "b": 1, "c": 1},
             timeout=300,
             faults=injector(FaultSpec(victim, "kill", 1)), recovery=FAST,
         )
@@ -242,7 +255,8 @@ class TestKillRecovery:
     def test_kmeans_centroids_identical_after_kill(self):
         program, sink = build_kmeans(n=60, k=5, iterations=3,
                                      granularity="point")
-        res = Cluster(program, {"a": 2, "b": 1, "c": 1}).run(
+        res = run(
+            program, {"a": 2, "b": 1, "c": 1},
             timeout=120,
             faults=injector(FaultSpec("b", "kill", 2)), recovery=FAST,
         )
@@ -253,25 +267,42 @@ class TestKillRecovery:
 
     def test_recovery_instrumentation_counters(self):
         program, sink = build_mulsum()
-        res = Cluster(program, {"a": 2, "b": 2}).run(
+        res = run(
+            program, {"a": 2, "b": 2},
             max_age=3, timeout=60,
             faults=injector(FaultSpec("a", "kill", 2)), recovery=FAST,
         )
-        instr = res.instrumentation
-        assert instr.node_failures == 1
-        assert instr.recovery_retries == 1
-        assert instr.recovery_time > 0
-        assert instr.replayed_events > 0
+        # A recovery is recorded once: the record and the recovery.*
+        # metrics (the kernel-stats collector carries no copy).
+        (rec,) = res.recoveries
+        assert rec.attempt == 1
+        assert rec.recovery_s > 0
+        assert rec.replayed > 0
+        flat = flatten(res.metrics.snapshot())
+        assert flat["recovery.node_failures"] == 1
+        assert flat["recovery.replayed"] == rec.replayed
+        assert flat["recovery.reenqueued"] == rec.reenqueued
+        assert flat["recovery.recovery_s.count"] == 1
+        assert not hasattr(res.instrumentation, "node_failures")
 
     def test_topology_records_failure(self):
+        """Without ``elastic=`` too, the one table carries the whole
+        story and the assignment follows the rename."""
         program, sink = build_mulsum()
         cluster = Cluster(program, {"a": 2, "b": 2})
-        cluster.run(
+        res = cluster.run(
             max_age=3, timeout=60,
             faults=injector(FaultSpec("b", "kill", 2)), recovery=FAST,
         )
-        assert cluster.master.topology.failed_nodes() == ["b"]
-        assert "b~1" in cluster.master.topology.node_names()
+        table = cluster.master.topology
+        assert table.failed_nodes() == ["b"]
+        assert table.node_names() == ["a", "b~1"]
+        assert table.state("b") == "dead"
+        assert table.state("b~1") == "active"
+        assert res.assignment.nodes() == ["a", "b~1"]
+        assert res.membership is None  # not an elastic run
+        assert cluster.transport.membership is None
+        assert_registries_agree(cluster, res)
 
 
 class TestOtherFaultKinds:
@@ -280,7 +311,8 @@ class TestOtherFaultKinds:
         the log; replay plus re-announcing skip-stores feeds the starved
         consumers."""
         program, sink = build_mulsum()
-        res = Cluster(program, {"a": 2, "b": 2}).run(
+        res = run(
+            program, {"a": 2, "b": 2},
             max_age=3, timeout=60,
             faults=injector(FaultSpec("a", "drop", 2)), recovery=FAST,
         )
@@ -295,7 +327,8 @@ class TestOtherFaultKinds:
         cfg = RecoveryConfig(heartbeat_interval=0.01,
                              heartbeat_timeout=2.0,
                              progress_timeout=0.15)
-        res = Cluster(program, {"a": 2, "b": 2}).run(
+        res = run(
+            program, {"a": 2, "b": 2},
             max_age=3, timeout=60,
             faults=injector(FaultSpec("a", "stall", 2)), recovery=cfg,
         )
@@ -341,7 +374,7 @@ class TestOptIn:
         event log, stats identical to the pre-fault-tolerance layer."""
         program, _ = build_mulsum()
         transport = InProcTransport()
-        Cluster(program, {"solo": 2}, transport).run(max_age=1, timeout=60)
+        run(program, {"solo": 2}, transport, max_age=1, timeout=60)
         assert transport.stats.messages == 0
         assert transport.log_size() == 0
 
@@ -350,7 +383,8 @@ class TestOptIn:
         accounting even with recovery armed."""
         program, sink = build_mulsum()
         transport = InProcTransport()
-        res = Cluster(program, {"solo": 2}, transport).run(
+        res = run(
+            program, {"solo": 2}, transport,
             max_age=1, timeout=60, recovery=FAST,
         )
         assert res.reason == "idle"

@@ -1,7 +1,5 @@
-"""Unit tests for dynamic membership, elasticity policy and the
-incremental repartitioner."""
-
-import time
+"""Unit tests for the elasticity policy and the incremental
+repartitioner (the node table itself: ``test_topology.py``)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +8,6 @@ from repro.core.graph import Digraph
 from repro.dist import (
     ElasticityConfig,
     ElasticityDriver,
-    HeartbeatMonitor,
-    InProcTransport,
-    MEMBERSHIP_TOPIC,
-    MembershipTable,
-    MembershipView,
     incremental_partition,
     greedy_partition,
 )
@@ -27,164 +20,6 @@ def chain_graph(n=6, weight=1.0):
     for i in range(n - 1):
         g.add_edge(f"k{i}", f"k{i+1}", weight=1.0)
     return g
-
-
-class TestMembershipTable:
-    def test_add_and_view(self):
-        t = MembershipTable()
-        t.add("a")
-        t.add("b", "joining")
-        v = t.view()
-        assert v.epoch == 2
-        assert v.state("a") == "active"
-        assert v.state("b") == "joining"
-        assert v.active() == ("a",)
-        assert set(v.live()) == {"a"}
-
-    def test_epoch_monotone_per_transition(self):
-        t = MembershipTable()
-        t.add("a")
-        e0 = t.epoch
-        t.transition("a", "draining")
-        t.transition("a", "left")
-        assert t.epoch == e0 + 2
-        assert [s for _, _, s in t.history] == ["active", "draining", "left"]
-
-    def test_same_state_transition_is_noop(self):
-        t = MembershipTable()
-        t.add("a")
-        e0 = t.epoch
-        t.transition("a", "active")
-        assert t.epoch == e0
-
-    def test_illegal_transitions_rejected(self):
-        t = MembershipTable()
-        t.add("a")
-        t.transition("a", "dead")
-        with pytest.raises(ValueError):
-            t.transition("a", "active")
-        with pytest.raises(ValueError):
-            t.transition("nope", "active")
-        with pytest.raises(ValueError):
-            t.add("x", "zombie")
-
-    def test_readd_of_live_member_rejected(self):
-        t = MembershipTable()
-        t.add("a")
-        with pytest.raises(ValueError):
-            t.add("a")
-        # a departed name may rejoin
-        t.transition("a", "draining")
-        t.transition("a", "left")
-        t.add("a", "joining")
-        assert t.state("a") == "joining"
-
-    def test_publish_fires_outside_lock(self):
-        views = []
-        t = MembershipTable()
-        t.set_publish(
-            # Re-entering the table from the callback deadlocks if the
-            # broadcast were made under the lock.
-            lambda v: views.append((v.epoch, t.epoch))
-        )
-        t.add("a")
-        t.transition("a", "draining")
-        assert views == [(1, 1), (2, 2)]
-
-    def test_routable(self):
-        t = MembershipTable()
-        t.add("a")
-        t.add("b", "draining")
-        v = t.view()
-        assert v.routable("a")
-        assert v.routable("b")  # draining still sends until fenced
-        assert v.routable("master")  # unknown control endpoints pass
-        t.transition("a", "dead")
-        assert not t.view().routable("a")
-
-    def test_as_dict_has_history(self):
-        t = MembershipTable()
-        t.add("a")
-        doc = t.as_dict()
-        assert doc["epoch"] == 1
-        assert doc["nodes"] == {"a": "active"}
-        assert doc["history"][-1]["state"] == "active"
-
-
-class TestTransportMembershipGate:
-    def test_epoch_stamped_and_stale_rejected(self):
-        t = InProcTransport()
-        table = MembershipTable()
-        table.add("n1")
-        t.membership = table
-        got = []
-        t.subscribe("f", "n2", got.append)
-        assert t.publish("f", "n1", "x") == 1
-        assert got[0].epoch == 1  # stamped with the view's epoch
-        table.transition("n1", "dead")
-        assert t.publish("f", "n1", "late") == 0
-        assert t.stats.stale_rejects == 1
-        assert len(got) == 1  # the late delivery never arrived
-
-    def test_left_sender_rejected_unknown_passes(self):
-        t = InProcTransport()
-        table = MembershipTable()
-        table.add("n1", "draining")
-        t.membership = table
-        got = []
-        t.subscribe("f", "n2", got.append)
-        assert t.publish("f", "n1", "ok") == 1  # draining still routes
-        table.transition("n1", "left")
-        assert t.publish("f", "n1", "late") == 0
-        assert t.publish("f", "stream-source", "ok") == 1
-        assert t.stats.stale_rejects == 1
-
-    def test_rejected_publish_never_logged(self):
-        t = InProcTransport()
-        t.enable_log()
-        table = MembershipTable()
-        table.add("n1")
-        table.transition("n1", "dead")
-        t.membership = table
-        t.publish("f", "n1", "late")
-        assert list(t.replay({"f"})) == []
-
-    def test_view_broadcast_on_control_topic(self):
-        t = InProcTransport()
-        table = MembershipTable()
-        got = []
-        t.subscribe(MEMBERSHIP_TOPIC, "n1", got.append)
-        table.set_publish(
-            lambda v: t.publish(MEMBERSHIP_TOPIC, "master", v, control=True)
-        )
-        table.add("n1")
-        table.add("n2", "joining")
-        assert [m.payload.epoch for m in got] == [1, 2]
-        assert isinstance(got[-1].payload, MembershipView)
-        assert got[-1].payload.state("n2") == "joining"
-
-
-class TestHeartbeatDrainingGrace:
-    def test_draining_silence_is_not_failure(self):
-        t = InProcTransport()
-        mon = HeartbeatMonitor(t, timeout=0.03)
-        mon.watch("n1")
-        mon.mark_draining("n1")
-        time.sleep(0.06)
-        assert mon.check() == []  # planned silence: no failure report
-        assert mon.failures() == {}
-        assert mon.draining() == ["n1"]
-
-    def test_resume_watch_rearms_detection(self):
-        t = InProcTransport()
-        mon = HeartbeatMonitor(t, timeout=0.03)
-        mon.watch("n1")
-        mon.mark_draining("n1")
-        time.sleep(0.05)
-        mon.resume_watch("n1")
-        assert mon.check() == []  # clocks restarted at resume
-        time.sleep(0.05)
-        assert mon.check() == ["n1"]
 
 
 class TestIncrementalPartition:
@@ -334,37 +169,3 @@ class TestElasticityDriver:
             ElasticityConfig(min_nodes=0)
         with pytest.raises(ValueError):
             ElasticityConfig(interval=0)
-
-
-@given(
-    ops=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=3)),
-        max_size=12,
-    )
-)
-@settings(max_examples=60, deadline=None)
-def test_membership_interleaving_property(ops):
-    """Any interleaving of joins and drains keeps the table legal:
-    epochs strictly increase per transition, live nodes are unique, and
-    the history replays to the final state."""
-    t = MembershipTable()
-    last_epoch = 0
-    for is_join, idx in ops:
-        name = f"n{idx}"
-        state = t.state(name)
-        if is_join:
-            if state in ("joining", "active", "draining"):
-                continue
-            t.add(name, "joining")
-            t.transition(name, "active")
-        else:
-            if state != "active":
-                continue
-            t.transition(name, "draining")
-            t.transition(name, "left")
-        assert t.epoch > last_epoch
-        last_epoch = t.epoch
-    replayed = {}
-    for _, node, state in t.history:
-        replayed[node] = state
-    assert replayed == t.view().states

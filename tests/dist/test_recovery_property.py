@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dist import Cluster, FaultInjector, FaultSchedule, FaultSpec, RecoveryConfig
 from repro.workloads import build_mulsum, expected_series
+from tests.conftest import assert_registries_agree
 
 FAST = RecoveryConfig(heartbeat_interval=0.01, heartbeat_timeout=0.1)
 
@@ -25,12 +26,14 @@ MAX_AGE = 3
 def run_cluster(n_nodes: int, faults: FaultInjector | None):
     program, sink = build_mulsum()
     workers = {f"n{i}": 2 for i in range(n_nodes)}
-    result = Cluster(program, workers).run(
+    cluster = Cluster(program, workers)
+    result = cluster.run(
         max_age=MAX_AGE,
         timeout=120,  # hang watchdog: quiescence must arrive well before
         faults=faults,
         recovery=FAST if faults is not None else None,
     )
+    assert_registries_agree(cluster, result)
     return result, sink
 
 

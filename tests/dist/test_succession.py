@@ -1,0 +1,199 @@
+"""Recovery and migration interleaved: one node table, one succession
+path (DESIGN.md §8).
+
+Every run is elastic *and* fault-tolerant — two 32×32 MJPEG sessions on
+``{n0, n1}`` — and must end idle with each session's bytes equal to its
+solo baseline and the registries in agreement.  What is pinned on top:
+a node has one name (its live one) in the table, the assignment and the
+public API, so a join after a recovery moves exactly what a join without
+one moves; and a failure detected while the membership lock is held is
+handled after it is released.
+"""
+
+import threading
+import time
+
+import pytest
+
+from repro.core import SchedulerError
+from repro.dist import (
+    Cluster,
+    FaultInjector,
+    FaultSchedule,
+    FaultSpec,
+    RecoveryConfig,
+)
+from repro.stream import SessionSpec, StreamConfig, merge_sessions
+from repro.workloads import MJPEGConfig, build_mjpeg_stream, mjpeg_baseline
+from tests.conftest import assert_registries_agree
+
+FAST = RecoveryConfig(heartbeat_interval=0.01, heartbeat_timeout=0.1)
+#: Runs that schedule no kill: a loaded host must not fake one.
+CALM = RecoveryConfig(heartbeat_interval=0.01, heartbeat_timeout=0.5)
+FRAMES = 60
+
+
+def wait_for(cond, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def run(*kills, scale=None, before=None):
+    """One run.  ``scale(cluster)`` fires from a side thread once the
+    run is up; ``before(cluster)`` runs on it before the run starts."""
+    specs, sinks, cfgs = [], {}, {}
+    for i in range(2):
+        cfg = MJPEGConfig(width=32, height=32, frames=FRAMES, seed=500 + i)
+        program, sink, binding = build_mjpeg_stream(
+            cfg, StreamConfig(fps=100, max_frames=FRAMES, lag_window=8)
+        )
+        specs.append(SessionSpec(f"s{i}", program, binding))
+        sinks[f"s{i}"], cfgs[f"s{i}"] = sink, cfg
+    cluster = Cluster(merge_sessions(specs), {"n0": 2, "n1": 2})
+    failures = []
+    ready = threading.Event()
+
+    def side():
+        try:
+            if before is not None:
+                before(cluster)
+            ready.set()
+            wait_for(lambda: cluster._rt is not None and cluster._rt.running,
+                     "the run to start")
+            if scale is not None:
+                scale(cluster)
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            failures.append(exc)
+            ready.set()
+
+    t = threading.Thread(target=side, daemon=True)
+    t.start()
+    ready.wait(30)
+    result = cluster.run(
+        sessions=specs, timeout=300, stall_timeout=120, elastic=True,
+        recovery=FAST if kills else CALM,
+        faults=FaultInjector(FaultSchedule(kills)) if kills else None,
+    )
+    t.join(30)
+    if failures:
+        raise failures[0]
+    assert result.reason == "idle"
+    for name, sink in sinks.items():
+        r = result.stream.sessions[name]
+        assert r.offered == r.completed == FRAMES
+        assert sink.stream() == mjpeg_baseline(config=cfgs[name])
+    assert_registries_agree(cluster, result)
+    return cluster, result
+
+
+def recovered(cluster, n=1):
+    wait_for(lambda: len(cluster._rt.manager.records) >= n,
+             f"{n} recovery record(s)")
+
+
+class TestInterleavings:
+    def test_kill_then_join_moves_what_a_plain_join_moves(self):
+        def join(c):
+            time.sleep(0.15)
+            c.add_node("n2", workers=2)
+
+        def join_after_recovery(c):
+            recovered(c)
+            c.add_node("n2", workers=2)
+
+        _, control = run(scale=join)
+        cluster, result = run(FaultSpec("n1", "kill", 6),
+                              scale=join_after_recovery)
+        assert [(r.failed, r.replacement) for r in result.recoveries] == [
+            ("n1", "n1~1")
+        ]
+        (mig,), (ctrl,) = result.migrations, control.migrations
+        assert mig.reason == ctrl.reason == "join:n2"
+        # The recovered node's kernels are its own, not orphans of a
+        # departed ``n1``: only what the newcomer takes has moved.
+        assert mig.moved_kernels == ctrl.moved_kernels
+        plan = result.assignment
+        assert mig.moved_kernels == len(plan.kernels_for("n2"))
+        assert plan.nodes() == ["n0", "n1~1", "n2"]
+        assert plan.kernels_for("n1~1")
+        assert result.membership["nodes"] == {
+            "n0": "active", "n1": "dead", "n1~1": "active", "n2": "active",
+        }
+
+    def test_join_then_kill(self):
+        """The newcomer itself dies (its fault can only fire once the
+        join built it) and is replaced under the one lock."""
+        cluster, result = run(
+            FaultSpec("n2", "kill", 4),
+            scale=lambda c: c.add_node("n2", workers=2),
+        )
+        assert [m.reason for m in result.migrations] == ["join:n2"]
+        assert [(r.failed, r.replacement) for r in result.recoveries] == [
+            ("n2", "n2~1")
+        ]
+        assert result.membership["nodes"] == {
+            "n0": "active", "n1": "active", "n2": "dead", "n2~1": "active",
+        }
+        assert result.assignment.nodes() == ["n0", "n1", "n2~1"]
+
+    def test_drain_a_recovered_node_by_its_exact_name(self):
+        def drain(c):
+            recovered(c)
+            with pytest.raises(SchedulerError, match="n1~1"):
+                c.drain_node("n1")  # the dead incarnation is not live
+            c.drain_node("n1~1")
+
+        cluster, result = run(FaultSpec("n1", "kill", 6), scale=drain)
+        assert len(result.recoveries) == 1
+        (mig,) = result.migrations
+        assert mig.reason == "drain:n1~1"
+        assert "n1~1" in mig.fenced and "n1~1" not in mig.built
+        assert result.membership["nodes"] == {
+            "n0": "active", "n1": "dead", "n1~1": "left",
+        }
+        assert result.assignment.nodes() == ["n0"]
+
+    def test_unknown_and_duplicate_names_are_scheduler_errors(self):
+        def scale(c):
+            with pytest.raises(SchedulerError, match=r"\['n0', 'n1'\]"):
+                c.drain_node("ghost")
+            with pytest.raises(SchedulerError, match="already exists"):
+                c.add_node("n1")
+
+        _, result = run(scale=scale)
+        assert result.migrations == [] and result.recoveries == []
+
+
+class TestOneLock:
+    def test_failure_detected_under_a_held_lock_waits_for_it(self):
+        """Recovery and migration serialise on ``_elastic_lock``: while
+        it is held (as a migration holds it) a detected failure is not
+        acted on — no record, the table unchanged — and is handled once
+        it is released."""
+        seen = {}
+
+        def hold(c):
+            c._elastic_lock.acquire()
+
+        def release(c):
+            try:
+                rt = c._rt
+                wait_for(lambda: "n1" in rt.monitor.failures(),
+                         "the monitor to declare n1 failed")
+                time.sleep(0.05)  # the manager is parked on the lock
+                seen["records"] = list(rt.manager.records)
+                seen["state"] = c.master.topology.state("n1")
+                seen["nodes"] = sorted(rt.exec_nodes)
+            finally:
+                c._elastic_lock.release()
+
+        cluster, result = run(FaultSpec("n1", "kill", 6),
+                              before=hold, scale=release)
+        assert seen == {"records": [], "state": "active",
+                        "nodes": ["n0", "n1"]}
+        assert [(r.failed, r.replacement) for r in result.recoveries] == [
+            ("n1", "n1~1")
+        ]
+        assert cluster.master.topology.state("n1") == "dead"

@@ -128,9 +128,11 @@ class TestNodeKillChaos:
 
     def _run(self, faults):
         from repro.dist import Cluster, RecoveryConfig
+        from tests.conftest import assert_registries_agree
 
         program, sink = build_mulsum()
-        result = Cluster(program, dict(self.NODES)).run(
+        cluster = Cluster(program, dict(self.NODES))
+        result = cluster.run(
             max_age=3,
             timeout=120,
             faults=faults,
@@ -138,6 +140,7 @@ class TestNodeKillChaos:
                 heartbeat_interval=0.01, heartbeat_timeout=0.1
             ),
         )
+        assert_registries_agree(cluster, result)
         return result, sink
 
     def _dump_repro(self, schedule, seed):

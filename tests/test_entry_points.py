@@ -15,7 +15,7 @@ import repro.core
 import repro.sim
 from repro.cli import build_parser
 from repro.core import ExecutionNode, run_program
-from repro.dist import Cluster
+from repro.dist import Cluster, RecoveryManager
 from repro.ops import compile_ops
 from repro.stream import SessionManager, StreamConfig, StreamDriver
 from repro.workloads import (
@@ -55,10 +55,18 @@ SURFACE = {
         "self", "binding", "node", "nodes", "program", "inject",
         "on_grant", "clock", "session", "scope", "telemetry",
     },
+    Cluster.__init__: {"self", "program", "nodes", "transport"},
     Cluster.run: RUN | {
         "self", "assignment", "faults", "recovery", "stream", "sessions",
         "elastic",
     },
+    # Membership operations name a node by its one (live) name.
+    Cluster.add_node: {"self", "name", "workers"},
+    Cluster.drain_node: {"self", "name"},
+    Cluster.set_offered_rate: {"self", "fps", "session"},
+    # The policy half of a recovery: the run it watches and its config,
+    # no alias of the run's registries.
+    RecoveryManager.__init__: {"self", "run", "config"},
 }
 
 
