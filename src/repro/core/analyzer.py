@@ -205,7 +205,7 @@ class DependencyAnalyzer:
         at least one store schedules instance ``a + 1`` (section VII-B:
         "the read loop ends when the kernel stops storing")."""
         k = ev.instance.kernel
-        if not (k.is_source and k.has_age):
+        if not k.self_advances:
             return []
         assert ev.instance.age is not None
         nxt_age = ev.instance.age + 1
@@ -257,8 +257,23 @@ class DependencyAnalyzer:
     ) -> list[KernelInstance]:
         """Find every not-yet-dispatched, fully satisfied combination in
         the union of ``boxes`` (``None``: the whole domain), and prune
-        the age from the pending set once its domain is exhausted."""
+        the age from the pending set once its domain is exhausted.
+
+        The O(1) whole-field question comes first: while a whole-field
+        operand is incomplete nothing is runnable, and an age with no
+        dispatched instance cannot be pruned, so neither the counts nor
+        the domain are built (K-means' ``refine`` is asked once per
+        ``distances`` store).  Otherwise the counts are taken *before*
+        the fetches are probed, as always: extents only grow, so a field
+        found complete afterwards covers every combination of the
+        domain."""
         name = kernel.name
+        if not self._dispatched[name].get(age):
+            for f in kernel.fetches:
+                if f.whole_field() and not self.fields[f.field].is_complete(
+                    f.age.resolve(age), None
+                ):
+                    return []
         index_vars = kernel.index_vars
         counts = kernel.index_counts(self._extent_of)
         domain = [range(counts.get(v, 0)) for v in index_vars]

@@ -99,7 +99,7 @@ class ExecutionBackend:
         """Run a claim — one or more instances of the *same* kernel
         definition and age (see
         :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) — on behalf of
-        worker ``worker_id`` and post its store/done events.  Called
+        worker ``worker_id`` and post its events.  Called
         from the node's worker threads."""
         raise NotImplementedError
 
@@ -547,7 +547,7 @@ class ProcessBackend(ExecutionBackend):
         round trip per worker per wavefront, not per instance and not
         per ``batch``.  The node's commit tail applies the reply's
         stores and announces them as one event per (field, age), plus
-        one done event."""
+        one done event where the analyzer acts on it."""
         node = self._node
         assert node is not None
         first = batch[0]

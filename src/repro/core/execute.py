@@ -138,7 +138,17 @@ def _run_scalar(
     happen; a whole-field operand is read once and seen by every
     instance, as in the stacked form.  ``base`` is the position of
     ``indices[0]`` in the claim, ``dropped`` 1 when these instances are
-    a stack that was tried stacked first."""
+    a stack that was tried stacked first.
+
+    What does not change per instance is not derived per instance, and
+    no plan object is built for it: the specs carry their own facts
+    (``whole_field()``, ``stencil``, ``emit_key``, derived when a spec
+    is made), so the loop needs no state beyond the claim's — the body
+    sees the caller's pooled ``ctx``, a whole-field operand is read once
+    per claim, and the return shape is :func:`run_batch`'s, which the
+    worker reply and the commit tail share.  Only a stencil fetch, the
+    one kind whose region can be empty, is probed for an absent
+    neighbour."""
     clock = time.perf_counter
     index_vars = kernel.index_vars
     fields = mem.fields
@@ -159,7 +169,7 @@ def _run_scalar(
                     value = whole[f.param] = mem.read(field, f_age, None)
             else:
                 region = f.region(imap, field.extent)
-                if any(s.stop <= s.start for s in region):
+                if f.stencil and any(s.stop <= s.start for s in region):
                     # absent shrink-boundary neighbour: empty array
                     shape = tuple(
                         max(0, s.stop - s.start) for s in region

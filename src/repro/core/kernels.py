@@ -268,23 +268,38 @@ class FetchSpec:
     age: AgeExpr = dc_field(default_factory=AgeExpr)
     dims: tuple[Dim, ...] = ()
     scalar: bool = False
+    #: Whether a dimension carries a stencil offset — only then can an
+    #: instance's region be empty.
+    stencil: bool = dc_field(init=False, repr=False, compare=False)
+    # What :meth:`vars` / :meth:`whole_field` answer, derived once here:
+    # the scalar loop (:mod:`repro.core.execute`) asks per instance and
+    # the analyzer per event.
+    _vars: tuple[str, ...] = dc_field(init=False, repr=False, compare=False)
+    _whole: bool = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        dims = self.dims
+        set_ = object.__setattr__
+        set_(self, "stencil", any(d.offset for d in dims if not d.is_all))
+        set_(self, "_vars", tuple(d.var for d in dims if not d.is_all))
+        set_(self, "_whole", all(d.is_all for d in dims))
 
     def vars(self) -> tuple[str, ...]:
         """Index variables this fetch binds, in dimension order."""
-        return tuple(d.var for d in self.dims if not d.is_all)
+        return self._vars
 
     def whole_field(self) -> bool:
         """Whether every dimension is ``all`` (fetches the entire field)."""
-        return all(d.is_all for d in self.dims)
+        return self._whole
 
     def region(
         self, index: Mapping[str, int], extent: tuple[int, ...]
     ) -> IndexExpr:
         """Concrete region for an instance's index-variable assignment."""
-        return tuple(
-            d.region(index[d.var] if not d.is_all else 0, n)
+        return tuple([
+            d.region(0 if d.is_all else index[d.var], n)
             for d, n in zip(self.dims, extent)
-        )
+        ])
 
     def group(
         self, columns: Mapping[str, np.ndarray], n: int,
@@ -340,15 +355,19 @@ class StoreSpec:
     age: AgeExpr = dc_field(default_factory=AgeExpr)
     dims: tuple[Dim, ...] = ()
     key: str | None = None
+    #: The key the kernel body must ``emit`` to feed this store.
+    emit_key: str = dc_field(init=False, repr=False, compare=False)
+    # What :meth:`vars` answers, derived once (as :class:`FetchSpec`'s).
+    _vars: tuple[str, ...] = dc_field(init=False, repr=False, compare=False)
 
-    @property
-    def emit_key(self) -> str:
-        """The key the kernel body must ``emit`` to feed this store."""
-        return self.key if self.key is not None else self.field
+    def __post_init__(self) -> None:
+        set_ = object.__setattr__
+        set_(self, "emit_key", self.field if self.key is None else self.key)
+        set_(self, "_vars", tuple(d.var for d in self.dims if not d.is_all))
 
     def vars(self) -> tuple[str, ...]:
         """Index variables this store uses, in dimension order."""
-        return tuple(d.var for d in self.dims if not d.is_all)
+        return self._vars
 
     def region(
         self,
@@ -556,6 +575,14 @@ class KernelDef:
     def run_once(self) -> bool:
         """True for ageless sources — dispatched exactly once at start."""
         return self.is_source and not self.has_age
+
+    @property
+    def self_advances(self) -> bool:
+        """True for aged sources — the kernels whose finished instance
+        ``a`` dispatches instance ``a + 1`` (MJPEG's ``read``).  The only
+        kernels whose done events the analyzer acts on outside the
+        retirement sweep."""
+        return self.is_source and self.has_age
 
     def fetched_fields(self) -> tuple[str, ...]:
         """Distinct fields fetched, in declaration order."""

@@ -775,7 +775,10 @@ class ExecutionNode:
         and a scalar one's alike), ``ctx.output`` delivery,
         instrumentation, metrics, frame timeline, trace spans, and one
         :class:`InstanceDoneEvent` for the dispatch, carrying every
-        member.
+        member — posted only when the analyzer acts on it: the claim's
+        kernel :attr:`~repro.core.kernels.KernelDef.self_advances` or the
+        node runs ``gc_fields`` (the retirement sweep).  An event that
+        can make nothing runnable is not posted.
         """
         (stores, outputs, t_fetch, t_kernel, t_store,
          calls, fallbacks, vectorized) = run
@@ -784,15 +787,8 @@ class ExecutionNode:
         age = first.age
         n = len(batch)
         n_stores = 0  # stores that happened, however they were grouped
-        stored = [False] * n
-        for _fname, _age, regions, who in stores:
+        for _fname, _age, regions, _who in stores:
             n_stores += len(regions)
-            if who is None:
-                stored = [True] * n
-            elif isinstance(who, range):
-                stored[who.start:who.stop] = [True] * len(who)
-            else:
-                stored[who] = True
         self._announce(stores, commit=remote is not None)
         for who, key, value in outputs:
             # Out-of-band ``ctx.output`` values go to the program's
@@ -882,13 +878,27 @@ class ExecutionNode:
                 if phase is not None:
                     self.tracer.complete(phase, "phase", self.name,
                                          thread, start, end)
-        self._post(
-            InstanceDoneEvent(
-                first, stored[0], kernel_time=t_kernel,
-                dispatch_time=dispatch,
-                rest=tuple(zip(batch[1:], stored[1:])),
+        if kernel.self_advances or self.gc_fields:
+            # Only these two act on a done event: an aged source's
+            # self-advance and the retirement sweep.  For any other
+            # claim it could dispatch nothing, and the worker loop's
+            # decrement after the StoreEvents above keeps quiescence
+            # exact without it.
+            stored = [False] * n
+            for _fname, _age, _regions, who in stores:
+                if who is None:
+                    stored = [True] * n
+                elif isinstance(who, range):
+                    stored[who.start:who.stop] = [True] * len(who)
+                else:
+                    stored[who] = True
+            self._post(
+                InstanceDoneEvent(
+                    first, stored[0], kernel_time=t_kernel,
+                    dispatch_time=dispatch,
+                    rest=tuple(zip(batch[1:], stored[1:])),
+                )
             )
-        )
 
     def _worker_loop(self, worker_id: int) -> None:
         """The one worker loop: claim this worker's share of the head

@@ -411,6 +411,112 @@ class TestGroupedEvents:
         assert an.on_done(ev) == []  # dispatch-once
 
 
+class TestWholeFieldEarlyOut:
+    """While a whole-field operand is incomplete, a store can make
+    nothing of its consumer runnable: the analyzer answers that from
+    the O(1) completeness count, before any counts or domain are
+    built, and pruning still sees every age that has dispatched."""
+
+    @staticmethod
+    def _counting(kernel):
+        calls = []
+        index_counts = kernel.index_counts
+
+        def counting(extent_of):
+            calls.append(1)
+            return index_counts(extent_of)
+
+        kernel.index_counts = counting
+        return calls
+
+    def test_refine_domain_not_built_while_distances_incomplete(self):
+        program, max_age, stores = _recorded("kmeans-pair")
+        calls = self._counting(program.kernels["refine"])
+        fields = FieldStore(program.fields.values())
+        an = DependencyAnalyzer(program, fields, max_age)
+        an.initial_instances()
+        incomplete = 0
+        for f, a, region, value in stores:
+            fields[f].store(a, region, value)
+            before = len(calls)
+            an.on_store(StoreEvent(f, a, region))
+            if f == "distances" and not fields[f].is_complete(a):
+                incomplete += 1
+                assert len(calls) == before, (a, region)
+        assert incomplete > 20
+
+    def test_kmeans_bytes_with_the_early_out(self):
+        """A threaded run: whenever ``refine``'s domain is built for an
+        age, ``distances`` was complete there (completeness only grows,
+        so checking at the call is checking at the early-out) or the
+        age had dispatched — and the centroids are the reference's."""
+        from repro.core import ExecutionNode
+        from repro.workloads import build_kmeans, kmeans_baseline
+
+        args = dict(n=24, k=4, iterations=4, seed=3)
+        program, result = build_kmeans(granularity="pair", **args)
+        node = ExecutionNode(program, 2)
+        an, distances = node.analyzer, node.fields["distances"]
+        collecting, premature = [], []
+        collect = an._collect
+
+        def tracking(kernel, age, boxes):
+            collecting.append((kernel.name, age))
+            try:
+                return collect(kernel, age, boxes)
+            finally:
+                collecting.pop()
+
+        refine = program.kernels["refine"]
+        index_counts = refine.index_counts
+
+        def checking(extent_of):
+            if collecting and collecting[-1][0] == "refine":
+                age = collecting[-1][1]
+                premature.append(not (
+                    distances.is_complete(age)
+                    or an._dispatched["refine"].get(age)
+                ))
+            return index_counts(extent_of)
+
+        an._collect = tracking
+        refine.index_counts = checking
+        node.run(timeout=60)
+        assert premature and not any(premature)
+        want = kmeans_baseline(**args).history
+        assert sorted(result.history) == sorted(want)
+        for age, centroids in want.items():
+            assert np.array_equal(result.history[age], centroids)
+
+    def test_fully_dispatched_age_touched_later_leaves_pending(self):
+        """A growable whole-field operand that was complete when every
+        instance dispatched, then grows with a gap: the store that grew
+        it finds the operand incomplete, yet the age — fully dispatched
+        — is still pruned instead of pinning ``min_pending_age``."""
+        k = KernelDef(
+            "k", nop, has_age=True, index_vars=("x",),
+            fetches=(
+                FetchSpec("v", "a", dims=(Dim.of("x"),), scalar=True),
+                FetchSpec("all", "b"),
+            ),
+        )
+        prog = Program.build([FieldDef("a", shape=(3,)), FieldDef("b")],
+                             [k])
+        fields = FieldStore(prog.fields.values())
+        an = DependencyAnalyzer(prog, fields)
+        ev, _ = store_ev(fields, "a", 0, slice(0, 3), [1, 2, 3])
+        assert an.on_store(ev) == []
+        ev, _ = store_ev(fields, "b", 0, slice(0, 2), [1, 2])
+        assert len(an.on_store(ev)) == 3
+        assert an.min_pending_age() is None
+        ev, resize = store_ev(fields, "b", 0, 3, 4)  # extent 4, gap at 2
+        assert resize is not None and not fields["b"].is_complete(0)
+        assert an.on_resize(ResizeEvent(
+            "b", resize.old_extent, resize.new_extent)) == []
+        assert an.on_store(ev) == []
+        assert an.min_pending_age() is None
+
+
 # ----------------------------------------------------------------------
 # Grouping is invisible to the schedule
 # ----------------------------------------------------------------------

@@ -971,16 +971,18 @@ class TestOnePathSeams:
 
 class TestEventGranularity:
     """The event stream is as coarse as the dispatch: one store event
-    per (field, age) of a dispatch, one done event per dispatch."""
+    per (field, age) of a dispatch, and one done event per dispatch the
+    analyzer acts on — an aged source's, or any with ``gc_fields``."""
 
     @staticmethod
-    def _run(backend, batch):
+    def _run(backend, batch, gc_fields=False):
         reg = MetricsRegistry()
         program, sink = build_mjpeg(config=MJPEGConfig(64, 64, 2))
         node = ExecutionNode(program, 2, backend=backend, batch=batch,
-                             metrics=reg)
+                             metrics=reg, gc_fields=gc_fields)
         seen = {"store": 0, "regions": 0, "done": 0, "members": 0,
-                "dispatches": 0}
+                "dispatches": 0, "source_dispatches": 0,
+                "source_members": 0}
         on_store, on_done = node.analyzer.on_store, node.analyzer.on_done
         execute_batch = node.backend.execute_batch
 
@@ -996,6 +998,10 @@ class TestEventGranularity:
 
         def counting_execute(batch_, worker_id):
             seen["dispatches"] += 1
+            kernel = batch_[0].kernel
+            if kernel.is_source and kernel.has_age:
+                seen["source_dispatches"] += 1
+                seen["source_members"] += len(batch_)
             return execute_batch(batch_, worker_id)
 
         node.analyzer.on_store = counting_store
@@ -1064,9 +1070,13 @@ class TestEventGranularity:
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_batch_32_posts_one_done_event_per_dispatch(self, backend):
+        """Per dispatch the analyzer acts on: the aged source ``read``'s
+        dispatches post one done event each, carrying every member; no
+        other dispatch posts one (it could make nothing runnable)."""
         seen, stores, executed = self._run(backend, 32)
-        assert seen["done"] == seen["dispatches"] < executed
-        assert seen["members"] == executed
+        assert seen["done"] == seen["source_dispatches"] > 0
+        assert seen["members"] == seen["source_members"] < executed
+        assert seen["dispatches"] > seen["done"]
         assert seen["regions"] == stores  # every store announced once
         assert seen["store"] + seen["done"] <= stores / 2
 
@@ -1074,8 +1084,17 @@ class TestEventGranularity:
     def test_batch_1_announces_each_store_and_instance(self, backend):
         seen, stores, executed = self._run(backend, 1)
         assert seen["store"] == seen["regions"] == stores
-        assert seen["done"] == seen["members"] == seen["dispatches"]
-        assert seen["done"] == executed
+        assert seen["done"] == seen["members"] == seen["source_dispatches"]
+        assert seen["dispatches"] == executed > seen["done"] > 0
+
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_gc_fields_gets_a_done_event_per_dispatch(self, batch):
+        """The retirement sweep runs on done events, so with
+        ``gc_fields`` every dispatch posts one."""
+        seen, _stores, executed = self._run("threads", batch,
+                                            gc_fields=True)
+        assert seen["done"] == seen["dispatches"]
+        assert seen["members"] == executed
 
 
 # ----------------------------------------------------------------------

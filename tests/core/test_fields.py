@@ -1,7 +1,11 @@
 """Unit tests for write-once, aging, multi-dimensional fields."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AgeError,
@@ -316,6 +320,182 @@ class TestCompleteness:
         f.store(0, slice(0, 3), [1, 2, 3])
         assert f.written_count(0) == 3
         assert f.written_count(1) == 0
+
+
+#: Field extents for the spelling property: large enough that drawn
+#: regions range from one element to several hundred.
+_SHAPES = {1: (720,), 2: (24, 30)}
+
+
+@st.composite
+def _spelled_ops(draw):
+    """A field (1-d or 2-d, declared shape or growable) and a sequence
+    of stores / fetches / collections on it, each spelled twice: as the
+    runtime builds a region (a tuple of explicit unit-step ``slice``s of
+    Python ints, an ndarray payload of the region's shape and the
+    field's dtype) and as a user writes it (ints, ``None`` starts, NumPy
+    integers, a bare slice, list payloads, a broadcast scalar).  Some
+    regions are malformed or out of bounds on purpose; both spellings
+    carry the same defect."""
+    ndim = draw(st.sampled_from([1, 2]))
+    shape = _SHAPES[ndim] if draw(st.booleans()) else None
+    bound = _SHAPES[ndim]
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["store"] * 3 + ["fetch"] * 2
+                                    + ["collect"]))
+        age = draw(st.integers(0, 2))
+        if kind == "collect":
+            ops.append((kind, age, None, None, None, None))
+            continue
+        lean, user = [], []
+        for n in bound:
+            lo = draw(st.integers(0, n))
+            hi = min(lo + draw(st.integers(0, n)), n + 2)  # may pass n
+            defect = draw(st.sampled_from(
+                [None] * 8 + ["negative", "stepped", "open"]))
+            if defect == "negative":
+                lean.append(slice(-1, hi))
+                user.append(-1)
+            elif defect == "stepped":
+                lean.append(slice(lo, hi, 2))
+                user.append(slice(lo, hi, 2))
+            elif defect == "open":
+                lean.append(slice(lo, None))
+                user.append(slice(lo, None))
+            else:
+                lean.append(slice(lo, hi))
+                form = draw(st.sampled_from(["int", "none", "numpy",
+                                             "plain"]))
+                if form == "int" and hi == lo + 1:
+                    user.append(lo)
+                elif form == "none" and lo == 0:
+                    user.append(slice(None, hi))
+                elif form == "numpy":
+                    user.append(slice(np.int64(lo), np.int64(hi)))
+                else:
+                    user.append(slice(lo, hi))
+        lean = tuple(lean)
+        user = tuple(user) if ndim > 1 or draw(st.booleans()) else user[0]
+        # the payload a runtime would build for the lean region, taken
+        # literally (a negative start widens it: a lean path that let
+        # it through would find a payload that fits)
+        region_shape = tuple(
+            0 if s.stop is None else max(0, s.stop - s.start) for s in lean
+        )
+        payload = draw(st.sampled_from(["array", "list", "scalar"]))
+        ops.append((kind, age, lean, user, region_shape, payload))
+    return ndim, shape, ops
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return ("raised", type(exc))
+
+
+def _state(f):
+    return (
+        f.extent, f.elements_written, f.max_stored_age,
+        {
+            age: (slot.data.tobytes(), slot.data.shape,
+                  slot.written.tobytes(), slot.store_count, slot.collected)
+            for age, slot in sorted(f._ages.items())
+        },
+    )
+
+
+class TestLeanPathIsTheGeneralPath:
+    """A region the runtime builds — already a tuple of explicit,
+    non-negative, unit-step slices, with a payload of the region's shape
+    and the field's dtype — takes ``Field.store`` / ``Field.fetch``'s
+    cheap path; any other spelling of the same region takes the general
+    one.  The two must be indistinguishable: same bytes, masks,
+    ``store_count`` and ``ResizeInfo``, and the same exception type for
+    every defect, for unit and large regions alike."""
+
+    @given(_spelled_ops())
+    @settings(max_examples=150, deadline=None)
+    def test_runtime_and_user_spellings_agree(self, case):
+        ndim, shape, ops = case
+        lean_f = make(ndim=ndim, shape=shape)
+        user_f = make(ndim=ndim, shape=shape)
+        for step, (kind, age, lean, user, rshape, payload) in enumerate(ops):
+            if kind == "collect":
+                assert lean_f.collect_age(age) == user_f.collect_age(age)
+                continue
+            if kind == "fetch":
+                got = [_outcome(lambda f=f, r=r: f.fetch(age, r).tobytes())
+                       for f, r in ((lean_f, lean), (user_f, user))]
+                assert got[0] == got[1]
+                continue
+            arr = np.full(rshape, step + 1, dtype=np.int32)
+            if payload == "array":
+                arr = (np.arange(arr.size, dtype=np.int32)
+                       .reshape(rshape) + step)
+            if payload == "scalar":
+                value = step + 1  # broadcast into the region
+            else:
+                # (a list drops the shape of an empty region)
+                value = arr.tolist() if arr.size else arr.astype(np.int64)
+            got = [
+                _outcome(lambda: lean_f.store(age, lean, arr)),
+                _outcome(lambda: user_f.store(age, user, value)),
+            ]
+            assert got[0] == got[1]
+            assert _state(lean_f) == _state(user_f)
+        assert _state(lean_f) == _state(user_f)
+
+    @pytest.mark.parametrize("fixed", [True, False],
+                             ids=["declared", "growable"])
+    @pytest.mark.parametrize("block", [1, 600], ids=["unit", "large"])
+    def test_concurrent_stores_and_a_polling_reader(self, block, fixed):
+        """Four threads store disjoint regions of one age while a reader
+        polls ``fetch``: ``store_count`` ends exact, and no region reads
+        complete before its bytes are there."""
+        per_thread = 120 if block == 1 else 3
+        total = 4 * per_thread * block
+        f = make(dtype="int64", shape=(total,) if fixed else None)
+        done = threading.Event()
+        seen_bad: list = []
+
+        def writer(w):
+            for j in range(per_thread):
+                lo = (j * 4 + w) * block
+                f.store(0, (slice(lo, lo + block),),
+                        np.arange(lo + 1, lo + block + 1, dtype=np.int64))
+
+        def reader():
+            rng = np.random.default_rng(0)
+            while not done.is_set():
+                lo = int(rng.integers(0, total // block)) * block
+                try:
+                    got = f.fetch(0, (slice(lo, lo + block),))
+                except ExtentError:
+                    continue  # not complete (or not grown) yet
+                if got[0] != lo + 1 or got[-1] != lo + block:
+                    seen_bad.append((lo, got[0], got[-1]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            polling = threading.Thread(target=reader)
+            writers = [threading.Thread(target=writer, args=(w,))
+                       for w in range(4)]
+            polling.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            done.set()
+            polling.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in writers + [polling])
+        assert seen_bad == []
+        assert f.written_count(0) == total == f.elements_written
+        assert f.fetch(0).tolist() == list(range(1, total + 1))
 
 
 class TestGarbageCollection:

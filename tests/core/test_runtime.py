@@ -382,3 +382,42 @@ class TestWindDown:
         before = counter.value()
         node.inject(StoreEvent("m_data", 0, (slice(0, 5),)))
         assert counter.value() == before
+
+
+class TestProgramLifetime:
+    """Nothing the runtime keeps between runs holds a run's program, its
+    kernels' specs or its fields: a cache of per-kernel facts keyed by
+    identity (``id(kernel)``) would keep every job's, and their payload,
+    alive for the life of the process."""
+
+    def test_a_runs_program_dies_with_the_run(self):
+        import gc
+        import weakref
+
+        from repro.workloads import build_kmeans
+        from repro.workloads.ops_transcode import (
+            TranscodeConfig,
+            build_transcode,
+        )
+
+        refs = []
+
+        def run(program, batch):
+            node = ExecutionNode(program, 2, backend="threads",
+                                 batch=batch)
+            refs.append(weakref.ref(program))
+            refs.append(weakref.ref(node.fields))
+            for k in program.kernels.values():
+                refs.append(weakref.ref(k))
+                refs.extend(weakref.ref(s) for s in k.fetches + k.stores)
+            node.run(timeout=60)
+
+        for seed in range(50):
+            run(build_kmeans(n=12, k=3, iterations=3, seed=seed,
+                             granularity="pair")[0], 1)
+        for seed in range(10):
+            run(build_transcode(TranscodeConfig(
+                width=32, height=32, frames=2, seed=seed)).program, 32)
+        gc.collect()
+        alive = [r() for r in refs if r() is not None]
+        assert len(refs) > 60 * 3 and alive == []
