@@ -5,11 +5,12 @@ event, the runtime finds all *new* valid combinations of age and index
 variables that can be processed as a result of the store statement, and
 puts these in a per-kernel ready queue."
 
-The analyzer is deliberately single-threaded (the prototype runs it in a
+The analyzer is deliberately serial (the prototype runs it in a
 dedicated thread); all of its mutable state — the dispatched-instance
-set, per-kernel pending ages, dispatch counters — is touched only from
-that thread, so it needs no locks of its own.  Field completeness checks
-go through the fields' own locks.
+set, per-kernel pending ages, dispatch counters — is touched only under
+the node's analysis lock (:meth:`ExecutionNode._analyze
+<repro.core.runtime.ExecutionNode._analyze>`), so it needs no locks of
+its own.  Field completeness checks go through the fields' own locks.
 
 Algorithm sketch
 ----------------

@@ -42,10 +42,11 @@ class Timer:
         """Current clock value in seconds (whatever the clock defines)."""
         return self._clock()
 
-    def reset(self) -> None:
-        """``t1 = now`` — restart the timer."""
+    def reset(self, at: float | None = None) -> None:
+        """``t1 = now`` — restart the timer (from ``at``, an earlier
+        :meth:`now` reading, when given)."""
         with self._lock:
-            self._mark = self._clock()
+            self._mark = self._clock() if at is None else at
 
     def elapsed_ms(self) -> float:
         """Milliseconds since the last reset."""

@@ -4,8 +4,9 @@ P2G's prototype is "a push-based system using event subscriptions on
 field operations" (section VI-B).  Kernel instances produce
 :class:`StoreEvent`/:class:`ResizeEvent` on their store statements; the
 dependency analyzer reacts to them by dispatching newly runnable
-instances.  Inside an execution node events travel on a plain queue;
-between nodes, over a :mod:`repro.dist.transport`.
+instances.  Inside an execution node an event is analysed on the thread
+that produced it, under the node's analysis lock; between nodes it
+travels over a :mod:`repro.dist.transport`.
 """
 
 from __future__ import annotations
@@ -97,22 +98,6 @@ class InstanceDoneEvent(Event):
     def members(self) -> tuple[tuple[KernelInstance, bool], ...]:
         """Every ``(instance, stored_any)`` of the dispatch, in order."""
         return ((self.instance, self.stored_any),) + self.rest
-
-
-@dataclass(frozen=True)
-class RetireEvent(Event):
-    """Every age below ``min_age`` has been retired (streaming age
-    retirement): the analyzer drops its dispatch bookkeeping for them.
-    ``kernels`` (a set of kernel names, or ``None`` for all) scopes the
-    drop to one session of a multi-tenant node."""
-
-    min_age: int
-    kernels: frozenset | None = None
-
-
-@dataclass(frozen=True)
-class ShutdownEvent(Event):
-    """Sentinel asking the analyzer thread to exit."""
 
 
 class WorkToken:

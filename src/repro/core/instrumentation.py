@@ -69,7 +69,7 @@ class Instrumentation:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats: dict[str, KernelStats] = {}
-        self.analyzer_time = 0.0  #: seconds spent in the analyzer thread
+        self.analyzer_time = 0.0  #: seconds under the analysis lock
         self.wall_time = 0.0  #: wall-clock duration of the run
         self._t0: float | None = None
 
@@ -105,7 +105,8 @@ class Instrumentation:
             st.ipc_time += ipc_time
 
     def add_analyzer_time(self, seconds: float) -> None:
-        """Accumulate time spent inside the analyzer thread."""
+        """Accumulate time spent analysing events (under the node's
+        analysis lock, on whichever thread produced them)."""
         with self._lock:
             self.analyzer_time += seconds
 

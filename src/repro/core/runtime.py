@@ -7,25 +7,28 @@ Structure mirrors the prototype:
   the execution of kernel instances with a lower age value" — this is
   what keeps aging cycles such as ``mul2``/``plus5`` from starving other
   kernels);
-* store/resize events produced by running instances are consumed by a
-  **dedicated dependency-analyzer thread**, which pushes every newly
-  satisfiable (age, index) combination onto the ready queue;
-* the run terminates on *quiescence* — no queued events, no ready
-  instances, no running instances — or on an external :meth:`stop`,
-  a wall-clock timeout, or the ``max_age`` bound used to cut off
-  non-terminating cyclic programs.
+* every store/resize event is analysed **serially**, under the node's
+  analysis lock, on the thread that produced it (a committing worker,
+  a stream driver, a transport delivery), pushing every newly
+  satisfiable (age, index) combination onto the ready queue — the
+  prototype's dedicated analyzer thread, minus the thread (fig 10
+  measures that analysis is serial, which the lock keeps);
+* the run terminates on *quiescence* — no ready instances, no running
+  instances — or on an external :meth:`stop`, a wall-clock timeout, or
+  the ``max_age`` bound used to cut off non-terminating cyclic programs.
 
-The counter protocol for quiescence: ``outstanding`` counts queued
-events + ready instances + running instances.  Every producer increments
-*before* the corresponding decrement can happen, so the counter reaching
-zero is a stable property.
+The counter protocol for quiescence: ``outstanding`` counts ready
+instances + running instances + held tokens.  Every producer increments
+*before* the corresponding decrement can happen, and a thread analyses
+an event only while it holds a unit (a worker its claim, a driver its
+token), so the counter reaching zero is a stable property.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -43,14 +46,7 @@ from .analyzer import DependencyAnalyzer
 from .backends import ExecutionBackend, resolve_backend
 from .deadlines import TimerSet
 from .errors import RuntimeStateError, StallError
-from .events import (
-    Event,
-    InstanceDoneEvent,
-    ResizeEvent,
-    RetireEvent,
-    ShutdownEvent,
-    StoreEvent,
-)
+from .events import Event, InstanceDoneEvent, ResizeEvent, StoreEvent
 from .fields import FieldStore, SharedFieldStore
 from .instrumentation import Instrumentation
 from .kernels import KernelInstance
@@ -393,10 +389,11 @@ class ReadyQueue:
 
 
 class WorkCounter:
-    """Counts outstanding work: queued events + ready instances + running
-    instances.  Producers always increment before the matching decrement
-    can occur, so reaching zero is stable and means quiescence.  Shared
-    across nodes in a distributed run so quiescence is global."""
+    """Counts outstanding work: ready instances + running instances +
+    held :class:`~repro.core.events.WorkToken` s.  Producers always
+    increment before the matching decrement can occur, so reaching zero
+    is stable and means quiescence.  Shared across nodes in a
+    distributed run so quiescence is global."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -523,9 +520,11 @@ class ExecutionNode:
     program:
         The (possibly fused) program to execute.
     workers:
-        Number of worker threads (the paper sweeps 1–8).  The dependency
-        analyzer always runs in its own additional thread, exactly as in
-        the prototype.
+        Number of worker threads (the paper sweeps 1–8) — the node's
+        only threads.  Dependency analysis runs on the thread that
+        produced the event, one event at a time under the node's
+        analysis lock (the prototype gives it a dedicated thread;
+        DESIGN.md §2).
     max_age:
         Upper bound on instance ages; bounds non-terminating cyclic
         programs (``mul2``/``plus5``) and iteration-limited runs
@@ -550,8 +549,9 @@ class ExecutionNode:
         program.
     on_event:
         Optional tap invoked with every locally produced store/resize
-        event — the hook the distributed transport uses to forward
-        events to the other nodes' analyzers.
+        event once it has been analysed here, outside the analysis lock
+        — the hook the distributed transport uses to forward events to
+        the other nodes' :meth:`inject`.
     recover:
         Recovery mode for replacement nodes in a fault-tolerant cluster
         run: stores into already-complete regions are skipped (the dead
@@ -684,7 +684,9 @@ class ExecutionNode:
         #: the running-age probe to one tenant.
         self.session_of = self.ready._session_of
         self.on_event = on_event
-        self._events: queue.SimpleQueue = queue.SimpleQueue()
+        #: Serialises analysis: the analyzer's state and ``_dead`` are
+        #: only touched under it.
+        self._analysis_lock = threading.Lock()
         self._counter = counter if counter is not None else WorkCounter()
         self._stop = threading.Event()
         self._error: BaseException | None = None
@@ -694,8 +696,7 @@ class ExecutionNode:
         #: instead of raising WriteOnceViolation — write-once determinism
         #: guarantees the re-executed instance produced identical bytes.
         self.recover = recover
-        self._dead = False
-        self._inject_lock = threading.Lock()
+        self._dead = False  #: wound down: no event is analysed any more
         self._abandoned = 0  #: instances popped but never executed
         self._teardown_hooks: list = []
         self._threads: list[threading.Thread] = []
@@ -703,7 +704,6 @@ class ExecutionNode:
         self._running_sessions: dict[int, str] = {}  # worker id -> session
         self._gc_bytes = 0
         self._gc_floor = 0  #: ages below this were retired by gc_fields
-        self._analyzer_thread: threading.Thread | None = None
         self._max_back = max(
             (0,)
             + tuple(
@@ -724,18 +724,17 @@ class ExecutionNode:
         self._counter.dec(n)
 
     def inject(self, ev: Event) -> None:
-        """Enqueue an externally produced event (distributed layer:
-        another node's store arriving over the transport).
+        """Analyse an externally produced event (a transport delivery, a
+        stream driver's frame, a succession's replay) on the calling
+        thread, which holds a unit of outstanding work across the call.
+        Ignored once the node has been wound down."""
+        self._analyze(ev)
 
-        Dropped silently once the node has been wound down — a late
-        delivery racing the fail-stop teardown must not re-increment the
-        shared counter after the node's outstanding work was reclaimed.
-        """
-        with self._inject_lock:
-            if self._dead:
-                return
-            self._inc()
-            self._events.put(ev)
+    def _fail(self, exc: BaseException) -> None:
+        """End the run with ``exc``: :meth:`join` re-raises it."""
+        self._error = exc
+        self._stop.set()
+        self._counter.poke()
 
     # ------------------------------------------------------------------
     # Worker side
@@ -934,9 +933,7 @@ class ExecutionNode:
                 else:
                     self._abandoned += len(batch)
             except BaseException as exc:  # noqa: BLE001
-                self._error = exc
-                self._stop.set()
-                self._counter.poke()
+                self._fail(exc)
                 return
             finally:
                 self._running_ages.pop(worker_id, None)
@@ -947,8 +944,10 @@ class ExecutionNode:
     # Analyzer side
     # ------------------------------------------------------------------
     def _post(self, ev: Event) -> None:
-        self._inc()
-        self._events.put(ev)
+        """Analyse a locally produced event, then hand a store / resize
+        to the ``on_event`` tap — outside the lock, or two nodes
+        forwarding to each other would deadlock."""
+        self._analyze(ev)
         if self.on_event is not None and isinstance(
             ev, (StoreEvent, ResizeEvent)
         ):
@@ -968,10 +967,17 @@ class ExecutionNode:
                 args={"count": n},
             )
 
-    def _analyzer_loop(self) -> None:
-        while True:
-            ev = self._events.get()
-            if isinstance(ev, ShutdownEvent):
+    def _analyze(self, ev: Event) -> None:
+        """The one analysis step: ``ev`` through the dependency analyzer
+        under the analysis lock, what it made runnable onto the ready
+        queue.  The time under the lock is ``analyzer_time``; its trace
+        lane is ``analyzer``.  ``_dead`` is read under the lock
+        :meth:`wind_down` sets it under, so nothing is dispatched after
+        the ready queue was drained.  An error ends the run instead of
+        reaching the producing thread, and the analyzer, its state now
+        suspect, analyses nothing more."""
+        with self._analysis_lock:
+            if self._dead:
                 return
             t0 = time.perf_counter()
             try:
@@ -983,13 +989,9 @@ class ExecutionNode:
                     self._dispatch(self.analyzer.on_done(ev))
                     if self.gc_fields:
                         self._collect_garbage()
-                elif isinstance(ev, RetireEvent):
-                    self.analyzer.retire_below(ev.min_age, ev.kernels)
             except BaseException as exc:  # noqa: BLE001
-                self._error = exc
-                self._stop.set()
-                self._counter.poke()
-                return
+                self._dead = True
+                self._fail(exc)
             finally:
                 t1 = time.perf_counter()
                 self.instrumentation.add_analyzer_time(t1 - t0)
@@ -1003,7 +1005,6 @@ class ExecutionNode:
                         args = {"field": ev.field}
                     tr.complete(type(ev).__name__, "analyzer",
                                 self.name, "analyzer", t0, t1, args)
-                self._dec()
 
     def _collect_garbage(self) -> None:
         """Retire field ages no pending/ready/running instance can reach."""
@@ -1020,38 +1021,39 @@ class ExecutionNode:
         floor = min(live) - self._max_back - self.keep_ages
         if floor > self._gc_floor:
             self._gc_floor = floor
-            self._gc_bytes += self.retire(floor)
+            self._gc_bytes += self._retire_locked(floor)
 
     def retire(self, floor: int, fields=None, kernels=None) -> int:
         """Retire every age below ``floor``; returns field bytes freed.
 
-        The one retirement routine, shared by ``gc_fields`` and the
-        stream :class:`~repro.stream.Retirer` (which computes the floor
-        — DESIGN.md §11 — and guarantees no undispatched instance can
+        The one retirement routine, shared by ``gc_fields`` (from inside
+        an analysis step, through :meth:`_retire_locked`) and the stream
+        :class:`~repro.stream.Retirer` (which computes the floor —
+        DESIGN.md §11 — and guarantees no undispatched instance can
         fetch below it): free the field ages, tell the backend so
         worker processes unmap the unlinked segments, and drop the
-        analyzer's dispatch bookkeeping — inline on the analyzer
-        thread, as a :class:`RetireEvent` from any other, so that state
-        is only ever touched there.  ``fields`` / ``kernels`` (name
-        sets) scope the retirement to one session of a multi-tenant
-        node.  Idempotent, so nodes sharing one field store may each be
-        told.
+        analyzer's dispatch bookkeeping, all under the analysis lock.
+        ``fields`` / ``kernels`` (name sets) scope the retirement to one
+        session of a multi-tenant node.  Idempotent, so nodes sharing
+        one field store may each be told.
         """
+        with self._analysis_lock:
+            return self._retire_locked(floor, fields, kernels)
+
+    def _retire_locked(self, floor: int, fields=None, kernels=None) -> int:
+        """:meth:`retire`'s body; the caller holds the analysis lock."""
         freed = self.fields.collect_below(floor, fields)
         self.backend.on_retire(floor, fields)
-        if threading.current_thread() is self._analyzer_thread:
-            self.analyzer.retire_below(floor, kernels)
-        else:
-            self.inject(RetireEvent(floor, kernels))
+        self.analyzer.retire_below(floor, kernels)
         return freed
 
     # ------------------------------------------------------------------
     # Driving a run
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Dispatch initial instances and start the analyzer and worker
-        threads.  Separated from :meth:`join` so a cluster can start all
-        nodes before any of them may observe global quiescence."""
+        """Dispatch initial instances and start the worker threads.
+        Separated from :meth:`join` so a cluster can start all nodes
+        before any of them may observe global quiescence."""
         if self._ran:
             raise RuntimeStateError(
                 "ExecutionNode may only run once; build a new node to re-run"
@@ -1069,14 +1071,9 @@ class ExecutionNode:
             )
             for i in range(self.workers)
         ]
-        self._analyzer_thread = threading.Thread(
-            target=self._analyzer_loop, daemon=True,
-            name=f"{self.name}-analyzer",
-        )
-        initial = self.analyzer.initial_instances()
-        if initial:
-            self._dispatch(initial)
-        self._analyzer_thread.start()
+        # Under the lock: a cluster peer may already be delivering.
+        with self._analysis_lock:
+            self._dispatch(self.analyzer.initial_instances())
         for t in self._threads:
             t.start()
 
@@ -1096,16 +1093,16 @@ class ExecutionNode:
                 pass
 
     def backlog(self) -> int:
-        """Queued events + ready instances (liveness heuristic for the
-        heartbeat monitor; approximate — both queues move concurrently)."""
-        return len(self.ready) + self._events.qsize()
+        """Ready instances not yet claimed (liveness heuristic for the
+        heartbeat monitor; approximate — the queue moves concurrently)."""
+        return len(self.ready)
 
     def wind_down(self) -> int:
         """Fail-stop this node and reclaim its outstanding work.
 
         The distributed recovery path calls this on a node declared dead:
-        no further events are accepted (late transport deliveries are
-        dropped), queued instances are abandoned instead of executed, and
+        no further events are analysed (late transport deliveries are
+        ignored), queued instances are abandoned instead of executed, and
         every abandoned unit retires its outstanding-work count so the
         cluster-wide quiescence counter stays consistent.  Blocks until
         the node's threads have exited; returns the number of abandoned
@@ -1114,31 +1111,21 @@ class ExecutionNode:
         Unlike :meth:`stop`, the shared counter is *not* poked — the
         other nodes of a cluster keep running.
         """
-        with self._inject_lock:
+        with self._analysis_lock:
             self._dead = True
         self._stop.set()
         self._run_teardown_hooks()
         if not self._ran:
             return 0
         self.ready.push_sentinel(self.workers)
-        self._events.put(ShutdownEvent())
         for t in self._threads:
             t.join()
-        self._analyzer_thread.join()
-        # The analyzer may have dispatched instances after the workers
-        # exited, and late events may sit behind the shutdown sentinel:
-        # retire both so the counter reflects the abandoned work.
+        # Dispatched before ``_dead`` and never claimed: retire it so
+        # the counter reflects the abandoned work.
         leftovers = self.ready.drain()
         if leftovers:
             self._abandoned += len(leftovers)
             self._dec(len(leftovers))
-        while True:
-            try:
-                ev = self._events.get_nowait()
-            except queue.Empty:
-                break
-            if not isinstance(ev, ShutdownEvent):
-                self._dec()
         # Shm hygiene: a wound-down node that *owns* its shared store has
         # no join() coming to unlink the segment names — release here or
         # they outlive the process in /dev/shm.  Cluster nodes share an
@@ -1159,11 +1146,11 @@ class ExecutionNode:
         if not self._ran:
             raise RuntimeStateError("join() before start()")
         outcome = self._counter.wait(timeout, stall_timeout)
-        # Close the injection window before tearing down: a transport
-        # delivery landing after quiescence would enqueue behind the
-        # shutdown sentinel and leak its counter unit (hanging any
-        # other waiter on a shared counter).
-        with self._inject_lock:
+        # Close analysis before tearing down: a transport delivery
+        # landing after quiescence would dispatch onto a queue no worker
+        # drains and leak its counter units (hanging any other waiter on
+        # a shared counter).
+        with self._analysis_lock:
             self._dead = True
         reason = "idle"
         if outcome == "timeout":
@@ -1173,21 +1160,19 @@ class ExecutionNode:
             self._stop.set()
         elif outcome == "poked" and self._error is None:
             reason = "stopped"
-        # Tear down: workers exit on sentinel, analyzer on ShutdownEvent.
-        # On a stall or timeout a worker may be stuck *inside* a kernel
-        # body and never see its sentinel — bound the join so the
-        # watchdog raises instead of trading one hang for another (the
-        # stuck daemon thread is abandoned).
+        # Tear down: workers exit on their sentinel.  On a stall or
+        # timeout a worker may be stuck *inside* a kernel body and never
+        # see it — bound the join so the watchdog raises instead of
+        # trading one hang for another (the stuck daemon thread is
+        # abandoned).
         self._run_teardown_hooks()
         self.ready.push_sentinel(self.workers)
-        self._events.put(ShutdownEvent())
         limit = (
             None if outcome in ("idle", "poked")
             else self._TEARDOWN_JOIN_TIMEOUT
         )
         for t in self._threads:
             t.join(limit)
-        self._analyzer_thread.join(limit)
         self.instrumentation.stop()
         self.backend.shutdown()
         if isinstance(self.fields, SharedFieldStore):
@@ -1201,8 +1186,8 @@ class ExecutionNode:
             err = StallError(
                 f"node {self.name!r}: no progress for {stall_timeout}s "
                 f"with {self._counter.value()} outstanding work unit(s) "
-                f"(backlog {self.backlog()}); a worker or the analyzer "
-                f"stopped draining its queue",
+                f"(backlog {self.backlog()}); a worker stopped draining "
+                f"the ready queue",
                 outstanding=self._counter.value(),
             )
             err.flight_path = dump_flight(
@@ -1306,8 +1291,14 @@ class _Lifecycle:
                 started.append(node)
             if services is not None:
                 self.up(*services)
+            # One stream clock for every driver of the run: frame ``a``
+            # of each stream is due at the same instant, not offset by
+            # how long starting the threads before it took (a started
+            # driver analyses its first frame at once, and the workers
+            # it wakes can hold the next start back by several ms).
+            epoch = drivers[0].timer.now() if drivers else None
             for driver in drivers:
-                self.up(driver.start, driver.stop)
+                self.up(functools.partial(driver.start, epoch), driver.stop)
         except BaseException:
             self.stop()
             for node in started:

@@ -686,9 +686,9 @@ class Cluster:
     program:
         The program to distribute.
     nodes:
-        Node name → worker-thread count (each node also runs its own
-        analyzer thread), or name → :class:`LocalTopology` for
-        heterogeneous capacities.
+        Node name → worker-thread count (a node's only threads; each
+        node analyses its events serially under its own lock), or
+        name → :class:`LocalTopology` for heterogeneous capacities.
     transport:
         Optional preconfigured transport (e.g. with a latency model).
     """

@@ -47,7 +47,7 @@ class Heartbeat:
     seq: int
     executed: int  #: kernel instances completed so far
     busy: int  #: workers currently inside (or frozen at) an instance
-    backlog: int  #: queued events + ready instances
+    backlog: int  #: ready instances not yet claimed
 
 
 class Heartbeater:

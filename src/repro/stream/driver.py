@@ -14,9 +14,9 @@ retirer free everything the pipeline can no longer reach.
 Quiescence: a live program has no self-advancing source kernel, so the
 node would look idle the moment it starts.  The driver holds one
 outstanding-work token from construction (before ``node.start()``)
-until it has offered its last frame; in-flight ages carry their own
-event/instance tokens, so the run drains naturally after the stream
-ends.
+until it has offered its last frame (every inject happens under it);
+in-flight ages carry their own instance units, so the run drains
+naturally after the stream ends.
 """
 
 from __future__ import annotations
@@ -368,10 +368,11 @@ class StreamDriver:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Reset the stream clock and start the driver thread (call
-        after ``node.start()``)."""
-        self.timer.reset()
+    def start(self, epoch: float | None = None) -> None:
+        """Reset the stream clock — to ``epoch``, an earlier
+        ``timer.now()`` reading, when given — and start the driver
+        thread (call after ``node.start()``)."""
+        self.timer.reset(epoch)
         name = (
             "stream-driver" if self.session is None
             else f"stream-driver-{self.session}"

@@ -37,8 +37,8 @@ class Retirer:
     floor.
 
     Thread-safe: completions arrive from worker/pump threads while the
-    driver thread sweeps.  The per-node probes read structures owned by
-    other threads (analyzer pending map, ready-queue age counts, running
+    driver thread sweeps.  The per-node probes read structures other
+    threads mutate (analyzer pending map, ready-queue age counts, running
     ages); each is internally locked or read defensively — a probe that
     races a mutation just skips this sweep, never over-frees.
     """

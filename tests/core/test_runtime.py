@@ -1,5 +1,6 @@
 """Unit and integration tests for the threaded execution node."""
 
+import sys
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.core import (
     AgeExpr,
+    DependencyAnalyzer,
     Dim,
     ExecutionNode,
     FetchSpec,
@@ -18,11 +20,57 @@ from repro.core import (
     Program,
     ReadyQueue,
     RuntimeStateError,
+    StoreEvent,
     StoreSpec,
     WorkCounter,
     run_program,
 )
-from repro.workloads import build_mulsum, expected_series
+from repro.workloads import (
+    MJPEGConfig,
+    build_kmeans,
+    build_mjpeg,
+    build_mjpeg_stream,
+    build_mulsum,
+    expected_series,
+    kmeans_baseline,
+    mjpeg_baseline,
+)
+
+
+def _within(seconds, fn):
+    """``fn()`` on a daemon thread: its result (or its exception), or a
+    failure instead of a hang when it has not returned after
+    ``seconds`` — a deadlock."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True, name="test-within")
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"did not finish within {seconds}s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
+
+
+def _threads_left(before, grace: float = 0.0):
+    """Live threads that were not there ``before`` (the leak check of
+    tests/dist/test_cluster.py), after up to ``grace`` seconds for a
+    stopped thread that is not joined — a stream driver — to exit."""
+    deadline = time.monotonic() + grace
+    while True:
+        left = sorted(
+            t.name for t in set(threading.enumerate()) - before
+            if t.is_alive()
+        )
+        if not left or time.monotonic() >= deadline:
+            return left
+        time.sleep(0.01)
 
 
 class TestReadyQueue:
@@ -383,6 +431,75 @@ class TestWindDown:
         node.inject(StoreEvent("m_data", 0, (slice(0, 5),)))
         assert counter.value() == before
 
+    def test_wind_down_racing_a_late_inject_leaks_nothing(
+        self, monkeypatch
+    ):
+        """Transport deliveries racing the fail-stop teardown: two
+        threads replay a finished run's store events into a started
+        node while the main thread winds it down.  Every event makes
+        one new instance runnable and the analysis is slowed down, so
+        a delivery is nearly always inside (or queued for) the analysis
+        when the teardown starts.  Whatever the interleaving, nothing
+        is dispatched once the ready queue was drained — ``_dead`` is
+        set and read under the analysis lock — so the queue stays
+        empty, the counter holds only the test's own unit, and later
+        deliveries dispatch nothing."""
+        n, ages = 16, 4
+        consume = KernelDef(
+            "consume", lambda ctx: None, has_age=True, index_vars=("x",),
+            fetches=(FetchSpec("v", "f", dims=(Dim.of("x"),),
+                               scalar=True),),
+        )
+        program = Program.build(
+            [FieldDef("f", "int64", shape=(n,))], [consume]
+        )
+        stores = [
+            StoreEvent("f", age, (slice(i, i + 1),))
+            for age in range(ages) for i in range(n)
+        ]
+        on_store = DependencyAnalyzer.on_store
+
+        def slow(analyzer, ev):
+            time.sleep(0.002)  # widen the check-then-dispatch window
+            return on_store(analyzer, ev)
+
+        monkeypatch.setattr(DependencyAnalyzer, "on_store", slow)
+        for _ in range(50):
+            counter = WorkCounter()
+            node = ExecutionNode(program, 2, counter=counter)
+            for age in range(ages):  # the finished run's fields
+                node.fields["f"].store(age, slice(0, n), np.arange(n))
+            counter.inc()  # the test's unit: startup and the deliveries
+            node.start()
+            injecting = threading.Barrier(3)
+
+            def replay(events):
+                injecting.wait()
+                for ev in events:
+                    node.inject(ev)
+
+            threads = [
+                threading.Thread(target=replay, args=(stores[i::2],),
+                                 daemon=True)
+                for i in range(2)
+            ]
+            for t in threads:
+                t.start()
+            injecting.wait()
+            time.sleep(0.003)
+            node.wind_down()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+            assert len(node.ready) == 0
+            assert counter.value() == 1
+            dispatched = node.analyzer.dispatched_count()
+            for ev in stores:
+                node.inject(ev)
+            assert node.analyzer.dispatched_count() == dispatched
+            assert counter.value() == 1
+            counter.dec()
+
 
 class TestProgramLifetime:
     """Nothing the runtime keeps between runs holds a run's program, its
@@ -421,3 +538,207 @@ class TestProgramLifetime:
         gc.collect()
         alive = [r() for r in refs if r() is not None]
         assert len(refs) > 60 * 3 and alive == []
+
+
+def _mulsum_case():
+    program, sink = build_mulsum()
+    return program, {"max_age": 5}, lambda: {
+        age: (m.tobytes(), p.tobytes()) for age, (m, p) in sink.items()
+    }
+
+
+def _kmeans_case():
+    program, result = build_kmeans(n=24, k=4, iterations=4,
+                                   granularity="pair")
+    return program, {}, lambda: {
+        age: c.tobytes() for age, c in result.history.items()
+    }
+
+
+def _mjpeg_case():
+    program, sink = build_mjpeg(config=MJPEGConfig(32, 32, frames=2))
+    return program, {}, sink.stream
+
+
+@pytest.fixture
+def fast_switching():
+    """A shortened interpreter switch interval: a thread is preempted
+    mid-step as often as it can be."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+class TestSerialAnalysis:
+    """A node is its workers: an event is analysed on the thread that
+    produced it, one at a time under the node's analysis lock, and the
+    ``on_event`` tap runs after that lock is released."""
+
+    @pytest.mark.parametrize("case, backend", [
+        (_mulsum_case, "threads"),
+        (_kmeans_case, "threads"),
+        (_mjpeg_case, "processes"),
+    ], ids=["mulsum-threads", "kmeans-threads", "mjpeg-processes"])
+    def test_a_tap_that_injects_into_its_own_node_does_not_deadlock(
+        self, case, backend
+    ):
+        """Each event comes straight back into the node that produced
+        it — what two cluster nodes publishing to each other amount
+        to.  The lock is not re-entrant, so a tap called while it is
+        held hangs the run; re-analysing an event dispatches nothing
+        twice, so the bytes are the plain run's."""
+        def run(tap):
+            program, kw, output = case()
+            node = ExecutionNode(program, 2, backend=backend,
+                                 on_event=tap, **kw)
+            assert node.run(timeout=60).reason == "idle"
+            return output()
+
+        looped = _within(
+            120, lambda: run(lambda node, ev: node.inject(ev))
+        )
+        assert looped == run(None)
+
+    @staticmethod
+    def _count_overlap(monkeypatch) -> dict:
+        """Wrap the analyzer's event handlers with an in-flight counter;
+        each call yields the GIL once, so an unserialised caller would
+        get in."""
+        state = {"now": 0, "peak": 0, "calls": 0}
+        guard = threading.Lock()
+
+        def probed(orig):
+            def wrapper(analyzer, ev):
+                with guard:
+                    state["now"] += 1
+                    state["calls"] += 1
+                    state["peak"] = max(state["peak"], state["now"])
+                try:
+                    time.sleep(0.0001)
+                    return orig(analyzer, ev)
+                finally:
+                    with guard:
+                        state["now"] -= 1
+            return wrapper
+
+        for name in ("on_store", "on_done", "on_resize"):
+            monkeypatch.setattr(DependencyAnalyzer, name,
+                                probed(getattr(DependencyAnalyzer, name)))
+        return state
+
+    def test_analysis_stays_serial_with_four_workers(
+        self, monkeypatch, fast_switching
+    ):
+        state = self._count_overlap(monkeypatch)
+        program, result = build_kmeans(n=24, k=4, iterations=4,
+                                       granularity="pair")
+        run_program(program, workers=4, timeout=120)
+        assert state["calls"] > 100
+        assert state["peak"] == 1
+        expected = kmeans_baseline(n=24, k=4, iterations=4)
+        for age, centroids in expected.history.items():
+            assert np.array_equal(result.history[age], centroids)
+
+    def test_analysis_stays_serial_across_four_sessions(
+        self, monkeypatch, fast_switching
+    ):
+        """Four stream drivers inject while four workers commit: still
+        one analysis at a time."""
+        from repro.stream import SessionManager, SessionSpec, StreamConfig
+
+        state = self._count_overlap(monkeypatch)
+        specs, expected = [], []
+        for i in range(4):
+            cfg = MJPEGConfig(32, 32, frames=4, seed=700 + i)
+            program, sink, binding = build_mjpeg_stream(
+                cfg, StreamConfig(fps=0, max_frames=4, lag_window=4)
+            )
+            specs.append(SessionSpec(f"s{i}", program, binding))
+            expected.append((sink, mjpeg_baseline(config=cfg)))
+        SessionManager(specs, workers=4).run(timeout=120)
+        assert state["calls"] > 100
+        assert state["peak"] == 1
+        for sink, reference in expected:
+            assert sink.stream() == reference
+
+    def test_a_running_node_owns_its_workers_and_nothing_else(self):
+        program, _ = build_mulsum(modulo=2**40)  # runs until stopped
+        before = set(threading.enumerate())
+        node = ExecutionNode(program, 3, name="census")
+        node.start()
+        try:
+            deadline = time.monotonic() + 30
+            while node.instrumentation.total_instances() < 20:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert _threads_left(before) == [
+                "census-worker0", "census-worker1", "census-worker2",
+            ]
+            assert not [t.name for t in threading.enumerate()
+                        if t.name.endswith("-analyzer")]
+        finally:
+            node.stop()
+            node.join(timeout=30)
+        assert _threads_left(before) == []
+
+
+class AnalysisFailed(Exception):
+    """The error the tests below plant in the analyzer."""
+
+
+class TestAnalysisErrors:
+    """An analysis error ends the run wherever it happens — in a
+    worker's commit or in a stream driver's inject: it is not raised
+    into the thread that produced the event, ``join`` re-raises it, and
+    no thread is left behind."""
+
+    @staticmethod
+    def _fail_third_store(monkeypatch, thread_prefix="") -> list:
+        """``on_store`` raises on its 3rd call from a thread whose name
+        starts with ``thread_prefix``; returns where it raised."""
+        on_store = DependencyAnalyzer.on_store
+        calls, raised_on = [], []
+
+        def flaky(analyzer, ev):
+            name = threading.current_thread().name
+            if name.startswith(thread_prefix):
+                calls.append(name)
+                if len(calls) == 3:
+                    raised_on.append(name)
+                    raise AnalysisFailed("planted")
+            return on_store(analyzer, ev)
+
+        monkeypatch.setattr(DependencyAnalyzer, "on_store", flaky)
+        return raised_on
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_in_a_workers_commit(self, monkeypatch, backend):
+        raised_on = self._fail_third_store(monkeypatch)
+        program, _ = build_mjpeg(config=MJPEGConfig(32, 32, frames=3))
+        before = set(threading.enumerate())
+        with pytest.raises(AnalysisFailed):
+            _within(60, lambda: run_program(
+                program, workers=2, backend=backend, timeout=60,
+            ))
+        assert len(raised_on) == 1 and "-worker" in raised_on[0]
+        assert _threads_left(before) == []
+
+    def test_in_the_stream_drivers_inject(self, monkeypatch):
+        from repro.stream import StreamConfig
+
+        raised_on = self._fail_third_store(monkeypatch, "stream-driver")
+        program, _sink, binding = build_mjpeg_stream(
+            MJPEGConfig(32, 32, frames=8),
+            StreamConfig(fps=0, max_frames=8, lag_window=4),
+        )
+        before = set(threading.enumerate())
+        with pytest.raises(AnalysisFailed):
+            _within(60, lambda: run_program(
+                program, workers=2, stream=binding, timeout=60,
+            ))
+        assert raised_on == ["stream-driver"]
+        # The lifecycle stops the driver but does not join it.
+        assert _threads_left(before, grace=5.0) == []

@@ -310,6 +310,18 @@ class TestOneLifecycle:
         assert tel.exporter.ticks >= 1  # it ran, and stop() sampled
         assert _run_threads() == []
 
+    def test_sessions_share_one_stream_clock(self):
+        """Frame ``a`` of every session started together is due at the
+        same instant: the drivers' clocks are reset to one reading, not
+        each when its thread happened to start."""
+        specs = [make_session(f"c{i}", frames=3, fps=50.0)[0]
+                 for i in range(4)]
+        mgr = SessionManager(specs, workers=2)
+        mgr.start()
+        marks = {d.timer._mark for d in mgr.drivers.values()}
+        mgr.join(timeout=120)
+        assert len(marks) == 1
+
 
 class TestTierFairness:
     """Starvation: offered rate beyond capacity.  Gold never sheds;

@@ -137,26 +137,24 @@ def test_racing_probe_skips_sweep():
 
 def test_sweep_tells_each_analyzer_through_its_event_queue():
     """Bookkeeping retires with the ages: every node is told the floor
-    scoped like ``min_pending_age`` — what ``ExecutionNode.retire``
-    turns into a ``RetireEvent`` for its analyzer."""
-    from repro.core.events import RetireEvent
+    once, scoped like ``min_pending_age`` — ``ExecutionNode.retire``
+    hands it to its analyzer under the analysis lock."""
 
-    class QueueNode(StubNode):
+    class RecordingNode(StubNode):
         def __init__(self) -> None:
             super().__init__()
-            self.injected = []
+            self.calls = []
 
         def retire(self, floor, fields=None, kernels=None) -> int:
-            assert fields == frozenset({"s.f"})
-            self.injected.append(RetireEvent(floor, kernels))
+            self.calls.append((floor, fields, kernels))
             return 100
 
-    node = QueueNode()
+    node = RecordingNode()
     r = Retirer([node, StubNode()], keep_ages=1,
                 field_names={"s.f"}, kernel_names={"s.k"})
     for age in range(4):
         r.note_complete(age)
     r.sweep()
-    assert node.injected == [RetireEvent(3, frozenset({"s.k"}))]
+    assert node.calls == [(3, {"s.f"}, {"s.k"})]
     r.sweep()  # nothing new below the floor: nothing re-sent
-    assert len(node.injected) == 1
+    assert len(node.calls) == 1

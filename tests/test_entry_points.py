@@ -87,7 +87,7 @@ CORE_EXPORTS = [
     "KernelInstance", "KernelStats", "LanguageError", "LexError",
     "LocalField", "NAME_SEP", "NodeFailureError", "P2GError", "ParseError",
     "PartitionError", "ProcessBackend", "Program", "ReadyQueue",
-    "RegionGroup", "ResizeEvent", "RetireEvent", "RunResult",
+    "RegionGroup", "ResizeEvent", "RunResult",
     "RuntimeStateError", "SchedulerError", "SemanticError", "SharedField",
     "SharedFieldStore", "StallError", "StoreEvent", "StoreSpec",
     "ThreadBackend", "Timer", "TimerSet", "TopologyError", "TransportError",
