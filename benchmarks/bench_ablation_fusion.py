@@ -47,7 +47,7 @@ def test_fusion(benchmark, variant):
         m = result.fields["m_data"].fetch(AGES)
         assert np.array_equal(m, EXPECTED[AGES][0])
     total = result.instrumentation.total_instances()
-    n_dispatches = dispatches(result, batch)
+    n_dispatches = dispatches(result)
     benchmark.extra_info["total_instances"] = total
     benchmark.extra_info["dispatches"] = n_dispatches
     benchmark.extra_info["analyzer_s"] = round(

@@ -46,7 +46,7 @@ def test_granularity(benchmark, variant):
     result, sink = benchmark.pedantic(run, rounds=1, iterations=1)
     _check(sink)
     assign = result.stats["assign"]
-    claims = dispatches(result, batch)  # of any kernel
+    claims = dispatches(result)  # of any kernel
     benchmark.extra_info["assign_instances"] = assign.instances
     benchmark.extra_info["dispatches"] = claims
     benchmark.extra_info["dispatch_ratio"] = round(assign.dispatch_ratio, 3)

@@ -34,11 +34,7 @@ def run_and_report(tag: str, program, batch: int = 1, max_age: int = 2):
         program, workers=2, max_age=max_age, timeout=60, batch=batch
     )
     counts = {k: v.instances for k, v in sorted(result.stats.items())}
-    # the claim counter exists where a claim can be more than an instance
-    dispatches = (
-        result.metrics.counter("exec.claims").value
-        if batch > 1 else sum(counts.values())
-    )
+    dispatches = result.metrics.snapshot()["exec.claims"]["value"]
     print(f"{tag:<28} dispatches: {dispatches:>3}  instances: {counts}")
     return result
 

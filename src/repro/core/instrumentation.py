@@ -6,17 +6,18 @@ every kernel definition, the number of instances dispatched, the mean
 matching, fetch slicing, field allocation/reallocation and store
 processing) and the mean *kernel time* (time inside the native block).
 
-The same data feeds the LLS's adaptive granularity policy (a high
-dispatch/kernel ratio means the decomposition is too fine — the K-means
-``assign`` kernel in table III) and, in the distributed layer, the HLS's
-instrumentation-weighted repartitioning.
+It is also the one holder of the run's dispatch counters — claims and
+their sizes, fetches, stores, stacked instances and fallbacks — counted
+under the lock each claim's record already takes, and read by the
+node's metrics registry at snapshot time (:meth:`Instrumentation.snapshot`,
+DESIGN.md §9).  In the distributed layer the per-kernel times weight the
+HLS's repartitioning.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 
@@ -28,6 +29,13 @@ class KernelStats:
     dispatch_time: float = 0.0  #: total seconds of framework overhead
     kernel_time: float = 0.0  #: total seconds inside the native block
     ipc_time: float = 0.0  #: total seconds of cross-process transfer
+    claims: int = 0  #: dispatches, one per claim
+    fetches: int = 0  #: fetch operations (instances x fetch specs)
+    stores: int = 0  #: store regions written
+    vectorized: int = 0  #: instances run by a stacked ``batch_body``
+    fallbacks: int = 0  #: stacks that fell back to the scalar body
+    claim_min: int = 0  #: smallest claim, in instances (0: no claim yet)
+    claim_max: int = 0  #: largest claim, in instances
 
     @property
     def mean_dispatch_us(self) -> float:
@@ -49,18 +57,24 @@ class KernelStats:
 
     @property
     def dispatch_ratio(self) -> float:
-        """dispatch / (dispatch + kernel) — the LLS's granularity signal."""
+        """dispatch / (dispatch + kernel): the share of an instance the
+        framework costs (high for the K-means ``assign`` kernel of
+        table III)."""
         total = self.dispatch_time + self.kernel_time
         return self.dispatch_time / total if total else 0.0
 
     def merged(self, other: "KernelStats") -> "KernelStats":
-        """Sum of two stats records (cluster-wide merging)."""
-        return KernelStats(
-            self.instances + other.instances,
-            self.dispatch_time + other.dispatch_time,
-            self.kernel_time + other.kernel_time,
-            self.ipc_time + other.ipc_time,
+        """Sum of two stats records (cluster-wide merging); claim sizes
+        keep the smallest and largest of either."""
+        out = KernelStats(*(
+            getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+        ))
+        out.claim_min = min(
+            (s.claim_min for s in (self, other) if s.claims), default=0
         )
+        out.claim_max = max(self.claim_max, other.claim_max)
+        return out
 
 
 class Instrumentation:
@@ -70,31 +84,18 @@ class Instrumentation:
         self._lock = threading.Lock()
         self._stats: dict[str, KernelStats] = {}
         self.analyzer_time = 0.0  #: seconds under the analysis lock
-        self.wall_time = 0.0  #: wall-clock duration of the run
-        self._t0: float | None = None
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Mark the start of the run (wall-clock origin)."""
-        self._t0 = time.perf_counter()
-
-    def stop(self) -> None:
-        """Freeze ``wall_time`` at the current clock."""
-        if self._t0 is not None:
-            self.wall_time = time.perf_counter() - self._t0
-
     def record(
-        self,
-        kernel: str,
-        dispatch_time: float,
-        kernel_time: float,
-        ipc_time: float = 0.0,
-        n: int = 1,
+        self, kernel: str, dispatch_time: float, kernel_time: float,
+        ipc_time: float = 0.0, n: int = 1, fetches: int = 0,
+        stores: int = 0, vectorized: int = 0, fallbacks: int = 0,
     ) -> None:
-        """Account one dispatch covering ``n`` executed instances (a
-        single instance is a batch of one): one lock acquisition, the
-        dispatch's total seconds — so per-instance means like
-        ``mean_dispatch_us`` stay comparable across batch sizes."""
+        """Account one dispatch — a claim of ``n`` executed instances (a
+        single instance is a claim of one) — under one lock acquisition:
+        the claim's total seconds, so per-instance means like
+        ``mean_dispatch_us`` stay comparable across batch sizes, and its
+        fetches, stored regions, stacked instances and fallbacks."""
         with self._lock:
             st = self._stats.get(kernel)
             if st is None:
@@ -103,6 +104,15 @@ class Instrumentation:
             st.dispatch_time += dispatch_time
             st.kernel_time += kernel_time
             st.ipc_time += ipc_time
+            st.claims += 1
+            st.fetches += fetches
+            st.stores += stores
+            st.vectorized += vectorized
+            st.fallbacks += fallbacks
+            if n > st.claim_max:
+                st.claim_max = n
+            if n < st.claim_min or not st.claim_min:
+                st.claim_min = n
 
     def add_analyzer_time(self, seconds: float) -> None:
         """Accumulate time spent analysing events (under the node's
@@ -114,12 +124,7 @@ class Instrumentation:
     def stats(self) -> dict[str, KernelStats]:
         """Snapshot of per-kernel stats."""
         with self._lock:
-            return {
-                k: KernelStats(
-                    s.instances, s.dispatch_time, s.kernel_time, s.ipc_time
-                )
-                for k, s in self._stats.items()
-            }
+            return {k: replace(s) for k, s in self._stats.items()}
 
     def __getitem__(self, kernel: str) -> KernelStats:
         with self._lock:
@@ -135,27 +140,48 @@ class Instrumentation:
         with self._lock:
             return sum(s.kernel_time for s in self._stats.values())
 
-    def _scalars(self) -> tuple[float, float]:
-        """Locked snapshot of the non-per-kernel accumulators."""
-        with self._lock:
-            return self.analyzer_time, self.wall_time
-
     def merged(self, other: "Instrumentation") -> "Instrumentation":
         """A new collector holding the sum of both runs.
 
         Thread-safe against concurrent :meth:`record` /
-        :meth:`add_analyzer_time` on either operand: both per-kernel
-        stats and the scalar accumulators are read as locked snapshots,
-        so a merge taken mid-run is a consistent point-in-time view (the
-        result itself is a fresh, unshared collector)."""
+        :meth:`add_analyzer_time` on either operand: per-kernel stats and
+        analyzer time are read under each operand's lock, so a merge
+        taken mid-run is a consistent point-in-time view (the result
+        itself is a fresh, unshared collector)."""
         out = Instrumentation()
         mine, theirs = self.stats(), other.stats()
         for k in set(mine) | set(theirs):
             s = mine.get(k, KernelStats()).merged(theirs.get(k, KernelStats()))
             out._stats[k] = s
-        a, b = self._scalars(), other._scalars()
-        out.analyzer_time = a[0] + b[0]
-        out.wall_time = max(a[1], b[1])
+        for src in (self, other):
+            with src._lock:
+                out.analyzer_time += src.analyzer_time
+        return out
+
+    def snapshot(self) -> dict[str, dict]:
+        """The dispatch counters, summed over kernels, as a typed metrics
+        snapshot — what a node's registry reads (DESIGN.md §9).  Claim
+        sizes are a histogram of count / sum / min / max, with no
+        percentiles."""
+        total = KernelStats()
+        for s in self.stats().values():
+            total = total.merged(s)
+        out = {
+            name: {"type": "counter", "value": value}
+            for name, value in (
+                ("instances.executed", total.instances),
+                ("fields.fetches", total.fetches),
+                ("fields.stores", total.stores),
+                ("exec.vectorized_instances", total.vectorized),
+                ("exec.vectorize_fallbacks", total.fallbacks),
+                ("exec.claims", total.claims),
+            )
+        }
+        out["exec.claim_size"] = dict(
+            type="histogram", count=total.claims, sum=total.instances,
+            min=total.claim_min, max=total.claim_max,
+            mean=total.instances / total.claims if total.claims else 0.0,
+        )
         return out
 
     # ------------------------------------------------------------------

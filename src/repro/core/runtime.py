@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..obs import (
+    Histogram,
     MetricsRegistry,
     NULL_TRACER,
     Telemetry,
@@ -129,14 +130,14 @@ class ReadyQueue:
         self._age_counts: dict[int, int] = {}
         self._session_ages: dict[str, dict[int, int]] = {}
         self.scheduling = scheduling
-        self.max_depth = 0  #: high-water mark (instrumentation)
-        # Queue-wait accounting (enqueue -> dequeue seconds), aggregated
-        # under the queue's own lock so the hot path pays no extra
-        # synchronization; exported to the metrics registry at join().
+        # The queue holds its own totals, kept under the lock a push or
+        # a pop already takes and read by :meth:`snapshot`: instances in
+        # and out, the deepest it got, and each claim's wait (enqueue ->
+        # dequeue seconds, summed over the claim's members).
+        self.max_depth = 0
         self.pushes = 0
         self.pops = 0
-        self.wait_total = 0.0
-        self.wait_max = 0.0
+        self.wait = Histogram(lock=self._lock)
 
     def _heap_for(self, session: str) -> list:
         heap = self._heaps.get(session)
@@ -333,15 +334,12 @@ class ReadyQueue:
                 ages[real] -= took
                 if not ages[real]:
                     del ages[real]
-                waited = now - pushed
-                wait += took * waited
-                if waited > self.wait_max:
-                    self.wait_max = waited
+                wait += took * (now - pushed)
             took = max_n - room
             self._depth -= took
             self._deficit[session] = self._deficit.get(session, 1) - took
             self.pops += took
-            self.wait_total += wait
+            self.wait.add(wait)
             return batch, wait
 
     def min_age(self, session: str | None = None) -> int | None:
@@ -358,6 +356,19 @@ class ReadyQueue:
                 counts = self._session_ages.get(session, {})
             real = [a for a, c in counts.items() if c and a >= 0]
             return min(real) if real else None
+
+    def snapshot(self) -> dict[str, dict]:
+        """The queue's totals as a typed metrics snapshot (a node's
+        registry reads it, DESIGN.md §9): ``ready.wait_s`` observes one
+        value per claim, so its count is dispatches, not instances."""
+        with self._lock:
+            pushes, pops, depth = self.pushes, self.pops, self.max_depth
+        return {
+            "ready.pushes": {"type": "counter", "value": pushes},
+            "ready.pops": {"type": "counter", "value": pops},
+            "ready.depth.max": {"type": "gauge", "value": depth},
+            "ready.wait_s": self.wait.snapshot(),
+        }
 
     def drain(self) -> list:
         """Remove and return every queued instance (sentinels dropped).
@@ -574,7 +585,9 @@ class ExecutionNode:
     metrics:
         Optional shared :class:`~repro.obs.MetricsRegistry` (a cluster
         passes one registry to all of its nodes so counters aggregate
-        cluster-wide); the node creates its own when omitted.
+        cluster-wide); the node creates its own when omitted.  The node
+        writes nothing into it: it registers itself as a holder
+        (:meth:`snapshot`), read when the registry takes a snapshot.
     batch:
         The paper's granularity parameter: the most instances one body
         call sees (default 1).  With ``batch > 1`` a worker *claims* its
@@ -583,7 +596,7 @@ class ExecutionNode:
         unit of everything on the shared path: one backend call (one
         IPC message on the processes backend), one gather per fetch
         spec, one write-once commit and one event per (field, age), one
-        trace span, one metrics/instrumentation update.  Inside it the
+        trace span, one instrumentation record.  Inside it the
         kernel's vectorized ``batch_body``, when it has one, runs on
         stacks of at most ``batch`` rows.  ``batch=1`` is the paper's
         one-instance-per-dispatch reference mode (tables II/III):
@@ -644,39 +657,12 @@ class ExecutionNode:
         self.instrumentation = Instrumentation()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Live memory observability: computed gauges evaluated at
-        # snapshot time, so a streaming run's boundedness can be watched
-        # without polling overhead on the hot path.  A cluster's nodes
-        # share one registry and one field store, so re-registration just
-        # rebinds the same callables.
-        self.metrics.gauge_fn("fields.live_bytes", self.fields.live_bytes)
-        self.metrics.gauge_fn("process.peak_rss_bytes", peak_rss_bytes)
-        self._m_instances = self.metrics.counter("instances.executed")
-        self._m_fetches = self.metrics.counter("fields.fetches")
-        self._m_stores = self.metrics.counter("fields.stores")
-        self._m_vec = self.metrics.counter("exec.vectorized_instances")
-        self._m_fallback = self.metrics.counter("exec.vectorize_fallbacks")
-        self._m_ready_wait = self.metrics.histogram("ready.wait_s")
-        # Hot-path guards, read once: a disabled registry/tracer costs
-        # one cached attribute test per instance instead of a lock per
-        # counter bump (see obs/metrics.py and obs/tracing.py).
-        self._metrics_on = getattr(self.metrics, "enabled", True)
-        # Round trips per frame, from /metrics: claims and their sizes.
-        # Observed only where a claim can be more than an instance — at
-        # batch=1 ``exec.claims`` would repeat ``instances.executed`` at
-        # one more lock per instance, 3 % on the dispatch-bound
-        # reference mode (``kmeans_batch``).
-        self._claims_on = self._metrics_on and batch > 1
-        if self._claims_on:
-            self._m_claims = self.metrics.counter("exec.claims")
-            self._m_claim_size = self.metrics.histogram("exec.claim_size")
+        # Hot-path guard, read once: tracing off costs one cached
+        # attribute test per claim (see obs/tracing.py).
         self._trace_on = self.tracer.enabled
-        # Frame timeline (telemetry): same guard shape — one cached
-        # reference, bound to None when telemetry is off, so every
-        # hot-path site pays a single ``is not None`` test.
-        self._timeline = (
-            timeline if timeline is not None and timeline.enabled else None
-        )
+        #: Frame timeline (telemetry), ``None`` when telemetry is off:
+        #: every hot-path site pays a single ``is not None`` test.
+        self._timeline = timeline
         self._queue_wait_by_worker: dict[int, float] = {}
         self.ready = ReadyQueue(scheduling, session_weights)
         #: The extractor the fair queue ended up with (None for classic
@@ -713,6 +699,9 @@ class ExecutionNode:
                 if f.age.literal is None and f.age.offset < 0
             )
         )
+        # Last, so a registry shared with running nodes never reads a
+        # half-built one.
+        self.metrics.add_holder(self.snapshot)
 
     # ------------------------------------------------------------------
     # Outstanding-work counter
@@ -771,8 +760,9 @@ class ExecutionNode:
         completeness metadata here.  The rest is one code path — the
         claim's stores announced (:meth:`_announce`: one
         :class:`StoreEvent` group per (field, age), a stacked claim's
-        and a scalar one's alike), ``ctx.output`` delivery,
-        instrumentation, metrics, frame timeline, trace spans, and one
+        and a scalar one's alike), ``ctx.output`` delivery, the
+        instrumentation record (the one holder of the dispatch
+        counters), frame timeline, trace spans, and one
         :class:`InstanceDoneEvent` for the dispatch, carrying every
         member — posted only when the analyzer acts on it: the claim's
         kernel :attr:`~repro.core.kernels.KernelDef.self_advances` or the
@@ -808,20 +798,10 @@ class ExecutionNode:
             t_send, t_recv = remote
             ipc = max(0.0, (t_recv - t_send) - (t_fetch + t_kernel + t_store))
             dispatch = t_fetch + t_store + (t_send - t0) + (t_done - t_recv)
-        self.instrumentation.record(kernel.name, dispatch, t_kernel, ipc, n)
-        if self._metrics_on:
-            self._m_instances.inc(n)
-            if kernel.fetches:
-                self._m_fetches.inc(n * len(kernel.fetches))
-            if n_stores:
-                self._m_stores.inc(n_stores)
-            if vectorized:
-                self._m_vec.inc(vectorized)
-            if fallbacks:
-                self._m_fallback.inc(fallbacks)
-            if self._claims_on:
-                self._m_claims.inc()
-                self._m_claim_size.observe(n)
+        self.instrumentation.record(
+            kernel.name, dispatch, t_kernel, ipc, n,
+            n * len(kernel.fetches), n_stores, vectorized, fallbacks,
+        )
         tl = self._timeline if age is not None else None
         if tl is not None or self._trace_on:
             # Where the dispatch sits on this thread's clock, as
@@ -903,16 +883,12 @@ class ExecutionNode:
         """The one worker loop: claim this worker's share of the head
         same-kernel/same-age run (at least :attr:`batch` instances when
         there are that many) and hand it to the backend as one call;
-        ``batch=1`` simply yields singletons.  Ready-queue wait is
-        observed once per claim (the sum over its members), so
-        ``ready.wait_s.count`` counts *dispatches*, not instances."""
+        ``batch=1`` simply yields singletons."""
         while True:
             batch, wait = self.ready.pop_batch(self.batch, self.workers)
             if batch is None:
                 return
             first = batch[0]
-            if self._metrics_on:
-                self._m_ready_wait.observe(wait)
             if self._trace_on:
                 self._queue_wait_by_worker[worker_id] = wait
             if self._timeline is not None and first.age is not None:
@@ -1006,19 +982,39 @@ class ExecutionNode:
                     tr.complete(type(ev).__name__, "analyzer",
                                 self.name, "analyzer", t0, t1, args)
 
+    def live_floor(self, session: str | None = None, kernels=None):
+        """The lowest age this node could still dispatch work for — its
+        pending analyzer work, queued and running instances — or
+        ``None`` when nothing is live.  ``session`` (a fair queue's
+        tenant) and ``kernels`` (kernel names) scope the probe to one
+        tenant.  The ``gc_fields`` sweep calls it under the analysis
+        lock; the stream :class:`~repro.stream.Retirer` calls it without,
+        and a probe that races a mutation raises :class:`RuntimeError`
+        (the retirer skips that sweep)."""
+        live = [
+            a for a in (self.analyzer.min_pending_age(kernels),
+                        self.ready.min_age(session))
+            if a is not None
+        ]
+        if session is None:
+            live.extend(self._running_ages.values())
+        else:
+            # A worker publishes age before session; an entry whose
+            # session is not visible yet counts as ours (conservative —
+            # never over-frees).
+            sessions = dict(self._running_sessions)
+            live.extend(
+                age for wid, age in list(self._running_ages.items())
+                if sessions.get(wid, session) == session
+            )
+        return min(live) if live else None
+
     def _collect_garbage(self) -> None:
         """Retire field ages no pending/ready/running instance can reach."""
-        live: list[int] = []
-        p = self.analyzer.min_pending_age()
-        if p is not None:
-            live.append(p)
-        q = self.ready.min_age()
-        if q is not None:
-            live.append(q)
-        live.extend(self._running_ages.values())
-        if not live:
+        live = self.live_floor()
+        if live is None:
             return
-        floor = min(live) - self._max_back - self.keep_ages
+        floor = live - self._max_back - self.keep_ages
         if floor > self._gc_floor:
             self._gc_floor = floor
             self._gc_bytes += self._retire_locked(floor)
@@ -1062,7 +1058,6 @@ class ExecutionNode:
         # The backend allocates its resources (the process backend forks
         # its workers) before any thread of this run exists.
         self.backend.start(self)
-        self.instrumentation.start()
         self._t0 = time.perf_counter()
         self._threads = [
             threading.Thread(
@@ -1173,13 +1168,11 @@ class ExecutionNode:
         )
         for t in self._threads:
             t.join(limit)
-        self.instrumentation.stop()
         self.backend.shutdown()
         if isinstance(self.fields, SharedFieldStore):
             # Unlink segment names; mappings stay readable so the
             # RunResult's fields can still be fetched.
             self.fields.release()
-        self._export_metrics()
         if self._error is not None:
             raise self._error
         if outcome == "stalled":
@@ -1207,26 +1200,31 @@ class ExecutionNode:
             tracer=self.tracer if self.tracer.enabled else None,
         )
 
-    def _export_metrics(self) -> None:
-        """Export join-time aggregates into the metrics registry.
-
-        Runs once per node (a node runs once).  Gauges describing
-        *shared* resources (the cluster's field store, the shared timer
-        set) use ``set_max`` so several nodes reporting the same object
-        don't double-count it; per-node totals use counters, which sum
-        across a shared registry.
-        """
-        m = self.metrics
-        if not getattr(m, "enabled", True):
-            return
-        m.counter("ready.pushes").inc(self.ready.pushes)
-        m.counter("ready.pops").inc(self.ready.pops)
-        m.counter("instances.abandoned").inc(self._abandoned)
-        m.counter("fields.gc_bytes").inc(self._gc_bytes)
-        m.gauge("ready.depth.max").set_max(self.ready.max_depth)
-        m.gauge("fields.bytes_live").set_max(self.fields.live_bytes())
+    def snapshot(self) -> dict[str, dict]:
+        """What this node holds, as a typed metrics snapshot, read live
+        by its registry (DESIGN.md §9): the dispatch counters
+        (:meth:`Instrumentation.snapshot`), the ready queue's
+        (:meth:`ReadyQueue.snapshot`) and the node's own — abandoned
+        instances, bytes ``gc_fields`` freed, live field bytes (one
+        holder, two names), peak RSS and each timer's deadline misses.
+        Nodes sharing a registry sum their counters; shared resources
+        (the field store, the timers) are gauges, which take the max."""
+        live = self.fields.live_bytes()
+        out = {
+            **self.instrumentation.snapshot(),
+            **self.ready.snapshot(),
+            "instances.abandoned": {"type": "counter",
+                                    "value": self._abandoned},
+            "fields.gc_bytes": {"type": "counter", "value": self._gc_bytes},
+            "fields.bytes_live": {"type": "gauge", "value": live},
+            "fields.live_bytes": {"type": "gauge", "value": live},
+            "process.peak_rss_bytes": {"type": "gauge",
+                                       "value": peak_rss_bytes()},
+        }
         for name, timer in self.timers.as_mapping().items():
-            m.gauge(f"deadline.misses.{name}").set_max(timer.misses)
+            out[f"deadline.misses.{name}"] = {"type": "gauge",
+                                              "value": timer.misses}
+        return out
 
     def run(
         self,
@@ -1248,8 +1246,8 @@ class ExecutionNode:
 class _Lifecycle:
     """The one bring-up and wind-down order of a run (DESIGN.md §17),
     shared by :func:`run_program`, :class:`~repro.stream.SessionManager`
-    and the cluster's run object: telemetry (tracer attached, exporter
-    source added, started) → every node → the ``services`` pair that
+    and the cluster's run object: telemetry (tracer and registry
+    attached, started) → every node → the ``services`` pair that
     watches the nodes (heartbeats, recovery manager) → stream drivers.
     :meth:`stop` undoes, newest first, whatever came up; :meth:`join`
     runs it in a ``finally`` and a failed :meth:`start` before
@@ -1279,12 +1277,9 @@ class _Lifecycle:
         try:
             if tel is not None:
                 # A run's nodes share one tracer and one registry, so the
-                # first node's are the run's — and one exporter source,
-                # or a merge would double-count.
+                # first node's are the run's.
                 tel.attach_tracer(nodes[0].tracer)
-                tel.exporter.add_source(
-                    nodes[0].name, nodes[0].metrics.snapshot
-                )
+                tel.exporter.registry = nodes[0].metrics
                 self.up(tel.start, tel.stop)
             for node in nodes:
                 node.start()

@@ -215,6 +215,7 @@ class _ClusterRun:
             tracer = Tracer(mode="ring") if self.ft else NULL_TRACER
         self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics.add_holder(self.transport.stats.snapshot)
         self.life = _Lifecycle(telemetry)
         self.transport.tracer = tracer
         self.transport.timeline = self.life.timeline
@@ -276,11 +277,14 @@ class _ClusterRun:
 
     def _arm_membership(self) -> None:
         """Elastic run: broadcast every view of the node table on the
-        control topic, export the epoch, retain the event log for
-        migration replay, and gate routing on the view."""
+        control topic, let the registry read its epoch, retain the event
+        log for migration replay, and gate routing on the view."""
         table, transport = self.cluster.master.topology, self.transport
         table.set_publish(self.broadcast)
-        self.metrics.gauge("membership.epoch").set_max(table.epoch)
+        self.metrics.add_holder(
+            lambda: {"membership.epoch": {"type": "gauge",
+                                          "value": table.epoch}}
+        )
         transport.membership = table
         transport.enable_log()
         tel = self.life.telemetry
@@ -288,7 +292,6 @@ class _ClusterRun:
             tel.exporter.page("membership", table.as_dict)
 
     def broadcast(self, view) -> None:
-        self.metrics.gauge("membership.epoch").set_max(view.epoch)
         try:
             self.transport.publish(
                 MEMBERSHIP_TOPIC, "master", view, control=True
@@ -573,16 +576,18 @@ class _ClusterRun:
     def start(self) -> None:
         """Bring the run up and put a drive thread on every node."""
         nodes = list(self.exec_nodes.values())
-        drivers = list(self.drivers.values())
-        if self.edriver is not None:
-            drivers.append(self.edriver)
         # Startup token keeps the shared counter nonzero until every node
         # has dispatched its initial instances, so no node can observe a
         # false global quiescence during startup.
         with WorkToken(self.counter, label="cluster-startup"):
             self.t0 = time.perf_counter()
             self.t0_mono = time.monotonic()
-            self.life.start(nodes, drivers, (self.watch, self.unwatch))
+            self.life.start(
+                nodes, list(self.drivers.values()), (self.watch, self.unwatch)
+            )
+            if self.edriver is not None:
+                # After the stream drivers; it runs on no stream clock.
+                self.life.up(self.edriver.start, self.edriver.stop)
             self.running = True
             for node in nodes:
                 self.follow(node)
@@ -622,13 +627,6 @@ class _ClusterRun:
             self.life.join(self.join_threads)
         finally:
             self.running = False
-        stats = self.transport.stats
-        gauge = self.metrics.gauge
-        gauge("transport.messages").set_max(stats.messages)
-        gauge("transport.bytes").set_max(stats.bytes)
-        gauge("transport.delivery_errors").set_max(stats.delivery_errors)
-        gauge("transport.drops").set_max(stats.drops)
-        gauge("transport.stale_rejects").set_max(stats.stale_rejects)
         err = self.manager.error if self.manager is not None else None
         if err is None and self.errors:
             err = self.errors[0]
@@ -938,7 +936,7 @@ class Cluster:
         runs arm a ring tracer by default and dump it on an
         unrecoverable failure (``exc.flight_path``, §9).
         ``telemetry``: a :class:`~repro.obs.Telemetry` — frame timeline
-        on nodes and transport, SLO tracker, live exporter (§14).
+        on nodes and transport, SLO tracker, live exporter (§9).
         ``elastic``: ``True`` lets :meth:`add_node` / :meth:`drain_node`
         rescale the running cluster; an :class:`ElasticityConfig` also
         starts the driver deciding from load / SLO signals (§15).

@@ -81,6 +81,16 @@ class TransportStats:
         self.per_link[link] = self.per_link.get(link, 0) + 1
         self.simulated_latency_s += latency_s
 
+    def snapshot(self) -> dict[str, dict]:
+        """The ``transport.*`` totals as a typed metrics snapshot, read
+        live by the cluster run's registry (DESIGN.md §9)."""
+        return {
+            f"transport.{name}": {"type": "gauge",
+                                  "value": getattr(self, name)}
+            for name in ("messages", "bytes", "delivery_errors", "drops",
+                         "stale_rejects")
+        }
+
 
 class InProcTransport:
     """Thread-safe in-process pub-sub with traffic accounting.

@@ -1,17 +1,21 @@
-"""Observability: span tracing, metrics and the failure flight recorder.
+"""Observability: tracing, metrics, telemetry and the flight recorder.
 
-This subpackage is the measurement substrate the ROADMAP's performance
-work rests on.  It is deliberately dependency-free within the project
-(imports nothing from :mod:`repro.core` or :mod:`repro.dist`, which
-both build on it):
+The measurement substrate the ROADMAP's performance work rests on.  It
+imports nothing from :mod:`repro.core` or :mod:`repro.dist`, which both
+build on it:
 
-* :mod:`repro.obs.tracing` — per-kernel-instance lifecycle spans and
-  scheduler/analyzer/transport/heartbeat/recovery events, exported as
-  Chrome trace-event JSON (``--trace out.json``, open in Perfetto);
-* :mod:`repro.obs.metrics` — counters, gauges and histograms with
-  snapshot/delta/merge semantics (``--metrics`` / ``--metrics-json``);
+* :mod:`repro.obs.tracing` — per-instance lifecycle spans and runtime
+  events as Chrome trace-event JSON (``--trace out.json``, Perfetto);
+* :mod:`repro.obs.metrics` — counters, gauges, histograms and the
+  registry that reads each layer's holder at snapshot time, with
+  delta/merge algebra (``--metrics`` / ``--metrics-json``);
+* :mod:`repro.obs.timeline` — per-frame stage spans and their
+  critical-path latency partition;
+* :mod:`repro.obs.slo` — per-session error-budget burn and alerts;
+* :mod:`repro.obs.telemetry` — the live exporter (JSONL, Prometheus
+  endpoint) and the :class:`Telemetry` bundle a run is wired with;
 * :mod:`repro.obs.flight` — a bounded ring of recent events dumped
-  automatically when a run dies, next to the chaos repro artifact.
+  when a run dies, next to the chaos repro artifact.
 """
 
 from .flight import FLIGHT_DIR_ENV, dump_flight, flight_dir

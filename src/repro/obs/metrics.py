@@ -3,7 +3,10 @@
 Where :mod:`repro.obs.tracing` keeps the timeline, this module keeps the
 *state* a scheduler (the paper's LLS/HLS) or an operator would poll:
 ready-queue depth and wait time, live field bytes, transport traffic,
-deadline misses and recovery counts.  Three metric kinds:
+deadline misses and recovery counts.  Most of it is not stored here:
+each layer holds its own facts and the registry reads those *holders*
+when it takes a snapshot (:meth:`MetricsRegistry.add_holder`, DESIGN.md
+§9).  Three metric kinds:
 
 * :class:`Counter` — monotonically increasing total;
 * :class:`Gauge` — last-set value (with a ``set_max`` variant so
@@ -149,8 +152,13 @@ class Histogram:
     #: Sample-buffer bound; decimation keeps at most this many values.
     _SAMPLE_CAP = 4096
 
-    def __init__(self, quantiles: Sequence[float] | None = None) -> None:
-        self._lock = threading.Lock()
+    def __init__(
+        self,
+        quantiles: Sequence[float] | None = None,
+        lock: "threading.Lock | None" = None,
+    ) -> None:
+        #: A holder's own lock, when it records with :meth:`add`.
+        self._lock = lock if lock is not None else threading.Lock()
         self.count = 0
         self.total = 0.0
         self.vmin = float("inf")
@@ -163,17 +171,22 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         with self._lock:
-            if self.count % self._stride == 0:
-                self._samples.append(value)
-                if len(self._samples) >= self._SAMPLE_CAP:
-                    self._samples = self._samples[::2]
-                    self._stride *= 2
-            self.count += 1
-            self.total += value
-            if value < self.vmin:
-                self.vmin = value
-            if value > self.vmax:
-                self.vmax = value
+            self.add(value)
+
+    def add(self, value: float) -> None:
+        """:meth:`observe` for a caller that already holds the
+        histogram's lock."""
+        if self.count % self._stride == 0:
+            self._samples.append(value)
+            if len(self._samples) >= self._SAMPLE_CAP:
+                self._samples = self._samples[::2]
+                self._stride *= 2
+        self.count += 1
+        self.total += value
+        if value < self.vmin:
+            self.vmin = value
+        if value > self.vmax:
+            self.vmax = value
 
     def percentile(self, q: float) -> float:
         """Nearest-rank percentile estimate over the retained samples
@@ -210,25 +223,20 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe name -> metric registry with get-or-create access.
+    """Thread-safe name -> metric registry with get-or-create access,
+    and the holders it reads.
 
-    Gauges may also be *computed*: :meth:`gauge_fn` registers a callback
-    evaluated at snapshot time (e.g. live field bytes), so idle-path
-    metrics cost nothing between snapshots.
-
-    ``enabled=False`` marks the registry as a sink the runtime should
-    skip entirely: hot-path call sites check the flag once per run (not
-    per instance) and bypass their counter/histogram updates, so a
-    metrics-off run pays ~zero accounting overhead.  The registry
-    itself still works if written to directly — the flag is a contract
-    with the callers, not a lock.
+    A fact a layer already keeps (dispatch counters, ready-queue and
+    transport totals, frame counts) is not copied here: its holder is
+    registered with :meth:`add_holder`, and :meth:`snapshot` merges the
+    holders' typed snapshots with the registry's own metrics — the facts
+    nothing else holds — through :func:`merge`.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        self._gauge_fns: dict[str, Callable[[], float]] = {}
-        self.enabled = enabled
+        self._holders: list[Callable[[], Mapping[str, dict]]] = []
 
     def _get(self, name: str, cls):
         with self._lock:
@@ -266,31 +274,25 @@ class MetricsRegistry:
                 )
             return m
 
-    def gauge_fn(self, name: str, fn: Callable[[], float]) -> None:
-        """Register (or replace) a computed gauge evaluated at snapshot
-        time."""
+    def add_holder(self, snapshot: Callable[[], Mapping[str, dict]]) -> None:
+        """Read ``snapshot()`` — a holder's facts, typed as
+        ``{name: {"type": ...}}`` — into every :meth:`snapshot`."""
         with self._lock:
-            self._gauge_fns[name] = fn
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(set(self._metrics) | set(self._gauge_fns))
+            self._holders.append(snapshot)
 
     def snapshot(self) -> dict[str, dict]:
-        """Typed snapshot of every metric (computed gauges evaluated
-        now; a callback that raises reports a 0.0 gauge rather than
-        poisoning the snapshot)."""
+        """Typed snapshot of every metric and every holder, read now.
+        A holder that raises contributes nothing to this snapshot."""
         with self._lock:
             metrics = dict(self._metrics)
-            fns = dict(self._gauge_fns)
-        out = {name: m.snapshot() for name, m in metrics.items()}
-        for name, fn in fns.items():
+            holders = list(self._holders)
+        snaps = [{name: m.snapshot() for name, m in metrics.items()}]
+        for holder in holders:
             try:
-                value = float(fn())
+                snaps.append(holder())
             except Exception:  # noqa: BLE001 - snapshots must not fail
-                value = 0.0
-            out[name] = {"type": "gauge", "value": value}
-        return dict(sorted(out.items()))
+                continue
+        return merge(*snaps)
 
     def to_json(self, indent: int | None = 2) -> str:
         """The snapshot as a JSON document."""
@@ -350,14 +352,19 @@ def merge(*snapshots: Mapping[str, dict]) -> dict:
             elif s["type"] == "gauge":
                 cur["value"] = max(cur["value"], s["value"])
             elif s["type"] == "histogram":
+                if not s["count"]:
+                    continue  # an empty summary's zeros are no bounds
+                if not cur["count"]:
+                    out[name] = dict(s)
+                    continue
                 count = cur["count"] + s["count"]
                 total = cur["sum"] + s["sum"]
                 cur.update(
                     count=count,
                     sum=total,
-                    min=min(cur["min"], s["min"]) if count else 0.0,
-                    max=max(cur["max"], s["max"]) if count else 0.0,
-                    mean=total / count if count else 0.0,
+                    min=min(cur["min"], s["min"]),
+                    max=max(cur["max"], s["max"]),
+                    mean=total / count,
                 )
                 # Exact percentiles cannot be merged from summaries;
                 # take the widest (max) estimate as a conservative
@@ -392,9 +399,8 @@ def peak_rss_bytes() -> int:
     in bytes (0 where the ``resource`` module is unavailable).
 
     The children term covers a process-backend run's worker pool once
-    the workers have been joined — sample after shutdown (the metrics
-    registry's computed gauges evaluate at snapshot time, which is
-    late enough).
+    the workers have been joined — sample after shutdown (a node's
+    registry reads it at snapshot time, which is late enough).
     """
     try:
         import resource

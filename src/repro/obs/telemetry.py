@@ -3,18 +3,16 @@ export, an optional scrape endpoint, and the SLO alert wiring.
 
 The run-report path (``--metrics-json``) only speaks after the run is
 over; production serving needs signals *while the run is alive*.  A
-:class:`TelemetryExporter` samples one or more snapshot sources (the
-shared :class:`~repro.obs.metrics.MetricsRegistry`, per-node synthetic
-snapshots in a cluster) on a fixed interval, merges them with the
-existing snapshot algebra (:func:`repro.obs.metrics.merge` — the same
-operation the cluster master uses for cross-node aggregation), and
+:class:`TelemetryExporter` samples the run's
+:class:`~repro.obs.metrics.MetricsRegistry` — which reads every layer's
+holder at that moment, so each tick is live — on a fixed interval and
 keeps a bounded time-series ring.  Each tick can also append a JSONL
 line, and an embedded stdlib HTTP server (``--telemetry-port``)
 exposes:
 
 * ``/metrics`` — Prometheus text exposition (counters and gauges map
   directly; histograms export as summaries with quantile labels);
-* ``/snapshot.json`` — the latest merged snapshot, raw;
+* ``/snapshot.json`` — the latest snapshot, raw;
 * one JSON page per registered :meth:`TelemetryExporter.page`
   (the stream wiring adds ``/slo.json`` and ``/stages.json``).
 
@@ -40,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .flight import dump_flight
-from .metrics import merge, flatten, percentile_keys, quantile_of_key
+from .metrics import MetricsRegistry, flatten, percentile_keys, quantile_of_key
 from .slo import SloAlert, SloTracker
 from .timeline import TimelineRecorder
 
@@ -177,14 +175,14 @@ class _ScrapeHandler(BaseHTTPRequestHandler):
 
 
 class TelemetryExporter:
-    """Samples snapshot sources on an interval into a bounded ring,
-    with optional JSONL append and an HTTP scrape endpoint.
+    """Samples the run's metrics registry on an interval into a bounded
+    ring, with optional JSONL append and an HTTP scrape endpoint.
 
-    Sources are named callables returning metric snapshots; each tick
-    merges them with :func:`repro.obs.metrics.merge` — node-local
-    snapshots aggregate at the sampling master exactly as cluster
-    run-reports do.  A source that raises contributes nothing to that
-    tick (a dying node must not kill telemetry).
+    :attr:`registry` is bound by the run's lifecycle (its nodes share
+    one); until then a tick samples an empty snapshot.  A holder that
+    raises contributes nothing to that tick
+    (:meth:`MetricsRegistry.snapshot`), so a dying node cannot kill
+    telemetry.
     """
 
     def __init__(
@@ -196,7 +194,8 @@ class TelemetryExporter:
         port: int | None = None,
     ) -> None:
         self.interval_s = max(0.05, float(interval_s))
-        self._sources: dict[str, Callable[[], Mapping[str, dict]]] = {}
+        #: The registry each tick samples.
+        self.registry: MetricsRegistry | None = None
         self._pages: dict[str, Callable[[], object]] = {}
         self._ring: deque = deque(maxlen=max(1, ring))
         self._jsonl_path = Path(jsonl_path) if jsonl_path else None
@@ -211,11 +210,6 @@ class TelemetryExporter:
         self.ticks = 0
 
     # -- wiring ---------------------------------------------------------
-    def add_source(self, name: str,
-                   fn: Callable[[], Mapping[str, dict]]) -> None:
-        with self._lock:
-            self._sources[name] = fn
-
     def page(self, name: str, fn: Callable[[], object]) -> None:
         """Register a JSON page served at ``/<name>.json`` (and
         ``/<name>``)."""
@@ -225,17 +219,10 @@ class TelemetryExporter:
 
     # -- sampling -------------------------------------------------------
     def sample(self) -> dict:
-        """Take one merged sample now (also called by the timer
-        thread).  Returns the merged snapshot."""
-        with self._lock:
-            sources = list(self._sources.items())
-        snaps = []
-        for _name, fn in sources:
-            try:
-                snaps.append(fn())
-            except Exception:  # noqa: BLE001 - per-source isolation
-                continue
-        snap = merge(*snaps) if snaps else {}
+        """Take one sample now (also called by the timer thread).
+        Returns the snapshot."""
+        registry = self.registry
+        snap = registry.snapshot() if registry is not None else {}
         entry = {"t": time.time(), "metrics": snap}
         with self._lock:
             self._ring.append(entry)
@@ -335,6 +322,7 @@ class Telemetry:
     :attr:`slo` tracker whose default alert action logs the breach,
     drops a ``slo-breach`` tracer instant and dumps a flight recording
     annotated with the offending session, and the :attr:`exporter`.
+    Telemetry off is no bundle (``telemetry=None``), not a disabled one.
     """
 
     def __init__(self, config: TelemetryConfig | None = None) -> None:
@@ -354,7 +342,6 @@ class Telemetry:
         self.flight_paths: list[Path] = []
         self._tracer = None
         self._started = False
-        self.enabled = True
         self.slo.on_alert(self._default_alert)
         self.exporter.page("slo", self.slo.as_dict)
         self.exporter.page("stages", self.timeline.as_dict)

@@ -21,13 +21,13 @@ queue), with uncovered time falling into ``other``.  By construction
 the bucket sums equal the end-to-end window exactly, so the per-stage
 report reconciles with the driver's ``latency_ms`` histogram.
 
-Zero-cost-off contract: the runtime binds its timeline reference once
-per run (``tl if tl is not None and tl.enabled else None``) and every
-hot-path call site is guarded by a single ``is not None`` test —
-telemetry off adds no allocations and no calls per instance.  Even
-when enabled, :meth:`TimelineRecorder.span` drops spans for frames no
+Telemetry off is no recorder: a run without a
+:class:`~repro.obs.telemetry.Telemetry` bundle hands its nodes
+``timeline=None``, and every hot-path call site is guarded by a single
+``is not None`` test — no allocations and no calls per instance.  With
+a recorder, :meth:`TimelineRecorder.span` drops spans for frames no
 driver has :meth:`~TimelineRecorder.begin`-ed, so batch (non-stream)
-runs cannot grow the recorder.
+runs cannot grow it.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ class TimelineRecorder:
     #: must not grow memory without bound.  Oldest frames are dropped.
     MAX_IN_FLIGHT = 4096
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._frames: dict[tuple[str, int], _Frame] = {}
         #: session -> bucket -> Histogram of milliseconds.
@@ -137,8 +136,6 @@ class TimelineRecorder:
         """Start tracking frame ``(session, age)`` with its end-to-end
         window opening at wall-clock ``t_start`` (perf-counter
         seconds)."""
-        if not self.enabled:
-            return
         with self._lock:
             if len(self._frames) >= self.MAX_IN_FLIGHT:
                 self._frames.pop(next(iter(self._frames)), None)
@@ -149,7 +146,7 @@ class TimelineRecorder:
         """Record that ``bucket`` work for the frame covered
         ``[t0, t1]``.  Silently ignored for frames not begun — this is
         what keeps non-stream runs and already-finished frames free."""
-        if not self.enabled or t1 <= t0:
+        if t1 <= t0:
             return
         with self._lock:
             frame = self._frames.get((session, age))
@@ -158,8 +155,6 @@ class TimelineRecorder:
 
     def discard(self, session: str, age: int) -> None:
         """Drop a frame that will never complete (shed or retired)."""
-        if not self.enabled:
-            return
         with self._lock:
             self._frames.pop((session, age), None)
 
@@ -169,8 +164,6 @@ class TimelineRecorder:
         window and fold the result into the session's rollups.
         Returns the per-bucket breakdown in **milliseconds** (``None``
         if the frame was never begun)."""
-        if not self.enabled:
-            return None
         with self._lock:
             frame = self._frames.pop((session, age), None)
         if frame is None:
@@ -223,23 +216,6 @@ class TimelineRecorder:
             "frames": dict(sorted(self._counts.items())),
             "stages": {s: self.stages(s) for s in self.sessions()},
         }
-
-    def feed_registry(self, metrics, prefix: str = "stream") -> None:
-        """Publish the rollups into a :class:`MetricsRegistry` so the
-        live exporter can scrape per-stage latency, as gauges named
-        ``<prefix>[.<session>].stage.<bucket>_ms.<stat>``.  Quantile
-        summaries cannot be re-observed into a histogram without
-        distorting them, so each stat is exported as a gauge.  Called
-        from snapshot/report paths, never the hot path.
-        """
-        for session in self.sessions():
-            base = f"{prefix}.{session}" if session else prefix
-            for bucket, snap in self.stages(session).items():
-                for key, value in snap.items():
-                    if key in ("count", "sum"):
-                        continue
-                    name = f"{base}.stage.{bucket}_ms.{key}"
-                    metrics.gauge(name).set(float(value))
 
 
 def stage_summary(stages: Mapping[str, Mapping[str, float]]) -> str:

@@ -213,9 +213,9 @@ class StreamDriver:
         Injectable stream clock (tests).
     session:
         Multi-tenant session name.  Namespaces the driver's metrics
-        (``stream.<session>.frames.*``), scopes the retirer's probe of
-        queued work to this session, and stamps the report.  ``None``
-        (default) is the single-tenant PR 5 behaviour.
+        (``stream.<session>.frames.*``, :meth:`snapshot`), scopes the
+        retirer's probe of queued work to this session, and stamps the
+        report.  ``None`` (default) is a single-tenant stream.
     scope:
         The session's namespaced sub-program inside a merged one
         (:func:`~repro.stream.namespace_program`).  The completion key
@@ -255,7 +255,6 @@ class StreamDriver:
         self._nodes = list(nodes)
         self._fields = nodes[0].fields
         self._counter = nodes[0]._counter
-        self._metrics = nodes[0].metrics
         self._tracer = nodes[0].tracer
         self._program = (
             program if program is not None else nodes[0].program
@@ -266,9 +265,9 @@ class StreamDriver:
         self._on_grant = on_grant
         self._lane = nodes[0].name
 
-        self.timer = Timer(
-            "stream" if session is None else f"stream.{session}", clock
-        )
+        #: The stream timer's name and the driver's metrics prefix.
+        self._prefix = "stream" if session is None else f"stream.{session}"
+        self.timer = Timer(self._prefix, clock)
         self.gate = CreditGate(self.cfg.lag_window)
         self.retirer = Retirer(
             self._nodes,
@@ -293,12 +292,8 @@ class StreamDriver:
         # session, and the SLO tracker fed from the completion path.
         # Both references are bound once (None when off), so the frame
         # paths pay a single ``is not None`` test each.
-        tel = (
-            telemetry
-            if telemetry is not None and telemetry.enabled else None
-        )
-        self._tl = tel.timeline if tel is not None else None
-        self._slo = tel.slo if tel is not None else None
+        self._tl = telemetry.timeline if telemetry is not None else None
+        self._slo = telemetry.slo if telemetry is not None else None
         self._tl_session = session or ""
         if self._slo is not None and self.cfg.deadline_ms is not None:
             self._slo.configure(
@@ -307,16 +302,9 @@ class StreamDriver:
                 tier=self.cfg.qos_class,
             )
 
-        m = self._metrics
-        pre = "stream" if session is None else f"stream.{session}"
-        self._m_offered = m.counter(f"{pre}.frames.offered")
-        self._m_admitted = m.counter(f"{pre}.frames.admitted")
-        self._m_completed = m.counter(f"{pre}.frames.completed")
-        self._m_shed = m.counter(f"{pre}.frames.shed")
-        self._m_degraded = m.counter(f"{pre}.frames.degraded")
-        self._m_retired = m.counter(f"{pre}.retired_bytes")
-        self._lat = m.histogram(f"{pre}.latency_ms")
-        self._g_peak = m.gauge(f"{pre}.live_bytes.peak")
+        # End-to-end latency has no holder but the registry; the frame
+        # totals below are held here and read by :meth:`snapshot`.
+        self._lat = nodes[0].metrics.histogram(f"{self._prefix}.latency_ms")
 
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -364,6 +352,7 @@ class StreamDriver:
                 self._on_complete(age)
 
         self._program.set_output_handler(wrapped)
+        nodes[0].metrics.add_holder(self.snapshot)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -463,7 +452,6 @@ class StreamDriver:
                 if target_ms is not None and not self._pace(target_ms):
                     break
                 self.offered += 1
-                self._m_offered.inc()
                 arrival_ms = (
                     target_ms if target_ms is not None
                     else self.timer.elapsed_ms()
@@ -503,7 +491,6 @@ class StreamDriver:
                     # Source capture + input-field commit + injection.
                     self._tl.span(self._tl_session, age, "store", t0, t1)
                 self.admitted += 1
-                self._m_admitted.inc()
                 self._sample_live_bytes()
                 tr = self._tracer
                 if tr.enabled:
@@ -528,10 +515,8 @@ class StreamDriver:
             self._never_run.add(age)
         if degraded:
             self.degraded_ages.append(age)
-            self._m_degraded.inc()
         else:
             self.shed_ages.append(age)
-            self._m_shed.inc()
         tr = self._tracer
         if tr.enabled:
             tr.instant(
@@ -559,7 +544,6 @@ class StreamDriver:
             arrival if arrival is not None else 0.0
         )
         self._lat.observe(latency)
-        self._m_completed.inc()
         if self._tl is not None:
             # Sink emit closes the frame's window; the recorder sweeps
             # the collected spans into the per-stage attribution.
@@ -578,7 +562,6 @@ class StreamDriver:
         self.retirer.note_complete(age)
         freed = self.retirer.sweep()
         if freed:
-            self._m_retired.inc(freed)
             tr = self._tracer
             if tr.enabled:
                 tr.instant(
@@ -589,7 +572,6 @@ class StreamDriver:
 
     def _sample_live_bytes(self) -> None:
         lv = self._fields.live_bytes()
-        self._g_peak.set_max(lv)
         with self._lock:
             if lv > self.peak_live_bytes:
                 self.peak_live_bytes = lv
@@ -601,6 +583,28 @@ class StreamDriver:
         """Ages whose completion output has been delivered."""
         with self._lock:
             return len(self._completed)
+
+    def snapshot(self) -> dict[str, dict]:
+        """The stream's frame totals — and the retirer's freed bytes —
+        as a typed metrics snapshot, named ``stream[.<session>].*``;
+        the run's registry reads it (DESIGN.md §9)."""
+        with self._lock:
+            completed = len(self._completed)
+            peak = self.peak_live_bytes
+        pre = self._prefix
+        out = {
+            f"{pre}.{name}": {"type": "counter", "value": value}
+            for name, value in (
+                ("frames.offered", self.offered),
+                ("frames.admitted", self.admitted),
+                ("frames.completed", completed),
+                ("frames.shed", len(self.shed_ages)),
+                ("frames.degraded", len(self.degraded_ages)),
+                ("retired_bytes", self.retirer.freed_bytes),
+            )
+        }
+        out[f"{pre}.live_bytes.peak"] = {"type": "gauge", "value": peak}
+        return out
 
     def report(self) -> StreamReport:
         """Summarize the run (stable once the node has joined)."""

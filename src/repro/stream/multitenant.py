@@ -337,10 +337,7 @@ class SessionManager:
         self._weights = session_weights
         self._metrics = metrics
         self._tracer = tracer
-        self._telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.enabled else None
-        )
+        self._telemetry = telemetry
         self._life = _Lifecycle(self._telemetry)
         self._specs: dict[str, SessionSpec] = {}
         self._queued: list[str] = []  # admitted-but-deferred sessions

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import threading
 
+from ..core.runtime import ExecutionNode
+
 __all__ = ["Retirer"]
 
 
@@ -108,35 +110,25 @@ class Retirer:
             return self._frontier
 
     def _live_floor(self) -> int | None:
-        """Lowest age any node could still dispatch work for, or
-        ``None`` when a probe raced a concurrent mutation (skip the
-        sweep — the next completion retries)."""
+        """Lowest age any node could still dispatch work for
+        (:meth:`ExecutionNode.live_floor
+        <repro.core.runtime.ExecutionNode.live_floor>`, scoped to this
+        retirer's session), capped by the completion frontier; ``None``
+        when a probe raced a concurrent mutation (skip the sweep — the
+        next completion retries)."""
         with self._lock:
             floor = self._frontier + 1
         for node in self._nodes:
             try:
-                pending = node.analyzer.min_pending_age(self._kernel_names)
-                queued = node.ready.min_age(self._session)
-                if self._session is None:
-                    running = list(node._running_ages.values())
-                else:
-                    # A worker publishes age before session; an entry
-                    # whose session is not visible yet counts as ours
-                    # (conservative — never over-frees).
-                    sessions = dict(node._running_sessions)
-                    running = [
-                        age
-                        for wid, age in list(node._running_ages.items())
-                        if sessions.get(wid, self._session)
-                        == self._session
-                    ]
+                # Through the class: the probe needs only a node's
+                # analyzer, ready queue and running ages.
+                live = ExecutionNode.live_floor(
+                    node, self._session, self._kernel_names
+                )
             except RuntimeError:  # dict mutated during iteration
                 return None
-            for v in (pending, queued):
-                if v is not None and v < floor:
-                    floor = v
-            if running:
-                floor = min(floor, min(running))
+            if live is not None and live < floor:
+                floor = live
         return floor
 
     def pause(self) -> None:

@@ -294,7 +294,7 @@ class TestRunEntriesEqualPerInstanceHeap:
                 pushed += len(arg) if op == "push_many" else 1
             assert len(q) == ref.depth()
             assert (q.pushes, q.pops) == (pushed, popped)
-            assert q.wait_total == pytest.approx(waited)
+            assert q.wait.snapshot()["sum"] == pytest.approx(waited)
             assert q.min_age() == ref.min_age()
             if policy == "fair":
                 assert q._deficit == ref.deficit

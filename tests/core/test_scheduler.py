@@ -62,7 +62,7 @@ class TestFuse:
                              timeout=60)
         assert result.stats["mul2+plus5"].instances == 15
         # init, then per age one claim of the fused kernel and one print
-        assert result.metrics.counter("exec.claims").value == 7
+        assert result.metrics.snapshot()["exec.claims"]["value"] == 7
         expected = expected_series(3)
         for age in expected:
             assert np.array_equal(sink[age][0], expected[age][0])

@@ -61,17 +61,48 @@ class TestRegistry:
             reg.gauge("a")
 
     def test_computed_gauge_evaluated_at_snapshot(self):
+        # A holder is read when the snapshot is taken, never copied.
         reg = MetricsRegistry()
         state = {"v": 10.0}
-        reg.gauge_fn("live", lambda: state["v"])
+        reg.add_holder(lambda: {"live": {"type": "gauge",
+                                         "value": state["v"]}})
         assert reg.snapshot()["live"]["value"] == 10.0
         state["v"] = 20.0
         assert reg.snapshot()["live"]["value"] == 20.0
 
-    def test_raising_gauge_fn_reports_zero(self):
+    def test_raising_holder_contributes_nothing(self):
         reg = MetricsRegistry()
-        reg.gauge_fn("bad", lambda: 1 / 0)
-        assert reg.snapshot()["bad"] == {"type": "gauge", "value": 0.0}
+        reg.counter("ok").inc()
+        reg.add_holder(lambda: 1 / 0)
+        reg.add_holder(lambda: {"held": {"type": "counter", "value": 2}})
+        assert reg.snapshot() == {
+            "held": {"type": "counter", "value": 2},
+            "ok": {"type": "counter", "value": 1},
+        }
+
+    def test_holders_merge_with_the_registry(self):
+        # Nodes sharing a registry: counters sum, gauges take the max,
+        # histograms widen — the ``merge`` algebra, in one place.
+        reg = MetricsRegistry()
+        reg.counter("n").inc(1)
+        for v in (2, 5):
+            reg.add_holder(lambda v=v: {
+                "n": {"type": "counter", "value": v},
+                "g": {"type": "gauge", "value": v},
+            })
+        snap = reg.snapshot()
+        assert snap["n"]["value"] == 8
+        assert snap["g"]["value"] == 5
+
+    def test_an_idle_holders_empty_histogram_sets_no_bound(self):
+        # A node that dispatched nothing reports count 0 with zeros; the
+        # merged summary keeps the other nodes' min, not that 0.
+        reg = MetricsRegistry()
+        for v in (3.0, 5.0):
+            reg.histogram("h").observe(v)
+        reg.add_holder(lambda: {"h": Histogram().snapshot()})
+        h = reg.snapshot()["h"]
+        assert (h["count"], h["min"], h["max"]) == (2, 3.0, 5.0)
 
     def test_to_json_round_trips(self):
         reg = MetricsRegistry()

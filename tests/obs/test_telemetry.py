@@ -148,29 +148,30 @@ class TestPrometheus:
 
 class TestTelemetryExporter:
     def test_sample_merges_sources(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("frames").inc(2)
-        b.counter("frames").inc(3)
+        # Two holders of one registry (two nodes of a run): counters sum.
+        reg = MetricsRegistry()
+        reg.add_holder(lambda: {"frames": {"type": "counter", "value": 2}})
+        reg.add_holder(lambda: {"frames": {"type": "counter", "value": 3}})
         exp = TelemetryExporter()
-        exp.add_source("a", a.snapshot)
-        exp.add_source("b", b.snapshot)
+        assert exp.sample() == {}  # no registry bound yet
+        exp.registry = reg
         snap = exp.sample()
         assert snap["frames"]["value"] == 5  # counters sum on merge
         assert exp.latest() == snap
-        assert exp.ticks == 1
+        assert exp.ticks == 2
 
     def test_failing_source_is_isolated(self):
         reg = MetricsRegistry()
         reg.counter("ok").inc()
+        reg.add_holder(lambda: 1 / 0)
         exp = TelemetryExporter()
-        exp.add_source("good", reg.snapshot)
-        exp.add_source("bad", lambda: 1 / 0)
+        exp.registry = reg
         snap = exp.sample()
         assert snap["ok"]["value"] == 1
 
     def test_ring_is_bounded(self):
         exp = TelemetryExporter(ring=4)
-        exp.add_source("r", MetricsRegistry().snapshot)
+        exp.registry = MetricsRegistry()
         for _ in range(10):
             exp.sample()
         assert len(exp.snapshots()) == 4
@@ -180,7 +181,7 @@ class TestTelemetryExporter:
         reg.counter("frames").inc(4)
         path = tmp_path / "tel.jsonl"
         exp = TelemetryExporter(interval_s=10.0, jsonl_path=path)
-        exp.add_source("reg", reg.snapshot)
+        exp.registry = reg
         exp.start()
         exp.sample()
         exp.stop()  # takes one final sample
@@ -194,7 +195,7 @@ class TestTelemetryExporter:
         reg = MetricsRegistry()
         reg.counter("frames").inc(9)
         exp = TelemetryExporter(interval_s=10.0, port=0)
-        exp.add_source("reg", reg.snapshot)
+        exp.registry = reg
         exp.page("slo", lambda: {"sessions": {}})
         exp.start()
         try:
@@ -227,7 +228,6 @@ class TestTelemetryFacade:
         assert tel.slo.min_frames == 3
         assert tel.slo.burn_alert == 1.5
         assert tel.exporter.interval_s == 0.25
-        assert tel.timeline.enabled and tel.enabled
 
     def test_pages_registered(self):
         tel = Telemetry()

@@ -6,10 +6,8 @@ import pytest
 
 from repro.obs import (
     BUCKETS,
-    MetricsRegistry,
     TimelineRecorder,
     attribute_spans,
-    flatten,
     stage_summary,
 )
 
@@ -106,13 +104,6 @@ class TestTimelineRecorder:
         assert tl.in_flight() == 0
         assert tl.finish("", 0, 2.0) is None
 
-    def test_disabled_recorder_records_nothing(self):
-        tl = TimelineRecorder(enabled=False)
-        tl.begin("", 0, 0.0)
-        tl.span("", 0, "compute", 0.0, 1.0)
-        assert tl.in_flight() == 0
-        assert tl.finish("", 0, 1.0) is None
-
     def test_discard_forgets_frame(self):
         tl = TimelineRecorder()
         tl.begin("", 0, 0.0)
@@ -142,21 +133,6 @@ class TestTimelineRecorder:
         doc = tl.as_dict()
         assert doc["frames"] == {"a": 4, "b": 1}
         assert set(doc["stages"]) == {"a", "b"}
-
-    def test_feed_registry_exports_gauges(self):
-        tl = TimelineRecorder()
-        tl.begin("s0", 0, 0.0)
-        tl.span("s0", 0, "compute", 0.0, 0.002)
-        tl.finish("s0", 0, 0.002)
-        reg = MetricsRegistry()
-        tl.feed_registry(reg, prefix="stream")
-        flat = flatten(reg.snapshot())
-        assert flat["stream.s0.stage.compute_ms.mean"] == pytest.approx(
-            2.0, rel=1e-3
-        )
-        # count/sum are skipped: these are gauge re-exports, not
-        # histograms.
-        assert "stream.s0.stage.compute_ms.count" not in flat
 
     def test_stage_summary_renders_nonempty_buckets_only(self):
         tl = TimelineRecorder()
