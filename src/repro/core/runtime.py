@@ -37,11 +37,11 @@ from typing import Any
 from ..obs import (
     Histogram,
     MetricsRegistry,
-    NULL_TRACER,
     Telemetry,
     Tracer,
     dump_flight,
     peak_rss_bytes,
+    with_frames,
 )
 from .analyzer import DependencyAnalyzer
 from .backends import ExecutionBackend, resolve_backend
@@ -577,11 +577,11 @@ class ExecutionNode:
         judging whole-field completeness accounts for writers partitioned
         onto other nodes.
     tracer:
-        Optional :class:`~repro.obs.Tracer` recording per-instance
-        lifecycle spans (queue wait, fetch, native block, store, IPC)
-        plus analyzer and scheduler events.  Defaults to the shared
-        disabled tracer; every instrumentation point is guarded by its
-        ``enabled`` flag, so tracing off costs one attribute test.
+        Optional :class:`~repro.obs.Tracer`, the run's span stream:
+        per-instance lifecycle spans (queue wait, fetch, native block,
+        store, IPC) plus analyzer and scheduler events.  Defaults to the
+        shared disabled tracer; every instrumentation point is guarded
+        by its ``enabled`` flag, so no sink costs one attribute test.
     metrics:
         Optional shared :class:`~repro.obs.MetricsRegistry` (a cluster
         passes one registry to all of its nodes so counters aggregate
@@ -602,6 +602,10 @@ class ExecutionNode:
         one-instance-per-dispatch reference mode (tables II/III):
         singleton claims through the same path; output is
         byte-identical at every size.
+    timeline:
+        Optional :class:`~repro.obs.TimelineRecorder` attached as the
+        tracer's frame sink (:func:`~repro.obs.with_frames`; a stream of
+        the node's own when no tracer was given).
     """
 
     #: Per-thread join bound during a stall/timeout teardown; threads
@@ -655,15 +659,8 @@ class ExecutionNode:
             program, self.fields, max_age, producers=dependency_kernels
         )
         self.instrumentation = Instrumentation()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = with_frames(tracer, timeline)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        # Hot-path guard, read once: tracing off costs one cached
-        # attribute test per claim (see obs/tracing.py).
-        self._trace_on = self.tracer.enabled
-        #: Frame timeline (telemetry), ``None`` when telemetry is off:
-        #: every hot-path site pays a single ``is not None`` test.
-        self._timeline = timeline
-        self._queue_wait_by_worker: dict[int, float] = {}
         self.ready = ReadyQueue(scheduling, session_weights)
         #: The extractor the fair queue ended up with (None for classic
         #: policies): the per-session retirement path reuses it to scope
@@ -762,7 +759,7 @@ class ExecutionNode:
         :class:`StoreEvent` group per (field, age), a stacked claim's
         and a scalar one's alike), ``ctx.output`` delivery, the
         instrumentation record (the one holder of the dispatch
-        counters), frame timeline, trace spans, and one
+        counters), the trace spans, and one
         :class:`InstanceDoneEvent` for the dispatch, carrying every
         member — posted only when the analyzer acts on it: the claim's
         kernel :attr:`~repro.core.kernels.KernelDef.self_advances` or the
@@ -802,61 +799,50 @@ class ExecutionNode:
             kernel.name, dispatch, t_kernel, ipc, n,
             n * len(kernel.fetches), n_stores, vectorized, fallbacks,
         )
-        tl = self._timeline if age is not None else None
-        if tl is not None or self._trace_on:
-            # Where the dispatch sits on this thread's clock, as
-            # (timeline bucket, trace phase, start, end).  Run here, a
+        tracer = self.tracer
+        if tracer.enabled:
+            # One enclosing kernel span per dispatch in the worker's
+            # lane, and as its children where the dispatch sits on this
+            # thread's clock — the frame-keyed spans.  Run here, a
             # batch's fetch / native / store seconds are laid end to end
             # from ``t0`` (a scalar batch interleaves them per instance;
-            # the totals are what is attributed).  Run in a worker, its
-            # clock is not comparable: the parent-observed round trip is
-            # the ipc span, with the remote kernel time carved out at its
+            # the totals are what is shown).  Run in a worker, its clock
+            # is not comparable: the parent-observed round trip is the
+            # ipc span, with the remote kernel time carved out at its
             # tail (the reply is sent right after the last store) and the
-            # parent-side commit after it.
-            if remote is None:
-                t1 = t0 + t_fetch
-                t2 = t1 + t_kernel
-                spans = (("store", "fetch", t0, t1),
-                         ("compute", "native", t1, t2),
-                         ("store", "store", t2, t_done))
-            else:
-                t_body = max(t_send, t_recv - t_kernel)
-                spans = (("ipc", "ipc", t_send, t_recv),
-                         ("compute", None, t_body, t_recv),
-                         ("store", None, t_recv, t_done))
-        if tl is not None:
-            sess = self.session_of(first) if self.session_of else ""
-            for bucket, _phase, start, end in spans:
-                tl.span(sess, age, bucket, start, end)
-        if self._trace_on:
-            # One enclosing kernel span per dispatch in the worker's
-            # lane, the phases this thread can time as children.  Queue
-            # wait (spent in the ready queue, not on this lane) and a
-            # worker process's own durations are arguments.
+            # parent-side commit after it; the remote durations are
+            # arguments.
             thread = f"worker{worker_id}"
-            wait = self._queue_wait_by_worker.get(worker_id, 0.0)
             args = {
                 "age": age,
                 "index": list(first.index),
                 "batch": n,
                 "stacks": calls,
                 "vectorized": bool(vectorized),
-                "queue_wait_us": round(wait * 1e6, 1),
             }
-            if remote is not None:
+            if remote is None:
+                t1 = t0 + t_fetch
+                t2 = t1 + t_kernel
+                phases = (("fetch", t0, t1), ("native", t1, t2),
+                          ("store", t2, t_done))
+            else:
                 args["remote_dispatch_us"] = round(
                     (t_fetch + t_store) * 1e6, 1
                 )
                 args["remote_kernel_us"] = round(t_kernel * 1e6, 1)
                 args["ipc_us"] = round(ipc * 1e6, 1)
-            self.tracer.complete(
+                t_body = max(t_send, t_recv - t_kernel)
+                phases = (("ipc", t_send, t_recv),
+                          ("native", t_body, t_recv),
+                          ("store", t_recv, t_done))
+            tracer.complete(
                 kernel.name if n == 1 else f"{kernel.name}[x{n}]",
                 "kernel", self.name, thread, t0, t_done, args,
             )
-            for _bucket, phase, start, end in spans:
-                if phase is not None:
-                    self.tracer.complete(phase, "phase", self.name,
-                                         thread, start, end)
+            key = self._frame_key(first)
+            for phase, start, end in phases:
+                tracer.complete(phase, "phase", self.name, thread,
+                                start, end, key=key)
         if kernel.self_advances or self.gc_fields:
             # Only these two act on a done event: an aged source's
             # self-advance and the retirement sweep.  For any other
@@ -883,20 +869,19 @@ class ExecutionNode:
         """The one worker loop: claim this worker's share of the head
         same-kernel/same-age run (at least :attr:`batch` instances when
         there are that many) and hand it to the backend as one call;
-        ``batch=1`` simply yields singletons."""
+        ``batch=1`` simply yields singletons.  A claim's wait in the
+        ready queue is its ``queue`` span, in this worker's lane."""
+        tracer = self.tracer
+        thread = f"worker{worker_id}"
         while True:
             batch, wait = self.ready.pop_batch(self.batch, self.workers)
             if batch is None:
                 return
             first = batch[0]
-            if self._trace_on:
-                self._queue_wait_by_worker[worker_id] = wait
-            if self._timeline is not None and first.age is not None:
+            if tracer.enabled:
                 now = time.perf_counter()
-                self._timeline.span(
-                    self.session_of(first) if self.session_of else "",
-                    first.age, "queue", now - wait, now,
-                )
+                tracer.complete("queue", "phase", self.name, thread,
+                                now - wait, now, key=self._frame_key(first))
             if first.age is not None:
                 self._running_ages[worker_id] = first.age
                 if self.session_of is not None:
@@ -915,6 +900,13 @@ class ExecutionNode:
                 self._running_ages.pop(worker_id, None)
                 self._running_sessions.pop(worker_id, None)
                 self._dec(len(batch))
+
+    def _frame_key(self, inst: KernelInstance):
+        """The ``(session, age)`` frame ``inst`` works for — the key of
+        its spans — or ``None`` for an unaged instance."""
+        if inst.age is None:
+            return None
+        return (self.session_of(inst) if self.session_of else "", inst.age)
 
     # ------------------------------------------------------------------
     # Analyzer side
@@ -1197,7 +1189,7 @@ class ExecutionNode:
             gc_bytes=self._gc_bytes,
             backend=self.backend.name,
             metrics=self.metrics,
-            tracer=self.tracer if self.tracer.enabled else None,
+            tracer=self.tracer if self.tracer.mode != "off" else None,
         )
 
     def snapshot(self) -> dict[str, dict]:
@@ -1262,8 +1254,6 @@ class _Lifecycle:
                 f"{type(telemetry).__name__}"
             )
         self.telemetry = telemetry
-        #: What every node of the run is built with (``timeline=``).
-        self.timeline = telemetry.timeline if telemetry is not None else None
         self._stops: list = []
 
     def up(self, start, stop) -> None:
@@ -1276,8 +1266,9 @@ class _Lifecycle:
         started = []
         try:
             if tel is not None:
-                # A run's nodes share one tracer and one registry, so the
-                # first node's are the run's.
+                # A run's nodes share one tracer — the frame timeline is
+                # its sink — and one registry, so the first node's are
+                # the run's.
                 tel.attach_tracer(nodes[0].tracer)
                 tel.exporter.registry = nodes[0].metrics
                 self.up(tel.start, tel.stop)
@@ -1344,7 +1335,8 @@ def run_program(
     reference mode — and results are byte-identical at every size.
 
     ``telemetry`` (a :class:`~repro.obs.Telemetry` bundle) turns on the
-    live telemetry layer: the node records per-frame stage timelines,
+    live telemetry layer: its frame timeline becomes a sink of the
+    node's span stream (per-frame stage attribution), the run
     streams periodic metric snapshots through the bundle's exporter
     (JSONL / Prometheus endpoint), and tracks per-session SLO burn
     rate; the bundle is attached to ``RunResult.telemetry``.
@@ -1360,7 +1352,7 @@ def run_program(
         tracer=tracer,
         metrics=metrics,
         batch=batch,
-        timeline=life.timeline,
+        timeline=telemetry.timeline if telemetry is not None else None,
     )
     drivers = []
     if stream is not None:

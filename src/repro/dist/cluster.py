@@ -51,7 +51,7 @@ from ..core.fields import FieldStore
 from ..core.instrumentation import Instrumentation
 from ..core.naming import NAME_SEP
 from ..core.runtime import _Lifecycle
-from ..obs import MetricsRegistry, NULL_TRACER, Tracer, dump_flight
+from ..obs import MetricsRegistry, Tracer, dump_flight, with_frames
 from ..stream import MultitenantReport, StreamDriver
 from ..stream.multitenant import session_driver, tier_weights
 from .faults import FaultInjector
@@ -209,16 +209,19 @@ class _ClusterRun:
         self.ft = faults is not None or recovery is not None
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.elastic = bool(elastic)
-        if tracer is None:
+        self.life = _Lifecycle(telemetry)
+        if tracer is None and self.ft:
             # Flight recorder armed by default on fault-tolerant runs:
             # ring mode is bounded-memory and cheap enough to always run.
-            tracer = Tracer(mode="ring") if self.ft else NULL_TRACER
-        self.tracer = tracer
+            tracer = Tracer(mode="ring")
+        #: One span stream for every node, successor and the transport;
+        #: the telemetry's frame timeline is its sink, attached once.
+        self.tracer = with_frames(
+            tracer, telemetry.timeline if telemetry is not None else None
+        )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.add_holder(self.transport.stats.snapshot)
-        self.life = _Lifecycle(telemetry)
-        self.transport.tracer = tracer
-        self.transport.timeline = self.life.timeline
+        self.transport.tracer = self.tracer
         self.fields = FieldStore(program.fields.values())
         self.counter = WorkCounter()
         self.timers = TimerSet(program.timers)
@@ -339,7 +342,6 @@ class _ClusterRun:
             tracer=self.tracer,
             metrics=self.metrics,
             batch=self.batch,
-            timeline=self.life.timeline,
         )
         if self.faults is not None:
             self.faults.wrap(node)
@@ -666,7 +668,7 @@ class _ClusterRun:
             fields=self.fields,
             recoveries=list(manager.records) if manager is not None else [],
             metrics=self.metrics,
-            tracer=self.tracer if self.tracer.enabled else None,
+            tracer=self.tracer if self.tracer.mode != "off" else None,
             stream=stream,
             telemetry=self.life.telemetry,
             migrations=list(self.migrations),
@@ -931,12 +933,13 @@ class Cluster:
         ``ClusterResult.stream`` is the ``StreamReport`` (§11).
         ``sessions``: the :class:`~repro.stream.SessionSpec` list whose
         ``merge_sessions`` program the cluster was built with — run
-        multi-tenant, reporting a ``MultitenantReport`` (§13).
+        multi-tenant, reporting a ``MultitenantReport`` (§11).
         ``tracer`` / ``metrics``: shared by every node.  Fault-tolerant
         runs arm a ring tracer by default and dump it on an
         unrecoverable failure (``exc.flight_path``, §9).
         ``telemetry``: a :class:`~repro.obs.Telemetry` — frame timeline
-        on nodes and transport, SLO tracker, live exporter (§9).
+        as a sink of the run's span stream, SLO tracker, live exporter
+        (§9).
         ``elastic``: ``True`` lets :meth:`add_node` / :meth:`drain_node`
         rescale the running cluster; an :class:`ElasticityConfig` also
         starts the driver deciding from load / SLO signals (§15).

@@ -118,13 +118,11 @@ class InProcTransport:
         self._log: list[Message] | None = None
         self._dropped: set[str] = set()
         self.delivery_failures: list[tuple[str, str, str]] = []
-        #: Optional span tracer (set by the cluster); publishes record
-        #: instant events in the sender's transport lane when enabled.
+        #: The run's span stream (set by the cluster): a delivered store
+        #: event is a ``transport`` span of the frame it carries, and
+        #: drops and stale rejects are instants, in the sender's
+        #: ``transport`` lane.
         self.tracer: Tracer = NULL_TRACER
-        #: Optional frame timeline (set by the cluster's telemetry
-        #: wiring): store-event deliveries record ``transport`` spans
-        #: for the frame they carry.  ``None`` keeps publish untouched.
-        self.timeline = None
         #: The node table (set by an elastic cluster to its
         #: :class:`~repro.dist.topology.GlobalTopology`; any object with
         #: a ``view()`` returning a
@@ -270,12 +268,16 @@ class InProcTransport:
             self.latency_per_message_us * 1e-6
             + size * self.latency_per_byte_ns * 1e-9
         )
-        # Frame-timeline hop accounting: a store event crossing the bus
-        # charges its frame's ``transport`` bucket for the delivery
-        # fan-out.  The session is the topic's namespace prefix (the
-        # multi-tenant separator), matching the stream drivers' keys.
-        tl = self.timeline
-        age = getattr(payload, "age", None) if tl is not None else None
+        # A store event crossing the bus is one span over the delivery
+        # fan-out (each receiver analyses it on this thread), keyed by
+        # the frame it carries: the session is the topic's namespace
+        # prefix (the multi-tenant separator), matching the stream
+        # drivers' keys.
+        tracer = self.tracer
+        age = (
+            getattr(payload, "age", None)
+            if tracer.enabled and not control else None
+        )
         t_hop = time.perf_counter() if age is not None else 0.0
         delivered = 0
         for node, handler in targets:
@@ -295,9 +297,12 @@ class InProcTransport:
                     self.stats.record(msg, node, latency)
         if age is not None and delivered:
             i = topic.find(".")
-            session = topic[:i] if i > 0 else ""
-            tl.span(session, age, "transport",
-                    t_hop, time.perf_counter())
+            tracer.complete(
+                "transport", "transport", sender, "transport",
+                t_hop, time.perf_counter(),
+                args={"topic": topic},
+                key=(topic[:i] if i > 0 else "", age),
+            )
         return delivered
 
     def topics(self) -> list[str]:

@@ -4,13 +4,14 @@ The measurement substrate the ROADMAP's performance work rests on.  It
 imports nothing from :mod:`repro.core` or :mod:`repro.dist`, which both
 build on it:
 
-* :mod:`repro.obs.tracing` — per-instance lifecycle spans and runtime
-  events as Chrome trace-event JSON (``--trace out.json``, Perfetto);
+* :mod:`repro.obs.tracing` — the run's one span stream: per-instance
+  lifecycle spans and runtime events, with the Chrome trace-event JSON
+  (``--trace out.json``, Perfetto) and the frame timeline as its sinks;
 * :mod:`repro.obs.metrics` — counters, gauges, histograms and the
   registry that reads each layer's holder at snapshot time, with
   delta/merge algebra (``--metrics`` / ``--metrics-json``);
-* :mod:`repro.obs.timeline` — per-frame stage spans and their
-  critical-path latency partition;
+* :mod:`repro.obs.timeline` — the frame sink: per-frame stage spans and
+  their critical-path latency partition;
 * :mod:`repro.obs.slo` — per-session error-budget burn and alerts;
 * :mod:`repro.obs.telemetry` — the live exporter (JSONL, Prometheus
   endpoint) and the :class:`Telemetry` bundle a run is wired with;
@@ -44,6 +45,7 @@ from .telemetry import (
 )
 from .timeline import (
     BUCKETS,
+    SPAN_BUCKETS,
     TimelineRecorder,
     attribute_spans,
     stage_summary,
@@ -53,6 +55,7 @@ from .tracing import (
     TraceSchemaError,
     Tracer,
     validate_chrome_trace,
+    with_frames,
 )
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
+    "SPAN_BUCKETS",
     "SloAlert",
     "SloTracker",
     "Telemetry",
@@ -87,4 +91,5 @@ __all__ = [
     "stage_summary",
     "validate_chrome_trace",
     "validate_prometheus_text",
+    "with_frames",
 ]

@@ -51,12 +51,11 @@ def dump_flight(
 ) -> Path | None:
     """Write the tracer's ring window as a flight-recorder artifact.
 
-    Returns the path written, or ``None`` when the tracer is disabled
-    or holds no events (nothing to record).  Never raises: a failing
-    dump must not mask the error that triggered it.
+    Returns the path written, or ``None`` when the tracer keeps no
+    Chrome events (``mode="off"``, a telemetry-only stream included) or
+    holds none yet (nothing to record).  Never raises: a failing dump
+    must not mask the error that triggered it.
     """
-    if not tracer.enabled:
-        return None
     events = tracer.ring_events()
     if not any(e.get("ph") != "M" for e in events):
         return None

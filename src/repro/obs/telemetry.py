@@ -318,7 +318,8 @@ class Telemetry:
 
     Constructed once per run (``run_program(..., telemetry=...)`` /
     ``Cluster.run(..., telemetry=...)`` / ``SessionManager``), it owns
-    the pieces the layers share: the frame :attr:`timeline`, the
+    the pieces the layers share: the frame :attr:`timeline` (attached
+    as the frame sink of the run's tracer), the
     :attr:`slo` tracker whose default alert action logs the breach,
     drops a ``slo-breach`` tracer instant and dumps a flight recording
     annotated with the offending session, and the :attr:`exporter`.
@@ -362,7 +363,7 @@ class Telemetry:
             file=sys.stderr,
         )
         tracer = self._tracer
-        if tracer is None or not getattr(tracer, "enabled", False):
+        if tracer is None or tracer.mode == "off":
             return
         tracer.instant(
             "slo-breach", "slo", "stream", label, args=alert.as_dict()

@@ -1,14 +1,13 @@
 """Per-frame stage timelines and critical-path latency attribution.
 
-PR 7's multi-tenant runtime can say *that* a frame took 179 ms
-end-to-end; this module says *where* those milliseconds went.  A
-:class:`TimelineRecorder` collects, per ``(session, age)`` frame,
-wall-clock spans stamped at the existing hook points — credit-gate
-admission in the stream driver, ready-queue wait in the worker loops,
-kernel bodies and store commits in the execution paths, IPC round
-trips in the process backend, and transport hops in the cluster bus —
-and, when the sink reports the frame complete, sweeps them into an
-exact partition of the frame's end-to-end window:
+A live run can say *that* a frame took 179 ms end-to-end; this module
+says *where* those milliseconds went.  A :class:`TimelineRecorder` is
+the frame sink of the run's span stream
+(:meth:`~repro.obs.tracing.Tracer.attach`): it receives every span that
+carries a ``(session, age)`` key, charges it to a bucket through
+:data:`SPAN_BUCKETS` — the one place that knows buckets — and, when the
+sink reports the frame complete, sweeps the frame's spans into an exact
+partition of its end-to-end window:
 
 ``gate | queue | compute | ipc | transport | store | other``
 
@@ -21,13 +20,10 @@ queue), with uncovered time falling into ``other``.  By construction
 the bucket sums equal the end-to-end window exactly, so the per-stage
 report reconciles with the driver's ``latency_ms`` histogram.
 
-Telemetry off is no recorder: a run without a
-:class:`~repro.obs.telemetry.Telemetry` bundle hands its nodes
-``timeline=None``, and every hot-path call site is guarded by a single
-``is not None`` test — no allocations and no calls per instance.  With
-a recorder, :meth:`TimelineRecorder.span` drops spans for frames no
-driver has :meth:`~TimelineRecorder.begin`-ed, so batch (non-stream)
-runs cannot grow it.
+A frame's window opens with its ``gate`` span (scheduled arrival to
+admission) and closes at :meth:`TimelineRecorder.finish` (sink emit);
+spans of frames not open — every span of a batch (non-stream) run —
+are dropped, so such runs cannot grow the recorder.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ from .metrics import Histogram
 
 __all__ = [
     "BUCKETS",
+    "SPAN_BUCKETS",
     "TimelineRecorder",
     "attribute_spans",
     "stage_summary",
@@ -54,6 +51,17 @@ BUCKETS: tuple[str, ...] = (
     "compute", "store", "ipc", "transport", "gate", "queue", "other",
 )
 
+#: The bucket each span name is charged to; spans of any other name
+#: are not attributed.  No recording site names a bucket.
+SPAN_BUCKETS: dict[str, str] = {
+    "fetch": "store", "store": "store", "admit": "store",
+    "native": "compute",
+    "ipc": "ipc",
+    "transport": "transport",
+    "gate": "gate",
+    "queue": "queue",
+}
+
 _PRIORITY = {name: i for i, name in enumerate(BUCKETS)}
 
 
@@ -68,108 +76,98 @@ def attribute_spans(
     they may overlap and extend past the window (they are clipped).
     Returns ``{bucket: seconds}`` over all :data:`BUCKETS`; the values
     sum to ``t_end - t_start`` exactly (uncovered time -> ``other``).
+
+    One sweep over the sorted span endpoints, O(n log n): a span covers
+    ``[t0, t1)``, and an active count per priority names the bucket
+    that owns each interval between consecutive endpoints.  Unknown
+    bucket names rank below every known one and have no accumulator of
+    their own: their time lands in ``other``.
     """
     out = dict.fromkeys(BUCKETS, 0.0)
     if t_end <= t_start:
         return out
-    clipped = []
-    points = {t_start, t_end}
+    n = len(BUCKETS)
+    marks = []
     for bucket, s, e in spans:
         s, e = max(s, t_start), min(e, t_end)
-        if e <= s:
-            continue
-        clipped.append((_PRIORITY.get(bucket, len(BUCKETS)), s, e))
-        points.add(s)
-        points.add(e)
-    edges = sorted(points)
-    for lo, hi in zip(edges, edges[1:]):
-        mid = (lo + hi) / 2.0
-        best = None
-        for prio, s, e in clipped:
-            if s <= mid < e and (best is None or prio < best):
-                best = prio
-        # Unknown bucket names rank below every known one and have no
-        # accumulator of their own: their time lands in "other".
-        bucket = (
-            BUCKETS[best]
-            if best is not None and best < len(BUCKETS) else "other"
-        )
-        out[bucket] += hi - lo
+        if e > s:
+            prio = _PRIORITY.get(bucket, n)
+            marks += ((s, prio, 1), (e, prio, -1))
+    marks.sort()
+    marks.append((t_end, n, 0))
+    active = [0] * (n + 1)
+    lo = t_start
+    for t, prio, delta in marks:
+        if t > lo:
+            for owner in range(n):  # ends on "other" when none is active
+                if active[owner]:
+                    break
+            out[BUCKETS[owner]] += t - lo
+            lo = t
+        active[prio] += delta
     return out
 
 
-class _Frame:
-    __slots__ = ("t_start", "spans")
-
-    def __init__(self, t_start: float) -> None:
-        self.t_start = t_start
-        self.spans: list[tuple[str, float, float]] = []
-
-
 class TimelineRecorder:
-    """Collects per-frame stage spans and rolls up per-session,
-    per-bucket latency histograms.
+    """The frame sink: collects per-frame stage spans and rolls up
+    per-session, per-bucket latency histograms.
 
     Keys are ``(session, age)``; the single-stream runtime uses
-    ``session == ""``.  Drivers call :meth:`begin` when a frame is
-    offered, instrumented layers call :meth:`span` as work happens,
-    and the driver calls :meth:`finish` (sink emit) or :meth:`discard`
-    (shed / retired without completing).  All methods are thread-safe
-    and cheap: span append is one lock + dict probe + list append.
+    ``session == ""``.  The run's tracer hands it every keyed span
+    (:meth:`span`) — a ``gate`` span opens its frame — and the stream
+    driver closes the frame at sink emit (:meth:`finish`).  All methods
+    are thread-safe and cheap: a span is one table probe, one lock, one
+    dict probe and one list append.
     """
 
     #: Defensive bound on concurrently tracked frames: a driver that
-    #: never finishes frames (or a hook begun outside a stream run)
-    #: must not grow memory without bound.  Oldest frames are dropped.
+    #: never finishes frames must not grow memory without bound.
+    #: Oldest frames are dropped.
     MAX_IN_FLIGHT = 4096
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._frames: dict[tuple[str, int], _Frame] = {}
+        #: (session, age) -> (window start, [(bucket, t0, t1), ...]).
+        self._frames: dict[tuple[str, int], tuple[float, list]] = {}
         #: session -> bucket -> Histogram of milliseconds.
         self._stages: dict[str, dict[str, Histogram]] = {}
         #: session -> frames attributed.
         self._counts: dict[str, int] = {}
 
-    # -- recording hooks ------------------------------------------------
-    def begin(self, session: str, age: int, t_start: float) -> None:
-        """Start tracking frame ``(session, age)`` with its end-to-end
-        window opening at wall-clock ``t_start`` (perf-counter
-        seconds)."""
-        with self._lock:
-            if len(self._frames) >= self.MAX_IN_FLIGHT:
-                self._frames.pop(next(iter(self._frames)), None)
-            self._frames[(session, age)] = _Frame(t_start)
-
-    def span(self, session: str, age: int, bucket: str,
+    # -- the sink -------------------------------------------------------
+    def span(self, name: str, key: tuple[str, int],
              t0: float, t1: float) -> None:
-        """Record that ``bucket`` work for the frame covered
-        ``[t0, t1]``.  Silently ignored for frames not begun — this is
-        what keeps non-stream runs and already-finished frames free."""
-        if t1 <= t0:
+        """A span named ``name`` of frame ``key`` covered ``[t0, t1]``
+        (perf-counter seconds).  A ``gate`` span opens the frame's
+        window at ``t0``; a span of a frame not open, or of a name
+        :data:`SPAN_BUCKETS` does not list, is dropped."""
+        bucket = SPAN_BUCKETS.get(name)
+        if bucket is None:
             return
         with self._lock:
-            frame = self._frames.get((session, age))
-            if frame is not None:
-                frame.spans.append((bucket, t0, t1))
+            if name == "gate":
+                if len(self._frames) >= self.MAX_IN_FLIGHT:
+                    self._frames.pop(next(iter(self._frames)), None)
+                frame = self._frames[key] = (t0, [])
+            else:
+                frame = self._frames.get(key)
+            if frame is not None and t1 > t0:
+                frame[1].append((bucket, t0, t1))
 
-    def discard(self, session: str, age: int) -> None:
-        """Drop a frame that will never complete (shed or retired)."""
-        with self._lock:
-            self._frames.pop((session, age), None)
-
-    def finish(self, session: str, age: int,
+    def finish(self, key: tuple[str, int],
                t_end: float) -> dict[str, float] | None:
-        """Close the frame at sink-emit time ``t_end``, attribute its
-        window and fold the result into the session's rollups.
+        """Close frame ``key`` at sink-emit time ``t_end``, attribute
+        its window and fold the result into the session's rollups.
         Returns the per-bucket breakdown in **milliseconds** (``None``
-        if the frame was never begun)."""
+        if the frame was never opened)."""
         with self._lock:
-            frame = self._frames.pop((session, age), None)
+            frame = self._frames.pop(key, None)
         if frame is None:
             return None
-        parts = attribute_spans(frame.spans, frame.t_start, t_end)
+        t_start, spans = frame
+        parts = attribute_spans(spans, t_start, t_end)
         breakdown = {b: v * 1000.0 for b, v in parts.items()}
+        session = key[0]
         with self._lock:
             stages = self._stages.setdefault(session, {})
             for bucket, ms in breakdown.items():
@@ -199,7 +197,10 @@ class TimelineRecorder:
         ``{bucket: {count, mean, p50, p90, p99, p999, ...}}`` in
         milliseconds (histogram snapshots minus the ``type`` tag)."""
         with self._lock:
-            stages = dict(self._stages.get(session, {}))
+            return self._stages_locked(session)
+
+    def _stages_locked(self, session: str) -> dict[str, dict]:
+        stages = self._stages.get(session, {})
         out: dict[str, dict] = {}
         for bucket in BUCKETS:
             hist = stages.get(bucket)
@@ -211,11 +212,16 @@ class TimelineRecorder:
         return out
 
     def as_dict(self) -> dict:
-        """All sessions' stage summaries (JSON-ready)."""
-        return {
-            "frames": dict(sorted(self._counts.items())),
-            "stages": {s: self.stages(s) for s in self.sessions()},
-        }
+        """All sessions' stage summaries (JSON-ready), read in one
+        critical section: a frame finishing meanwhile is in both the
+        counts and the stages, or in neither."""
+        with self._lock:
+            return {
+                "frames": dict(sorted(self._counts.items())),
+                "stages": {
+                    s: self._stages_locked(s) for s in sorted(self._stages)
+                },
+            }
 
 
 def stage_summary(stages: Mapping[str, Mapping[str, float]]) -> str:

@@ -1,33 +1,30 @@
-"""Span tracing in Chrome trace-event format.
+"""The run's span stream, and its Chrome trace-event sink.
 
 The paper's evaluation is built on *when things happened*: dispatch
 versus kernel time per instance (tables II–III), scaling knees where the
-serial analyzer saturates (figures 9–10), and — in the fault-tolerant
-cluster — the detection→replacement window.  The aggregated
-:class:`~repro.core.instrumentation.KernelStats` keep the totals; this
-module keeps the *timeline*.
+serial analyzer saturates (figures 9–10), the detection→replacement
+window of a fault-tolerant cluster.  A :class:`Tracer` is a run's one
+recording path: every timed event — kernel-instance lifecycle phases,
+analyzer, scheduler, transport, stream, heartbeat and recovery activity
+— is recorded once, as a span (name, category, lane, ``t0`` / ``t1``
+from :func:`time.perf_counter`, args) or an instant, and reaches its
+sinks:
 
-A :class:`Tracer` records spans (complete events) and instants for every
-kernel-instance lifecycle phase, plus analyzer, scheduler, transport,
-heartbeat and recovery activity, and exports them as Chrome trace-event
-JSON — the ``{"traceEvents": [...]}`` envelope that loads directly in
-Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Lanes map
-P2G concepts onto the viewer's process/thread rows: one *process* row
-per execution node (plus ``master`` for the control plane), one *thread*
-row per worker / analyzer / heartbeat / recovery actor.
+* the **Chrome trace** (``{"traceEvents": [...]}``, loadable in
+  Perfetto or ``chrome://tracing``): one *process* row per execution
+  node (plus ``master``), one *thread* row per worker / analyzer /
+  heartbeat / recovery actor.  ``mode`` picks retention: ``off``,
+  ``ring`` (the last ``ring`` events — the **flight recorder**, cheap
+  enough to arm on every fault-tolerant run) or ``full`` (everything,
+  plus the ring);
+* the **frame sink** (:meth:`Tracer.attach`, a
+  :class:`~repro.obs.timeline.TimelineRecorder`): every span carrying a
+  ``(session, age)`` key.
 
-Cost model — the hook layer must be near-zero when unused:
-
-* ``off`` — the shared :data:`NULL_TRACER`; every method returns
-  immediately after one attribute test, and hot call sites additionally
-  guard with ``if tracer.enabled:`` so argument construction is skipped
-  entirely;
-* ``ring`` — only the last ``ring`` events are retained in a bounded
-  deque: the **flight recorder** mode, cheap enough to leave armed for
-  every fault-tolerant cluster run;
-* ``full`` — every event is retained for ``--trace`` export (the ring
-  is kept as well, so a failing traced run still dumps a flight
-  recording).
+Every site tests one guard, :attr:`Tracer.enabled` ("some sink
+listens"), before it builds a span.  :data:`NULL_TRACER` has no sink
+and never gains one; a telemetry-only run records into a ``mode="off"``
+tracer with a frame sink, which builds no Chrome event and no lane.
 """
 
 from __future__ import annotations
@@ -36,13 +33,14 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
 __all__ = [
     "NULL_TRACER",
     "TraceSchemaError",
     "Tracer",
     "validate_chrome_trace",
+    "with_frames",
 ]
 
 #: Instant-event scopes accepted by the trace-event format.
@@ -54,37 +52,29 @@ class TraceSchemaError(ValueError):
 
 
 class Tracer:
-    """Thread-safe recorder of trace events with named lanes.
+    """A run's thread-safe span stream: the Chrome trace with named
+    lanes, plus an optional frame sink.
 
-    Parameters
-    ----------
-    mode:
-        ``"off"`` (no-op), ``"ring"`` (flight-recorder: bounded ring
-        only) or ``"full"`` (retain everything + the ring).
-    ring:
-        Ring-buffer capacity — the flight recorder's horizon.
-    clock:
-        Injectable time source (defaults to ``time.perf_counter``); the
-        tracer's origin is its value at construction, so timestamps are
-        microseconds since the tracer was created.
+    ``mode`` is the Chrome retention (``"off"``, ``"ring"`` or
+    ``"full"``), ``ring`` the flight recorder's horizon in events.
+    Times are ``time.perf_counter()`` seconds, the one clock of every
+    recording site; the Chrome trace shows microseconds since the
+    tracer was created.
     """
 
     MODES = ("off", "ring", "full")
 
-    def __init__(
-        self,
-        mode: str = "full",
-        ring: int = 4096,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, mode: str = "full", ring: int = 4096) -> None:
         if mode not in self.MODES:
             raise ValueError(
                 f"unknown tracer mode {mode!r}; expected one of {self.MODES}"
             )
         self.mode = mode
+        #: The one guard of every recording site: some sink listens.
         self.enabled = mode != "off"
-        self._clock = clock if clock is not None else time.perf_counter
-        self._origin = self._clock()
+        #: The frame sink (:meth:`attach`), ``None`` until one is.
+        self.frames = None
+        self._origin = time.perf_counter()
         self._lock = threading.Lock()
         self._events: list[dict] | None = [] if mode == "full" else None
         self._ring: deque | None = (
@@ -95,20 +85,23 @@ class Tracer:
         self._pids: dict[str, int] = {}
         self._lanes: dict[tuple[str, str], tuple[int, int]] = {}
 
-    # ------------------------------------------------------------------
-    # Time base
-    # ------------------------------------------------------------------
+    def attach(self, frames) -> None:
+        """Make ``frames`` the frame sink: every span recorded with a
+        ``key`` reaches ``frames.span(name, key, t0, t1)``.  One slot,
+        so nodes sharing a tracer attach a recorder once however often
+        they ask; :data:`NULL_TRACER` takes none."""
+        if self is NULL_TRACER:
+            raise ValueError("NULL_TRACER takes no sink; see with_frames()")
+        self.frames = frames
+        self.enabled = True
+
     def now(self) -> float:
-        """Current clock value (same domain as the ``t0``/``t1`` span
-        arguments)."""
-        return self._clock()
+        """The clock of every ``t0`` / ``t1``: ``time.perf_counter()``."""
+        return time.perf_counter()
 
     def _ts_us(self, t: float) -> float:
         return (t - self._origin) * 1e6
 
-    # ------------------------------------------------------------------
-    # Lanes
-    # ------------------------------------------------------------------
     def lane(self, process: str, thread: str) -> tuple[int, int]:
         """The (pid, tid) pair for a named lane, allocating it (and its
         viewer metadata events) on first use."""
@@ -119,42 +112,27 @@ class Tracer:
                 return ids
             pid = self._pids.get(process)
             if pid is None:
-                pid = len(self._pids) + 1
-                self._pids[process] = pid
-                self._meta.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "pid": pid,
-                        "tid": 0,
-                        "args": {"name": process},
-                    }
-                )
+                pid = self._pids[process] = len(self._pids) + 1
+                self._meta.append(_meta("process_name", pid, 0, process))
             tid = 1 + sum(1 for p, _t in self._lanes if p == process)
             self._lanes[key] = (pid, tid)
-            self._meta.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": thread},
-                }
-            )
+            self._meta.append(_meta("thread_name", pid, tid, thread))
             return (pid, tid)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _record(self, ev: dict) -> None:
+    def _record(self, process: str, thread: str, ev: dict, args) -> None:
+        ev["pid"], ev["tid"] = self.lane(process, thread)
+        if args:
+            ev["args"] = args
         with self._lock:
             if self._events is not None:
                 self._events.append(ev)
             ring = self._ring
-            if ring is not None:
-                if len(ring) == ring.maxlen:
-                    self.ring_dropped += 1
-                ring.append(ev)
+            if len(ring) == ring.maxlen:
+                self.ring_dropped += 1
+            ring.append(ev)
 
     def complete(
         self,
@@ -165,24 +143,21 @@ class Tracer:
         t0: float,
         t1: float,
         args: dict | None = None,
+        key: "tuple[str, int] | None" = None,
     ) -> None:
-        """Record a complete ("X") span from clock value ``t0`` to
-        ``t1`` in the (process, thread) lane."""
-        if not self.enabled:
+        """Record a span from ``t0`` to ``t1`` in the (process, thread)
+        lane — a complete ("X") event when the Chrome trace retains any.
+        ``key``, a ``(session, age)`` pair, marks a span of that frame:
+        it also reaches the frame sink."""
+        frames = self.frames
+        if key is not None and frames is not None:
+            frames.span(name, key, t0, t1)
+        if self._ring is None:
             return
-        pid, tid = self.lane(process, thread)
-        ev = {
-            "name": name,
-            "cat": cat,
-            "ph": "X",
-            "ts": self._ts_us(t0),
-            "dur": max(0.0, self._ts_us(t1) - self._ts_us(t0)),
-            "pid": pid,
-            "tid": tid,
-        }
-        if args:
-            ev["args"] = args
-        self._record(ev)
+        ts = self._ts_us(t0)
+        ev = {"name": name, "cat": cat, "ph": "X", "ts": ts,
+              "dur": max(0.0, self._ts_us(t1) - ts)}
+        self._record(process, thread, ev, args)
 
     def instant(
         self,
@@ -194,22 +169,14 @@ class Tracer:
         ts: float | None = None,
         scope: str = "t",
     ) -> None:
-        """Record an instant ("i") event; ``ts`` defaults to now."""
-        if not self.enabled:
+        """Record an instant ("i") event in the Chrome trace; ``ts``
+        defaults to now."""
+        if self._ring is None:
             return
-        pid, tid = self.lane(process, thread)
-        ev = {
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "ts": self._ts_us(self._clock() if ts is None else ts),
-            "pid": pid,
-            "tid": tid,
-            "s": scope,
-        }
-        if args:
-            ev["args"] = args
-        self._record(ev)
+        t = time.perf_counter() if ts is None else ts
+        ev = {"name": name, "cat": cat, "ph": "i", "ts": self._ts_us(t),
+              "s": scope}
+        self._record(process, thread, ev, args)
 
     # ------------------------------------------------------------------
     # Export
@@ -218,31 +185,23 @@ class Tracer:
         """Snapshot of every retained event (metadata first).  In
         ``ring`` mode this is the ring's current window."""
         with self._lock:
-            body = (
-                list(self._events)
-                if self._events is not None
-                else list(self._ring or ())
-            )
-            return list(self._meta) + body
+            body = self._events if self._events is not None else self._ring
+            return self._meta + list(body or ())
 
     def ring_events(self) -> list[dict]:
         """Snapshot of the flight-recorder ring (metadata first)."""
         with self._lock:
-            return list(self._meta) + list(self._ring or ())
+            return self._meta + list(self._ring or ())
 
     def event_count(self) -> int:
         """Number of retained non-metadata events."""
         with self._lock:
-            if self._events is not None:
-                return len(self._events)
-            return len(self._ring or ())
+            body = self._events if self._events is not None else self._ring
+            return len(body or ())
 
     def chrome(self) -> dict:
         """The Chrome trace-event JSON document (a dict)."""
-        return {
-            "traceEvents": self.events(),
-            "displayTimeUnit": "ms",
-        }
+        return {"traceEvents": self.events(), "displayTimeUnit": "ms"}
 
     def write(self, path: str) -> int:
         """Write the trace-event JSON to ``path``; returns the number of
@@ -254,8 +213,30 @@ class Tracer:
         return sum(1 for e in doc["traceEvents"] if e.get("ph") != "M")
 
 
-#: The disabled tracer every component defaults to: one shared no-op.
+def _meta(kind: str, pid: int, tid: int, name: str) -> dict:
+    """A lane's viewer metadata event (``process_name`` /
+    ``thread_name``)."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid,
+            "args": {"name": name}}
+
+
+#: The disabled tracer every component defaults to: one shared no-op,
+#: without a sink, ever.
 NULL_TRACER = Tracer(mode="off")
+
+
+def with_frames(tracer: "Tracer | None", frames) -> Tracer:
+    """The stream a run records into: ``tracer`` (default
+    :data:`NULL_TRACER`) with ``frames`` attached as its frame sink —
+    on a new ``mode="off"`` stream when ``tracer`` is the shared null
+    one.  ``frames=None`` returns the tracer as it is."""
+    tracer = tracer if tracer is not None else NULL_TRACER
+    if frames is None:
+        return tracer
+    if tracer is NULL_TRACER:
+        tracer = Tracer(mode="off")
+    tracer.attach(frames)
+    return tracer
 
 
 # ----------------------------------------------------------------------

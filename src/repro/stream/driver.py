@@ -224,6 +224,10 @@ class StreamDriver:
         unscoped each delivery would credit every session's gate — and
         its field / kernel names bound what the retirer may free and
         probe.
+    telemetry:
+        The run's :class:`~repro.obs.Telemetry`, whose SLO tracker the
+        completion path feeds; stage attribution reaches the frame
+        timeline through the tracer, whose sink it is.
     """
 
     def __init__(
@@ -288,16 +292,16 @@ class StreamDriver:
                 qos_class=self.cfg.qos_class,
             )
 
-        # Telemetry (optional): the frame timeline keyed by this
-        # session, and the SLO tracker fed from the completion path.
-        # Both references are bound once (None when off), so the frame
-        # paths pay a single ``is not None`` test each.
-        self._tl = telemetry.timeline if telemetry is not None else None
+        # The frame sink of the run's span stream and the SLO tracker
+        # (telemetry runs; None when off): the driver's spans open each
+        # frame's window, its completion path closes it and feeds them.
+        self._frames = self._tracer.frames
         self._slo = telemetry.slo if telemetry is not None else None
-        self._tl_session = session or ""
+        #: The session part of this stream's frame keys.
+        self._key = session or ""
         if self._slo is not None and self.cfg.deadline_ms is not None:
             self._slo.configure(
-                self._tl_session,
+                self._key,
                 deadline_ms=self.cfg.deadline_ms,
                 tier=self.cfg.qos_class,
             )
@@ -429,6 +433,7 @@ class StreamDriver:
 
     def _run(self) -> None:
         cfg = self.cfg
+        tr = self._tracer
         try:
             for age, frame in enumerate(self.binding.source.frames()):
                 if self._stop.is_set():
@@ -464,20 +469,21 @@ class StreamDriver:
                 if not self.gate.admit(age):
                     break
                 t0 = time.perf_counter()
-                if self._tl is not None:
-                    # The frame's end-to-end window opens at its
-                    # *scheduled* arrival, which is in the stream-timer
-                    # domain; back-date the perf-counter start by the
-                    # observed lateness so the timeline window matches
-                    # the latency the completion path will report.
-                    # Everything before admission — pacing slip plus
-                    # the credit-gate block — is gate wait.
+                if tr.enabled:
+                    # The frame's window opens at its *scheduled*
+                    # arrival, which is in the stream-timer domain:
+                    # back-date the perf-counter start by the observed
+                    # lateness so the window matches the latency the
+                    # completion path will report.  Everything before
+                    # admission — pacing slip plus the credit-gate
+                    # block — is the gate span.
                     late_s = max(
                         0.0, self.timer.elapsed_ms() - arrival_ms
                     ) / 1000.0
-                    self._tl.begin(self._tl_session, age, t0 - late_s)
-                    self._tl.span(
-                        self._tl_session, age, "gate", t0 - late_s, t0
+                    tr.complete(
+                        "gate", "stream", self._lane, "stream",
+                        t0 - late_s, t0, args={"age": age},
+                        key=(self._key, age),
                     )
                 with self._lock:
                     self._arrivals[age] = arrival_ms
@@ -487,18 +493,16 @@ class StreamDriver:
                 for ev in events:
                     self._inject(ev)
                 t1 = time.perf_counter()
-                if self._tl is not None:
-                    # Source capture + input-field commit + injection.
-                    self._tl.span(self._tl_session, age, "store", t0, t1)
                 self.admitted += 1
                 self._sample_live_bytes()
-                tr = self._tracer
                 if tr.enabled:
+                    # Source capture + input-field commit + injection.
                     tr.complete(
                         "admit", "stream", self._lane, "stream",
                         t0, t1,
                         args={"age": age,
                               "arrival_ms": round(arrival_ms, 3)},
+                        key=(self._key, age),
                     )
         finally:
             self._ended_ms = self.timer.elapsed_ms()
@@ -526,7 +530,7 @@ class StreamDriver:
             )
         if self._slo is not None:
             # A frame the policy dropped still failed this tenant's SLO.
-            self._slo.observe_shed(self._tl_session)
+            self._slo.observe_shed(self._key)
         self._finish_age(age)
 
     # ------------------------------------------------------------------
@@ -544,12 +548,12 @@ class StreamDriver:
             arrival if arrival is not None else 0.0
         )
         self._lat.observe(latency)
-        if self._tl is not None:
+        if self._frames is not None:
             # Sink emit closes the frame's window; the recorder sweeps
             # the collected spans into the per-stage attribution.
-            self._tl.finish(self._tl_session, age, time.perf_counter())
+            self._frames.finish((self._key, age), time.perf_counter())
         if self._slo is not None:
-            self._slo.observe(self._tl_session, latency)
+            self._slo.observe(self._key, latency)
         self._finish_age(age)
         self._sample_live_bytes()
 
@@ -635,8 +639,8 @@ class StreamDriver:
             session=self.session,
             qos_class=self.cfg.qos_class,
             stages=(
-                self._tl.stages(self._tl_session)
-                if self._tl is not None else {}
+                self._frames.stages(self._key)
+                if self._frames is not None else {}
             ),
             slo=self._slo_summary(),
         )
@@ -644,9 +648,7 @@ class StreamDriver:
     def _slo_summary(self) -> dict | None:
         if self._slo is None:
             return None
-        out = self._slo.session_dict(self._tl_session)
+        out = self._slo.session_dict(self._key)
         if out is not None:
-            out["burn_rate"] = round(
-                self._slo.burn_rate(self._tl_session), 3
-            )
+            out["burn_rate"] = round(self._slo.burn_rate(self._key), 3)
         return out

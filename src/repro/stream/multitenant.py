@@ -406,7 +406,10 @@ class SessionManager:
             metrics=self._metrics,
             tracer=self._tracer,
             name="tenant0",
-            timeline=self._life.timeline,
+            timeline=(
+                self._telemetry.timeline
+                if self._telemetry is not None else None
+            ),
         )
         # First hook, so it runs before the drivers': a session whose
         # stream ends because the node is going down frees no slot.

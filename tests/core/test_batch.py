@@ -731,14 +731,17 @@ class TestHotPathGuards:
         assert ctx.emitted == {} and ctx.outputs == []
 
     def test_telemetry_off_binds_no_timeline(self):
-        # Telemetry off (the default) is no recorder: the node holds no
-        # timeline reference at all, so the hot-path guards are a
-        # single ``is not None`` test.
+        # Telemetry and tracing off (the default) is no sink: the node
+        # records into the shared sink-less stream, so every hot-path
+        # guard is one false ``tracer.enabled`` test.
+        from repro.obs import NULL_TRACER
+
         program, sink = build_mulsum()
         result = run_program(program, workers=2, max_age=3, batch=8)
-        assert result.telemetry is None
+        assert result.telemetry is None and result.tracer is None
         node = ExecutionNode(program, 1)
-        assert node._timeline is None
+        assert node.tracer is NULL_TRACER
+        assert not node.tracer.enabled and node.tracer.frames is None
 
     def test_enabled_timeline_ignores_non_stream_frames(self):
         # Batch (non-stream) runs hit the span hooks, but no driver

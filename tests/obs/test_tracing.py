@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -10,15 +11,8 @@ from repro.obs import (
     TraceSchemaError,
     Tracer,
     validate_chrome_trace,
+    with_frames,
 )
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 100.0
-
-    def __call__(self) -> float:
-        return self.t
 
 
 class TestTracerModes:
@@ -72,22 +66,29 @@ class TestLanesAndEvents:
         assert ("thread_name", "worker1") in names
 
     def test_complete_event_timestamps(self):
-        clock = FakeClock()
-        tr = Tracer(clock=clock)  # origin at t=100
-        tr.complete("work", "kernel", "n", "w", 100.001, 100.004,
+        # One clock: span times are perf_counter readings, shown as
+        # microseconds since the tracer was created.
+        before = time.perf_counter()
+        tr = Tracer()
+        after = time.perf_counter()
+        t0 = after + 0.001
+        tr.complete("work", "kernel", "n", "w", t0, t0 + 0.003,
                     args={"age": 2})
         (ev,) = [e for e in tr.events() if e["ph"] == "X"]
-        assert ev["ts"] == pytest.approx(1000.0)  # us since origin
+        assert (t0 - after) * 1e6 <= ev["ts"] <= (t0 - before) * 1e6
         assert ev["dur"] == pytest.approx(3000.0)
         assert ev["args"] == {"age": 2}
 
     def test_instant_event_defaults_to_now(self):
-        clock = FakeClock()
-        tr = Tracer(clock=clock)
-        clock.t = 100.5
+        before = time.perf_counter()
+        tr = Tracer()
+        after = time.perf_counter()
+        time.sleep(0.002)
+        lo = time.perf_counter()
         tr.instant("tick", "test", "p", "t", scope="g")
+        hi = time.perf_counter()
         (ev,) = [e for e in tr.events() if e["ph"] == "i"]
-        assert ev["ts"] == pytest.approx(5e5)
+        assert (lo - after) * 1e6 <= ev["ts"] <= (hi - before) * 1e6
         assert ev["s"] == "g"
 
     def test_concurrent_recording_loses_nothing(self):
@@ -105,6 +106,48 @@ class TestLanesAndEvents:
         for t in threads:
             t.join()
         assert tr.event_count() == 800
+
+
+class TestFrameSink:
+    """The frame timeline is a sink of the stream, not a collector
+    beside it."""
+
+    class _Sink:
+        def __init__(self):
+            self.spans = []
+
+        def span(self, name, key, t0, t1):
+            self.spans.append((name, key, t0, t1))
+
+    def test_keyed_spans_reach_the_frame_sink_once(self):
+        tr, sink = Tracer(mode="full"), self._Sink()
+        tr.attach(sink)
+        tr.attach(sink)  # a second node sharing the stream: still one
+        tr.complete("queue", "phase", "n", "w0", 1.0, 2.0, key=("", 3))
+        tr.complete("mul2", "kernel", "n", "w0", 2.0, 3.0)  # no key
+        assert sink.spans == [("queue", ("", 3), 1.0, 2.0)]
+        assert tr.event_count() == 2
+
+    def test_sink_only_stream_builds_no_chrome_event(self, monkeypatch):
+        sink = self._Sink()
+        tr = with_frames(None, sink)
+        assert tr is not NULL_TRACER and tr.mode == "off" and tr.enabled
+
+        def no_lane(*_a):
+            raise AssertionError("a sink-only stream allocated a lane")
+
+        monkeypatch.setattr(Tracer, "lane", no_lane)
+        tr.complete("gate", "stream", "n", "stream", 0.0, 1.0,
+                    args={"age": 0}, key=("", 0))
+        tr.instant("shed", "stream", "n", "stream")
+        assert len(sink.spans) == 1 and tr.events() == []
+        assert NULL_TRACER.frames is None and not NULL_TRACER.enabled
+
+    def test_null_tracer_never_gains_a_sink(self):
+        with pytest.raises(ValueError):
+            NULL_TRACER.attach(self._Sink())
+        assert with_frames(None, None) is NULL_TRACER
+        assert NULL_TRACER.frames is None and not NULL_TRACER.enabled
 
 
 class TestExport:
@@ -190,9 +233,15 @@ class TestRuntimeIntegration:
         assert "scheduler" in by_cat
         kernel_names = {e["name"] for e in by_cat["kernel"]}
         assert {"init", "mul2", "plus5"} <= kernel_names
-        # every kernel span carries its (age, queue wait) context
-        assert all("age" in e["args"] and "queue_wait_us" in e["args"]
-                   for e in by_cat["kernel"])
+        # every kernel span carries its age; each claim's ready-queue
+        # wait is a ``queue`` span in the same worker lane, one per
+        # kernel span, ending where the kernel span starts
+        assert all("age" in e["args"] for e in by_cat["kernel"])
+        queue = [e for e in by_cat["phase"] if e["name"] == "queue"]
+        assert len(queue) == len(by_cat["kernel"])
+        lanes = {(e["pid"], e["tid"]) for e in by_cat["kernel"]}
+        assert {(e["pid"], e["tid"]) for e in queue} <= lanes
+        assert all(e["dur"] >= 0 for e in queue)
 
     def test_untraced_run_attaches_no_tracer(self):
         from repro.core import run_program

@@ -261,34 +261,37 @@ def _run_threads():
     )
 
 
-def _door_run_program(spec, tel):
-    return run_program(
-        spec.program, 2, stream=spec.binding, telemetry=tel, timeout=120
-    ).stream
-
-
-def _door_manager(spec, tel):
-    result = SessionManager([spec], workers=2, telemetry=tel).run(
-        timeout=120
+def _door_run_program(spec, tel, tracer=None):
+    result = run_program(
+        spec.program, 2, stream=spec.binding, telemetry=tel, timeout=120,
+        tracer=tracer,
     )
-    return result.stream.sessions[spec.name]
+    return result.stream, result
 
 
-def _door_cluster_stream(spec, tel):
+def _door_manager(spec, tel, tracer=None):
+    result = SessionManager(
+        [spec], workers=2, telemetry=tel, tracer=tracer
+    ).run(timeout=120)
+    return result.stream.sessions[spec.name], result
+
+
+def _door_cluster_stream(spec, tel, tracer=None):
     from repro.dist import Cluster
 
-    return Cluster(spec.program, {"n0": 2}).run(
-        stream=spec.binding, telemetry=tel, timeout=120
-    ).stream
+    result = Cluster(spec.program, {"n0": 2}).run(
+        stream=spec.binding, telemetry=tel, timeout=120, tracer=tracer
+    )
+    return result.stream, result
 
 
-def _door_cluster_sessions(spec, tel):
+def _door_cluster_sessions(spec, tel, tracer=None):
     from repro.dist import Cluster
 
     result = Cluster(merge_sessions([spec]), {"n0": 1, "n1": 1}).run(
-        sessions=[spec], telemetry=tel, timeout=120
+        sessions=[spec], telemetry=tel, timeout=120, tracer=tracer
     )
-    return result.stream.sessions[spec.name]
+    return result.stream.sessions[spec.name], result
 
 
 class TestOneLifecycle:
@@ -304,7 +307,7 @@ class TestOneLifecycle:
 
         spec, sink, cfg = make_session("s0")
         tel = Telemetry(TelemetryConfig(port=0))
-        rep = door(spec, tel)
+        rep, _result = door(spec, tel)
         assert rep.offered == rep.completed == 6
         assert sink.stream() == mjpeg_baseline(config=cfg)
         assert tel.exporter.ticks >= 1  # it ran, and stop() sampled
@@ -321,6 +324,144 @@ class TestOneLifecycle:
         marks = {d.timer._mark for d in mgr.drivers.values()}
         mgr.join(timeout=120)
         assert len(marks) == 1
+
+
+_DOORS = [
+    _door_run_program, _door_manager,
+    _door_cluster_stream, _door_cluster_sessions,
+]
+
+#: The ``(cat, name)`` pairs a traced run without telemetry recorded
+#: before the frame timeline became a sink of the tracer (mulsum
+#: ``max_age=3`` on threads, a 32x32 two-frame MJPEG encode on the
+#: processes backend, mulsum on a two-node cluster).
+_MULSUM_PAIRS = {
+    ("analyzer", "ResizeEvent"), ("analyzer", "StoreEvent"),
+    ("kernel", "init"), ("kernel", "mul2"), ("kernel", "plus5"),
+    ("kernel", "print"), ("phase", "fetch"), ("phase", "native"),
+    ("phase", "store"), ("scheduler", "dispatch"),
+}
+_MJPEG_PROCESSES_PAIRS = {
+    ("analyzer", "InstanceDoneEvent"), ("analyzer", "StoreEvent"),
+    ("kernel", "read"), ("kernel", "udct"), ("kernel", "vdct"),
+    ("kernel", "vlc"), ("kernel", "ydct"), ("phase", "ipc"),
+    ("scheduler", "dispatch"),
+}
+
+
+def _pairs(tracer):
+    return {(e["cat"], e["name"]) for e in tracer.events() if e["ph"] != "M"}
+
+
+class TestOneSpanStream:
+    """Each timed event is recorded once, into the run's tracer; the
+    Chrome trace, the flight ring and the frame timeline are its sinks
+    (DESIGN.md section 9)."""
+
+    @pytest.mark.parametrize("door", _DOORS)
+    def test_every_frame_span_reaches_the_sink_once(self, door,
+                                                    monkeypatch):
+        from collections import Counter
+
+        from repro.obs import SPAN_BUCKETS, Telemetry, Tracer
+
+        attached = []
+        attach = Tracer.attach
+
+        def counting_attach(self, frames):
+            attached.append(frames)
+            attach(self, frames)
+
+        monkeypatch.setattr(Tracer, "attach", counting_attach)
+        spec, sink, cfg = make_session("s0")
+        tel, tr = Telemetry(), Tracer(mode="full")
+        received = []
+        recorder_span = tel.timeline.span
+
+        def span(name, key, t0, t1):
+            received.append((name, t0, t1))
+            recorder_span(name, key, t0, t1)
+
+        tel.timeline.span = span
+        rep, result = door(spec, tel, tracer=tr)
+        assert sink.stream() == mjpeg_baseline(config=cfg)
+        # The recorder is attached once, to the one stream every node
+        # (two of them on the sessions cluster) and the transport share.
+        assert attached == [tel.timeline]
+        assert tr.frames is tel.timeline and result.tracer is tr
+        events = [e for e in tr.events() if e["ph"] == "X"]
+        # Every instance of the stream program is aged, so every span
+        # of a bucketed name in the Chrome trace is frame-keyed.
+        assert all(e["args"]["age"] is not None
+                   for e in events if e["cat"] == "kernel")
+        chrome = Counter(
+            (e["name"], e["ts"], e["dur"])
+            for e in events if e["name"] in SPAN_BUCKETS
+        )
+        at_sink = Counter(
+            (name, tr._ts_us(t0), max(0.0, tr._ts_us(t1) - tr._ts_us(t0)))
+            for name, t0, t1 in received
+        )
+        assert at_sink == chrome
+        assert {name for name, _ts, _dur in chrome} >= {
+            "gate", "admit", "queue", "fetch", "native", "store"
+        }
+        stage_sum = sum(s["mean"] for s in rep.stages.values())
+        e2e = rep.latency_ms["mean"]
+        assert abs(stage_sum - e2e) <= 0.05 * e2e, (stage_sum, e2e)
+
+    @pytest.mark.parametrize("door", _DOORS)
+    def test_telemetry_only_builds_no_chrome_event(self, door, monkeypatch,
+                                                   tmp_path):
+        from repro.obs import BUCKETS, NULL_TRACER, Telemetry, Tracer
+
+        def no_lane(*_a):
+            raise AssertionError("a telemetry-only run allocated a lane")
+
+        monkeypatch.setattr(Tracer, "lane", no_lane)
+        monkeypatch.setenv("P2G_FLIGHT_DIR", str(tmp_path))
+        spec, sink, cfg = make_session("s0")
+        tel = Telemetry()
+        rep, result = door(spec, tel)
+        assert rep.completed == 6
+        assert sink.stream() == mjpeg_baseline(config=cfg)
+        assert set(rep.stages) == set(BUCKETS)
+        assert result.tracer is None
+        assert list(tmp_path.iterdir()) == []
+        assert NULL_TRACER.frames is None and not NULL_TRACER.enabled
+
+    def test_traced_run_keeps_the_trace_content(self):
+        """A traced run without telemetry records what it did before,
+        plus each claim's ``queue`` span and, on the processes backend,
+        the ``native`` / ``store`` children carved from the round trip;
+        a cluster's delivered store events are ``transport`` spans."""
+        from repro.dist import Cluster
+        from repro.obs import Tracer
+        from repro.workloads import MJPEGConfig, build_mjpeg, build_mulsum
+
+        queue = {("phase", "queue")}
+        tr = Tracer()
+        program, _ = build_mulsum()
+        run_program(program, workers=2, max_age=3, tracer=tr)
+        assert _pairs(tr) == _MULSUM_PAIRS | queue
+
+        tr = Tracer()
+        program, _ = build_mjpeg(config=MJPEGConfig(width=32, height=32,
+                                                    frames=2))
+        run_program(program, workers=2, backend="processes", tracer=tr)
+        assert _pairs(tr) == _MJPEG_PROCESSES_PAIRS | queue | {
+            ("phase", "native"), ("phase", "store"),
+        }
+
+        tr = Tracer()
+        program, _ = build_mulsum()
+        result = Cluster(program, {"n0": 1, "n1": 1}).run(
+            max_age=3, tracer=tr, timeout=60
+        )
+        assert result.cross_node_messages() > 0
+        assert _pairs(tr) == _MULSUM_PAIRS | queue | {
+            ("transport", "transport"),
+        }
 
 
 class TestTierFairness:
