@@ -249,12 +249,13 @@ def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
         hi = lo + stack
         bctx = vectorize.BatchKernelContext(
             age,
-            [dict(zip(index_vars, index)) for index in indices[lo:hi]],
+            rows[lo:hi],
             {
                 param: value if param in shared else value[lo:hi]
                 for param, value in fetched.items()
             },
             shared,
+            index_vars=index_vars,
         )
         try:
             kernel.batch_body(bctx)

@@ -536,11 +536,20 @@ class Field:
                 self.name, age, tuple(a + o for a, o in zip(start, offset))
             )
         if len(group) > 1:
-            seen: set = set()
-            for row in map(tuple, group.starts.tolist()):
-                if row in seen:
-                    raise WriteOnceViolation(self.name, age, row)
-                seen.add(row)
+            extent = self._extent
+            blocks = np.ravel_multi_index(
+                group.tiles(extent).T,
+                [n // b for n, b in zip(extent, group.shape)],
+            )
+            _, first = np.unique(blocks, return_index=True)
+            if len(first) < len(group):
+                # the first member that repeats an earlier one
+                repeat = np.ones(len(group), dtype=bool)
+                repeat[first] = False
+                i = int(np.argmax(repeat))
+                raise WriteOnceViolation(
+                    self.name, age, tuple(group.starts[i].tolist())
+                )
 
     def _count_written(self, age: int, slot: _AgeSlot, count: int) -> None:
         """Account ``count`` newly written elements (lock held)."""

@@ -32,9 +32,11 @@ drop (``exec.vectorize_fallbacks``).
 
 Byte-identity is a hard requirement, exactly as for fusion: a stacked
 form reproduces its scalar body's arithmetic bit for bit
-(:func:`repro.media.dct.dct2_blocks` deliberately keeps its per-block
-loop under ``method="matrix"`` for this reason), and the property tests
-in ``tests/core/test_batch.py`` enforce it across backends.
+(:func:`repro.media.dct.dct2_blocks` is one stacked matmul because
+NumPy's matmul computes every 8x8 slice of a stack with the routine it
+uses on one block — ``tests/media/test_dct.py`` holds that identity as
+a property), and the property tests in ``tests/core/test_batch.py``
+enforce it across backends.
 """
 
 from __future__ import annotations
@@ -75,7 +77,11 @@ class BatchKernelContext:
     age:
         The batch's common age (batches never mix ages).
     indices:
-        Per-instance index maps (``{var: value}``), batch order.
+        Per-instance index maps (``{var: value}``), batch order.  Given
+        ``index_vars``, the constructor's ``indices`` is instead the
+        ``(n, len(index_vars))`` array of index rows, and the maps are
+        built from it when this attribute is first read — no shipped
+        ``batch_body`` reads them.
     fetched:
         Per-fetch-param values: a stacked ``(N, *region_shape)`` array
         for region fetches (one leading axis over the batch), or the
@@ -87,23 +93,42 @@ class BatchKernelContext:
         whole-field.
     """
 
-    __slots__ = ("age", "indices", "fetched", "shared", "_emitted")
+    __slots__ = (
+        "age", "fetched", "shared", "_emitted", "_n", "_indices", "_rows",
+        "_index_vars",
+    )
 
     def __init__(
         self,
         age: int | None,
-        indices: Sequence[Mapping[str, int]],
+        indices: Sequence[Mapping[str, int]] | np.ndarray,
         fetched: Mapping[str, Any],
         shared: frozenset[str] = frozenset(),
+        *,
+        index_vars: Sequence[str] | None = None,
     ) -> None:
         self.age = age
-        self.indices = list(indices)
+        self._n = len(indices)
+        self._indices: list[dict] | None = None
+        if index_vars is None:
+            self._indices = list(indices)
+        else:
+            self._rows, self._index_vars = indices, index_vars
         self.fetched = dict(fetched)
         self.shared = shared
         self._emitted: dict[str, Any] = {}
 
+    @property
+    def indices(self) -> list[dict]:
+        if self._indices is None:
+            self._indices = [
+                dict(zip(self._index_vars, row))
+                for row in self._rows.tolist()
+            ]
+        return self._indices
+
     def __len__(self) -> int:
-        return len(self.indices)
+        return self._n
 
     def __getitem__(self, param: str) -> Any:
         return self.fetched[param]

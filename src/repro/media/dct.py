@@ -165,20 +165,15 @@ def dct2_blocks(blocks: np.ndarray, method: str = "matrix") -> np.ndarray:
     (``"naive"``, ``"matrix"``, ``"aan"``)."""
     blocks = np.asarray(blocks, dtype=np.float64)
     if method == "matrix":
-        # Per-block matmuls in a loop, NOT one batched matmul: batched
-        # BLAS may reassociate differently from the single-block call,
-        # and a 1e-14 coefficient difference can flip a round-at-0.5
-        # quantization step.  Bit-identical results whether a kernel
-        # transforms one macro-block or the baseline does a whole plane
-        # matter more here than batch throughput (use "aan" for speed —
-        # its elementwise pipeline is batch-shape-invariant).
-        if blocks.ndim == 2:
-            return _M @ blocks @ _MT
-        flat = blocks.reshape(-1, 8, 8)
-        out = np.empty_like(flat)
-        for i in range(flat.shape[0]):
-            out[i] = _M @ flat[i] @ _MT
-        return out.reshape(blocks.shape)
+        # One stacked matmul chain: NumPy's matmul runs the same 8x8
+        # routine on every slice of a stack, so each block's coefficients
+        # are bit for bit what matrix_dct2 gives it alone, whatever the
+        # stack's size or strides — a kernel transforming one macro-block
+        # and the baseline transforming a plane view quantize alike.
+        # tests/media/test_dct.py::TestStackedIdentity holds this.
+        if blocks.shape[-2:] != (8, 8):
+            raise ValueError(f"expected (..., 8, 8), got {blocks.shape}")
+        return _M @ blocks @ _MT
     if method == "aan":
         return aan_dct2(blocks)
     if method == "naive":

@@ -427,7 +427,12 @@ def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
     coefficient one ZRL per 16 zeros skipped and the coefficient, then
     EOB unless coefficient 63 is coded.
     """
-    zz = np.asarray(zz, dtype=np.int64)
+    zz = np.asarray(zz)
+    # int32 (what quantize emits) is coded as it is: the DC differences
+    # are taken in int64, and an AC coefficient is range-checked before
+    # any arithmetic that could wrap
+    if zz.dtype != np.int32:
+        zz = zz.astype(np.int64, copy=False)
     if zz.ndim != 3 or zz.shape[1:] != (len(plan), 64):
         raise ValueError(
             f"expected (mcus, {len(plan)}, 64) coefficients, got {zz.shape}"
@@ -446,9 +451,8 @@ def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
     diff = np.empty((mcus, len(plan)), dtype=np.int64)
     for comp in {c for c, _dc, _ac in plan}:
         cols = [j for j, entry in enumerate(plan) if entry[0] == comp]
-        diff[:, cols] = np.diff(zz[:, cols, 0].ravel(), prepend=0).reshape(
-            mcus, len(cols)
-        )
+        dc = zz[:, cols, 0].astype(np.int64).ravel()
+        diff[:, cols] = np.diff(dc, prepend=0).reshape(mcus, len(cols))
     diff = diff.ravel()
     _check_range(diff, 2047, "DC difference")
     cat = _CATEGORY[np.abs(diff)]
@@ -458,7 +462,7 @@ def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
 
     # AC: every non-zero coefficient as (block, k), in stream order
     flat = zz.reshape(nblocks, 64)
-    block, k = np.nonzero(flat[:, 1:])
+    block, k = np.divmod(np.flatnonzero(flat[:, 1:] != 0), 63)
     k += 1
     coef = flat[block, k]
     _check_range(coef, 1023, "AC coefficient")
@@ -485,8 +489,8 @@ def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
         start[block] + np.cumsum(per_coef)
         - (np.cumsum(ac_tokens) - ac_tokens)[block]
     )
-    bits = np.empty(int(tokens.sum()), dtype=np.uint32)
-    nbits = np.empty(bits.shape, dtype=np.uint32)
+    bits = np.empty(int(tokens.sum()), dtype=np.uint64)
+    nbits = np.empty(bits.shape, dtype=np.int64)
     bits[start], nbits[start] = dc_bits, dc_nbits
     bits[ac_slot], nbits[ac_slot] = ac_bits, ac_nbits
     slot = start[eob] + 1 + ac_tokens[eob]
@@ -498,14 +502,40 @@ def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
             ac_codes, ac_lens, row[block[long]], 0xF0
         )
 
-    # Left-align every token in 32 bits, keep its first nbits bits
-    aligned = (bits << (32 - nbits)).astype(">u4").view(np.uint8)
-    stream = np.unpackbits(aligned.reshape(-1, 4), axis=1)[
-        np.arange(32, dtype=np.uint32) < nbits[:, None]
-    ]
-    pad = np.ones(-stream.size % 8, dtype=np.uint8)
-    packed = np.packbits(np.concatenate([stream, pad])).tobytes()
-    return packed.replace(b"\xff", b"\xff\x00")
+    return _pack_tokens(bits, nbits).replace(b"\xff", b"\xff\x00")
+
+
+def _pack_tokens(bits: np.ndarray, nbits: np.ndarray) -> bytes:
+    """The tokens ``bits`` (uint64) of ``nbits`` (int64) bits each, most
+    significant bit first, back to back and 1-padded to a byte.
+
+    A token (1 to 27 bits) is shifted into the big-endian 64-bit word
+    holding its first bit; what runs past that word goes into the next
+    one.  Tokens never share a bit, so the sum of a word's parts is
+    their OR, and exact in ``uint64``."""
+    end = np.cumsum(nbits)
+    total = int(end[-1]) if end.size else 0
+    if not total:
+        return b""
+    start = end - nbits
+    word = start >> 6
+    shift = 64 - (start & 63) - nbits  # < 0: the token runs into word + 1
+    over = shift < 0
+    head = np.where(
+        over,
+        bits >> np.maximum(-shift, 0).astype(np.uint64),
+        bits << np.maximum(shift, 0).astype(np.uint64),
+    )
+    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[first]] = np.add.reduceat(head, first)
+    # at most one token runs past each word: the word's last
+    words[word[over] + 1] |= bits[over] << (64 + shift[over]).astype(
+        np.uint64
+    )
+    data = words.astype(">u8").view(np.uint8)[: (total + 7) >> 3]
+    data[-1] |= (1 << (-total % 8)) - 1
+    return data.tobytes()
 
 
 def _scan_error(end: int, nbits: int, at_marker: bool, why: str) -> Exception:

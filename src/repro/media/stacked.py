@@ -25,8 +25,10 @@ __all__ = ["box_downscale_stack", "dct_quant_stack", "idct_stack"]
 
 def dct_quant_stack(qtable: np.ndarray, method: str = "matrix") -> StackFn:
     """Level shift, 2-D DCT, quantize — the MJPEG macro-block pipeline.
-    ``dct2_blocks`` keeps its arithmetic per-block-identical under every
-    method and ``quantize`` is elementwise."""
+    ``dct2_blocks`` gives each block the bits it gives that block alone,
+    under every method (one stacked matmul for ``"matrix"``: the same
+    routine on every slice, a property ``tests/media/test_dct.py``
+    checks), and ``quantize`` is elementwise."""
 
     def dct_quant(blocks: np.ndarray) -> np.ndarray:
         if blocks.shape[-2:] != (8, 8):

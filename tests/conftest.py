@@ -7,13 +7,27 @@ the dumps into a per-test temporary directory so expected failures
 don't litter the working tree.
 """
 
+import gc
+
 import pytest
 from hypothesis import settings
 
 # `--hypothesis-profile=deep`: ten times the default example budget for
 # the property tests that leave `max_examples` unset (the CI property
-# job runs tests/media/test_entropy_scan.py this way).
+# job runs tests/media/test_entropy_scan.py and test_dct.py this way).
 settings.register_profile("deep", max_examples=1000, deadline=None)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _settled_heap():
+    """A full collection of the heap the earlier modules left behind
+    takes 0.1-0.2 s late in a whole-suite run — past the 0.1 s heartbeat
+    timeout of the kill tests, so the collecting thread can hold a live
+    node's heartbeat back until the node is declared dead.  Collecting
+    once per module and freezing the survivors keeps every later
+    collection to the objects the current module made."""
+    gc.collect()
+    gc.freeze()
 
 
 @pytest.fixture(autouse=True)

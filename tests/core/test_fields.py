@@ -221,6 +221,65 @@ class TestGroupCommitIsAllOrNothing:
         assert f.is_complete(0)
 
 
+def first_repeat_by_set(group):
+    """The member check as a set walk, the reference the one-operation
+    check must agree with: the start of the first member, in group
+    order, that repeats an earlier one (``None`` when all differ)."""
+    seen = set()
+    for row in map(tuple, group.starts.tolist()):
+        if row in seen:
+            return row
+        seen.add(row)
+    return None
+
+
+@st.composite
+def tiling_groups_with_repeats(draw):
+    """(extent, group) — a group of blocks tiling ``extent``, in random
+    order, with up to four members repeated at random positions."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    grid = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.stack(
+        np.unravel_index(np.arange(int(np.prod(grid))), grid), axis=1
+    )
+    members = rng.permutation(cells)[: int(rng.integers(1, len(cells) + 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        at = int(rng.integers(0, len(members) + 1))
+        twin = members[int(rng.integers(0, len(members)))]
+        members = np.insert(members, at, twin, axis=0)
+    extent = tuple(b * g for b, g in zip(shape, grid))
+    return extent, RegionGroup(members * shape, shape)
+
+
+class TestDuplicateMembers:
+    """A stacked commit finds two members on one block with one NumPy
+    operation, and names the element the set walk named."""
+
+    @given(tiling_groups_with_repeats(), st.sampled_from(["store", "mark"]))
+    @settings(max_examples=60, deadline=None)
+    def test_names_the_first_repeat_like_the_set_walk(self, case, entry):
+        extent, group = case
+        f = make(ndim=len(extent), shape=extent)
+        want = first_repeat_by_set(group)
+
+        def commit():
+            if entry == "store":
+                f.store(2, group, np.ones((len(group),) + group.shape))
+            else:
+                f.mark_written_many(2, group)
+
+        if want is None:
+            commit()
+            assert f.written_count(2) == group.elements
+            return
+        with pytest.raises(WriteOnceViolation) as e:
+            commit()
+        assert (e.value.field, e.value.age, e.value.index) == ("f", 2, want)
+        assert f.written_count(2) == 0
+
+
 class TestImplicitResize:
     def test_store_grows_extent(self):
         f = make()

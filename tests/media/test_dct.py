@@ -1,10 +1,16 @@
-"""Unit + property tests for the three DCT implementations."""
+"""Unit + property tests for the three DCT implementations.
+
+``TestStackedIdentity`` has no ``max_examples``: the CI property job
+re-runs this file under the ``deep`` Hypothesis profile
+(``tests/conftest.py``) for ten times the default budget.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.media import jpeg
 from repro.media.dct import (
     aan_dct2,
     dct2_blocks,
@@ -14,12 +20,99 @@ from repro.media.dct import (
     matrix_dct2,
     naive_dct2,
 )
+from repro.media.yuv import synthetic_sequence
 
 BLOCKS = hnp.arrays(
     dtype=np.float64,
     shape=(8, 8),
     elements=st.floats(-128, 127, allow_nan=False),
 )
+
+M = dct_matrix()
+MT = M.T.copy()
+
+
+def loop_dct2_blocks(blocks, method="matrix"):
+    """``dct2_blocks(..., "matrix")`` as a Python loop of one matmul pair
+    per block — the reference the stacked call must equal bit for bit."""
+    assert method == "matrix"
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim == 2:
+        return M @ blocks @ MT
+    flat = blocks.reshape(-1, 8, 8)
+    out = np.empty_like(flat)
+    for i in range(flat.shape[0]):
+        out[i] = M @ flat[i] @ MT
+    return out.reshape(blocks.shape)
+
+
+@st.composite
+def dct_stacks(draw):
+    """``(N, 8, 8)`` or ``(bh, bw, 8, 8)`` stacks, contiguous or strided:
+    random values at a drawn scale with arbitrary finite floats planted
+    among them, their transposed view, or the ``plane_to_blocks`` view of
+    a level-shifted uint8 plane."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "transposed", "plane"]))
+    if layout == "plane":
+        bh, bw = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+        plane = rng.integers(0, 256, (8 * bh, 8 * bw), dtype=np.uint8)
+        return jpeg.plane_to_blocks(plane.astype(np.float64) - 128.0)
+    if draw(st.booleans()):
+        lead = (draw(st.integers(1, 400)),)
+    else:
+        lead = (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    scale = draw(st.sampled_from([1.0, 128.0, 1e6, 1e150, 1e300]))
+    x = rng.uniform(-scale, scale, lead + (8, 8))
+    planted = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), max_size=32
+    ))
+    at = rng.choice(x.size, min(len(planted), x.size), replace=False)
+    x.flat[at] = planted[: len(at)]
+    return x.swapaxes(-1, -2) if layout == "transposed" else x
+
+
+class TestStackedIdentity:
+    """The matrix DCT is one stacked matmul; NumPy runs the same 8x8
+    routine on every slice of a stack, so the stack's bits are each
+    block's bits alone, and the per-block loop it replaced."""
+
+    @given(dct_stacks())
+    @settings(deadline=None)
+    def test_stack_equals_each_block_alone(self, x):
+        out = dct2_blocks(x, "matrix")
+        assert out.shape == x.shape
+        assert out.tobytes() == loop_dct2_blocks(x).tobytes()
+        for index in np.ndindex(x.shape[:-2]):
+            assert out[index].tobytes() == matrix_dct2(x[index]).tobytes()
+
+    def test_cif_frame_encodes_to_the_loop_bytes(self, monkeypatch):
+        frame = synthetic_sequence(2, 352, 288, seed=5)[1]
+        qy, qc = jpeg.qtables_for_quality(75)
+
+        def encode():
+            planes = [
+                jpeg.quantize_plane(jpeg.pad_plane(plane, pad), q)
+                for plane, pad, q in (
+                    (frame.y, 16, qy), (frame.u, 8, qc), (frame.v, 8, qc)
+                )
+            ]
+            return jpeg.encode_from_quantized(*planes, 352, 288, qy, qc)
+
+        stacked = encode()
+        calls = []
+
+        def loop(blocks, method="matrix"):
+            calls.append(np.shape(blocks))
+            return loop_dct2_blocks(blocks, method)
+
+        monkeypatch.setattr(jpeg, "dct2_blocks", loop)
+        assert encode() == stacked
+        assert calls == [(36, 44, 8, 8), (18, 22, 8, 8), (18, 22, 8, 8)]
+
+    def test_not_8x8_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            dct2_blocks(np.zeros((16, 8)), "matrix")
 
 
 class TestBasisMatrix:

@@ -271,6 +271,69 @@ class TestEncodeDifferential:
                         np.zeros((1, 1, 8, 8)))
 
 
+class TestTokenPacking:
+    """Where packing tokens at their bit offsets could go wrong: the pad,
+    the ends of the scan, tokens crossing a 64-bit word, a block with no
+    EOB."""
+
+    @pytest.mark.parametrize("blocks", range(1, 9))
+    def test_every_pad_length_including_none(self, blocks):
+        # an all-zero luma block is DC "00" + EOB "1010": 6 bits, so
+        # 1..8 blocks leave 2, 4, 6, 0, 2, ... pad bits; 4 and 8 none
+        zz = np.zeros((blocks, 1, 64), dtype=np.int64)
+        plan = [(0, *LUMA)]
+        scan = encode_mcus(zz, plan)
+        assert scan == reference_encode_mcus(zz, plan)
+        assert len(scan) == -(-6 * blocks // 8)
+        if blocks == 1:
+            assert scan == bytes([0b00_1010_11])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_mcu_scan(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        zz = np.stack([make_block(kind, rng) for _ in range(6)])[None]
+        plan = plan_for(2, 2)
+        assert encode_mcus(zz, plan) == reference_encode_mcus(zz, plan)
+        assert np.array_equal(decode_scan(encode_mcus(zz, plan), 1, plan),
+                              zz)
+
+    def test_26_bit_tokens_at_every_bit_offset(self):
+        """Luma AC run 0 / size 10 has a 16-bit code: a coefficient of
+        magnitude 512..1023 is a 26-bit token.  DC differences of every
+        category shift the blocks, so the tokens start at all 64 offsets
+        of a word."""
+        rng = np.random.default_rng(26)
+        diffs = [0, 2, -1, 7, 20, -60, 100, 255, -300, 600, 1000, -2000]
+        zz = np.zeros((len(diffs), 1, 64), dtype=np.int64)
+        zz[:, 0, 0] = np.cumsum(diffs)
+        zz[:, 0, 1:] = rng.integers(512, 1024, (len(diffs), 63)) * (
+            rng.choice([-1, 1], (len(diffs), 63))
+        )
+        assert STD_AC_LUMA.encode(0x0A)[1] + 10 == 26
+        starts, pos = set(), 0
+        for diff in diffs:
+            cat = int(abs(diff)).bit_length()
+            pos += STD_DC_LUMA.encode(cat)[1] + cat
+            for _ in range(63):
+                starts.add(pos % 64)
+                pos += 26
+        assert starts == set(range(64))
+        plan = [(0, *LUMA)]
+        scan = encode_mcus(zz, plan)
+        assert scan == reference_encode_mcus(zz, plan)
+        assert np.array_equal(decode_scan(scan, len(diffs), plan), zz)
+
+    @pytest.mark.parametrize("value", [-1023, -1, 1, 1023])
+    def test_coefficient_63_codes_no_eob(self, value):
+        zz = np.zeros((3, 1, 64), dtype=np.int64)
+        zz[:, 0, 63] = value
+        zz[1, 0, 1:63:5] = 9  # and one block with coefficients before it
+        plan = [(0, *LUMA)]
+        scan = encode_mcus(zz, plan)
+        assert scan == reference_encode_mcus(zz, plan)
+        assert np.array_equal(decode_scan(scan, 3, plan), zz)
+
+
 # ----------------------------------------------------------------------
 # (ii) decode
 # ----------------------------------------------------------------------
