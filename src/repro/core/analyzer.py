@@ -6,9 +6,9 @@ variables that can be processed as a result of the store statement, and
 puts these in a per-kernel ready queue."
 
 The analyzer is deliberately serial (the prototype runs it in a
-dedicated thread); all of its mutable state — the dispatched-instance
-set, per-kernel pending ages, dispatch counters — is touched only under
-the node's analysis lock (:meth:`ExecutionNode._analyze
+dedicated thread); all of its mutable state — the dispatched mask per
+(kernel, age), per-kernel pending ages, dispatch counters — is touched
+only under the node's analysis lock (:meth:`ExecutionNode._analyze
 <repro.core.runtime.ExecutionNode._analyze>`), so it needs no locks of
 its own.  Field completeness checks go through the fields' own locks.
 
@@ -32,25 +32,108 @@ regions' candidates.  For each region ``R`` of the group:
    (write-once ⇒ dispatch-once) and *every* fetch of ``K`` is complete
    for the resolved age/region.
 
+What an entry point returns is a list of :class:`~repro.core.kernels.Run`
+— per (kernel, age), the released combinations as one ``(n, len(index
+vars))`` index array, in lexicographic order over the domain — and no
+:class:`~repro.core.kernels.KernelInstance` is built on the way.
+
 Pending ages are pruned once every combination at current extents has
 been dispatched; any event that could make new combinations runnable
 (a store or resize) re-adds the age, so pruning never loses instances.
 
-The dispatch-once bookkeeping is keyed by kernel and age and retires
+The dispatch-once bookkeeping is, per (kernel, age), a boolean mask
+over the kernel's index domain (:class:`_AgeMask`), grown with the
+extents, with the count of its set cells beside it: a box of candidates
+is a slice of the mask, a claim one fancy-index assignment, and the
+pruning test one comparison.  It is keyed by kernel and age and retires
 with the ages (:meth:`DependencyAnalyzer.retire_below`), so it stays
 bounded on an unbounded stream.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .events import InstanceDoneEvent, ResizeEvent, StoreEvent
 from .fields import FieldStore, IndexExpr
-from .kernels import FetchSpec, KernelDef, KernelInstance, StoreSpec
+from .kernels import FetchSpec, KernelDef, Run, StoreSpec
 from .program import Program
+
+
+class _AgeMask:
+    """The instances of one (kernel, age) ever dispatched: ``mask`` has
+    a cell per index combination — grown, never shrunk, to cover the
+    domain as the extents grow — and ``count`` is its number of set
+    cells (``len``), so pruning an age and the early-out cost O(1)."""
+
+    __slots__ = ("mask", "count")
+
+    def __init__(self, ndim: int) -> None:
+        self.mask = np.zeros((0,) * ndim, dtype=bool)
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def cover(self, shape: Sequence[int]) -> np.ndarray:
+        """The mask, first grown to at least ``shape`` (each dimension
+        at least doubling, so a field growing element by element costs
+        amortised O(1) copies)."""
+        mask = self.mask
+        if all(have >= need for have, need in zip(mask.shape, shape)):
+            return mask
+        grown = np.zeros(
+            tuple(have if have >= need else max(need, 2 * have)
+                  for have, need in zip(mask.shape, shape)),
+            dtype=bool,
+        )
+        grown[tuple(slice(0, have) for have in mask.shape)] = mask
+        self.mask = grown
+        return grown
+
+    def fresh(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of ``rows`` (distinct) not dispatched yet."""
+        if not len(rows):
+            return rows
+        mask = self.cover(rows.max(axis=0) + 1)
+        # (no index variables: the mask is 0-d and so is the lookup)
+        return rows[~np.broadcast_to(mask[tuple(rows.T)], len(rows))]
+
+
+def _unset_rows(
+    mask: np.ndarray, windows: Sequence[Sequence[tuple[int, int]]]
+) -> np.ndarray:
+    """The unset cells of ``mask`` inside the union of ``windows`` (each
+    a ``(lo, hi)`` per dimension), as an index array in lexicographic
+    order: one box is a slice of the mask, several are OR-ed into a
+    scratch mask over their bounding box first (boxes may overlap).
+    The array is the transpose of its ``(ndim, n)`` columns, so
+    ``tuple(rows.T)`` indexes the mask without a copy."""
+    if not mask.ndim:  # no index variables: the one combination ()
+        return np.zeros((0 if mask[()] else 1, 0), dtype=np.intp)
+    if len(windows) == 1:
+        (window,) = windows
+        base = [lo for lo, _hi in window]
+        free = ~mask[tuple(slice(lo, hi) for lo, hi in window)]
+    else:
+        base = [min(w[d][0] for w in windows) for d in range(mask.ndim)]
+        top = [max(w[d][1] for w in windows) for d in range(mask.ndim)]
+        free = np.zeros([hi - lo for lo, hi in zip(base, top)], dtype=bool)
+        for window in windows:
+            free[tuple(
+                slice(lo - b, hi - b) for (lo, hi), b in zip(window, base)
+            )] = True
+        free &= ~mask[tuple(slice(lo, hi) for lo, hi in zip(base, top))]
+    # (``np.argwhere`` is this plus a Python-level wrapper; on the
+    # one-instance events of ``batch=1`` that wrapper was half the cost)
+    cols = np.array(free.nonzero(), dtype=np.intp)
+    for d, lo in enumerate(base):
+        if lo:
+            cols[d] += lo
+    return cols.T
 
 
 class DependencyAnalyzer:
@@ -66,9 +149,9 @@ class DependencyAnalyzer:
         self.program = program
         self.fields = fields
         self.max_age = max_age
-        #: kernel name -> age -> indices dispatched (write-once ⇒
+        #: kernel name -> age -> instances dispatched (write-once ⇒
         #: dispatch-once); keyed by age so it can retire with the ages
-        self._dispatched: dict[str, dict[int | None, set]] = {
+        self._dispatched: dict[str, dict[int | None, _AgeMask]] = {
             k: {} for k in program.kernels
         }
         #: kernel name -> candidate ages not yet fully dispatched
@@ -116,27 +199,34 @@ class DependencyAnalyzer:
             return False
         return True
 
-    def _domain_combos(self, kernel: KernelDef) -> Iterable[tuple[int, ...]]:
-        if not kernel.index_vars:
-            return [()]
-        counts = dict(kernel.domain or {})
-        ranges = [range(counts.get(v, 1)) for v in kernel.index_vars]
-        return itertools.product(*ranges)
+    def _mask(self, kernel: KernelDef, age: int | None) -> _AgeMask:
+        by_age = self._dispatched[kernel.name]
+        seen = by_age.get(age)
+        if seen is None:
+            seen = by_age[age] = _AgeMask(len(kernel.index_vars))
+        return seen
 
     # ------------------------------------------------------------------
-    def initial_instances(self) -> list[KernelInstance]:
-        """Instances runnable before any store: run-once kernels and the
+    def initial_instances(self) -> list[Run]:
+        """Runs dispatchable before any store: run-once kernels and the
         age-0 instances of aged source kernels."""
-        out: list[KernelInstance] = []
+        out: list[Run] = []
         for k in self.program.kernels.values():
             age = 0 if k.has_age else None
             if not k.is_source or not self._age_ok(age, k):
                 continue
-            out.extend(self._claim(k, age, self._domain_combos(k)))
+            counts = dict(k.domain or {})
+            shape = [counts.get(v, 1) for v in k.index_vars]
+            seen = self._mask(k, age)
+            rows = _unset_rows(
+                seen.cover(shape), [[(0, n) for n in shape]]
+            )
+            if len(rows):
+                out.append(self._claim(k, age, rows, seen))
         return out
 
     # ------------------------------------------------------------------
-    def on_store(self, ev: StoreEvent) -> list[KernelInstance]:
+    def on_store(self, ev: StoreEvent) -> list[Run]:
         """React to a store event: dispatch every newly satisfiable
         instance, analysing the event's group of regions once per
         (consumer kernel, age)."""
@@ -183,16 +273,16 @@ class DependencyAnalyzer:
                     work[(kernel.name, age)] = [kernel, boxes]
                 elif slot[1] is not None:
                     slot[1] = None if boxes is None else slot[1] + boxes
-        out: list[KernelInstance] = []
+        out: list[Run] = []
         for (_name, age), (kernel, boxes) in work.items():
             out.extend(self._collect(kernel, age, boxes))
         return out
 
-    def on_resize(self, ev: ResizeEvent) -> list[KernelInstance]:
+    def on_resize(self, ev: ResizeEvent) -> list[Run]:
         """A resize may raise instance counts; recheck pending ages of
         every consumer of the field (and ageless consumers)."""
         self.events_processed += 1
-        out: list[KernelInstance] = []
+        out: list[Run] = []
         for kernel, _fetch in self._fetchers.get(ev.field, ()):
             if kernel.has_age:
                 for age in sorted(self._pending[kernel.name]):
@@ -201,21 +291,22 @@ class DependencyAnalyzer:
                 out.extend(self._collect(kernel, None, None))
         return out
 
-    def on_done(self, ev: InstanceDoneEvent) -> list[KernelInstance]:
+    def on_done(self, ev: InstanceDoneEvent) -> list[Run]:
         """Self-advance aged source kernels: instance ``a`` finishing with
         at least one store schedules instance ``a + 1`` (section VII-B:
         "the read loop ends when the kernel stops storing")."""
-        k = ev.instance.kernel
+        claim = ev.claim
+        k = claim.kernel
         if not k.self_advances:
             return []
-        assert ev.instance.age is not None
-        nxt_age = ev.instance.age + 1
+        assert claim.age is not None
+        nxt_age = claim.age + 1
         if not self._age_ok(nxt_age, k):
             return []
-        stored = [inst.index for inst, stored_any in ev.members if stored_any]
-        return self._claim(k, nxt_age, stored) if stored else []
+        seen = self._mask(k, nxt_age)
+        rows = seen.fresh(claim.rows[np.asarray(ev.stored, dtype=bool)])
+        return [self._claim(k, nxt_age, rows, seen)] if len(rows) else []
 
-    # ------------------------------------------------------------------
     def _restrict(
         self, fetch: FetchSpec, region: IndexExpr, extent: tuple[int, ...]
     ) -> dict[str, range]:
@@ -235,27 +326,24 @@ class DependencyAnalyzer:
         return box
 
     def _claim(
-        self, kernel: KernelDef, age: int | None, combos: Iterable[tuple]
-    ) -> list[KernelInstance]:
-        """Dispatch-once: the instances of ``combos`` never dispatched
-        before, now recorded as dispatched."""
-        name = kernel.name
-        seen = self._dispatched[name].setdefault(age, set())
-        out: list[KernelInstance] = []
-        for combo in combos:
-            if combo not in seen:
-                seen.add(combo)
-                out.append(KernelInstance(kernel, age, combo))
-        if out:
-            self._total[name] = self._total.get(name, 0) + len(out)
-        return out
+        self, kernel: KernelDef, age: int | None, rows: np.ndarray,
+        seen: _AgeMask,
+    ) -> Run:
+        """Dispatch-once: record ``rows`` (distinct, none dispatched
+        before, inside ``seen``'s mask) as dispatched; their run."""
+        seen.mask[tuple(rows.T)] = True
+        seen.count += len(rows)
+        self._total[kernel.name] = (
+            self._total.get(kernel.name, 0) + len(rows)
+        )
+        return Run(kernel, age, rows)
 
     def _collect(
         self,
         kernel: KernelDef,
         age: int | None,
         boxes: Sequence[Mapping[str, range]] | None,
-    ) -> list[KernelInstance]:
+    ) -> list[Run]:
         """Find every not-yet-dispatched, fully satisfied combination in
         the union of ``boxes`` (``None``: the whole domain), and prune
         the age from the pending set once its domain is exhausted.
@@ -269,7 +357,8 @@ class DependencyAnalyzer:
         found complete afterwards covers every combination of the
         domain."""
         name = kernel.name
-        if not self._dispatched[name].get(age):
+        seen = self._dispatched[name].get(age)
+        if not seen:
             for f in kernel.fetches:
                 if f.whole_field() and not self.fields[f.field].is_complete(
                     f.age.resolve(age), None
@@ -277,39 +366,43 @@ class DependencyAnalyzer:
                     return []
         index_vars = kernel.index_vars
         counts = kernel.index_counts(self._extent_of)
-        domain = [range(counts.get(v, 0)) for v in index_vars]
-        out: list[KernelInstance] = []
+        shape = [counts.get(v, 0) for v in index_vars]
+        out: list[Run] = []
         probes = self._open_fetches(kernel, age)
         if probes is not None:
             if boxes is None:
-                combos: Iterable[tuple] = itertools.product(*domain)
+                windows = [[(0, n) for n in shape]]
             else:
-                combos = itertools.chain.from_iterable(
-                    itertools.product(*(
-                        range(max(0, box[v].start), min(len(r), box[v].stop))
-                        if v in box else r
-                        for v, r in zip(index_vars, domain)
-                    ))
-                    for box in boxes
-                )
-                if len(boxes) > 1:
-                    combos = dict.fromkeys(combos)  # boxes may overlap
-            seen = self._dispatched[name].get(age, ())
-            ready = [combo for combo in combos if combo not in seen]
-            self.candidates_examined += len(ready)
-            if probes:
-                ready = [
-                    combo for combo in ready
-                    if self._satisfied(probes, index_vars, combo)
-                ]
-            if ready:
-                out = self._claim(kernel, age, ready)
+                windows = []
+                for box in boxes:
+                    window = []
+                    for v, n in zip(index_vars, shape):
+                        r = box.get(v)
+                        window.append(
+                            (0, n) if r is None
+                            else (max(0, r.start), min(n, r.stop))
+                        )
+                    if all(lo < hi for lo, hi in window):
+                        windows.append(window)
+            if windows:
+                if seen is None:
+                    seen = self._mask(kernel, age)
+                rows = _unset_rows(seen.cover(shape), windows)
+                self.candidates_examined += len(rows)
+                if probes and len(rows):
+                    rows = rows[np.fromiter(
+                        (self._satisfied(probes, index_vars, combo)
+                         for combo in rows.tolist()),
+                        dtype=bool, count=len(rows),
+                    )]
+                if len(rows):
+                    out.append(self._claim(kernel, age, rows, seen))
         # Drop a pending age once every combination at current extents
         # has been dispatched (safe: new combinations require new store
         # or resize events, which re-add the age).
-        if age is not None and age in self._pending[name]:
-            total = math.prod(len(r) for r in domain)
-            if total and len(self._dispatched[name].get(age, ())) >= total:
+        if age is not None and seen and age in self._pending[name]:
+            total = math.prod(shape)
+            if total and seen.count >= total:
                 self._pending[name].discard(age)
         return out
 
@@ -410,8 +503,8 @@ class DependencyAnalyzer:
         ``min_age`` — the streaming retirer freed those field ages.
 
         Safe under the retirement invariant (DESIGN.md §11): no
-        undispatched instance can fetch a freed age (a collected slot
-        is never complete), so nothing below the floor can be
+        undispatched instance can fetch a freed age (a retired age is
+        never complete), so nothing below the floor can be
         dispatched again; a late event for such an age is ignored
         rather than left pending.  ``kernels`` (kernel names) scopes
         the drop to one session, like :meth:`min_pending_age`.

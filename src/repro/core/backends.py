@@ -8,9 +8,10 @@ popped kernel instance's body executes:
   the node's worker threads.  Deterministic and zero-setup, but
   CPU-bound kernels serialize on the GIL, so scaling curves are flat.
 * :class:`ProcessBackend` — true-parallel execution.  Each worker
-  thread becomes a *proxy* that forwards ``(kernel, age, [indices])``
-  messages over a dedicated pipe to a long-lived worker process and
-  blocks on the reply (releasing the GIL).  Field payloads live in
+  thread becomes a *proxy* that forwards ``(kernel_name, age, rows)``
+  messages — ``rows`` the claim's index array — over a dedicated pipe
+  to a long-lived worker process and blocks on the reply (releasing
+  the GIL).  Field payloads live in
   ``multiprocessing.shared_memory`` segments
   (:class:`~repro.core.fields.SharedFieldStore`), so fetches and stores
   are zero-copy views of the same physical pages — only the tiny
@@ -24,8 +25,9 @@ in the parent, :class:`_SegmentCache` in a worker process).
 
 The unit a backend is handed is a *claim*: a worker's share of a
 (kernel, age) run (:meth:`~repro.core.runtime.ReadyQueue.pop_batch`),
-one instance at ``batch=1``, hundreds of macro-blocks at ``batch=32``
-on a CIF frame.  One claim is one ``execute_batch`` call — on the
+a :class:`~repro.core.kernels.Run` whose ``rows`` are one instance at
+``batch=1``, hundreds of macro-blocks at ``batch=32`` on a CIF frame.
+One claim is one ``execute_batch`` call — on the
 process backend one pipe message and one reply — and the node's
 ``batch`` reaches the routine only as the size of the stacks it cuts
 the claim into for ``batch_body`` (a worker process is told it once, at
@@ -71,7 +73,7 @@ from .fields import (
     scatter,
     segment_name,
 )
-from .kernels import KernelContext, KernelInstance
+from .kernels import KernelContext, KernelInstance, Run
 from .program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,20 +95,18 @@ class ExecutionBackend:
         process backend must fork from a single-threaded parent)."""
         raise NotImplementedError
 
-    def execute_batch(
-        self, batch: list[KernelInstance], worker_id: int
-    ) -> None:
+    def execute_batch(self, batch: Run, worker_id: int) -> None:
         """Run a claim — one or more instances of the *same* kernel
-        definition and age (see
+        definition and age, as a :class:`~repro.core.kernels.Run` (see
         :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) — on behalf of
         worker ``worker_id`` and post its events.  Called
         from the node's worker threads."""
         raise NotImplementedError
 
     def execute(self, inst: KernelInstance, worker_id: int) -> None:
-        """Run one instance: a batch of one (a convenience for callers
+        """Run one instance: a claim of one (a convenience for callers
         outside the runtime; the worker loop never uses it)."""
-        self.execute_batch([inst], worker_id)
+        self.execute_batch(Run.of((inst,)), worker_id)
 
     def on_retire(self, min_age: int, fields=None) -> None:
         """Every field age below ``min_age`` has been retired (streaming
@@ -198,14 +198,11 @@ class ThreadBackend(ExecutionBackend):
             for _ in range(node.workers)
         ]
 
-    def execute_batch(
-        self, batch: list[KernelInstance], worker_id: int
-    ) -> None:
-        first = batch[0]
+    def execute_batch(self, batch: Run, worker_id: int) -> None:
         t0 = time.perf_counter()
         try:
             run = run_batch(
-                first.kernel, first.age, [inst.index for inst in batch],
+                batch.kernel, batch.age, batch.rows,
                 self._mem, self._ctxs[worker_id], self._node.batch,
             )
         except KernelBodyError as exc:
@@ -330,10 +327,11 @@ def _worker_main(
 ) -> None:
     """Entry point of a worker process.
 
-    Protocol: one work message, ``(kernel_name, age, [index, ...])`` — a
-    claim of one or more same-kernel/same-age instances in ONE
-    round-trip (a single instance is a list of one; at ``batch > 1`` it
-    is the proxy's whole share of a run).  The worker hands it to
+    Protocol: one work message, ``(kernel_name, age, rows)`` — a claim
+    of one or more same-kernel/same-age instances in ONE round-trip,
+    ``rows`` its ``(n, len(index_vars))`` index array (one row for a
+    single instance; at ``batch > 1`` the proxy's whole share of a
+    run).  The worker hands it to
     :func:`~repro.core.execute.run_batch`, the routine the threads
     backend runs in the parent, over its :class:`_SegmentCache` and a
     :class:`KernelContext` per message (no fetched view outlives its
@@ -369,13 +367,12 @@ def _worker_main(
             if msg[0] == "__retire__":
                 cache.retire(msg[1], msg[2] if len(msg) > 2 else None)
                 continue
-            kernel_name, age, indices = msg
+            kernel_name, age, rows = msg
             try:
                 kernel = program.kernels[kernel_name]
                 conn.send(
                     ("ok",) + run_batch(
-                        kernel, age, indices, cache, KernelContext(),
-                        stack,
+                        kernel, age, rows, cache, KernelContext(), stack,
                     )
                 )
             except KernelBodyError as exc:
@@ -540,19 +537,16 @@ class ProcessBackend(ExecutionBackend):
                 f"connection lost while running {describe}",
             ) from None
 
-    def execute_batch(
-        self, batch: list[KernelInstance], worker_id: int
-    ) -> None:
-        """Ship a claim as ONE pipe message and get one reply — a
-        round trip per worker per wavefront, not per instance and not
-        per ``batch``.  The node's commit tail applies the reply's
-        stores and announces them as one event per (field, age), plus
-        one done event where the analyzer acts on it."""
+    def execute_batch(self, batch: Run, worker_id: int) -> None:
+        """Ship a claim as ONE pipe message — its index array — and get
+        one reply: a round trip per worker per wavefront, not per
+        instance and not per ``batch``.  The node's commit tail applies
+        the reply's stores and announces them as one event per (field,
+        age), plus one done event where the analyzer acts on it."""
         node = self._node
         assert node is not None
-        first = batch[0]
-        kernel = first.kernel
-        age = first.age
+        kernel = batch.kernel
+        age = batch.age
         conn = self._conns[worker_id]
         proc = self._procs[worker_id]
         self._forward_control(worker_id, conn)
@@ -562,11 +556,11 @@ class ProcessBackend(ExecutionBackend):
         for s in kernel.stores:
             node.fields[s.field].ensure_age(s.age.resolve(age))
         t_send = time.perf_counter()
-        conn.send((kernel.name, age, [inst.index for inst in batch]))
+        conn.send((kernel.name, age, batch.rows))
         reply = self._recv_reply(
             worker_id, conn, proc,
             f"{kernel.name}[x{len(batch)}](age={age}, "
-            f"index={first.index})",
+            f"index={batch.index(0)})",
         )
         t_recv = time.perf_counter()
         if reply[0] == "err":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import IndexExpr, RegionGroup, index_shape
-from .kernels import KernelInstance
+from .kernels import KernelInstance, Run
 
 
 @dataclass(frozen=True)
@@ -77,27 +77,32 @@ class ResizeEvent(Event):
     new_extent: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceDoneEvent(Event):
-    """A dispatch finished executing: ``instance`` and, for a batch,
-    the ``rest`` of its members as ``(instance, stored_any)`` pairs —
-    all of one kernel definition and age.
+    """A dispatch finished executing: its ``claim`` — a
+    :class:`~repro.core.kernels.Run` of one kernel definition and age —
+    and ``stored``, one flag per member of the claim, in order.
 
-    ``stored_any`` drives source self-advancement: an aged source kernel
+    ``stored`` drives source self-advancement: an aged source kernel
     whose instance stored nothing has reached end-of-stream and is not
     re-dispatched for the next age.  The times are the dispatch's.
     """
 
-    instance: KernelInstance
-    stored_any: bool
+    claim: Run
+    stored: Sequence[bool]
     kernel_time: float = 0.0
     dispatch_time: float = 0.0
-    rest: tuple[tuple[KernelInstance, bool], ...] = ()
+
+    @property
+    def instance(self) -> KernelInstance:
+        """The claim's first member (built on demand)."""
+        return self.claim[0]
 
     @property
     def members(self) -> tuple[tuple[KernelInstance, bool], ...]:
-        """Every ``(instance, stored_any)`` of the dispatch, in order."""
-        return ((self.instance, self.stored_any),) + self.rest
+        """Every ``(instance, stored)`` of the dispatch, in order (built
+        on demand)."""
+        return tuple(zip(self.claim, map(bool, self.stored)))
 
 
 class WorkToken:

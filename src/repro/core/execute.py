@@ -62,19 +62,20 @@ from .kernels import KernelContext, KernelDef, coerce_store_value
 def run_batch(
     kernel: KernelDef,
     age: int | None,
-    indices: list[tuple[int, ...]],
+    rows: np.ndarray,
     mem: Any,
     ctx: KernelContext,
     stack: int,
 ):
-    """Run a claim of ``len(indices) >= 1`` instances of ``kernel`` at
-    ``age``, calling ``batch_body`` on at most ``stack`` of them at a
-    time (the node's ``batch``).
+    """Run a claim of ``len(rows) >= 1`` instances of ``kernel`` at
+    ``age`` — ``rows`` its ``(n, len(kernel.index_vars))`` index array —
+    calling ``batch_body`` on at most ``stack`` of them at a time (the
+    node's ``batch``).
 
     Returns ``(stores, outputs, t_fetch, t_kernel, t_store, calls,
     fallbacks, vectorized)``.  ``stores`` has one ``(field, age,
     regions, who)`` record per adapter ``write``, in commit order:
-    ``who`` is the position in ``indices`` of the instance that stored
+    ``who`` is the position in ``rows`` of the instance that stored
     (the scalar loop: one record per store that happened, ``regions`` a
     tuple of one), or ``None`` when every instance of the claim did (the
     stacked form: one record per store spec, ``regions`` a
@@ -97,17 +98,17 @@ def run_batch(
     (the first of its stack, for a stacked call) and carrying the
     records of what the claim had written by then.
     """
-    n = len(indices)
+    n = len(rows)
     if n < 2 or stack < 2 or kernel.batch_body is None:
-        return _run_scalar(kernel, age, indices, mem, ctx)
-    run = _run_stacked(kernel, age, indices, mem, stack)
+        return _run_scalar(kernel, age, rows, mem, ctx)
+    run = _run_stacked(kernel, age, rows, mem, stack)
     if run is not None:
         return run
     # Stack by stack: what each slice of the claim would have done as a
     # dispatch of its own (a claim of one stack has just been tried).
     total: list = [[], [], 0.0, 0.0, 0.0, 0, 0, 0]
     for lo in range(0, n, stack):
-        part = indices[lo:lo + stack]
+        part = rows[lo:lo + stack]
         try:
             run = (
                 _run_stacked(kernel, age, part, mem, stack)
@@ -130,15 +131,16 @@ def run_batch(
 
 
 def _run_scalar(
-    kernel: KernelDef, age, indices, mem, ctx, base: int = 0,
+    kernel: KernelDef, age, rows, mem, ctx, base: int = 0,
     dropped: int = 0,
 ):
     """The scalar loop, in :func:`run_batch`'s return shape: one
-    ``body`` call per instance, each one's stores written as they
-    happen; a whole-field operand is read once and seen by every
-    instance, as in the stacked form.  ``base`` is the position of
-    ``indices[0]`` in the claim, ``dropped`` 1 when these instances are
-    a stack that was tried stacked first.
+    ``body`` call per instance — per row of ``rows.tolist()``, so a
+    body sees Python ints — each one's stores written as they happen; a
+    whole-field operand is read once and seen by every instance, as in
+    the stacked form.  ``base`` is the position of ``rows[0]`` in the
+    claim, ``dropped`` 1 when these instances are a stack that was
+    tried stacked first.
 
     What does not change per instance is not derived per instance, and
     no plan object is built for it: the specs carry their own facts
@@ -156,7 +158,7 @@ def _run_scalar(
     outputs: list = []
     whole: dict[str, Any] = {}  # whole-field operands: one read a claim
     t_fetch = t_kernel = t_store = 0.0
-    for who, index in enumerate(indices, base):
+    for who, index in enumerate(rows.tolist(), base):
         t0 = clock()
         imap = dict(zip(index_vars, index))
         fetched: dict[str, Any] = {}
@@ -185,7 +187,7 @@ def _run_scalar(
         try:
             kernel.body(ctx)
         except Exception as exc:  # noqa: BLE001 - rewrapped with context
-            err = KernelBodyError(kernel.name, age, index, exc)
+            err = KernelBodyError(kernel.name, age, tuple(index), exc)
             err.stores = stores  # the earlier instances' are written
             raise err from exc
         t2 = clock()
@@ -209,13 +211,14 @@ def _run_scalar(
         t_kernel += t2 - t1
         t_store += t3 - t2
     return (stores, outputs, t_fetch, t_kernel, t_store,
-            len(indices), dropped, 0)
+            len(rows), dropped, 0)
 
 
-def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
-    """The stacked form, in :func:`run_batch`'s return shape: one index
-    array, one fetch plan and one gather per fetch spec for all of
-    ``indices``, ``batch_body`` on ``stack`` rows at a time, then one
+def _run_stacked(kernel: KernelDef, age, rows, mem, stack: int):
+    """The stacked form, in :func:`run_batch`'s return shape: the
+    claim's index array as it is, one fetch plan and one gather per
+    fetch spec for all of ``rows``, ``batch_body`` on ``stack`` rows at
+    a time, then one
     scatter and one record per store spec.  ``None`` — with nothing
     written — when these instances cannot run this way as a whole: no
     uniform fetch plan, a body call raised
@@ -223,10 +226,9 @@ def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
     disagree on which keys they emit.  A call that emits other than one
     row per instance of its stack is a :class:`KernelBodyError`, like
     any other failure of the body — also with nothing written."""
-    n = len(indices)
+    n = len(rows)
     t0 = time.perf_counter()
     index_vars = kernel.index_vars
-    rows = np.asarray(indices, dtype=np.intp).reshape(n, len(index_vars))
     fields = mem.fields
     # Looked up on the module at call time: the benchmark's traced run
     # swaps the module attribute to count plans that come back ragged.
@@ -269,7 +271,9 @@ def _run_stacked(kernel: KernelDef, age, indices, mem, stack: int):
         except vectorize.VectorizeFallback:
             return None
         except Exception as exc:  # noqa: BLE001 - rewrapped with context
-            raise KernelBodyError(kernel.name, age, indices[lo], exc) from exc
+            raise KernelBodyError(
+                kernel.name, age, tuple(rows[lo].tolist()), exc
+            ) from exc
         if calls and bctx.emitted.keys() != emitted.keys():
             return None
         for key, values in bctx.emitted.items():

@@ -344,13 +344,12 @@ class ResizeInfo:
 class _AgeSlot:
     """Backing storage for a single age of a field."""
 
-    __slots__ = ("data", "written", "store_count", "collected")
+    __slots__ = ("data", "written", "store_count")
 
     def __init__(self, extent: tuple[int, ...], dtype: np.dtype) -> None:
         self.data = np.zeros(extent, dtype=dtype)
         self.written = np.zeros(extent, dtype=bool)
         self.store_count = 0
-        self.collected = False
 
     def grow(self, extent: tuple[int, ...]) -> None:
         """Reallocate to a larger extent, preserving data and masks."""
@@ -401,7 +400,6 @@ class _SharedAgeSlot(_AgeSlot):
         self.data = np.ndarray(extent, dtype=dtype, buffer=self.shm.buf)
         self.written = np.zeros(extent, dtype=bool)
         self.store_count = 0
-        self.collected = False
 
     def grow(self, extent: tuple[int, ...]) -> None:
         if extent == self.data.shape:
@@ -445,7 +443,12 @@ class Field:
         self._extent: tuple[int, ...] = (
             fdef.shape if fdef.shape is not None else (0,) * fdef.ndim
         )
+        #: the live ages' storage; a retired age's slot is dropped
         self._ages: dict[int, _AgeSlot] = {}
+        #: every age below this is retired (:meth:`collect_below`) ...
+        self._floor = 0
+        #: ... and so are these, at or above it (:meth:`collect_age`)
+        self._gone: set[int] = set()
         self._max_stored_age = -1
         #: total elements ever written (across ages); instrumentation.
         self.elements_written = 0
@@ -476,16 +479,18 @@ class Field:
     def ages(self) -> list[int]:
         """Sorted list of ages holding (non-collected) data."""
         with self._lock:
-            return sorted(a for a, s in self._ages.items() if not s.collected)
+            return sorted(self._ages)
 
     def live_bytes(self) -> int:
         """Bytes held by non-collected ages (data + masks)."""
         with self._lock:
             return sum(
-                s.data.nbytes + s.written.nbytes
-                for s in self._ages.values()
-                if not s.collected
+                s.data.nbytes + s.written.nbytes for s in self._ages.values()
             )
+
+    def _retired(self, age: int) -> bool:
+        """Whether ``age`` was collected (its slot is gone for good)."""
+        return age < self._floor or age in self._gone
 
     # ------------------------------------------------------------------
     # Stores (write-once, implicit resize)
@@ -506,12 +511,12 @@ class Field:
     def _slot(self, age: int, create: bool) -> _AgeSlot | None:
         slot = self._ages.get(age)
         if slot is None:
+            if self._retired(age):
+                raise CollectedAgeError(self.name, age)
             if not create:
                 return None
             slot = self._new_slot(age)
             self._ages[age] = slot
-        elif slot.collected:
-            raise CollectedAgeError(self.name, age)
         elif slot.data.shape != self._extent:
             slot.grow(self._extent)
         return slot
@@ -741,7 +746,7 @@ class Field:
         group = index if isinstance(index, RegionGroup) else None
         with self._lock:
             slot = self._ages.get(age)
-            if slot is not None and slot.collected:
+            if slot is None and self._retired(age):
                 raise CollectedAgeError(self.name, age)
             if group is not None:
                 if group.tiles(self._extent) is None and not (
@@ -802,7 +807,7 @@ class Field:
             return False
         with self._lock:
             slot = self._ages.get(age)
-            if slot is None or slot.collected:
+            if slot is None:
                 return False
             if index is None:
                 if any(n == 0 for n in self._extent):
@@ -837,32 +842,41 @@ class Field:
     # ------------------------------------------------------------------
     # Garbage collection (section IX: reuse buffers / collect old ages)
     # ------------------------------------------------------------------
-    def _collect_age_locked(self, age: int) -> int:
-        slot = self._ages.get(age)
-        if slot is None or slot.collected:
-            return 0
+    def _free_locked(self, age: int) -> int:
+        """Drop ``age``'s slot and free its storage; bytes reclaimed."""
+        slot = self._ages.pop(age)
         freed = slot.data.nbytes + slot.written.nbytes
         slot.free()
-        slot.collected = True
         return freed
 
     def collect_age(self, age: int) -> int:
         """Free the storage of ``age``; returns bytes reclaimed.
 
-        Subsequent fetches of the age raise :class:`CollectedAgeError`.
-        Idempotent; collecting an age with no storage is a no-op.
+        Subsequent fetches of the age raise :class:`CollectedAgeError`,
+        and so does a store (no silent resurrection).  Idempotent;
+        collecting an age with no storage is a no-op.
         """
         with self._lock:
-            return self._collect_age_locked(age)
+            if age not in self._ages:
+                return 0
+            if age >= self._floor:
+                self._gone.add(age)
+            return self._free_locked(age)
 
     def collect_below(self, min_live_age: int) -> int:
-        """Collect every age strictly below ``min_live_age``."""
+        """Collect every age strictly below ``min_live_age``: their
+        slots leave the field and the floor rises, so what walks the
+        ages (this sweep, :meth:`live_bytes`, :meth:`ages`) costs the
+        live window, not every age the run has had."""
         with self._lock:
-            return sum(
-                self._collect_age_locked(a)
-                for a in list(self._ages)
-                if a < min_live_age
+            freed = sum(
+                self._free_locked(a)
+                for a in [a for a in self._ages if a < min_live_age]
             )
+            if min_live_age > self._floor:
+                self._floor = min_live_age
+                self._gone = {a for a in self._gone if a >= min_live_age}
+            return freed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1022,7 +1036,7 @@ class SharedField(Field):
         teardown."""
         with self._lock:
             for slot in self._ages.values():
-                if isinstance(slot, _SharedAgeSlot) and not slot.collected:
+                if isinstance(slot, _SharedAgeSlot):
                     slot.unlink()
 
 

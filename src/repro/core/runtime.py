@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from ..obs import (
     Histogram,
     MetricsRegistry,
@@ -50,11 +52,11 @@ from .errors import RuntimeStateError, StallError
 from .events import Event, InstanceDoneEvent, ResizeEvent, StoreEvent
 from .fields import FieldStore, SharedFieldStore
 from .instrumentation import Instrumentation
-from .kernels import KernelInstance
+from .kernels import KernelInstance, Run
 from .program import Program
 
 
-def _session_prefix(inst: KernelInstance) -> str:
+def _session_prefix(inst: "KernelInstance | Run") -> str:
     """The session extractor of ``"fair"`` scheduling: the
     kernel-name prefix before the first ``"."`` (the multi-tenant
     namespace separator), or ``""`` for un-namespaced kernels."""
@@ -94,8 +96,9 @@ class ReadyQueue:
     Internally every policy runs on per-session heaps — the classic
     policies simply bin everything into the single ``""`` session, which
     degenerates to the original one-heap behaviour.  A heap entry is a
-    *run*: the instances of one kernel and age that were pushed
-    together (see :meth:`push_many`), handed out in slices.  Sentinels
+    *run* (:class:`~repro.core.kernels.Run`): the instances of one
+    kernel and age the analyzer released together, as one index array
+    (see :meth:`push_runs`), handed out in slices of its rows.  Sentinels
     live in a counter, not the heaps, and are only consumed once every
     heap is empty (the "sorts last" guarantee, now independent of
     session structure).
@@ -151,66 +154,76 @@ class ReadyQueue:
     def push(self, inst: KernelInstance) -> None:
         """Enqueue a runnable instance (wakes one waiting worker): a
         run of one."""
-        self.push_many((inst,))
+        self.push_runs((Run(inst.kernel, inst.age, None, (inst,)),))
 
     def push_many(self, instances) -> None:
-        """Enqueue runnable instances under one lock acquisition (wakes
-        one waiting worker per instance).
+        """Enqueue runnable instances under one lock acquisition: each
+        maximal stretch of the argument sharing one kernel definition,
+        age and session becomes one run (:meth:`push_runs`)."""
+        session_of = self._session_of
+        runs = []
+        start, n = 0, len(instances)
+        while start < n:
+            head = instances[start]
+            session = session_of(head) if session_of else ""
+            stop = start + 1
+            while stop < n:
+                inst = instances[stop]
+                if inst.kernel is not head.kernel or inst.age != head.age or (
+                    session_of and session_of(inst) != session
+                ):
+                    break
+                stop += 1
+            runs.append(Run.of(instances[start:stop]))
+            start = stop
+        self.push_runs(runs)
 
-        Each maximal stretch of the argument sharing one kernel
-        definition, age and session becomes one heap entry — a *run*
-        ``[members, next position, push time, age key]`` — so a heap
-        operation and the age/session accounting happen once per run,
-        not per instance.  Instances pushed together are adjacent in
-        every policy's order (consecutive sequence numbers within one
-        priority), so one sequence number per run ranks it against
-        every other entry exactly as its members' own numbers would;
-        ``"lifo"`` hands a run out newest first, so it is stored
+    def push_runs(self, runs) -> None:
+        """Enqueue :class:`~repro.core.kernels.Run` s as they come — the
+        analyzer's output — under one lock acquisition (wakes one
+        waiting worker per instance).
+
+        Each run is one heap entry ``[run, next position, push time, age
+        key]``, so a heap operation and the age/session accounting
+        happen once per run, not per instance.  A run's instances are
+        adjacent in every policy's order (consecutive sequence numbers
+        within one priority), so one sequence number per run ranks it
+        against every other entry exactly as its members' own numbers
+        would; ``"lifo"`` hands a run out newest first, so it is stored
         reversed.
         """
-        n = len(instances)
-        if not n:
-            return
         session_of = self._session_of
         lifo = self.scheduling == "lifo"
         by_age = not lifo and self.scheduling != "fifo"
         age_counts = self._age_counts
+        entries = []  # what needs no lock is done before taking it
+        for run in runs:
+            count = len(run)
+            if count:
+                entries.append((
+                    run[::-1] if lifo and count > 1 else run, count,
+                    session_of(run) if session_of else "",
+                    -1 if run.age is None else run.age,
+                ))
+        if not entries:
+            return
+        n = 0
         with self._cv:
             now = time.perf_counter()
-            start = 0
-            while start < n:
-                head = instances[start]
-                kernel, age = head.kernel, head.age
-                session = session_of(head) if session_of else ""
-                stop = start + 1
-                while stop < n:
-                    inst = instances[stop]
-                    if inst.kernel is not kernel or inst.age != age or (
-                        session_of and session_of(inst) != session
-                    ):
-                        break
-                    stop += 1
-                count = stop - start
-                if count == 1:
-                    members = [head]
-                else:
-                    members = list(instances[start:stop])
-                    if lifo:
-                        members.reverse()
-                start = stop
-                real = -1 if age is None else age
+            for run, count, session, real in entries:
                 seq = next(self._seq)
                 heapq.heappush(
                     self._heap_for(session),
                     (
                         real if by_age else 0,
                         -seq if lifo else seq,
-                        [members, 0, now, real],
+                        [run, 0, now, real],
                     ),
                 )
                 age_counts[real] = age_counts.get(real, 0) + count
                 ages = self._session_ages[session]
                 ages[real] = ages.get(real, 0) + count
+                n += count
             self._depth += n
             self.pushes += n
             self.max_depth = max(self.max_depth, self._depth)
@@ -228,9 +241,9 @@ class ReadyQueue:
 
     def pop_timed(self) -> tuple[KernelInstance | None, float]:
         """Blocking pop returning ``(instance, queue_wait_seconds)``;
-        ``(None, 0.0)`` means shut down.  A run of at most one."""
-        batch, wait = self.pop_batch(1)
-        return (None if batch is None else batch[0]), wait
+        ``(None, 0.0)`` means shut down.  A claim of at most one."""
+        claim, wait = self.pop_batch(1)
+        return (None if claim is None else claim[0]), wait
 
     def _pick_session_locked(self) -> str:
         """Choose the session to dispatch from (deficit round-robin).
@@ -260,9 +273,10 @@ class ReadyQueue:
 
     def pop_batch(
         self, max_n: int, workers: int = 0
-    ) -> tuple[list[KernelInstance] | None, float]:
+    ) -> tuple[Run | None, float]:
         """Blocking pop of a *claim*: up to ``max_n`` ready instances of
-        the same kernel definition and age, returning ``(batch,
+        the same kernel definition and age, as one
+        :class:`~repro.core.kernels.Run`, returning ``(claim,
         total_queue_wait_seconds)``; ``(None, 0.0)`` means shut down.
 
         Called with the node's ``workers`` and ``max_n > 1`` (the worker
@@ -273,17 +287,17 @@ class ReadyQueue:
         ``len(run) / max_n``.  ``max_n = 1`` always yields singletons.
 
         The claim is taken greedily from the head of the chosen
-        session's heap — a slice of the head entry, continuing into the
-        next entries while they match — so its formation respects the
-        scheduling policy exactly: a claim is simply the instances the
-        policy would have handed out next, whenever they happen to
-        share a native block.  Under ``"fair"`` a claim never spans
-        sessions (each member charges the session's deficit, so a large
-        claim costs its tenant future turns).  Matching is by
-        kernel-definition *identity* (``is``), which is strictly finer
-        than name equality: two definitions that share a name (a
-        rewritten kernel next to the one it came from) never share a
-        claim, even for ties within one age.  Equal age keeps
+        session's heap — a slice of the head run's rows, continuing into
+        the next entries while they match (their rows concatenated) — so
+        its formation respects the scheduling policy exactly: a claim is
+        simply the instances the policy would have handed out next,
+        whenever they happen to share a native block.  Under ``"fair"``
+        a claim never spans sessions (each member charges the session's
+        deficit, so a large claim costs its tenant future turns).
+        Matching is by kernel-definition *identity* (``is``), which is
+        strictly finer than name equality: two definitions that share a
+        name (a rewritten kernel next to the one it came from) never
+        share a claim, even for ties within one age.  Equal age keeps
         the GC/retirement live-age bookkeeping exact (a worker runs one
         age at a time).  Sentinels are consumed only when every heap is
         empty, so a shutdown marker is never consumed mid-batch.
@@ -298,35 +312,30 @@ class ReadyQueue:
             heap = self._heaps[session]
             ages = self._session_ages[session]
             now = time.perf_counter()
-            batch: list = []
+            parts: list[Run] = []
             wait = 0.0
-            first = None
             if workers and max_n > 1:
                 # the caller's share of the head run, as it was pushed
                 max_n = max(max_n, -(-len(heap[0][2][0]) // workers))
             room = max_n
             while heap and room:
-                run = heap[0][2]
-                members, pos, pushed, real = run
-                head = members[pos]
-                if first is None:
-                    first = head
-                elif head.kernel is not first.kernel or (
-                    head.age != first.age
+                entry = heap[0][2]
+                run, pos, pushed, real = entry
+                if parts and (
+                    run.kernel is not parts[0].kernel
+                    or run.age != parts[0].age
                 ):
                     break
-                stop = pos + room
-                if stop >= len(members):
+                took = len(run) - pos
+                if took <= room:
                     heapq.heappop(heap)
-                    # the queue owns ``members``: a whole run is handed
-                    # out as it is
-                    rest = members[pos:] if pos else members
-                    batch = batch + rest if batch else rest
+                    # the queue owns ``run``: a whole one is handed out
+                    # as it is
+                    parts.append(run[pos:] if pos else run)
                 else:
-                    run[1] = stop
-                    rest = members[pos:stop]
-                    batch.extend(rest)
-                took = len(rest)
+                    took = room
+                    entry[1] = pos + room
+                    parts.append(run[pos:pos + room])
                 room -= took
                 self._age_counts[real] -= took
                 if not self._age_counts[real]:
@@ -340,7 +349,7 @@ class ReadyQueue:
             self._deficit[session] = self._deficit.get(session, 1) - took
             self.pops += took
             self.wait.add(wait)
-            return batch, wait
+        return (parts[0] if len(parts) == 1 else Run.join(parts)), wait
 
     def min_age(self, session: str | None = None) -> int | None:
         """Lowest age currently queued (for the GC live-age bound).
@@ -382,8 +391,8 @@ class ReadyQueue:
             items = [
                 item
                 for heap in self._heaps.values()
-                for _key, _seq, (members, pos, *_run) in heap
-                for item in members[pos:]
+                for _key, _seq, (run, pos, *_rest) in heap
+                for item in run[pos:]
             ]
             for heap in self._heaps.values():
                 heap.clear()
@@ -741,14 +750,15 @@ class ExecutionNode:
             self._post(StoreEvent.group(fname, s_age, regions))
 
     def _commit_batch(
-        self, batch: list, worker_id: int, t0: float, run: tuple,
+        self, batch: Run, worker_id: int, t0: float, run: tuple,
         remote: "tuple[float, float] | None" = None,
     ) -> None:
         """The parent-side tail of every dispatch, on both backends.
 
-        ``batch`` is the claim — every instance the worker took in one
-        pop — and ``run`` what :func:`~repro.core.execute.run_batch`
-        returned for it, started at ``t0``.  ``remote`` is ``None`` when
+        ``batch`` is the claim — the rows the worker took in one pop,
+        as a :class:`~repro.core.kernels.Run` — and ``run`` what
+        :func:`~repro.core.execute.run_batch` returned for it, started
+        at ``t0``.  ``remote`` is ``None`` when
         the routine ran on this thread (its stores are already
         committed) and ``(t_send, t_recv)`` when it ran in a worker
         process: the payload bytes are in the segments, and the reply's
@@ -760,17 +770,17 @@ class ExecutionNode:
         and a scalar one's alike), ``ctx.output`` delivery, the
         instrumentation record (the one holder of the dispatch
         counters), the trace spans, and one
-        :class:`InstanceDoneEvent` for the dispatch, carrying every
-        member — posted only when the analyzer acts on it: the claim's
-        kernel :attr:`~repro.core.kernels.KernelDef.self_advances` or the
-        node runs ``gc_fields`` (the retirement sweep).  An event that
+        :class:`InstanceDoneEvent` for the dispatch, carrying the claim
+        and a stored flag per member — posted only when the analyzer
+        acts on it: the claim's kernel
+        :attr:`~repro.core.kernels.KernelDef.self_advances` or the node
+        runs ``gc_fields`` (the retirement sweep).  An event that
         can make nothing runnable is not posted.
         """
         (stores, outputs, t_fetch, t_kernel, t_store,
          calls, fallbacks, vectorized) = run
-        first = batch[0]
-        kernel = first.kernel
-        age = first.age
+        kernel = batch.kernel
+        age = batch.age
         n = len(batch)
         n_stores = 0  # stores that happened, however they were grouped
         for _fname, _age, regions, _who in stores:
@@ -786,7 +796,7 @@ class ExecutionNode:
                     f"but the program has no output handler; call "
                     f"program.set_output_handler()"
                 )
-            handler(kernel.name, age, batch[who].index, key, value)
+            handler(kernel.name, age, batch.index(who), key, value)
         t_done = time.perf_counter()
         if remote is None:
             ipc = 0.0
@@ -815,7 +825,7 @@ class ExecutionNode:
             thread = f"worker{worker_id}"
             args = {
                 "age": age,
-                "index": list(first.index),
+                "index": list(batch.index(0)),
                 "batch": n,
                 "stacks": calls,
                 "vectorized": bool(vectorized),
@@ -839,7 +849,7 @@ class ExecutionNode:
                 kernel.name if n == 1 else f"{kernel.name}[x{n}]",
                 "kernel", self.name, thread, t0, t_done, args,
             )
-            key = self._frame_key(first)
+            key = self._frame_key(batch)
             for phase, start, end in phases:
                 tracer.complete(phase, "phase", self.name, thread,
                                 start, end, key=key)
@@ -849,19 +859,18 @@ class ExecutionNode:
             # claim it could dispatch nothing, and the worker loop's
             # decrement after the StoreEvents above keeps quiescence
             # exact without it.
-            stored = [False] * n
+            stored = np.zeros(n, dtype=bool)
             for _fname, _age, _regions, who in stores:
                 if who is None:
-                    stored = [True] * n
+                    stored[:] = True
                 elif isinstance(who, range):
-                    stored[who.start:who.stop] = [True] * len(who)
+                    stored[who.start:who.stop] = True
                 else:
                     stored[who] = True
             self._post(
                 InstanceDoneEvent(
-                    first, stored[0], kernel_time=t_kernel,
+                    batch, stored, kernel_time=t_kernel,
                     dispatch_time=dispatch,
-                    rest=tuple(zip(batch[1:], stored[1:])),
                 )
             )
 
@@ -877,16 +886,15 @@ class ExecutionNode:
             batch, wait = self.ready.pop_batch(self.batch, self.workers)
             if batch is None:
                 return
-            first = batch[0]
             if tracer.enabled:
                 now = time.perf_counter()
                 tracer.complete("queue", "phase", self.name, thread,
-                                now - wait, now, key=self._frame_key(first))
-            if first.age is not None:
-                self._running_ages[worker_id] = first.age
+                                now - wait, now, key=self._frame_key(batch))
+            if batch.age is not None:
+                self._running_ages[worker_id] = batch.age
                 if self.session_of is not None:
                     self._running_sessions[worker_id] = self.session_of(
-                        first
+                        batch
                     )
             try:
                 if not self._stop.is_set():
@@ -901,9 +909,10 @@ class ExecutionNode:
                 self._running_sessions.pop(worker_id, None)
                 self._dec(len(batch))
 
-    def _frame_key(self, inst: KernelInstance):
-        """The ``(session, age)`` frame ``inst`` works for — the key of
-        its spans — or ``None`` for an unaged instance."""
+    def _frame_key(self, inst: "KernelInstance | Run"):
+        """The ``(session, age)`` frame ``inst`` (an instance or a
+        claim) works for — the key of its spans — or ``None`` when it
+        is unaged."""
         if inst.age is None:
             return None
         return (self.session_of(inst) if self.session_of else "", inst.age)
@@ -921,14 +930,14 @@ class ExecutionNode:
         ):
             self.on_event(self, ev)
 
-    def _dispatch(self, instances: list) -> None:
-        """Enqueue a collected list: one counter increment, one
+    def _dispatch(self, runs: list) -> None:
+        """Enqueue the analyzer's runs: one counter increment, one
         ready-queue lock acquisition."""
-        n = len(instances)
-        if not n:
+        if not runs:
             return
+        n = sum(len(run) for run in runs)
         self._inc(n)
-        self.ready.push_many(instances)
+        self.ready.push_runs(runs)
         if self.tracer.enabled:
             self.tracer.instant(
                 "dispatch", "scheduler", self.name, "analyzer",

@@ -50,6 +50,14 @@ def scalar_only(program):
     return program
 
 
+def flatten_runs(runs):
+    """The instances of the analyzer's runs, in order: its entry points
+    return :class:`~repro.core.kernels.Run` s (one index array per
+    kernel and age), which tests that look at single instances read
+    through this."""
+    return [inst for run in runs for inst in run]
+
+
 def assert_registries_agree(cluster, result):
     """One node table (DESIGN.md §8): at the end of a cluster run the
     master's topology, the assignment in force and the filed results

@@ -19,7 +19,8 @@ from repro.core import (
 )
 from repro.core.events import InstanceDoneEvent, ResizeEvent, StoreEvent
 from repro.core.fields import normalize_index
-from repro.core.kernels import KernelInstance
+from repro.core.kernels import KernelInstance, Run
+from tests.conftest import flatten_runs
 
 
 def nop(ctx):
@@ -58,7 +59,7 @@ class TestInitialInstances:
         prog = Program.build([FieldDef("a"), FieldDef("b")], [init, src])
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
-        initial = an.initial_instances()
+        initial = flatten_runs(an.initial_instances())
         got = {(i.kernel.name, i.age) for i in initial}
         assert got == {("init", None), ("src", 0)}
 
@@ -67,12 +68,12 @@ class TestInitialInstances:
                         domain={"x": 3}, stores=(StoreSpec("a", dims=(Dim.of("x"),)),))
         prog = Program.build([FieldDef("a")], [src])
         an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
-        assert len(an.initial_instances()) == 3
+        assert len(flatten_runs(an.initial_instances())) == 3
 
     def test_initial_only_once(self):
         prog = simple_program()
         an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
-        first = an.initial_instances()
+        first = flatten_runs(an.initial_instances())
         assert len(first) == 1
         assert an.initial_instances() == []
 
@@ -84,7 +85,7 @@ class TestOnStore:
         an = DependencyAnalyzer(prog, fields)
         an.initial_instances()
         ev, _ = store_ev(fields, "a", 0, slice(0, 3), [1, 2, 3])
-        out = an.on_store(ev)
+        out = flatten_runs(an.on_store(ev))
         names = sorted(str(i) for i in out)
         assert names == ["per(age=0, x=0)", "per(age=0, x=1)",
                          "per(age=0, x=2)"]
@@ -94,7 +95,7 @@ class TestOnStore:
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
         ev, _ = store_ev(fields, "a", 0, 0, 5)
-        assert len(an.on_store(ev)) == 1
+        assert len(flatten_runs(an.on_store(ev))) == 1
         assert an.on_store(ev) == []  # same event again: nothing new
 
     def test_whole_field_fetch_waits_for_completion(self):
@@ -112,7 +113,7 @@ class TestOnStore:
         ev1, _ = store_ev(fields, "b", 0, 0, 2)
         assert an.on_store(ev1) == []  # element 1 still missing
         ev2, _ = store_ev(fields, "b", 0, 1, 4)
-        out = an.on_store(ev2)
+        out = flatten_runs(an.on_store(ev2))
         assert [i.kernel.name for i in out] == ["sink"]
 
     def test_whole_field_fetch_on_growing_field(self):
@@ -124,7 +125,7 @@ class TestOnStore:
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
         ev1, _ = store_ev(fields, "b", 0, 0, 2)
-        out = an.on_store(ev1)
+        out = flatten_runs(an.on_store(ev1))
         assert [i.kernel.name for i in out] == ["sink"]
         # later growth does not re-dispatch the sink for age 0
         ev2, _ = store_ev(fields, "b", 0, 1, 4)
@@ -141,7 +142,7 @@ class TestOnStore:
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
         ev, _ = store_ev(fields, "a", 3, 0, 1)
-        out = an.on_store(ev)
+        out = flatten_runs(an.on_store(ev))
         assert [(i.kernel.name, i.age) for i in out] == [("loop", 3)]
 
     def test_literal_age_fetch_rechecks_pending(self):
@@ -162,7 +163,7 @@ class TestOnStore:
         ev, _ = store_ev(fields, "stream", 2, 0, 1)
         assert an.on_store(ev) == []  # config missing
         ev2, _ = store_ev(fields, "config", 0, 0, 9)
-        out = an.on_store(ev2)
+        out = flatten_runs(an.on_store(ev2))
         assert [(i.kernel.name, i.age, i.index) for i in out] == [("k", 2, (0,))]
 
     def test_max_age_bound(self):
@@ -182,7 +183,7 @@ class TestOnStore:
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
         ev, _ = store_ev(fields, "a", 2, 0, 1)
-        assert len(an.on_store(ev)) == 1
+        assert len(flatten_runs(an.on_store(ev))) == 1
         ev2, _ = store_ev(fields, "a", 3, 0, 1)
         assert an.on_store(ev2) == []
 
@@ -200,7 +201,7 @@ class TestOnStore:
         ev, _ = store_ev(fields, "fa", 0, slice(0, 2), [1, 2])
         assert an.on_store(ev) == []  # fb empty
         ev2, _ = store_ev(fields, "fb", 0, slice(0, 3), [1, 2, 3])
-        out = an.on_store(ev2)
+        out = flatten_runs(an.on_store(ev2))
         assert len(out) == 6  # 2 x 3 combinations
 
     def test_block_fetch_candidates(self):
@@ -212,7 +213,7 @@ class TestOnStore:
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
         ev, _ = store_ev(fields, "a", 0, slice(0, 8), np.arange(8))
-        out = an.on_store(ev)
+        out = flatten_runs(an.on_store(ev))
         assert sorted(i.index for i in out) == [(0,), (1,)]
 
 
@@ -222,16 +223,17 @@ class TestSourceAdvance:
         prog = Program.build([FieldDef("a")], [src])
         an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
         (first,) = an.initial_instances()
-        nxt = an.on_done(InstanceDoneEvent(first, stored_any=True))
-        assert [(i.kernel.name, i.age) for i in nxt] == [("src", 1)]
-        done = an.on_done(InstanceDoneEvent(nxt[0], stored_any=False))
+        nxt = an.on_done(InstanceDoneEvent(first, [True]))
+        assert [(i.kernel.name, i.age) for i in flatten_runs(nxt)] == [
+            ("src", 1)]
+        done = an.on_done(InstanceDoneEvent(nxt[0], [False]))
         assert done == []
 
     def test_non_source_done_is_ignored(self):
         prog = simple_program()
         an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
         per = prog.kernels["per"]
-        ev = InstanceDoneEvent(KernelInstance(per, 0, (0,)), stored_any=True)
+        ev = InstanceDoneEvent(Run.of([KernelInstance(per, 0, (0,))]), [True])
         assert an.on_done(ev) == []
 
 
@@ -241,12 +243,12 @@ class TestResize:
         fields = FieldStore(prog.fields.values())
         an = DependencyAnalyzer(prog, fields)
         ev, _ = store_ev(fields, "a", 0, slice(0, 2), [1, 2])
-        assert len(an.on_store(ev)) == 2
+        assert len(flatten_runs(an.on_store(ev))) == 2
         # growth: element 5 written later (extent 0..5); elements 2..4
         # missing, so only x=5 becomes dispatchable
         ev2, resize = store_ev(fields, "a", 0, 5, 9)
         assert resize is not None
-        out = an.on_store(ev2)
+        out = flatten_runs(an.on_store(ev2))
         assert sorted(i.index for i in out) == [(5,)]
         out2 = an.on_resize(
             ResizeEvent("a", resize.old_extent, resize.new_extent)
@@ -277,7 +279,7 @@ class TestProducerCoverage:
                 ResizeEvent(name, resize.old_extent, resize.new_extent)
             )
         out += an.on_store(ev)
-        return out
+        return flatten_runs(out)
 
     def test_whole_field_fetch_waits_for_producer_domain(self):
         prog = simple_program()
@@ -337,7 +339,7 @@ class TestRetirement:
         an, fields = self._loop()
         for age in range(4):
             ev, _ = store_ev(fields, "a", age, slice(0, 3), [1, 2, 3])
-            assert len(an.on_store(ev)) == 6
+            assert len(flatten_runs(an.on_store(ev))) == 6
         assert an.tracked_instances() == 24
         an.retire_below(3)
         assert an.tracked_instances() == 6  # age 3 of both kernels
@@ -357,7 +359,7 @@ class TestRetirement:
         pin ``min_pending_age`` — the retirer's floor — either."""
         an, fields = self._loop()
         ev, _ = store_ev(fields, "a", 0, slice(0, 3), [1, 2, 3])
-        assert len(an.on_store(ev)) == 6
+        assert len(flatten_runs(an.on_store(ev))) == 6
         fields.collect_below(1)
         an.retire_below(1)
         assert an.on_store(ev) == []
@@ -377,7 +379,7 @@ class TestGroupedEvents:
         for x in (0, 1, 3):
             ev, _ = store_ev(fields, "a", 0, x, x)
             regions.append(ev.region)
-        out = an.on_store(StoreEvent.group("a", 0, regions))
+        out = flatten_runs(an.on_store(StoreEvent.group("a", 0, regions)))
         assert sorted(i.index for i in out) == [(0,), (1,), (3,)]
         assert an.events_processed == 1
         assert an.on_store(StoreEvent.group("a", 0, regions)) == []
@@ -391,7 +393,7 @@ class TestGroupedEvents:
         an = DependencyAnalyzer(prog, fields)
         regions = [store_ev(fields, "b", 0, x, x)[0].region
                    for x in range(4)]
-        out = an.on_store(StoreEvent.group("b", 0, regions))
+        out = flatten_runs(an.on_store(StoreEvent.group("b", 0, regions)))
         assert [(i.kernel.name, i.age) for i in out] == [("sink", 0)]
         assert an.candidates_examined == 1
 
@@ -402,11 +404,9 @@ class TestGroupedEvents:
         )
         prog = Program.build([FieldDef("a")], [src])
         an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
-        first, second, third = an.initial_instances()
-        ev = InstanceDoneEvent(
-            first, True, rest=((second, False), (third, True)),
-        )
-        out = an.on_done(ev)
+        (claim,) = an.initial_instances()  # first, second, third
+        ev = InstanceDoneEvent(claim, [True, False, True])
+        out = flatten_runs(an.on_done(ev))
         assert [(i.age, i.index) for i in out] == [(1, (0,)), (1, (2,))]
         assert an.on_done(ev) == []  # dispatch-once
 
@@ -507,7 +507,7 @@ class TestWholeFieldEarlyOut:
         ev, _ = store_ev(fields, "a", 0, slice(0, 3), [1, 2, 3])
         assert an.on_store(ev) == []
         ev, _ = store_ev(fields, "b", 0, slice(0, 2), [1, 2])
-        assert len(an.on_store(ev)) == 3
+        assert len(flatten_runs(an.on_store(ev))) == 3
         assert an.min_pending_age() is None
         ev, resize = store_ev(fields, "b", 0, 3, 4)  # extent 4, gap at 2
         assert resize is not None and not fields["b"].is_complete(0)
@@ -622,8 +622,8 @@ def _replay(program, max_age, chunks):
     an = DependencyAnalyzer(program, fields, max_age)
     seen = set()
 
-    def take(instances):
-        for inst in instances:
+    def take(runs):
+        for inst in flatten_runs(runs):
             assert inst.key not in seen, f"double dispatch of {inst}"
             seen.add(inst.key)
 

@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.core.events import StoreEvent
 from repro.core.fields import normalize_index
+from tests.conftest import flatten_runs
 
 
 def nop(ctx):
@@ -67,7 +68,8 @@ def dispatch_all(program, n, order, ages):
         for i in order:
             idx = normalize_index(i, 1)
             fields["data"].store(age, idx, i)
-            for inst in an.on_store(StoreEvent("data", age, idx)):
+            for inst in flatten_runs(
+                    an.on_store(StoreEvent("data", age, idx))):
                 assert inst.key not in dispatched, "double dispatch"
                 dispatched.add(inst.key)
     return dispatched
@@ -119,7 +121,8 @@ class TestPermutationInvariance:
         for i in sorted(subset):
             idx = normalize_index(i, 1)
             fields["data"].store(0, idx, i)
-            for inst in an.on_store(StoreEvent("data", 0, idx)):
+            for inst in flatten_runs(
+                    an.on_store(StoreEvent("data", 0, idx))):
                 dispatched.add(inst.key)
         per = {k[2][0] for k in dispatched if k[0] == "per"}
         assert per == subset

@@ -1354,3 +1354,44 @@ class TestDispatchCount:
         assert flat["exec.claim_size.count"] == 3
         assert flat["exec.claim_size.sum"] == 41
         assert flat["exec.claim_size.max"] == 20
+
+
+class TestAClaimBuildsNoInstance:
+    """A wavefront is one index array from analysis to worker: with
+    tracing off, a CIF frame at ``batch=32`` — its store events, the
+    analyzer's runs, the queue's claims, the backend's message, the
+    worker's routine and the commit tail — builds no
+    :class:`KernelInstance`, in the parent or in a worker process."""
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_a_cif_frame_builds_no_instance(self, backend, monkeypatch):
+        import multiprocessing
+
+        built = multiprocessing.Value("i", 0)  # shared with forked workers
+        init = KernelInstance.__init__
+
+        def counting(self, *args, **kwargs):
+            with built.get_lock():
+                built.value += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelInstance, "__init__", counting)
+        KernelInstance(build_mulsum()[0].kernels["mul2"], 0)
+        assert built.value == 1  # the count sees a construction
+        built.value = 0
+        cfg = MJPEGConfig(width=352, height=288, frames=1)
+        program, sink = build_mjpeg(config=cfg)
+        node = ExecutionNode(program, 2, backend=backend, batch=32)
+        sizes = []
+        execute_batch = node.backend.execute_batch
+
+        def counting_execute(claim, worker_id):
+            sizes.append(len(claim))  # (``claim[0]`` would build one)
+            return execute_batch(claim, worker_id)
+
+        node.backend.execute_batch = counting_execute
+        node.run(timeout=300)
+        assert sink.stream() == mjpeg_baseline(config=cfg)
+        # read + the DCTs + vlc, and the source's end-of-stream probe
+        assert sum(sizes) == 1 + 1584 + 396 + 396 + 1 + 1
+        assert built.value == 0

@@ -1,7 +1,7 @@
 """Unit tests for the runtime's event records and work tokens."""
 
 from repro.core import InstanceDoneEvent, KernelDef, StoreEvent
-from repro.core.kernels import KernelInstance
+from repro.core.kernels import KernelInstance, Run
 
 
 class TestEventRecords:
@@ -32,16 +32,17 @@ class TestEventRecords:
         k = KernelDef("k", lambda ctx: None, index_vars=("x",),
                       domain={"x": 2})
         i0, i1 = KernelInstance(k, None, (0,)), KernelInstance(k, None, (1,))
-        assert InstanceDoneEvent(i0, True).members == ((i0, True),)
-        ev = InstanceDoneEvent(i0, True, rest=((i1, False),))
+        assert InstanceDoneEvent(Run.of([i0]), [True]).members == (
+            (i0, True),)
+        ev = InstanceDoneEvent(Run.of([i0, i1]), [True, False])
         assert ev.instance is i0
         assert ev.members == ((i0, True), (i1, False))
 
     def test_done_event_defaults(self):
         k = KernelDef("k", lambda ctx: None)
-        ev = InstanceDoneEvent(KernelInstance(k), stored_any=False)
+        ev = InstanceDoneEvent(Run.of([KernelInstance(k)]), [False])
         assert ev.kernel_time == 0.0
-        assert not ev.stored_any
+        assert not ev.stored[0]
 
 
 class TestWorkToken:

@@ -459,9 +459,10 @@ def _state(f):
         f.extent, f.elements_written, f.max_stored_age,
         {
             age: (slot.data.tobytes(), slot.data.shape,
-                  slot.written.tobytes(), slot.store_count, slot.collected)
+                  slot.written.tobytes(), slot.store_count)
             for age, slot in sorted(f._ages.items())
         },
+        f._floor, sorted(f._gone),
     )
 
 
@@ -595,6 +596,47 @@ class TestGarbageCollection:
         f.store(1, 0, 1)
         f.collect_age(0)
         assert f.ages() == [1]
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_retired_ages_leave_the_field(self, shared):
+        """A stream retires every age behind a window: the field keeps
+        only the window's slots (what a sweep, ``live_bytes`` and
+        ``ages`` walk), yet a retired age answers as a collected one —
+        below the floor and a single ``collect_age`` above it alike."""
+        from repro.core import SharedFieldStore
+
+        fdef = FieldDef("f", "int32", 1, shape=(4,))
+        store = SharedFieldStore([fdef]) if shared else None
+        f = store["f"] if shared else Field(fdef)
+        window, frames = 3, 200
+        try:
+            for age in range(frames):
+                f.store(age, slice(0, 4), np.arange(4) + age)
+                f.collect_below(age - window + 1)
+                assert len(f._ages) <= window
+            assert f.ages() == list(range(frames - window, frames))
+            assert f.live_bytes() == window * 4 * (4 + 1)
+            f.collect_age(frames - 2)  # a single age above the floor
+            assert len(f._ages) == window - 1
+            for age in (0, frames // 2, frames - window - 1, frames - 2):
+                with pytest.raises(CollectedAgeError):
+                    f.fetch(age)
+                with pytest.raises(CollectedAgeError):
+                    f.store(age, 0, 1)  # no silent resurrection
+                with pytest.raises(CollectedAgeError):
+                    f.mark_written_many(age, [(slice(0, 1),)])
+                if shared:
+                    with pytest.raises(CollectedAgeError):
+                        f.ensure_age(age)
+                assert not f.is_complete(age)
+                assert not f.is_complete(age, slice(0, 1))
+                assert f.peek(age) is None
+            assert len(f._ages) == window - 1
+            assert f.fetch(frames - 1).tolist() == [199, 200, 201, 202]
+        finally:
+            if shared:
+                f.collect_below(frames)
+                store.release()
 
 
 class TestLocalField:

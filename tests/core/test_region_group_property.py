@@ -66,7 +66,7 @@ def _state(field, age):
     field-wide counters."""
     slot = field._ages.get(age)
     return (
-        np.zeros(field.extent, bool) if slot is None or slot.collected
+        np.zeros(field.extent, bool) if slot is None
         else slot.written.copy(),
         0 if slot is None else slot.store_count,
         field.elements_written,
@@ -151,9 +151,9 @@ class TestCommitEquivalence:
         for r in regions:
             if any(s.start < 0 or s.stop > n for s, n in zip(r, extent)):
                 return None, ExtentError
-        slot = field._ages.get(age)
-        if slot is not None and slot.collected:
+        if field._retired(age):
             return None, CollectedAgeError
+        slot = field._ages.get(age)
         mask = (
             np.zeros(extent, bool) if slot is None else slot.written.copy()
         )
