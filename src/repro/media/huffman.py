@@ -7,7 +7,8 @@ quantized zig-zag coefficients (the "VLC" in the paper's ``VLC + write``
 kernel) at two granularities:
 
 * :func:`encode_mcus` / :func:`decode_scan` code a whole scan — one
-  NumPy pass on encode, one table probe per symbol on decode.  These are
+  NumPy pass on encode, one table probe per one or two coefficients on
+  decode.  These are
   what :mod:`repro.media.jpeg` runs.
 * :func:`encode_block` / :func:`decode_block` follow the spec's
   per-block procedures over a :class:`BitWriter` / :class:`BitReader`.
@@ -131,6 +132,33 @@ class HuffmanTable:
         next 16 stream bits; 0 marks a window no code is a prefix of.
         Shared between equal tables (a DHT is re-parsed every frame)."""
         return _probe_table(self.bits, self.values)
+
+    def dc_tokens(self) -> tuple[array, tuple[tuple[int, int], ...]]:
+        """The DC *token table*: ``tokens[ids[window]]`` is ``(bits,
+        difference)`` for the code and magnitude the 16-bit ``window``
+        starts with, or ``(0, entry)`` with the window's
+        :meth:`probe_table` entry where they do not fit in it (or no
+        code matches).  Shared between equal tables, like
+        :meth:`probe_table`.
+        """
+        return _dc_tokens(self.bits, self.values)
+
+    def ac_tokens(self) -> tuple[array, tuple[tuple[int, ...], ...]]:
+        """The AC *token table*: ``tokens[ids[window]]`` is ``(bits, run,
+        value, run2, value2, bits1)``.  The window starts with a
+        coefficient ``run`` zeros on, its code and magnitude ``bits1``
+        bits long; ``run == -1`` is an EOB of ``bits`` bits and ``run ==
+        -2`` a window holding no plain token (ZRL, over 16 bits, no
+        code), with its :meth:`probe_table` entry as ``value``.
+        ``run2`` places what the rest of the window holds: a second
+        coefficient ``value2`` at offset ``run2`` from where the first
+        one's run starts, or ``65`` for an EOB, ``64`` for neither.
+        ``bits`` counts both tokens.
+
+        ``ids`` is an ``array('H')`` over the 65 536 windows and
+        ``tokens`` the table's distinct tokens: a few thousand tuples
+        rather than one per window.  Shared between equal tables."""
+        return _ac_tokens(self.bits, self.values)
 
     def read_symbol(self, reader: BitReader) -> int:
         """Decode one symbol bit by bit (spec F.2.2.3 DECODE procedure)."""
@@ -360,7 +388,12 @@ _MARKER = re.compile(rb"\xff(?!\x00)")
 
 @lru_cache(maxsize=32)
 def _probe_table(bits: tuple[int, ...], values: tuple[int, ...]) -> array:
-    """:meth:`HuffmanTable.probe_table` for a table ``__init__`` has
+    """:meth:`HuffmanTable.probe_table`."""
+    return array("H", _probe_lut(bits, values).tobytes())
+
+
+def _probe_lut(bits: tuple[int, ...], values: tuple[int, ...]) -> np.ndarray:
+    """The probe table as ``uint16`` for a table ``__init__`` has
     validated: every window that starts with a code maps to it."""
     lut = np.zeros(1 << 16, dtype=np.uint16)
     code = k = 0
@@ -373,7 +406,95 @@ def _probe_table(bits: tuple[int, ...], values: tuple[int, ...]) -> array:
             code += 1
             k += 1
         code <<= 1
-    return array("H", lut.tobytes())
+    return lut
+
+
+#: :meth:`HuffmanTable.ac_tokens` ``run`` codes for a first token that
+#: is not a coefficient.
+_EOB = -1
+_PROBE = -2
+
+
+def _window_tokens(
+    lut: np.ndarray, windows: np.ndarray, ac: bool
+) -> tuple[np.ndarray, ...]:
+    """``(entry, nbits, value, plain)`` of the token each 16-bit window
+    starts with: its probe-table entry, code plus magnitude bits, and the
+    signed value when ``plain`` (a coefficient or DC difference that fits
+    in the window)."""
+    entry = lut[windows].astype(np.int32)
+    length = entry >> 8
+    symbol = entry & 0xFF
+    cat = symbol & 0x0F if ac else symbol
+    nbits = length + cat
+    plain = (length > 0) & (nbits <= 16)
+    if ac:
+        plain &= (symbol != 0x00) & (symbol != 0xF0)
+    cat = np.where(plain, cat, 0)
+    mag = (windows >> np.where(plain, 16 - nbits, 0)) & ((1 << cat) - 1)
+    value = np.where(mag < (1 << cat) >> 1, mag + 1 - (1 << cat), mag)
+    return entry, nbits, value, plain
+
+
+def _distinct(columns: list[np.ndarray], widths: list[int]) -> tuple:
+    """``(ids, tokens)``: the distinct rows of ``columns`` (one value per
+    window each) as tuples, and per window its row's index as
+    ``array('H')``.  ``widths`` bound each column's bits after it is
+    offset to non-negative, for one int64 key per row."""
+    key = np.zeros(1 << 16, dtype=np.int64)
+    for column, width in zip(columns, widths):
+        key = (key << width) | (column + (1 << (width - 1)))
+    _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+    rows = np.stack([column[first] for column in columns], axis=1)
+    return (
+        array("H", ids.astype(np.uint16).tobytes()),
+        tuple(map(tuple, rows.tolist())),
+    )
+
+
+@lru_cache(maxsize=32)
+def _dc_tokens(bits: tuple[int, ...], values: tuple[int, ...]) -> tuple:
+    """:meth:`HuffmanTable.dc_tokens`."""
+    entry, nbits, value, plain = _window_tokens(
+        _probe_lut(bits, values), np.arange(1 << 16, dtype=np.int32), False
+    )
+    return _distinct(
+        [np.where(plain, nbits, 0), np.where(plain, value, entry)], [6, 18]
+    )
+
+
+@lru_cache(maxsize=32)
+def _ac_tokens(bits: tuple[int, ...], values: tuple[int, ...]) -> tuple:
+    """:meth:`HuffmanTable.ac_tokens`."""
+    lut = _probe_lut(bits, values)
+    windows = np.arange(1 << 16, dtype=np.int32)
+    entry, nbits, value, plain = _window_tokens(lut, windows, True)
+    eob = (entry > 0xFF) & ((entry & 0xFF) == 0x00)
+    bits1 = np.where(plain, nbits, np.where(eob, entry >> 8, 0))
+    run = np.where(plain, (entry >> 4) & 0x0F, np.where(eob, _EOB, _PROBE))
+    value1 = np.where(plain, value, np.where(eob, 0, entry))
+    # what the rest of the window holds, read as if it started there
+    rest = np.where(plain, 16 - nbits, 0)
+    entry, nbits, value, plain2 = _window_tokens(
+        lut, (windows << (16 - rest)) & 0xFFFF, True
+    )
+    fits = plain & (entry > 0xFF) & (nbits <= rest)
+    plain2 &= fits
+    eob = fits & ((entry & 0xFF) == 0x00)
+    return _distinct(
+        [
+            bits1 + np.where(plain2 | eob, nbits, 0),
+            run,
+            value1,
+            np.where(
+                plain2, run + 1 + ((entry >> 4) & 0x0F),
+                np.where(eob, 65, 64),
+            ),
+            np.where(plain2, value, 0),
+            bits1,
+        ],
+        [6, 6, 18, 8, 18, 6],
+    )
 
 
 def _bit_windows(data: bytes) -> array:
@@ -559,6 +680,11 @@ def decode_scan(scan: bytes, mcus: int, plan: Plan) -> np.ndarray:
     window no code matches, an AC run past the block or a DC category
     over 16, ``EOFError`` when the blocks need more bits than the scan
     holds.
+
+    One probe of a table's token table (:meth:`HuffmanTable.ac_tokens`)
+    reads the one or two tokens a 16-bit window holds; a window holding
+    none (ZRL, a token over 16 bits, no code at all) decodes one symbol
+    from the probe-table entry its token carries.
     """
     marker = _MARKER.search(scan)
     if marker:
@@ -568,67 +694,90 @@ def decode_scan(scan: bytes, mcus: int, plan: Plan) -> np.ndarray:
     at_marker = marker is not None
     win = _bit_windows(data)
     luts = [
-        (comp, dc.probe_table(), ac.probe_table()) for comp, dc, ac in plan
+        (comp, *dc.dc_tokens(), *ac.ac_tokens(), ac)
+        for comp, dc, ac in plan
     ]
     prev_dc = [0] * (1 + max(comp for comp, _dc, _ac in plan))
     half, neg = _HALF, _NEG
-    # (block * 64 + k, coefficient) for every coefficient coded
-    index: list[int] = []
-    value: list[int] = []
+    out = array("q", [0]) * (64 * mcus * len(plan))
     pos = 0
     base = 0
     for _ in range(mcus):
-        for comp, dc_lut, ac_lut in luts:
-            entry = dc_lut[win[pos]]
-            if not entry:
-                raise _scan_error(
-                    pos + 16, nbits, at_marker,
-                    "invalid Huffman code in stream",
-                )
-            pos += entry >> 8
-            cat = entry & 0xFF
-            if cat > 16:
-                raise _scan_error(
-                    pos, nbits, at_marker, f"DC category {cat} out of range"
-                )
-            bits = win[pos] >> (16 - cat)
-            pos += cat
-            dc = prev_dc[comp] + (
-                bits if bits >= half[cat] else bits + neg[cat]
-            )
-            prev_dc[comp] = dc
-            index.append(base)
-            value.append(dc)
-            k = 1
-            while k < 64:
-                entry = ac_lut[win[pos]]
+        for comp, dc_ids, dc_tok, ac_ids, ac_tok, ac in luts:
+            n, diff = dc_tok[dc_ids[win[pos]]]
+            if n:
+                pos += n
+            else:
+                entry = diff
                 if not entry:
                     raise _scan_error(
                         pos + 16, nbits, at_marker,
                         "invalid Huffman code in stream",
                     )
                 pos += entry >> 8
-                symbol = entry & 0xFF
-                cat = symbol & 0x0F
-                if not cat:
-                    if symbol == 0xF0:  # ZRL
-                        k += 16
-                        continue
-                    if not symbol:  # EOB
-                        break
-                k += symbol >> 4
-                if k > 63:
+                cat = entry & 0xFF
+                if cat > 16:
                     raise _scan_error(
-                        pos, nbits, at_marker, "AC run overflows block"
+                        pos, nbits, at_marker,
+                        f"DC category {cat} out of range",
                     )
                 bits = win[pos] >> (16 - cat)
                 pos += cat
-                index.append(base + k)
-                value.append(bits if bits >= half[cat] else bits + neg[cat])
-                k += 1
+                diff = bits if bits >= half[cat] else bits + neg[cat]
+            dc = prev_dc[comp] + diff
+            prev_dc[comp] = dc
+            out[base] = dc
+            k = base + 1
+            last = base + 63
+            while k <= last:
+                n, run, value, run2, value2, n1 = ac_tok[ac_ids[win[pos]]]
+                j = k + run2
+                if j <= last:  # two coefficients, both in the block
+                    out[k + run] = value
+                    out[j] = value2
+                    k = j + 1
+                    pos += n
+                elif run >= 0:
+                    k += run
+                    if k > last:
+                        raise _scan_error(
+                            pos + (ac.probe_table()[win[pos]] >> 8), nbits,
+                            at_marker, "AC run overflows block",
+                        )
+                    out[k] = value
+                    k += 1
+                    # an EOB behind it ends the block unless the value
+                    # took coefficient 63: then the next DC starts here
+                    if run2 > 64 and k <= last:
+                        pos += n
+                        break
+                    pos += n1
+                elif run == _EOB:
+                    pos += n
+                    break
+                else:
+                    entry = value
+                    if not entry:
+                        raise _scan_error(
+                            pos + 16, nbits, at_marker,
+                            "invalid Huffman code in stream",
+                        )
+                    pos += entry >> 8
+                    symbol = entry & 0xFF
+                    if symbol == 0xF0:  # ZRL
+                        k += 16
+                        continue
+                    k += symbol >> 4
+                    if k > last:
+                        raise _scan_error(
+                            pos, nbits, at_marker, "AC run overflows block"
+                        )
+                    cat = symbol & 0x0F
+                    bits = win[pos] >> (16 - cat)
+                    pos += cat
+                    out[k] = bits if bits >= half[cat] else bits + neg[cat]
+                    k += 1
             if pos > nbits:
                 raise _scan_error(pos, nbits, at_marker, "")
             base += 64
-    zz = np.zeros(mcus * len(plan) * 64, dtype=np.int64)
-    zz[index] = value
-    return zz.reshape(mcus, len(plan), 64)
+    return np.frombuffer(out, dtype=np.int64).reshape(mcus, len(plan), 64)

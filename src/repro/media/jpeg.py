@@ -19,6 +19,7 @@ order and the raster block grids.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -66,8 +67,13 @@ SOF0 = 0xC0
 DHT = 0xC4
 DQT = 0xDB
 SOS = 0xDA
+DRI = 0xDD
 APP0 = 0xE0
 COM = 0xFE
+
+#: The end of an entropy-coded segment: its first marker other than a
+#: stuffed 0xFF (``FF 00``) or RST0-7.
+_SCAN_END = re.compile(rb"\xff[^\x00\xd0-\xd7]")
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +308,9 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
 
     Supports the encoder's 4:2:0 output and, generically, any baseline
     sampling whose chroma planes subsample both directions equally.
+    Parsing stops at EOI or at the end of the data, so bytes after EOI
+    and a missing EOI are both accepted.  Restart intervals are not
+    supported: a DRI interval that splits the scan is a ``ValueError``.
     """
     if data[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG (missing SOI)")
@@ -310,14 +319,18 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
     htables: dict[tuple[int, int], HuffmanTable] = {}
     comps: list[_Component] = []
     width = height = 0
+    restart = 0
     scan_data = b""
     while pos < len(data):
         if data[pos] != 0xFF:
             raise ValueError(f"expected marker at offset {pos}")
-        if pos + 1 == len(data):
+        pos += 1
+        while pos < len(data) and data[pos] == 0xFF:
+            pos += 1  # fill bytes before a marker (B.1.1.2)
+        if pos == len(data):
             raise ValueError("truncated marker")
-        code = data[pos + 1]
-        pos += 2
+        code = data[pos]
+        pos += 1
         if code == EOI:
             break
         if code in (SOI,) or 0xD0 <= code <= 0xD7:
@@ -367,6 +380,10 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
                 1 <= c.h <= 4 and 1 <= c.v <= 4 for c in comps
             ):
                 raise ValueError("invalid component id or sampling factor")
+        elif code == DRI:
+            if len(payload) != 2:
+                raise ValueError("truncated DRI segment")
+            restart = int.from_bytes(payload, "big")
         elif code in (0xC1, 0xC2, 0xC3):
             raise ValueError("non-baseline SOF not supported")
         elif code == SOS:
@@ -380,8 +397,10 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
                     if comp.comp_id == cid:
                         comp.dc_table_id = tdta >> 4
                         comp.ac_table_id = tdta & 0x0F
-            # entropy data runs until the next real marker (EOI here)
-            end = len(data) - 2
+            # entropy data runs until the next marker that is not RSTn
+            # (EOI here), or to the end of a file that lacks it
+            end = _SCAN_END.search(data, pos)
+            end = end.start() if end else len(data)
             scan_data = data[pos:end]
             pos = end
         # other segments (APP0, COM, ...) are skipped
@@ -392,6 +411,11 @@ def decode_to_coefficients(data: bytes) -> DecodedCoefficients:
     vmax = max(c.v for c in comps)
     mcus_x = math.ceil(width / (8 * hmax))
     mcus_y = math.ceil(height / (8 * vmax))
+    if 0 < restart < mcus_x * mcus_y:
+        raise ValueError(
+            f"restart intervals are not supported (DRI every {restart} "
+            f"of {mcus_x * mcus_y} MCUs)"
+        )
     try:
         plan = [
             (i, htables[(0, c.dc_table_id)], htables[(1, c.ac_table_id)])

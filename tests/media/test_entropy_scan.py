@@ -12,9 +12,11 @@ the ``deep`` Hypothesis profile (``tests/conftest.py``) for ten times
 the default budget.
 """
 
+import gc
 import inspect
 import os
 import pathlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -441,6 +443,211 @@ class TestDecodeDifferential:
         for decode in (reference_decode_scan, decode_scan):
             with pytest.raises(ValueError, match="DC category 17"):
                 decode(b"\x00" * 16, 1, plan)
+
+
+# ----------------------------------------------------------------------
+# (ii b) decode under generated tables: token-table entries the standard
+# tables never produce (two tokens where codes are short, code + magnitude
+# over 16 bits, unmatched windows, category-0 and wide AC symbols)
+# ----------------------------------------------------------------------
+FREQUENT = [0x00, 0x01, 0x02, 0x11, 0x03, 0x21, 0x12, 0x04]
+
+
+def generated_table(rng, symbols, skew, unused, frequent_first):
+    """A valid DHT table for ``symbols``: a code tree grown by splitting
+    leaves (the deepest with probability ``skew``, so codes reach 16
+    bits), ``unused`` of its leaves left without a symbol (windows no
+    code matches)."""
+    leaves = [0]
+    while len(leaves) < max(2, len(symbols) + unused):
+        open_ = [i for i, depth in enumerate(leaves) if depth < 16]
+        if rng.random() < skew:
+            i = max(open_, key=leaves.__getitem__)
+        else:
+            i = open_[int(rng.integers(len(open_)))]
+        depth = leaves.pop(i)
+        leaves += [depth + 1, depth + 1]
+    rng.shuffle(leaves)
+    lengths = sorted(leaves[: len(symbols)])
+    order = list(rng.permutation(symbols))
+    if frequent_first:  # short codes to what blocks use most
+        order.sort(key=lambda s: s not in FREQUENT)
+    bits = [lengths.count(n) for n in range(1, 17)]
+    return HuffmanTable(bits, [int(s) for s in order])
+
+
+@st.composite
+def huffman_tables(draw):
+    """A generated (DC, AC) pair: DC categories 0..11; AC every run/size
+    a block can need and EOB, with or without ZRL, with or without
+    category-0 symbols such as 0x30 and categories 11..15."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    skew = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    unused = draw(st.integers(0, 2))
+    frequent_first = draw(st.booleans())
+    ac = [0x00] + [(run << 4) | cat for run in range(16)
+                   for cat in range(1, 11)]
+    if draw(st.booleans()):
+        ac.append(0xF0)
+    if draw(st.booleans()):
+        ac += [int(r) << 4 for r in rng.choice(np.arange(1, 15), 4, False)]
+    if draw(st.booleans()):
+        ac += [(int(r) << 4) | int(c) for r, c in zip(
+            rng.choice(16, 6, False), rng.integers(11, 16, 6))]
+    return (
+        generated_table(rng, list(range(12)), skew, unused, frequent_first),
+        generated_table(rng, ac, skew, unused, frequent_first),
+    )
+
+
+def token_stream(rng, dc, ac, blocks):
+    """``blocks`` blocks of random tokens from the tables: any symbol,
+    random magnitude bits, ZRL anywhere, now and then a run past the
+    block (the stream is wrong from there; both decoders must say so)."""
+    writer = BitWriter()
+    runs = [s for s in ac.values if s not in (0x00, 0xF0)]
+    for _ in range(blocks):
+        cat = int(rng.choice(dc.values))
+        writer.write_bits(*dc.encode(cat))
+        writer.write_bits(int(rng.integers(1 << cat)), cat)
+        k = 1
+        while k < 64:
+            if 0x00 in ac.values and rng.random() < 0.08:
+                writer.write_bits(*ac.encode(0x00))
+                break
+            fitting = [s for s in runs if k + (s >> 4) <= 63]
+            if 0xF0 in ac.values and rng.random() < 0.05:
+                symbol = 0xF0
+            elif fitting and rng.random() < 0.95:
+                symbol = int(rng.choice(fitting))
+            else:
+                symbol = int(rng.choice(runs))
+            writer.write_bits(*ac.encode(symbol))
+            if symbol == 0xF0:
+                k += 16
+                continue
+            cat = symbol & 0x0F
+            writer.write_bits(int(rng.integers(1 << cat)), cat)
+            k += (symbol >> 4) + 1
+        if k > 64:
+            break
+    writer.flush()
+    return writer.getvalue()
+
+
+class TestGeneratedTables:
+    @PROPERTY
+    @given(huffman_tables(), st.integers(0, 2**32 - 1),
+           st.sampled_from(SAMPLINGS))
+    def test_blocks_of_every_kind_decode_like_the_block_loop(
+        self, tables, seed, hv
+    ):
+        dc, ac = tables
+        rng = np.random.default_rng(seed)
+        h, v = hv
+        plan = [(0, dc, ac)] * (h * v) + [(1, dc, ac), (2, dc, ac)]
+        kinds = list(KINDS) + list(
+            rng.choice(KINDS, -len(KINDS) % len(plan))
+        )
+        rng.shuffle(kinds)
+        blocks = np.stack([make_block(kind, rng) for kind in kinds])
+        if 0xF0 not in ac.values:  # no run of 16 zeros to code
+            blocks[:, 1::16] += blocks[:, 1::16] == 0
+        zz = blocks.reshape(-1, len(plan), 64)
+        scan = encode_mcus(zz, plan)
+        got = decode_scan(scan, len(zz), plan)
+        assert np.array_equal(got, reference_decode_scan(scan, len(zz), plan))
+        assert np.array_equal(got, zz)
+
+    @PROPERTY
+    @given(huffman_tables(), st.integers(0, 2**32 - 1),
+           st.one_of(st.none(), st.integers(0, 300)))
+    def test_token_streams_decode_like_the_bit_reader(
+        self, tables, seed, cut
+    ):
+        dc, ac = tables
+        plan = [(0, dc, ac)]
+        scan = token_stream(np.random.default_rng(seed), dc, ac, 8)
+        if cut is not None:
+            scan = scan[:cut]
+        new = outcome(decode_scan, scan, 8, plan)
+        ref = outcome(reference_decode_scan, scan, 8, plan)
+        assert same_outcome(new, ref), (new, ref)
+
+
+class TestErrorPositions:
+    """``decode_scan`` judges an error where the bit reader meets it."""
+
+    @pytest.mark.parametrize("dc_cat", range(8))
+    def test_run_overflow_with_its_magnitude_past_the_data(self, dc_cat):
+        # coefficients 1..62, then run 1 / size 5 (11-bit code, a token
+        # of 16 bits) with no magnitude bits behind it: the reference
+        # stops at the code's end, before it would read past the data
+        writer = BitWriter()
+        writer.write_bits(*STD_DC_LUMA.encode(dc_cat))
+        writer.write_bits(0, dc_cat)
+        for _ in range(62):
+            writer.write_bits(*STD_AC_LUMA.encode(0x01))
+            writer.write_bits(1, 1)
+        writer.write_bits(*STD_AC_LUMA.encode(0x15))
+        pad = -writer.bit_length % 8
+        writer.flush()
+        plan = [(0, *LUMA)]
+        for decode in (reference_decode_scan, decode_scan):
+            with pytest.raises(ValueError, match="overflows"):
+                decode(writer.getvalue(), 1, plan)
+        if pad < 5:
+            with pytest.raises(EOFError):  # the magnitude is not there
+                BitReader(writer.getvalue()).read_bits(
+                    writer.bit_length - pad + 5
+                )
+
+    @pytest.mark.parametrize("scan, error", [
+        (bytes([0b00_01_1_111]), EOFError),  # 3 bits left: runs dry
+        (bytes([0b00_01_1_111]) + b"\xff\x00" * 2, ValueError),  # 19 left
+    ])
+    def test_an_unmatched_window_near_the_end(self, scan, error):
+        # DC "00", AC "01" + magnitude "1", then ones: no AC code
+        # starts with 1
+        short = HuffmanTable([0, 2] + [0] * 14, [0x00, 0x01])
+        plan = [(0, STD_DC_LUMA, short)]
+        for decode in (reference_decode_scan, decode_scan):
+            with pytest.raises(error):
+                decode(scan, 1, plan)
+
+
+def test_token_tables_are_small_and_untracked():
+    """Four fresh tables (equal lengths to Annex K, two symbols of one
+    length swapped so no cache holds them) add few objects for the
+    collector to walk and stay under 2 MiB.  One tuple per window
+    (65 536 each) would be ~20 MiB."""
+    def fresh(table, a, b):
+        values = list(table.values)
+        i, j = values.index(a), values.index(b)
+        assert table.encode(a)[1] == table.encode(b)[1]
+        values[i], values[j] = values[j], values[i]
+        return HuffmanTable(table.bits, values)
+
+    dc_y, dc_c = fresh(STD_DC_LUMA, 1, 2), fresh(STD_DC_CHROMA, 1, 2)
+    ac_y = fresh(STD_AC_LUMA, 0x01, 0x02)
+    ac_c = fresh(STD_AC_CHROMA, 0x03, 0x11)
+    zz = np.zeros((1, 2, 64), dtype=np.int64)
+    zz[0, :, :3] = [[5, 1, -2], [-3, 2, 1]]
+    plan = [(0, dc_y, ac_y), (1, dc_c, ac_c)]
+    scan = encode_mcus(zz, plan)
+    gc.collect()
+    before = len(gc.get_objects())
+    assert np.array_equal(decode_scan(scan, 1, plan), zz)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 200
+    tables = [dc_y.dc_tokens(), dc_c.dc_tokens(), ac_y.ac_tokens(),
+              ac_c.ac_tokens()]
+    size = 0
+    for ids, tokens in tables:
+        assert len(ids) == 1 << 16
+        size += ids.itemsize * len(ids) + sys.getsizeof(tokens)
+        size += sum(sys.getsizeof(token) for token in tokens)
+    assert size < 2 << 20
 
 
 # ----------------------------------------------------------------------

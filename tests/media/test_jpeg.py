@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.media.huffman import (
+    STD_AC_CHROMA,
+    STD_AC_LUMA,
+    STD_DC_CHROMA,
+    STD_DC_LUMA,
+    encode_mcus,
+)
 from repro.media.jpeg import (
     blocks_to_plane,
     decode_jpeg,
+    decode_to_coefficients,
     encode_jpeg,
     pad_plane,
     plane_to_blocks,
@@ -13,6 +21,7 @@ from repro.media.jpeg import (
     quantize_plane,
 )
 from repro.media.yuv import YUVFrame, psnr, synthetic_sequence
+from repro.media.zigzag import zigzag
 
 
 def frame(w=96, h=64, seed=3):
@@ -137,3 +146,88 @@ class TestDecodeErrors:
         data[idx + 1] = 0xC2  # pretend SOF2 (progressive)
         with pytest.raises(ValueError):
             decode_jpeg(bytes(data))
+
+
+def _clean_64x48():
+    """A 4:2:0 64x48 file (4 x 3 = 12 MCUs) and its coefficient grids."""
+    data = encode_jpeg(frame(64, 48, seed=7), 80)
+    return data, decode_to_coefficients(data)
+
+
+def _same_grids(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.grids, b.grids))
+
+
+class TestStreamEnd:
+    """Header parsing resumes at the marker that ends the scan and stops
+    at EOI or at the end of the data."""
+
+    def test_bytes_after_eoi_are_ignored(self):
+        data, clean = _clean_64x48()
+        assert _same_grids(decode_to_coefficients(data + b"\x00" * 3), clean)
+
+    def test_fill_bytes_before_eoi(self):
+        data, clean = _clean_64x48()
+        filled = data[:-2] + b"\xff\xff\xff" + data[-2:]
+        assert _same_grids(decode_to_coefficients(filled), clean)
+
+    def test_a_missing_eoi_ends_at_the_data(self):
+        data, clean = _clean_64x48()
+        assert data.endswith(b"\xff\xd9")
+        assert _same_grids(decode_to_coefficients(data[:-2]), clean)
+        assert _same_grids(decode_to_coefficients(data[:-1]), clean)
+
+
+class TestRestartInterval:
+    """A DRI segment is parsed: intervals that split the scan are named
+    as unsupported instead of failing at the first RSTn."""
+
+    PLAN = [(0, STD_DC_LUMA, STD_AC_LUMA)] * 4 + [
+        (1, STD_DC_CHROMA, STD_AC_CHROMA),
+        (2, STD_DC_CHROMA, STD_AC_CHROMA),
+    ]
+
+    @staticmethod
+    def _mcus(dec):
+        """The grids back in MCU order, zig-zag: Y00 Y01 Y10 Y11 Cb Cr."""
+        y, u, v = dec.grids
+        cbh, cbw = u.shape[:2]
+        n = cbh * cbw
+        luma = y.reshape(cbh, 2, cbw, 2, 8, 8).swapaxes(1, 2)
+        return zigzag(np.concatenate(
+            [luma.reshape(n, 4, 8, 8), u.reshape(n, 1, 8, 8),
+             v.reshape(n, 1, 8, 8)],
+            axis=1,
+        ))
+
+    @staticmethod
+    def _with_dri(data, interval, scan=None):
+        """``data`` with a DRI segment before SOS (and ``scan`` in place
+        of its entropy-coded segment)."""
+        sos = data.index(b"\xff\xda")
+        head = sos + 2 + int.from_bytes(data[sos + 2 : sos + 4], "big")
+        dri = b"\xff\xdd\x00\x04" + interval.to_bytes(2, "big")
+        if scan is None:
+            scan = data[head:-2]
+        return data[:sos] + dri + data[sos:head] + scan + b"\xff\xd9"
+
+    def test_intervals_inside_the_scan_are_a_named_value_error(self):
+        data, clean = _clean_64x48()
+        zz = self._mcus(clean)
+        assert zz.shape == (12, 6, 64)
+        whole = encode_mcus(zz, self.PLAN)
+        assert data.endswith(whole + b"\xff\xd9")
+        # every 4 MCUs the DC predictors reset and RST0, RST1 follow
+        scan = (
+            encode_mcus(zz[0:4], self.PLAN)
+            + b"\xff\xd0" + encode_mcus(zz[4:8], self.PLAN)
+            + b"\xff\xd1" + encode_mcus(zz[8:12], self.PLAN)
+        )
+        with pytest.raises(ValueError, match="restart interval"):
+            decode_to_coefficients(self._with_dri(data, 4, scan))
+
+    @pytest.mark.parametrize("interval", [0, 12, 100])
+    def test_an_interval_that_does_not_split_the_scan_decodes(self, interval):
+        data, clean = _clean_64x48()
+        dec = decode_to_coefficients(self._with_dri(data, interval))
+        assert _same_grids(dec, clean)
