@@ -665,6 +665,7 @@ def _cmd_kmeans(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    from .core import RuntimeStateError
     from .dist import (
         Cluster,
         ElasticityConfig,
@@ -734,6 +735,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     elif args.elastic:
         elastic = ElasticityConfig()
+    # A joined node is named node<k> too (the first name never held).
+    reachable = {f"node{i}" for i in range(
+        max(args.nodes, elastic.max_nodes if elastic else 0)
+    )}
+    for text, spec in zip(args.fail_node, specs):
+        if spec.node.split("~", 1)[0] not in reachable:
+            raise RuntimeStateError(
+                f"fault spec {text!r}: no node {spec.node!r} in a "
+                f"{args.nodes}-node cluster"
+            )
     obs = _Obs(args)
     try:
         result = Cluster(program, nodes).run(
@@ -758,8 +769,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     print(f"output: {summarize()}")
     for rec in result.recoveries:
         print(f"recovered {rec.failed} -> {rec.replacement} on {rec.host} "
-              f"(attempt {rec.attempt}, {rec.reenqueued} re-enqueued, "
-              f"{rec.replayed} replayed, {rec.recovery_s * 1e3:.0f} ms): "
+              f"(attempt {rec.attempt}, {rec.replayed} replayed, "
+              f"{rec.recovery_s * 1e3:.0f} ms): "
               f"{rec.reason}")
     for mig in result.migrations:
         print(f"migrated [{mig.reason}] epoch {mig.epoch}: "

@@ -61,7 +61,6 @@ from .errors import (
     KernelBodyError,
     RuntimeStateError,
     WorkerProcessError,
-    WriteOnceViolation,
 )
 from .events import ResizeEvent
 from .execute import run_batch
@@ -106,7 +105,10 @@ class ExecutionBackend:
     def execute(self, inst: KernelInstance, worker_id: int) -> None:
         """Run one instance: a claim of one (a convenience for callers
         outside the runtime; the worker loop never uses it)."""
-        self.execute_batch(Run.of((inst,)), worker_id)
+        self.execute_batch(
+            Run(inst.kernel, inst.age, np.array([inst.index], np.intp)),
+            worker_id,
+        )
 
     def on_retire(self, min_age: int, fields=None) -> None:
         """Every field age below ``min_age`` has been retired (streaming
@@ -159,18 +161,7 @@ class _NodeFields:
             # original delivery become runnable.
             if node.recover and field.is_complete(age, region):
                 continue
-            try:
-                resize = field.store(age, region, arr)
-            except WriteOnceViolation:
-                if not node.recover:
-                    raise
-                # Recovery dispatches the dead node's in-flight work
-                # twice on purpose (direct re-enqueue + replay-driven
-                # analyzer rediscovery); when both copies run
-                # concurrently the completeness check above races the
-                # other copy's commit.  Losing that race is the skip
-                # case arriving late: the winner wrote the same bytes.
-                continue
+            resize = field.store(age, region, arr)
             if resize is not None:
                 node._post(
                     ResizeEvent(

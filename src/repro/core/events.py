@@ -98,12 +98,6 @@ class InstanceDoneEvent(Event):
         """The claim's first member (built on demand)."""
         return self.claim[0]
 
-    @property
-    def members(self) -> tuple[tuple[KernelInstance, bool], ...]:
-        """Every ``(instance, stored)`` of the dispatch, in order (built
-        on demand)."""
-        return tuple(zip(self.claim, map(bool, self.stored)))
-
 
 class WorkToken:
     """One unit of outstanding work on a quiescence counter, released

@@ -18,7 +18,6 @@ static dependency graphs (:mod:`repro.core.graph`), kernel fusion
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field as dc_field
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -672,83 +671,41 @@ class Run:
     rows as they are.  A run is a sequence of :class:`KernelInstance`,
     each built only when it is asked for (``run[i]``, iteration); the
     runtime reads ``kernel``, ``age``, ``rows`` and :meth:`index`.
-
-    A run made of instances (:meth:`of`, ``ReadyQueue.push`` /
-    ``push_many``: a recovery re-enqueue, a test) keeps those objects:
-    they are its elements, and its rows are built when first read.
     """
 
-    __slots__ = ("kernel", "age", "_rows", "_members")
+    __slots__ = ("kernel", "age", "rows")
 
     def __init__(
-        self,
-        kernel: KernelDef,
-        age: int | None,
-        rows: np.ndarray | None = None,
-        members: tuple[KernelInstance, ...] | None = None,
+        self, kernel: KernelDef, age: int | None, rows: np.ndarray
     ) -> None:
         self.kernel = kernel
         self.age = age
-        self._rows = rows
-        self._members = members
-
-    @classmethod
-    def of(cls, instances) -> "Run":
-        """The run of ``instances`` (at least one, all of one kernel
-        definition and age)."""
-        members = tuple(instances)
-        head = members[0]
-        return cls(head.kernel, head.age, None, members)
+        self.rows = rows
 
     @staticmethod
     def join(parts: Sequence["Run"]) -> "Run":
         """Successor runs of one kernel definition and age as one."""
         head = parts[0]
-        if all(p._members is not None for p in parts):
-            return Run(head.kernel, head.age, None, tuple(
-                itertools.chain.from_iterable(p._members for p in parts)
-            ))
         return Run(head.kernel, head.age,
                    np.concatenate([p.rows for p in parts]))
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The ``(n, len(kernel.index_vars))`` intp index array."""
-        if self._rows is None:
-            self._rows = np.array(
-                [m.index for m in self._members], dtype=np.intp
-            ).reshape(len(self._members), len(self.kernel.index_vars))
-        return self._rows
-
     def index(self, i: int) -> tuple[int, ...]:
         """Element ``i``'s index values, as Python ints."""
-        if self._members is not None:
-            return self._members[i].index
-        return tuple(self._rows[i].tolist())
+        return tuple(self.rows[i].tolist())
 
     def __len__(self) -> int:
-        if self._members is not None:
-            return len(self._members)
-        return len(self._rows)
+        return len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Run(
-                self.kernel, self.age,
-                None if self._rows is None else self._rows[i],
-                None if self._members is None else self._members[i],
-            )
-        if self._members is not None:
-            return self._members[i]
+            return Run(self.kernel, self.age, self.rows[i])
         return KernelInstance(self.kernel, self.age, self.index(i))
 
     def __iter__(self) -> Iterator[KernelInstance]:
-        if self._members is not None:
-            return iter(self._members)
         kernel, age = self.kernel, self.age
         return (
             KernelInstance(kernel, age, tuple(row))
-            for row in self._rows.tolist()
+            for row in self.rows.tolist()
         )
 
     def __eq__(self, other) -> bool:

@@ -154,29 +154,9 @@ class ReadyQueue:
     def push(self, inst: KernelInstance) -> None:
         """Enqueue a runnable instance (wakes one waiting worker): a
         run of one."""
-        self.push_runs((Run(inst.kernel, inst.age, None, (inst,)),))
-
-    def push_many(self, instances) -> None:
-        """Enqueue runnable instances under one lock acquisition: each
-        maximal stretch of the argument sharing one kernel definition,
-        age and session becomes one run (:meth:`push_runs`)."""
-        session_of = self._session_of
-        runs = []
-        start, n = 0, len(instances)
-        while start < n:
-            head = instances[start]
-            session = session_of(head) if session_of else ""
-            stop = start + 1
-            while stop < n:
-                inst = instances[stop]
-                if inst.kernel is not head.kernel or inst.age != head.age or (
-                    session_of and session_of(inst) != session
-                ):
-                    break
-                stop += 1
-            runs.append(Run.of(instances[start:stop]))
-            start = stop
-        self.push_runs(runs)
+        self.push_runs((
+            Run(inst.kernel, inst.age, np.array([inst.index], np.intp)),
+        ))
 
     def push_runs(self, runs) -> None:
         """Enqueue :class:`~repro.core.kernels.Run` s as they come — the
@@ -379,21 +359,16 @@ class ReadyQueue:
             "ready.wait_s": self.wait.snapshot(),
         }
 
-    def drain(self) -> list:
-        """Remove and return every queued instance (sentinels dropped).
+    def drain(self) -> int:
+        """Remove every queued row (sentinels dropped); returns how many.
 
-        Used by the fail-stop wind-down of a distributed node: the
-        returned instances are the node's abandoned work, and the caller
-        retires their outstanding-work units so the cluster-wide counter
-        stays consistent after the node dies.
+        Used by the fail-stop wind-down of a distributed node: the rows
+        are the node's abandoned work, and the caller retires their
+        outstanding-work units so the cluster-wide counter stays
+        consistent after the node dies.
         """
         with self._cv:
-            items = [
-                item
-                for heap in self._heaps.values()
-                for _key, _seq, (run, pos, *_rest) in heap
-                for item in run[pos:]
-            ]
+            n = self._depth
             for heap in self._heaps.values():
                 heap.clear()
             for ages in self._session_ages.values():
@@ -401,7 +376,7 @@ class ReadyQueue:
             self._age_counts.clear()
             self._depth = 0
             self._sentinels = 0
-            return items
+            return n
 
     def __len__(self) -> int:
         with self._lock:
@@ -1120,8 +1095,8 @@ class ExecutionNode:
         # the counter reflects the abandoned work.
         leftovers = self.ready.drain()
         if leftovers:
-            self._abandoned += len(leftovers)
-            self._dec(len(leftovers))
+            self._abandoned += leftovers
+            self._dec(leftovers)
         # Shm hygiene: a wound-down node that *owns* its shared store has
         # no join() coming to unlink the segment names — release here or
         # they outlive the process in /dev/shm.  Cluster nodes share an

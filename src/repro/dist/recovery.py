@@ -14,9 +14,11 @@ the replacement and replays the transport's event log into it:
    including events the victim itself published (needed after a ``drop``
    partition, where *other* nodes missed them too: recovery skip-stores
    re-announce every region);
-2. the victim's frozen in-flight instances are re-enqueued directly
-   (:func:`reenqueue`);
-3. write-once determinism makes re-execution safe: any region the
+2. that history is the dependence relation, so the replacement's
+   analyzer re-derives from it alone every instance the victim left
+   unfinished — queued, frozen mid-claim or never dispatched — and
+   dispatches each once: the replay is the only re-execution path;
+3. write-once determinism makes re-execution exact: any region the
    victim already committed is skipped byte-identically, anything it
    never committed is produced for the first time.
 
@@ -88,31 +90,8 @@ class RecoveryRecord:
     attempt: int  #: 1-based restart attempt for the base node
     reason: str  #: what the failure detector observed
     abandoned: int  #: in-flight instances the victim never ran
-    reenqueued: int  #: instances re-enqueued directly on the replacement
     replayed: int  #: transport-log events replayed into its analyzer
     recovery_s: float  #: detection-to-replacement wall seconds
-
-
-def reenqueue(node: "ExecutionNode", instances) -> int:
-    """Re-enqueue a failed node's in-flight kernel instances onto a
-    replacement node's ready queue; returns how many were enqueued.
-
-    ``instances`` are the units frozen or abandoned at the dead node's
-    fail-stop boundary (never started, so never stored).  Instances whose
-    kernel the replacement does not own are skipped.  Duplication with
-    the replacement's own analyzer-driven dispatch is harmless: dispatch
-    is keyed per (kernel, age, index) in the analyzer, and a recovery
-    node skip-stores already-complete regions, so a doubly enqueued
-    instance at worst re-runs an idempotent body.
-    """
-    n = 0
-    for inst in instances:
-        if inst.kernel.name not in node.program.kernels:
-            continue
-        node._inc()
-        node.ready.push(inst)
-        n += 1
-    return n
 
 
 def _base_name(name: str) -> str:
@@ -163,10 +142,10 @@ class RecoveryManager:
     """Watches the failure detector and replaces dead nodes.
 
     The policy half of a recovery: poll the monitor, charge the restart
-    budget, back off, pick the name and host of the replacement,
-    re-enqueue the victim's captive instances — or give up with
-    :class:`~repro.core.errors.NodeFailureError`.  The mechanics are the
-    run's :meth:`~repro.dist.cluster._ClusterRun.succession`, entered
+    budget, back off, pick the name and host of the replacement — or
+    give up with :class:`~repro.core.errors.NodeFailureError`.  The
+    mechanics are the run's
+    :meth:`~repro.dist.cluster._ClusterRun.succession`, entered
     under the cluster's one membership lock, so a failure detected
     during a migration is handled after its commit.  Runs its own daemon
     thread; on an unrecoverable failure it records the error, pokes the
@@ -238,19 +217,15 @@ class RecoveryManager:
         time.sleep(BACKOFF_BASE * 2 ** (attempt - 1))
         repl_name = f"{base}~{attempt}"
         master.replace(name, repl_name)
-        # Held past the succession's own token: the captive instances
-        # may be the only work the replacement has left.
+        # Held past the succession's own token, across the topology
+        # transition: until the replacement is active, the work the
+        # replay handed it may be the only work the run has left.
         with WorkToken(rt.counter, label=f"recover:{name}"):
             done = rt.succession(
                 [name], {repl_name: (node.program, node.workers)}, reason,
                 failed=True,
             )
             master.topology.transition(repl_name, "active")
-            captive = (
-                rt.faults.captive_instances(name)
-                if rt.faults is not None else []
-            )
-            n_re = reenqueue(rt.exec_nodes[repl_name], captive)
         rt.file_succession(
             "recovery",
             RecoveryRecord(
@@ -260,11 +235,9 @@ class RecoveryManager:
                 attempt=attempt,
                 reason=reason,
                 abandoned=done.abandoned,
-                reenqueued=n_re,
                 replayed=done.replayed,
                 recovery_s=time.monotonic() - t0,
             ),
             self.records, event="re-execution", span=f"recover:{name}",
-            tr_t0=tr_t0, timer="recovery_s", reenqueued=n_re,
-            replayed=done.replayed,
+            tr_t0=tr_t0, timer="recovery_s", replayed=done.replayed,
         )

@@ -19,7 +19,7 @@ from repro.core import (
 )
 from repro.core.events import InstanceDoneEvent, ResizeEvent, StoreEvent
 from repro.core.fields import normalize_index
-from repro.core.kernels import KernelInstance, Run
+from repro.core.kernels import Run
 from tests.conftest import flatten_runs
 
 
@@ -233,7 +233,7 @@ class TestSourceAdvance:
         prog = simple_program()
         an = DependencyAnalyzer(prog, FieldStore(prog.fields.values()))
         per = prog.kernels["per"]
-        ev = InstanceDoneEvent(Run.of([KernelInstance(per, 0, (0,))]), [True])
+        ev = InstanceDoneEvent(Run(per, 0, np.array([[0]], np.intp)), [True])
         assert an.on_done(ev) == []
 
 

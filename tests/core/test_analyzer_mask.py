@@ -73,7 +73,9 @@ class _SetAnalyzer(DependencyAnalyzer):
         k = ev.instance.kernel
         if not k.self_advances or not self._age_ok(ev.instance.age + 1, k):
             return []
-        stored = [inst.index for inst, stored in ev.members if stored]
+        stored = [
+            inst.index for inst, stored in zip(ev.claim, ev.stored) if stored
+        ]
         return self._claim_set(k, ev.instance.age + 1, stored)
 
     def _collect(self, kernel, age, boxes):

@@ -661,12 +661,11 @@ class TestScalarClaims:
 
 
 class TestRecoverCommitRace:
-    """Recovery dispatches a dead node's in-flight work twice (direct
-    re-enqueue + replay-driven analyzer rediscovery).  When both copies
-    run concurrently, the loser passes the completeness pre-check and
-    then loses the write-once commit race — a recover node must treat
-    that exactly like the already-complete skip (the winner wrote the
-    same bytes), on both the scalar and the vectorized store path."""
+    """A successor re-executes its predecessor's unfinished work only
+    through the event-log replay, which dispatches each instance once,
+    so no two copies of one instance race to commit.  A write-once
+    violation is a bug on a recover node as anywhere else: it raises,
+    on both the scalar and the vectorized store path."""
 
     @staticmethod
     def _race_first_store(node, field_name):
@@ -687,15 +686,14 @@ class TestRecoverCommitRace:
         return fired
 
     @pytest.mark.parametrize("batch", [1, 4])
-    def test_recover_node_tolerates_losing_the_race(self, batch):
-        sink = {}
-        program, _ = build_mulsum(sink=sink)
+    def test_recover_node_raises_on_a_lost_race(self, batch):
+        program, _ = build_mulsum()
         node = ExecutionNode(program, 2, max_age=2, recover=True,
                              batch=batch)
         fired = self._race_first_store(node, "p_data")
-        node.run(timeout=60)
-        assert fired  # the race actually happened
-        _assert_mulsum(sink, 3)
+        with pytest.raises(WriteOnceViolation):
+            node.run(timeout=60)
+        assert fired
 
     def test_non_recover_node_still_raises(self):
         program, _ = build_mulsum()
@@ -954,7 +952,7 @@ class TestEventGranularity:
 
         def counting_done(ev):
             seen["done"] += 1
-            seen["members"] += len(ev.members)
+            seen["members"] += len(ev.claim)
             return on_done(ev)
 
         def counting_execute(batch_, worker_id):

@@ -1,5 +1,7 @@
 """Unit tests for the runtime's event records and work tokens."""
 
+import numpy as np
+
 from repro.core import InstanceDoneEvent, KernelDef, StoreEvent
 from repro.core.kernels import KernelInstance, Run
 
@@ -29,18 +31,25 @@ class TestEventRecords:
         assert ev.regions == (a, b, c)
 
     def test_done_event_members(self):
+        """A done event carries every member of its claim, in order,
+        with one stored flag each; ``instance`` is the first, built on
+        demand from the claim's rows."""
         k = KernelDef("k", lambda ctx: None, index_vars=("x",),
                       domain={"x": 2})
         i0, i1 = KernelInstance(k, None, (0,)), KernelInstance(k, None, (1,))
-        assert InstanceDoneEvent(Run.of([i0]), [True]).members == (
-            (i0, True),)
-        ev = InstanceDoneEvent(Run.of([i0, i1]), [True, False])
-        assert ev.instance is i0
-        assert ev.members == ((i0, True), (i1, False))
+        ev = InstanceDoneEvent(Run(k, None, np.array([[0]], np.intp)), [True])
+        assert list(zip(ev.claim, ev.stored)) == [(i0, True)]
+        ev = InstanceDoneEvent(
+            Run(k, None, np.array([[0], [1]], np.intp)), [True, False]
+        )
+        assert ev.instance == i0
+        assert list(zip(ev.claim, ev.stored)) == [(i0, True), (i1, False)]
 
     def test_done_event_defaults(self):
         k = KernelDef("k", lambda ctx: None)
-        ev = InstanceDoneEvent(Run.of([KernelInstance(k)]), [False])
+        ev = InstanceDoneEvent(
+            Run(k, None, np.zeros((1, 0), np.intp)), [False]
+        )
         assert ev.kernel_time == 0.0
         assert not ev.stored[0]
 

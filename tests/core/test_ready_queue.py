@@ -6,11 +6,13 @@ claims — against a per-instance reference under every policy."""
 
 import heapq
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kernels import KernelDef
+from repro.core.kernels import KernelDef, Run
 from repro.core.runtime import KernelInstance, ReadyQueue
 
 
@@ -110,8 +112,7 @@ class TestFairEmptyHeaps:
         q.push(inst("a", 1))
         q.push(inst("b", 2))
         q.push_sentinel()
-        items = q.drain()
-        assert len(items) == 2
+        assert q.drain() == 2  # rows, not sentinels
         assert len(q) == 0
         assert q.min_age("a") is None and q.min_age("b") is None
 
@@ -140,31 +141,26 @@ class _PerInstanceQueue:
         name = inst.kernel.name
         return name[:name.find(".")] if self.fair and "." in name else ""
 
-    def push_many(self, instances):
-        stretch = {}  # id(inst) -> length of its same-kernel/age stretch
-        for _key, group in itertools.groupby(
-            instances,
-            key=lambda i: (id(i.kernel), i.age, self._session(i)),
-        ):
-            group = list(group)
-            stretch.update((id(inst), len(group)) for inst in group)
-        for inst in instances:
-            seq = next(self.seq)
-            age = -1 if inst.age is None else inst.age
-            key = {"fifo": (0, seq), "lifo": (0, -seq)}.get(
-                self.scheduling, (age, seq)
-            )
-            session = self._session(inst)
-            if session not in self.heaps:
-                self.heaps[session] = []
-                self.order.append(session)
-                self.deficit[session] = self.quantum.get(session, 1)
-            heapq.heappush(
-                self.heaps[session], (key, inst, stretch[id(inst)])
-            )
+    def push_runs(self, runs):
+        for run in runs:
+            for inst in run:
+                self._push(inst, len(run))
 
     def push(self, inst):
-        self.push_many((inst,))
+        self._push(inst, 1)
+
+    def _push(self, inst, stretch):
+        seq = next(self.seq)
+        age = -1 if inst.age is None else inst.age
+        key = {"fifo": (0, seq), "lifo": (0, -seq)}.get(
+            self.scheduling, (age, seq)
+        )
+        session = self._session(inst)
+        if session not in self.heaps:
+            self.heaps[session] = []
+            self.order.append(session)
+            self.deficit[session] = self.quantum.get(session, 1)
+        heapq.heappush(self.heaps[session], (key, inst, stretch))
 
     def depth(self):
         return sum(len(h) for h in self.heaps.values())
@@ -226,23 +222,47 @@ _instances = st.builds(
     st.tuples(st.integers(0, 63)),
 )
 
+
+def _run(kernel, age, xs):
+    return Run(kernel, age, np.array(xs, np.intp).reshape(len(xs), 1))
+
+
+def _key(inst):
+    return inst.kernel.name, inst.age, inst.index
+
+
+def _queued(q):
+    """The rows ``q`` holds, as a ``(kernel, age, index)`` multiset."""
+    return Counter(
+        _key(inst)
+        for heap in q._heaps.values()
+        for _key_, _seq, (run, pos, *_rest) in heap
+        for inst in run[pos:]
+    )
+
+
+_ages = st.one_of(st.none(), st.integers(0, 3))
 _ops = st.lists(
     st.one_of(
-        # analyzer-shaped pushes: stretches of one kernel and age...
+        # analyzer-shaped pushes: runs of consecutive rows...
         st.tuples(
-            st.just("push_many"),
+            st.just("push_runs"),
             st.lists(
-                st.tuples(st.sampled_from(_KERNELS),
-                          st.one_of(st.none(), st.integers(0, 3)),
+                st.builds(lambda k, age, n: _run(k, age, range(n)),
+                          st.sampled_from(_KERNELS), _ages,
                           st.integers(1, 6)),
                 max_size=3,
-            ).map(lambda runs: [
-                KernelInstance(k, age, (i,))
-                for k, age, n in runs for i in range(n)
-            ]),
+            ),
         ),
-        # ...and arbitrary ones
-        st.tuples(st.just("push_many"), st.lists(_instances, max_size=6)),
+        # ...and arbitrary rows (empty runs included)
+        st.tuples(
+            st.just("push_runs"),
+            st.lists(
+                st.builds(_run, st.sampled_from(_KERNELS), _ages,
+                          st.lists(st.integers(0, 63), max_size=6)),
+                max_size=3,
+            ),
+        ),
         st.tuples(st.just("push"), _instances),
         st.tuples(st.just("pop_batch"), st.integers(1, 5)),
         # the worker loop's claim: (batch, workers)
@@ -283,15 +303,15 @@ class TestRunEntriesEqualPerInstanceHeap:
                 popped += len(batch)
                 waited += wait
             elif op == "drain":
-                assert sorted(map(id, q.drain())) == sorted(
-                    map(id, ref.drain())
-                )
+                items = ref.drain()
+                assert _queued(q) == Counter(map(_key, items))
+                assert q.drain() == len(items)
             elif op == "min_age":
                 assert q.min_age(arg) == ref.min_age(arg)
             else:
                 getattr(q, op)(arg)
                 getattr(ref, op)(arg)
-                pushed += len(arg) if op == "push_many" else 1
+                pushed += sum(map(len, arg)) if op == "push_runs" else 1
             assert len(q) == ref.depth()
             assert (q.pushes, q.pops) == (pushed, popped)
             assert q.wait.snapshot()["sum"] == pytest.approx(waited)
@@ -308,15 +328,15 @@ class TestShareSizedClaims:
     """``pop_batch(batch, workers)``: the worker loop's claim."""
 
     @staticmethod
-    def _run(kernel, n, age=0):
-        return [KernelInstance(kernel, age, (i,)) for i in range(n)]
+    def _runs(kernel, n, age=0):
+        return [_run(kernel, age, range(n))]
 
     def test_a_run_goes_out_in_one_claim_per_worker(self):
         """The share is of the run as it was pushed, not of what is
         left: the later workers get the other thirds, not a third of
         two thirds."""
         q = ReadyQueue()
-        q.push_many(self._run(_KERNELS[3], 100))
+        q.push_runs(self._runs(_KERNELS[3], 100))
         sizes = []
         while len(q):
             sizes.append(len(q.pop_batch(8, 3)[0]))
@@ -324,7 +344,7 @@ class TestShareSizedClaims:
 
     def test_never_less_than_batch_and_batch_1_is_a_singleton(self):
         q = ReadyQueue()
-        q.push_many(self._run(_KERNELS[3], 20))
+        q.push_runs(self._runs(_KERNELS[3], 20))
         assert len(q.pop_batch(8, 4)[0]) == 8  # ceil(20 / 4) < batch
         assert len(q.pop_batch(1, 4)[0]) == 1
         assert len(q.pop_batch(8)[0]) == 8     # no workers: max_n rules
@@ -345,7 +365,7 @@ class TestShareSizedClaims:
         q = ReadyQueue("fair")
         for age in range(5):
             for t in tenants:
-                q.push_many(self._run(kernels[t], 48, age))
+                q.push_runs(self._runs(kernels[t], 48, age))
         served = {t: 0 for t in tenants}
         order = []
         while len(q):

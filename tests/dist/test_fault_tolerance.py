@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import NodeFailureError, RuntimeStateError, WorkCounter
+from repro.core import (
+    KernelDef,
+    NodeFailureError,
+    RuntimeStateError,
+    WorkCounter,
+)
+from repro.core.kernels import Run
 from repro.dist import (
     Cluster,
     FaultInjector,
@@ -26,6 +32,7 @@ from repro.dist import (
     ProcessorSpec,
     RecoveryConfig,
 )
+from repro.dist.faults import _FaultBackend
 from repro.media import synthetic_sequence
 from repro.obs import flatten
 from repro.workloads import (
@@ -136,69 +143,116 @@ class TestHeartbeatDetection:
         assert mon.check() == []
 
 
+def rows(n):
+    """A claim of ``n`` rows of one kernel at age 0."""
+    k = KernelDef("k", lambda ctx: None, index_vars=("x",),
+                  domain={"x": n})
+    return Run(k, 0, np.arange(n, dtype=np.intp).reshape(n, 1))
+
+
+class Inner:
+    """The wrapped backend: records each slice it is handed, and the
+    transport's dropped senders when it is."""
+
+    name = "fake"
+
+    def __init__(self, transport=None):
+        self.calls = []
+        self.transport = transport
+
+    def execute_batch(self, batch, worker_id):
+        cut = self.transport.dropped_senders() if self.transport else None
+        self.calls.append((batch.rows[:, 0].tolist(), cut))
+
+
+def execute(inj, n, transport=None):
+    """One ``n``-row claim through a failable node ``n``'s backend;
+    returns the inner backend's slices (row lists, dropped senders)."""
+    inner = Inner(transport)
+    _FaultBackend(inner, "n", inj).execute_batch(rows(n), 0)
+    return inner.calls
+
+
 class TestInjectorUnit:
+    """The claim API: the injector admits a claim's rows up to the next
+    due fault boundary, and the backend hands each admitted stretch to
+    the inner backend as one slice."""
+
     def test_trigger_counts_instances(self):
         inj = injector(FaultSpec("n", "kill", 2))
-        assert inj._before_execute("n", "i0") is False
-        assert inj._before_execute("n", "i1") is False
-        assert inj._before_execute("n", "i2") is True  # fault fires
+        inj.release("n")  # as after teardown: frozen workers return at once
+        assert execute(inj, 1) == [([0], None)]
+        assert execute(inj, 3) == [([0], None)]  # fires before row 1
+        assert inj.executed("n") == 2
+        assert [f.at_instances for f in inj.fired] == [2]
         assert inj.is_down("n")
         assert inj.heartbeats_suppressed("n")
-        assert inj.captive_instances("n") == ["i2"]
-        # subsequent workers are captured too
-        assert inj._before_execute("n", "i3") is True
         assert inj.captive_count("n") == 2
+        # subsequent claims are captured whole
+        assert execute(inj, 5) == []
+        assert inj.captive_count("n") == 7
+        assert inj.executed("n") == 2
 
     def test_batch_of_32_stops_at_the_scheduled_instance(self):
-        """A failable node hands its backend batches of one, so a kill
-        scheduled after the 4th instance fires there even when all 32
-        arrive as one batch."""
-        from repro.dist.faults import _FaultBackend
-
-        class Inner:
-            name = "fake"
-
-            def __init__(self):
-                self.calls = []
-
-            def execute_batch(self, batch, worker_id):
-                self.calls.append(list(batch))
-
+        """A kill scheduled after the 4th instance fires there even when
+        all 32 arrive as one claim: rows 0-3 run as one slice, the other
+        28 are captive."""
         inj = injector(FaultSpec("n", "kill", 4))
-        inj.release("n")  # as after teardown: frozen workers return at once
-        inner = Inner()
-        _FaultBackend(inner, "n", inj).execute_batch(
-            [f"i{j}" for j in range(32)], 0
-        )
-        assert inner.calls == [["i0"], ["i1"], ["i2"], ["i3"]]
+        inj.release("n")
+        assert execute(inj, 32) == [([0, 1, 2, 3], None)]
         assert inj.fired[0].at_instances == 4
         assert inj.executed("n") == 4
         assert inj.captive_count("n") == 28
 
     def test_stall_keeps_heartbeats(self):
         inj = injector(FaultSpec("n", "stall", 0))
-        assert inj._before_execute("n", "i") is True
+        inj.release("n")
+        assert execute(inj, 3) == []
         assert inj.is_down("n")
         assert not inj.heartbeats_suppressed("n")
+        assert inj.captive_count("n") == 3
 
     def test_drop_partitions_transport(self):
+        """A drop after 3 rows of 8 cuts the claim in two: the first
+        slice runs connected, the partition is in force for the
+        second."""
         t = InProcTransport()
         c = WorkCounter()
-        inj = injector(FaultSpec("n", "drop", 1))
+        inj = injector(FaultSpec("n", "drop", 3))
         inj.attach(t, c)
-        assert inj._before_execute("n", "i0") is False
-        assert t.dropped_senders() == set()
-        assert inj._before_execute("n", "i1") is False  # runs, but cut off
-        assert t.dropped_senders() == {"n"}
+        assert execute(inj, 8, t) == [
+            ([0, 1, 2], set()), ([3, 4, 5, 6, 7], {"n"}),
+        ]
+        assert inj.fired[0].at_instances == 3
+        assert inj.executed("n") == 8
         assert not inj.is_down("n")
         assert c.value() == 1  # fault token held
         inj.release_token("n")
         assert c.value() == 0
 
+    def test_two_specs_in_one_claim_fire_in_trigger_order(self):
+        """Listed kill-first, the drop after 2 still fires before the
+        kill after 5; each is exact per instance."""
+        t = InProcTransport()
+        inj = injector(FaultSpec("n", "kill", 5), FaultSpec("n", "drop", 2))
+        inj.attach(t, WorkCounter())
+        inj.release("n")
+        assert execute(inj, 8, t) == [([0, 1], set()), ([2, 3, 4], {"n"})]
+        assert [(f.spec.kind, f.at_instances) for f in inj.fired] == [
+            ("drop", 2), ("kill", 5),
+        ]
+        assert inj.executed("n") == 5
+        assert inj.captive_count("n") == 3
+
     def test_exact_name_match_spares_replacement(self):
         inj = injector(FaultSpec("n", "kill", 0))
-        assert inj._before_execute("n~1", "i") is False
-        assert inj._before_execute("n", "i") is True
+        inj.release("n")
+        inner = Inner()
+        _FaultBackend(inner, "n~1", inj).execute_batch(rows(4), 0)
+        assert inner.calls == [([0, 1, 2, 3], None)]
+        assert inj.executed("n~1") == 4 and not inj.fired
+        assert execute(inj, 4) == []
+        assert inj.is_down("n") and not inj.is_down("n~1")
 
 
 class TestKillRecovery:
@@ -281,7 +335,6 @@ class TestKillRecovery:
         flat = flatten(res.metrics.snapshot())
         assert flat["recovery.node_failures"] == 1
         assert flat["recovery.replayed"] == rec.replayed
-        assert flat["recovery.reenqueued"] == rec.reenqueued
         assert flat["recovery.recovery_s.count"] == 1
         assert not hasattr(res.instrumentation, "node_failures")
 

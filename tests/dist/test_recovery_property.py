@@ -1,7 +1,8 @@
 """Property-based recovery tests (Hypothesis).
 
 Whatever single fault is injected — any victim, any kill/drop kind, any
-trigger point, any 2/3-way partitioning — a recovered run must reach
+trigger point, any 2/3-way partitioning, any claim size (a fault cuts a
+claim at its boundary) — a recovered run must reach
 quiescence (never hang: the cluster ``timeout`` is the watchdog), must
 never violate write-once semantics (the runtime raises
 ``WriteOnceViolation`` if re-execution double-writes diverging bytes),
@@ -23,7 +24,7 @@ FAST = RecoveryConfig(heartbeat_interval=0.01, heartbeat_timeout=0.1)
 MAX_AGE = 3
 
 
-def run_cluster(n_nodes: int, faults: FaultInjector | None):
+def run_cluster(n_nodes: int, faults: FaultInjector | None, batch: int = 1):
     program, sink = build_mulsum()
     workers = {f"n{i}": 2 for i in range(n_nodes)}
     cluster = Cluster(program, workers)
@@ -32,6 +33,7 @@ def run_cluster(n_nodes: int, faults: FaultInjector | None):
         timeout=120,  # hang watchdog: quiescence must arrive well before
         faults=faults,
         recovery=FAST if faults is not None else None,
+        batch=batch,
     )
     assert_registries_agree(cluster, result)
     return result, sink
@@ -47,11 +49,12 @@ def run_cluster(n_nodes: int, faults: FaultInjector | None):
     victim=st.integers(min_value=0, max_value=2),
     kind=st.sampled_from(["kill", "drop"]),
     after=st.integers(min_value=0, max_value=6),
+    batch=st.sampled_from([1, 4, 32]),
 )
-def test_single_fault_recovery_is_exact(n_nodes, victim, kind, after):
+def test_single_fault_recovery_is_exact(n_nodes, victim, kind, after, batch):
     spec = FaultSpec(f"n{victim % n_nodes}", kind, after)
     faults = FaultInjector(FaultSchedule([spec]))
-    result, sink = run_cluster(n_nodes, faults)
+    result, sink = run_cluster(n_nodes, faults, batch)
 
     # Quiescence, not a hang and not an abort: recovery (or a fault that
     # never fired) must end in global idle within the watchdog.

@@ -245,11 +245,17 @@ class TestClusterCommand:
         # lay beyond the run's instance count — both are clean exits
         assert ("recovered" in out) or ("no scheduled fault fired" in out)
 
-    def test_parser_rejects_bad_fault_spec(self):
+    @pytest.mark.parametrize("spec", [
+        "node0:explode",     # unknown kind
+        "node0:kill:2:junk",  # a field too many
+        "node0:kill:x",      # AFTER not an integer
+        "node9:kill",        # no such node in a 3-node cluster
+    ])
+    def test_parser_rejects_bad_fault_spec(self, spec):
         from repro.core import RuntimeStateError
 
-        with pytest.raises(RuntimeStateError):
-            main(["cluster", "mulsum", "--fail-node", "node0:explode"])
+        with pytest.raises(RuntimeStateError, match="fault"):
+            main(["cluster", "mulsum", "--nodes", "3", "--fail-node", spec])
 
     def test_stall_fault_detected_via_progress_timeout(self, capsys):
         code = main([
