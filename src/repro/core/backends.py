@@ -8,8 +8,9 @@ popped kernel instance's body executes:
   the node's worker threads.  Deterministic and zero-setup, but
   CPU-bound kernels serialize on the GIL, so scaling curves are flat.
 * :class:`ProcessBackend` — true-parallel execution.  Each worker
-  thread becomes a *proxy* that forwards ``(kernel_name, age, rows)``
-  messages — ``rows`` the claim's index array — over a dedicated pipe
+  thread becomes a *proxy* that forwards ``(kernel_name, age, rows,
+  segs)`` messages — ``rows`` the claim's index array, ``segs`` the
+  segments it fetches from and stores to — over a dedicated pipe
   to a long-lived worker process and blocks on the reply (releasing
   the GIL).  Field payloads live in
   ``multiprocessing.shared_memory`` segments
@@ -36,13 +37,15 @@ spawn).
 The division of labour in the process backend keeps the P2G semantics
 exactly where they were:
 
-* the **parent** owns segment lifecycle (creates each age's segment at
-  dispatch time, before any worker could touch it; unlinks at GC and
-  teardown) and all write-once bookkeeping — a worker's store report is
-  applied via :meth:`~repro.core.fields.Field.mark_written_many`, so
-  violations raise in the parent just like on the threads backend;
-* **workers** only read and write payload bytes through views attached
-  by the deterministic :func:`~repro.core.fields.segment_name`, and
+* the **parent** owns segment lifecycle (gives each age a segment at
+  dispatch time, before any worker could touch it — a retired age's
+  when its field has one pooled; unlinks them all at teardown) and all
+  write-once bookkeeping — a worker's store report is applied via
+  :meth:`~repro.core.fields.Field.mark_written_many`, so violations
+  raise in the parent just like on the threads backend;
+* **workers** only read and write payload bytes through views of the
+  segments a claim's message names, each attached once by
+  :func:`~repro.core.fields.segment_name` and kept until shutdown, and
   ship out-of-band ``ctx.output`` values back for parent-side delivery.
 """
 
@@ -109,18 +112,6 @@ class ExecutionBackend:
             Run(inst.kernel, inst.age, np.array([inst.index], np.intp)),
             worker_id,
         )
-
-    def on_retire(self, min_age: int, fields=None) -> None:
-        """Every field age below ``min_age`` has been retired (streaming
-        age retirement — see :mod:`repro.stream`).  The parent has
-        already freed the backing storage; backends holding per-age
-        resources elsewhere release them here.  In-parent backends need
-        nothing (default no-op); the process backend tells its workers
-        to drop their cached shared-memory views so the unlinked
-        segments' pages actually return to the kernel.  ``fields`` (an
-        iterable of field names, or ``None`` for all) scopes the drop —
-        a multi-tenant retirer frees one session's ages while other
-        sessions' same-numbered ages stay mapped."""
 
     def shutdown(self) -> None:
         """Release execution resources (idempotent)."""
@@ -207,29 +198,40 @@ class ThreadBackend(ExecutionBackend):
 # Worker-process side
 # ----------------------------------------------------------------------
 class _SegmentCache:
-    """A worker process's fields: a cache of attached shared-memory
-    views, keyed by ``(field, age)``, and the field-access adapter over
-    them (see :mod:`repro.core.execute`).  Reads and writes go straight
-    to the views — a :class:`~repro.core.fields.RegionGroup` as one
-    gather or scatter; the routine's store records travel back to the
-    parent, which owns all write-once bookkeeping.
+    """A worker process's fields: the shared-memory views it attached,
+    keyed by ``(field, serial)``, and the field-access adapter over them
+    (see :mod:`repro.core.execute`).  Reads and writes go straight to
+    the views — a :class:`~repro.core.fields.RegionGroup` as one gather
+    or scatter; the routine's store records travel back to the parent,
+    which owns all write-once bookkeeping.
 
-    Ages retire monotonically, so eviction drops the lowest ages first.
-    A view the kernel body still references cannot be unmapped
-    (``close`` raises ``BufferError``); such entries are simply kept.
+    A claim's message names the segment of each (field, age) it touches
+    (:meth:`bind`).  The parent unlinks segments only at teardown — a
+    retired age's segment serves a later age — so a view never goes
+    stale: each segment is attached once and every view is closed at
+    shutdown.
     """
 
-    def __init__(
-        self, run_id: str, shared_tracker: bool, fdefs, limit: int = 128
-    ) -> None:
+    def __init__(self, run_id: str, shared_tracker: bool, fdefs) -> None:
         self.run_id = run_id
         self.shared_tracker = shared_tracker
-        self.limit = limit
         self._entries: dict[tuple[str, int], tuple[Any, np.ndarray]] = {}
+        #: the current claim's ``(field, age) -> serial``
+        self._segs: dict[tuple[str, int], int] = {}
         # A worker's handle on a field: its definition and its declared
         # extent (shared-memory fields cannot grow).
         self.fields = {
             f.name: SimpleNamespace(fdef=f, extent=f.shape) for f in fdefs
+        }
+
+    def bind(self, kernel, age, segs) -> None:
+        """Take a claim's segment serials: ``segs`` holds one per spec
+        of ``kernel.fetches + kernel.stores`` at ``age``, in spec order
+        (``None`` for a fetch age the parent has no segment for)."""
+        self._segs = {
+            (spec.field, spec.age.resolve(age)): serial
+            for spec, serial in zip((*kernel.fetches, *kernel.stores), segs)
+            if serial is not None
         }
 
     def read(self, field, age: int, region) -> np.ndarray:
@@ -249,13 +251,19 @@ class _SegmentCache:
                 view[region] = arr
 
     def view(self, fdef, age: int) -> np.ndarray:
-        entry = self._entries.get((fdef.name, age))
+        try:
+            key = (fdef.name, self._segs[fdef.name, age])
+        except KeyError:
+            raise RuntimeStateError(
+                f"field {fdef.name!r} has no segment at age {age}"
+            ) from None
+        entry = self._entries.get(key)
         if entry is not None:
             return entry[1]
         from multiprocessing import resource_tracker, shared_memory
 
         shm = shared_memory.SharedMemory(
-            name=segment_name(self.run_id, fdef.name, age)
+            name=segment_name(self.run_id, *key)
         )
         # The parent owns the segment's lifetime.  With a fork-shared
         # resource tracker the attach's register is a set-level no-op
@@ -268,41 +276,8 @@ class _SegmentCache:
             except Exception:
                 pass
         arr = np.ndarray(fdef.shape, dtype=fdef.np_dtype, buffer=shm.buf)
-        self._entries[(fdef.name, age)] = (shm, arr)
-        if len(self._entries) > self.limit:
-            self._evict()
+        self._entries[key] = (shm, arr)
         return arr
-
-    def _evict(self) -> None:
-        for key in sorted(self._entries, key=lambda k: k[1]):
-            if len(self._entries) <= self.limit:
-                return
-            shm, _arr = self._entries[key]
-            try:
-                shm.close()
-            except BufferError:  # view still referenced; keep it
-                continue
-            del self._entries[key]
-
-    def retire(self, min_age: int, fields=None) -> None:
-        """Drop every cached view below ``min_age`` (the parent retired
-        those ages and unlinked their segments; closing the worker-side
-        mapping releases the last reference to the pages).  ``fields``
-        scopes the drop to one session's field names (``None`` = all) —
-        sessions share the numeric age space, so an unscoped drop would
-        unmap co-resident tenants' live views."""
-        names = None if fields is None else set(fields)
-        for key in [
-            k
-            for k in self._entries
-            if k[1] < min_age and (names is None or k[0] in names)
-        ]:
-            shm, _arr = self._entries[key]
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - body still holds it
-                continue
-            del self._entries[key]
 
     def close(self) -> None:
         for shm, _arr in self._entries.values():
@@ -318,15 +293,16 @@ def _worker_main(
 ) -> None:
     """Entry point of a worker process.
 
-    Protocol: one work message, ``(kernel_name, age, rows)`` — a claim
-    of one or more same-kernel/same-age instances in ONE round-trip,
-    ``rows`` its ``(n, len(index_vars))`` index array (one row for a
-    single instance; at ``batch > 1`` the proxy's whole share of a
-    run).  The worker hands it to
+    Protocol: one work message, ``(kernel_name, age, rows, segs)`` — a
+    claim of one or more same-kernel/same-age instances in ONE
+    round-trip, ``rows`` its ``(n, len(index_vars))`` index array (one
+    row for a single instance; at ``batch > 1`` the proxy's whole share
+    of a run), ``segs`` the serial of the segment behind each of the
+    kernel's fetch and store specs at that age
+    (:meth:`_SegmentCache.bind`).  The worker hands it to
     :func:`~repro.core.execute.run_batch`, the routine the threads
     backend runs in the parent, over its :class:`_SegmentCache` and a
-    :class:`KernelContext` per message (no fetched view outlives its
-    message to pin a retired segment), cutting it into ``batch_body``
+    :class:`KernelContext` per message, cutting it into ``batch_body``
     calls of at most ``stack`` rows (the node's ``batch``, fixed at
     spawn), and replies ``("ok", stores, outputs, t_fetch, t_kernel,
     t_store, calls, fallbacks, vectorized)`` — the routine's return
@@ -337,11 +313,6 @@ def _worker_main(
     the fetch/store machinery.  Nothing of a failed claim is committed:
     the parent only marks regions written from an ``"ok"`` reply.
     ``None`` (or EOF) means shut down.
-
-    A ``("__retire__", min_age)`` message (no reply, streaming age
-    retirement) closes the worker's cached shared-memory views below
-    ``min_age``; the retirement invariant guarantees no later instance
-    will fetch those ages again.
     """
     program = (
         program_source() if callable(program_source) else program_source
@@ -355,12 +326,10 @@ def _worker_main(
                 return
             if msg is None:
                 return
-            if msg[0] == "__retire__":
-                cache.retire(msg[1], msg[2] if len(msg) > 2 else None)
-                continue
-            kernel_name, age, rows = msg
+            kernel_name, age, rows, segs = msg
             try:
                 kernel = program.kernels[kernel_name]
+                cache.bind(kernel, age, segs)
                 conn.send(
                     ("ok",) + run_batch(
                         kernel, age, rows, cache, KernelContext(), stack,
@@ -418,16 +387,6 @@ class ProcessBackend(ExecutionBackend):
         self._procs: list[multiprocessing.Process] = []
         self._conns: list[Any] = []
         self._node: "ExecutionNode | None" = None
-        # Control-message forwarding: an append-only list of ready-to-send
-        # ("__retire__", min_age, fields) tuples plus a per-worker count
-        # of messages already sent down its pipe.
-        # Each proxy thread forwards the unsent suffix on its *own* pipe
-        # right before its next instance send, so control messages never
-        # interleave with another thread's traffic (pipes are not
-        # thread-safe) and always precede the first instance that needs
-        # them.
-        self._control: list[tuple] = []
-        self._sent: list[int] = []
 
     def create_fields(self, program: Program) -> FieldStore:
         return SharedFieldStore(program.fields.values())
@@ -480,33 +439,6 @@ class ProcessBackend(ExecutionBackend):
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-            self._sent.append(0)
-
-    def on_retire(self, min_age: int, fields=None) -> None:
-        """Record a retirement floor for lazy per-worker forwarding;
-        workers close their cached segment views below it (scoped to
-        ``fields`` when a multi-tenant retirer frees one session).  A
-        worker that never executes again simply closes everything at
-        shutdown instead."""
-        self._control.append(
-            ("__retire__", min_age,
-             None if fields is None else tuple(sorted(fields)))
-        )
-
-    # ------------------------------------------------------------------
-    def _forward_control(self, worker_id: int, conn) -> None:
-        """Forward any control messages this worker has not seen yet.
-
-        The list is append-only and CPython appends are atomic, so
-        reading a suffix snapshot without a lock is safe; a message
-        appended after the snapshot can only matter to instances
-        dispatched after it, which a later execute() will precede."""
-        sent = self._sent[worker_id]
-        pending = self._control[sent:]
-        if pending:
-            for msg in pending:
-                conn.send(msg)
-            self._sent[worker_id] = sent + len(pending)
 
     def _recv_reply(self, worker_id: int, conn, proc, describe: str):
         """Block for a worker reply, surfacing worker death as
@@ -540,14 +472,20 @@ class ProcessBackend(ExecutionBackend):
         age = batch.age
         conn = self._conns[worker_id]
         proc = self._procs[worker_id]
-        self._forward_control(worker_id, conn)
+        fields = node.fields
         t0 = time.perf_counter()
-        # Create every store target's segment now, so the worker's
-        # attach can never race segment creation.
-        for s in kernel.stores:
-            node.fields[s.field].ensure_age(s.age.resolve(age))
+        # The segment behind each spec's (field, age), in spec order;
+        # every store target's is created now, so the worker's attach
+        # can never race segment creation.
+        segs = tuple(
+            fields[f.field].segment(f.age.resolve(age))
+            for f in kernel.fetches
+        ) + tuple(
+            fields[s.field].ensure_age(s.age.resolve(age))
+            for s in kernel.stores
+        )
         t_send = time.perf_counter()
-        conn.send((kernel.name, age, batch.rows))
+        conn.send((kernel.name, age, batch.rows, segs))
         reply = self._recv_reply(
             worker_id, conn, proc,
             f"{kernel.name}[x{len(batch)}](age={age}, "

@@ -24,9 +24,12 @@ Two storage flavours exist:
   lives in a POSIX ``multiprocessing.shared_memory`` segment, so worker
   *processes* (the ``processes`` execution backend) fetch and store
   zero-copy views of the same physical pages.  The parent process owns
-  the segment lifecycle (creation at dispatch, unlink at GC/shutdown)
-  and keeps the write-once masks and counters private; workers only
-  read/write payload bytes.  Shared fields require a declared shape —
+  the segment lifecycle and keeps the write-once masks and counters
+  private; workers only read/write payload bytes.  A segment is not an
+  age's: a collected age's segment goes to its field's pool and serves
+  the next new age (section IX, "reuse buffers"), so a live run settles
+  on about one segment per live age per field, created once and
+  unlinked at teardown.  Shared fields require a declared shape —
   implicit resizing would need cross-process reallocation.
 """
 
@@ -369,35 +372,37 @@ class _AgeSlot:
         self.written = np.zeros((0,) * self.written.ndim, dtype=bool)
 
 
-def segment_name(run_id: str, field: str, age: int) -> str:
-    """Deterministic shared-memory segment name for ``field`` at ``age``.
+def segment_name(run_id: str, field: str, serial: int) -> str:
+    """The shared-memory segment name of ``field``'s ``serial``-th
+    segment.
 
-    Both sides of the process backend derive the same name independently:
-    the parent when it creates the segment at dispatch time, the worker
-    when it attaches for a fetch/store — no registry round-trip needed.
+    A field numbers the segments it creates; which age a segment holds
+    changes as retired ages hand theirs on (:class:`SharedField`), so
+    the parent names the segment of each (field, age) a claim touches in
+    the claim's message and the worker attaches by this name.
     """
-    return f"p2g{run_id}_{field}_{age}"
+    return f"p2g{run_id}_{field}_{serial}"
 
 
 class _SharedAgeSlot(_AgeSlot):
-    """An age slot whose payload lives in a shared-memory segment.
+    """An age slot whose payload is a view of a shared-memory segment,
+    the ``serial``-th of its field.
 
     The ``written`` mask and counters stay process-private (only the
     owning runtime's analyzer consults them); only the payload bytes are
-    shared with worker processes.
+    shared with worker processes.  The segment outlives the slot: a
+    collected age's goes back to the field's pool, bytes and all — a
+    fresh mask hides them, since a fetch of an unwritten region raises.
     """
 
-    __slots__ = ("shm",)
+    __slots__ = ("shm", "serial")
 
     def __init__(
-        self, name: str, extent: tuple[int, ...], dtype: np.dtype
+        self, shm, serial: int, extent: tuple[int, ...], dtype: np.dtype
     ) -> None:
-        nbytes = max(1, int(np.prod(extent)) * dtype.itemsize)
-        # POSIX shm is zero-filled on creation, matching np.zeros.
-        self.shm = shared_memory.SharedMemory(
-            name=name, create=True, size=nbytes
-        )
-        self.data = np.ndarray(extent, dtype=dtype, buffer=self.shm.buf)
+        self.shm = shm
+        self.serial = serial
+        self.data = np.ndarray(extent, dtype=dtype, buffer=shm.buf)
         self.written = np.zeros(extent, dtype=bool)
         self.store_count = 0
 
@@ -408,22 +413,12 @@ class _SharedAgeSlot(_AgeSlot):
             "shared-memory fields cannot grow; declare the field shape"
         )
 
-    def free(self) -> None:
-        self.data = np.zeros((0,) * self.data.ndim, dtype=self.data.dtype)
-        self.written = np.zeros((0,) * self.written.ndim, dtype=bool)
-        self.shm.close()
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
 
-    def unlink(self) -> None:
-        """Remove the segment name but keep the mapping readable (used at
-        shutdown so ``RunResult.fields`` stays fetchable)."""
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
+def _unlink(shm) -> None:
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # released before
+        pass
 
 
 class Field:
@@ -843,7 +838,8 @@ class Field:
     # Garbage collection (section IX: reuse buffers / collect old ages)
     # ------------------------------------------------------------------
     def _free_locked(self, age: int) -> int:
-        """Drop ``age``'s slot and free its storage; bytes reclaimed."""
+        """Drop ``age``'s slot and free its storage (a shared field pools
+        its segment instead); bytes reclaimed."""
         slot = self._ages.pop(age)
         freed = slot.data.nbytes + slot.written.nbytes
         slot.free()
@@ -998,10 +994,14 @@ class SharedField(Field):
     """A field whose per-age payload lives in shared-memory segments.
 
     Used by the ``processes`` execution backend.  The parent runtime
-    creates every segment (at dispatch time, before a worker could touch
-    it) and owns unlink; workers attach by the deterministic
-    :func:`segment_name` and read/write zero-copy views.  Requires a
-    declared shape — shared payloads cannot grow.
+    owns every segment: it gives an age one when the age is first
+    stored or dispatched to (before a worker could touch it), takes it
+    back into the field's pool when the age is collected — the next new
+    age takes a pooled segment before a new one is created — and unlinks
+    them all at teardown.  Workers attach by :func:`segment_name` of the
+    serial a claim's message carries (:meth:`segment`) and read/write
+    zero-copy views.  Requires a declared shape — shared payloads cannot
+    grow, so every segment of a field has the same size.
     """
 
     def __init__(self, fdef: FieldDef, run_id: str) -> None:
@@ -1014,30 +1014,60 @@ class SharedField(Field):
             )
         super().__init__(fdef)
         self.run_id = run_id
+        #: collected ages' segments, ``(serial, shm)``, for new ages
+        self._pool: list[tuple[int, Any]] = []
+        #: segments this field has created (serials ``0 .. n - 1``)
+        self.segments_created = 0
 
     def _new_slot(self, age: int) -> _AgeSlot:
-        return _SharedAgeSlot(
-            segment_name(self.run_id, self.name, age),
-            self._extent,
-            self.fdef.np_dtype,
-        )
+        if self._pool:
+            serial, shm = self._pool.pop()
+        else:
+            serial = self.segments_created
+            shm = shared_memory.SharedMemory(
+                name=segment_name(self.run_id, self.name, serial),
+                create=True,
+                size=max(1, math.prod(self._extent) * self._dtype.itemsize),
+            )
+            self.segments_created += 1
+        return _SharedAgeSlot(shm, serial, self._extent, self._dtype)
 
-    def ensure_age(self, age: int) -> None:
-        """Create the segment for ``age`` if it does not exist yet (the
-        parent calls this before dispatching a storing instance, so the
-        worker's attach can never race segment creation)."""
+    def _free_locked(self, age: int) -> int:
+        slot = self._ages.pop(age)
+        self._pool.append((slot.serial, slot.shm))
+        return slot.data.nbytes + slot.written.nbytes
+
+    def ensure_age(self, age: int) -> int:
+        """Give ``age`` a segment if it has none yet; returns its serial
+        (the parent calls this for a claim's store targets before it
+        dispatches the claim, so the worker's attach can never race
+        segment creation)."""
         self._check_age(age)
         with self._lock:
-            self._slot(age, create=True)
+            return self._slot(age, create=True).serial
+
+    def segment(self, age: int) -> int | None:
+        """The serial of ``age``'s segment (named :func:`segment_name`
+        of it), ``None`` while the age has none or after it was
+        collected."""
+        with self._lock:
+            slot = self._ages.get(age)
+            return None if slot is None else slot.serial
 
     def release_segments(self) -> None:
-        """Unlink every live segment (names freed, mappings kept so the
-        parent can still fetch results).  Idempotent; called at run
-        teardown."""
+        """Unlink every segment — the live ages' names only (their
+        mappings are kept so the parent can still fetch results), the
+        pooled ones closed too.  Idempotent; called at run teardown."""
         with self._lock:
             for slot in self._ages.values():
-                if isinstance(slot, _SharedAgeSlot):
-                    slot.unlink()
+                _unlink(slot.shm)
+            for _serial, shm in self._pool:
+                _unlink(shm)
+                try:
+                    shm.close()
+                except BufferError:  # pragma: no cover - a view escaped
+                    pass
+            self._pool.clear()
 
 
 class SharedFieldStore(FieldStore):

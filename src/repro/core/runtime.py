@@ -252,7 +252,7 @@ class ReadyQueue:
         raise RuntimeStateError("ready queue depth/heap mismatch")
 
     def pop_batch(
-        self, max_n: int, workers: int = 0
+        self, max_n: int, workers: int = 0, hold=None
     ) -> tuple[Run | None, float]:
         """Blocking pop of a *claim*: up to ``max_n`` ready instances of
         the same kernel definition and age, as one
@@ -281,6 +281,12 @@ class ReadyQueue:
         the GC/retirement live-age bookkeeping exact (a worker runs one
         age at a time).  Sentinels are consumed only when every heap is
         empty, so a shutdown marker is never consumed mid-batch.
+
+        ``hold`` (the worker loop's) is called with the claim's first
+        part before the queue lock is released: the claim's age is
+        published as in hand while the queue still counts it, so a
+        live-age probe (:meth:`ExecutionNode.live_floor`) sees it one
+        way or the other, never neither.
         """
         with self._cv:
             while not (self._depth or self._sentinels):
@@ -324,6 +330,8 @@ class ReadyQueue:
                 if not ages[real]:
                     del ages[real]
                 wait += took * (now - pushed)
+            if hold is not None:
+                hold(parts[0])
             took = max_n - room
             self._depth -= took
             self._deficit[session] = self._deficit.get(session, 1) - took
@@ -857,20 +865,27 @@ class ExecutionNode:
         ready queue is its ``queue`` span, in this worker's lane."""
         tracer = self.tracer
         thread = f"worker{worker_id}"
+        running, sessions = self._running_ages, self._running_sessions
+        session_of = self.session_of
+
+        def hold(claim: Run) -> None:
+            # under the queue lock: the claim's age is this worker's
+            # before the queue stops counting it (age before session)
+            if claim.age is not None:
+                running[worker_id] = claim.age
+                if session_of is not None:
+                    sessions[worker_id] = session_of(claim)
+
         while True:
-            batch, wait = self.ready.pop_batch(self.batch, self.workers)
+            batch, wait = self.ready.pop_batch(
+                self.batch, self.workers, hold
+            )
             if batch is None:
                 return
             if tracer.enabled:
                 now = time.perf_counter()
                 tracer.complete("queue", "phase", self.name, thread,
                                 now - wait, now, key=self._frame_key(batch))
-            if batch.age is not None:
-                self._running_ages[worker_id] = batch.age
-                if self.session_of is not None:
-                    self._running_sessions[worker_id] = self.session_of(
-                        batch
-                    )
             try:
                 if not self._stop.is_set():
                     self.backend.execute_batch(batch, worker_id)
@@ -960,8 +975,9 @@ class ExecutionNode:
 
     def live_floor(self, session: str | None = None, kernels=None):
         """The lowest age this node could still dispatch work for — its
-        pending analyzer work, queued and running instances — or
-        ``None`` when nothing is live.  ``session`` (a fair queue's
+        pending analyzer work, queued claims and the claims its workers
+        hold (in hand from the pop on, :meth:`ReadyQueue.pop_batch`) —
+        or ``None`` when nothing is live.  ``session`` (a fair queue's
         tenant) and ``kernels`` (kernel names) scope the probe to one
         tenant.  The ``gc_fields`` sweep calls it under the analysis
         lock; the stream :class:`~repro.stream.Retirer` calls it without,
@@ -1001,10 +1017,10 @@ class ExecutionNode:
         The one retirement routine, shared by ``gc_fields`` (from inside
         an analysis step, through :meth:`_retire_locked`) and the stream
         :class:`~repro.stream.Retirer` (which computes the floor —
-        DESIGN.md §11 — and guarantees no undispatched instance can
-        fetch below it): free the field ages, tell the backend so
-        worker processes unmap the unlinked segments, and drop the
-        analyzer's dispatch bookkeeping, all under the analysis lock.
+        DESIGN.md §11 — and guarantees no queued, in-hand or running
+        claim can fetch below it): free the field ages (a shared
+        field's segments go to its pool, for later ages) and drop the
+        analyzer's dispatch bookkeeping, both under the analysis lock.
         ``fields`` / ``kernels`` (name sets) scope the retirement to one
         session of a multi-tenant node.  Idempotent, so nodes sharing
         one field store may each be told.
@@ -1015,7 +1031,6 @@ class ExecutionNode:
     def _retire_locked(self, floor: int, fields=None, kernels=None) -> int:
         """:meth:`retire`'s body; the caller holds the analysis lock."""
         freed = self.fields.collect_below(floor, fields)
-        self.backend.on_retire(floor, fields)
         self.analyzer.retire_below(floor, kernels)
         return freed
 

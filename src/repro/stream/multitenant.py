@@ -54,7 +54,7 @@ __all__ = [
 
 #: Separator between a session name and the names it owns.  A dot — not
 #: a slash — because namespaced field names end up inside POSIX
-#: shared-memory segment names (``p2g<run>_<field>_<age>``), where ``/``
+#: shared-memory segment names (``p2g<run>_<field>_<serial>``), where ``/``
 #: is illegal.  Shared with ``core.naming`` so operator-generated names
 #: obey the same rules.
 SESSION_SEP = NAME_SEP

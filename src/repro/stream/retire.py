@@ -4,13 +4,16 @@ A batch run keeps every age alive until teardown; a live encoder would
 grow without bound.  The :class:`Retirer` decides *which* ages have
 drained; :meth:`ExecutionNode.retire
 <repro.core.runtime.ExecutionNode.retire>` — the routine ``gc_fields``
-uses too — frees them (:meth:`Field.collect_age` → ``_AgeSlot.free()``,
-which for shared-memory slots closes *and unlinks* the segment), has
-the backend's workers drop their cached views, and drops the
+uses too — frees them (:meth:`Field.collect_below`; a shared-memory
+field hands their segments to its pool, and a later age is given one of
+them, bytes and all, instead of a new segment) and drops the
 analyzer's dispatch bookkeeping for those ages.
 
-Invariant (DESIGN.md §11): **an age may be freed iff no undispatched
-instance can fetch it.**  Two independent bounds enforce it:
+Invariant (DESIGN.md §11): **an age may be freed iff no queued, in-hand
+or running claim can fetch it** — nor any claim dispatched later.  A
+freed age's segment holds another age's bytes as soon as it is reused,
+so the invariant is what keeps a claim from reading them.  Two
+independent bounds enforce it:
 
 * the *completion frontier* — ages at or below the highest contiguous
   completed age have delivered their output, and under the credit gate
@@ -19,10 +22,11 @@ instance can fetch it.**  Two independent bounds enforce it:
   most ``max_back`` ages below their instance, giving the floor
   ``frontier + 1 − max_back − keep_ages``;
 * the nodes' *live minima* — the lowest age among pending analyzer
-  work, queued ready instances, and running instances, observed
-  directly.  Redundant with the frontier argument, but it keeps the
-  invariant true even for exotic bindings that complete ages out of
-  band.
+  work, queued claims and the claims workers hold, observed directly
+  (a worker's claim counts as in hand from inside the pop that takes
+  it off the queue).  Redundant with the frontier argument, but it
+  keeps the invariant true even for exotic bindings that complete ages
+  out of band.
 """
 
 from __future__ import annotations

@@ -359,17 +359,48 @@ class TestSegmentLifecycle:
         assert _leaked_segments(run_id) == []
 
     def test_gc_unlinks_retired_ages(self):
-        # After a run, even intermediate ages' segments must be gone;
-        # sample a mid-run age of the aging centroids field.
+        # After a run, even the segments retired ages handed on must be
+        # gone: ask the aging centroids field for every one it created.
+        from repro.core import segment_name
+
         program, _ = build_kmeans(n=40, k=4, iterations=4,
                                   granularity="point")
-        node = ExecutionNode(program, workers=1, backend="processes")
+        node = ExecutionNode(program, workers=1, backend="processes",
+                             gc_fields=True)
         run_id = node.fields.run_id
         node.start()
-        node.join()
-        assert not os.path.exists(
-            f"/dev/shm/p2g{run_id}_centroids_1"
-        )
+        result = node.join()
+        assert result.gc_bytes > 0
+        centroids = node.fields["centroids"]
+        assert centroids.segment(1) is None  # retired
+        assert centroids.segments_created >= 2
+        for serial in range(centroids.segments_created):
+            assert not os.path.exists(
+                f"/dev/shm/{segment_name(run_id, 'centroids', serial)}"
+            )
+
+    def test_live_stream_recycles_segments(self):
+        """A retired age's segment serves a later age: 30 streamed
+        frames through a lag window of 4 create a window's worth of
+        segments per field, not 30, and leave /dev/shm clean."""
+        from repro.stream import StreamConfig
+        from repro.workloads import build_mjpeg_stream
+
+        cfg = MJPEGConfig(width=32, height=32, frames=30)
+        scfg = StreamConfig(fps=0, max_frames=30, lag_window=4)
+        program, sink, binding = build_mjpeg_stream(cfg, scfg)
+        result = run_program(program, workers=2, backend="processes",
+                             batch=32, stream=binding)
+        assert result.stream.completed == 30
+        assert sink.stream() == mjpeg_baseline(config=cfg)
+        aging = [f for f in result.fields if f.fdef.aging]
+        assert aging and all(f.max_stored_age == 29 for f in aging)
+        # the lag window's ages, the ``keep_ages`` behind it, and one
+        # for a sweep that trails the completion that admits a frame
+        window = scfg.lag_window + scfg.keep_ages + 2
+        assert all(f.segments_created <= window for f in aging), [
+            (f.name, f.segments_created) for f in aging]
+        assert _leaked_segments(result.fields.run_id) == []
 
 
 # ----------------------------------------------------------------------

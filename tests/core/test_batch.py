@@ -1190,14 +1190,17 @@ class TestClaimEquivalence:
             def probe():
                 return out.written_count(0)
         else:
-            # in the worker the payload is all there is to look at
+            # in the worker the payload is all there is to look at: the
+            # parent gives age 0 its segment before the workers fork
+            from repro.core.fields import segment_name
+
+            name = segment_name(node.fields.run_id, "out",
+                                out.ensure_age(0))
+
             def probe():
                 from multiprocessing import shared_memory
 
-                from repro.core.fields import segment_name
-
-                shm = shared_memory.SharedMemory(
-                    name=segment_name(node.fields.run_id, "out", 0))
+                shm = shared_memory.SharedMemory(name=name)
                 try:
                     return int(np.count_nonzero(
                         np.ndarray((48,), np.int64, buffer=shm.buf)))

@@ -639,6 +639,37 @@ class TestGarbageCollection:
                 store.release()
 
 
+    def test_recycled_segment_hides_its_old_bytes(self):
+        """A new age takes a collected age's segment as it is — the
+        payload is not zeroed — and its fresh write-once mask is what
+        keeps the old bytes unobservable: a fetch of an unwritten
+        region raises."""
+        from repro.core import SharedFieldStore
+
+        store = SharedFieldStore([FieldDef("f", "int32", 1, shape=(4,))])
+        f = store["f"]
+        try:
+            f.store(0, slice(0, 4), [10, 11, 12, 13])
+            serial = f.segment(0)
+            f.collect_below(1)
+            assert f.segment(0) is None
+            f.store(1, slice(0, 2), [7, 8])
+            assert f.segment(1) == serial  # age 0's segment, reused
+            assert f.segments_created == 1
+            assert f._ages[1].data.tolist() == [7, 8, 12, 13]
+            for region in (None, slice(2, 4), slice(1, 3), 3):
+                with pytest.raises(ExtentError):
+                    f.fetch(1, region)
+                assert f.peek(1, region) is None
+                assert not f.is_complete(1, region)
+            assert f.fetch(1, slice(0, 2)).tolist() == [7, 8]
+            f.store(1, slice(2, 4), [9, 9])  # not a write-once violation
+            assert f.fetch(1).tolist() == [7, 8, 9, 9]
+        finally:
+            f.collect_below(2)
+            store.release()
+
+
 class TestLocalField:
     def test_put_grows(self):
         lf = LocalField("int32", 1)

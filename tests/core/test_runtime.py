@@ -285,24 +285,75 @@ class TestExecutionNode:
         # a few ages' worth (11 instances each), not all 25 ages'
         assert node.analyzer.tracked_instances() <= 5 * 11
 
-    def test_gc_tells_worker_processes_the_retire_floor(self):
-        """Under ``processes`` the same routine forwards each new floor
-        down the workers' pipes, so they unmap the unlinked segments."""
+    def test_gc_recycles_retired_segments(self):
+        """Under ``processes`` a retired age's segment serves a later
+        age: the bytes are the baseline's, and each aging field creates
+        a live window's worth of segments, not one per age."""
         from repro.workloads import build_kmeans, kmeans_baseline
 
-        program, sink = build_kmeans(n=60, k=5, iterations=8,
+        iterations = 12
+        program, sink = build_kmeans(n=60, k=5, iterations=iterations,
                                      granularity="point")
         node = ExecutionNode(program, 2, backend="processes", batch=4,
                              gc_fields=True, keep_ages=1)
         result = node.run(timeout=120)
         assert result.gc_bytes > 0
-        floors = [m[1] for m in node.backend._control]
-        assert floors and floors == sorted(set(floors))
-        assert all(m[0] == "__retire__" for m in node.backend._control)
-        assert max(node.backend._sent) > 0  # forwarded before a claim
-        base = kmeans_baseline(n=60, k=5, iterations=8)
+        base = kmeans_baseline(n=60, k=5, iterations=iterations)
+        assert sink.history.keys() == base.history.keys()
         for age in base.history:
             assert np.array_equal(sink.history[age], base.history[age])
+        aging = [f for f in node.fields if f.fdef.aging]
+        assert aging and all(
+            f.max_stored_age >= iterations - 1 for f in aging)
+        # the age an assign fetches, the one its refine stores, the
+        # ``keep_ages`` behind them, and one for a sweep that trails
+        window = node._max_back + node.keep_ages + 3
+        assert all(f.segments_created <= window for f in aging), [
+            (f.name, f.segments_created) for f in aging]
+
+    def test_in_hand_claim_pins_its_age(self):
+        """A claim counts as live from inside the pop that takes it: a
+        ``keep_ages=0`` retirement run while its worker sits between
+        the pop and the body leaves the age it is about to fetch."""
+        seen = []
+
+        def use_body(ctx):
+            seen.append((ctx.age, int(ctx["v"].sum())))
+
+        use = KernelDef(
+            "use", use_body, has_age=True,
+            fetches=(FetchSpec("v", "f"),),
+        )
+        prog = Program.build([FieldDef("f", shape=(2,))], [use])
+        node = ExecutionNode(prog, 1)
+        parked, release = threading.Event(), threading.Event()
+        pop_batch = node.ready.pop_batch
+
+        def parking_pop(*args, **kwargs):
+            claim, wait = pop_batch(*args, **kwargs)
+            if claim is not None and claim.age == 0:
+                parked.set()
+                release.wait(10)
+            return claim, wait
+
+        node.ready.pop_batch = parking_pop
+        f = node.fields["f"]
+        f.store(0, slice(0, 2), [1, 2])
+        f.store(1, slice(0, 2), [3, 4])
+        node.start()
+        node.inject(StoreEvent("f", 0, (slice(0, 2),)))
+        node.inject(StoreEvent("f", 1, (slice(0, 2),)))
+        try:
+            assert parked.wait(10)
+            # what the ``gc_fields`` sweep does with ``keep_ages=0``,
+            # while ``use`` at age 1 is still queued
+            node.retire(node.live_floor() - node._max_back)
+            assert f.is_complete(0)
+        finally:
+            release.set()
+        result = node.join(timeout=10)
+        assert result.reason == "idle"
+        assert sorted(seen) == [(0, 3), (1, 7)]
 
     def test_inject_external_event(self):
         """The distributed layer injects store events produced elsewhere;

@@ -30,26 +30,18 @@ class StubReady:
         return self.queued
 
 
-class StubBackend:
-    def __init__(self) -> None:
-        self.retired: list[int] = []
-
-    def on_retire(self, min_age: int, fields=None) -> None:
-        self.retired.append(min_age)
-
-
 class StubNode:
     def __init__(self, fields=None) -> None:
         self.fields = fields if fields is not None else StubFields()
         self.analyzer = StubAnalyzer()
         self.ready = StubReady()
-        self.backend = StubBackend()
         self._running_ages = {}
+        self.retired: list[int] = []
 
     def retire(self, floor: int, fields=None, kernels=None) -> int:
         """``ExecutionNode.retire`` against the stub parts (the real
         one is covered in tests/core/test_runtime.py)."""
-        self.backend.on_retire(floor, fields)
+        self.retired.append(floor)
         return self.fields.collect_below(floor)
 
 
@@ -77,7 +69,7 @@ def test_sweep_frees_below_frontier():
     assert freed == 100
     # frontier 4 -> floor 5: ages 0..4 freed
     assert fields.calls == [5]
-    assert node.backend.retired == [5]
+    assert node.retired == [5]
     assert r.retired_through == 5
     assert r.freed_bytes == 100
 

@@ -1,5 +1,5 @@
-"""Live runs on the process backend: worker-side retirement of
-shared-memory segments, byte-identity, and shm hygiene (no leaked
+"""Live runs on the process backend: retirement of shared-memory
+segments mid-run, byte-identity, and shm hygiene (no leaked
 /dev/shm segments after a run — including retirement mid-run)."""
 
 import glob
@@ -10,7 +10,7 @@ from repro.workloads import MJPEGConfig, build_mjpeg_stream, mjpeg_baseline
 
 
 def shm_segments() -> set[str]:
-    # Segment names are f"p2g{run_id}_{field}_{age}" (core.fields).
+    # Segment names are f"p2g{run_id}_{field}_{serial}" (core.fields).
     return set(glob.glob("/dev/shm/p2g*"))
 
 
