@@ -140,12 +140,13 @@ def _add_run_args(p: argparse.ArgumentParser, workers: int,
 def _add_batch_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("batched dispatch")
     g.add_argument("--batch", type=int, default=32, metavar="N",
-                   help="instances of one kernel+age per vectorized body "
-                        "call (default 32). With N > 1 a worker claims "
+                   help="least instances of one kernel+age a dispatch "
+                        "holds (default 32). With N > 1 a worker claims "
                         "its whole share of a ready run (at least N) as "
-                        "one dispatch and runs it N at a time; 1 = one "
-                        "instance per dispatch, the paper's reference "
-                        "mode. Output is byte-identical at any size.")
+                        "one dispatch and runs it as one vectorized body "
+                        "call; 1 = one instance per dispatch, the paper's "
+                        "reference mode. Output is byte-identical at any "
+                        "size.")
 
 
 def _add_stream_args(p: argparse.ArgumentParser) -> None:

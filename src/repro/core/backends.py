@@ -29,10 +29,10 @@ The unit a backend is handed is a *claim*: a worker's share of a
 a :class:`~repro.core.kernels.Run` whose ``rows`` are one instance at
 ``batch=1``, hundreds of macro-blocks at ``batch=32`` on a CIF frame.
 One claim is one ``execute_batch`` call — on the
-process backend one pipe message and one reply — and the node's
-``batch`` reaches the routine only as the size of the stacks it cuts
-the claim into for ``batch_body`` (a worker process is told it once, at
-spawn).
+process backend one pipe message and one reply — and, for a kernel
+with a stacked form, one ``batch_body`` call per shape class of its
+rows (one, unless a ragged trailing block is among them); the node's
+``batch`` does not reach the routine.
 
 The division of labour in the process backend keeps the P2G semantics
 exactly where they were:
@@ -185,7 +185,7 @@ class ThreadBackend(ExecutionBackend):
         try:
             run = run_batch(
                 batch.kernel, batch.age, batch.rows,
-                self._mem, self._ctxs[worker_id], self._node.batch,
+                self._mem, self._ctxs[worker_id],
             )
         except KernelBodyError as exc:
             # What the claim's earlier instances stored is committed.
@@ -289,7 +289,7 @@ class _SegmentCache:
 
 
 def _worker_main(
-    conn, program_source, run_id: str, shared_tracker: bool, stack: int
+    conn, program_source, run_id: str, shared_tracker: bool
 ) -> None:
     """Entry point of a worker process.
 
@@ -302,16 +302,15 @@ def _worker_main(
     (:meth:`_SegmentCache.bind`).  The worker hands it to
     :func:`~repro.core.execute.run_batch`, the routine the threads
     backend runs in the parent, over its :class:`_SegmentCache` and a
-    :class:`KernelContext` per message, cutting it into ``batch_body``
-    calls of at most ``stack`` rows (the node's ``batch``, fixed at
-    spawn), and replies ``("ok", stores, outputs, t_fetch, t_kernel,
-    t_store, calls, fallbacks, vectorized)`` — the routine's return
-    value: a stacked claim reports one store record per store spec,
-    whatever its size — or ``("err", index, type_name, message,
-    traceback_text)``: ``index`` names the instance whose body raised
-    (the first of its stack, for a stacked call), ``None`` a failure in
-    the fetch/store machinery.  Nothing of a failed claim is committed:
-    the parent only marks regions written from an ``"ok"`` reply.
+    :class:`KernelContext` per message, and replies ``("ok", stores,
+    outputs, t_fetch, t_kernel, t_store, calls, fallbacks,
+    vectorized)`` — the routine's return value: a stacked claim reports
+    one store record per store spec, whatever its size — or ``("err",
+    index, type_name, message, traceback_text)``: ``index`` names the
+    instance whose body raised (the first of its shape class, for a
+    stacked call), ``None`` a failure in the fetch/store machinery.
+    Nothing of a failed claim is committed: the parent only marks
+    regions written from an ``"ok"`` reply.
     ``None`` (or EOF) means shut down.
     """
     program = (
@@ -332,7 +331,7 @@ def _worker_main(
                 cache.bind(kernel, age, segs)
                 conn.send(
                     ("ok",) + run_batch(
-                        kernel, age, rows, cache, KernelContext(), stack,
+                        kernel, age, rows, cache, KernelContext(),
                     )
                 )
             except KernelBodyError as exc:
@@ -430,8 +429,7 @@ class ProcessBackend(ExecutionBackend):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, source, run_id, shared_tracker,
-                      node.batch),
+                args=(child_conn, source, run_id, shared_tracker),
                 daemon=True,
                 name=f"{node.name}-proc{i}",
             )

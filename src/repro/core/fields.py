@@ -214,13 +214,17 @@ class RegionGroup:
     That one operation is a reshape: when the group *tiles* an array —
     every start a multiple of the block shape, the extent a multiple
     too, every block inside — the array viewed as a grid of blocks is
-    indexed by the block coordinates (:meth:`tiles`).  Groups that do
-    not tile (stencil offsets, a ragged trailing block, a store past a
-    growable extent) take the per-region loop; the choice is made from
-    the regions themselves.
+    indexed by the block coordinates (:meth:`tiles`).  When the members
+    are moreover one contiguous raster run of a 1-D or 2-D block grid
+    (:meth:`raster`) — what a claim's share of a wavefront is — no
+    index is built at all: the run is at most three strided views of
+    the array (:func:`_raster_pieces`).  Groups that do not tile
+    (stencil offsets, a ragged trailing block, a store past a growable
+    extent) take the per-region loop; the choice is made from the
+    regions themselves.
     """
 
-    __slots__ = ("starts", "shape", "_tiles")
+    __slots__ = ("starts", "shape", "_tiles", "_raster")
 
     def __init__(self, starts: Any, shape: Sequence[int]) -> None:
         self.shape = tuple(int(b) for b in shape)
@@ -228,6 +232,7 @@ class RegionGroup:
             -1, len(self.shape)
         )
         self._tiles: tuple | None = None
+        self._raster: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -285,13 +290,40 @@ class RegionGroup:
         if len(extent) == len(shape) and all(
             b > 0 and n % b == 0 for n, b in zip(extent, shape)
         ):
-            coords, misaligned = np.divmod(self.starts, shape)
-            grid = [n // b for n, b in zip(extent, shape)]
-            # viewed unsigned, a negative coordinate is out of range too
-            if misaligned.any() or (coords.view(np.uintp) >= grid).any():
-                coords = None
+            # one contiguous column per dimension, against Python ints:
+            # NumPy's inner loops then run over the members
+            cols = self.starts.T.copy()
+            for col, n, b in zip(cols, extent, shape):
+                q = col // b
+                if len(q) and (
+                    (q * b != col).any() or q.min() < 0 or q.max() >= n // b
+                ):
+                    break
+                col[:] = q
+            else:
+                coords = cols.T
         self._tiles = (extent, coords)
         return coords
+
+    def raster(self, extent: tuple[int, ...]) -> tuple[int, int] | None:
+        """``(a, b)`` when the members are the blocks ``a .. b - 1`` of
+        a 1-D or 2-D ``extent`` cut into blocks of :attr:`shape`,
+        counted in raster order, in that order — a run, which repeats
+        no block — else ``None``.  Memoized like :meth:`tiles`."""
+        memo = self._raster
+        if memo is not None and memo[0] == extent:
+            return memo[1]
+        coords = self.tiles(extent)
+        run = None
+        if coords is not None and len(coords) and len(self.shape) <= 2:
+            flat = coords[:, -1]
+            if len(self.shape) == 2:
+                flat = coords[:, 0] * (extent[1] // self.shape[1]) + flat
+            a = int(flat[0])
+            if (flat - np.arange(len(flat)) == a).all():
+                run = (a, a + len(flat))
+        self._raster = (extent, run)
+        return run
 
 
 def _block_grid(arr: np.ndarray, group: RegionGroup):
@@ -310,10 +342,54 @@ def _block_grid(arr: np.ndarray, group: RegionGroup):
     return grid, key
 
 
+def _raster_pieces(arr: np.ndarray, group: RegionGroup):
+    """A raster run's blocks of ``arr`` as at most three strided views —
+    the partial first block row, the whole rows, the partial last row —
+    each ``(lo, hi, view)``: members ``lo .. hi - 1`` of the group,
+    ``view`` of shape ``(rows, cols, *block)`` (a 1-D block is
+    ``(1, bx)``), in member order.  ``None`` when the group is not one
+    run of ``arr``'s block grid (:meth:`RegionGroup.raster`)."""
+    run = group.raster(arr.shape)
+    if run is None or not arr.flags.c_contiguous:
+        return None
+    a, b = run
+    if arr.ndim == 1:
+        (bx,) = group.shape
+        by, gx = 1, arr.shape[0] // bx
+        grid = arr.reshape(1, 1, gx, bx)
+    else:
+        by, bx = group.shape
+        gx = arr.shape[1] // bx
+        grid = arr.reshape(arr.shape[0] // by, by, gx, bx)
+    grid = grid.transpose(0, 2, 1, 3)  # (block row, block col, by, bx)
+    r0, c0 = divmod(a, gx)
+    r1, c1 = divmod(b, gx)  # the run ends before block (r1, c1)
+    if r0 == r1:
+        return [(0, b - a, grid[r0:r0 + 1, c0:c1])]
+    pieces = []
+    if c0:
+        pieces.append((0, gx - c0, grid[r0:r0 + 1, c0:]))
+        r0 += 1
+    if r1 > r0:
+        lo = r0 * gx - a
+        pieces.append((lo, lo + (r1 - r0) * gx, grid[r0:r1]))
+    if c1:
+        pieces.append((r1 * gx - a, b - a, grid[r1:r1 + 1, :c1]))
+    return pieces
+
+
 def gather(arr: np.ndarray, group: RegionGroup) -> np.ndarray:
     """The group's regions of ``arr`` as one ``(n, *shape)`` stack (a
-    copy): one indexing operation when the group tiles ``arr``, the
-    per-region loop otherwise.  No bounds or completeness check."""
+    copy): at most three strided copies when the group is a raster run
+    of ``arr``'s blocks, one indexing operation when it otherwise tiles
+    ``arr``, the per-region loop otherwise.  No bounds or completeness
+    check."""
+    pieces = _raster_pieces(arr, group)
+    if pieces is not None:
+        out = np.empty((len(group),) + group.shape, dtype=arr.dtype)
+        for lo, hi, view in pieces:
+            out[lo:hi].reshape(view.shape)[...] = view
+        return out
     tiled = _block_grid(arr, group)
     if tiled is not None:
         return tiled[0][tiled[1]]
@@ -323,9 +399,29 @@ def gather(arr: np.ndarray, group: RegionGroup) -> np.ndarray:
     return out
 
 
+def _written_views(mask: np.ndarray, group: RegionGroup) -> list:
+    """What to count to tell whether every element of ``group`` is set
+    in ``mask``: a raster run's strided views, else its gathered
+    stack."""
+    pieces = _raster_pieces(mask, group)
+    if pieces is None:
+        return [gather(mask, group)]
+    return [view for _lo, _hi, view in pieces]
+
+
 def scatter(arr: np.ndarray, group: RegionGroup, values: Any) -> None:
     """``arr[region_i] = values[i]`` for the whole group (``values`` may
     be a scalar): the inverse of :func:`gather`, same selection."""
+    pieces = _raster_pieces(arr, group)
+    if pieces is not None:
+        if np.ndim(values) == 0:
+            for _lo, _hi, view in pieces:
+                view[...] = values
+            return
+        stack = np.broadcast_to(values, (len(group),) + group.shape)
+        for lo, hi, view in pieces:
+            view[...] = stack[lo:hi].reshape(view.shape)
+        return
     tiled = _block_grid(arr, group)
     if tiled is not None:
         tiled[0][tiled[1]] = values
@@ -527,15 +623,19 @@ class Field:
         """Raise :class:`WriteOnceViolation` naming an element of
         ``group`` that is already written at ``age`` or that two members
         both cover.  Lock held; the group tiles the extent, so two
-        members overlap exactly when they are the same block."""
-        hit = gather(slot.written, group)
-        if hit.any():
-            i, *offset = np.argwhere(hit)[0].tolist()
-            start = group.starts[i].tolist()
-            raise WriteOnceViolation(
-                self.name, age, tuple(a + o for a, o in zip(start, offset))
-            )
-        if len(group) > 1:
+        members overlap exactly when they are the same block — which a
+        raster run never repeats, so its check is its strided views'."""
+        pieces = _raster_pieces(slot.written, group)
+        if pieces is None or any(v.any() for _lo, _hi, v in pieces):
+            hit = gather(slot.written, group)
+            if hit.any():
+                i, *offset = np.argwhere(hit)[0].tolist()
+                start = group.starts[i].tolist()
+                raise WriteOnceViolation(
+                    self.name, age,
+                    tuple(a + o for a, o in zip(start, offset)),
+                )
+        if pieces is None and len(group) > 1:
             extent = self._extent
             blocks = np.ravel_multi_index(
                 group.tiles(extent).T,
@@ -635,7 +735,8 @@ class Field:
 
     def _store_group(self, age: int, group: RegionGroup, value: Any) -> None:
         """:meth:`store` for a tiling group: the same one critical
-        section, each step one NumPy operation.  Checking every member
+        section, each step one NumPy operation (at most three strided
+        ones for a raster run).  Checking every member
         before anything is copied or marked is what makes the group
         all-or-nothing."""
         arr = np.asarray(value, dtype=self.fdef.np_dtype)
@@ -675,7 +776,8 @@ class Field:
         they were.
 
         A :class:`RegionGroup` that tiles the extent is checked and
-        committed in one NumPy operation each; any other input (a list
+        committed in one NumPy operation each — a raster run through at
+        most three strided views of the mask; any other input (a list
         of regions, a group that does not tile) is marked region by
         region and rolled back on a violation — every region was
         unwritten when it was marked, so clearing the marked ones
@@ -734,8 +836,9 @@ class Field:
 
         ``index`` may be a :class:`RegionGroup`: the result is its
         ``(n, *shape)`` stack, bounds and completeness checked for every
-        member — one NumPy operation each when the group tiles the
-        extent, region by region otherwise (:func:`gather`).
+        member — at most three strided views for a raster run, one
+        NumPy operation each when the group otherwise tiles the extent,
+        region by region otherwise (:func:`gather`).
         """
         self._check_age(age)
         group = index if isinstance(index, RegionGroup) else None
@@ -765,13 +868,15 @@ class Field:
                         )
             if slot is not None and slot.data.shape != self._extent:
                 slot.grow(self._extent)
-            written = None if slot is None else (
-                slot.written[idx] if group is None
-                else gather(slot.written, group)
-            )
             # count_nonzero, not .all(): a third of the cost on the unit
             # regions a scalar claim fetches
-            if written is None or np.count_nonzero(written) != written.size:
+            if slot is None or not all(
+                np.count_nonzero(w) == w.size
+                for w in (
+                    (slot.written[idx],) if group is None
+                    else _written_views(slot.written, group)
+                )
+            ):
                 raise ExtentError(
                     f"field {self.name!r}: fetch of incomplete region "
                     f"age={age} index={idx if group is None else group}"

@@ -33,7 +33,9 @@ class KernelStats:
     fetches: int = 0  #: fetch operations (instances x fetch specs)
     stores: int = 0  #: store regions written
     vectorized: int = 0  #: instances run by a stacked ``batch_body``
-    fallbacks: int = 0  #: stacks that fell back to the scalar body
+    #: claims / shape classes whose stacked call fell back to the
+    #: scalar body
+    fallbacks: int = 0
     claim_min: int = 0  #: smallest claim, in instances (0: no claim yet)
     claim_max: int = 0  #: largest claim, in instances
 

@@ -213,11 +213,23 @@ class Dim:
             starts = values * self.block
             if starts.max() + self.block <= extent:
                 return starts, self.block  # every block whole
-            widths = np.minimum(starts + self.block, extent) - starts
+            widths = self.widths(values, extent)
         width = int(widths[0])
         if width <= 0 or (widths != width).any():
             return None
         return starts, width
+
+    def widths(self, values: np.ndarray, extent: int) -> np.ndarray:
+        """The width of :meth:`region` for each of a column of
+        index-variable values (0 for an absent shrink-boundary
+        neighbour)."""
+        if self.offset:
+            regions = [self.region(v, extent) for v in values.tolist()]
+            return np.array(
+                [r.stop - r.start for r in regions], dtype=np.intp
+            )
+        starts = values * self.block
+        return np.minimum(starts + self.block, extent) - starts
 
     def candidates(self, region: slice, extent: int) -> range:
         """Index-variable values whose region intersects ``region``."""

@@ -581,16 +581,18 @@ class ExecutionNode:
         writes nothing into it: it registers itself as a holder
         (:meth:`snapshot`), read when the registry takes a snapshot.
     batch:
-        The paper's granularity parameter: the most instances one body
-        call sees (default 1).  With ``batch > 1`` a worker *claims* its
-        share of the head (kernel, age) run — ``max(batch,
-        ceil(len(run) / workers))`` instances — and the claim is the
-        unit of everything on the shared path: one backend call (one
-        IPC message on the processes backend), one gather per fetch
-        spec, one write-once commit and one event per (field, age), one
-        trace span, one instrumentation record.  Inside it the
-        kernel's vectorized ``batch_body``, when it has one, runs on
-        stacks of at most ``batch`` rows.  ``batch=1`` is the paper's
+        The paper's granularity parameter (default 1): the least
+        instances a claim holds, and whether claims are stacked at all.
+        With ``batch > 1`` a worker *claims* its share of the head
+        (kernel, age) run — ``max(batch, ceil(len(run) / workers))``
+        instances — and the claim is the unit of everything on the
+        shared path: one backend call (one IPC message on the processes
+        backend), one gather per fetch spec, one ``batch_body`` call
+        when the kernel has a stacked form (one per shape class when a
+        ragged trailing block is among its rows), one write-once commit
+        and one event per (field, age), one trace span, one
+        instrumentation record.  ``batch`` does not set the size of a
+        body call.  ``batch=1`` is the paper's
         one-instance-per-dispatch reference mode (tables II/III):
         singleton claims through the same path; output is
         byte-identical at every size.
@@ -846,9 +848,7 @@ class ExecutionNode:
             for _fname, _age, _regions, who in stores:
                 if who is None:
                     stored[:] = True
-                elif isinstance(who, range):
-                    stored[who.start:who.stop] = True
-                else:
+                else:  # a position, or a shape class's positions
                     stored[who] = True
             self._post(
                 InstanceDoneEvent(

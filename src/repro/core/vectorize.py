@@ -7,8 +7,9 @@ the luma DCT alone.  Batched dispatch (the ready queue handing a worker
 its share of a *run* of same-kernel/same-age instances as one claim,
 see :meth:`~repro.core.runtime.ReadyQueue.pop_batch`) amortizes the
 per-call overhead; a kernel's *stacked form* removes the per-instance
-body calls too: one call over a whole stack — at most ``batch``
-instances of the claim.
+body calls too: one call over the whole claim (one per shape class of
+its rows, :func:`shape_classes`, when ragged edge blocks are among
+them).
 
 The definition carries its stacked form; nothing here knows what any
 kernel computes.  ``KernelDef(batch_body=...)`` is the general form: a
@@ -26,7 +27,7 @@ stacked form (the tests' scalar reference).
 
 A ``batch_body`` may raise :class:`VectorizeFallback` at run time (e.g.
 the stack's block shape is not the expected 8x8) and
-:func:`~repro.core.execute.run_batch` re-runs that stack in its scalar
+:func:`~repro.core.execute.run_batch` re-runs those rows in its scalar
 loop — nothing of the claim has been written by then — and reports the
 drop (``exec.vectorize_fallbacks``).
 
@@ -56,6 +57,7 @@ __all__ = [
     "StackFn",
     "VectorizeFallback",
     "batch_fetch_plan",
+    "shape_classes",
 ]
 
 #: A stacked native block: ``(N, *block)`` array in, ``(N, *out)`` out;
@@ -65,8 +67,8 @@ StackFn = Callable[[np.ndarray], Any]
 
 class VectorizeFallback(Exception):
     """Raised by a ``batch_body`` when this particular stack cannot be
-    handled (shape drift, unexpected dtype); the routine re-runs the
-    stack through the scalar body instead of failing the run."""
+    handled (shape drift, unexpected dtype); the routine re-runs its
+    rows through the scalar body instead of failing the run."""
 
 
 class BatchKernelContext:
@@ -198,3 +200,30 @@ def batch_fetch_plan(
                 return None
         plan.append((f, f.age.resolve(age), group))
     return plan
+
+
+def shape_classes(
+    kernel: KernelDef,
+    indices: np.ndarray,
+    extent_of: Callable[[str], tuple[int, ...]],
+) -> list[np.ndarray]:
+    """The positions of a batch's rows grouped by the shape of every
+    region they fetch — one index array per distinct shape, in order of
+    first appearance, each sorted — so that each class is one uniform
+    stacked call where :func:`batch_fetch_plan` of the whole batch came
+    back ``None``.  A row with an empty region forms a class that still
+    has no plan."""
+    columns = dict(zip(kernel.index_vars, indices.T))
+    widths = [
+        d.widths(columns[d.var], size)
+        for f in kernel.fetches if not f.whole_field()
+        for d, size in zip(f.dims, extent_of(f.field)) if not d.is_all
+    ]
+    if not widths:
+        return [np.arange(len(indices))]
+    _keys, first, inverse = np.unique(
+        np.stack(widths, axis=1), axis=0,
+        return_index=True, return_inverse=True,
+    )
+    inverse = inverse.reshape(-1)
+    return [np.flatnonzero(inverse == c) for c in np.argsort(first)]

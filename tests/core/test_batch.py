@@ -826,11 +826,12 @@ class TestOnePathSeams:
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     @pytest.mark.parametrize("case", ["ragged", "fallback"])
     def test_scalar_drop_inside_a_batch_is_invisible(self, backend, case):
-        """A ragged trailing region (no uniform fetch plan) and a
-        ``batch_body`` raising VectorizeFallback both finish the batch
-        in the scalar loop: same bytes and the same regions announced
-        as ``batch=1`` (however they are grouped into events), and the
-        drop is counted on either backend."""
+        """A ragged trailing region (a shape class of one) and a
+        ``batch_body`` raising VectorizeFallback both finish in the
+        scalar loop: same bytes and the same regions announced as
+        ``batch=1`` (however they are grouped into events).  The
+        declined claim is counted as a drop on either backend; beside
+        the ragged block, the four whole ones stay one stacked call."""
         def build():
             if case == "ragged":
                 return _doubling_program(18, 4, batch_body=_stacked_double)
@@ -841,8 +842,12 @@ class TestOnePathSeams:
         assert got[:3] == base[:3]
         assert base[2]["dbl"] == 5
         assert base[3]["exec.vectorize_fallbacks"] == 0
-        assert got[3]["exec.vectorize_fallbacks"] >= 1
-        assert got[3]["exec.vectorized_instances"] == 0
+        if case == "ragged":
+            assert got[3]["exec.vectorize_fallbacks"] == 0
+            assert got[3]["exec.vectorized_instances"] == 4
+        else:
+            assert got[3]["exec.vectorize_fallbacks"] >= 1
+            assert got[3]["exec.vectorized_instances"] == 0
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_untiled_group_takes_the_region_loop_unseen(self, backend):
@@ -926,6 +931,63 @@ class TestOnePathSeams:
             "ValueError: batch_body emitted 'out' with shape (7, 4) for a "
             "stack of 8 instances (one row each)") in str(ei.value)
         assert node.fields["out"].written_count(0) == 0
+
+
+def _doubling_plane(height, width, block):
+    """:func:`_doubling_program` on a 2-D ``int64`` field: one ``dbl``
+    instance per ``block`` x ``block`` tile, index ``(y, x)``; the
+    right and bottom edges are ragged unless ``block`` divides the
+    extent."""
+    from repro.core import AgeExpr, FieldDef
+
+    def src(ctx):
+        ctx.emit("a", np.arange(height * width, dtype=np.int64).reshape(
+            height, width))
+
+    def dbl(ctx):
+        ctx.emit("out", ctx["v"] * 2)
+
+    age0 = AgeExpr.const(0)
+    dims = (Dim.of("y", block), Dim.of("x", block))
+    return Program.build(
+        [FieldDef("a", "int64", 2, aging=False, shape=(height, width)),
+         FieldDef("out", "int64", 2, aging=False, shape=(height, width))],
+        [KernelDef("src", src, stores=(StoreSpec("a", age=age0),)),
+         KernelDef(
+             "dbl", dbl, index_vars=("y", "x"),
+             fetches=(FetchSpec("v", "a", age=age0, dims=dims),),
+             stores=(StoreSpec("out", age=age0, dims=dims),),
+             batch_body=_stacked_double,
+         )],
+    )
+
+
+class TestRaggedClaims:
+    """A claim holding ragged edge blocks is one stacked call per shape
+    class of its rows, not a scalar loop."""
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_ragged_claims_keep_the_stacked_form(self, backend):
+        """100 x 100 in 8 x 8 tiles on 2 workers: 169 instances in two
+        claims.  The 144 whole tiles, the 12 right-edge and the 12
+        bottom-edge tiles run stacked; only the corner tile, a class of
+        one, runs alone.  The bytes are ``batch=1``'s."""
+        def run(batch):
+            reg = MetricsRegistry()
+            result = run_program(
+                _doubling_plane(100, 100, 8), workers=2, backend=backend,
+                batch=batch, metrics=reg, timeout=60,
+            )
+            return result.fields["out"].fetch(0), flatten(reg.snapshot())
+
+        base, _flat = run(1)
+        got, flat = run(32)
+        assert got.tobytes() == base.tobytes()
+        assert np.array_equal(
+            base, np.arange(10_000, dtype=np.int64).reshape(100, 100) * 2)
+        assert flat["instances.executed"] == 170
+        assert flat["exec.vectorized_instances"] == 168
+        assert flat["exec.vectorize_fallbacks"] == 0
 
 
 class TestEventGranularity:
@@ -1168,14 +1230,14 @@ class TestClaimEquivalence:
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_fallback_in_stack_k_happens_before_any_write(self, backend,
                                                           tmp_path):
-        """One claim of 12 in stacks of 4; the third stack's body call
-        declines.  At that moment nothing of the claim has been written
-        (the scatter comes after the last body call); the claim then
-        runs stack by stack, so the other two stacks stay stacked."""
+        """One claim of 12 is one body call, and it declines (its
+        ninth instance is the one it cannot take).  At that moment
+        nothing of the claim has been written (the scatter comes after
+        the last body call); the claim then runs in the scalar loop."""
         seen = tmp_path / "seen"
 
         def stacked(bctx):
-            if bctx.indices[0]["x"] == 8:
+            if any(imap["x"] == 8 for imap in bctx.indices):
                 with open(seen, "a") as fh:
                     fh.write(f"{probe()}\n")
                 raise VectorizeFallback
@@ -1208,15 +1270,12 @@ class TestClaimEquivalence:
                     shm.close()
 
         result = node.run(timeout=60)
-        # raised twice: in the claim-wide attempt (nothing written yet)
-        # and again when its own stack is tried (the first two stacks,
-        # 32 elements — 31 of them non-zero — are in by then)
-        assert seen.read_text().split() == (
-            ["0", "32"] if backend == "threads" else ["0", "31"])
+        # raised once, in the claim's one body call, nothing written
+        assert seen.read_text().split() == ["0"]
         assert result.fields["out"].fetch(0).tolist() == list(
             range(0, 96, 2))
         flat = flatten(reg.snapshot())
-        assert flat["exec.vectorized_instances"] == 8
+        assert flat["exec.vectorized_instances"] == 0
         assert flat["exec.vectorize_fallbacks"] == 1
         assert flat["instances.executed"] == 13
 
@@ -1225,7 +1284,7 @@ class TestClaimEquivalence:
         from repro.core.errors import KernelBodyError
 
         def stacked(bctx):
-            if bctx.indices[0]["x"] == 8:
+            if any(imap["x"] == 8 for imap in bctx.indices):
                 raise ValueError("boom")
             bctx.emit("out", bctx["v"] * 2)
 
@@ -1237,8 +1296,9 @@ class TestClaimEquivalence:
         with pytest.raises(KernelBodyError) as ei:
             node.run(timeout=60)
         err = ei.value
-        # the stacked call names the first instance of its stack
-        assert (err.kernel, tuple(err.index)) == ("dbl", (8,))
+        # the stacked call names the first instance of its call: the
+        # claim's
+        assert (err.kernel, tuple(err.index)) == ("dbl", (0,))
         assert "ValueError: boom" in str(err)
         assert node.fields["out"].written_count(0) == 0
         assert events == ["a"]
@@ -1320,8 +1380,8 @@ class TestDispatchCount:
         from repro.core.errors import WorkerProcessError
 
         def stacked(bctx):
-            if bctx.indices[0]["x"] == 8:
-                os._exit(3)  # the third of the claim's three stacks
+            if any(imap["x"] == 8 for imap in bctx.indices):
+                os._exit(3)  # inside the claim's one body call
             bctx.emit("out", bctx["v"] * 2)
 
         program = _doubling_program(48, 4, batch_body=stacked)
@@ -1348,8 +1408,8 @@ class TestDispatchCount:
         spans = [e["args"] for e in tracer.events()
                  if e.get("cat") == "kernel"
                  and e["name"].startswith("dbl")]
-        # 40 instances, 2 workers: two claims of 20, three stacks each
-        assert [(a["batch"], a["stacks"]) for a in spans] == [(20, 3)] * 2
+        # 40 instances, 2 workers: two claims of 20, one body call each
+        assert [(a["batch"], a["stacks"]) for a in spans] == [(20, 1)] * 2
         flat = flatten(reg.snapshot())
         assert flat["exec.claims"] == 3  # ``src`` + the two
         assert flat["exec.claim_size.count"] == 3

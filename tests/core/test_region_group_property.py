@@ -10,10 +10,11 @@ nothing.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import FieldDef
 from repro.core.backends import _NodeFields
@@ -27,6 +28,7 @@ from repro.core.fields import (
     Field,
     FieldStore,
     RegionGroup,
+    _raster_pieces,
     gather,
     scatter,
 )
@@ -314,3 +316,205 @@ class TestAdapterEquivalence:
             field.fetch(0, RegionGroup([[0], [8]], (4,)))
         with pytest.raises(ExtentError, match="exceeds extent"):
             field.fetch(0, RegionGroup([[-4], [4]], (4,)))
+
+
+@st.composite
+def raster_runs(draw):
+    """``(extent, shape, starts, (a, b))``: a 2-D extent cut into blocks
+    of ``shape`` and the starts of its blocks ``a .. b - 1`` in raster
+    order — one block, a run inside one block row, a run starting or
+    ending anywhere, whole block rows, or the whole field."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    gy, gx = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    extent = (gy * shape[0], gx * shape[1])
+    kind = draw(st.sampled_from(["block", "in_row", "any", "rows", "all"]))
+    if kind == "block":
+        a = draw(st.integers(0, gy * gx - 1))
+        b = a + 1
+    elif kind == "in_row":
+        row = draw(st.integers(0, gy - 1)) * gx
+        c0 = draw(st.integers(0, gx - 1))
+        a, b = row + c0, row + draw(st.integers(c0 + 1, gx))
+    elif kind == "any":
+        a = draw(st.integers(0, gy * gx - 1))
+        b = draw(st.integers(a + 1, gy * gx))
+    elif kind == "rows":
+        r0 = draw(st.integers(0, gy - 1))
+        a, b = r0 * gx, draw(st.integers(r0 + 1, gy)) * gx
+    else:
+        a, b = 0, gy * gx
+    k = np.arange(a, b)
+    starts = np.stack([k // gx * shape[0], k % gx * shape[1]], axis=1)
+    return extent, shape, starts, (a, b)
+
+
+def _general(fn):
+    """``fn()`` with raster runs unrecognized: the general path, which
+    is the reference."""
+    with mock.patch.object(RegionGroup, "raster", lambda self, extent: None):
+        return _outcome(fn)
+
+
+def _cells(extent, flats):
+    return {
+        tuple(int(c) for c in np.unravel_index(f % int(np.prod(extent)),
+                                               extent))
+        for f in flats
+    }
+
+
+def _same_exc(a, b):
+    return type(a) is type(b) and getattr(a, "index", None) == getattr(
+        b, "index", None)
+
+
+class TestRasterRuns:
+    """A contiguous raster run of blocks moves, commits, checks and
+    fails through at most three strided views exactly as the general
+    path (``_block_grid``'s index, the overlap check) and the
+    per-region loop do."""
+
+    @given(raster_runs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_a_run_moves_like_the_loop(self, run, seed):
+        extent, shape, starts, bounds = run
+        group = RegionGroup(starts, shape)
+        assert group.raster(extent) == bounds
+        rng = np.random.default_rng(seed)
+        arr = rng.integers(0, 1000, extent)
+        assert 1 <= len(_raster_pieces(arr, group)) <= 3
+        stack = gather(arr, group)
+        assert np.array_equal(stack, np.stack([arr[r] for r in group]))
+        values = rng.integers(0, 1000, (len(group),) + shape)
+        got, want = np.zeros(extent, int), np.zeros(extent, int)
+        scatter(got, group, values)
+        for region, value in zip(group, values):
+            want[region] = value
+        assert np.array_equal(got, want)
+        scatter(got, group, -1)
+        for region in group:
+            want[region] = -1
+        assert np.array_equal(got, want)
+        # a stack that is not C-contiguous, and one row broadcast
+        scatter(got, group, values.transpose(0, 2, 1).copy().transpose(
+            0, 2, 1))
+        for region, value in zip(group, values):
+            want[region] = value
+        assert np.array_equal(got, want)
+        scatter(got, group, values[:1])
+        for region in group:
+            want[region] = values[0]
+        assert np.array_equal(got, want)
+
+    @given(
+        raster_runs(),
+        st.lists(st.integers(0, 399), max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_run_commits_and_fails_like_the_general_path(
+        self, run, prewritten, seed
+    ):
+        extent, shape, starts, _bounds = run
+        group = RegionGroup(starts, shape)
+        cells = _cells(extent, prewritten)
+        stack = np.random.default_rng(seed).integers(
+            0, 1000, (len(group),) + shape)
+
+        def field():
+            f = Field(FieldDef("f", "int64", 2, shape=extent))
+            for cell in cells:
+                f.store(0, cell, -5)
+            return f
+
+        # the write-once check: the same element named
+        f_run, f_gen = field(), field()
+        _, exc_run = _outcome(lambda: f_run._check_unwritten(
+            0, f_run._ages[0], group) if cells else None)
+        _, exc_gen = _general(lambda: f_gen._check_unwritten(
+            0, f_gen._ages[0], group) if cells else None)
+        assert _same_exc(exc_run, exc_gen)
+        # the per-region loop: the first member holding a written cell,
+        # its first such cell in row-major order
+        written = np.zeros(extent, bool)
+        for cell in cells:
+            written[cell] = True
+        first = next((
+            tuple(s.start + int(o) for s, o in zip(r, np.argwhere(
+                written[r])[0]))
+            for r in group if written[r].any()
+        ), None)
+        assert (exc_run is None) == (first is None)
+        if first is not None:
+            assert isinstance(exc_run, WriteOnceViolation)
+            assert exc_run.index == first
+        # mark_written_many and Field.store of the group
+        for op in (
+            lambda f: f.mark_written_many(0, group),
+            lambda f: f.store(0, group, stack),
+        ):
+            f_run, f_gen = field(), field()
+            _, exc_run = _outcome(lambda: op(f_run))
+            _, exc_gen = _general(lambda: op(f_gen))
+            assert _same_exc(exc_run, exc_gen)
+            assert _same_state(_state(f_run, 0), _state(f_gen, 0))
+            assert np.array_equal(f_run._ages[0].data, f_gen._ages[0].data)
+        # fetch and peek: of the stored group, and of a part-written one
+        f_run = field()
+        if not cells:
+            f_run.store(0, group, stack)
+            assert np.array_equal(f_run.fetch(0, group), stack)
+        for f in (f_run, field()):
+            got, exc_run = _outcome(lambda: f.fetch(0, group))
+            want, exc_gen = _general(lambda: f.fetch(0, group))
+            assert _same_exc(exc_run, exc_gen)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, np.stack([
+                    f.fetch(0, r) for r in group]))
+            peeked = f.peek(0, group)
+            assert (peeked is None) == (got is None)
+
+    @given(
+        raster_runs(),
+        st.sampled_from(["gapped", "reversed", "repeated"]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_tiling_groups_take_the_general_path(
+        self, run, how, data
+    ):
+        extent, shape, starts, _bounds = run
+        n = len(starts)
+        if how == "gapped":
+            assume(n >= 3)
+            gap = data.draw(st.integers(1, n - 2))
+            starts = np.delete(starts, gap, axis=0)
+        elif how == "reversed":
+            assume(n >= 2)
+            starts = starts[::-1]
+        else:
+            twice = data.draw(st.integers(0, n - 1))
+            starts = np.insert(starts, data.draw(st.integers(twice + 1, n)),
+                               starts[twice], axis=0)
+        group = RegionGroup(starts, shape)
+        assert group.tiles(extent) is not None
+        assert group.raster(extent) is None
+        assert _raster_pieces(np.zeros(extent), group) is None
+        field = Field(FieldDef("f", "int64", 2, shape=extent))
+        mask, expected = TestCommitEquivalence._model(field, 0, list(group))
+        _, exc = _outcome(lambda: field.mark_written_many(0, group))
+        assert type(exc) is (expected or type(None))
+        if how == "repeated":
+            # the first member that repeats an earlier one is named
+            seen, repeat = set(), None
+            for row in starts.tolist():
+                if tuple(row) in seen:
+                    repeat = tuple(row)
+                    break
+                seen.add(tuple(row))
+            assert exc.index == repeat
+            assert field.written_count(0) == 0
+        else:
+            assert np.array_equal(field._ages[0].written, mask)

@@ -114,6 +114,61 @@ class TestStackedIdentity:
         with pytest.raises(ValueError):
             dct2_blocks(np.zeros((16, 8)), "matrix")
 
+    @pytest.mark.parametrize("routine", ["dct_quant", "idct", "downscale",
+                                         "transcode_chain"])
+    @pytest.mark.parametrize("plane,claim", [("y", 792), ("u", 198)])
+    def test_stacked_routines_are_size_invariant(self, routine, plane,
+                                                 claim):
+        """A claim is one body call, so the stacked codec routines see
+        stacks of any size up to a whole CIF claim (792 luma / 198
+        chroma blocks on 2 workers): every block gets the same bytes
+        in a stack of 1, of 32 and of the whole claim."""
+        from repro.core.vectorize import BatchKernelContext
+        from repro.media.stacked import (
+            box_downscale_stack,
+            dct_quant_stack,
+            idct_stack,
+        )
+        from repro.workloads import TranscodeConfig, build_transcode
+
+        rng = np.random.default_rng(36)
+        qtable = jpeg.qtables_for_quality(75)[plane != "y"]
+        if routine == "dct_quant":
+            fn = dct_quant_stack(qtable)
+            x = rng.integers(0, 256, (claim, 8, 8), dtype=np.uint8)
+        elif routine == "idct":
+            fn = idct_stack
+            x = rng.integers(-1024, 1024, (claim, 8, 8)).astype(np.int32)
+        elif routine == "downscale":
+            fn = box_downscale_stack(2)
+            x = rng.integers(0, 256, (claim, 16, 16), dtype=np.uint8)
+        else:  # idct -> scale -> dct, fused into one batch_body
+            kernel = build_transcode(
+                TranscodeConfig(width=352, height=288, frames=1)
+            ).program.kernels[f"{plane}dct"]
+            param = kernel.fetches[0].param
+            key = kernel.stores[0].emit_key
+
+            def fn(stack):
+                bctx = BatchKernelContext(
+                    0, np.zeros((len(stack), 2), np.intp), {param: stack},
+                    index_vars=kernel.index_vars,
+                )
+                kernel.batch_body(bctx)
+                return np.asarray(bctx.emitted[key])
+
+            x = rng.integers(-64, 64, (claim, 16, 16)).astype(np.int32)
+            x[:, ::8, ::8] = rng.integers(-1024, 1024, (claim, 2, 2))
+
+        whole = fn(x)
+        assert len(whole) == claim
+        for size in (1, 32):
+            parts = np.concatenate([
+                fn(x[lo:lo + size]) for lo in range(0, claim, size)
+            ])
+            assert parts.dtype == whole.dtype
+            assert parts.tobytes() == whole.tobytes()
+
 
 class TestBasisMatrix:
     def test_orthonormal(self):
