@@ -1,34 +1,20 @@
 """Figure 10 — K-means workload execution time vs worker threads.
 
-The pytest path is simulated at the paper's full parameters (n=2000,
-K=100, 10 iterations → 2,000,000 assign instances) with
-table-III-calibrated costs.  Shape assertions: scaling up to 4 workers,
-then the serial dependency analyzer saturates and running time
-*increases*, with the Opteron suffering more than the turbo-boosted
-Core i7 — exactly the paper's findings.
-
-Run the module as a script for a *measured* sweep of the real runtime
-at reduced scale, on either execution backend::
-
-    PYTHONPATH=src python benchmarks/bench_fig10_kmeans_scaling.py \
-        --backend both --out fig10.json
-
-Centroids are checked against the sequential baseline at every worker
-count, so the sweep doubles as a parity test.
+Simulated at the paper's full parameters (n=2000, K=100, 10 iterations
+→ 2,000,000 assign instances) with table-III-calibrated costs.  Shape
+assertions: scaling up to 4 workers, then the serial dependency analyzer
+saturates and running time *increases*, with the Opteron suffering more
+than the turbo-boosted Core i7 — exactly the paper's findings.
 """
 
-import argparse
-import json
-import os
-import sys
 import time
+
+from conftest import emit, write_bench_json
+
+from repro.bench import fig10_kmeans_scaling
 
 
 def test_fig10_kmeans_scaling(benchmark):
-    from conftest import emit, write_bench_json
-
-    from repro.bench import fig10_kmeans_scaling
-
     t0 = time.perf_counter()
     sweep = benchmark.pedantic(fig10_kmeans_scaling, rounds=1, iterations=1)
     wall = time.perf_counter() - t0
@@ -52,83 +38,3 @@ def test_fig10_kmeans_scaling(benchmark):
         degradations["4-way Intel Core i7"], 3
     )
 
-
-def usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def main(argv=None) -> int:
-    import numpy as np
-
-    from repro.core import run_program
-    from repro.workloads import build_kmeans, kmeans_baseline
-
-    ap = argparse.ArgumentParser(
-        description="measured figure-10 K-means worker sweep"
-    )
-    ap.add_argument("--backend", choices=("threads", "processes", "both"),
-                    default="both")
-    ap.add_argument("-n", type=int, default=400)
-    ap.add_argument("-k", type=int, default=20)
-    ap.add_argument("--iterations", type=int, default=6)
-    ap.add_argument("--granularity", choices=("pair", "point"),
-                    default="point")
-    ap.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
-    ap.add_argument("--timeout", type=float, default=1800.0)
-    ap.add_argument("--out", help="write the results JSON to this path")
-    args = ap.parse_args(argv)
-
-    expected = kmeans_baseline(
-        n=args.n, k=args.k, iterations=args.iterations
-    ).final_centroids()
-    cpus = usable_cpus()
-    backends = (("threads", "processes") if args.backend == "both"
-                else (args.backend,))
-    report = {
-        "workload": "kmeans",
-        "n": args.n, "k": args.k, "iterations": args.iterations,
-        "granularity": args.granularity,
-        "usable_cpus": cpus,
-        "backends": {},
-    }
-    for backend in backends:
-        times = {}
-        for w in args.workers:
-            program, sink = build_kmeans(
-                n=args.n, k=args.k, iterations=args.iterations,
-                granularity=args.granularity,
-            )
-            t0 = time.perf_counter()
-            result = run_program(
-                program, workers=w, timeout=args.timeout, backend=backend
-            )
-            times[w] = time.perf_counter() - t0
-            assert result.reason == "idle"
-            assert np.array_equal(sink.final_centroids(), expected), (
-                f"centroid mismatch: backend={backend} workers={w}"
-            )
-        report["backends"][backend] = {
-            str(w): round(t, 3) for w, t in times.items()
-        }
-        print(f"-- backend={backend} (n={args.n} K={args.k} "
-              f"x{args.iterations} {args.granularity}, "
-              f"{cpus} usable CPUs)")
-        for w, t in sorted(times.items()):
-            print(f"   {w} workers: {t:6.2f}s "
-                  f"(speedup {times[min(times)] / t:4.2f}x)")
-    if cpus < 4:
-        print(f"-- host has {cpus} usable CPU(s): numbers recorded "
-              "as-is, no scaling assertion")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"-- wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables/figures (or an
-ablation DESIGN.md calls out) and prints the artifact once, so
-``pytest benchmarks/ --benchmark-only -s`` reproduces the evaluation
-section on the terminal.  Numbers also land in each benchmark's
-``extra_info`` for machine consumption.
+Every benchmark regenerates a simulated or structural artifact of the
+paper (or an ablation DESIGN.md calls out) and prints it once under
+``pytest benchmarks/ --benchmark-only -s``; numbers also land in each
+benchmark's ``extra_info`` for machine consumption.  The evaluation
+section itself (tables I–III, figures 9/10) is ``python -m repro
+tables``.
 """
 
 import json

@@ -1,8 +1,7 @@
 """Experiment harness: regenerates every table and figure in the paper.
 
-Each ``table*``/``fig*`` function returns structured data plus a
-formatted rendering that mirrors the paper's presentation.  The
-``benchmarks/`` directory drives these under pytest-benchmark;
+Each function regenerates an artifact laid out as the paper presents
+it; ``python -m repro tables`` prints the evaluation from them and
 ``EXPERIMENTS.md`` records paper-vs-measured for each.
 
 Measurement tiers (documented per experiment):
@@ -11,7 +10,8 @@ Measurement tiers (documented per experiment):
   the table-I machine profiles (figures 9, 10: curve shapes);
 * **measured** — the real Python runtime on this host, at a reduced
   scale where the full parameters are impractical under the GIL
-  (tables II, III: instance counts exact, timings host-specific);
+  (tables II, III: instance counts exact, timings host-specific;
+  figure 9's worker sweep on both backends);
 * **structural** — graphs and language artifacts (figures 2–8).
 """
 
@@ -19,11 +19,11 @@ from .experiments import (
     fig2_intermediate_graph,
     fig3_final_graph,
     fig4_dcdag,
+    fig9_measured,
     fig9_mjpeg_scaling,
     fig10_kmeans_scaling,
+    micro_tables,
     table1_machines,
-    table2_mjpeg_micro,
-    table3_kmeans_micro,
 )
 from .plots import ascii_chart, format_sweep
 
@@ -33,9 +33,9 @@ __all__ = [
     "fig2_intermediate_graph",
     "fig3_final_graph",
     "fig4_dcdag",
+    "fig9_measured",
     "fig9_mjpeg_scaling",
     "format_sweep",
+    "micro_tables",
     "table1_machines",
-    "table2_mjpeg_micro",
-    "table3_kmeans_micro",
 ]

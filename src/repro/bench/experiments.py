@@ -1,19 +1,20 @@
 """Per-table/per-figure experiment definitions.
 
-Every public function regenerates one artifact of the paper's evaluation
-(section VIII) or design discussion (figures 2–4) and returns both the
-raw data and a text rendering.  See DESIGN.md's experiment index for the
-mapping and EXPERIMENTS.md for recorded paper-vs-measured results.
+Every public function regenerates an artifact of the paper's evaluation
+(section VIII) or design discussion (figures 2–4): a sweep as data with
+a rendering, a table or graph as text.  ``python -m repro tables``
+prints the evaluation from them.  See DESIGN.md's experiment index for
+the mapping and EXPERIMENTS.md for recorded paper-vs-measured results.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from ..core import run_program
+from ..core import RuntimeStateError, run_program
 from ..core.graph import ascii_graph, dc_dag, final_graph, intermediate_graph
 from ..sim import (
     CORE_I7_860,
@@ -25,16 +26,17 @@ from ..sim import (
     paper_mjpeg_model,
     sweep_workers,
 )
-from ..workloads import build_kmeans, build_mjpeg, build_mulsum
+from ..media import synthetic_sequence
+from ..workloads import build_kmeans, build_mjpeg, build_mulsum, mjpeg_baseline
 from ..workloads.mjpeg import MJPEGConfig
 from .plots import ascii_chart, format_sweep
 
 __all__ = [
     "table1_machines",
-    "table2_mjpeg_micro",
-    "table3_kmeans_micro",
+    "micro_tables",
     "sweep_series",
     "fig9_mjpeg_scaling",
+    "fig9_measured",
     "fig10_kmeans_scaling",
     "fig2_intermediate_graph",
     "fig3_final_graph",
@@ -60,32 +62,6 @@ PAPER_TABLE3: Mapping[str, tuple[int, float, float]] = {
     "refine": (1000, 3.21, 92.91),
     "print": (11, 1.09, 379.36),
 }
-
-
-@dataclass
-class MicroBenchResult:
-    """One micro-benchmark table: measured rows + the paper's rows."""
-
-    title: str
-    rows: list[tuple[str, int, float, float]]
-    paper: Mapping[str, tuple[int, float, float]]
-    config: dict = dc_field(default_factory=dict)
-
-    def render(self) -> str:
-        """Text table: measured rows beside the paper's published values."""
-        lines = [self.title]
-        lines.append(
-            f"{'Kernel':<10}{'Instances':>11}{'Dispatch us':>13}"
-            f"{'Kernel us':>12}   |{'paper N':>9}{'paper D':>9}"
-            f"{'paper K':>10}"
-        )
-        for name, n, d, k, *_ in self.rows:
-            pn, pd, pk = self.paper.get(name, (0, 0.0, 0.0))
-            lines.append(
-                f"{name:<10}{n:>11}{d:>13.2f}{k:>12.2f}   |"
-                f"{pn:>9}{pd:>9.2f}{pk:>10.2f}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass
@@ -122,69 +98,48 @@ def table1_machines() -> str:
 # ----------------------------------------------------------------------
 # Tables II and III — measured on the real Python runtime
 # ----------------------------------------------------------------------
-def table2_mjpeg_micro(
-    frames: int = 4,
-    width: int = 352,
-    height: int = 288,
-    workers: int = 4,
-) -> MicroBenchResult:
-    """Table II: MJPEG per-kernel micro-benchmark.
+#: Table II's reduced size: CIF frames (the paper's: 50).
+TABLE2_FRAMES = 2
+#: Table III's reduced size (the paper's: n=2000, K=100, 10 iterations).
+TABLE3_KMEANS: Mapping[str, int] = {"n": 200, "k": 20, "iterations": 10}
 
-    Runs the real runtime at CIF geometry (instance counts per frame
-    exactly match the paper's 1584/396/396) but fewer frames — the
-    full 50-frame naive-DCT run belongs to the C prototype; counts
-    scale linearly and are reported per the configured frame count.
+
+def micro_tables(
+    frames: int = TABLE2_FRAMES,
+    kmeans: Mapping[str, int] = TABLE3_KMEANS,
+) -> list[str]:
+    """Tables II and III, each from one live run at one worker and
+    ``batch=1`` and rendered by :meth:`Instrumentation.table` beside the
+    paper's rows.
+
+    One worker, because a wall-clock span on a shared CPU also counts
+    the other workers' turns.  CIF geometry gives the paper's per-frame
+    DCT instance counts (1584/396/396); pair granularity gives its
+    K-means arithmetic (n·K·iterations assigns, K·iterations refines,
+    iterations + 1 prints).  A run that does not end idle, or an encode
+    short of ``frames`` frames, raises :class:`RuntimeStateError`.
     """
-    cfg = MJPEGConfig(width=width, height=height, frames=frames)
-    program, sink = build_mjpeg(config=cfg)
-    result = run_program(program, workers=workers, timeout=600)
-    rows = result.instrumentation.as_rows(
-        order=["read", "ydct", "udct", "vdct", "vlc"]
-    )
-    assert sink.frame_count() == frames
-    return MicroBenchResult(
-        title=(
-            f"Table II (measured, {frames} frames of "
-            f"{width}x{height}; paper: 50 frames CIF)"
-        ),
-        rows=rows,
-        paper=PAPER_TABLE2,
-        config={"frames": frames, "width": width, "height": height,
-                "workers": workers, "reason": result.reason},
-    )
-
-
-def table3_kmeans_micro(
-    n: int = 200,
-    k: int = 20,
-    iterations: int = 10,
-    workers: int = 4,
-    granularity: str = "pair",
-) -> MicroBenchResult:
-    """Table III: K-means per-kernel micro-benchmark.
-
-    Pair granularity matches the paper's instance arithmetic
-    (n·k·iterations assigns, k·iterations refines, iterations+1 prints);
-    the default scale is reduced from n=2000, K=100 for wall-clock
-    practicality under the Python runtime.
-    """
-    program, _sink = build_kmeans(
-        n=n, k=k, iterations=iterations, granularity=granularity
-    )
-    result = run_program(program, workers=workers, timeout=600)
-    rows = result.instrumentation.as_rows(
-        order=["init", "assign", "refine", "print"]
-    )
-    return MicroBenchResult(
-        title=(
-            f"Table III (measured, n={n}, K={k}, {iterations} iterations, "
-            f"{granularity} granularity; paper: n=2000, K=100)"
-        ),
-        rows=rows,
-        paper=PAPER_TABLE3,
-        config={"n": n, "k": k, "iterations": iterations,
-                "workers": workers, "reason": result.reason},
-    )
+    mjpeg, sink = build_mjpeg(config=MJPEGConfig(frames=frames))
+    kmeans_program, _ = build_kmeans(granularity="pair", **kmeans)
+    tables = []
+    for title, program, order, paper in (
+        (f"Table II (measured, {frames} CIF frames; paper: 50)", mjpeg,
+         ["read", "ydct", "udct", "vdct", "vlc"], PAPER_TABLE2),
+        ("Table III (measured, n={n}, K={k}, {iterations} iterations; "
+         "paper: n=2000, K=100)".format(**kmeans), kmeans_program,
+         ["init", "assign", "refine", "print"], PAPER_TABLE3),
+    ):
+        result = run_program(program, workers=1, batch=1, timeout=600)
+        if result.reason != "idle":
+            raise RuntimeStateError(
+                f"{title}: the run ended {result.reason!r}"
+            )
+        tables.append(result.instrumentation.table(order, title, paper))
+    if sink.frame_count() != frames:
+        raise RuntimeStateError(
+            f"table II: encoded {sink.frame_count()} of {frames} frames"
+        )
+    return tables
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +197,64 @@ def fig10_kmeans_scaling(
             (CORE_I7_860, OPTERON_8218),
             worker_counts,
         ),
+    )
+
+
+#: The measured figure 9: CIF frames, worker counts and backends.
+FIG9_MEASURED_FRAMES = 3
+FIG9_MEASURED_WORKERS = (1, 2, 4)
+FIG9_MEASURED_BACKENDS = ("threads", "processes")
+
+
+def fig9_measured(
+    frames: int = FIG9_MEASURED_FRAMES,
+    worker_counts: Sequence[int] = FIG9_MEASURED_WORKERS,
+    backends: Sequence[str] = FIG9_MEASURED_BACKENDS,
+) -> SweepResult:
+    """Figure 9 on this host: the real runtime encodes a CIF clip at
+    each worker count on each backend, beside the standalone encoder.
+
+    Every run's bytes must equal the standalone encoder's; a run that
+    differs raises :class:`RuntimeStateError`.  So does a ``threads``
+    sweep whose 4-worker run takes 1.5× its 1-worker run or longer:
+    more threads may fail to help, but must not catastrophically hurt.
+    The numbers are whatever the host's CPUs allow; the curve shapes are
+    the simulated figure's.
+    """
+    cfg = MJPEGConfig(frames=frames)
+    clip = synthetic_sequence(cfg.frames, cfg.width, cfg.height, cfg.seed)
+    t0 = time.perf_counter()
+    reference = mjpeg_baseline(clip, cfg)
+    standalone = time.perf_counter() - t0
+    series: dict[str, list[tuple[int, float]]] = {}
+    for backend in backends:
+        series[backend] = []
+        for w in worker_counts:
+            program, sink = build_mjpeg(clip, cfg)
+            t0 = time.perf_counter()
+            result = run_program(
+                program, workers=w, backend=backend, timeout=600
+            )
+            series[backend].append((w, time.perf_counter() - t0))
+            if result.reason != "idle" or sink.stream() != reference:
+                raise RuntimeStateError(
+                    f"measured fig 9: {backend} at {w} workers ended "
+                    f"{result.reason!r} and its bytes differ from the "
+                    "standalone encoder's"
+                )
+    threads = dict(series.get("threads", ()))
+    if {1, 4} <= threads.keys() and threads[4] >= 1.5 * threads[1]:
+        raise RuntimeStateError(
+            f"measured fig 9: threads at 4 workers took {threads[4]:.2f} s, "
+            f"not below 1.5 × the {threads[1]:.2f} s at 1 worker"
+        )
+    return SweepResult(
+        title=(
+            f"Figure 9: MJPEG execution time ({frames} CIF frames, "
+            f"measured on {os.cpu_count()} CPUs)"
+        ),
+        series=series,
+        baselines={"this host": standalone},
     )
 
 

@@ -22,7 +22,7 @@ def format_sweep(
         row = "".join(
             f"{by_x[x]:>9.2f}" if x in by_x else f"{'-':>9}" for x in xs
         )
-        lines.append(f"{name[:8]:<8} {row} {unit}")
+        lines.append(f"{name[:9]:<9}{row} {unit}")
     return "\n".join(lines)
 
 

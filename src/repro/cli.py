@@ -13,7 +13,8 @@ graph     emit a program's dependency graphs (ascii or DOT)
 mjpeg     encode a YUV file (or the synthetic clip) to MJPEG via P2G
 kmeans    run the K-means workload and print the centroid trajectory
 simulate  sweep simulated worker counts for a paper workload model
-tables    print tables I-III and the figure 9/10 series
+tables    print the paper's evaluation: tables I-III, the simulated
+          figures 9/10 and figure 9 measured on this host
 """
 
 from __future__ import annotations
@@ -807,17 +808,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    """The paper's evaluation: table I, tables II/III from live runs,
+    the simulated figures 9/10 (``--frames`` sizes figure 9), then
+    figure 9 measured on this host — nonzero if a live run fails a
+    check of :func:`~repro.bench.experiments.micro_tables` or
+    :func:`~repro.bench.experiments.fig9_measured`."""
     from .bench import (
+        fig9_measured,
         fig9_mjpeg_scaling,
         fig10_kmeans_scaling,
+        micro_tables,
         table1_machines,
     )
+    from .core import RuntimeStateError
 
-    print(table1_machines())
-    print()
-    print(fig9_mjpeg_scaling(frames=args.frames).render())
-    print()
-    print(fig10_kmeans_scaling().render())
+    for artifact in (
+        table1_machines(),
+        *micro_tables(),
+        fig9_mjpeg_scaling(frames=args.frames).render(),
+        fig10_kmeans_scaling().render(),
+    ):
+        print(artifact, end="\n\n", flush=True)
+    try:
+        print(fig9_measured().render())
+    except RuntimeStateError as exc:
+        print(f"repro tables: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -982,8 +998,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default=["core_i7", "opteron"])
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("tables", help="print the paper's tables/figures")
-    p.add_argument("--frames", type=_positive_int, default=50)
+    p = sub.add_parser(
+        "tables",
+        help="print tables I-III (II/III from live runs), the simulated "
+             "figures 9/10 and figure 9 measured on this host",
+    )
+    p.add_argument("--frames", type=_positive_int, default=50,
+                   help="frames of the simulated figure 9")
     p.set_defaults(fn=_cmd_tables)
 
     return parser

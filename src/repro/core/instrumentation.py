@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Iterable
+from typing import Iterable, Mapping
 
 
 @dataclass
@@ -188,12 +188,16 @@ class Instrumentation:
 
     # ------------------------------------------------------------------
     def table(
-        self, order: Iterable[str] | None = None, title: str | None = None
+        self, order: Iterable[str] | None = None, title: str | None = None,
+        paper: Mapping[str, tuple[int, float, float]] | None = None,
     ) -> str:
         """Render the paper's micro-benchmark table layout::
 
             Kernel         Instances  Dispatch Time  Kernel Time
             init                   1       69.00 us     18.00 us
+
+        ``paper`` (kernel -> published instances, dispatch µs, kernel
+        µs) adds the paper's row beside each measured one.
         """
         stats = self.stats()
         names = list(order) if order is not None else sorted(stats)
@@ -209,6 +213,11 @@ class Instrumentation:
         )
         if ipc:
             header += f"{'IPC Time':>16}"
+        if paper is not None:
+            header += (
+                f"  |{'Paper Instances':>16}{'Dispatch Time':>16}"
+                f"{'Kernel Time':>16}"
+            )
         lines.append(header)
         for name in names:
             s = stats.get(name, KernelStats())
@@ -219,22 +228,8 @@ class Instrumentation:
             )
             if ipc:
                 row += f"{s.mean_ipc_us:>13.2f} us"
+            if paper is not None:
+                pn, pd, pk = paper.get(name, (0, 0.0, 0.0))
+                row += f"  |{pn:>16}{pd:>13.2f} us{pk:>13.2f} us"
             lines.append(row)
         return "\n".join(lines)
-
-    def as_rows(
-        self, order: Iterable[str] | None = None
-    ) -> list[tuple[str, int, float, float, float]]:
-        """(kernel, instances, mean dispatch µs, mean kernel µs, mean
-        IPC µs) rows.  The IPC column is 0.0 on the threads backend;
-        consumers that predate it unpack with ``name, n, d, k, *_``."""
-        stats = self.stats()
-        names = list(order) if order is not None else sorted(stats)
-        rows = []
-        for n in names:
-            s = stats.get(n, KernelStats())
-            rows.append(
-                (n, s.instances, s.mean_dispatch_us, s.mean_kernel_us,
-                 s.mean_ipc_us)
-            )
-        return rows

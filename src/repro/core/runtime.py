@@ -130,7 +130,7 @@ class ReadyQueue:
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._seq = itertools.count()
-        self._age_counts: dict[int, int] = {}
+        #: queued instances per session and age key (-1: unaged)
         self._session_ages: dict[str, dict[int, int]] = {}
         self.scheduling = scheduling
         # The queue holds its own totals, kept under the lock a push or
@@ -175,7 +175,6 @@ class ReadyQueue:
         session_of = self._session_of
         lifo = self.scheduling == "lifo"
         by_age = not lifo and self.scheduling != "fifo"
-        age_counts = self._age_counts
         entries = []  # what needs no lock is done before taking it
         for run in runs:
             count = len(run)
@@ -200,7 +199,6 @@ class ReadyQueue:
                         [run, 0, now, real],
                     ),
                 )
-                age_counts[real] = age_counts.get(real, 0) + count
                 ages = self._session_ages[session]
                 ages[real] = ages.get(real, 0) + count
                 n += count
@@ -323,9 +321,6 @@ class ReadyQueue:
                     entry[1] = pos + room
                     parts.append(run[pos:pos + room])
                 room -= took
-                self._age_counts[real] -= took
-                if not self._age_counts[real]:
-                    del self._age_counts[real]
                 ages[real] -= took
                 if not ages[real]:
                     del ages[real]
@@ -347,12 +342,14 @@ class ReadyQueue:
         session's frontier.
         """
         with self._lock:
-            if session is None:
-                counts = self._age_counts
-            else:
-                counts = self._session_ages.get(session, {})
-            real = [a for a, c in counts.items() if c and a >= 0]
-            return min(real) if real else None
+            tallies = (
+                self._session_ages.values() if session is None
+                else (self._session_ages.get(session, {}),)
+            )
+            return min(
+                (a for ages in tallies for a in ages if a >= 0),
+                default=None,
+            )
 
     def snapshot(self) -> dict[str, dict]:
         """The queue's totals as a typed metrics snapshot (a node's
@@ -381,7 +378,6 @@ class ReadyQueue:
                 heap.clear()
             for ages in self._session_ages.values():
                 ages.clear()
-            self._age_counts.clear()
             self._depth = 0
             self._sentinels = 0
             return n
@@ -677,8 +673,10 @@ class ExecutionNode:
         self._abandoned = 0  #: instances popped but never executed
         self._teardown_hooks: list = []
         self._threads: list[threading.Thread] = []
-        self._running_ages: dict[int, int] = {}  # worker id -> age
-        self._running_sessions: dict[int, str] = {}  # worker id -> session
+        #: worker id -> (age, session) of the claim it holds, from the
+        #: pop on; age ``None`` for an unaged claim, session ``None``
+        #: outside a fair queue
+        self._in_hand: dict[int, tuple[int | None, str | None]] = {}
         self._gc_bytes = 0
         self._gc_floor = 0  #: ages below this were retired by gc_fields
         self._max_back = max(
@@ -865,16 +863,15 @@ class ExecutionNode:
         ready queue is its ``queue`` span, in this worker's lane."""
         tracer = self.tracer
         thread = f"worker{worker_id}"
-        running, sessions = self._running_ages, self._running_sessions
+        in_hand = self._in_hand
         session_of = self.session_of
 
         def hold(claim: Run) -> None:
-            # under the queue lock: the claim's age is this worker's
-            # before the queue stops counting it (age before session)
-            if claim.age is not None:
-                running[worker_id] = claim.age
-                if session_of is not None:
-                    sessions[worker_id] = session_of(claim)
+            # under the queue lock: the claim is this worker's before
+            # the queue stops counting it, published in one assignment
+            in_hand[worker_id] = (
+                claim.age, session_of(claim) if session_of else None
+            )
 
         while True:
             batch, wait = self.ready.pop_batch(
@@ -895,8 +892,7 @@ class ExecutionNode:
                 self._fail(exc)
                 return
             finally:
-                self._running_ages.pop(worker_id, None)
-                self._running_sessions.pop(worker_id, None)
+                in_hand.pop(worker_id, None)
                 self._dec(len(batch))
 
     def _frame_key(self, inst: "KernelInstance | Run"):
@@ -988,17 +984,10 @@ class ExecutionNode:
                         self.ready.min_age(session))
             if a is not None
         ]
-        if session is None:
-            live.extend(self._running_ages.values())
-        else:
-            # A worker publishes age before session; an entry whose
-            # session is not visible yet counts as ours (conservative —
-            # never over-frees).
-            sessions = dict(self._running_sessions)
-            live.extend(
-                age for wid, age in list(self._running_ages.items())
-                if sessions.get(wid, session) == session
-            )
+        live.extend(
+            age for age, s in list(self._in_hand.values())
+            if age is not None and (session is None or s == session)
+        )
         return min(live) if live else None
 
     def _collect_garbage(self) -> None:

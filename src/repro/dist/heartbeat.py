@@ -101,7 +101,7 @@ class Heartbeater:
                 node=name,
                 seq=self._seq,
                 executed=self.node.instrumentation.total_instances(),
-                busy=len(self.node._running_ages) + captive,
+                busy=len(self.node._in_hand) + captive,
                 backlog=self.node.backlog(),
             )
             try:

@@ -414,8 +414,8 @@ class TestReadyQueueAgeCounts:
             q.push(KernelInstance(k, age))
         for _ in range(100):
             q.pop()
-        # the bucket map must not grow with retired ages
-        assert q._age_counts == {}
+        # the age tallies must not grow with retired ages
+        assert q._session_ages == {"": {}}
         assert q.min_age() is None
 
     def test_partial_drain_keeps_live_buckets(self):
@@ -424,11 +424,11 @@ class TestReadyQueueAgeCounts:
         for age in (0, 0, 1):
             q.push(KernelInstance(k, age))
         q.pop()
-        assert q._age_counts == {0: 1, 1: 1}
         assert q.min_age() == 0
         q.pop()
-        assert q._age_counts == {1: 1}
         assert q.min_age() == 1
+        q.pop()
+        assert q.min_age() is None
 
 
 # ----------------------------------------------------------------------

@@ -70,25 +70,35 @@ class TestInstrumentation:
         assert "69.00 us" in text
         assert "18.00 us" in text
 
+    def test_table_paper_columns(self):
+        instr = Instrumentation()
+        instr.record("k", 1.5e-6, 2.5e-6)
+        text = instr.table(
+            order=["k", "ghost"], title="T", paper={"k": (100, 1.0, 2.0)}
+        )
+        header, k_row, ghost_row = text.splitlines()[1:]
+        assert "Paper Instances" in header
+        measured, published = k_row.split("|")
+        assert measured.split() == ["k", "1", "1.50", "us", "2.50", "us"]
+        assert published.split() == ["100", "1.00", "us", "2.00", "us"]
+        assert ghost_row.split("|")[1].split() == [
+            "0", "0.00", "us", "0.00", "us"
+        ]
+        assert "|" not in instr.table(order=["k"])
+
     def test_table_includes_missing_kernels_as_zero(self):
         text = Instrumentation().table(order=["ghost"])
         assert "ghost" in text
 
-    def test_as_rows(self):
-        instr = Instrumentation()
-        instr.record("a", 2e-6, 4e-6)
-        rows = instr.as_rows(order=["a"])
-        assert rows == [
-            ("a", 1, pytest.approx(2.0), pytest.approx(4.0), 0.0)
-        ]
-
-    def test_as_rows_reports_mean_ipc(self):
+    def test_table_reports_mean_ipc(self):
         instr = Instrumentation()
         instr.record("a", 2e-6, 4e-6, ipc_time=6e-6)
         instr.record("a", 2e-6, 4e-6, ipc_time=2e-6)
-        (_, n, _, _, ipc), = instr.as_rows(order=["a"])
-        assert n == 2
-        assert ipc == pytest.approx(4.0)  # mean of 6 us and 2 us
+        header, row = instr.table(order=["a"]).splitlines()
+        assert "IPC Time" in header
+        # instances, then the means of 2, 4 and (6 + 2) / 2 us
+        assert row.split() == ["a", "2", "2.00", "us", "4.00", "us",
+                               "4.00", "us"]
 
     def test_merged_is_thread_safe_against_concurrent_recording(self):
         """Merging while both operands are being hammered from other

@@ -6,15 +6,21 @@ fencing, event-log replay and re-execution — produce output
 bit-identical to the fault-free run.
 """
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    AgeExpr,
+    ExecutionNode,
+    FieldDef,
     KernelDef,
     NodeFailureError,
+    Program,
     RuntimeStateError,
+    StoreSpec,
     WorkCounter,
 )
 from repro.core.kernels import Run
@@ -24,6 +30,7 @@ from repro.dist import (
     FaultSchedule,
     FaultSpec,
     Heartbeat,
+    Heartbeater,
     HeartbeatMonitor,
     InProcTransport,
     LIVENESS_TOPIC,
@@ -133,6 +140,48 @@ class TestHeartbeatDetection:
                       control=True)
             time.sleep(0.02)
         assert mon.check() == []
+
+    def test_a_worker_inside_an_unaged_claim_is_busy(self):
+        """A run-once body (``init`` has no age) that hangs still holds
+        its worker: the node's beat counts it busy, so the monitor
+        reports a progress stall instead of an idle node."""
+        started, release = threading.Event(), threading.Event()
+
+        def init(ctx):
+            started.set()
+            release.wait()
+
+        program = Program.build(
+            [FieldDef("f", "int64", 1)],
+            [KernelDef("init", init,
+                       stores=(StoreSpec("f", AgeExpr.const(0), key="f"),))],
+        )
+        t = InProcTransport()
+        mon = HeartbeatMonitor(t, timeout=10.0, progress_timeout=0.05)
+        mon.watch("n1")
+        beats = []
+        t.subscribe(LIVENESS_TOPIC, "probe",
+                    lambda msg: beats.append(msg.payload))
+        counter = WorkCounter()
+        node = ExecutionNode(program, 2, name="n1", counter=counter)
+        beater = Heartbeater(node, t, interval=0.01)
+        counter.inc()
+        node.start()
+        try:
+            assert started.wait(10)
+            beater.start()
+            deadline = time.monotonic() + 10
+            while len(beats) < 10 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [b.busy for b in beats[-3:]] == [1, 1, 1]
+            assert beats[-1].backlog == 0
+            assert mon.check() == ["n1"]
+            assert "no progress" in mon.failures()["n1"]
+        finally:
+            beater.stop()
+            release.set()
+            node.wind_down()
+            counter.dec()
 
     def test_unwatched_node_never_reported(self):
         t = InProcTransport()

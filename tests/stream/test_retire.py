@@ -35,7 +35,7 @@ class StubNode:
         self.fields = fields if fields is not None else StubFields()
         self.analyzer = StubAnalyzer()
         self.ready = StubReady()
-        self._running_ages = {}
+        self._in_hand = {}
         self.retired: list[int] = []
 
     def retire(self, floor: int, fields=None, kernels=None) -> int:
@@ -94,7 +94,7 @@ def test_live_node_work_holds_back_retirement():
     r.sweep()
     assert fields.calls == [3, 5]
     node.ready.queued = None
-    node._running_ages = {0: 6}
+    node._in_hand = {0: (6, None), 1: (None, None)}
     r.sweep()
     assert fields.calls == [3, 5, 6]
 

@@ -147,6 +147,44 @@ class TestSimulateCommand:
         assert "must be a positive integer, got 0" in capsys.readouterr().err
 
 
+class TestTablesCommand:
+    """``tables`` prints the evaluation in the paper's order and fails
+    when a measured run's bytes differ (the live runs are stubbed here;
+    tests/test_bench_module.py runs them at reduced sizes)."""
+
+    @pytest.fixture
+    def stubbed(self, monkeypatch):
+        import repro.bench as bench
+        from repro.bench.experiments import SweepResult
+
+        monkeypatch.setattr(bench, "micro_tables",
+                            lambda: ["TABLE-II", "TABLE-III"])
+        sweep = SweepResult("MEASURED-FIG9", {"threads": [(1, 1.0)]})
+        monkeypatch.setattr(bench, "fig9_measured", lambda: sweep)
+        return bench, monkeypatch
+
+    def test_prints_every_artifact_in_order(self, stubbed, capsys):
+        assert main(["tables", "--frames", "5"]) == 0
+        out = capsys.readouterr().out
+        marks = ["Physical cores", "TABLE-II", "TABLE-III",
+                 "Figure 9: MJPEG execution time (5 frames, simulated)",
+                 "Figure 10", "MEASURED-FIG9"]
+        at = [out.index(mark) for mark in marks]
+        assert at == sorted(at)
+
+    def test_a_differing_measured_run_exits_nonzero(self, stubbed, capsys):
+        from repro.core import RuntimeStateError
+
+        bench, monkeypatch = stubbed
+
+        def differs():
+            raise RuntimeStateError("bytes differ")
+
+        monkeypatch.setattr(bench, "fig9_measured", differs)
+        assert main(["tables", "--frames", "5"]) == 1
+        assert "bytes differ" in capsys.readouterr().err
+
+
 class TestObservabilityFlags:
     """--trace / --metrics / --metrics-json across the subcommands."""
 

@@ -206,6 +206,13 @@ INVARIANTS = [
         tuple(CORE + f for f in ("execute.py", "backends.py", "runtime.py")),
         deleted_in="DESIGN.md section 7",
     ),
+    Invariant(
+        "one producer for the paper's evaluation (repro tables)",
+        r"MicroBenchResult|table2_mjpeg_micro|table3_kmeans_micro"
+        r"|usable_cpus",
+        ("src", "benchmarks"),
+        deleted_in="DESIGN.md section 4",
+    ),
 ]
 
 
@@ -220,6 +227,9 @@ def test_deleted_code_stays_deleted(row):
     "src/repro/kpn",
     "src/repro/sim/simnode.py",
     "src/repro/sim/advisor.py",
+    "benchmarks/bench_table2_mjpeg_micro.py",
+    "benchmarks/bench_table3_kmeans_micro.py",
+    "benchmarks/bench_fig9_measured.py",
 ])
 def test_deleted_module_stays_deleted(path):
     assert not (ROOT / path).exists()
