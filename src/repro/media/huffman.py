@@ -6,14 +6,15 @@ chrominance DC/AC tables, and the run-length + magnitude coding of
 quantized zig-zag coefficients (the "VLC" in the paper's ``VLC + write``
 kernel) at two granularities:
 
-* :func:`encode_mcus` / :func:`decode_scan` code a whole scan — one
-  NumPy pass on encode, one table probe per one or two coefficients on
-  decode.  These are
-  what :mod:`repro.media.jpeg` runs.
+* :func:`encode_mcus` / :func:`decode_scan` code a whole scan — a few
+  NumPy passes and one token-table lookup per token on encode, one
+  table probe per one or two coefficients on decode.  These are what
+  :mod:`repro.media.jpeg` runs.
 * :func:`encode_block` / :func:`decode_block` follow the spec's
   per-block procedures over a :class:`BitWriter` / :class:`BitReader`.
-  Nothing in the package calls them; they are the reference the scan
-  routines are tested against.
+  They are the reference the scan routines are tested against; the
+  package calls :func:`encode_block` only to name the error of a scan
+  :func:`encode_mcus` has found it cannot code.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class HuffmanTable:
         """``(codes, lengths)`` indexed by symbol value (0..255).
 
         A zero length marks a symbol absent from the table.  Cached —
-        this is the lookup structure the vectorized block encoder uses
-        instead of a per-symbol dict probe.
+        the encoder's token tables (:meth:`ac_value_tokens`) are built
+        from it.
         """
         if self._arrays is None:
             codes = np.zeros(256, dtype=np.int64)
@@ -159,6 +160,24 @@ class HuffmanTable:
         ``tokens`` the table's distinct tokens: a few thousand tuples
         rather than one per window.  Shared between equal tables."""
         return _ac_tokens(self.bits, self.values)
+
+    def dc_value_tokens(self) -> np.ndarray:
+        """The encoder's DC token table: 4 095 ``uint32`` tokens, the
+        one for difference ``d`` at ``d + 2047`` — ``(code << cat |
+        magnitude bits) << 5 | length``, 0 where the table lacks the
+        difference's category.  Shared between equal tables, like
+        :meth:`probe_table`; built on first use."""
+        return _dc_value_tokens(self.bits, self.values)
+
+    def ac_value_tokens(self) -> tuple[np.ndarray, int, int]:
+        """``(tokens, eob, zrl)``: the encoder's AC token table and the
+        EOB and ZRL tokens (0 where the table lacks them).  ``tokens``
+        holds 16 rows of 2 048 ``uint32`` tokens: the one for a non-zero
+        ``value`` after ``run`` zeros at ``((run + 1) & 15) * 2048 +
+        value + 1024``, laid out like :meth:`dc_value_tokens`; 0 for a
+        zero value, one beyond ±1023 or a symbol the table lacks.
+        Shared between equal tables; built on first use."""
+        return _ac_value_tokens(self.bits, self.values)
 
     def read_symbol(self, reader: BitReader) -> int:
         """Decode one symbol bit by bit (spec F.2.2.3 DECODE procedure)."""
@@ -292,14 +311,14 @@ def encode_block(
         nbits += cat
 
     ac_codes, ac_lens = ac_table.code_lists()
-    zrl_code, zrl_len = ac_table.encode(0xF0)
     run = 0
     for coef in vals[1:]:
         if coef == 0:
             run += 1
             continue
         while run > 15:
-            acc = (acc << zrl_len) | zrl_code  # ZRL: 16 zeros
+            zrl_code, zrl_len = ac_table.encode(0xF0)  # ZRL: 16 zeros
+            acc = (acc << zrl_len) | zrl_code
             nbits += zrl_len
             run -= 16
         cat = (coef if coef >= 0 else -coef).bit_length()
@@ -368,10 +387,6 @@ def decode_block(
 #: ``(component, dc_table, ac_table)``; ``component`` selects the DC
 #: predictor.
 Plan = Sequence[tuple[int, HuffmanTable, HuffmanTable]]
-
-#: ``_CATEGORY[abs(v)]`` is SSSS for every value baseline can code
-#: (DC differences reach 2047, AC coefficients 1023).
-_CATEGORY = np.array([magnitude_category(v) for v in range(2048)])
 
 #: EXTEND as two lookups: magnitude bits below ``_HALF[cat]`` stand for
 #: the negative ``bits + _NEG[cat]`` (category 0 maps 0 to 0).
@@ -511,29 +526,80 @@ def _bit_windows(data: bytes) -> array:
     return array("H", windows.tobytes())
 
 
-def _check_range(values: np.ndarray, limit: int, what: str) -> None:
-    bad = (values > limit) | (values < -limit)
-    if bad.any():
-        raise ValueError(
-            f"{what} {values[np.argmax(bad)]} out of baseline range"
-        )
+#: The encoder's *tokens*: a Huffman code with the value's magnitude bits
+#: behind it, as ``uint32`` ``bits << 5 | length`` (at most 16 + 11 = 27
+#: bits; 0 marks a symbol the table lacks).  An AC token table has a row
+#: of 2 048 = 1 << 11 values (index ``value + 1024``) per ``(run + 1) &
+#: 15``: the distance from the block's previous coded entry, mod 16.
+_AC_TABLE = 16 * 2048
+_DC_TABLE = 2 * 2047 + 1  # index ``difference + 2047``
 
 
-def _codes(
-    codes: np.ndarray, lengths: np.ndarray, rows: np.ndarray, symbols
-) -> tuple[np.ndarray, np.ndarray]:
-    """(code, length) of ``symbols`` in the stacked tables' ``rows``."""
-    length = lengths[rows, symbols]
-    if not length.all():
-        missing = np.broadcast_to(symbols, length.shape)[np.argmin(length)]
-        raise ValueError(f"symbol {missing:#x} not in Huffman table")
-    return codes[rows, symbols], length
-
-
-def _magnitude_tokens(code, length, values, cat):
-    """Append each value's magnitude bits to its Huffman code."""
+def _value_tokens(
+    table: HuffmanTable, values: np.ndarray, run: np.ndarray | int = 0
+) -> np.ndarray:
+    """The token of each value after ``run`` zeros: the code of symbol
+    ``run << 4 | category``, then the value's magnitude bits."""
+    codes, lengths = table.code_arrays()
+    cat = np.frexp(np.abs(values))[1]  # SSSS: the bit length of |value|
+    symbols = (run << 4) | cat
     low = (values - (values < 0)) & ((1 << cat) - 1)
-    return (code << cat) | low, length + cat
+    length = lengths[symbols]
+    tokens = (((codes[symbols] << cat) | low) << 5) | (length + cat)
+    return np.where(length > 0, tokens, 0).astype(np.uint32)
+
+
+@lru_cache(maxsize=32)
+def _dc_value_tokens(bits: tuple[int, ...], values: tuple[int, ...]):
+    """:meth:`HuffmanTable.dc_value_tokens`."""
+    return _value_tokens(HuffmanTable(bits, values), np.arange(-2047, 2048))
+
+
+@lru_cache(maxsize=32)
+def _ac_value_tokens(bits: tuple[int, ...], values: tuple[int, ...]):
+    """:meth:`HuffmanTable.ac_value_tokens`."""
+    table = HuffmanTable(bits, values)
+    value = np.arange(-1024, 1024)
+    tokens = _value_tokens(table, value, (np.arange(16)[:, None] - 1) & 15)
+    tokens[:, (value == 0) | (value == -1024)] = 0
+    eob, zrl = _value_tokens(table, np.zeros(2, dtype=int), np.array([0, 15]))
+    return tokens.ravel(), int(eob), int(zrl)
+
+
+class _ScanTables:
+    """What :func:`encode_mcus` looks up for one plan: the token tables
+    of its distinct tables back to back, and per plan column where its
+    tables start, its EOB and ZRL tokens and where its DC predictor
+    sits (as an offset in blocks)."""
+
+    def __init__(self, plan: tuple) -> None:
+        dcs = list({id(dc): dc for _c, dc, _ac in plan}.values())
+        acs = list({id(ac): ac for _c, _dc, ac in plan}.values())
+        self.dc = np.concatenate([t.dc_value_tokens() for t in dcs])
+        self.ac = np.concatenate([t.ac_value_tokens()[0] for t in acs])
+        self.dc_base = np.array(
+            [dcs.index(dc) * _DC_TABLE + 2047 for _c, dc, _ac in plan]
+        )
+        self.ac_base = np.array(
+            [acs.index(ac) * _AC_TABLE + 1024 for _c, _dc, ac in plan]
+        )
+        eob, zrl = zip(*(ac.ac_value_tokens()[1:] for _c, _dc, ac in plan))
+        self.eob = np.array(eob, dtype=np.uint32)
+        self.zrl = np.array(zrl, dtype=np.uint32)
+        # the previous block of the column's component: earlier in the
+        # MCU, or the component's last column one MCU back
+        comps = [c for c, _dc, _ac in plan]
+        offsets = []
+        for j, comp in enumerate(comps):
+            same = [i for i, c in enumerate(comps) if c == comp]
+            k = same.index(j)
+            offsets.append(same[k - 1] - j - (len(plan) if k == 0 else 0))
+        self.predecessor = np.array(offsets)
+
+
+@lru_cache(maxsize=8)
+def _scan_tables(plan: tuple) -> _ScanTables:
+    return _ScanTables(plan)
 
 
 def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
@@ -541,122 +607,137 @@ def encode_mcus(zz: np.ndarray, plan: Plan) -> bytes:
     interleaved baseline scan: stuffed, 1-padded to a byte, no markers.
 
     Byte-identical to threading :func:`encode_block` over the blocks in
-    order, and raises its ``ValueError`` for a DC difference beyond
-    ±2047, an AC coefficient beyond ±1023 or a symbol a table lacks.
-    A token is a Huffman code with its magnitude bits behind it (at most
-    16 + 11 bits); a block's tokens are its DC, then per non-zero AC
-    coefficient one ZRL per 16 zeros skipped and the coefficient, then
-    EOB unless coefficient 63 is coded.
+    order.  Where that raises — a DC difference beyond ±2047, an AC
+    coefficient beyond ±1023, a symbol a table lacks that a block needs —
+    this raises the same ``ValueError`` (:func:`_block_error` names it)
+    before any bit is produced.  ``zz`` is not modified.
+
+    A few NumPy passes: one ``flatnonzero`` lists every coded entry —
+    each block's DC (column 0 is forced in) and its non-zero AC
+    coefficients — in stream order, and one gather from the plan's
+    token tables (:meth:`HuffmanTable.ac_value_tokens`) reads each
+    entry's whole token.  EOBs and ZRLs are *leads*: tokens in front of
+    the entry they precede (the next block's DC for an EOB), whose bits
+    one cumulative sum counts in.  :func:`_pack` places every token at
+    its bit offset.
     """
     zz = np.asarray(zz)
-    # int32 (what quantize emits) is coded as it is: the DC differences
-    # are taken in int64, and an AC coefficient is range-checked before
-    # any arithmetic that could wrap
-    if zz.dtype != np.int32:
+    if zz.dtype != np.int32:  # int32 is what quantize emits
         zz = zz.astype(np.int64, copy=False)
     if zz.ndim != 3 or zz.shape[1:] != (len(plan), 64):
         raise ValueError(
             f"expected (mcus, {len(plan)}, 64) coefficients, got {zz.shape}"
         )
-    mcus = zz.shape[0]
-    nblocks = mcus * len(plan)
-    dc_codes, dc_lens = (
-        np.stack(t) for t in zip(*(dc.code_arrays() for _c, dc, _ac in plan))
-    )
-    ac_codes, ac_lens = (
-        np.stack(t) for t in zip(*(ac.code_arrays() for _c, _dc, ac in plan))
-    )
-    row = np.tile(np.arange(len(plan)), mcus)  # a block's tables
-
-    # DC: difference to the component's previous block
-    diff = np.empty((mcus, len(plan)), dtype=np.int64)
-    for comp in {c for c, _dc, _ac in plan}:
-        cols = [j for j, entry in enumerate(plan) if entry[0] == comp]
-        dc = zz[:, cols, 0].astype(np.int64).ravel()
-        diff[:, cols] = np.diff(dc, prepend=0).reshape(mcus, len(cols))
-    diff = diff.ravel()
-    _check_range(diff, 2047, "DC difference")
-    cat = _CATEGORY[np.abs(diff)]
-    dc_bits, dc_nbits = _magnitude_tokens(
-        *_codes(dc_codes, dc_lens, row, cat), diff, cat
-    )
-
-    # AC: every non-zero coefficient as (block, k), in stream order
-    flat = zz.reshape(nblocks, 64)
-    block, k = np.divmod(np.flatnonzero(flat[:, 1:] != 0), 63)
-    k += 1
-    coef = flat[block, k]
-    _check_range(coef, 1023, "AC coefficient")
-    cat = _CATEGORY[np.abs(coef)]
-    prev = np.zeros_like(k)  # the block's previous coded index (DC: 0)
-    prev[1:] = np.where(block[1:] == block[:-1], k[:-1], 0)
-    run = k - prev - 1
-    zrls = run >> 4
-    ac_bits, ac_nbits = _magnitude_tokens(
-        *_codes(ac_codes, ac_lens, row[block], ((run & 15) << 4) | cat),
-        coef, cat,
-    )
-    eob = np.flatnonzero(flat[:, 63] == 0)
-
-    # Token slots: a block is [DC][ZRL* AC]*[EOB]
-    per_coef = zrls + 1
-    ac_tokens = np.bincount(
-        block, weights=per_coef, minlength=nblocks
-    ).astype(np.int64)
-    tokens = 1 + ac_tokens
-    tokens[eob] += 1
-    start = np.cumsum(tokens) - tokens
-    ac_slot = (
-        start[block] + np.cumsum(per_coef)
-        - (np.cumsum(ac_tokens) - ac_tokens)[block]
-    )
-    bits = np.empty(int(tokens.sum()), dtype=np.uint64)
-    nbits = np.empty(bits.shape, dtype=np.int64)
-    bits[start], nbits[start] = dc_bits, dc_nbits
-    bits[ac_slot], nbits[ac_slot] = ac_bits, ac_nbits
-    slot = start[eob] + 1 + ac_tokens[eob]
-    bits[slot], nbits[slot] = _codes(ac_codes, ac_lens, row[eob], 0x00)
-    for n in range(1, int(zrls.max(initial=0)) + 1):
-        long = np.flatnonzero(zrls >= n)
-        slot = ac_slot[long] - n
-        bits[slot], nbits[slot] = _codes(
-            ac_codes, ac_lens, row[block[long]], 0xF0
-        )
-
-    return _pack_tokens(bits, nbits).replace(b"\xff", b"\xff\x00")
-
-
-def _pack_tokens(bits: np.ndarray, nbits: np.ndarray) -> bytes:
-    """The tokens ``bits`` (uint64) of ``nbits`` (int64) bits each, most
-    significant bit first, back to back and 1-padded to a byte.
-
-    A token (1 to 27 bits) is shifted into the big-endian 64-bit word
-    holding its first bit; what runs past that word goes into the next
-    one.  Tokens never share a bit, so the sum of a word's parts is
-    their OR, and exact in ``uint64``."""
-    end = np.cumsum(nbits)
-    total = int(end[-1]) if end.size else 0
-    if not total:
+    if not zz.size:
         return b""
-    start = end - nbits
-    word = start >> 6
-    shift = 64 - (start & 63) - nbits  # < 0: the token runs into word + 1
-    over = shift < 0
-    head = np.where(
-        over,
-        bits >> np.maximum(-shift, 0).astype(np.uint64),
-        bits << np.maximum(shift, 0).astype(np.uint64),
+    mcus, width = zz.shape[:2]
+    tables = _scan_tables(tuple(plan))
+    flat = zz.reshape(-1)
+    coded = flat != 0
+    coded[::64] = True
+    pos = np.flatnonzero(coded)  # block << 6 | zig-zag index
+    value = flat[pos]
+    dc_at = np.flatnonzero((pos & 63) == 0)  # one per block
+
+    dc = np.zeros(dc_at.size + 1, dtype=np.int64)  # [-1]: the first's 0
+    dc[:-1] = value[dc_at]
+    predecessor = (
+        np.arange(dc_at.size).reshape(mcus, width) + tables.predecessor
     )
-    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
-    first = np.flatnonzero(np.diff(word, prepend=-1))
-    words[word[first]] = np.add.reduceat(head, first)
-    # at most one token runs past each word: the word's last
-    words[word[over] + 1] |= bits[over] << (64 + shift[over]).astype(
-        np.uint64
+    predecessor[predecessor < 0] = -1
+    diff = dc[:-1] - dc[predecessor.ravel()]
+    value[dc_at] = 0
+    # an int64 difference can wrap into range only next to a DC value
+    # within 2047 of ±2**63: the steps to it from 0 take 2**52 blocks,
+    # or one that is out of range and caught here
+    if (
+        diff.max() > 2047 or diff.min() < -2047
+        or value.max() > 1023 or value.min() < -1023
+    ):
+        raise _block_error(zz, plan)
+    step = np.zeros_like(pos)  # the distance to the previous entry
+    np.subtract(pos[1:], pos[:-1], out=step[1:])
+    step[dc_at] = 0
+    index = np.tile(tables.ac_base, mcus)[pos >> 6]
+    index += (step & 15) << 11
+    index += value
+    tokens = tables.ac[index]
+    dc_index = diff.reshape(mcus, width) + tables.dc_base
+    tokens[dc_at] = tables.dc[dc_index.ravel()]
+
+    # leads: an EOB after every block whose coefficient 63 is zero (in
+    # front of the next block's DC, or of the end), (step - 1) >> 4 ZRLs
+    # before a coefficient 17 or more on from the previous entry
+    n = tokens.size
+    eob = np.flatnonzero(flat[63::64] == 0)
+    zrl = np.flatnonzero(step > 16)
+    at = np.concatenate((np.append(dc_at[1:], n)[eob], zrl))
+    count = np.concatenate((np.ones_like(eob), (step[zrl] - 1) >> 4))
+    lead = np.concatenate(
+        (tables.eob[eob % width], tables.zrl[(pos[zrl] >> 6) % width])
     )
-    data = words.astype(">u8").view(np.uint8)[: (total + 7) >> 3]
+    if not (tokens.all() and lead.all()):
+        raise _block_error(zz, plan)
+
+    bits = np.zeros(n + 1, dtype=np.int64)  # [n]: what follows the last
+    bits[:n] = tokens & 31
+    lead_len = (lead & 31).astype(np.int64)
+    bits[at] += count * lead_len
+    end = np.cumsum(bits)
+    # a lead's ``count`` tokens fill the bits from the previous entry's
+    # end to where the entry's own token starts
+    start = end[at - 1]
+    lead_tokens, lead_ends = [lead], [start + lead_len]
+    for j in range(2, int(count.max(initial=1)) + 1):  # further ZRLs
+        more = count >= j
+        lead_tokens.append(lead[more])
+        lead_ends.append(start[more] + j * lead_len[more])
+    return _pack(
+        np.concatenate([tokens, *lead_tokens]),
+        np.concatenate([end[:n], *lead_ends]),
+        int(end[-1]),
+    )
+
+
+def _block_error(zz: np.ndarray, plan: Plan) -> ValueError:
+    """The ``ValueError`` :func:`encode_block` raises first threading the
+    blocks of ``zz`` in stream order — what :func:`encode_mcus` reports
+    once its whole-scan checks have found that one does."""
+    writer = BitWriter()
+    prev: dict[int, int] = {}
+    for mcu in zz:
+        for block, (comp, dc_table, ac_table) in zip(mcu, plan):
+            try:
+                prev[comp] = encode_block(
+                    writer, block, prev.get(comp, 0), dc_table, ac_table
+                )
+            except ValueError as exc:
+                return exc
+    raise AssertionError("encode_block coded every block")
+
+
+def _pack(tokens: np.ndarray, end: np.ndarray, total: int) -> bytes:
+    """``tokens`` placed to end at the bit offsets ``end``, most
+    significant bit first; ``total`` bits, 1-padded to a byte, stuffed.
+
+    The stream is cut into 16-bit units.  A token shifted left by the
+    free bits behind it in the unit of its last bit spans that unit and
+    at most two before it (≤ 27 + 15 = 42 bits), so one float64
+    ``bincount`` by that unit sums every unit's tokens exactly: they
+    share no bit, so the sum is their OR and stays below 2**42."""
+    last = (end - 1) >> 4
+    window = (tokens >> 5).astype(np.int64) << (-end & 15)
+    units = (total + 15) >> 4
+    sums = np.bincount(last, weights=window, minlength=units + 2)
+    sums = sums.astype(np.int64)
+    # a unit's bits: its own sum's low 16, then the 16 above them in
+    # the next unit's, then what lies above bit 32 in the one after
+    words = sums[:units] & 0xFFFF
+    words |= (sums[1 : units + 1] >> 16) & 0xFFFF
+    words |= sums[2 : units + 2] >> 32
+    data = words.astype(">u2").view(np.uint8)[: (total + 7) >> 3]
     data[-1] |= (1 << (-total % 8)) - 1
-    return data.tobytes()
+    return data.tobytes().replace(b"\xff", b"\xff\x00")
 
 
 def _scan_error(end: int, nbits: int, at_marker: bool, why: str) -> Exception:

@@ -22,6 +22,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -179,33 +180,105 @@ _PLAN_420 = (
 )
 
 
+def _grid_values(grid: np.ndarray) -> tuple[np.ndarray, bool]:
+    """A block grid's coefficients as one flat array, and whether they
+    are in raster order: a grid is read without a copy when it is
+    C-contiguous (block by block) or a :func:`plane_to_blocks` view of a
+    C-contiguous plane (row by row)."""
+    if not grid.flags.c_contiguous:
+        plane = grid.swapaxes(1, 2)
+        if plane.flags.c_contiguous:
+            return plane.reshape(-1), True
+    return np.ascontiguousarray(grid).reshape(-1), False
+
+
+@lru_cache(maxsize=8)
+def _mcu_order(
+    luma: tuple[int, int], chroma: tuple[int, int], raster: tuple[bool, ...]
+) -> np.ndarray:
+    """Where each coefficient of the 4:2:0 MCU stream — ``(mcus, 6, 64)``,
+    Y00 Y01 Y10 Y11 Cb Cr, zig-zag — sits in the three grids' values laid
+    end to end (:func:`_grid_values`, ``raster`` per grid)."""
+    grids = []
+    first = 0
+    for (bh, bw), rows in zip((luma, chroma, chroma), raster):
+        ids = np.arange(first, first + bh * bw * 64)
+        grids.append(
+            ids.reshape(bh, 8, bw, 8).swapaxes(1, 2) if rows
+            else ids.reshape(bh, bw, 8, 8)
+        )
+        first += ids.size
+    yq, uq, vq = grids
+    cbh, cbw = chroma
+    mcus = cbh * cbw
+    blocks = np.concatenate(
+        [
+            yq.reshape(cbh, 2, cbw, 2, 8, 8).swapaxes(1, 2).reshape(
+                mcus, 4, 8, 8
+            ),
+            uq.reshape(mcus, 1, 8, 8),
+            vq.reshape(mcus, 1, 8, 8),
+        ],
+        axis=1,
+    )
+    return zigzag(blocks)
+
+
 def encode_scan(
     yq: np.ndarray, uq: np.ndarray, vq: np.ndarray
 ) -> bytes:
     """Entropy-encode quantized block grids as one interleaved 4:2:0
     baseline scan.  ``yq`` is (BH, BW, 8, 8) with BH, BW even; chroma
-    grids are (BH/2, BW/2, 8, 8)."""
-    ybh, ybw = yq.shape[:2]
+    grids are (BH/2, BW/2, 8, 8).  The grids reach MCU order in one
+    gather through an index cached per grid geometry."""
+    grids = [np.asarray(g) for g in (yq, uq, vq)]
+    if any(g.ndim != 4 or g.shape[2:] != (8, 8) for g in grids):
+        raise ValueError("block grids must be (rows, columns, 8, 8)")
+    ybh, ybw = grids[0].shape[:2]
     if ybh % 2 or ybw % 2:
         raise ValueError(
             f"luma block grid {ybh}x{ybw} must be even for 4:2:0 MCUs"
         )
-    cbh, cbw = uq.shape[:2]
-    if (cbh, cbw) != (ybh // 2, ybw // 2) or vq.shape[:2] != (cbh, cbw):
+    chroma = grids[1].shape[:2]
+    if chroma != (ybh // 2, ybw // 2) or grids[2].shape[:2] != chroma:
         raise ValueError("chroma block grids must be half the luma grid")
-    mcus = cbh * cbw
-    # raster block grids -> MCU order: Y00 Y01 Y10 Y11 Cb Cr
-    blocks = np.concatenate(
-        [
-            np.reshape(yq, (cbh, 2, cbw, 2, 8, 8)).swapaxes(1, 2).reshape(
-                mcus, 4, 8, 8
-            ),
-            np.reshape(uq, (mcus, 1, 8, 8)),
-            np.reshape(vq, (mcus, 1, 8, 8)),
-        ],
-        axis=1,
+    values, raster = zip(*map(_grid_values, grids))
+    index = _mcu_order((ybh, ybw), chroma, raster)
+    values = np.concatenate(values)
+    zz = np.empty(index.shape, dtype=values.dtype)
+    # the index is in range by construction: "wrap" only spares the
+    # buffered bounds check a raising take makes into ``out``
+    np.take(values, index, out=zz, mode="wrap")
+    return encode_mcus(zz, _PLAN_420)
+
+
+@lru_cache(maxsize=16)
+def _headers(
+    width: int, height: int, qy: tuple, qc: tuple
+) -> bytes:
+    """SOI through SOS for :func:`encode_from_quantized`; ``qy`` / ``qc``
+    are ``(shape, int64 bytes)`` of the quantization tables."""
+    qy, qc = (
+        np.frombuffer(data, dtype=np.int64).reshape(shape)
+        for shape, data in (qy, qc)
     )
-    return encode_mcus(zigzag(blocks), _PLAN_420)
+    return b"".join([
+        _marker(SOI),
+        _app0_segment(),
+        _dqt_segment(qy, 0),
+        _dqt_segment(qc, 1),
+        _sof0_segment(width, height),
+        _dht_segment(STD_DC_LUMA, 0, 0),
+        _dht_segment(STD_AC_LUMA, 1, 0),
+        _dht_segment(STD_DC_CHROMA, 0, 1),
+        _dht_segment(STD_AC_CHROMA, 1, 1),
+        _sos_segment(),
+    ])
+
+
+def _table_key(table: np.ndarray) -> tuple:
+    table = np.asarray(table, dtype=np.int64)
+    return table.shape, table.tobytes()
 
 
 def encode_from_quantized(
@@ -218,21 +291,10 @@ def encode_from_quantized(
     qc: np.ndarray,
 ) -> bytes:
     """Assemble a complete JFIF file from already-quantized block grids
-    (the ``VLC + write`` kernel's job in the P2G pipeline)."""
-    out = bytearray()
-    out += _marker(SOI)
-    out += _app0_segment()
-    out += _dqt_segment(qy, 0)
-    out += _dqt_segment(qc, 1)
-    out += _sof0_segment(width, height)
-    out += _dht_segment(STD_DC_LUMA, 0, 0)
-    out += _dht_segment(STD_AC_LUMA, 1, 0)
-    out += _dht_segment(STD_DC_CHROMA, 0, 1)
-    out += _dht_segment(STD_AC_CHROMA, 1, 1)
-    out += _sos_segment()
-    out += encode_scan(yq, uq, vq)
-    out += _marker(EOI)
-    return bytes(out)
+    (the ``VLC + write`` kernel's job in the P2G pipeline).  The headers
+    are built once per size and pair of tables."""
+    head = _headers(width, height, _table_key(qy), _table_key(qc))
+    return head + encode_scan(yq, uq, vq) + _marker(EOI)
 
 
 def encode_jpeg(

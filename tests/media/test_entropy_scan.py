@@ -17,13 +17,14 @@ import inspect
 import os
 import pathlib
 import sys
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.media import jpeg
+from repro.media import huffman, jpeg
 from repro.media.bitstream import BitReader, BitWriter
 from repro.media.huffman import (
     HuffmanTable,
@@ -37,10 +38,12 @@ from repro.media.huffman import (
     encode_mcus,
 )
 from repro.media.jpeg import (
+    blocks_to_plane,
     decode_to_coefficients,
     encode_from_quantized,
     encode_jpeg,
     encode_scan,
+    plane_to_blocks,
 )
 from repro.media.yuv import synthetic_sequence
 from repro.media.zigzag import inverse_zigzag, zigzag
@@ -196,6 +199,17 @@ def as_mcus(grids, h, v):
 
 PROPERTY = settings(deadline=None)
 
+#: The grid layouts ``encode_scan`` reads: C-contiguous block grids (what
+#: ``quantize_plane`` returns), ``plane_to_blocks`` views of a plane (what
+#: the MJPEG kernels hand it) and anything else (copied first).
+LAYOUTS = {
+    "blocks": np.ascontiguousarray,
+    "plane view": lambda g: plane_to_blocks(
+        np.ascontiguousarray(blocks_to_plane(g))
+    ),
+    "fortran": np.asfortranarray,
+}
+
 
 # ----------------------------------------------------------------------
 # (i) encode
@@ -216,6 +230,13 @@ class TestEncodeDifferential:
         plan = plan_for(h, v)
         assert encode_mcus(zz, plan) == reference_encode_mcus(zz, plan)
         assert encode_mcus(zz, plan) == reference_encode_grids(grids, h, v)
+
+    @PROPERTY
+    @given(block_grids(2, 2),
+           st.lists(st.sampled_from(list(LAYOUTS)), min_size=3, max_size=3))
+    def test_encode_scan_reads_any_grid_layout(self, grids, layouts):
+        laid = [LAYOUTS[name](g) for name, g in zip(layouts, grids)]
+        assert encode_scan(*laid) == reference_encode_grids(grids, 2, 2)
 
     def test_every_branch_in_one_scan(self):
         """The named cases at once — and proof the inputs reach them."""
@@ -271,6 +292,120 @@ class TestEncodeDifferential:
         with pytest.raises(ValueError):
             encode_scan(np.zeros((3, 2, 8, 8)), np.zeros((1, 1, 8, 8)),
                         np.zeros((1, 1, 8, 8)))
+
+
+def without(table, symbol):
+    """``table`` less one symbol, its code left unused."""
+    values = list(table.values)
+    length = table.encode(symbol)[1]
+    bits = list(table.bits)
+    bits[length - 1] -= 1
+    values.remove(symbol)
+    return HuffmanTable(bits, values)
+
+
+class TestEncodeContract:
+    """What ``encode_mcus`` promises besides its bytes."""
+
+    @PROPERTY
+    @given(st.sampled_from(SAMPLINGS).flatmap(
+        lambda hv: st.tuples(st.just(hv), block_grids(*hv))
+    ), st.sampled_from([np.int32, np.int64]))
+    def test_the_input_is_not_modified(self, case, dtype):
+        (h, v), grids = case
+        zz = as_mcus(grids, h, v).astype(dtype)
+        kept = zz.copy()
+        zz.setflags(write=False)  # a write in place raises
+        encode_mcus(zz, plan_for(h, v))
+        assert np.array_equal(zz, kept)
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_integer_dtypes_give_equal_bytes(self, seed, mcus):
+        rng = np.random.default_rng(seed)
+        zz = rng.integers(0, 256, (mcus, 6, 64))
+        zz[:, :, 1:] *= rng.random((mcus, 6, 63)) < 0.2
+        plan = plan_for(2, 2)
+        want = reference_encode_mcus(zz, plan)
+        for dtype in (np.int16, np.int32, np.int64, np.uint8):
+            assert encode_mcus(zz.astype(dtype), plan) == want, dtype
+
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_no_mcus_is_no_bytes(self, blocks):
+        plan = plan_for(2, 2)[: blocks or None]
+        zz = np.zeros((0, len(plan), 64), dtype=np.int32)
+        assert encode_mcus(zz, plan) == b"" == reference_encode_mcus(zz, plan)
+
+    @pytest.mark.parametrize("symbol", [0x00, 0xF0])
+    def test_a_missing_eob_or_zrl_raises_only_where_needed(self, symbol):
+        plan = [(0, STD_DC_LUMA, without(STD_AC_LUMA, symbol))]
+        rng = np.random.default_rng(symbol)
+        needless = np.stack([make_block("tail", rng) for _ in range(3)])
+        if symbol == 0xF0:  # no run of 16 zeros, but EOBs
+            needless = np.stack([make_block("small", rng) for _ in range(3)])
+            needless[:, 1::8] += needless[:, 1::8] == 0
+        zz = needless[:, None]
+        assert encode_mcus(zz, plan) == reference_encode_mcus(zz, plan)
+        needy = zz.copy()
+        if symbol == 0x00:
+            needy[2, 0, 63] = 0  # the last block ends in zeros
+        else:
+            needy[1, 0, 2:20] = 0  # a run of 18 or more zeros
+        for encode in (encode_mcus, reference_encode_mcus):
+            with pytest.raises(
+                ValueError, match=f"symbol {symbol:#x} not in Huffman table"
+            ):
+                encode(needy, plan)
+
+    def test_the_first_bad_block_names_the_error(self):
+        # a bad AC value in block 1, an out-of-range DC difference in
+        # block 3: the block loop meets the coefficient first
+        zz = np.zeros((4, 1, 64), dtype=np.int64)
+        zz[1, 0, 9] = 5000
+        zz[3, 0, 0] = 3000
+        plan = [(0, *LUMA)]
+        with pytest.raises(ValueError) as ref:
+            reference_encode_mcus(zz, plan)
+        with pytest.raises(ValueError) as new:
+            encode_mcus(zz, plan)
+        assert str(new.value) == str(ref.value) == (
+            "AC coefficient 5000 out of baseline range"
+        )
+
+    def test_values_that_would_wrap_int64_raise(self):
+        zz = np.zeros((2, 1, 64), dtype=np.int64)
+        zz[:, 0, 0] = [2**62 + 1, -(2**62)]  # difference past 2**63
+        with pytest.raises(ValueError, match="DC difference"):
+            encode_mcus(zz, [(0, *LUMA)])
+
+    @pytest.mark.parametrize("column", range(6))
+    def test_the_limits_in_every_block_of_a_420_mcu(self, column):
+        """DC difference ±2047 and AC ±1023 in each block position, AC
+        at coefficients 1 and 63 and in between."""
+        plan = plan_for(2, 2)
+        diff = np.zeros((3, 6), dtype=np.int64)
+        diff[:, column] = [1023, -2047, 2047]
+        zz = np.zeros((3, 6, 64), dtype=np.int64)
+        prev = {}
+        for m in range(3):  # DC values from the differences wanted
+            for j, (comp, _dc, _ac) in enumerate(plan):
+                prev[comp] = zz[m, j, 0] = prev.get(comp, 0) + diff[m, j]
+        zz[1, column, [1, 30, 63]] = [1023, -1023, 1023]
+        zz[2, column, [1, 17, 62]] = [-1023, 1023, -1023]
+        assert {2047, -2047} <= coded_dc_differences(zz, plan)
+        scan = encode_mcus(zz, plan)
+        assert scan == reference_encode_mcus(zz, plan)
+        assert np.array_equal(decode_scan(scan, 3, plan), zz)
+
+
+def coded_dc_differences(zz, plan):
+    """Every DC difference a scan of ``zz`` codes."""
+    prev, out = {}, set()
+    for mcu in zz:
+        for block, (comp, _dc, _ac) in zip(mcu, plan):
+            out.add(int(block[0]) - prev.get(comp, 0))
+            prev[comp] = int(block[0])
+    return out
 
 
 class TestTokenPacking:
@@ -334,6 +469,41 @@ class TestTokenPacking:
         scan = encode_mcus(zz, plan)
         assert scan == reference_encode_mcus(zz, plan)
         assert np.array_equal(decode_scan(scan, 3, plan), zz)
+
+    @pytest.mark.parametrize("blocks, multiple", [(8, 16), (16, 32),
+                                                  (32, 64)])
+    def test_zero_blocks_filling_whole_words(self, blocks, multiple):
+        # 6 bits a block: the scan ends on a 16-, 32- or 64-bit boundary
+        zz = np.zeros((blocks, 1, 64), dtype=np.int64)
+        plan = [(0, *LUMA)]
+        assert (6 * blocks) % multiple == 0
+        scan = encode_mcus(zz, plan)
+        assert scan == reference_encode_mcus(zz, plan)
+        assert len(scan) == 6 * blocks // 8
+
+    @pytest.mark.parametrize("multiple", [32, 64])
+    def test_coded_blocks_filling_whole_words(self, multiple):
+        """The first of a run of seeded one-MCU scans whose bit count
+        is a multiple of ``multiple``: no pad, the last token ends the
+        packer's last unit."""
+        plan = plan_for(2, 2)
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            kinds = rng.choice(["small", "sparse", "zrl1", "tail"], 6)
+            zz = np.stack([make_block(k, rng) for k in kinds])[None]
+            writer = BitWriter()
+            prev = {}
+            for block, (comp, dc, ac) in zip(zz[0], plan):
+                prev[comp] = encode_block(
+                    writer, block, prev.get(comp, 0), dc, ac
+                )
+            if writer.bit_length % multiple == 0:
+                break
+        else:  # pragma: no cover
+            raise AssertionError(f"no seed fills {multiple}-bit words")
+        scan = encode_mcus(zz, plan)
+        assert scan == reference_encode_mcus(zz, plan)
+        assert np.array_equal(decode_scan(scan, 1, plan), zz)
 
 
 # ----------------------------------------------------------------------
@@ -619,8 +789,10 @@ class TestErrorPositions:
 def test_token_tables_are_small_and_untracked():
     """Four fresh tables (equal lengths to Annex K, two symbols of one
     length swapped so no cache holds them) add few objects for the
-    collector to walk and stay under 2 MiB.  One tuple per window
-    (65 536 each) would be ~20 MiB."""
+    collector to walk and stay under 2 MiB, for the decoder and for the
+    encoder.  One tuple per window (65 536 each) would be ~20 MiB; a
+    Python loop over an AC table's 32 768 values would take > 20 ms.
+    Equal tables share their token tables."""
     def fresh(table, a, b):
         values = list(table.values)
         i, j = values.index(a), values.index(b)
@@ -628,18 +800,22 @@ def test_token_tables_are_small_and_untracked():
         values[i], values[j] = values[j], values[i]
         return HuffmanTable(table.bits, values)
 
+    gc.collect()
+    before = len(gc.get_objects())
     dc_y, dc_c = fresh(STD_DC_LUMA, 1, 2), fresh(STD_DC_CHROMA, 1, 2)
     ac_y = fresh(STD_AC_LUMA, 0x01, 0x02)
     ac_c = fresh(STD_AC_CHROMA, 0x03, 0x11)
+    started = time.perf_counter()
+    ac_y.ac_value_tokens()
+    assert time.perf_counter() - started < 0.02
     zz = np.zeros((1, 2, 64), dtype=np.int64)
     zz[0, :, :3] = [[5, 1, -2], [-3, 2, 1]]
     plan = [(0, dc_y, ac_y), (1, dc_c, ac_c)]
     scan = encode_mcus(zz, plan)
-    gc.collect()
-    before = len(gc.get_objects())
     assert np.array_equal(decode_scan(scan, 1, plan), zz)
     gc.collect()
     assert len(gc.get_objects()) - before < 200
+
     tables = [dc_y.dc_tokens(), dc_c.dc_tokens(), ac_y.ac_tokens(),
               ac_c.ac_tokens()]
     size = 0
@@ -648,6 +824,18 @@ def test_token_tables_are_small_and_untracked():
         size += ids.itemsize * len(ids) + sys.getsizeof(tokens)
         size += sum(sys.getsizeof(token) for token in tokens)
     assert size < 2 << 20
+
+    scan_tables = huffman._scan_tables(tuple(plan))
+    encoder = [dc_y.dc_value_tokens(), dc_c.dc_value_tokens(),
+               ac_y.ac_value_tokens()[0], ac_c.ac_value_tokens()[0],
+               *vars(scan_tables).values()]
+    assert sum(table.nbytes for table in encoder) < 2 << 20
+
+    twin = fresh(STD_AC_LUMA, 0x01, 0x02)
+    assert twin is not ac_y
+    assert twin.ac_value_tokens()[0] is ac_y.ac_value_tokens()[0]
+    assert (fresh(STD_DC_LUMA, 1, 2).dc_value_tokens()
+            is dc_y.dc_value_tokens())
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.media import jpeg
 from repro.media.huffman import (
     STD_AC_CHROMA,
     STD_AC_LUMA,
@@ -14,6 +15,7 @@ from repro.media.jpeg import (
     blocks_to_plane,
     decode_jpeg,
     decode_to_coefficients,
+    encode_from_quantized,
     encode_jpeg,
     pad_plane,
     plane_to_blocks,
@@ -74,6 +76,35 @@ class TestEncode:
         q = quantize_plane(frame().y.astype(float), qy)
         assert q.shape == (8, 12, 8, 8)
         assert q.dtype == np.int32
+
+    def test_headers_are_built_once_per_size_and_tables(self):
+        f = frame()
+        qy, qc = qtables_for_quality(75)
+        grids = [quantize_plane(pad_plane(p, m), q) for p, m, q in
+                 ((f.y, 16, qy), (f.u, 8, qc), (f.v, 8, qc))]
+        # the segments the encoder wrote before its header was cached
+        want = b"".join([
+            jpeg._marker(jpeg.SOI), jpeg._app0_segment(),
+            jpeg._dqt_segment(qy, 0), jpeg._dqt_segment(qc, 1),
+            jpeg._sof0_segment(f.width, f.height),
+            jpeg._dht_segment(STD_DC_LUMA, 0, 0),
+            jpeg._dht_segment(STD_AC_LUMA, 1, 0),
+            jpeg._dht_segment(STD_DC_CHROMA, 0, 1),
+            jpeg._dht_segment(STD_AC_CHROMA, 1, 1),
+            jpeg._sos_segment(),
+        ]) + jpeg.encode_scan(*grids) + jpeg._marker(jpeg.EOI)
+        hits = jpeg._headers.cache_info().hits
+        args = (f.width, f.height, qy, qc)
+        assert encode_from_quantized(*grids, *args) == want
+        assert encode_from_quantized(*grids, *args) == want
+        assert jpeg._headers.cache_info().hits > hits
+        # the same values in another dtype are the same tables
+        assert encode_from_quantized(
+            *grids, f.width, f.height, qy.astype(np.uint8), list(qc)
+        ) == want
+        # another chroma table: another second DQT, the rest alike
+        other = encode_from_quantized(*grids, f.width, f.height, qy, qy)
+        assert other[:200] != want[:200] and other[200:] == want[200:]
 
 
 class TestDecodeRoundTrip:

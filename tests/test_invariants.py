@@ -168,6 +168,20 @@ INVARIANTS = [
         deleted_in="35e1e85",
     ),
     Invariant(
+        "a token per lookup (encode_mcus reads each token from one table)",
+        r"_CATEGORY|_magnitude_tokens|np\.add\.reduceat|np\.bincount\(block",
+        ("src/repro/media/huffman.py",),
+        section=(r"^def encode_mcus", r"^def "),
+        deleted_in="DESIGN.md section 3",
+    ),
+    Invariant(
+        "a token per lookup: the per-token helpers stay deleted",
+        r"_pack_tokens|_CATEGORY\b|_magnitude_tokens|_check_range"
+        r"|\b_codes\(",
+        EVERYWHERE,
+        deleted_in="DESIGN.md section 3",
+    ),
+    Invariant(
         "the matrix DCT stays one stacked call",
         r"\bfor\b|\bwhile\b|range\(",
         ("src/repro/media/dct.py",),
