@@ -143,11 +143,12 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--batch", type=int, default=32, metavar="N",
                    help="least instances of one kernel+age a dispatch "
                         "holds (default 32). With N > 1 a worker claims "
-                        "its whole share of a ready run (at least N) as "
-                        "one dispatch and runs it as one vectorized body "
-                        "call; 1 = one instance per dispatch, the paper's "
-                        "reference mode. Output is byte-identical at any "
-                        "size.")
+                        "a ready run (at least N) as one dispatch, whole "
+                        "while every worker has a queued run of its own, "
+                        "else its share of it, and runs it as one "
+                        "vectorized body call; 1 = one instance per "
+                        "dispatch, the paper's reference mode. Output is "
+                        "byte-identical at any size.")
 
 
 def _add_stream_args(p: argparse.ArgumentParser) -> None:

@@ -258,11 +258,19 @@ class ReadyQueue:
         total_queue_wait_seconds)``; ``(None, 0.0)`` means shut down.
 
         Called with the node's ``workers`` and ``max_n > 1`` (the worker
-        loop), the bound is the caller's *share of the head run* instead
-        — ``max(max_n, ceil(len(run) / workers))``, the run counted as
-        it was pushed — so the wavefront the analyzer released in one
-        piece is handed out in ``workers`` pieces, not in
-        ``len(run) / max_n``.  ``max_n = 1`` always yields singletons.
+        loop), the bound is sized from the head run as it was pushed
+        instead, decided under the lock at pop time.  While the queue
+        holds at least ``workers`` run entries across every session (a
+        partly claimed one counts as one), every worker has a run of
+        its own, so the claim is the *whole head run* — ``max(max_n,
+        len(run))``: splitting it would buy no parallelism, only more
+        claims, each a backend round trip and a commit.  With fewer
+        queued it is the caller's *share* — ``max(max_n, ceil(len(run)
+        / workers))`` — so a lone wavefront the analyzer released in one
+        piece is handed out in ``workers`` pieces, not in ``len(run) /
+        max_n``, and the remainder of a split run goes out whole once
+        other runs queue behind it.  ``max_n = 1`` always yields
+        singletons.
 
         The claim is taken greedily from the head of the chosen
         session's heap — a slice of the head run's rows, continuing into
@@ -299,8 +307,13 @@ class ReadyQueue:
             parts: list[Run] = []
             wait = 0.0
             if workers and max_n > 1:
-                # the caller's share of the head run, as it was pushed
-                max_n = max(max_n, -(-len(heap[0][2][0]) // workers))
+                # the head run as it was pushed: whole while every
+                # worker has a run of its own queued, else this
+                # worker's share of it
+                share = len(heap[0][2][0])
+                if sum(map(len, self._heaps.values())) < workers:
+                    share = -(-share // workers)
+                max_n = max(max_n, share)
             room = max_n
             while heap and room:
                 entry = heap[0][2]
@@ -579,9 +592,13 @@ class ExecutionNode:
     batch:
         The paper's granularity parameter (default 1): the least
         instances a claim holds, and whether claims are stacked at all.
-        With ``batch > 1`` a worker *claims* its share of the head
-        (kernel, age) run — ``max(batch, ceil(len(run) / workers))``
-        instances — and the claim is the unit of everything on the
+        With ``batch > 1`` a worker *claims* the head (kernel, age) run
+        whole — ``max(batch, len(run))`` instances — while at least
+        ``workers`` runs are queued, and its share of it — ``max(batch,
+        ceil(len(run) / workers))`` — while fewer are (see
+        :meth:`ReadyQueue.pop_batch`): a saturated node pays one claim
+        per run, a node with slack splits a run across its workers.
+        The claim is the unit of everything on the
         shared path: one backend call (one IPC message on the processes
         backend), one gather per fetch spec, one ``batch_body`` call
         when the kernel has a stacked form (one per shape class when a
@@ -856,9 +873,10 @@ class ExecutionNode:
             )
 
     def _worker_loop(self, worker_id: int) -> None:
-        """The one worker loop: claim this worker's share of the head
-        same-kernel/same-age run (at least :attr:`batch` instances when
-        there are that many) and hand it to the backend as one call;
+        """The one worker loop: claim the head same-kernel/same-age run —
+        whole while every worker has a queued run of its own, else this
+        worker's share of it; at least :attr:`batch` instances when
+        there are that many — and hand it to the backend as one call;
         ``batch=1`` simply yields singletons.  A claim's wait in the
         ready queue is its ``queue`` span, in this worker's lane."""
         tracer = self.tracer

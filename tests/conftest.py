@@ -13,8 +13,10 @@ import pytest
 from hypothesis import settings
 
 # `--hypothesis-profile=deep`: ten times the default example budget for
-# the property tests that leave `max_examples` unset (the CI property
-# job runs tests/media/test_entropy_scan.py and test_dct.py this way).
+# the property tests that leave `max_examples` unset or scale it from
+# `settings.default` (the CI property job runs
+# tests/media/test_entropy_scan.py, test_dct.py and
+# tests/core/test_ready_queue.py this way).
 settings.register_profile("deep", max_examples=1000, deadline=None)
 
 

@@ -1343,9 +1343,12 @@ class TestDispatchCount:
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_a_cif_frame_costs_at_most_eight_calls(self, backend):
-        """read + 2 claims each of ydct / udct / vdct + vlc: 8 calls
-        for a CIF frame on 2 workers (77 when a claim was ``batch``
-        instances), whatever the order the workers get to the queue."""
+        """read + at most 2 claims each of ydct / udct / vdct + vlc: at
+        most 8 calls for a CIF frame on 2 workers (77 when a claim was
+        ``batch`` instances), whatever the order the workers get to the
+        queue.  A DCT run goes out whole when the other worker has a run
+        of its own queued, else in halves; the read's three stores reach
+        the queue one by one, so which a worker sees is a race."""
         frames = 2
         cfg = MJPEGConfig(width=352, height=288, frames=frames)
         program, sink = build_mjpeg(config=cfg)
@@ -1358,9 +1361,9 @@ class TestDispatchCount:
         assert len(calls) <= 8 * frames + 1
         assert sum(n for _name, n in calls) == (
             frames * (1 + 1584 + 396 + 396 + 1) + 1)
-        sizes = {name: {n for k, n in calls if k == name}
-                 for name in ("ydct", "udct", "vdct")}
-        assert sizes == {"ydct": {792}, "udct": {198}, "vdct": {198}}
+        for name, run in (("ydct", 1584), ("udct", 396), ("vdct", 396)):
+            sizes = {n for k, n in calls if k == name}
+            assert sizes and sizes <= {run, run // 2}, (name, sizes)
 
     def test_batch_1_costs_one_call_per_instance(self):
         program, sink = build_kmeans(n=40, k=8, iterations=3,
