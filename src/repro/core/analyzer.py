@@ -30,7 +30,14 @@ regions' candidates.  For each region ``R`` of the group:
    current field extents.
 3. A combination is dispatched when it has never been dispatched before
    (write-once ⇒ dispatch-once) and *every* fetch of ``K`` is complete
-   for the resolved age/region.
+   for the resolved age/region.  A fetch whose field is whole at its
+   age is complete for every combination (an O(1) count); each other
+   var-bound fetch is checked for all the box's undispatched
+   combinations at once, their regions as one region group per region
+   shape read off the written mask.  A whole-field fetch of an
+   incomplete field makes nothing runnable — which is why the node does
+   not analyse a store to a field that is only ever fetched whole until
+   the store that completes its age.
 
 What an entry point returns is a list of :class:`~repro.core.kernels.Run`
 — per (kernel, age), the released combinations as one ``(n, len(index
@@ -168,6 +175,16 @@ class DependencyAnalyzer:
         for k in program.kernels.values():
             for f in k.fetches:
                 self._fetchers.setdefault(f.field, []).append((k, f))
+        #: The fields no consumer here fetches by region: every fetch of
+        #: one (if any) is whole-field, so a store to it releases nothing
+        #: while the field is incomplete at its age (:meth:`_collect`),
+        #: and the node analyses only the stores that find it complete
+        #: (:meth:`ExecutionNode._analyze
+        #: <repro.core.runtime.ExecutionNode._analyze>`).
+        self.whole_fetched = frozenset(
+            name for name in program.fields
+            if all(f.whole_field() for _k, f in self._fetchers.get(name, ()))
+        )
         #: field -> producing (kernel, store) pairs, for the
         #: premature-completeness guard.  ``producers`` names the full
         #: program's kernels in a distributed run, where writers of a
@@ -346,16 +363,19 @@ class DependencyAnalyzer:
     ) -> list[Run]:
         """Find every not-yet-dispatched, fully satisfied combination in
         the union of ``boxes`` (``None``: the whole domain), and prune
-        the age from the pending set once its domain is exhausted.
+        the age from the pending set once its domain is exhausted.  The
+        box's candidates are tested together — one :meth:`_complete`
+        over all of them, not a check per combination.
 
         The O(1) whole-field question comes first: while a whole-field
         operand is incomplete nothing is runnable, and an age with no
         dispatched instance cannot be pruned, so neither the counts nor
-        the domain are built (K-means' ``refine`` is asked once per
-        ``distances`` store).  Otherwise the counts are taken *before*
-        the fetches are probed, as always: extents only grow, so a field
-        found complete afterwards covers every combination of the
-        domain."""
+        the domain are built (K-means' ``refine`` is asked by every
+        ``centroids`` row of the next age while that age's
+        ``distances`` are still to be computed).  Otherwise the counts
+        are taken *before* the fetches are probed, as always: extents
+        only grow, so a field found complete afterwards covers every
+        combination of the domain."""
         name = kernel.name
         seen = self._dispatched[name].get(age)
         if not seen:
@@ -390,11 +410,7 @@ class DependencyAnalyzer:
                 rows = _unset_rows(seen.cover(shape), windows)
                 self.candidates_examined += len(rows)
                 if probes and len(rows):
-                    rows = rows[np.fromiter(
-                        (self._satisfied(probes, index_vars, combo)
-                         for combo in rows.tolist()),
-                        dtype=bool, count=len(rows),
-                    )]
+                    rows = rows[self._complete(probes, index_vars, rows)]
                 if len(rows):
                     out.append(self._claim(kernel, age, rows, seen))
         # Drop a pending age once every combination at current extents
@@ -432,28 +448,60 @@ class DependencyAnalyzer:
         return probes
 
     @staticmethod
-    def _satisfied(probes, index_vars, combo) -> bool:
-        """Whether every probed fetch's region is complete for ``combo``."""
-        imap = dict(zip(index_vars, combo))
+    def _complete(probes, index_vars, rows: np.ndarray) -> np.ndarray:
+        """Which of the candidate ``rows`` have every probed fetch's
+        region complete, one flag per row.
+
+        Per fetch, the rows still standing are split by region shape (a
+        ragged trailing block or a stencil at the field's edge has its
+        own; :meth:`~repro.core.kernels.Dim.widths`) and each shape's
+        regions are one :class:`~repro.core.fields.RegionGroup`
+        (:meth:`~repro.core.kernels.FetchSpec.group`), checked in one
+        :meth:`~repro.core.fields.Field.members_complete`.  An empty
+        region is satisfied when every empty dimension is a
+        shrink-boundary stencil's (an absent neighbour); any other empty
+        region makes the combination invalid."""
+        ok = np.ones(len(rows), dtype=bool)
+        position = {v: i for i, v in enumerate(index_vars)}
         for f, f_age, field in probes:
-            region = f.region(imap, field.extent)
-            empty_dims = [
-                i for i, s in enumerate(region) if s.stop <= s.start
-            ]
-            if empty_dims:
-                # A shrink-boundary stencil outside the extent is an
-                # absent neighbour: trivially satisfied.  Any other
-                # empty dimension means the combination is invalid.
-                if all(
-                    not f.dims[i].is_all
-                    and f.dims[i].boundary == "shrink"
-                    for i in empty_dims
-                ):
+            live = np.flatnonzero(ok)
+            if not len(live):
+                break
+            extent = field.extent
+            if any(d.is_all and n <= 0 for d, n in zip(f.dims, extent)):
+                ok[live] = False  # an empty whole dimension
+                continue
+            cols = {v: rows[live, position[v]] for v in f.vars()}
+            var_dims = [d for d in f.dims if not d.is_all]
+            widths = np.stack([
+                d.widths(cols[d.var], n)
+                for d, n in zip(f.dims, extent) if not d.is_all
+            ], axis=1)
+            if (widths == widths[0]).all():
+                classes = [(widths[0], None)]
+            else:
+                shapes, inverse = np.unique(
+                    widths, axis=0, return_inverse=True
+                )
+                inverse = inverse.reshape(-1)
+                classes = [(shape, inverse == s)
+                           for s, shape in enumerate(shapes)]
+            for shape, which in classes:
+                members = live if which is None else live[which]
+                empty = shape <= 0
+                if empty.any():
+                    ok[members] = all(
+                        d.boundary == "shrink"
+                        for d, e in zip(var_dims, empty) if e
+                    )
                     continue
-                return False
-            if not field.is_complete(f_age, region):
-                return False
-        return True
+                group = f.group(
+                    cols if which is None
+                    else {v: c[which] for v, c in cols.items()},
+                    len(members), extent,
+                )
+                ok[members] = field.members_complete(f_age, group)
+        return ok
 
     def _covers_producers(self, field: str, f_age: int | None) -> bool:
         """Whether the field's current extent reaches every producer's

@@ -933,6 +933,39 @@ class Field:
             written = slot.written[idx]
             return np.count_nonzero(written) == written.size  # see fetch()
 
+    def members_complete(self, age: int, group: RegionGroup) -> np.ndarray:
+        """:meth:`is_complete` for every member of ``group`` at once: one
+        flag per member, read from the written mask in one
+        :func:`gather` under the lock.  As there, an empty region, a
+        region past the extent or an age with no slot is not
+        complete."""
+        out = np.zeros(len(group), dtype=bool)
+        if age < 0 or (not self.fdef.aging and age != 0) or (
+            not all(group.shape)
+        ):
+            return out
+        with self._lock:
+            slot = self._ages.get(age)
+            if slot is None:
+                return out
+            extent = self._extent
+            starts = group.starts
+            inside = slice(None)
+            if starts.min() < 0 or (
+                starts.max(axis=0) + group.shape > extent
+            ).any():
+                inside = (
+                    (starts >= 0) & (starts + group.shape <= extent)
+                ).all(axis=1)
+                if not inside.any():
+                    return out
+                group = RegionGroup(starts[inside], group.shape)
+            if slot.data.shape != extent:
+                slot.grow(extent)
+            hit = gather(slot.written, group)
+        out[inside] = hit.reshape(len(group), -1).all(axis=1)
+        return out
+
     def written_count(self, age: int) -> int:
         """Number of elements written at ``age``."""
         with self._lock:

@@ -32,7 +32,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -723,7 +723,7 @@ class ExecutionNode:
         stream driver's frame, a succession's replay) on the calling
         thread, which holds a unit of outstanding work across the call.
         Ignored once the node has been wound down."""
-        self._analyze(ev)
+        self._analyze((ev,))
 
     def _fail(self, exc: BaseException) -> None:
         """End the run with ``exc``: :meth:`join` re-raises it."""
@@ -737,8 +737,10 @@ class ExecutionNode:
     def _announce(self, stores, commit: bool = False) -> None:
         """Post what a claim stored, as coarse as the claim: one
         :class:`StoreEvent` group per (field, age) of its store records
-        (:func:`_store_groups`).  With ``commit`` (the records of a
-        worker process) the write-once metadata of every group is
+        (:func:`_store_groups`), all analysed in one analysis step — so
+        the runs they release reach the ready queue together — and then
+        handed to the ``on_event`` tap.  With ``commit`` (the records of
+        a worker process) the write-once metadata of every group is
         committed first, one call per (field, age), so the analyzer
         only ever observes completeness at least as advanced as the
         event it is handling."""
@@ -746,8 +748,14 @@ class ExecutionNode:
         if commit:
             for fname, s_age, regions in groups:
                 self.fields[fname].mark_written_many(s_age, regions)
-        for fname, s_age, regions in groups:
-            self._post(StoreEvent.group(fname, s_age, regions))
+        events = [
+            StoreEvent.group(fname, s_age, regions)
+            for fname, s_age, regions in groups
+        ]
+        self._analyze(events)
+        if self.on_event is not None:
+            for ev in events:
+                self.on_event(self, ev)
 
     def _commit_batch(
         self, batch: Run, worker_id: int, t0: float, run: tuple,
@@ -928,7 +936,7 @@ class ExecutionNode:
         """Analyse a locally produced event, then hand a store / resize
         to the ``on_event`` tap — outside the lock, or two nodes
         forwarding to each other would deadlock."""
-        self._analyze(ev)
+        self._analyze((ev,))
         if self.on_event is not None and isinstance(
             ev, (StoreEvent, ResizeEvent)
         ):
@@ -948,44 +956,79 @@ class ExecutionNode:
                 args={"count": n},
             )
 
-    def _analyze(self, ev: Event) -> None:
-        """The one analysis step: ``ev`` through the dependency analyzer
-        under the analysis lock, what it made runnable onto the ready
-        queue.  The time under the lock is ``analyzer_time``; its trace
-        lane is ``analyzer``.  ``_dead`` is read under the lock
-        :meth:`wind_down` sets it under, so nothing is dispatched after
-        the ready queue was drained.  An error ends the run instead of
-        reaching the producing thread, and the analyzer, its state now
-        suspect, analyses nothing more."""
+    def _analyze(self, events: Sequence[Event]) -> None:
+        """The one analysis step: ``events`` through the dependency
+        analyzer under one acquisition of the analysis lock, what they
+        made runnable onto the ready queue in one :meth:`_dispatch`.
+
+        A store to a field that no consumer here fetches by region
+        (:attr:`DependencyAnalyzer.whole_fetched`) is analysed only if
+        the field is complete at its age once the store is committed:
+        before that no consumer of it can be released, and the store
+        that completes the age finds it complete — so it takes no lock,
+        no analyzer call and no analyzer time.  The ``on_event`` tap
+        still gets every event (:meth:`_post`, :meth:`_announce`).
+
+        The time under the lock is ``analyzer_time``; its trace lane is
+        ``analyzer``, a span per event.  ``_dead`` is read under the
+        lock :meth:`wind_down` sets it under, so nothing is dispatched
+        after the ready queue was drained.  An error ends the run
+        instead of reaching the producing thread, and the analyzer, its
+        state now suspect, analyses nothing more."""
+        fields = self.fields
+        analyzer = self.analyzer
+        whole = analyzer.whole_fetched
+        events = [
+            ev for ev in events
+            if type(ev) is not StoreEvent or ev.field not in whole
+            or fields[ev.field].is_complete(ev.age)
+        ]
+        if not events:
+            return
         with self._analysis_lock:
             if self._dead:
                 return
+            tr = self.tracer
             t0 = time.perf_counter()
+            ends: list[float] = []
             try:
-                if isinstance(ev, StoreEvent):
-                    self._dispatch(self.analyzer.on_store(ev))
-                elif isinstance(ev, ResizeEvent):
-                    self._dispatch(self.analyzer.on_resize(ev))
-                elif isinstance(ev, InstanceDoneEvent):
-                    self._dispatch(self.analyzer.on_done(ev))
-                    if self.gc_fields:
-                        self._collect_garbage()
+                runs: list = []
+                done = False
+                for ev in events:
+                    if isinstance(ev, StoreEvent):
+                        runs += analyzer.on_store(ev)
+                    elif isinstance(ev, ResizeEvent):
+                        runs += analyzer.on_resize(ev)
+                    elif isinstance(ev, InstanceDoneEvent):
+                        runs += analyzer.on_done(ev)
+                        done = True
+                    if tr.enabled:
+                        ends.append(time.perf_counter())
+                self._dispatch(runs)
+                if done and self.gc_fields:
+                    self._collect_garbage()
             except BaseException as exc:  # noqa: BLE001
                 self._dead = True
                 self._fail(exc)
             finally:
                 t1 = time.perf_counter()
                 self.instrumentation.add_analyzer_time(t1 - t0)
-                tr = self.tracer
                 if tr.enabled:
-                    args = None
-                    if isinstance(ev, StoreEvent):
-                        args = {"field": ev.field, "age": ev.age,
-                                "regions": 1 + len(ev.rest)}
-                    elif isinstance(ev, ResizeEvent):
-                        args = {"field": ev.field}
-                    tr.complete(type(ev).__name__, "analyzer",
-                                self.name, "analyzer", t0, t1, args)
+                    # the step's dispatch (and sweep) closes the last
+                    # analysed event's span
+                    ends[-1:] = [t1]
+                    start = t0
+                    for ev, end in zip(events, ends):
+                        args = None
+                        if isinstance(ev, StoreEvent):
+                            args = {"field": ev.field, "age": ev.age,
+                                    "regions": 1 + len(ev.rest)}
+                        elif isinstance(ev, ResizeEvent):
+                            args = {"field": ev.field}
+                        tr.complete(type(ev).__name__, "analyzer",
+                                    self.name, "analyzer", start, end,
+                                    args)
+                        start = end
 
     def live_floor(self, session: str | None = None, kernels=None):
         """The lowest age this node could still dispatch work for — its

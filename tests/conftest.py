@@ -15,8 +15,9 @@ from hypothesis import settings
 # `--hypothesis-profile=deep`: ten times the default example budget for
 # the property tests that leave `max_examples` unset or scale it from
 # `settings.default` (the CI property job runs
-# tests/media/test_entropy_scan.py, test_dct.py and
-# tests/core/test_ready_queue.py this way).
+# tests/media/test_entropy_scan.py, test_dct.py,
+# tests/core/test_ready_queue.py, test_analyzer_mask.py and
+# test_analyzer_property.py this way).
 settings.register_profile("deep", max_examples=1000, deadline=None)
 
 

@@ -4,12 +4,15 @@ it replaced.
 
 ``_SetAnalyzer`` below is that reference: the analyzer with its
 ``_collect`` / ``_claim`` / ``initial_instances`` / ``on_done`` as they
-were, one tuple per combination checked against and added to a set.
-Both analyzers read one field store and see the same events — grouped
-stores whose regions overlap as candidate boxes, implicit resizes,
-partially complete probed fetches, source self-advance and retirement
-floors — and must agree on what each event dispatches, on the
-bookkeeping's size and on the pending ages, and the mask side must
+were, one tuple per combination checked against and added to a set,
+each combination's probed fetches tested region by region
+(``_satisfied``) where the analyzer tests a candidate box's regions as
+region groups.  Both analyzers read one field store and see the same
+events — grouped stores whose regions overlap as candidate boxes,
+implicit resizes, partially complete probed fetches over ragged extents
+and stencils at both boundary policies, source self-advance and
+retirement floors — and must agree on what each event dispatches, on
+the bookkeeping's size and on the pending ages, and the mask side must
 never dispatch a combination twice.
 """
 
@@ -117,13 +120,39 @@ class _SetAnalyzer(DependencyAnalyzer):
                 self._pending[name].discard(age)
         return out
 
+    @staticmethod
+    def _satisfied(probes, index_vars, combo) -> bool:
+        """Whether every probed fetch's region is complete for ``combo``."""
+        imap = dict(zip(index_vars, combo))
+        for f, f_age, field in probes:
+            region = f.region(imap, field.extent)
+            empty_dims = [
+                i for i, s in enumerate(region) if s.stop <= s.start
+            ]
+            if empty_dims:
+                # A shrink-boundary stencil outside the extent is an
+                # absent neighbour: trivially satisfied.  Any other
+                # empty dimension means the combination is invalid.
+                if all(
+                    not f.dims[i].is_all
+                    and f.dims[i].boundary == "shrink"
+                    for i in empty_dims
+                ):
+                    continue
+                return False
+            if not field.is_complete(f_age, region):
+                return False
+        return True
+
 
 def _program(nvars: int, block: int) -> Program:
     """``k``: ``nvars`` index variables over ``f`` in blocks of
     ``block``, again one block further on (a shrink-boundary stencil:
-    its boxes overlap the first fetch's), and over ``g`` element-wise (a
-    probed fetch); ``w``: all of ``g``; ``src``: a self-advancing source
-    over a domain of 3."""
+    its boxes overlap the first fetch's), again one element back along
+    the last variable (a clamp-boundary stencil: at the edge its region
+    is pulled into the extent), and over ``g`` element-wise (a probed
+    fetch); ``w``: all of ``g``; ``src``: a self-advancing source over a
+    domain of 3."""
     vs = VARS[:nvars]
     ndim = max(1, nvars)
     if nvars:
@@ -132,6 +161,9 @@ def _program(nvars: int, block: int) -> Program:
             FetchSpec("b", "f", dims=(
                 Dim.of(vs[0], block, offset=block, boundary="shrink"),
                 *(Dim.of(v, block) for v in vs[1:]))),
+            FetchSpec("d", "f", dims=(
+                *(Dim.of(v, block) for v in vs[:-1]),
+                Dim.of(vs[-1], block, offset=-1, boundary="clamp"))),
             FetchSpec("c", "g", dims=tuple(Dim.of(v) for v in vs)),
         )
     else:
@@ -172,7 +204,8 @@ def _keys(instances):
 
 class TestMaskEqualsTheSetItReplaced:
     @given(st.integers(0, 3), st.integers(1, 2), _ops)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples // 2,
+              deadline=None)
     def test_same_dispatches_bookkeeping_and_pending(self, nvars, block,
                                                      ops):
         program = _program(nvars, block)
@@ -244,3 +277,48 @@ class TestMaskEqualsTheSetItReplaced:
                            for a in by_age]))
         assert mask_an.tracked_instances() == 0
         assert all(not by_age for by_age in mask_an._dispatched.values())
+
+
+_dim = st.one_of(
+    st.just(Dim.all()),
+    st.builds(Dim.of, st.sampled_from(VARS[:2]), st.integers(1, 3),
+              st.integers(-3, 3), st.sampled_from(["clamp", "shrink"])),
+)
+
+
+class TestGroupCheckEqualsTheCombinationCheck:
+    """The analyzer's candidate check (``_complete``: region groups per
+    region shape) against ``_satisfied`` (one combination at a time) on
+    arbitrary probes — stencils at both boundary policies, rows past the
+    extent, empty and partly written fields, ages with no slot — not
+    only the combinations the analyzer's own domain produces."""
+
+    @given(
+        # a probed fetch binds at least one variable
+        st.lists(st.tuples(st.lists(_dim, min_size=2, max_size=2).filter(
+            lambda dims: any(not d.is_all for d in dims)),
+            st.integers(-1, 2)), min_size=1, max_size=3),
+        st.lists(st.integers(0, 3), min_size=2, max_size=2),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                           st.integers(0, 1)), max_size=16),
+        st.lists(st.tuples(st.integers(0, SIDE), st.integers(0, SIDE)),
+                 min_size=1, max_size=12),
+    )
+    @settings(max_examples=3 * settings.default.max_examples,
+              deadline=None)
+    def test_same_flags_per_combination(self, specs, shape, cells, rows):
+        fields = FieldStore([FieldDef("f", "int32", 2,
+                                      shape=tuple(shape))])
+        field = fields["f"]
+        for x, y, age in cells:
+            if x < shape[0] and y < shape[1] and not field.is_complete(
+                    age, (x, y)):
+                field.store(age, (x, y), 1)
+        probes = [(FetchSpec(f"p{i}", "f", dims=tuple(dims)), f_age, field)
+                  for i, (dims, f_age) in enumerate(specs)]
+        index_vars = VARS[:2]
+        rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+        got = DependencyAnalyzer._complete(probes, index_vars, rows)
+        want = [_SetAnalyzer._satisfied(probes, index_vars, row)
+                for row in rows.tolist()]
+        assert got.tolist() == want

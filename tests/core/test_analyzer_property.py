@@ -81,7 +81,8 @@ class TestPermutationInvariance:
         st.permutations(list(range(12))),
         st.integers(1, 3),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples // 5,
+              deadline=None)
     def test_dispatch_set_is_order_independent(self, n, perm, ages):
         program = make_program(n)
         order = [i for i in perm if i < n]
@@ -90,7 +91,8 @@ class TestPermutationInvariance:
         assert baseline == shuffled
 
     @given(st.integers(3, 12), st.integers(1, 3))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=settings.default.max_examples // 5,
+              deadline=None)
     def test_complete_field_dispatches_everything(self, n, ages):
         program = make_program(n)
         dispatched = dispatch_all(program, n, list(range(n)), ages)
@@ -107,7 +109,8 @@ class TestPermutationInvariance:
         st.integers(4, 10),
         st.data(),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples // 10,
+              deadline=None)
     def test_partial_stores_dispatch_only_satisfied(self, n, data):
         """With a strict subset stored, whole-field must not fire and
         per-element fires exactly on the stored subset."""

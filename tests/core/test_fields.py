@@ -380,6 +380,37 @@ class TestCompleteness:
         assert f.written_count(0) == 3
         assert f.written_count(1) == 0
 
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                           st.integers(0, 1)), max_size=20),
+        st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)),
+                 min_size=1, max_size=10),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-1, 2),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_members_complete_is_is_complete_per_member(
+        self, cells, starts, shape, age, collect
+    ):
+        """One flag per member, as :meth:`Field.is_complete` answers for
+        the member's region — members past the extent or before it,
+        empty block shapes, ages with no slot and collected ages
+        included."""
+        f = Field(FieldDef("g", "int32", 2))  # grows to what is stored
+        for x, y, a in cells:
+            if not f.is_complete(a, (x, y)):
+                f.store(a, (x, y), 1)
+        if collect:
+            f.collect_age(0)
+        group = RegionGroup(np.array(starts, dtype=np.intp), shape)
+        want = [
+            f.is_complete(age, tuple(
+                slice(a, a + b) for a, b in zip(row, shape)))
+            for row in starts
+        ]
+        assert f.members_complete(age, group).tolist() == want
+
 
 #: Field extents for the spelling property: large enough that drawn
 #: regions range from one element to several hundred.

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -683,13 +684,17 @@ class TestSerialAnalysis:
     def test_analysis_stays_serial_with_four_workers(
         self, monkeypatch, fast_switching
     ):
+        """Each age analyses its ``k`` ``centroids`` rows (fetched by
+        region) and the store that completes ``distances`` (fetched
+        only whole): sixteen iterations of ``k = 8`` are over 100
+        analyses."""
         state = self._count_overlap(monkeypatch)
-        program, result = build_kmeans(n=24, k=4, iterations=4,
+        program, result = build_kmeans(n=24, k=8, iterations=16,
                                        granularity="pair")
         run_program(program, workers=4, timeout=120)
         assert state["calls"] > 100
         assert state["peak"] == 1
-        expected = kmeans_baseline(n=24, k=4, iterations=4)
+        expected = kmeans_baseline(n=24, k=8, iterations=16)
         for age, centroids in expected.history.items():
             assert np.array_equal(result.history[age], centroids)
 
@@ -697,15 +702,17 @@ class TestSerialAnalysis:
         self, monkeypatch, fast_switching
     ):
         """Four stream drivers inject while four workers commit: still
-        one analysis at a time."""
+        one analysis at a time.  A frame is analysed as its three input
+        planes and the three stores that complete the DCT planes ``vlc``
+        fetches whole: eight frames a session are over 100 analyses."""
         from repro.stream import SessionManager, SessionSpec, StreamConfig
 
         state = self._count_overlap(monkeypatch)
         specs, expected = [], []
         for i in range(4):
-            cfg = MJPEGConfig(32, 32, frames=4, seed=700 + i)
+            cfg = MJPEGConfig(32, 32, frames=8, seed=700 + i)
             program, sink, binding = build_mjpeg_stream(
-                cfg, StreamConfig(fps=0, max_frames=4, lag_window=4)
+                cfg, StreamConfig(fps=0, max_frames=8, lag_window=4)
             )
             specs.append(SessionSpec(f"s{i}", program, binding))
             expected.append((sink, mjpeg_baseline(config=cfg)))
@@ -734,6 +741,107 @@ class TestSerialAnalysis:
             node.stop()
             node.join(timeout=30)
         assert _threads_left(before) == []
+
+
+class TestWholeFetchedFields:
+    """A store to a field no consumer fetches by region is analysed only
+    when it finds the field complete at its age; the ``on_event`` tap
+    still sees every store."""
+
+    @staticmethod
+    def _kmeans(backend, workers, **kw):
+        """A K-means pair run (40 points, 8 centroids, 3 iterations):
+        its store regions per (field, age) at the tap, its ``on_store``
+        calls per (field, age), and the node; its bytes checked."""
+        program, result = build_kmeans(n=40, k=8, iterations=3,
+                                       granularity="pair")
+        tapped, analysed = Counter(), Counter()
+
+        def tap(_node, ev):
+            if isinstance(ev, StoreEvent):
+                tapped[ev.field, ev.age] += len(ev.regions)
+
+        node = ExecutionNode(program, workers, backend=backend,
+                             on_event=tap, **kw)
+        on_store = node.analyzer.on_store
+
+        def counting(ev):
+            analysed[ev.field, ev.age] += 1
+            return on_store(ev)
+
+        node.analyzer.on_store = counting
+        assert node.run(timeout=120).reason == "idle"
+        base = kmeans_baseline(n=40, k=8, iterations=3)
+        assert set(result.history) == set(base.history)
+        for age, centroids in base.history.items():
+            assert np.array_equal(result.history[age], centroids)
+        return tapped, analysed, node
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_distances_are_analysed_once_per_age(self, backend):
+        """``refine`` fetches ``distances`` whole and nothing fetches it
+        by region: of its 320 stores an age, the one that completes the
+        age is analysed.  (One worker: two claims committing an age's
+        last stores together may both find it complete.)"""
+        tapped, analysed, node = self._kmeans(backend, 1)
+        assert "distances" in node.analyzer.whole_fetched
+        assert not {"centroids", "datapoints"} & node.analyzer.whole_fetched
+        ages = sorted(a for f, a in tapped if f == "distances")
+        assert ages == [0, 1, 2]
+        for age in ages:
+            assert tapped["distances", age] == 320
+            assert analysed["distances", age] == 1
+        # a field fetched by region is analysed at every store
+        rows = {key: n for key, n in tapped.items()
+                if key[0] == "centroids"}
+        assert len(rows) == 4 and all(
+            analysed[key] == n for key, n in rows.items())
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_gc_fields_keeps_the_bytes(self, backend):
+        tapped, analysed, _node = self._kmeans(
+            backend, 2, gc_fields=True, keep_ages=0)
+        for age in range(3):
+            assert tapped["distances", age] == 320
+            assert 1 <= analysed["distances", age] <= 2
+
+    def test_a_recovery_node_reannounce_into_a_complete_field_is_analysed(
+        self,
+    ):
+        """A recovery node re-runs ``p`` over a field its dead
+        predecessor completed: each store is skipped and re-announced,
+        finds ``f`` complete, and is analysed — so ``c``, which fetches
+        ``f`` whole, runs."""
+        def p_body(ctx):
+            ctx.emit("f", ctx.index["x"])
+
+        def c_body(ctx):
+            ctx.emit("g", int(ctx["f"].sum()))
+
+        program = Program.build(
+            [FieldDef("f", "int32", 1, shape=(4,)),
+             FieldDef("g", "int32", 1, shape=(1,))],
+            [KernelDef("p", p_body, index_vars=("x",), domain={"x": 4},
+                       stores=(StoreSpec("f", age=AgeExpr.const(0),
+                                         dims=(Dim.of("x"),)),)),
+             KernelDef("c", c_body,
+                       fetches=(FetchSpec("f", "f", age=AgeExpr.const(0)),),
+                       stores=(StoreSpec("g", age=AgeExpr.const(0)),))],
+        )
+        node = ExecutionNode(program, 1, recover=True)
+        node.fields["f"].store(0, slice(0, 4), np.arange(4))
+        analysed = []
+        on_store = node.analyzer.on_store
+
+        def counting(ev):
+            analysed.append(ev.field)
+            return on_store(ev)
+
+        node.analyzer.on_store = counting
+        result = node.run(timeout=60)
+        assert "f" in node.analyzer.whole_fetched
+        assert analysed.count("f") == 4
+        assert result.fields["g"].fetch(0).tolist() == [6]
 
 
 class AnalysisFailed(Exception):
