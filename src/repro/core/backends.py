@@ -41,7 +41,8 @@ exactly where they were:
   dispatch time, before any worker could touch it — a retired age's
   when its field has one pooled; unlinks them all at teardown) and all
   write-once bookkeeping — a worker's store report is applied via
-  :meth:`~repro.core.fields.Field.mark_written_many`, so violations
+  :meth:`~repro.core.fields.Field.mark_written_many`, the same
+  write-once commit a thread's store goes through, so violations
   raise in the parent just like on the threads backend;
 * **workers** only read and write payload bytes through views of the
   segments a claim's message names, each attached once by
@@ -120,13 +121,13 @@ class ExecutionBackend:
 class _NodeFields:
     """Field-access adapter for bodies run in the parent process (see
     :mod:`repro.core.execute`): a handle is the live ``Field``.  A
-    :class:`~repro.core.fields.RegionGroup` is fetched in one ``Field``
-    call, and one that tiles the field is checked and committed
-    (write-once per store, all or nothing) in one too; any other group
-    is stored region by region through the same entry point.  A store
-    is committed here and announced by the claim's commit tail
-    (:meth:`ExecutionNode._commit_batch`), like a worker process's; only
-    a resize is posted at once."""
+    region or a :class:`~repro.core.fields.RegionGroup` is fetched in
+    one ``Field`` call and committed in one — the write-once commit
+    every store goes through, all or nothing for a group, with the
+    node's ``recover`` mode passed along.  A store is committed here
+    and announced by the claim's commit tail
+    (:meth:`ExecutionNode._commit_batch`), like a worker process's;
+    only a resize is posted at once."""
 
     def __init__(self, node: "ExecutionNode") -> None:
         self._node = node
@@ -135,31 +136,15 @@ class _NodeFields:
     def read(self, field, age: int, region) -> np.ndarray:
         return field.fetch(age, region)
 
-    def write(self, field, age: int, regions, arrs) -> None:
+    def write(self, field, age: int, region, value) -> None:
         node = self._node
-        if (
-            isinstance(regions, RegionGroup)
-            and not node.recover
-            and regions.tiles(field.extent) is not None
-        ):
-            field.store(age, regions, arrs)
-            return
-        for region, arr in zip(regions, arrs):
-            # Recovery: the dead predecessor already committed this
-            # region with identical bytes (write-once determinism); skip
-            # the payload write — the store is still recorded, so the
-            # commit tail re-announces it and consumers that missed the
-            # original delivery become runnable.
-            if node.recover and field.is_complete(age, region):
-                continue
-            resize = field.store(age, region, arr)
-            if resize is not None:
-                node._post(
-                    ResizeEvent(
-                        field.fdef.name, resize.old_extent,
-                        resize.new_extent,
-                    )
+        resize = field.store(age, region, value, recover=node.recover)
+        if resize is not None:
+            node._post(
+                ResizeEvent(
+                    field.fdef.name, resize.old_extent, resize.new_extent
                 )
+            )
 
 
 class ThreadBackend(ExecutionBackend):
@@ -242,13 +227,12 @@ class _SegmentCache:
         value.flags.writeable = False
         return value
 
-    def write(self, field, age: int, regions, arrs) -> None:
+    def write(self, field, age: int, region, value) -> None:
         view = self.view(field.fdef, age)
-        if isinstance(regions, RegionGroup):
-            scatter(view, regions, arrs)
+        if isinstance(region, RegionGroup):
+            scatter(view, region, value)
         else:
-            for region, arr in zip(regions, arrs):
-                view[region] = arr
+            view[region] = value
 
     def view(self, fdef, age: int) -> np.ndarray:
         try:

@@ -11,11 +11,12 @@ where field bytes live, behind a small *field-access adapter*:
 ``read(field, age, region)``
     the values of ``region`` (``None``: the whole field; a
     :class:`~repro.core.fields.RegionGroup`: its ``(n, *shape)`` stack);
-``write(field, age, regions, arrs)``
-    commit a *group* of stores to one (field, age) — ``arrs[i]`` into
-    ``regions[i]``.  The scalar loop writes groups of one, as each
-    instance's stores happen; the stacked form writes a whole shape
-    class's stores through one spec as one ``RegionGroup``.
+``write(field, age, region, value)``
+    commit stores to one (field, age): ``value`` into ``region``, or a
+    ``RegionGroup`` and its ``(n, *shape)`` stack.  The scalar loop
+    writes one region as each instance's stores happen; the stacked
+    form writes a whole shape class's stores through one spec as one
+    ``RegionGroup``.
 
 A **claim** is what a worker took off the ready queue — its share of a
 (kernel, age) run, hundreds of instances at CIF — and is the unit of
@@ -169,9 +170,9 @@ def _run_scalar(
                 emitted[s.emit_key], fdef.np_dtype, fdef.ndim, s
             )
             s_age = s.age.resolve(age)
-            regions = (spec.region(imap, arr.shape),)
-            mem.write(field, s_age, regions, (arr,))
-            stores.append((s.field, s_age, regions, who))
+            region = spec.region(imap, arr.shape)
+            mem.write(field, s_age, region, arr)
+            stores.append((s.field, s_age, (region,), who))
         for key, value in ctx.outputs:
             outputs.append((who, key, value))
         t3 = clock()

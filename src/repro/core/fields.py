@@ -221,7 +221,9 @@ class RegionGroup:
     the array (:func:`_raster_pieces`).  Groups that do not tile
     (stencil offsets, a ragged trailing block, a store past a growable
     extent) take the per-region loop; the choice is made from the
-    regions themselves.
+    regions themselves.  Either way a group is stored all or nothing:
+    :meth:`Field._commit` checks every member before it marks or copies
+    any.
     """
 
     __slots__ = ("starts", "shape", "_tiles", "_raster")
@@ -521,7 +523,8 @@ class Field:
     """A live field instance: per-age NumPy storage plus write-once masks.
 
     Thread safety: every mutation (payload, masks, counters, extent)
-    happens under the field's lock, a store's in one critical section.
+    happens under the field's lock, every store's in the one critical
+    section of :meth:`_commit`.
     A fetch checks under the lock and copies outside it: the region is
     complete, and write-once semantics make a complete region
     immutable.  The lock is a plain ``Lock`` — no method re-enters.
@@ -658,154 +661,151 @@ class Field:
         if age > self._max_stored_age:
             self._max_stored_age = age
 
-    def store(self, age: int, index: Any, value: Any) -> ResizeInfo | None:
-        """Store ``value`` into ``self[age][index]``.
-
-        Enforces write-once semantics; grows the field (implicit resize)
-        when the index reaches past the current extent.  Returns a
-        :class:`ResizeInfo` when a resize occurred, else ``None``.
-
-        ``index`` may be a :class:`RegionGroup` that tiles the current
-        extent, with ``value`` its ``(n, *shape)`` stack: the group is
-        checked, copied and committed as one store — a pre-written
-        element of any member, or two members overlapping, raises
-        :class:`WriteOnceViolation` and nothing of the group is stored.
-        A group that does not tile raises :class:`ExtentError` (store
-        its regions one by one).
-
-        A store — one region or a group — is checked (bounds, collected
-        age, write-once), copied and committed in one critical section,
-        so completeness becomes visible together with the bytes and a
-        consumer can never observe a half-copied region.  Copying a
-        large payload outside the lock, with a re-check at commit, lets
-        another thread run during the copy; on the benchmark's threaded
-        and live workloads that overlap moved nothing by more than
-        ≈ 2 %, so there is one protocol for every size.
-        """
-        self._check_age(age)
-        if isinstance(index, RegionGroup):
-            return self._store_group(age, index, value)
-        idx = normalize_index(index, self.fdef.ndim)
-        shape = index_shape(idx)
+    def _payload(self, value: Any, shape: tuple[int, ...]) -> np.ndarray:
+        """``value`` as an array of this field's dtype and ``shape`` (a
+        scalar or a broadcastable array is broadcast)."""
         if (
             type(value) is np.ndarray
             and value.shape == shape
             and value.dtype == self._dtype
         ):
-            arr = value
-        else:
-            arr = np.asarray(value, dtype=self._dtype)
-            # Allow scalar broadcast into a unit region; otherwise shapes
-            # must match exactly (trailing unit dims tolerated for
-            # 1-element stores).
-            if arr.shape != shape:
-                try:
-                    arr = np.broadcast_to(arr, shape)
-                except ValueError:
-                    raise ExtentError(
-                        f"field {self.name!r}: value shape {arr.shape} does "
-                        f"not match store region {shape}"
-                    ) from None
-        count = math.prod(shape)
-        with self._lock:
-            resize = None
-            extent = self._extent
-            for s, n in zip(idx, extent):
-                if s.stop > n:
-                    if self.fdef.shape is not None:
-                        raise ExtentError(
-                            f"field {self.name!r}: store region {idx} "
-                            f"exceeds the declared shape {self.fdef.shape}"
-                        )
-                    needed = tuple(
-                        [max(n, s.stop) for n, s in zip(extent, idx)]
-                    )
-                    self._extent = needed
-                    resize = ResizeInfo(self.name, extent, needed)
-                    break
-            slot = self._slot(age, create=True)
-            assert slot is not None
-            region = slot.written[idx]
-            if np.count_nonzero(region):  # see fetch()
-                self._raise_write_once(age, idx, region)
-            slot.data[idx] = arr
-            slot.written[idx] = True
-            self._count_written(age, slot, count)
-            return resize
+            return value
+        arr = np.asarray(value, dtype=self._dtype)
+        if arr.shape == shape:
+            return arr
+        try:
+            return np.broadcast_to(arr, shape)
+        except ValueError:
+            raise ExtentError(
+                f"field {self.name!r}: value shape {arr.shape} does not "
+                f"match store region {shape}"
+            ) from None
 
-    def _store_group(self, age: int, group: RegionGroup, value: Any) -> None:
-        """:meth:`store` for a tiling group: the same one critical
-        section, each step one NumPy operation (at most three strided
-        ones for a raster run).  Checking every member
-        before anything is copied or marked is what makes the group
-        all-or-nothing."""
-        arr = np.asarray(value, dtype=self.fdef.np_dtype)
-        want = (len(group),) + group.shape
-        if arr.shape != want:
-            try:
-                arr = np.broadcast_to(arr, want)
-            except ValueError:
-                raise ExtentError(
-                    f"field {self.name!r}: value shape {arr.shape} does not "
-                    f"match the group's stack {want}"
-                ) from None
-        with self._lock:
-            if group.tiles(self._extent) is None:
-                raise ExtentError(
-                    f"field {self.name!r}: {group!r} does not tile "
-                    f"extent {self._extent}"
-                )
-            slot = self._slot(age, create=True)
-            assert slot is not None
-            self._check_unwritten(age, slot, group)
-            scatter(slot.data, group, arr)
-            scatter(slot.written, group, True)
-            self._count_written(age, slot, group.elements)
+    def _reach(self, stops: Sequence[int], payload: bool) -> ResizeInfo | None:
+        """Make the extent cover ``stops`` (each dimension's largest
+        stop): a payload grows a field with no declared shape (implicit
+        resize); anything else past the extent is an
+        :class:`ExtentError`.  Lock held."""
+        extent = self._extent
+        if all(m <= n for m, n in zip(stops, extent)):
+            return None
+        if not payload or self.fdef.shape is not None:
+            raise ExtentError(
+                f"field {self.name!r}: store reaching {tuple(stops)} "
+                f"exceeds extent {extent}"
+            )
+        self._extent = tuple([max(n, m) for n, m in zip(extent, stops)])
+        return ResizeInfo(self.name, extent, self._extent)
+
+    def store(
+        self, age: int, index: Any, value: Any, recover: bool = False
+    ) -> ResizeInfo | None:
+        """Store ``value`` into ``self[age][index]`` (:meth:`_commit`):
+        ``index`` one region, a :class:`RegionGroup` with ``value`` its
+        ``(n, *shape)`` stack, or a list of regions with one array each.
+        Returns a :class:`ResizeInfo` when the store grew the field."""
+        return self._commit(age, index, value, recover)
 
     def mark_written_many(
-        self, age: int, regions: "RegionGroup | Sequence[Any]"
+        self, age: int, regions: "RegionGroup | Sequence[Any]",
+        recover: bool = False,
     ) -> None:
-        """Metadata-only store of a whole dispatch's store report: the
-        parent-process half of the ``processes`` backend's store
-        protocol (the worker has already written the payload bytes into
-        the shared-memory segment) — one age check, one lock acquisition
-        and one slot resolution.  Write-once holds per store in effect
-        and the call is all-or-nothing: a pre-written element of any
-        region, or two regions of the call overlapping, raises
-        :class:`WriteOnceViolation` and leaves mask and counters as
-        they were.
+        """Commit a worker process's store report for one (field, age)
+        — it already wrote the payload bytes into the shared-memory
+        segment — as one :meth:`_commit` without a payload."""
+        self._commit(
+            age,
+            regions if isinstance(regions, RegionGroup) else list(regions),
+            None, recover,
+        )
 
-        A :class:`RegionGroup` that tiles the extent is checked and
-        committed in one NumPy operation each — a raster run through at
-        most three strided views of the mask; any other input (a list
-        of regions, a group that does not tile) is marked region by
-        region and rolled back on a violation — every region was
-        unwritten when it was marked, so clearing the marked ones
-        restores the mask exactly."""
+    def _commit(
+        self, age: int, regions: Any, values: Any = None,
+        recover: bool = False,
+    ) -> ResizeInfo | None:
+        """The write-once commit of every store, on both backends.
+
+        ``regions`` is one index, a :class:`RegionGroup` or a list of
+        regions; ``values`` the payload, or ``None`` when a worker
+        process has written the bytes.  Under one hold of the lock the
+        extent is resolved (:meth:`_reach`), every region is checked —
+        collected age, written mask, the call's other regions — and only
+        then is anything marked or copied, so completeness becomes
+        visible with the bytes and a violating call commits nothing.  A
+        tiling group is checked and committed in one NumPy operation
+        each (at most three strided views for a raster run); any other
+        input, and every input under ``recover``, region by region, the
+        marks cleared again on a violation
+        (each was unwritten when marked, so the mask is restored
+        exactly).  With ``recover`` a region that is already complete
+        is skipped — its dead predecessor committed the same bytes
+        (write-once determinism) — and a partly written one raises.
+        Copying outside the lock with a re-check at commit moved no
+        threaded or live benchmark workload by more than ≈ 2 %, so there
+        is one protocol for every size.
+        """
         self._check_age(age)
-        if isinstance(regions, RegionGroup) and (
-            regions.tiles(self._extent) is not None
-        ):
-            with self._lock:
-                slot = self._slot(age, create=True)
-                assert slot is not None
-                self._check_unwritten(age, slot, regions)
-                scatter(slot.written, regions, True)
-                self._count_written(age, slot, regions.elements)
-            return
-        idxs = []
-        for index in regions:
-            idx = normalize_index(index, self.ndim)
-            if any(s.stop > n for s, n in zip(idx, self._extent)):
-                raise ExtentError(
-                    f"field {self.name!r}: store region {idx} exceeds "
-                    f"extent {self._extent}"
-                )
-            idxs.append(idx)
+        payload = values is not None
+        group = regions if isinstance(regions, RegionGroup) else None
+        one = group is None and type(regions) is not list
+        if one:
+            idx = normalize_index(regions, self.fdef.ndim)
+            if payload:
+                values = self._payload(values, index_shape(idx))
+        elif group is not None:
+            # A fresh group's tiles and raster run, probed before the
+            # lock so that inside it they are memo lookups: computed
+            # under the lock they cost `ops_transcode` ≈ 5 % of its fps
+            # (two worker threads on one CPU).
+            group.raster(self._extent)
+            if payload:
+                values = self._payload(values, (len(group),) + group.shape)
+        else:
+            idxs = [normalize_index(r, self.fdef.ndim) for r in regions]
+            if payload:
+                values = [self._payload(v, index_shape(i))
+                          for i, v in zip(idxs, values, strict=True)]
         with self._lock:
+            if one:  # every store of a scalar claim: no list, no rollback
+                resize = None
+                for s, n in zip(idx, self._extent):
+                    if s.stop > n:
+                        resize = self._reach([s.stop for s in idx], payload)
+                        break
+                slot = self._slot(age, create=True)
+                region = slot.written[idx]
+                hit = np.count_nonzero(region)  # see fetch()
+                if hit:
+                    if recover and hit == region.size:
+                        return resize
+                    self._raise_write_once(age, idx, region)
+                if payload:
+                    slot.data[idx] = values
+                slot.written[idx] = True
+                self._count_written(age, slot, region.size)
+                return resize
+            if group is not None and not recover and (
+                group.tiles(self._extent) is not None  # so in bounds
+            ):
+                slot = self._slot(age, create=True)
+                self._check_unwritten(age, slot, group)
+                if payload:
+                    scatter(slot.data, group, values)
+                scatter(slot.written, group, True)
+                self._count_written(age, slot, group.elements)
+                return None
+            if group is not None:
+                idxs = [normalize_index(r, self.fdef.ndim) for r in group]
+            resize = self._reach(
+                [max(s.stop for s in dim) for dim in zip(*idxs)], payload
+            )
             slot = self._slot(age, create=True)
-            assert slot is not None
             written = slot.written
+            if recover:  # what the predecessor completed drops out
+                keep = [not written[i].all() for i in idxs]
+                idxs = [i for i, k in zip(idxs, keep) if k]
+                if payload:
+                    values = [v for v, k in zip(values, keep) if k]
             marked = 0
             try:
                 for idx in idxs:
@@ -818,9 +818,13 @@ class Field:
                 for idx in idxs[:marked]:
                     written[idx] = False
                 raise
+            if payload:
+                for idx, value in zip(idxs, values):
+                    slot.data[idx] = value
             self._count_written(
                 age, slot, sum(math.prod(index_shape(i)) for i in idxs)
             )
+            return resize
 
     # ------------------------------------------------------------------
     # Fetches and completeness

@@ -502,7 +502,7 @@ class RunResult:
         return self.instrumentation.stats()
 
 
-def _store_groups(stores) -> list:
+def _merge_stores(stores) -> list:
     """The store records of :func:`~repro.core.execute.run_batch` as one
     ``(field, age, regions)`` per (field, age), in first-store order: a
     stacked claim's region group as it was built, a scalar claim's
@@ -566,11 +566,12 @@ class ExecutionNode:
         the other nodes' :meth:`inject`.
     recover:
         Recovery mode for replacement nodes in a fault-tolerant cluster
-        run: stores into already-complete regions are skipped (the dead
-        predecessor wrote identical bytes — write-once determinism)
-        instead of raising :class:`WriteOnceViolation`, and the store
-        event is still re-announced so nodes that missed the original
-        delivery catch up.
+        run: the write-once commit skips stores into already-complete
+        regions, on either backend (the dead predecessor wrote
+        identical bytes — write-once determinism) instead of raising
+        :class:`WriteOnceViolation` — a partly written region still
+        raises — and the store event is still re-announced so nodes
+        that missed the original delivery catch up.
     dependency_kernels:
         Kernel definitions the dependency analyzer should treat as the
         field producers (default: this program's kernels).  The
@@ -737,17 +738,20 @@ class ExecutionNode:
     def _announce(self, stores, commit: bool = False) -> None:
         """Post what a claim stored, as coarse as the claim: one
         :class:`StoreEvent` group per (field, age) of its store records
-        (:func:`_store_groups`), all analysed in one analysis step — so
+        (:func:`_merge_stores`), all analysed in one analysis step — so
         the runs they release reach the ready queue together — and then
         handed to the ``on_event`` tap.  With ``commit`` (the records of
         a worker process) the write-once metadata of every group is
-        committed first, one call per (field, age), so the analyzer
-        only ever observes completeness at least as advanced as the
-        event it is handling."""
-        groups = _store_groups(stores)
+        committed first, one call per (field, age) in the node's
+        ``recover`` mode, so the analyzer only ever observes
+        completeness at least as advanced as the event it is
+        handling."""
+        groups = _merge_stores(stores)
         if commit:
             for fname, s_age, regions in groups:
-                self.fields[fname].mark_written_many(s_age, regions)
+                self.fields[fname].mark_written_many(
+                    s_age, regions, recover=self.recover
+                )
         events = [
             StoreEvent.group(fname, s_age, regions)
             for fname, s_age, regions in groups

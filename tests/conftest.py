@@ -16,8 +16,9 @@ from hypothesis import settings
 # the property tests that leave `max_examples` unset or scale it from
 # `settings.default` (the CI property job runs
 # tests/media/test_entropy_scan.py, test_dct.py,
-# tests/core/test_ready_queue.py, test_analyzer_mask.py and
-# test_analyzer_property.py this way).
+# tests/core/test_ready_queue.py, test_analyzer_mask.py,
+# test_analyzer_property.py, test_region_group_property.py and
+# test_fields_property.py this way).
 settings.register_profile("deep", max_examples=1000, deadline=None)
 
 

@@ -31,6 +31,7 @@ from repro.core.errors import (
     RuntimeStateError,
     WriteOnceViolation,
 )
+from repro.core.fields import RegionGroup
 from repro.core.kernels import KernelContext, KernelInstance
 from repro.dist import Cluster
 from repro.obs import MetricsRegistry, flatten
@@ -563,23 +564,27 @@ class TestScalarClaims:
 
     def test_recover_node_reannounces_a_skipped_store(self):
         """A recovery node finds ``out[0:4]`` already complete (its dead
-        predecessor wrote it): the payload write is skipped, the region
-        is still part of the claim's event."""
+        predecessor wrote it): the commit skips it — the element count
+        shows it was not committed twice — and the region is still part
+        of the claim's event."""
         stores = []
 
         def prewrite(node):
             out = node.fields["out"]
             out.store(0, slice(0, 4), np.arange(0, 8, 2))
             real_store = out.store
-            out.store = lambda age, index, value: (
-                stores.append(index), real_store(age, index, value))[1]
+            out.store = lambda age, index, value, **kw: (
+                stores.append((index, kw)),
+                real_store(age, index, value, **kw))[1]
 
         _node, result, events = _store_events(
             _doubling_program(48, 4), "threads", 32, recover=True,
             prepare=prewrite)
         assert result.fields["out"].fetch(0).tolist() == list(
             range(0, 96, 2))
-        assert (slice(0, 4),) not in stores and len(stores) == 11
+        assert len(stores) == 12
+        assert all(kw == {"recover": True} for _index, kw in stores)
+        assert result.fields["out"].elements_written == 48
         (group,) = [g for f, _a, g in events if f == "out"]
         assert list(group) == [(slice(x, x + 4),) for x in range(0, 48, 4)]
 
@@ -664,36 +669,43 @@ class TestRecoverCommitRace:
     """A successor re-executes its predecessor's unfinished work only
     through the event-log replay, which dispatches each instance once,
     so no two copies of one instance race to commit.  A write-once
-    violation is a bug on a recover node as anywhere else: it raises,
-    on both the scalar and the vectorized store path."""
+    violation is a bug on a recover node as anywhere else: a region it
+    finds partly written raises, on both the scalar and the vectorized
+    store path.  (One it finds complete is its predecessor's, and the
+    commit skips it: TestScalarClaims.)"""
 
     @staticmethod
     def _race_first_store(node, field_name):
         """Make the first store to ``field_name`` lose the commit race:
-        a shadow commit of the same bytes lands between the caller's
-        completeness check and its own store."""
+        another commit of the first element of its region lands just
+        before it."""
         field = node.fields[field_name]
         real_store = field.store
         fired = []
 
-        def racing_store(age, index, value):
+        def racing_store(age, index, value, **kw):
             if not fired:
-                fired.append(True)
-                real_store(age, index, value)  # the duplicate's commit
-            return real_store(age, index, value)
+                stacked = isinstance(index, RegionGroup)
+                fired.append("stacked" if stacked else "scalar")
+                first = index[0] if stacked else index
+                real_store(age, tuple(
+                    slice(s.start, s.start + 1) for s in first), 0)
+            return real_store(age, index, value, **kw)
 
         field.store = racing_store
         return fired
 
     @pytest.mark.parametrize("batch", [1, 4])
     def test_recover_node_raises_on_a_lost_race(self, batch):
-        program, _ = build_mulsum()
-        node = ExecutionNode(program, 2, max_age=2, recover=True,
-                             batch=batch)
-        fired = self._race_first_store(node, "p_data")
+        """``batch=1`` claims one instance and runs the scalar loop,
+        ``batch=4`` six stacked; either finds its first 4-element
+        region with one element written."""
+        program = _doubling_program(48, 4, batch_body=_stacked_double)
+        node = ExecutionNode(program, 2, recover=True, batch=batch)
+        fired = self._race_first_store(node, "out")
         with pytest.raises(WriteOnceViolation):
             node.run(timeout=60)
-        assert fired
+        assert fired == ["scalar" if batch == 1 else "stacked"]
 
     def test_non_recover_node_still_raises(self):
         program, _ = build_mulsum()
@@ -1184,9 +1196,9 @@ def _run_claims(program, backend, batch, workers, covered):
             claims.append(len(claim))
         return execute_batch(claim, worker_id)
 
-    def counting_mark(age, regions):
+    def counting_mark(age, regions, **kw):
         marks.append(len(regions))
-        return mark_written_many(age, regions)
+        return mark_written_many(age, regions, **kw)
 
     node.backend.execute_batch = counting_execute
     out.mark_written_many = counting_mark

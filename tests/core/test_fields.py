@@ -190,6 +190,29 @@ class TestGroupCommitIsAllOrNothing:
             [[[1, 1], [1, 1]]] * 4 + [[[9, 9], [9, 9]]]
         )
 
+    @pytest.mark.parametrize("op", ["store", "mark"])
+    def test_violating_ragged_group_commits_nothing(self, op):
+        """A group that does not tile its field — blocks of 4 over 10
+        elements — is checked region by region, and a violation clears
+        what the check had marked: the group commits nothing."""
+        f = make(shape=(10,))
+        f.store(3, 5, 7)
+        ragged = RegionGroup([[0], [4]], (4,))  # 5 is in the second
+        commit = {
+            "store": lambda g: f.store(3, g, np.ones((len(g), 4))),
+            "mark": lambda g: f.mark_written_many(3, g),
+        }[op]
+        before = self._snapshot(f)
+        with pytest.raises(WriteOnceViolation) as e:
+            commit(ragged)
+        after = self._snapshot(f)
+        assert np.array_equal(before[0], after[0])
+        assert before[1:] == after[1:] == (1, 1, 3)
+        assert e.value.index == (5,)
+        assert not f._ages[3].data[:4].any()  # nothing copied either
+        commit(ragged[:1])  # the member that did not violate still commits
+        assert f.written_count(3) == 5
+
     @pytest.mark.parametrize("bad_at", [0, 395, 791])
     @pytest.mark.parametrize("shape", ["group", "stacks"])
     def test_violation_anywhere_in_a_claim_commits_nothing(self, bad_at,
@@ -251,6 +274,56 @@ def tiling_groups_with_repeats(draw):
         members = np.insert(members, at, twin, axis=0)
     extent = tuple(b * g for b, g in zip(shape, grid))
     return extent, RegionGroup(members * shape, shape)
+
+
+class TestRecoverMode:
+    """``recover`` (a successor re-running its dead predecessor's
+    stores): a region already complete is skipped — neither marked nor
+    copied — while a partly written one still raises and the call
+    commits nothing, for every shape of input and with or without a
+    payload."""
+
+    # (regions, payload, elements new past the predecessor's 0:5);
+    # every first member covers element 2
+    CASES = {
+        "one": (slice(0, 5), np.zeros(5), 0),
+        "tiling": (RegionGroup([[0], [5]], (5,)), np.full((2, 5), 7), 5),
+        "ragged": (RegionGroup([[1], [5]], (4,)), np.full((2, 4), 7), 4),
+        "list": ([(slice(1, 3),), (slice(6, 9),)],
+                 [np.zeros(2), np.full(3, 7)], 3),
+    }
+
+    @staticmethod
+    def _commit(f, regions, values, op):
+        if op == "store":
+            return f.store(0, regions, values, recover=True)
+        return f.mark_written_many(
+            0, [regions] if isinstance(regions, slice) else regions,
+            recover=True)
+
+    @pytest.mark.parametrize("op", ["store", "mark"])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_a_complete_region_is_skipped(self, kind, op):
+        regions, values, fresh = self.CASES[kind]
+        f = make(shape=(10,))
+        f.store(0, slice(0, 5), np.full(5, 9))  # the predecessor's
+        self._commit(f, regions, values, op)
+        assert f.written_count(0) == f.elements_written == 5 + fresh
+        assert f.fetch(0, slice(0, 5)).tolist() == [9] * 5
+        if fresh and op == "store":
+            assert (f._ages[0].data[5:] == 7).sum() == fresh
+
+    @pytest.mark.parametrize("op", ["store", "mark"])
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_a_partly_written_region_still_raises(self, kind, op):
+        regions, values, _fresh = self.CASES[kind]
+        f = make(shape=(10,))
+        f.store(0, 2, 9)
+        with pytest.raises(WriteOnceViolation) as e:
+            self._commit(f, regions, values, op)
+        assert e.value.index == (2,)
+        assert f.written_count(0) == 1
+        assert f._ages[0].data.tolist() == [0, 0, 9] + [0] * 7
 
 
 class TestDuplicateMembers:

@@ -26,7 +26,7 @@ def partitioned_field(draw):
 
 class TestWriteOnceProperties:
     @given(partitioned_field())
-    @settings(max_examples=60)
+    @settings(max_examples=3 * settings.default.max_examples // 5)
     def test_disjoint_segments_never_violate(self, case):
         """Storing any disjoint partition of the field, in any order,
         succeeds and ends complete."""
@@ -45,7 +45,7 @@ class TestWriteOnceProperties:
         st.integers(0, 30),
         st.integers(1, 10),
     )
-    @settings(max_examples=80)
+    @settings(max_examples=4 * settings.default.max_examples // 5)
     def test_overlap_always_raises(self, a_lo, a_len, b_lo, b_len):
         """Any two overlapping stores to one age conflict; disjoint ones
         do not."""
@@ -65,7 +65,7 @@ class TestWriteOnceProperties:
             f.store(0, slice(*b), np.zeros(b_len))
 
     @given(st.lists(st.integers(0, 5), min_size=1, max_size=20))
-    @settings(max_examples=60)
+    @settings(max_examples=3 * settings.default.max_examples // 5)
     def test_store_count_equals_unique_elements(self, indices):
         """store_count counts exactly the distinct elements written."""
         f = Field(FieldDef("f", "int64", 1))
@@ -82,7 +82,7 @@ class TestWriteOnceProperties:
         st.integers(1, 8),
         st.data(),
     )
-    @settings(max_examples=40)
+    @settings(max_examples=2 * settings.default.max_examples // 5)
     def test_2d_roundtrip(self, h, w, data):
         """A field stored in random rectangular tiles reads back exactly."""
         f = Field(FieldDef("f", "float64", 2))
@@ -98,7 +98,7 @@ class TestWriteOnceProperties:
         assert np.array_equal(f.fetch(0, (slice(0, h), slice(0, w))), ref)
 
     @given(st.integers(0, 6), st.integers(0, 6))
-    @settings(max_examples=40)
+    @settings(max_examples=2 * settings.default.max_examples // 5)
     def test_aging_isolation(self, age_a, age_b):
         """Writes to one age are never visible at another."""
         f = Field(FieldDef("f", "int64", 1))

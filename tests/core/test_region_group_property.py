@@ -89,7 +89,8 @@ def _outcome(fn):
 
 class TestGatherScatter:
     @given(layouts(in_bounds=True), st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples // 2,
+              deadline=None)
     def test_one_operation_equals_the_loop(self, layout, seed):
         extent, shape, starts = layout
         group = RegionGroup(starts, shape)
@@ -115,7 +116,8 @@ class TestGatherScatter:
         assert np.array_equal(got, want)
 
     @given(layouts())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=settings.default.max_examples,
+              deadline=None)
     def test_a_group_is_the_slice_tuples_it_replaces(self, layout):
         extent, shape, starts = layout
         group = RegionGroup(starts, shape)
@@ -171,7 +173,8 @@ class TestCommitEquivalence:
         st.booleans(),
         st.booleans(),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples,
+              deadline=None)
     def test_group_and_list_commit_like_the_loop(
         self, layout, prewritten, collected, as_list
     ):
@@ -246,7 +249,8 @@ class TestAdapterEquivalence:
         st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples,
+              deadline=None)
     def test_group_write_then_read_equals_per_region(
         self, layout, prewritten, fixed, seed
     ):
@@ -261,15 +265,15 @@ class TestAdapterEquivalence:
 
         def loop_write():
             for region, arr in zip(group, stack):
-                mem_l.write(field_l, 0, (region,), (arr,))
+                mem_l.write(field_l, 0, region, arr)
 
         _, exc_g = _outcome(lambda: mem_g.write(field_g, 0, group, stack))
         _, exc_l = _outcome(loop_write)
         assert type(exc_g) is type(exc_l)
         if exc_g is not None:
-            if group.tiles(extent) is not None:
-                assert _same_state(before, _state(field_g, 0))
-                assert not events_g
+            # a violating group commits nothing, tiling or not
+            assert _same_state(before, _state(field_g, 0))
+            assert not events_g
             return
         assert _same_state(_state(field_g, 0), _state(field_l, 0))
         assert np.array_equal(field_g._ages[0].data, field_l._ages[0].data)
@@ -286,14 +290,15 @@ class TestAdapterEquivalence:
         assert np.array_equal(got, want) and np.array_equal(got, stack)
 
     @given(layouts(in_bounds=True), st.booleans())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=settings.default.max_examples,
+              deadline=None)
     def test_incomplete_group_fetch_raises_like_the_loop(
         self, layout, fixed
     ):
         extent, shape, starts = layout
         group = RegionGroup(starts, shape)
         mem, field, _events = self._adapter(extent, fixed, [])
-        mem.write(field, 0, (group[0],), (np.ones(shape),))
+        mem.write(field, 0, group[0], np.ones(shape))
         got, exc_g = _outcome(lambda: mem.read(field, 0, group))
         want, exc_l = _outcome(
             lambda: np.stack([mem.read(field, 0, r) for r in group])
@@ -302,13 +307,21 @@ class TestAdapterEquivalence:
         if exc_g is None:
             assert np.array_equal(got, want)
 
-    def test_field_stores_only_groups_that_tile(self):
-        field = Field(FieldDef("f", "int64", 1, shape=(10,)))
+    def test_field_stores_ragged_groups_whole(self):
         ragged = RegionGroup([[0], [4]], (4,))  # 10 is not a multiple
-        with pytest.raises(ExtentError, match="does not tile"):
-            field.store(0, ragged, np.zeros((2, 4)))
-        assert field.written_count(0) == 0
+        # a group that does not tile is stored whole ...
+        field = Field(FieldDef("f", "int64", 1, shape=(10,)))
+        field.store(0, ragged, np.arange(8).reshape(2, 4))
+        assert field.written_count(0) == 8
+        assert field.fetch(0, slice(0, 8)).tolist() == list(range(8))
+        # ... and, violating, commits nothing
+        field.store(1, 5, -1)
+        with pytest.raises(WriteOnceViolation):
+            field.store(1, ragged, np.zeros((2, 4)))
+        assert field.written_count(1) == 1
+        assert not field._ages[1].data[:5].any()
         # a fetch only needs the group inside the extent
+        field = Field(FieldDef("f", "int64", 1, shape=(10,)))
         field.store(0, slice(0, 10), np.arange(10))
         assert field.fetch(0, ragged).tolist() == [[0, 1, 2, 3],
                                                    [4, 5, 6, 7]]
@@ -375,7 +388,8 @@ class TestRasterRuns:
     per-region loop do."""
 
     @given(raster_runs(), st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples,
+              deadline=None)
     def test_a_run_moves_like_the_loop(self, run, seed):
         extent, shape, starts, bounds = run
         group = RegionGroup(starts, shape)
@@ -411,7 +425,8 @@ class TestRasterRuns:
         st.lists(st.integers(0, 399), max_size=3),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=3 * settings.default.max_examples,
+              deadline=None)
     def test_a_run_commits_and_fails_like_the_general_path(
         self, run, prewritten, seed
     ):
@@ -481,7 +496,8 @@ class TestRasterRuns:
         st.sampled_from(["gapped", "reversed", "repeated"]),
         st.data(),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples,
+              deadline=None)
     def test_other_tiling_groups_take_the_general_path(
         self, run, how, data
     ):

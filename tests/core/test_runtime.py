@@ -756,10 +756,12 @@ class TestWholeFetchedFields:
         program, result = build_kmeans(n=40, k=8, iterations=3,
                                        granularity="pair")
         tapped, analysed = Counter(), Counter()
+        lock = threading.Lock()  # the tap runs on every worker thread
 
         def tap(_node, ev):
             if isinstance(ev, StoreEvent):
-                tapped[ev.field, ev.age] += len(ev.regions)
+                with lock:
+                    tapped[ev.field, ev.age] += len(ev.regions)
 
         node = ExecutionNode(program, workers, backend=backend,
                              on_event=tap, **kw)
@@ -805,20 +807,17 @@ class TestWholeFetchedFields:
             assert tapped["distances", age] == 320
             assert 1 <= analysed["distances", age] <= 2
 
-    def test_a_recovery_node_reannounce_into_a_complete_field_is_analysed(
-        self,
-    ):
-        """A recovery node re-runs ``p`` over a field its dead
-        predecessor completed: each store is skipped and re-announced,
-        finds ``f`` complete, and is analysed — so ``c``, which fetches
-        ``f`` whole, runs."""
+    @staticmethod
+    def _produce_then_sum():
+        """``p``: 4 instances, ``f[x] = x``; ``c`` fetches ``f`` whole
+        and stores its sum to ``g``."""
         def p_body(ctx):
             ctx.emit("f", ctx.index["x"])
 
         def c_body(ctx):
             ctx.emit("g", int(ctx["f"].sum()))
 
-        program = Program.build(
+        return Program.build(
             [FieldDef("f", "int32", 1, shape=(4,)),
              FieldDef("g", "int32", 1, shape=(1,))],
             [KernelDef("p", p_body, index_vars=("x",), domain={"x": 4},
@@ -828,7 +827,42 @@ class TestWholeFetchedFields:
                        fetches=(FetchSpec("f", "f", age=AgeExpr.const(0)),),
                        stores=(StoreSpec("g", age=AgeExpr.const(0)),))],
         )
-        node = ExecutionNode(program, 1, recover=True)
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_a_recovery_node_skips_what_its_predecessor_committed(
+        self, backend
+    ):
+        """A recovery node re-runs all of ``p`` over an ``f`` its dead
+        predecessor completed, on either backend: no write-once
+        violation, the bytes of a plain run, and every store of ``p``
+        still reaches the ``on_event`` tap — re-announced for the nodes
+        that missed the original delivery."""
+        program = self._produce_then_sum()
+        base = ExecutionNode(program, 1, backend=backend).run(timeout=60)
+        tapped = []
+        node = ExecutionNode(
+            program, 1, backend=backend, recover=True,
+            on_event=lambda _node, ev: isinstance(ev, StoreEvent)
+            and tapped.extend((ev.field, r) for r in ev.regions),
+        )
+        node.fields["f"].store(0, slice(0, 4), base.fields["f"].fetch(0))
+        result = node.run(timeout=60)
+        assert result.reason == "idle"
+        for name in ("f", "g"):
+            assert result.fields[name].fetch(0).tobytes() == (
+                base.fields[name].fetch(0).tobytes())
+        assert sorted(r[0].start for f, r in tapped if f == "f") == [
+            0, 1, 2, 3]
+        assert result.fields["f"].written_count(0) == 4
+
+    def test_a_recovery_node_reannounce_into_a_complete_field_is_analysed(
+        self,
+    ):
+        """A recovery node re-runs ``p`` over a field its dead
+        predecessor completed: each store is skipped and re-announced,
+        finds ``f`` complete, and is analysed — so ``c``, which fetches
+        ``f`` whole, runs."""
+        node = ExecutionNode(self._produce_then_sum(), 1, recover=True)
         node.fields["f"].store(0, slice(0, 4), np.arange(4))
         analysed = []
         on_store = node.analyzer.on_store

@@ -221,6 +221,20 @@ INVARIANTS = [
         deleted_in="DESIGN.md section 7",
     ),
     Invariant(
+        "one write-once commit (no group store and no recovery skip "
+        "beside it)",
+        r"def _store_group\b|recover and field\.is_complete",
+        ("src",),
+        deleted_in="DESIGN.md section 12",
+    ),
+    Invariant(
+        "the thread adapter's write is one commit call",
+        r"tiles\(|is_complete\(|recover and",
+        (CORE + "backends.py",),
+        section=(r"^class _NodeFields", r"^class "),
+        deleted_in="DESIGN.md section 12",
+    ),
+    Invariant(
         "one producer for the paper's evaluation (repro tables)",
         r"MicroBenchResult|table2_mjpeg_micro|table3_kmeans_micro"
         r"|usable_cpus",
